@@ -1,23 +1,15 @@
-//! Pool-reuse bench: per-call overhead of the persistent worker pool
-//! vs. the old per-call scoped-spawn strategy.
+//! Pool bench: per-call overhead of the persistent worker pool on many
+//! small `par_map` calls.
 //!
-//! PR 2's pool spawned scoped workers on **every** `par_map` call; the
-//! persistent pool parks its workers once and ships jobs over a channel,
-//! so a chromatic schedule with many small colors (many small `par_map`
-//! calls) pays the thread-spawn cost once per engine instead of once per
-//! color. This bench measures exactly that regime — many calls, few
-//! items, negligible per-item work — and compares against a local
-//! reimplementation of the scoped-spawn baseline.
-//!
-//! Acceptance tracked by CI telemetry: at width 1 both strategies run
-//! inline, so the persistent pool's per-call overhead must be no worse
-//! than the scoped baseline's; at width > 1 the persistent pool should
-//! win by roughly the thread spawn+join cost per call.
+//! The persistent pool parks its workers once and ships jobs over a
+//! channel, so a chromatic schedule with many small colors (many small
+//! `par_map` calls) pays the thread-spawn cost once per engine instead
+//! of once per color. This bench measures exactly that regime — many
+//! calls, few items, negligible per-item work.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lds_bench::scoped_par_map;
 use lds_runtime::ThreadPool;
 
 /// The many-small-calls workload: `calls` par_maps of `items` cheap
@@ -43,13 +35,6 @@ fn bench_many_small_calls(c: &mut Criterion) {
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("scoped", threads), &threads, |b, _| {
-            b.iter(|| {
-                for _ in 0..CALLS {
-                    criterion::black_box(scoped_par_map(threads, &items, small_item));
-                }
-            })
-        });
     }
     group.finish();
 }
@@ -57,32 +42,28 @@ fn bench_many_small_calls(c: &mut Criterion) {
 fn overhead_table(_c: &mut Criterion) {
     let items: Vec<u64> = (0..ITEMS as u64).collect();
     println!(
-        "\npool reuse: {CALLS} calls x {ITEMS} items, available parallelism {}",
+        "\npool overhead: {CALLS} calls x {ITEMS} items, available parallelism {}",
         ThreadPool::available().threads()
     );
+    let expected: Vec<u64> = items.iter().map(small_item).collect();
     for threads in [1usize, 2, 4] {
         let pool = ThreadPool::new(threads);
         // warmup parks the workers and faults in the code paths
         for _ in 0..4 {
-            let a = pool.par_map(&items, small_item);
-            let b = scoped_par_map(threads, &items, small_item);
-            assert_eq!(a, b, "strategies disagree at width {threads}");
+            assert_eq!(
+                pool.par_map(&items, small_item),
+                expected,
+                "wrong results at width {threads}"
+            );
         }
         let start = Instant::now();
         for _ in 0..CALLS {
             criterion::black_box(pool.par_map(&items, small_item));
         }
         let persistent = start.elapsed();
-        let start = Instant::now();
-        for _ in 0..CALLS {
-            criterion::black_box(scoped_par_map(threads, &items, small_item));
-        }
-        let scoped = start.elapsed();
         println!(
-            "  threads {threads}: persistent {:>8.0} ns/call   scoped {:>8.0} ns/call   ({:.2}x)",
+            "  threads {threads}: persistent {:>8.0} ns/call",
             persistent.as_nanos() as f64 / CALLS as f64,
-            scoped.as_nanos() as f64 / CALLS as f64,
-            scoped.as_secs_f64() / persistent.as_secs_f64(),
         );
     }
 }

@@ -7,9 +7,10 @@ use lds_core::sampler::SequentialSampler;
 use lds_gibbs::models::hardcore;
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_graph::ordering;
-use lds_localnet::slocal::SlocalAlgorithm;
+use lds_localnet::slocal::run_scan_sequential;
 use lds_localnet::{scheduler, Instance, Network};
 use lds_oracle::{DecayRate, TwoSpinSawOracle};
+use lds_runtime::CancelToken;
 
 fn bench_sequential_sampler(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_sequential_sampler");
@@ -22,7 +23,7 @@ fn bench_sequential_sampler(c: &mut Criterion) {
         let order = ordering::identity(&g);
         let sampler = SequentialSampler::new(oracle.clone(), 0.05);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| sampler.run_sequential(&net, &order))
+            b.iter(|| run_scan_sequential(&net, &sampler, &order, &CancelToken::never()))
         });
     }
     group.finish();

@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every quantitative claim of the
-//! paper (experiment index in DESIGN.md §5; results recorded in
-//! EXPERIMENTS.md).
+//! paper as one table per experiment, each captioned with the claim it
+//! checks.
 //!
 //! Usage: `cargo run -p lds-bench --bin experiments --release [-- <ids>]`
 //! where `<ids>` is a subset of `e1 e2 e3 e4 e5 e6a e6b e6c e6d e6e e7 e8
@@ -9,7 +9,7 @@
 use lds_bench::{d, f, workloads, Table};
 use lds_core::complexity;
 use lds_core::jvv::{self, LocalJvv};
-use lds_core::sampler::SequentialSampler;
+use lds_core::sampler::{self, SequentialSampler};
 use lds_core::sampling_to_inference;
 use lds_engine::{Engine, ModelSpec, Task};
 use lds_gibbs::models::two_spin::TwoSpinParams;
@@ -17,12 +17,13 @@ use lds_gibbs::models::{coloring, hardcore, matching::MatchingInstance};
 use lds_gibbs::{distribution, metrics, Config, PartialConfig};
 use lds_graph::{ordering, NodeId};
 use lds_localnet::decomposition::{linial_saks, DecompositionParams};
-use lds_localnet::slocal::SlocalAlgorithm;
+use lds_localnet::slocal::run_scan_sequential;
 use lds_localnet::{scheduler, Instance, Network};
 use lds_oracle::{
     BoostedOracle, DecayRate, EnumerationOracle, InferenceOracle, MultiplicativeInference,
     TwoSpinSawOracle,
 };
+use lds_runtime::{CancelToken, ThreadPool};
 use lds_ssm::{correlation, estimator, phase, rate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,13 +58,20 @@ fn e1() {
             let tt = oracle.radius(n, delta / n as f64);
             let net = Network::new(Instance::unconditioned(model.clone()), 17);
             let sampler = SequentialSampler::new(oracle.clone(), delta);
-            let (run, schedule) = scheduler::run_slocal_in_local(&net, &sampler, 0);
+            let never = CancelToken::never();
+            let run =
+                sampler::sample_local(&net, &oracle, delta, 0, &ThreadPool::sequential(), &never)
+                    .expect("never cancelled")
+                    .run;
+            // the schedule is a deterministic function of (net, locality, stream)
+            let colors = scheduler::chromatic_schedule(&net, sampler.locality(n), 0).colors;
             let tv = if n <= 8 {
                 let trials = 5000usize;
                 let mut samples = Vec::with_capacity(trials);
                 for seed in 0..trials as u64 {
                     let rnet = Network::new(Instance::unconditioned(model.clone()), seed);
-                    let r = sampler.run_sequential(&rnet, &ordering::identity(&g));
+                    let r = run_scan_sequential(&rnet, &sampler, &ordering::identity(&g), &never)
+                        .expect("never cancelled");
                     samples.push(Config::from_values(r.outputs));
                 }
                 let emp = metrics::empirical_distribution(&samples);
@@ -79,7 +87,7 @@ fn e1() {
                 f(delta),
                 d(tt),
                 d(run.rounds),
-                d(schedule.colors),
+                d(colors),
                 tv,
             ]);
         }
@@ -92,8 +100,8 @@ fn e2() {
     let mut t = Table::new(
         "E2  Sampling => Inference (Theorem 3.4)",
         "Marginals reconstructed from repeated LOCAL sampler executions \
-         (Monte Carlo substitution, DESIGN.md §6). Error bound: δ + ε₀ + \
-         sampling noise.",
+         (Monte Carlo in place of the paper's exact enumeration of random \
+         bits). Error bound: δ + ε₀ + sampling noise.",
         &[
             "graph",
             "n",
@@ -109,7 +117,14 @@ fn e2() {
         let model = hardcore::model(&g, 1.0);
         let net = Network::new(Instance::unconditioned(model.clone()), 23);
         let oracle = saw(1.0, 0.5);
-        let res = sampling_to_inference::marginals_by_sampling(&net, &oracle, delta, reps, 5);
+        let res = sampling_to_inference::marginals_by_sampling(
+            &net,
+            &oracle,
+            delta,
+            reps,
+            5,
+            &ThreadPool::sequential(),
+        );
         let tau = PartialConfig::empty(n);
         let mut worst = 0.0f64;
         for v in g.nodes() {
@@ -394,7 +409,7 @@ fn e6c() {
     let mut t = Table::new(
         "E6c  Colorings of triangle-free graphs (Corollary 5.3)",
         "q = 2Δ ≥ α*·Δ colorings. Full JVV runs on cycles (enumeration \
-         oracle; see DESIGN.md §6); proper = output is a proper coloring.",
+         oracle); proper = output is a proper coloring.",
         &["graph", "n", "q", "rate", "rounds", "proper", "success /5"],
     );
     for &n in &[5usize, 6, 8] {
@@ -697,10 +712,19 @@ fn s2() {
     let model = hardcore::model(&g, 1.0);
     let oracle = BoostedOracle::new(saw(1.0, 0.5));
     let net = Network::new(Instance::unconditioned(model), 3);
-    let (run, _sched, stats) = jvv::sample_exact_local(&net, &oracle, 0.01, 0);
+    let out = jvv::sample_exact_local(
+        &net,
+        &oracle,
+        0.01,
+        0,
+        &ThreadPool::sequential(),
+        &CancelToken::never(),
+    )
+    .expect("never cancelled");
+    let stats = out.jvv.expect("exact sampling reports JVV stats");
     println!(
         "JVV sanity on C7: rounds={} locality={} acceptance={:.3} clamped={}",
-        run.rounds, stats.locality, stats.acceptance_product, stats.clamped
+        out.run.rounds, stats.locality, stats.acceptance_product, stats.clamped
     );
 }
 

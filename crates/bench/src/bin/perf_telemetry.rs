@@ -15,13 +15,8 @@
 //! runs), `--write-baseline` (also rewrite the baseline file with the
 //! fresh numbers, for refreshing the committed reference on purpose).
 //!
-//! Two gates:
-//!
-//! * **regression gate** — each metric present in both the run and the
-//!   baseline must be `≤ 1.25×` its baseline median;
-//! * **pool-reuse gate** — the persistent pool's per-call cost at width
-//!   1 must be no worse than the scoped-spawn baseline's (with a small
-//!   absolute allowance for timer noise: both paths are an inline map).
+//! The **regression gate**: each metric present in both the run and the
+//! baseline must be `≤ 1.25×` its baseline median.
 //!
 //! The emitted JSON carries a second `serving` section: coalesced
 //! dispatch through `lds-serve` vs. one-at-a-time dispatch of the same
@@ -58,7 +53,6 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lds_bench::scoped_par_map;
 use lds_engine::{Backend, Engine, ModelSpec, RunReport, SweepBudget, Task, Topology};
 use lds_graph::generators;
 use lds_net::{Client, EngineSpec, NetConfig, NetServer, Op, Wire};
@@ -201,7 +195,7 @@ fn main() {
 
     let mut metrics: Vec<(String, f64)> = Vec::new();
 
-    // --- pool-reuse metrics: many small par_map calls per sample ---
+    // --- pool metrics: many small par_map calls per sample ---
     const CALLS: usize = 64;
     let items: Vec<u64> = (0..8).collect();
     for width in [1usize, 4] {
@@ -211,13 +205,7 @@ fn main() {
                 std::hint::black_box(pool.par_map(&items, small_item));
             }
         });
-        let scoped = measure(samples, CALLS, || {
-            for _ in 0..CALLS {
-                std::hint::black_box(scoped_par_map(width, &items, small_item));
-            }
-        });
         metrics.push((format!("pool_par_map_w{width}_ns"), persistent));
-        metrics.push((format!("scoped_par_map_w{width}_ns"), scoped));
     }
 
     // --- engine batch throughput, width 1 (the sequential reference the
@@ -903,8 +891,6 @@ fn main() {
 
     let mut failed = false;
 
-    // pool-reuse gate: persistent no worse than scoped at width 1
-    // (inline vs inline; allow 15% + 100 ns for timer noise)
     let get = |name: &str| -> f64 {
         all_metrics
             .iter()
@@ -912,13 +898,6 @@ fn main() {
             .map(|(_, v)| *v)
             .expect("tracked metric")
     };
-    let (p1, s1) = (get("pool_par_map_w1_ns"), get("scoped_par_map_w1_ns"));
-    if p1 > s1 * 1.15 + 100.0 {
-        eprintln!("FAIL pool-reuse gate: persistent width-1 per-call cost {p1:.0} ns exceeds scoped baseline {s1:.0} ns");
-        failed = true;
-    } else {
-        println!("pool-reuse gate: width-1 {p1:.0} ns vs scoped {s1:.0} ns — ok");
-    }
 
     // Sharding gate: the chromatic runner must ship halo-bounded state,
     // never full clones. Two conditions: the workload actually fanned

@@ -1,9 +1,8 @@
 //! Shared infrastructure for the experiment harness and Criterion
 //! benches: workload constructors and plain-text table rendering.
 //!
-//! The experiment index (E1–E8, S1–S2) is defined in DESIGN.md §5; the
-//! `experiments` binary regenerates every table, and EXPERIMENTS.md
-//! records paper-claim vs. measured outcome.
+//! The `experiments` binary regenerates every experiment table (E1–E8,
+//! S1–S2); each table's caption states the paper claim it checks.
 
 #![forbid(unsafe_code)]
 
@@ -92,51 +91,6 @@ pub fn f(x: f64) -> String {
 /// Formats an integer-valued cell.
 pub fn d(x: impl Display) -> String {
     format!("{x}")
-}
-
-/// The PR 2 scoped-spawn parallel-map strategy, kept as the comparison
-/// baseline for the pool-reuse bench and the CI telemetry gate: scoped
-/// workers spawned per call, stealing item indices off a shared atomic
-/// counter, results gathered in input order. One copy here so the bench
-/// and the gate measure the same baseline.
-pub fn scoped_par_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
-    threads: usize,
-    items: &[T],
-    f: F,
-) -> Vec<R> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    if threads == 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let workers = threads.min(items.len());
-    let next = AtomicUsize::new(0);
-    let (f, next) = (&f, &next);
-    let harvested: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(item)));
-                    }
-                    local
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("scoped worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in harvested.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index claimed"))
-        .collect()
 }
 
 /// Workloads used across experiments.

@@ -38,11 +38,11 @@ use std::time::{Duration, Instant};
 
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
-use lds_localnet::{scheduler, Instance, Network};
+use lds_localnet::{Instance, Network};
 use lds_oracle::{chain_marginals_mul, InferenceOracle, MultiplicativeInference};
 use lds_runtime::{splitmix64, ThreadPool};
 
-use crate::sampler::SequentialSampler;
+use crate::sampler::sample_once;
 
 /// Precision floor for the anchor pass. The anchor only needs to be
 /// *feasible* — any coarse argmax works, and the chain-rule error bound
@@ -137,7 +137,7 @@ pub struct CountRun {
 /// [`lds_oracle::chain_marginals_mul`], fanned
 /// across `pool`. The result is bit-identical at every pool width (and
 /// to [`log_partition_function_reference`]).
-pub fn log_partition_function_detailed<O>(
+pub fn log_partition_function<O>(
     model: &GibbsModel,
     pinning: &PartialConfig,
     oracle: &O,
@@ -205,41 +205,11 @@ where
     })
 }
 
-/// [`log_partition_function`] with the marginal pass fanned across
-/// `pool`. Bit-identical at every pool width.
-pub fn log_partition_function_with<O>(
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    oracle: &O,
-    eps: f64,
-    pool: &ThreadPool,
-) -> Result<CountEstimate, CountError>
-where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
-{
-    log_partition_function_detailed(model, pinning, oracle, eps, pool).map(|run| run.estimate)
-}
-
-/// Estimates `ln Z^τ` using a multiplicative inference oracle with error
-/// `ε` per marginal (sequential; see [`log_partition_function_with`] for
-/// the pooled variant).
-pub fn log_partition_function<O>(
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    oracle: &O,
-    eps: f64,
-) -> Result<CountEstimate, CountError>
-where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
-{
-    log_partition_function_with(model, pinning, oracle, eps, &ThreadPool::sequential())
-}
-
 /// **Frozen reference**: the straight-line sequential form of the
 /// two-pass estimator, kept verbatim as the bit-identity target for the
 /// cross-width proptests (`tests/counting_parallel.rs`). Do not
-/// "improve" this function — change [`log_partition_function_detailed`]
-/// and let the tests prove agreement.
+/// "improve" this function — change [`log_partition_function`] and let
+/// the tests prove agreement.
 pub fn log_partition_function_reference<O: MultiplicativeInference>(
     model: &GibbsModel,
     pinning: &PartialConfig,
@@ -401,8 +371,7 @@ where
     let mut anchor = None;
     for attempt in 0..cfg.max_anchor_attempts.max(1) as u64 {
         let net = Network::from_shared(Arc::clone(&instance), anchor_seed.wrapping_add(attempt));
-        let sampler = SequentialSampler::new(oracle.clone(), cfg.sampler_delta);
-        let (run, _schedule) = scheduler::run_slocal_in_local(&net, &sampler, 0);
+        let run = sample_once(&net, oracle, cfg.sampler_delta);
         if !run.succeeded() {
             continue;
         }
@@ -476,8 +445,7 @@ where
                     Arc::clone(&instance),
                     level_seed.wrapping_add(m as u64 + s),
                 );
-                let sampler = SequentialSampler::new(oracle.clone(), cfg.sampler_delta);
-                let (run, _schedule) = scheduler::run_slocal_in_local(&net, &sampler, 0);
+                let run = sample_once(&net, oracle, cfg.sampler_delta);
                 if run.outputs[v.index()] == target {
                     hits += 1;
                 }
@@ -550,7 +518,14 @@ pub fn count_independent_sets(
         TwoSpinParams::hardcore(lambda),
         DecayRate::new(rate.clamp(0.05, 0.95), 2.0),
     ));
-    log_partition_function(&model, &PartialConfig::empty(g.node_count()), &oracle, eps)
+    log_partition_function(
+        &model,
+        &PartialConfig::empty(g.node_count()),
+        &oracle,
+        eps,
+        &ThreadPool::sequential(),
+    )
+    .map(|run| run.estimate)
 }
 
 /// Approximately counts matchings of `g` weighted by edge weight `λ`
@@ -573,7 +548,9 @@ pub fn count_matchings(
         &PartialConfig::empty(inst.model().node_count()),
         &oracle,
         eps,
+        &ThreadPool::sequential(),
     )
+    .map(|run| run.estimate)
 }
 
 #[cfg(test)]
@@ -583,6 +560,20 @@ mod tests {
     use lds_gibbs::{distribution, models::two_spin::TwoSpinParams};
     use lds_graph::generators;
     use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
+
+    /// The sequential estimate alone.
+    fn estimate<O>(
+        model: &GibbsModel,
+        tau: &PartialConfig,
+        oracle: &O,
+        eps: f64,
+    ) -> Result<CountEstimate, CountError>
+    where
+        O: MultiplicativeInference + Clone + Send + Sync + 'static,
+    {
+        log_partition_function(model, tau, oracle, eps, &ThreadPool::sequential())
+            .map(|run| run.estimate)
+    }
 
     /// The pre-split estimator, kept verbatim: one full-precision pass
     /// doing argmax construction and accumulation together. Used to
@@ -703,7 +694,7 @@ mod tests {
         let g = generators::cycle(5);
         let model = coloring::model(&g, 3);
         let oracle = BoostedOracle::new(EnumerationOracle::new(DecayRate::new(0.4, 2.0)));
-        let est = log_partition_function(&model, &PartialConfig::empty(5), &oracle, 1e-5).unwrap();
+        let est = estimate(&model, &PartialConfig::empty(5), &oracle, 1e-5).unwrap();
         assert!(
             (est.log_z - 30.0f64.ln()).abs() <= est.log_error_bound + 1e-6,
             "ln Ẑ = {} vs ln 30",
@@ -723,7 +714,7 @@ mod tests {
             TwoSpinParams::hardcore(1.0),
             DecayRate::new(0.5, 2.0),
         ));
-        let est = log_partition_function(&model, &tau, &oracle, 1e-5).unwrap();
+        let est = estimate(&model, &tau, &oracle, 1e-5).unwrap();
         assert!(
             (est.log_z - exact.ln()).abs() <= est.log_error_bound + 1e-6,
             "{} vs {}",
@@ -755,7 +746,7 @@ mod tests {
             DecayRate::new(0.5, 2.0),
         ));
         let tau = PartialConfig::empty(9);
-        let new = log_partition_function(&model, &tau, &oracle, 1e-4).unwrap();
+        let new = estimate(&model, &tau, &oracle, 1e-4).unwrap();
         let old = pr6_estimator(&model, &tau, &oracle, 1e-4).unwrap();
         assert!(
             (new.log_z - old.log_z).abs() <= new.log_error_bound + old.log_error_bound + 1e-9,
@@ -778,7 +769,7 @@ mod tests {
         let reference = log_partition_function_reference(&model, &tau, &oracle, 1e-3).unwrap();
         for threads in [1usize, 4, 8] {
             let pool = ThreadPool::new(threads);
-            let run = log_partition_function_detailed(&model, &tau, &oracle, 1e-3, &pool).unwrap();
+            let run = log_partition_function(&model, &tau, &oracle, 1e-3, &pool).unwrap();
             assert_eq!(run.estimate.log_z.to_bits(), reference.log_z.to_bits());
             assert_eq!(
                 run.estimate.log_error_bound.to_bits(),
@@ -796,7 +787,7 @@ mod tests {
             TwoSpinParams::hardcore(1.0),
             DecayRate::new(0.5, 2.0),
         ));
-        let run = log_partition_function_detailed(
+        let run = log_partition_function(
             &model,
             &PartialConfig::empty(8),
             &oracle,
@@ -867,16 +858,16 @@ mod tests {
         let model = hardcore::model(&g, 1.0);
         let tau = PartialConfig::empty(3);
         assert_eq!(
-            log_partition_function(&model, &tau, &EmptyOracle, 0.1).unwrap_err(),
+            estimate(&model, &tau, &EmptyOracle, 0.1).unwrap_err(),
             CountError::EmptyMarginal { vertex: NodeId(0) }
         );
         assert_eq!(
-            log_partition_function(&model, &tau, &ZeroOracle, 0.1).unwrap_err(),
+            estimate(&model, &tau, &ZeroOracle, 0.1).unwrap_err(),
             CountError::NonPositiveMarginal { vertex: NodeId(0) }
         );
         // adjacent occupied nodes have hardcore weight 0
         assert_eq!(
-            log_partition_function(&model, &tau, &AlwaysOccupied, 0.1).unwrap_err(),
+            estimate(&model, &tau, &AlwaysOccupied, 0.1).unwrap_err(),
             CountError::InfeasibleAnchor
         );
     }

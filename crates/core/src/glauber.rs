@@ -7,7 +7,7 @@
 //! whole chain runs in `O(log n)` LOCAL rounds inside the uniqueness
 //! regime. This module implements the **systematic-scan** form of that
 //! chain on the workspace's existing machinery: one sweep is one
-//! chromatic scan ([`scheduler::run_kernel_chromatic_with_stats`]) in
+//! chromatic scan ([`scheduler::run_kernel_chromatic`]) in
 //! which every free node, visited in schedule order, resamples its spin
 //! from the conditional distribution given its current neighborhood —
 //! sites of the same color are distance `≥ locality + 2` apart, so the
@@ -34,15 +34,16 @@
 //! [`crate::regime::glauber_plan`] from the model's SSM decay rate.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::{distribution, Config, PartialConfig, Value};
 use lds_graph::NodeId;
-use lds_localnet::local::LocalRun;
-use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
+use lds_localnet::scheduler;
 use lds_localnet::slocal::{ScanKernel, SlocalKernel};
 use lds_localnet::Network;
-use lds_runtime::{CancelToken, Cancelled, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
+
+use crate::sampler::{lift, SampleRun};
 
 /// Base randomness stream tag for Glauber sweeps: sweep `s` draws each
 /// node's randomness from stream `STREAM_GLAUBER + s`. Stream tags pack
@@ -223,7 +224,7 @@ impl ScanKernel for GlauberKernel {
     }
 }
 
-/// Mixing diagnostics of a [`sample_glauber_with`] execution.
+/// Mixing diagnostics of a [`sample_glauber`] execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GlauberStats {
     /// Full sweeps executed.
@@ -239,66 +240,32 @@ pub struct GlauberStats {
     pub locality: usize,
 }
 
-/// Per-phase wall-clock of a [`sample_glauber_with`] execution.
-#[derive(Clone, Debug, Default)]
-pub struct GlauberTimings {
-    /// Decomposition + chromatic-schedule construction.
-    pub schedule: Duration,
-    /// The greedy ground pass.
-    pub ground: Duration,
-    /// All Glauber sweeps.
-    pub sweeps: Duration,
-    /// Halo/bytes-cloned telemetry summed over the ground pass and all
-    /// sweeps.
-    pub sharding: ShardingStats,
-}
-
 /// Runs `sweeps` systematic-scan Glauber sweeps from the greedy ground
 /// state, all sharing one chromatic schedule (locality = the model's
 /// factor diameter) — the local Glauber dynamics of Fischer–Ghaffari in
 /// this workspace's scan form. Same-color clusters are simulated
 /// concurrently on `pool`; the result is **bit-identical to the
-/// sequential execution at any pool width**.
+/// sequential execution at any pool width**. [`SampleRun::glauber`]
+/// carries the mixing diagnostics.
 ///
 /// The reported round count charges `schedule.rounds` LOCAL rounds per
 /// chromatic pass (the ground pass plus each sweep), the cost of the
 /// Lemma 3.1 simulation.
-pub fn sample_glauber_with(
-    net: &Network,
-    sweeps: usize,
-    stream: u64,
-    pool: &ThreadPool,
-) -> (
-    LocalRun<Value>,
-    ChromaticSchedule,
-    GlauberStats,
-    GlauberTimings,
-) {
-    sample_glauber_cancellable_with(net, sweeps, stream, pool, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`sample_glauber_with`] with cooperative cancellation: the token is
-/// threaded into every chromatic pass (checked between color rounds) and
-/// checked once per sweep. Checks consume no randomness, so a completed
-/// run is bit-identical to the uncancellable one; a cancelled run
-/// returns `Err(`[`Cancelled`]`)` with no partial result.
-pub fn sample_glauber_cancellable_with(
+///
+/// `cancel` is threaded into every chromatic pass (checked between
+/// color rounds) and checked once per sweep. Checks consume no
+/// randomness, so a completed run is bit-identical to one under
+/// [`CancelToken::never`]; a cancelled run returns `Err(`[`Cancelled`]`)`
+/// with no partial result.
+///
+/// Phases: `schedule` (all rounds), `ground`, `glauber`.
+pub fn sample_glauber(
     net: &Network,
     sweeps: usize,
     stream: u64,
     pool: &ThreadPool,
     cancel: &CancelToken,
-) -> Result<
-    (
-        LocalRun<Value>,
-        ChromaticSchedule,
-        GlauberStats,
-        GlauberTimings,
-    ),
-    Cancelled,
-> {
-    let n = net.node_count();
+) -> Result<SampleRun, Cancelled> {
     let locality = net.instance().model().locality().max(1);
     let start = Instant::now();
     cancel.check()?;
@@ -306,13 +273,8 @@ pub fn sample_glauber_cancellable_with(
     let schedule_wall = start.elapsed();
 
     let start = Instant::now();
-    let (ground, mut sharding) = scheduler::run_kernel_chromatic_cancellable(
-        net,
-        &GreedyGroundKernel,
-        &schedule,
-        pool,
-        cancel,
-    )?;
+    let (ground, mut sharding) =
+        scheduler::run_kernel_chromatic(net, &GreedyGroundKernel, &schedule, pool, cancel)?;
     let ground_wall = start.elapsed();
 
     let mut config = Config::from_values(ground.outputs);
@@ -326,8 +288,7 @@ pub fn sample_glauber_cancellable_with(
     for s in 0..sweeps {
         cancel.check()?;
         let kernel = GlauberKernel::new(Arc::new(config), stream_for_sweep(s));
-        let (run, pass) =
-            scheduler::run_kernel_chromatic_cancellable(net, &kernel, &schedule, pool, cancel)?;
+        let (run, pass) = scheduler::run_kernel_chromatic(net, &kernel, &schedule, pool, cancel)?;
         sharding.merge(&pass);
         stats.site_updates += run.resampled as u64;
         stats.last_sweep_changes = run.changed;
@@ -335,25 +296,23 @@ pub fn sample_glauber_cancellable_with(
     }
     let sweeps_wall = start.elapsed();
 
-    let failures: Vec<bool> = (0..n)
-        .map(|v| ground.failures[v] || schedule.failed[v])
-        .collect();
     let rounds = schedule.rounds * (sweeps + 1);
-    Ok((
-        LocalRun {
-            outputs: config.values().to_vec(),
-            failures,
+    Ok(SampleRun {
+        run: lift(
+            config.values().to_vec(),
+            &ground.failures,
+            &schedule,
             rounds,
-        },
-        schedule,
-        stats,
-        GlauberTimings {
-            schedule: schedule_wall,
-            ground: ground_wall,
-            sweeps: sweeps_wall,
-            sharding,
-        },
-    ))
+        ),
+        phases: vec![
+            Phase::new("schedule", schedule_wall, rounds),
+            Phase::new("ground", ground_wall, 0),
+            Phase::new("glauber", sweeps_wall, 0),
+        ],
+        sharding,
+        jvv: None,
+        glauber: Some(stats),
+    })
 }
 
 /// The randomness stream for sweep `s`: distinct per sweep so each sweep
@@ -378,11 +337,19 @@ mod tests {
         Network::new(Instance::unconditioned(hardcore::model(&g, lambda)), seed)
     }
 
+    fn glauber_on(net: &Network, sweeps: usize, pool: &ThreadPool) -> SampleRun {
+        sample_glauber(net, sweeps, 0, pool, &CancelToken::never()).unwrap()
+    }
+
+    fn glauber(net: &Network, sweeps: usize) -> lds_localnet::local::LocalRun<Value> {
+        glauber_on(net, sweeps, &ThreadPool::sequential()).run
+    }
+
     #[test]
     fn outputs_are_feasible_configurations() {
         for seed in 0..20 {
             let net = hc_net(9, 1.5, seed);
-            let (run, _, _, _) = sample_glauber_with(&net, 6, 0, &ThreadPool::sequential());
+            let run = glauber(&net, 6);
             assert!(run.succeeded(), "seed {seed}");
             let config = Config::from_values(run.outputs);
             assert!(
@@ -396,17 +363,18 @@ mod tests {
     fn bit_identical_across_pool_widths() {
         for seed in [0u64, 3, 11] {
             let net = hc_net(14, 1.0, seed);
-            let (reference, _, ref_stats, _) =
-                sample_glauber_with(&net, 5, 0, &ThreadPool::sequential());
+            let reference = glauber_on(&net, 5, &ThreadPool::sequential());
             for threads in [2usize, 4, 8] {
-                let pool = ThreadPool::new(threads);
-                let (run, _, stats, _) = sample_glauber_with(&net, 5, 0, &pool);
+                let out = glauber_on(&net, 5, &ThreadPool::new(threads));
                 assert_eq!(
-                    run.outputs, reference.outputs,
+                    out.run.outputs, reference.run.outputs,
                     "width {threads} seed {seed}"
                 );
-                assert_eq!(run.failures, reference.failures);
-                assert_eq!(stats, ref_stats, "width {threads} seed {seed}");
+                assert_eq!(out.run.failures, reference.run.failures);
+                assert_eq!(
+                    out.glauber, reference.glauber,
+                    "width {threads} seed {seed}"
+                );
             }
         }
     }
@@ -420,7 +388,7 @@ mod tests {
         let inst = Instance::new(model, tau).unwrap();
         for seed in 0..10 {
             let net = Network::new(inst.clone(), seed);
-            let (run, _, _, _) = sample_glauber_with(&net, 8, 0, &ThreadPool::sequential());
+            let run = glauber(&net, 8);
             assert_eq!(run.outputs[0], Value(1));
             assert_eq!(run.outputs[1], Value(0), "neighbor of pinned-occupied");
         }
@@ -432,7 +400,7 @@ mod tests {
         let model = coloring::model(&g, 4);
         for seed in 0..10 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let (run, _, _, _) = sample_glauber_with(&net, 6, 0, &ThreadPool::sequential());
+            let run = glauber(&net, 6);
             let config = Config::from_values(run.outputs);
             assert!(
                 coloring::is_proper(&g, &config),
@@ -449,7 +417,7 @@ mod tests {
         let mut occupied = 0usize;
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let (run, _, _, _) = sample_glauber_with(&net, 24, 0, &ThreadPool::sequential());
+            let run = glauber(&net, 24);
             if run.outputs[2] == Value(1) {
                 occupied += 1;
             }
@@ -469,8 +437,8 @@ mod tests {
         let mut differs = false;
         for seed in 0..20 {
             let net = hc_net(10, 1.5, seed);
-            let (one, _, _, _) = sample_glauber_with(&net, 1, 0, &ThreadPool::sequential());
-            let (two, _, _, _) = sample_glauber_with(&net, 2, 0, &ThreadPool::sequential());
+            let one = glauber(&net, 1);
+            let two = glauber(&net, 2);
             if one.outputs != two.outputs {
                 differs = true;
                 break;
@@ -482,11 +450,17 @@ mod tests {
     #[test]
     fn stats_count_site_updates_and_locality() {
         let net = hc_net(10, 1.0, 5);
-        let (_, schedule, stats, _) = sample_glauber_with(&net, 3, 0, &ThreadPool::sequential());
+        let out = glauber_on(&net, 3, &ThreadPool::sequential());
+        let stats = out.glauber.expect("glauber stats");
         assert_eq!(stats.sweeps, 3);
         assert_eq!(stats.site_updates, 30, "10 free sites x 3 sweeps");
         assert_eq!(stats.locality, 1);
-        assert!(schedule.rounds > 0);
+        assert!(out.run.rounds > 0);
+        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
+        assert_eq!(
+            phases,
+            [("schedule", out.run.rounds), ("ground", 0), ("glauber", 0)]
+        );
     }
 
     #[test]
@@ -500,7 +474,7 @@ mod tests {
         let mut samples = Vec::with_capacity(trials);
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let (run, _, _, _) = sample_glauber_with(&net, 24, 0, &ThreadPool::sequential());
+            let run = glauber(&net, 24);
             samples.push(Config::from_values(run.outputs));
         }
         let emp = metrics::empirical_distribution(&samples);

@@ -33,19 +33,20 @@
 //! which is `1 − O(1/n)` at the paper's `ε = 1/n³`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::{distribution, Config, PartialConfig, Value};
 use lds_graph::{traversal, NodeId};
-use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
 use lds_localnet::slocal::{
-    self, multipass_locality, ScanKernel, SlocalAlgorithm, SlocalKernel, SlocalRun,
+    multipass_locality, run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun,
 };
 use lds_localnet::Network;
 use lds_oracle::MultiplicativeInference;
-use lds_runtime::{CancelToken, Cancelled, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
 use rand::Rng;
+
+use crate::sampler::{lift, SampleRun};
 
 /// Randomness stream for pass 2 (sampling `Y`).
 pub const STREAM_JVV_SAMPLE: u64 = 2;
@@ -170,10 +171,10 @@ where
     /// Runs the three passes sequentially over `order` and returns the
     /// full outcome.
     pub fn run_detailed(&self, net: &Network, order: &[NodeId]) -> JvvOutcome {
-        let ground = slocal::run_kernel_sequential(net, &self.ground_kernel(), order);
-        let sampled = slocal::run_kernel_sequential(net, &self.chain_kernel(), order);
+        let ground = scan(net, &self.ground_kernel(), order);
+        let sampled = scan(net, &self.chain_kernel(), order);
         let reject = self.reject_kernel(net, order, ground, sampled);
-        slocal::run_scan_sequential(net, &reject, order)
+        scan(net, &reject, order)
     }
 
     /// Runs all three passes with same-color clusters simulated
@@ -182,60 +183,45 @@ where
     /// verbatim; pass 3 runs through the same chromatic engine as a
     /// [`ScanKernel`] whose within-color resample decisions commute (see
     /// the commutation proof on `RejectKernel` in this module's source).
-    /// Bit-identical to [`LocalJvv::run_detailed`] on
-    /// `schedule.order` at any pool width; also returns per-pass
-    /// wall-clock times.
+    /// Bit-identical to [`LocalJvv::run_detailed`] on `schedule.order`
+    /// at any pool width.
+    ///
+    /// Returns the outcome (failure bits are the scan's own `F′`, not
+    /// yet merged with the schedule's `F″`), the `ground`, `sample` and
+    /// `reject` phases, and the sharding telemetry of the three passes.
+    /// `cancel` is threaded into each pass's chromatic runner (checked
+    /// between color rounds); checks consume no randomness, and a
+    /// cancelled run returns `Err(`[`Cancelled`]`)` with no partial
+    /// outcome.
     pub fn run_scheduled(
         &self,
         net: &Network,
         schedule: &ChromaticSchedule,
         pool: &ThreadPool,
-    ) -> (JvvOutcome, JvvPassTimings) {
-        self.run_scheduled_cancellable(net, schedule, pool, &CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// [`LocalJvv::run_scheduled`] with cooperative cancellation: the
-    /// token is threaded into each pass's chromatic runner (checked
-    /// between color rounds) and checked between passes. Checks consume
-    /// no randomness, so a completed run is bit-identical to the
-    /// uncancellable one; a cancelled run returns `Err(`[`Cancelled`]`)`
-    /// with no partial outcome.
-    pub fn run_scheduled_cancellable(
-        &self,
-        net: &Network,
-        schedule: &ChromaticSchedule,
-        pool: &ThreadPool,
         cancel: &CancelToken,
-    ) -> Result<(JvvOutcome, JvvPassTimings), Cancelled> {
-        let mut timings = JvvPassTimings::default();
+    ) -> Result<(JvvOutcome, Vec<Phase>, ShardingStats), Cancelled> {
+        let mut sharding = ShardingStats::default();
         let start = Instant::now();
-        let (ground, stats) = scheduler::run_kernel_chromatic_cancellable(
-            net,
-            &self.ground_kernel(),
-            schedule,
-            pool,
-            cancel,
-        )?;
-        timings.ground = start.elapsed();
-        timings.sharding.merge(&stats);
+        let (ground, stats) =
+            scheduler::run_kernel_chromatic(net, &self.ground_kernel(), schedule, pool, cancel)?;
+        let ground_phase = Phase::new("ground", start.elapsed(), 0);
+        sharding.merge(&stats);
         let start = Instant::now();
-        let (sampled, stats) = scheduler::run_kernel_chromatic_cancellable(
-            net,
-            &self.chain_kernel(),
-            schedule,
-            pool,
-            cancel,
-        )?;
-        timings.sample = start.elapsed();
-        timings.sharding.merge(&stats);
+        let (sampled, stats) =
+            scheduler::run_kernel_chromatic(net, &self.chain_kernel(), schedule, pool, cancel)?;
+        let sample_phase = Phase::new("sample", start.elapsed(), 0);
+        sharding.merge(&stats);
         let start = Instant::now();
         let reject = self.reject_kernel(net, &schedule.order, ground, sampled);
         let (outcome, stats) =
-            scheduler::run_kernel_chromatic_cancellable(net, &reject, schedule, pool, cancel)?;
-        timings.reject = start.elapsed();
-        timings.sharding.merge(&stats);
-        Ok((outcome, timings))
+            scheduler::run_kernel_chromatic(net, &reject, schedule, pool, cancel)?;
+        let reject_phase = Phase::new("reject", start.elapsed(), 0);
+        sharding.merge(&stats);
+        Ok((
+            outcome,
+            vec![ground_phase, sample_phase, reject_phase],
+            sharding,
+        ))
     }
 
     /// The full **pre-refactor** three-pass sequential execution:
@@ -246,8 +232,8 @@ where
     /// this, bit for bit. Not part of the serving path.
     #[doc(hidden)]
     pub fn run_detailed_reference(&self, net: &Network, order: &[NodeId]) -> JvvOutcome {
-        let ground = slocal::run_kernel_sequential(net, &self.ground_kernel(), order);
-        let sampled = slocal::run_kernel_sequential(net, &self.chain_kernel(), order);
+        let ground = scan(net, &self.ground_kernel(), order);
+        let sampled = scan(net, &self.chain_kernel(), order);
         self.rejection_pass_reference(net, order, ground, sampled)
     }
 
@@ -265,7 +251,7 @@ where
         sampled: SlocalRun<Value>,
     ) -> JvvOutcome {
         let reject = self.reject_kernel(net, order, ground, sampled);
-        slocal::run_scan_sequential(net, &reject, order)
+        scan(net, &reject, order)
     }
 
     /// Pass 3 (local rejection) given the ground state and the sampled
@@ -400,18 +386,10 @@ where
     }
 }
 
-/// Per-pass wall-clock times of a scheduled `local-JVV` execution, plus
-/// the sharding telemetry the three chromatic runs accumulated.
-#[derive(Clone, Debug, Default)]
-pub struct JvvPassTimings {
-    /// Pass 1 (ground state σ₀).
-    pub ground: Duration,
-    /// Pass 2 (chain-rule sampling of `Y`).
-    pub sample: Duration,
-    /// Pass 3 (local rejection).
-    pub reject: Duration,
-    /// Halo/bytes-cloned telemetry merged across the three passes.
-    pub sharding: ShardingStats,
+/// A sequential scan that is never cancelled.
+fn scan<K: ScanKernel + ?Sized>(net: &Network, kernel: &K, order: &[NodeId]) -> K::Run {
+    run_scan_sequential(net, kernel, order, &CancelToken::never())
+        .expect("a never-token cannot cancel")
 }
 
 /// Pass-1 kernel: extend `τ` feasibly by picking the first value with
@@ -998,90 +976,27 @@ fn repair(
     Some(full.to_config())
 }
 
-impl<O: MultiplicativeInference + Clone + Send + Sync + 'static> SlocalAlgorithm
-    for LocalJvv<'_, O>
-{
-    type Output = Value;
-
-    fn locality(&self, _n: usize) -> usize {
-        // conservative: computed precisely per-model in run_detailed
-        // (multipass_locality of [t, t, 3t + ℓ]); the trait method cannot
-        // see the model, so report a placeholder refined by the runner.
-        0
-    }
-
-    fn run_sequential(&self, net: &Network, order: &[NodeId]) -> SlocalRun<Value> {
-        self.run_detailed(net, order).run
-    }
-}
-
 /// Runs `local-JVV` in the LOCAL model via the Lemma 3.1 transformation,
 /// with the locality computed from the model (Theorem 4.2's
-/// `O(t(n)·log² n)` rounds). Returns the LOCAL run (failures combine the
-/// rejection bits `F′` with the decomposition bits `F″`), the schedule,
-/// and the JVV statistics.
+/// `O(t(n)·log² n)` rounds) and same-color clusters of all three passes
+/// simulated concurrently on `pool` — bit-identical at any pool width.
+/// The run's failures combine the rejection bits `F′` with the
+/// decomposition bits `F″`; [`SampleRun::jvv`] carries the statistics.
+///
+/// `cancel` is checked before the schedule is built and between color
+/// rounds of every pass. Checks consume no randomness, so a completed
+/// run is bit-identical to one under [`CancelToken::never`]; a cancelled
+/// run returns `Err(`[`Cancelled`]`)` with no partial result.
+///
+/// Phases: `schedule` (all rounds), `ground`, `sample`, `reject`.
 pub fn sample_exact_local<O: MultiplicativeInference + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    eps: f64,
-    stream: u64,
-) -> (LocalRun<Value>, ChromaticSchedule, JvvStats) {
-    let (run, schedule, stats, _timings) =
-        sample_exact_local_with(net, oracle, eps, stream, &ThreadPool::sequential());
-    (run, schedule, stats)
-}
-
-/// Per-phase wall-clock of a [`sample_exact_local_with`] execution.
-#[derive(Clone, Debug, Default)]
-pub struct ExactSampleTimings {
-    /// Decomposition + chromatic-schedule construction.
-    pub schedule: Duration,
-    /// The three `local-JVV` passes.
-    pub passes: JvvPassTimings,
-}
-
-/// [`sample_exact_local`] with passes 1–2 simulating same-color clusters
-/// concurrently on `pool` (bit-identical at any pool width), returning
-/// per-phase wall-clock times alongside the run.
-pub fn sample_exact_local_with<O: MultiplicativeInference + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    eps: f64,
-    stream: u64,
-    pool: &ThreadPool,
-) -> (
-    LocalRun<Value>,
-    ChromaticSchedule,
-    JvvStats,
-    ExactSampleTimings,
-) {
-    sample_exact_local_cancellable_with(net, oracle, eps, stream, pool, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`sample_exact_local_with`] with cooperative cancellation threaded
-/// through all three passes (checked between color rounds and between
-/// passes). A cancelled run returns `Err(`[`Cancelled`]`)` with no
-/// partial result; a completed run is bit-identical to the
-/// uncancellable one.
-pub fn sample_exact_local_cancellable_with<
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
->(
     net: &Network,
     oracle: &O,
     eps: f64,
     stream: u64,
     pool: &ThreadPool,
     cancel: &CancelToken,
-) -> Result<
-    (
-        LocalRun<Value>,
-        ChromaticSchedule,
-        JvvStats,
-        ExactSampleTimings,
-    ),
-    Cancelled,
-> {
+) -> Result<SampleRun, Cancelled> {
     let model = net.instance().model();
     let ell = model.locality().max(1);
     let t = oracle.radius_mul(model, eps);
@@ -1089,26 +1004,22 @@ pub fn sample_exact_local_cancellable_with<
     let start = Instant::now();
     cancel.check()?;
     let schedule = scheduler::chromatic_schedule(net, locality, stream);
-    let schedule_wall = start.elapsed();
-    let jvv = LocalJvv::new(oracle, eps);
-    let (outcome, passes) = jvv.run_scheduled_cancellable(net, &schedule, pool, cancel)?;
-    let n = net.node_count();
-    let failures: Vec<bool> = (0..n)
-        .map(|v| outcome.run.failures[v] || schedule.failed[v])
-        .collect();
-    Ok((
-        LocalRun {
-            outputs: outcome.run.outputs,
-            failures,
-            rounds: schedule.rounds,
-        },
-        schedule,
-        outcome.stats,
-        ExactSampleTimings {
-            schedule: schedule_wall,
-            passes,
-        },
-    ))
+    let mut phases = vec![Phase::new("schedule", start.elapsed(), schedule.rounds)];
+    let (outcome, passes, sharding) =
+        LocalJvv::new(oracle, eps).run_scheduled(net, &schedule, pool, cancel)?;
+    phases.extend(passes);
+    Ok(SampleRun {
+        run: lift(
+            outcome.run.outputs,
+            &outcome.run.failures,
+            &schedule,
+            schedule.rounds,
+        ),
+        phases,
+        sharding,
+        jvv: Some(outcome.stats),
+        glauber: None,
+    })
 }
 
 #[cfg(test)]
@@ -1238,10 +1149,27 @@ mod tests {
         let model = hardcore::model(&g, 1.0);
         let net = Network::new(Instance::unconditioned(model), 1);
         let oracle = boosted_saw(1.0);
-        let (run, schedule, stats) = sample_exact_local(&net, &oracle, 0.05, 0);
-        assert!(run.rounds > 0);
-        assert_eq!(run.rounds, schedule.rounds);
-        assert!(stats.locality > 0);
+        let out = sample_exact_local(
+            &net,
+            &oracle,
+            0.05,
+            0,
+            &ThreadPool::sequential(),
+            &CancelToken::never(),
+        )
+        .unwrap();
+        assert!(out.run.rounds > 0);
+        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
+        assert_eq!(
+            phases,
+            [
+                ("schedule", out.run.rounds),
+                ("ground", 0),
+                ("sample", 0),
+                ("reject", 0)
+            ]
+        );
+        assert!(out.jvv.expect("jvv stats").locality > 0);
     }
 
     #[test]

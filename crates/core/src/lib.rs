@@ -59,4 +59,4 @@ pub mod stats;
 pub use glauber::{GlauberKernel, GlauberStats};
 pub use inference::LocalInference;
 pub use jvv::{JvvOutcome, JvvStats, LocalJvv};
-pub use sampler::SequentialSampler;
+pub use sampler::{SampleRun, SequentialSampler};

@@ -11,16 +11,19 @@
 //! (Lemma 3.1, [`lds_localnet::scheduler`]): time complexity
 //! `O(t(n, δ/n) · log² n)`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::{distribution, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
-use lds_localnet::slocal::{self, SlocalAlgorithm, SlocalKernel, SlocalRun};
+use lds_localnet::slocal::SlocalKernel;
 use lds_localnet::Network;
 use lds_oracle::InferenceOracle;
-use lds_runtime::{CancelToken, Cancelled, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
+
+use crate::glauber::GlauberStats;
+use crate::jvv::JvvStats;
 
 /// Randomness stream tag for the sequential sampler (distinct streams
 /// decorrelate passes that share the network seed).
@@ -60,6 +63,12 @@ impl<O: InferenceOracle> SequentialSampler<O> {
     pub fn delta(&self) -> f64 {
         self.delta
     }
+
+    /// The sampler's SLOCAL locality on `n` nodes: the oracle radius at
+    /// per-node error `δ/n`, plus one for the pin it writes.
+    pub fn locality(&self, n: usize) -> usize {
+        self.oracle.radius(n, self.per_node_delta(n)) + 1
+    }
 }
 
 /// The sampler's per-node step is a pinning-extension kernel: sample
@@ -77,98 +86,106 @@ impl<O: InferenceOracle + Sync> SlocalKernel for SequentialSampler<O> {
     }
 }
 
-impl<O: InferenceOracle + Sync> SlocalAlgorithm for SequentialSampler<O> {
-    type Output = Value;
-
-    fn locality(&self, n: usize) -> usize {
-        self.oracle.radius(n, self.per_node_delta(n)) + 1
-    }
-
-    fn run_sequential(&self, net: &Network, order: &[NodeId]) -> SlocalRun<Value> {
-        slocal::run_kernel_sequential(net, self, order)
-    }
-}
-
-/// Runs the Theorem 3.2 sampler in the LOCAL model: sequential sampler
-/// composed with the Lemma 3.1 transformation. Conditioned on no failure
-/// the output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ` for the
-/// schedule's ordering `π`.
-pub fn sample_local<O: InferenceOracle + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    delta: f64,
-    stream: u64,
-) -> (LocalRun<Value>, ChromaticSchedule) {
-    let (run, schedule, _timings) =
-        sample_local_with(net, oracle, delta, stream, &ThreadPool::sequential());
-    (run, schedule)
-}
-
-/// Per-phase wall-clock of a [`sample_local_with`] execution.
-#[derive(Clone, Debug, Default)]
-pub struct ApproxSampleTimings {
-    /// Decomposition + chromatic-schedule construction.
-    pub schedule: Duration,
-    /// The chain-rule sampling scan.
-    pub scan: Duration,
-    /// Halo/bytes-cloned telemetry of the chromatic scan.
+/// The outcome of one LOCAL sampler execution, shared by the three
+/// samplers: the chain-rule sampler ([`sample_local`]), local-JVV
+/// ([`crate::jvv::sample_exact_local`]) and local Glauber dynamics
+/// ([`crate::glauber::sample_glauber`]).
+#[derive(Clone, Debug)]
+pub struct SampleRun {
+    /// Sampled values, failure bits (the algorithm's own `F′_v` merged
+    /// with the decomposition's `F″_v`) and simulated LOCAL rounds.
+    pub run: LocalRun<Value>,
+    /// Per-phase wall clock and rounds in execution order: `schedule`
+    /// first, charged every simulated round, then the sampler's passes.
+    pub phases: Vec<Phase>,
+    /// Halo-sharding telemetry summed over every chromatic pass.
     pub sharding: ShardingStats,
+    /// Execution statistics (local-JVV only).
+    pub jvv: Option<JvvStats>,
+    /// Mixing diagnostics (Glauber only).
+    pub glauber: Option<GlauberStats>,
 }
 
-/// [`sample_local`] with same-color clusters simulated concurrently on
-/// `pool` — the parallel form of Lemma 3.1. The result is bit-identical
-/// to the sequential version at any pool width; per-phase wall-clock
-/// times are returned alongside.
-pub fn sample_local_with<O: InferenceOracle + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    delta: f64,
-    stream: u64,
-    pool: &ThreadPool,
-) -> (LocalRun<Value>, ChromaticSchedule, ApproxSampleTimings) {
-    sample_local_cancellable_with(net, oracle, delta, stream, pool, &CancelToken::never())
-        .expect("a never-token cannot cancel")
+/// Lifts an SLOCAL scan result to the LOCAL run of Lemma 3.1: a node
+/// fails if the scan failed it (`F′_v`) or the decomposition left it
+/// unclustered (`F″_v`).
+pub(crate) fn lift(
+    outputs: Vec<Value>,
+    failures: &[bool],
+    schedule: &ChromaticSchedule,
+    rounds: usize,
+) -> LocalRun<Value> {
+    let failures = failures
+        .iter()
+        .zip(&schedule.failed)
+        .map(|(&f, &ff)| f || ff)
+        .collect();
+    LocalRun {
+        outputs,
+        failures,
+        rounds,
+    }
 }
 
-/// [`sample_local_with`] with cooperative cancellation threaded into the
-/// chromatic runner (checked between color rounds). Checks consume no
-/// randomness, so a completed run is bit-identical to the uncancellable
-/// one; a cancelled run returns `Err(`[`Cancelled`]`)` with no partial
-/// result.
-pub fn sample_local_cancellable_with<O: InferenceOracle + Clone + Send + Sync + 'static>(
+/// Runs the Theorem 3.2 sampler in the LOCAL model: the sequential
+/// sampler composed with the Lemma 3.1 transformation, same-color
+/// clusters simulated concurrently on `pool`. Conditioned on no failure
+/// the output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ` for the
+/// schedule's ordering `π`. The result is bit-identical at any pool
+/// width.
+///
+/// `cancel` is checked before the schedule is built and between color
+/// rounds of the scan. Checks consume no randomness, so a completed run
+/// is bit-identical to one under [`CancelToken::never`]; a cancelled run
+/// returns `Err(`[`Cancelled`]`)` with no partial result.
+///
+/// Phases: `schedule` (all rounds), `scan`.
+pub fn sample_local<O: InferenceOracle + Clone + Send + Sync + 'static>(
     net: &Network,
     oracle: &O,
     delta: f64,
     stream: u64,
     pool: &ThreadPool,
     cancel: &CancelToken,
-) -> Result<(LocalRun<Value>, ChromaticSchedule, ApproxSampleTimings), Cancelled> {
+) -> Result<SampleRun, Cancelled> {
     let sampler = SequentialSampler::new(oracle.clone(), delta);
-    let n = net.node_count();
     let start = Instant::now();
     cancel.check()?;
-    let schedule = scheduler::chromatic_schedule(net, sampler.locality(n), stream);
+    let schedule = scheduler::chromatic_schedule(net, sampler.locality(net.node_count()), stream);
     let schedule_wall = start.elapsed();
     let start = Instant::now();
-    let (run, sharding) =
-        scheduler::run_kernel_chromatic_cancellable(net, &sampler, &schedule, pool, cancel)?;
+    let (scan, sharding) = scheduler::run_kernel_chromatic(net, &sampler, &schedule, pool, cancel)?;
     let scan_wall = start.elapsed();
-    let failures: Vec<bool> = (0..n)
-        .map(|v| run.failures[v] || schedule.failed[v])
-        .collect();
-    Ok((
-        LocalRun {
-            outputs: run.outputs,
-            failures,
-            rounds: schedule.rounds,
-        },
-        schedule,
-        ApproxSampleTimings {
-            schedule: schedule_wall,
-            scan: scan_wall,
-            sharding,
-        },
-    ))
+    Ok(SampleRun {
+        run: lift(scan.outputs, &scan.failures, &schedule, schedule.rounds),
+        phases: vec![
+            Phase::new("schedule", schedule_wall, schedule.rounds),
+            Phase::new("scan", scan_wall, 0),
+        ],
+        sharding,
+        jvv: None,
+        glauber: None,
+    })
+}
+
+/// One sequential, uncancellable [`sample_local`] run — the unit of
+/// Monte Carlo work for the estimators that fan *executions* (not
+/// clusters) across the pool.
+pub(crate) fn sample_once<O: InferenceOracle + Clone + Send + Sync + 'static>(
+    net: &Network,
+    oracle: &O,
+    delta: f64,
+) -> LocalRun<Value> {
+    sample_local(
+        net,
+        oracle,
+        delta,
+        0,
+        &ThreadPool::sequential(),
+        &CancelToken::never(),
+    )
+    .expect("a never-token cannot cancel")
+    .run
 }
 
 #[cfg(test)]
@@ -178,8 +195,18 @@ mod tests {
     use lds_gibbs::models::{coloring, hardcore};
     use lds_gibbs::{metrics, Config, PartialConfig};
     use lds_graph::{generators, ordering};
+    use lds_localnet::slocal::{run_scan_sequential, SlocalRun};
     use lds_localnet::Instance;
     use lds_oracle::{DecayRate, EnumerationOracle, TwoSpinSawOracle};
+
+    /// The sampler's plain SLOCAL scan over `order`.
+    fn scan<O: InferenceOracle + Sync>(
+        sampler: &SequentialSampler<O>,
+        net: &Network,
+        order: &[NodeId],
+    ) -> SlocalRun<Value> {
+        run_scan_sequential(net, sampler, order, &CancelToken::never()).unwrap()
+    }
 
     fn hc_net(n: usize, lambda: f64, seed: u64) -> Network {
         let g = generators::cycle(n);
@@ -197,7 +224,7 @@ mod tests {
             let net = hc_net(9, 1.5, seed);
             let sampler = SequentialSampler::new(oracle.clone(), 0.1);
             let order = ordering::identity(net.instance().model().graph());
-            let run = sampler.run_sequential(&net, &order);
+            let run = scan(&sampler, &net, &order);
             let config = Config::from_values(run.outputs.clone());
             assert!(
                 net.instance().model().weight(&config) > 0.0,
@@ -219,7 +246,7 @@ mod tests {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
             let sampler = SequentialSampler::new(oracle.clone(), 0.02);
             let order = ordering::identity(&g);
-            let run = sampler.run_sequential(&net, &order);
+            let run = scan(&sampler, &net, &order);
             samples.push(Config::from_values(run.outputs));
         }
         let emp = metrics::empirical_distribution(&samples);
@@ -240,8 +267,11 @@ mod tests {
         for seed in 0..10 {
             let net = Network::new(inst.clone(), seed);
             let sampler = SequentialSampler::new(oracle.clone(), 0.1);
-            let run =
-                sampler.run_sequential(&net, &ordering::identity(net.instance().model().graph()));
+            let run = scan(
+                &sampler,
+                &net,
+                &ordering::identity(net.instance().model().graph()),
+            );
             assert_eq!(run.outputs[0], Value(1));
             assert_eq!(run.outputs[1], Value(0), "neighbor of pinned-occupied");
         }
@@ -251,9 +281,20 @@ mod tests {
     fn local_version_succeeds_and_matches_feasibility() {
         let net = hc_net(12, 1.0, 3);
         let oracle = saw(1.0);
-        let (run, schedule) = sample_local(&net, &oracle, 0.1, 0);
+        let out = sample_local(
+            &net,
+            &oracle,
+            0.1,
+            0,
+            &ThreadPool::sequential(),
+            &CancelToken::never(),
+        )
+        .unwrap();
+        let run = out.run;
         assert!(run.succeeded(), "decomposition failed unexpectedly");
-        assert!(schedule.rounds > 0);
+        assert!(run.rounds > 0);
+        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
+        assert_eq!(phases, [("schedule", run.rounds), ("scan", 0)]);
         let config = Config::from_values(run.outputs);
         assert!(net.instance().model().weight(&config) > 0.0);
     }
@@ -266,7 +307,7 @@ mod tests {
         for seed in 0..10 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
             let sampler = SequentialSampler::new(oracle.clone(), 0.1);
-            let run = sampler.run_sequential(&net, &ordering::identity(&g));
+            let run = scan(&sampler, &net, &ordering::identity(&g));
             let config = Config::from_values(run.outputs);
             assert!(
                 coloring::is_proper(&g, &config),
@@ -287,12 +328,12 @@ mod tests {
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
             let sampler = SequentialSampler::new(oracle.clone(), 0.02);
-            let a = sampler.run_sequential(&net, &ordering::identity(&g));
+            let a = scan(&sampler, &net, &ordering::identity(&g));
             if a.outputs[3] == Value(1) {
                 occ_id += 1;
             }
             let net2 = Network::new(Instance::unconditioned(model.clone()), seed + 1_000_000);
-            let b = sampler.run_sequential(&net2, &ordering::reverse(&g));
+            let b = scan(&sampler, &net2, &ordering::reverse(&g));
             if b.outputs[3] == Value(1) {
                 occ_rev += 1;
             }

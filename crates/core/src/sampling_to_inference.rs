@@ -7,7 +7,7 @@
 //! output distribution solves inference with error `δ + ε₀` in the same
 //! round complexity.
 //!
-//! **Substitution (documented in DESIGN.md §6):** the paper reconstructs
+//! **Substitution:** the paper reconstructs
 //! `μ̃_v` *exactly* at `v` by enumerating the random bits the sampler
 //! consumes inside `v`'s view. Enumerating bit strings is infeasible
 //! verbatim, so we estimate `μ̃_v` by Monte Carlo over independent
@@ -24,9 +24,7 @@ use lds_localnet::Network;
 use lds_oracle::InferenceOracle;
 use lds_runtime::ThreadPool;
 
-use crate::sampler::SequentialSampler;
-use lds_graph::NodeId;
-use lds_localnet::scheduler;
+use crate::sampler::sample_once;
 
 /// Result of the sampling→inference reduction.
 #[derive(Clone, Debug)]
@@ -52,32 +50,14 @@ pub fn repetitions_for(n: usize, q: usize, delta_s: f64, eta: f64) -> usize {
 
 /// Estimates every node's marginal `μ̃_v` by repeated execution of the
 /// Theorem 3.2 LOCAL sampler (error `δ` per run), using `repetitions`
-/// independent runs with network seeds `seed₀, seed₀+1, ...`.
+/// independent runs with network seeds `seed₀, seed₀+1, ...`, fanned out
+/// across `pool`. Each repetition derives its own network seed, so the
+/// estimate is bit-identical at any pool width.
 ///
 /// Failed executions contribute their outputs too (the reduction reads
 /// the *unconditioned* marginal, which is what the `δ + ε₀` bound is
 /// about); the failure rate is reported separately.
 pub fn marginals_by_sampling<O: InferenceOracle + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    delta: f64,
-    repetitions: usize,
-    seed0: u64,
-) -> SampledMarginals {
-    marginals_by_sampling_with(
-        net,
-        oracle,
-        delta,
-        repetitions,
-        seed0,
-        &ThreadPool::sequential(),
-    )
-}
-
-/// [`marginals_by_sampling`] with the independent Monte Carlo executions
-/// fanned out across the pool. Each repetition derives its own network
-/// seed, so the estimate is bit-identical at any pool width.
-pub fn marginals_by_sampling_with<O: InferenceOracle + Clone + Send + Sync + 'static>(
     net: &Network,
     oracle: &O,
     delta: f64,
@@ -101,9 +81,7 @@ pub fn marginals_by_sampling_with<O: InferenceOracle + Clone + Send + Sync + 'st
         let oracle = oracle.clone();
         let runs = pool.par_map(chunk_reps, move |&rep| {
             let run_net = Network::from_shared(Arc::clone(&instance), seed0.wrapping_add(rep));
-            let sampler = SequentialSampler::new(oracle.clone(), delta);
-            let (run, _schedule) = scheduler::run_slocal_in_local(&run_net, &sampler, 0);
-            run
+            sample_once(&run_net, &oracle, delta)
         });
         for run in runs {
             rounds = rounds.max(run.rounds);
@@ -129,30 +107,6 @@ pub fn marginals_by_sampling_with<O: InferenceOracle + Clone + Send + Sync + 'st
         rounds,
         repetitions,
     }
-}
-
-/// Convenience: the marginal of a single node from the reduction (for
-/// tests and experiments that only probe one vertex).
-pub fn node_marginal_by_sampling<O: InferenceOracle + Clone + Send + Sync + 'static>(
-    net: &Network,
-    oracle: &O,
-    delta: f64,
-    v: NodeId,
-    repetitions: usize,
-    seed0: u64,
-) -> Vec<f64> {
-    let q = net.instance().model().alphabet_size();
-    let mut counts = vec![0usize; q];
-    for rep in 0..repetitions {
-        let run_net = Network::from_shared(net.shared_instance(), seed0.wrapping_add(rep as u64));
-        let sampler = SequentialSampler::new(oracle.clone(), delta);
-        let (run, _) = scheduler::run_slocal_in_local(&run_net, &sampler, 0);
-        counts[run.outputs[v.index()].index()] += 1;
-    }
-    counts
-        .into_iter()
-        .map(|c| c as f64 / repetitions as f64)
-        .collect()
 }
 
 /// The per-value occupation indicator of one execution (used by
@@ -185,7 +139,8 @@ mod tests {
         let model = hardcore::model(&g, 1.0);
         let net = Network::new(Instance::unconditioned(model.clone()), 5);
         let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0));
-        let result = marginals_by_sampling(&net, &oracle, 0.02, 4000, 100);
+        let result =
+            marginals_by_sampling(&net, &oracle, 0.02, 4000, 100, &ThreadPool::sequential());
         let tau = PartialConfig::empty(6);
         for v in g.nodes() {
             let exact = distribution::marginal(&model, &tau, v).unwrap();
@@ -199,17 +154,6 @@ mod tests {
         }
         assert!(result.rounds > 0);
         assert_eq!(result.repetitions, 4000);
-    }
-
-    #[test]
-    fn single_node_variant_agrees() {
-        let g = generators::cycle(6);
-        let model = hardcore::model(&g, 1.5);
-        let net = Network::new(Instance::unconditioned(model.clone()), 5);
-        let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.5), DecayRate::new(0.5, 2.0));
-        let mu = node_marginal_by_sampling(&net, &oracle, 0.05, NodeId(2), 3000, 7);
-        let exact = distribution::marginal(&model, &PartialConfig::empty(6), NodeId(2)).unwrap();
-        assert!(metrics::tv_distance(&exact, &mu) < 0.06);
     }
 
     #[test]

@@ -7,9 +7,10 @@ use lds_gibbs::models::hardcore;
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::{distribution, Config, PartialConfig, Value};
 use lds_graph::{generators, ordering, Graph, NodeId};
-use lds_localnet::slocal::SlocalAlgorithm;
+use lds_localnet::slocal::run_scan_sequential;
 use lds_localnet::{Instance, Network};
 use lds_oracle::{BoostedOracle, DecayRate, TwoSpinSawOracle};
+use lds_runtime::CancelToken;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +47,8 @@ proptest! {
             1 => ordering::reverse(&g),
             _ => ordering::bfs_from(&g, NodeId(0)),
         };
-        let run = SequentialSampler::new(oracle.clone(), 0.1).run_sequential(&net, &order);
+        let sampler = SequentialSampler::new(oracle.clone(), 0.1);
+        let run = run_scan_sequential(&net, &sampler, &order, &CancelToken::never()).unwrap();
         let config = Config::from_values(run.outputs);
         prop_assert!(model.weight(&config) > 0.0);
     }

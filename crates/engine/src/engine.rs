@@ -3,8 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lds_core::sampling_to_inference::{self, SampledMarginals};
-use lds_core::{complexity, counting, glauber, jvv, regime, sampler};
+use lds_core::{complexity, counting, glauber, jvv, regime, sampler, sampling_to_inference};
 use lds_gibbs::models::hypergraph_matching::HypergraphMatchingInstance;
 use lds_gibbs::models::ising::IsingParams;
 use lds_gibbs::models::matching::MatchingInstance;
@@ -13,12 +12,12 @@ use lds_gibbs::models::{coloring, hardcore, two_spin};
 use lds_gibbs::{Config, PartialConfig};
 use lds_graph::{Graph, Hypergraph, NodeId};
 use lds_localnet::{Instance, Network};
-use lds_oracle::{DecayRate, TwoSpinSawOracle};
-use lds_runtime::{CancelToken, Phase, ThreadPool};
+use lds_oracle::{DecayRate, MultiplicativeInference, TwoSpinSawOracle};
+use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
 
 use crate::backend::{self, ApproxPath, Backend, ServedBackend, SweepBudget};
 use crate::error::EngineError;
-use crate::oracle::{BoostedEnumeration, OracleHandle, TaskOracle};
+use crate::oracle::{BoostedEnumeration, TaskOracle};
 use crate::report::{MarginalsMethod, MarginalsReport, RunReport, SampleDecode, Task, TaskOutput};
 use crate::spec::{ModelSpec, Topology};
 
@@ -68,7 +67,7 @@ struct EngineCore {
     spec: ModelSpec,
     topology: Topology,
     instance: Arc<Instance>,
-    oracle: Arc<dyn TaskOracle + Send + Sync>,
+    oracle: Arc<dyn TaskOracle>,
     decoder: Decoder,
     rate: f64,
     bound_rounds: f64,
@@ -286,13 +285,13 @@ impl EngineBuilder {
         })?;
 
         // regime check + model/oracle/decoder construction, per spec
-        type SharedOracle = Arc<dyn TaskOracle + Send + Sync>;
+        type SharedOracle = Arc<dyn TaskOracle>;
         // The paper's round bounds are asymptotic; `bound_rounds`
         // evaluates them with this explicit constant so the realized
         // Linial–Saks schedule cost stays *below* the bound on every
         // run (the round ledger treats a crossing as a hard error).
         // The decomposition cost is only `O(log³ n)` w.h.p. — at
-        // benchmark scale its fluctuation around the constant-1
+        // benchmark scale its fluctuation around the uncalibrated
         // formula reaches ~2.3× (worst over 500 seeds across all six
         // models), so constant 3 absorbs the tail with margin while
         // keeping the bound tight enough that a real complexity
@@ -529,7 +528,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("spec", &self.core.spec)
             .field("carrier_nodes", &self.core.instance.node_count())
-            .field("oracle", &self.core.oracle.name())
+            .field("oracle", &self.oracle_name())
             .field("rate", &self.core.rate)
             .field("epsilon", &self.core.epsilon)
             .field("delta", &self.core.delta)
@@ -571,7 +570,8 @@ impl Engine {
         self.core.rate
     }
 
-    /// The paper's round bound for this model with constant 1.
+    /// The paper's round bound for this model, evaluated with the
+    /// calibration constant 3 (see [`RunReport::bound_rounds`]).
     pub fn bound_rounds(&self) -> f64 {
         self.core.bound_rounds
     }
@@ -628,7 +628,7 @@ impl Engine {
 
     /// The dispatched oracle's name.
     pub fn oracle_name(&self) -> &str {
-        self.core.oracle.name()
+        MultiplicativeInference::name(&*self.core.oracle)
     }
 
     /// Serves one task with the engine's default seed.
@@ -736,7 +736,7 @@ impl Engine {
         let model = self.core.instance.model();
         let vertices: Vec<NodeId> = (0..model.node_count()).map(NodeId::from_index).collect();
         let marginals = lds_oracle::marginals_mul_batch(
-            &self.core.oracle_handle(),
+            &self.core.oracle,
             model,
             self.core.instance.pinning(),
             &vertices,
@@ -772,7 +772,21 @@ impl Engine {
         seed0: u64,
     ) -> Result<MarginalsReport, EngineError> {
         let start = Instant::now();
-        let run = self.sampled_marginals_raw(repetitions, seed0)?;
+        if repetitions == 0 {
+            return Err(EngineError::InvalidParameter {
+                name: "repetitions",
+                message: "need at least one sampler execution".into(),
+            });
+        }
+        let net = Network::from_shared(Arc::clone(&self.core.instance), seed0);
+        let run = sampling_to_inference::marginals_by_sampling(
+            &net,
+            &self.core.oracle,
+            self.core.delta,
+            repetitions,
+            seed0,
+            &self.core.pool,
+        );
         Ok(MarginalsReport {
             method: MarginalsMethod::Sampled {
                 repetitions: run.repetitions,
@@ -785,63 +799,9 @@ impl Engine {
             phases: vec![Phase::new("sampling", start.elapsed(), run.rounds)],
         })
     }
-
-    /// Bare-table predecessor of [`Engine::marginals`].
-    #[deprecated(since = "0.8.0", note = "use `Engine::marginals` (structured report)")]
-    pub fn marginals_exact_all(&self) -> Vec<Vec<f64>> {
-        self.marginals().marginals
-    }
-
-    /// Bare-struct predecessor of [`Engine::marginals_sampled`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidParameter`] if `repetitions` is zero.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `Engine::marginals_sampled` (structured report)"
-    )]
-    pub fn marginals_by_sampling(
-        &self,
-        repetitions: usize,
-        seed0: u64,
-    ) -> Result<SampledMarginals, EngineError> {
-        self.sampled_marginals_raw(repetitions, seed0)
-    }
-
-    /// Shared body of [`Engine::marginals_sampled`] and its deprecated
-    /// shim.
-    fn sampled_marginals_raw(
-        &self,
-        repetitions: usize,
-        seed0: u64,
-    ) -> Result<SampledMarginals, EngineError> {
-        if repetitions == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "repetitions",
-                message: "need at least one sampler execution".into(),
-            });
-        }
-        let net = Network::from_shared(Arc::clone(&self.core.instance), seed0);
-        let handle = self.core.oracle_handle();
-        Ok(sampling_to_inference::marginals_by_sampling_with(
-            &net,
-            &handle,
-            self.core.delta,
-            repetitions,
-            seed0,
-            &self.core.pool,
-        ))
-    }
 }
 
 impl EngineCore {
-    /// A cloneable, `'static` handle to the engine's oracle for the
-    /// generic algorithms in `lds_core`.
-    fn oracle_handle(&self) -> OracleHandle {
-        OracleHandle(Arc::clone(&self.oracle))
-    }
-
     /// [`Engine::run_with_seed`] on an explicit pool (the batch path
     /// parallelizes *across* seeds and keeps each seed's execution
     /// sequential to avoid nested thread fan-out).
@@ -867,211 +827,155 @@ impl EngineCore {
             }
         }
         let model = self.instance.model();
-        let handle = self.oracle_handle();
-        type Served = (
-            TaskOutput,
-            bool,
-            usize,
-            Option<jvv::JvvStats>,
-            Vec<Phase>,
-            Option<lds_localnet::scheduler::ShardingStats>,
-            ServedBackend,
-            Option<glauber::GlauberStats>,
-        );
-        let (output, succeeded, rounds, stats, phases, sharding, served, glauber_stats): Served =
-            match task {
-                Task::SampleExact => {
-                    let net = Network::from_shared(Arc::clone(&self.instance), seed);
-                    let (run, _schedule, stats, timings) =
-                        jvv::sample_exact_local_cancellable_with(
-                            &net,
-                            &handle,
-                            self.epsilon,
-                            0,
-                            pool,
-                            cancel,
-                        )
-                        .map_err(|_| EngineError::DeadlineExceeded)?;
-                    let config = Config::from_values(run.outputs.clone());
-                    let decoded = self.decode(&config);
-                    let phases = vec![
-                        Phase::new("schedule", timings.schedule, run.rounds),
-                        Phase::new("ground", timings.passes.ground, 0),
-                        Phase::new("sample", timings.passes.sample, 0),
-                        Phase::new("reject", timings.passes.reject, 0),
-                    ];
-                    (
-                        TaskOutput::Sample { config, decoded },
-                        run.succeeded(),
-                        run.rounds,
-                        Some(stats),
-                        phases,
-                        Some(timings.passes.sharding),
-                        ServedBackend::Exact,
-                        None,
-                    )
+        let net = Network::from_shared(Arc::clone(&self.instance), seed);
+        let deadline = |_: Cancelled| EngineError::DeadlineExceeded;
+        match task {
+            Task::SampleExact => {
+                let out =
+                    jvv::sample_exact_local(&net, &self.oracle, self.epsilon, 0, pool, cancel)
+                        .map_err(deadline)?;
+                Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
+            }
+            Task::SampleApprox => match self.approx {
+                Err(ref cause) => Err(EngineError::BackendUnavailable {
+                    backend: "glauber",
+                    cause: cause.clone(),
+                }),
+                Ok(ApproxPath::Chain) => {
+                    let out =
+                        sampler::sample_local(&net, &self.oracle, self.delta, 0, pool, cancel)
+                            .map_err(deadline)?;
+                    Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
                 }
-                Task::SampleApprox => match &self.approx {
-                    Err(cause) => {
-                        return Err(EngineError::BackendUnavailable {
-                            backend: "glauber",
-                            cause: cause.clone(),
-                        })
-                    }
-                    Ok(ApproxPath::Chain) => {
-                        let net = Network::from_shared(Arc::clone(&self.instance), seed);
-                        let (run, _schedule, timings) = sampler::sample_local_cancellable_with(
-                            &net, &handle, self.delta, 0, pool, cancel,
-                        )
-                        .map_err(|_| EngineError::DeadlineExceeded)?;
-                        let config = Config::from_values(run.outputs.clone());
-                        let decoded = self.decode(&config);
-                        let phases = vec![
-                            Phase::new("schedule", timings.schedule, run.rounds),
-                            Phase::new("scan", timings.scan, 0),
-                        ];
-                        (
-                            TaskOutput::Sample { config, decoded },
-                            run.succeeded(),
-                            run.rounds,
-                            None,
-                            phases,
-                            Some(timings.sharding),
-                            ServedBackend::Exact,
-                            None,
-                        )
-                    }
-                    Ok(ApproxPath::Glauber { sweeps }) => {
-                        let sweeps = *sweeps;
-                        let net = Network::from_shared(Arc::clone(&self.instance), seed);
-                        let (run, _schedule, gstats, timings) =
-                            glauber::sample_glauber_cancellable_with(
-                                &net,
-                                sweeps as usize,
-                                0,
-                                pool,
-                                cancel,
-                            )
-                            .map_err(|_| EngineError::DeadlineExceeded)?;
-                        let config = Config::from_values(run.outputs.clone());
-                        let decoded = self.decode(&config);
-                        let phases = vec![
-                            Phase::new("schedule", timings.schedule, run.rounds),
-                            Phase::new("ground", timings.ground, 0),
-                            Phase::new("glauber", timings.sweeps, 0),
-                        ];
-                        (
-                            TaskOutput::Sample { config, decoded },
-                            run.succeeded(),
-                            run.rounds,
-                            None,
-                            phases,
-                            Some(timings.sharding),
-                            ServedBackend::Glauber { sweeps },
-                            Some(gstats),
-                        )
-                    }
-                },
-                Task::Infer { vertex, value } => {
-                    if vertex.index() >= model.node_count() {
-                        return Err(EngineError::InvalidTask {
-                            message: format!(
-                                "vertex {vertex} outside the carrier node set (n = {})",
-                                model.node_count()
-                            ),
-                        });
-                    }
-                    if value.index() >= model.alphabet_size() {
-                        return Err(EngineError::InvalidTask {
-                            message: format!(
-                                "value {} outside the alphabet (q = {})",
-                                value.index(),
-                                model.alphabet_size()
-                            ),
-                        });
-                    }
-                    let distribution = self.oracle.marginal_mul(
-                        model,
-                        self.instance.pinning(),
-                        vertex,
-                        self.epsilon,
-                    );
-                    let probability = distribution[value.index()];
-                    let rounds = self.oracle.radius_mul(model, self.epsilon);
-                    (
-                        TaskOutput::Marginal {
-                            distribution,
-                            probability,
-                        },
-                        true,
-                        rounds,
-                        None,
-                        vec![Phase::new("oracle", start.elapsed(), rounds)],
-                        None,
-                        ServedBackend::Exact,
-                        None,
-                    )
+                Ok(ApproxPath::Glauber { sweeps }) => {
+                    let out = glauber::sample_glauber(&net, sweeps as usize, 0, pool, cancel)
+                        .map_err(deadline)?;
+                    let backend = ServedBackend::Glauber { sweeps };
+                    Ok(self.sample_report(task, seed, start, out, backend))
                 }
-                Task::Count => {
-                    // anchor pass is sequential by construction; the n
-                    // frozen chain marginals fan out across the pool
-                    let run = counting::log_partition_function_detailed(
-                        model,
-                        self.instance.pinning(),
-                        &handle,
-                        self.epsilon,
-                        pool,
-                    )?;
-                    let rounds = self.oracle.radius_mul(model, self.epsilon);
-                    (
-                        TaskOutput::Count {
-                            log_z: run.estimate.log_z,
-                            log_error_bound: run.estimate.log_error_bound,
-                        },
-                        true,
-                        rounds,
-                        None,
-                        vec![
-                            Phase::new("anchor", run.anchor_time, 0),
-                            Phase::new("marginals", run.marginal_time, rounds),
-                        ],
-                        None,
-                        ServedBackend::Exact,
-                        None,
-                    )
+            },
+            Task::Infer { vertex, value } => {
+                if vertex.index() >= model.node_count() {
+                    return Err(EngineError::InvalidTask {
+                        message: format!(
+                            "vertex {vertex} outside the carrier node set (n = {})",
+                            model.node_count()
+                        ),
+                    });
                 }
-            };
-        // Round-ledger observables (sampling tasks only — their
-        // `rounds` is the chromatic scheduler's simulated cost the
-        // paper bounds; inference/counting report a gather radius with
-        // a different meaning): measured rounds against the model's
-        // predicted bound, and for Glauber-served runs the executed
-        // sweeps against the plan resolved at build time. A Glauber
-        // run's `rounds` counts sweeps, not chromatic rounds, so only
-        // the sweep observable applies there.
-        if matches!(task, Task::SampleExact | Task::SampleApprox) {
-            let ledger = lds_obs::ledger();
-            if let (Some(g), ServedBackend::Glauber { sweeps }) = (&glauber_stats, served) {
-                ledger.record_sweeps(self.spec.name(), g.sweeps as u64, sweeps as u64);
-            } else {
-                ledger.record_rounds(self.spec.name(), rounds, self.bound_rounds);
+                if value.index() >= model.alphabet_size() {
+                    return Err(EngineError::InvalidTask {
+                        message: format!(
+                            "value {} outside the alphabet (q = {})",
+                            value.index(),
+                            model.alphabet_size()
+                        ),
+                    });
+                }
+                let distribution =
+                    self.oracle
+                        .marginal_mul(model, self.instance.pinning(), vertex, self.epsilon);
+                let probability = distribution[value.index()];
+                let rounds = self.oracle.radius_mul(model, self.epsilon);
+                let phases = vec![Phase::new("oracle", start.elapsed(), rounds)];
+                let output = TaskOutput::Marginal {
+                    distribution,
+                    probability,
+                };
+                Ok(self.oracle_report(task, seed, start, output, rounds, phases))
+            }
+            Task::Count => {
+                // anchor pass is sequential by construction; the n
+                // frozen chain marginals fan out across the pool
+                let run = counting::log_partition_function(
+                    model,
+                    self.instance.pinning(),
+                    &self.oracle,
+                    self.epsilon,
+                    pool,
+                )?;
+                let rounds = self.oracle.radius_mul(model, self.epsilon);
+                let phases = vec![
+                    Phase::new("anchor", run.anchor_time, 0),
+                    Phase::new("marginals", run.marginal_time, rounds),
+                ];
+                let output = TaskOutput::Count {
+                    log_z: run.estimate.log_z,
+                    log_error_bound: run.estimate.log_error_bound,
+                };
+                Ok(self.oracle_report(task, seed, start, output, rounds, phases))
             }
         }
-        Ok(RunReport {
+    }
+
+    /// The report of a sampling task, built from the sampler's outcome.
+    ///
+    /// Also records the round-ledger observable: the measured rounds
+    /// against the model's predicted bound, or, for a Glauber-served
+    /// run (whose `rounds` counts sweeps, not chromatic rounds), the
+    /// executed sweeps against the plan resolved at build time.
+    /// Inference and counting report a gather radius with a different
+    /// meaning and are not ledgered.
+    fn sample_report(
+        &self,
+        task: Task,
+        seed: u64,
+        start: Instant,
+        out: sampler::SampleRun,
+        backend: ServedBackend,
+    ) -> RunReport {
+        let ledger = lds_obs::ledger();
+        if let (Some(g), ServedBackend::Glauber { sweeps }) = (&out.glauber, backend) {
+            ledger.record_sweeps(self.spec.name(), g.sweeps as u64, sweeps as u64);
+        } else {
+            ledger.record_rounds(self.spec.name(), out.run.rounds, self.bound_rounds);
+        }
+        let succeeded = out.run.succeeded();
+        let config = Config::from_values(out.run.outputs);
+        let decoded = self.decode(&config);
+        RunReport {
+            task,
+            seed,
+            output: TaskOutput::Sample { config, decoded },
+            succeeded,
+            rounds: out.run.rounds,
+            bound_rounds: self.bound_rounds,
+            rate: self.rate,
+            backend,
+            stats: out.jvv,
+            glauber: out.glauber,
+            wall_time: start.elapsed(),
+            phases: out.phases,
+            sharding: Some(out.sharding),
+        }
+    }
+
+    /// The report of an oracle task (inference or counting): always
+    /// successful, served by the oracle, no sampler telemetry.
+    fn oracle_report(
+        &self,
+        task: Task,
+        seed: u64,
+        start: Instant,
+        output: TaskOutput,
+        rounds: usize,
+        phases: Vec<Phase>,
+    ) -> RunReport {
+        RunReport {
             task,
             seed,
             output,
-            succeeded,
+            succeeded: true,
             rounds,
             bound_rounds: self.bound_rounds,
             rate: self.rate,
-            backend: served,
-            stats,
-            glauber: glauber_stats,
+            backend: ServedBackend::Exact,
+            stats: None,
+            glauber: None,
             wall_time: start.elapsed(),
             phases,
-            sharding,
-        })
+            sharding: None,
+        }
     }
 
     fn decode(&self, config: &Config) -> SampleDecode {

@@ -16,7 +16,7 @@
 //!   the edge models), verifies the pinning, and selects the oracle.
 //! * [`TaskOracle`] — object-safe union of the additive and
 //!   multiplicative oracle contracts; the engine owns one
-//!   `Box<dyn TaskOracle>` (Weitz SAW tree for two-spin-shaped models,
+//!   `Arc<dyn TaskOracle>` (Weitz SAW tree for two-spin-shaped models,
 //!   boosted enumeration for colorings) shared by every task.
 //! * [`Task`] — `SampleExact` (local-JVV, Theorem 4.2), `SampleApprox`
 //!   (Theorem 3.2 under the LOCAL scheduler), `Infer` (multiplicative
@@ -78,7 +78,6 @@ pub use backend::{Backend, ServedBackend, SweepBudget};
 pub use engine::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use lds_core::glauber::GlauberStats;
-pub use lds_core::sampling_to_inference::SampledMarginals;
 pub use oracle::{BoostedEnumeration, TaskOracle};
 pub use report::{
     MarginalsMethod, MarginalsReport, RunReport, SampleDecode, ShardingStats, Task, TaskOutput,

@@ -10,8 +10,6 @@
 //! at build time (SAW tree for two-spin-shaped models, boosted
 //! enumeration for colorings) and shared by every task.
 
-use std::sync::Arc;
-
 use lds_gibbs::{GibbsModel, PartialConfig};
 use lds_graph::NodeId;
 use lds_oracle::{
@@ -19,153 +17,15 @@ use lds_oracle::{
 };
 
 /// Object-safe union of the additive and multiplicative oracle
-/// interfaces; the engine stores a `Box<dyn TaskOracle>`.
-pub trait TaskOracle {
-    /// Short oracle name for reports.
-    fn name(&self) -> &str;
+/// interfaces. The engine stores one `Arc<dyn TaskOracle>` and passes it
+/// straight to the generic algorithms in `lds_core` (`sampler::sample_local`,
+/// `jvv::sample_exact_local`, `counting::log_partition_function`):
+/// `lds-oracle` implements both oracle traits for `Arc<T>`, so the
+/// shared handle is itself a cloneable, `'static` oracle the algorithms
+/// can ship to the pool's long-lived workers.
+pub trait TaskOracle: InferenceOracle + MultiplicativeInference + Send + Sync {}
 
-    /// Radius for additive (total-variation) error `δ`.
-    fn radius_add(&self, n: usize, delta: f64) -> usize;
-
-    /// Marginal estimate with additive guarantee, using information
-    /// within radius `t`.
-    fn marginal_add(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        t: usize,
-    ) -> Vec<f64>;
-
-    /// Radius for multiplicative error `ε` on `model`.
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize;
-
-    /// Marginal estimate with multiplicative guarantee `ε`.
-    fn marginal_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<f64>;
-
-    /// Support of the multiplicative estimate (see
-    /// [`MultiplicativeInference::support_mul`]); forwarded so oracles
-    /// with a cheap certified positivity test keep it behind the
-    /// object-safe interface.
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool>;
-}
-
-impl<O: InferenceOracle + MultiplicativeInference> TaskOracle for O {
-    fn name(&self) -> &str {
-        MultiplicativeInference::name(self)
-    }
-
-    fn radius_add(&self, n: usize, delta: f64) -> usize {
-        InferenceOracle::radius(self, n, delta)
-    }
-
-    fn marginal_add(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        t: usize,
-    ) -> Vec<f64> {
-        InferenceOracle::marginal(self, model, pinning, v, t)
-    }
-
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        MultiplicativeInference::radius_mul(self, model, eps)
-    }
-
-    fn marginal_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<f64> {
-        MultiplicativeInference::marginal_mul(self, model, pinning, v, eps)
-    }
-
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool> {
-        MultiplicativeInference::support_mul(self, model, pinning, v, eps)
-    }
-}
-
-/// Shared handle to a [`TaskOracle`] implementing the concrete oracle
-/// traits, so the engine can hand its trait object to the generic
-/// algorithms in `lds_core` (`jvv::sample_exact_local_with`,
-/// `sampler::sample_local_with`, `counting::log_partition_function`).
-/// It holds the oracle by `Arc` — cloneable and `'static` — because
-/// those algorithms clone their oracle into the kernels they ship to the
-/// pool's long-lived workers; the `Send + Sync` bounds let the handle
-/// cross the thread pool.
-#[derive(Clone)]
-pub(crate) struct OracleHandle(pub Arc<dyn TaskOracle + Send + Sync>);
-
-impl InferenceOracle for OracleHandle {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn radius(&self, n: usize, delta: f64) -> usize {
-        self.0.radius_add(n, delta)
-    }
-
-    fn marginal(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        t: usize,
-    ) -> Vec<f64> {
-        self.0.marginal_add(model, pinning, v, t)
-    }
-}
-
-impl MultiplicativeInference for OracleHandle {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        self.0.radius_mul(model, eps)
-    }
-
-    fn marginal_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<f64> {
-        self.0.marginal_mul(model, pinning, v, eps)
-    }
-
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool> {
-        self.0.support_mul(model, pinning, v, eps)
-    }
-}
+impl<O: InferenceOracle + MultiplicativeInference + Send + Sync> TaskOracle for O {}
 
 /// The coloring oracle: plain enumeration (Theorem 5.1) for additive
 /// queries, the boosted wrapper (Lemma 4.1) for multiplicative ones —

@@ -14,15 +14,18 @@
 //!   view and nothing else — exactly the LOCAL model of Section 2.
 //! * [`local`] — the [`LocalAlgorithm`](local::LocalAlgorithm) trait and
 //!   runner with round accounting and Las Vegas failure bits.
-//! * [`slocal`] — the [`SlocalAlgorithm`](slocal::SlocalAlgorithm) trait:
-//!   sequential local algorithms scanning an adversarial ordering
+//! * [`slocal`] — the [`ScanKernel`](slocal::ScanKernel) trait and
+//!   [`run_scan_sequential`](slocal::run_scan_sequential): sequential
+//!   local algorithms scanning an adversarial ordering
 //!   (Ghaffari–Kuhn–Maus SLOCAL model).
 //! * [`decomposition`] — randomized Linial–Saks style
 //!   `(O(log n), O(log n))` network decompositions with locally
 //!   certifiable failures.
 //! * [`scheduler`] — the SLOCAL→LOCAL transformation (paper, Lemma 3.1):
 //!   decompose the power graph `G^{r+1}`, derive the chromatic schedule
-//!   ordering and the simulated round count `O(r log² n)`.
+//!   ordering and the simulated round count `O(r log² n)`, and run a
+//!   scan kernel on it with
+//!   [`run_kernel_chromatic`](scheduler::run_kernel_chromatic).
 //!
 //! # Example
 //!

@@ -62,8 +62,7 @@ fn runner_metrics() -> &'static RunnerMetrics {
 }
 
 use crate::decomposition::{linial_saks, DecompositionParams, NetworkDecomposition, UNCLUSTERED};
-use crate::local::LocalRun;
-use crate::slocal::{ScanKernel, SlocalAlgorithm};
+use crate::slocal::ScanKernel;
 use crate::Network;
 
 /// A chromatic schedule: the sequential ordering realized by the parallel
@@ -297,49 +296,22 @@ type ClusterRuns<S, E> = Vec<(S, Vec<(NodeId, E)>)>;
 /// arena-recycled buffers, workers take their payload through a shared
 /// slot (the `par_map` items are bare indices), and buffers come back
 /// for the next color — so steady-state per-round copying is the halo
-/// sum, not `n · #clusters`. [`ShardingStats`] reports what was shipped.
+/// sum, not `n · #clusters`. The returned [`ShardingStats`] report what
+/// was shipped.
+///
+/// `cancel` is checked at the **start of every color round** and once
+/// before the unclustered tail — never inside a round — so a run that
+/// completes is bit-identical to the same run under
+/// [`CancelToken::never`] (checks consume no randomness), and a
+/// cancelled run returns `Err(`[`Cancelled`]`)` having produced no
+/// partial result. This is the enforcement point for per-request
+/// deadlines: the engine wraps a deadline in a [`CancelToken`] and maps
+/// `Cancelled` into its typed `DeadlineExceeded`.
 ///
 /// The kernel ships to the pool's workers as part of a `'static` job, so
 /// it must own its context (`Clone + Send + Sync + 'static`) — oracles
 /// travel by value or `Arc`, never by borrow.
 pub fn run_kernel_chromatic<K>(
-    net: &Network,
-    kernel: &K,
-    schedule: &ChromaticSchedule,
-    pool: &ThreadPool,
-) -> K::Run
-where
-    K: ScanKernel + Clone + Send + Sync + 'static,
-{
-    run_kernel_chromatic_with_stats(net, kernel, schedule, pool).0
-}
-
-/// [`run_kernel_chromatic`] returning the sharding telemetry alongside
-/// the run result.
-pub fn run_kernel_chromatic_with_stats<K>(
-    net: &Network,
-    kernel: &K,
-    schedule: &ChromaticSchedule,
-    pool: &ThreadPool,
-) -> (K::Run, ShardingStats)
-where
-    K: ScanKernel + Clone + Send + Sync + 'static,
-{
-    run_kernel_chromatic_cancellable(net, kernel, schedule, pool, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`run_kernel_chromatic_with_stats`] with cooperative cancellation.
-///
-/// The token is checked at the **start of every color round** and once
-/// before the unclustered tail — never inside a round — so a run that
-/// completes is bit-identical to the same run without a token (checks
-/// consume no randomness), and a cancelled run returns
-/// `Err(`[`Cancelled`]`)` having produced no partial result. This is
-/// the enforcement point for per-request deadlines: the engine wraps a
-/// deadline in a [`CancelToken`] and maps `Cancelled` into its typed
-/// `DeadlineExceeded`.
-pub fn run_kernel_chromatic_cancellable<K>(
     net: &Network,
     kernel: &K,
     schedule: &ChromaticSchedule,
@@ -354,7 +326,7 @@ where
         // the sequential scan is the same execution without the
         // per-cluster projections — one state for the whole schedule
         return Ok((
-            crate::slocal::run_scan_sequential_cancellable(net, kernel, &schedule.order, cancel)?,
+            crate::slocal::run_scan_sequential(net, kernel, &schedule.order, cancel)?,
             stats,
         ));
     }
@@ -489,7 +461,13 @@ where
     K: ScanKernel + Clone + Send + Sync + 'static,
 {
     if pool.is_sequential() {
-        return crate::slocal::run_scan_sequential(net, kernel, &schedule.order);
+        return crate::slocal::run_scan_sequential(
+            net,
+            kernel,
+            &schedule.order,
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot cancel");
     }
     let mut state = kernel.init(net);
     let mut effects: Vec<(NodeId, K::Effect)> = Vec::new();
@@ -532,35 +510,9 @@ where
     kernel.finish(net, state, effects)
 }
 
-/// Runs an SLOCAL algorithm as a LOCAL algorithm via the chromatic
-/// schedule (Lemma 3.1). The returned run's `failures` combine the
-/// algorithm's own `F′_v` with the decomposition's `F″_v`; conditioned on
-/// all-success the outputs follow `μ̂_{I,π}` for the schedule's ordering.
-pub fn run_slocal_in_local<A: SlocalAlgorithm>(
-    net: &Network,
-    algo: &A,
-    stream: u64,
-) -> (LocalRun<A::Output>, ChromaticSchedule) {
-    let n = net.node_count();
-    let schedule = chromatic_schedule(net, algo.locality(n), stream);
-    let seq = algo.run_sequential(net, &schedule.order);
-    let failures: Vec<bool> = (0..n)
-        .map(|v| seq.failures[v] || schedule.failed[v])
-        .collect();
-    (
-        LocalRun {
-            outputs: seq.outputs,
-            failures,
-            rounds: schedule.rounds,
-        },
-        schedule,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slocal::SlocalRun;
     use crate::Instance;
     use lds_gibbs::models::hardcore;
     use lds_gibbs::PartialConfig;
@@ -668,14 +620,21 @@ mod tests {
 
     #[test]
     fn chromatic_kernel_run_matches_sequential_scan_bitwise() {
-        use crate::slocal::run_kernel_sequential;
-        use lds_runtime::ThreadPool;
+        use crate::slocal::run_scan_sequential;
+        let never = CancelToken::never();
         for seed in 0..4 {
             let net = net(5, seed);
             let s = chromatic_schedule(&net, 1, 0);
-            let seq = run_kernel_sequential(&net, &ParityKernel, &s.order);
+            let seq = run_scan_sequential(&net, &ParityKernel, &s.order, &never).unwrap();
             for threads in [1, 2, 8] {
-                let par = run_kernel_chromatic(&net, &ParityKernel, &s, &ThreadPool::new(threads));
+                let (par, _) = run_kernel_chromatic(
+                    &net,
+                    &ParityKernel,
+                    &s,
+                    &ThreadPool::new(threads),
+                    &never,
+                )
+                .unwrap();
                 assert_eq!(par.outputs, seq.outputs, "seed {seed} threads {threads}");
                 assert_eq!(par.failures, seq.failures);
             }
@@ -689,39 +648,6 @@ mod tests {
         let s3 = chromatic_schedule(&net, 6, 0);
         assert!(s1.rounds >= s1.colors); // at least one round per color
         assert!(s3.rounds > s1.rounds); // larger locality costs more
-    }
-
-    /// An order-revealing SLOCAL algorithm: output = scan position.
-    struct Position;
-
-    impl SlocalAlgorithm for Position {
-        type Output = usize;
-
-        fn locality(&self, _n: usize) -> usize {
-            1
-        }
-
-        fn run_sequential(&self, net: &Network, order: &[NodeId]) -> SlocalRun<usize> {
-            let mut out = vec![0usize; net.node_count()];
-            for (i, &v) in order.iter().enumerate() {
-                out[v.index()] = i;
-            }
-            SlocalRun {
-                outputs: out,
-                failures: vec![false; net.node_count()],
-            }
-        }
-    }
-
-    #[test]
-    fn transformation_runs_algorithm_on_schedule_order() {
-        let net = net(4, 17);
-        let (run, schedule) = run_slocal_in_local(&net, &Position, 0);
-        assert_eq!(run.rounds, schedule.rounds);
-        // node at schedule.order[i] must have output i
-        for (i, &v) in schedule.order.iter().enumerate() {
-            assert_eq!(run.outputs[v.index()], i);
-        }
     }
 
     #[test]

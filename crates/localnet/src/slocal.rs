@@ -6,9 +6,11 @@
 //! computation, updates its own state and fixes its output (paper,
 //! Section 3).
 //!
-//! In this simulator an [`SlocalAlgorithm`] is a sequential procedure that
-//! receives the network and the ordering, and is trusted (and tested) to
-//! respect its declared locality. The accompanying helper
+//! In this simulator an SLOCAL algorithm is a [`ScanKernel`]: a per-node
+//! step over an explicit scan state, driven along the ordering by
+//! [`run_scan_sequential`] (or, lifted to LOCAL by Lemma 3.1, by
+//! [`crate::scheduler::run_kernel_chromatic`]). Kernels are trusted (and
+//! tested) to respect their declared locality. The accompanying helper
 //! [`multipass_locality`] implements the locality arithmetic of the
 //! paper's Lemma 4.4: a `k`-pass SLOCAL algorithm with per-pass localities
 //! `r_1, ..., r_k` collapses to a single pass with locality
@@ -36,27 +38,6 @@ impl<T> SlocalRun<T> {
     }
 }
 
-/// A sequential local algorithm.
-///
-/// Contract: when processing node `v_i`, the implementation may only
-/// depend on (a) the instance within distance `locality()` of `v_i`, (b)
-/// the states written by previously processed nodes within that radius,
-/// and (c) `v_i`'s private randomness. The simulator cannot mechanically
-/// enforce this for arbitrary Rust code; the workspace's implementations
-/// document their locality and the test suites verify
-/// ordering-insensitivity and locality via boundary-perturbation tests.
-pub trait SlocalAlgorithm {
-    /// Per-node output type.
-    type Output: Clone;
-
-    /// The locality `r(n)` of the single-pass equivalent (after Lemma 4.4
-    /// folding if the algorithm is conceptually multi-pass).
-    fn locality(&self, n: usize) -> usize;
-
-    /// Processes all nodes sequentially in the given order.
-    fn run_sequential(&self, net: &Network, order: &[NodeId]) -> SlocalRun<Self::Output>;
-}
-
 /// A *pinning-extension* SLOCAL algorithm, factored into its per-node
 /// kernel.
 ///
@@ -70,12 +51,12 @@ pub trait SlocalAlgorithm {
 /// cluster simulation, [`crate::scheduler::run_kernel_chromatic`])
 /// instead of scanning the ordering one node at a time.
 ///
-/// Contract (trusted, as with [`SlocalAlgorithm`]): `process` may depend
-/// only on the instance within the algorithm's locality of `v`, the pins
-/// of `sigma` within that radius, and `v`'s private randomness from
-/// `net`. Under that contract the concurrent simulation is
-/// execution-equivalent to [`run_kernel_sequential`] on the schedule's
-/// ordering — property-tested in `tests/parallel.rs`.
+/// Contract (trusted): `process` may depend only on the instance within
+/// the algorithm's locality of `v`, the pins of `sigma` within that
+/// radius, and `v`'s private randomness from `net`. Under that contract
+/// the concurrent simulation is execution-equivalent to
+/// [`run_scan_sequential`] on the schedule's ordering — property-tested
+/// in `tests/parallel.rs`.
 pub trait SlocalKernel: Sync {
     /// Computes node `v`'s output from the pins of previously processed
     /// nodes. Returns the value and a Las Vegas failure bit.
@@ -279,30 +260,22 @@ impl<K: SlocalKernel + ?Sized> ScanKernel for K {
     }
 }
 
-/// Runs any [`ScanKernel`] as the classic sequential SLOCAL scan over
-/// `order`: initialize the state, process each node in order, fold the
-/// effects.
-///
-/// `order` must visit every free node (schedule orderings do).
-pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
-    net: &Network,
-    kernel: &K,
-    order: &[NodeId],
-) -> K::Run {
-    run_scan_sequential_cancellable(net, kernel, order, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
 /// How many nodes the sequential scan processes between cancellation
 /// checks. Chunked so a real deadline token (whose check reads the
 /// clock) costs `O(n / CHUNK)` clock reads, not `O(n)`.
 const CANCEL_CHECK_STRIDE: usize = 256;
 
-/// [`run_scan_sequential`] with cooperative cancellation, checked every
-/// `CANCEL_CHECK_STRIDE` nodes. Checks consume no randomness, so a
-/// scan that completes is bit-identical to the uncancellable one; a
-/// cancelled scan returns `Err(`[`Cancelled`]`)` with no partial result.
-pub fn run_scan_sequential_cancellable<K: ScanKernel + ?Sized>(
+/// Runs any [`ScanKernel`] as the classic sequential SLOCAL scan over
+/// `order`: initialize the state, process each node in order, fold the
+/// effects. Pinning-extension kernels skip nodes pinned by the instance,
+/// which keep their pinned value.
+///
+/// `order` must visit every free node (schedule orderings do). `cancel`
+/// is checked every `CANCEL_CHECK_STRIDE` nodes; checks consume no
+/// randomness, so a scan that completes is bit-identical to one under
+/// [`CancelToken::never`], and a cancelled scan returns
+/// `Err(`[`Cancelled`]`)` with no partial result.
+pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
     net: &Network,
     kernel: &K,
     order: &[NodeId],
@@ -319,20 +292,6 @@ pub fn run_scan_sequential_cancellable<K: ScanKernel + ?Sized>(
         }
     }
     Ok(kernel.finish(net, state, effects))
-}
-
-/// Runs a pinning-extension kernel as the classic sequential SLOCAL scan
-/// over `order`: process each free node in order, pinning its output.
-/// Nodes pinned by the instance keep their pinned value and are never
-/// processed.
-///
-/// `order` must visit every free node (schedule orderings do).
-pub fn run_kernel_sequential<K: SlocalKernel + ?Sized>(
-    net: &Network,
-    kernel: &K,
-    order: &[NodeId],
-) -> SlocalRun<Value> {
-    run_scan_sequential(net, kernel, order)
 }
 
 /// Locality of the single-pass equivalent of a multi-pass SLOCAL
@@ -353,10 +312,6 @@ pub fn write_radius_locality(read: usize, write: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Instance;
-    use lds_gibbs::models::hardcore;
-    use lds_gibbs::PartialConfig;
-    use lds_graph::generators;
 
     #[test]
     fn multipass_locality_matches_lemma() {
@@ -368,56 +323,5 @@ mod tests {
     #[test]
     fn write_radius_adds() {
         assert_eq!(write_radius_locality(4, 2), 6);
-    }
-
-    /// Greedy sequential MIS as a canonical SLOCAL(1) algorithm.
-    struct GreedyMis;
-
-    impl SlocalAlgorithm for GreedyMis {
-        type Output = bool;
-
-        fn locality(&self, _n: usize) -> usize {
-            1
-        }
-
-        fn run_sequential(&self, net: &Network, order: &[NodeId]) -> SlocalRun<bool> {
-            let g = net.instance().model().graph();
-            let mut selected = vec![false; g.node_count()];
-            for &v in order {
-                let blocked = g.neighbors(v).any(|&w| selected[w.index()]);
-                selected[v.index()] = !blocked;
-            }
-            SlocalRun {
-                outputs: selected,
-                failures: vec![false; g.node_count()],
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_mis_is_maximal_independent_on_any_order() {
-        let g = generators::grid(4, 4);
-        let net = Network::new(
-            Instance::new(hardcore::model(&g, 1.0), PartialConfig::empty(16)).unwrap(),
-            0,
-        );
-        for order in [
-            lds_graph::ordering::identity(&g),
-            lds_graph::ordering::reverse(&g),
-            lds_graph::ordering::bfs_from(&g, NodeId(5)),
-        ] {
-            let run = GreedyMis.run_sequential(&net, &order);
-            assert!(run.succeeded());
-            let s = &run.outputs;
-            // independent
-            for e in g.edges() {
-                assert!(!(s[e.u.index()] && s[e.v.index()]));
-            }
-            // maximal
-            for v in g.nodes() {
-                let dominated = s[v.index()] || g.neighbors(v).any(|&w| s[w.index()]);
-                assert!(dominated);
-            }
-        }
     }
 }

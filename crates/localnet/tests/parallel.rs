@@ -7,9 +7,9 @@ use lds_gibbs::models::hardcore;
 use lds_gibbs::{PartialConfig, Value};
 use lds_graph::{generators, traversal, Graph, NodeId};
 use lds_localnet::scheduler::{self, run_kernel_chromatic};
-use lds_localnet::slocal::{run_kernel_sequential, SlocalKernel};
+use lds_localnet::slocal::{run_scan_sequential, SlocalKernel};
 use lds_localnet::{Instance, Network};
-use lds_runtime::ThreadPool;
+use lds_runtime::{CancelToken, ThreadPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,9 +74,12 @@ proptest! {
         let net = network(&g, seed);
         let schedule = scheduler::chromatic_schedule(&net, r, 0);
         let kernel = BallHashKernel { r };
-        let seq = run_kernel_sequential(&net, &kernel, &schedule.order);
+        let never = CancelToken::never();
+        let seq = run_scan_sequential(&net, &kernel, &schedule.order, &never).unwrap();
         for threads in [2usize, 8] {
-            let par = run_kernel_chromatic(&net, &kernel, &schedule, &ThreadPool::new(threads));
+            let (par, _) =
+                run_kernel_chromatic(&net, &kernel, &schedule, &ThreadPool::new(threads), &never)
+                    .unwrap();
             prop_assert_eq!(
                 &par.outputs, &seq.outputs,
                 "outputs diverged: graph {} seed {} r {} threads {}", gidx, seed, r, threads

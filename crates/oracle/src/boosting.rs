@@ -68,6 +68,39 @@ pub trait MultiplicativeInference {
     }
 }
 
+/// A shared oracle is an oracle. Every method forwards — `support_mul`
+/// included, so an oracle's positivity early-out survives behind an
+/// `Arc<dyn …>` instead of falling back to the full-marginal default.
+impl<T: MultiplicativeInference + ?Sized> MultiplicativeInference for Arc<T> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
+        (**self).radius_mul(model, eps)
+    }
+
+    fn marginal_mul(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+    ) -> Vec<f64> {
+        (**self).marginal_mul(model, pinning, v, eps)
+    }
+
+    fn support_mul(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+    ) -> Vec<bool> {
+        (**self).support_mul(model, pinning, v, eps)
+    }
+}
+
 /// The boosted oracle `A^×_ε` built from an additive-error base oracle
 /// `A^+_δ` (Lemma 4.1).
 ///
@@ -294,6 +327,41 @@ mod tests {
             TwoSpinParams::hardcore(lambda),
             DecayRate::new(0.4, 2.0),
         ))
+    }
+
+    /// An oracle whose `support_mul` disagrees with the default derived
+    /// from `marginal_mul`, so a wrapper that drops the override shows.
+    struct SupportProbe;
+
+    impl MultiplicativeInference for SupportProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+
+        fn radius_mul(&self, _: &GibbsModel, _: f64) -> usize {
+            7
+        }
+
+        fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+            vec![0.5, 0.5]
+        }
+
+        fn support_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<bool> {
+            vec![true, false]
+        }
+    }
+
+    #[test]
+    fn shared_oracle_forwards_every_method() {
+        let g = generators::cycle(4);
+        let m = hardcore::model(&g, 1.0);
+        let tau = PartialConfig::empty(4);
+        let shared: Arc<dyn MultiplicativeInference> = Arc::new(SupportProbe);
+        assert_eq!(shared.name(), "probe");
+        assert_eq!(shared.radius_mul(&m, 0.1), 7);
+        assert_eq!(shared.marginal_mul(&m, &tau, NodeId(0), 0.1), [0.5, 0.5]);
+        // the override, not the full-marginal default ([true, true])
+        assert_eq!(shared.support_mul(&m, &tau, NodeId(0), 0.1), [true, false]);
     }
 
     #[test]

@@ -68,3 +68,26 @@ pub trait InferenceOracle {
         t: usize,
     ) -> Vec<f64>;
 }
+
+/// A shared oracle is an oracle: lets callers hand an `Arc` (including
+/// an `Arc<dyn …>` trait object) to the generic algorithms, which clone
+/// their oracle into `'static` pool jobs.
+impl<T: InferenceOracle + ?Sized> InferenceOracle for std::sync::Arc<T> {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn radius(&self, n: usize, delta: f64) -> usize {
+        (**self).radius(n, delta)
+    }
+
+    fn marginal(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        t: usize,
+    ) -> Vec<f64> {
+        (**self).marginal(model, pinning, v, t)
+    }
+}

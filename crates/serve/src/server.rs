@@ -92,11 +92,6 @@ pub struct ServerConfig {
     /// identical requests then still dedup while in flight, but not
     /// across time).
     pub cache_capacity: usize,
-    /// Retained for configuration compatibility: the latency reservoir
-    /// this sized was replaced by a fixed-resolution `lds-obs`
-    /// histogram, which needs no window (bounded memory at any request
-    /// volume). The value is ignored.
-    pub latency_window: usize,
 }
 
 impl Default for ServerConfig {
@@ -108,7 +103,6 @@ impl Default for ServerConfig {
             coalesce_window: Duration::from_micros(200),
             max_batch: 64,
             cache_capacity: 1024,
-            latency_window: 4096,
         }
     }
 }

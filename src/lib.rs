@@ -81,8 +81,8 @@
 //! ```
 //!
 //! See `examples/` for runnable walkthroughs of every model and task
-//! kind, DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-//! per-claim reproduction record.
+//! kind, README.md for the system inventory, and the `experiments`
+//! binary in `lds-bench` for the per-claim reproduction tables.
 
 #![forbid(unsafe_code)]
 

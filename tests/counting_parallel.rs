@@ -25,8 +25,8 @@
 //! so every leg checks the full 1/4/8 sweep.
 
 use lds::core::counting::{
-    log_partition_function_annealed, log_partition_function_detailed,
-    log_partition_function_reference, AnnealedConfig, CountError,
+    log_partition_function, log_partition_function_annealed, log_partition_function_reference,
+    AnnealedConfig, CountError,
 };
 use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::models::{coloring, hardcore, matching::MatchingInstance};
@@ -73,8 +73,7 @@ fn assert_matches_reference<O>(
     let reference = log_partition_function_reference(model, tau, oracle, eps);
     for threads in [1usize, 4, 8] {
         let pool = ThreadPool::new(threads);
-        let run =
-            log_partition_function_detailed(model, tau, oracle, eps, &pool).map(|r| r.estimate);
+        let run = log_partition_function(model, tau, oracle, eps, &pool).map(|r| r.estimate);
         match (&run, &reference) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(

@@ -10,10 +10,12 @@ use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::models::{coloring, hardcore};
 use lds::gibbs::{distribution, metrics, Config, PartialConfig, Value};
 use lds::graph::{generators, ordering, NodeId};
-use lds::localnet::slocal::SlocalAlgorithm;
+use lds::localnet::scheduler::chromatic_schedule;
+use lds::localnet::slocal::run_scan_sequential;
 use lds::localnet::{Instance, Network};
 use lds::oracle::boosting::MultiplicativeInference;
 use lds::oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
+use lds::runtime::{CancelToken, ThreadPool};
 
 fn saw(lambda: f64) -> TwoSpinSawOracle {
     TwoSpinSawOracle::new(TwoSpinParams::hardcore(lambda), DecayRate::new(0.5, 2.0))
@@ -30,7 +32,13 @@ fn theorem_3_2_sampler_distribution_matches_target() {
     let mut samples = Vec::with_capacity(trials);
     for seed in 0..trials as u64 {
         let net = Network::new(Instance::unconditioned(model.clone()), seed);
-        let run = sampler.run_sequential(&net, &ordering::identity(&g));
+        let run = run_scan_sequential(
+            &net,
+            &sampler,
+            &ordering::identity(&g),
+            &CancelToken::never(),
+        )
+        .unwrap();
         samples.push(Config::from_values(run.outputs));
     }
     let emp = metrics::empirical_distribution(&samples);
@@ -45,14 +53,27 @@ fn theorem_3_2_local_version_with_lemma_3_1() {
     let model = hardcore::model(&g, 0.8);
     let oracle = saw(0.8);
     let net = Network::new(Instance::unconditioned(model.clone()), 11);
-    let (run, schedule) = sample_local(&net, &oracle, 0.1, 0);
+    let run = sample_local(
+        &net,
+        &oracle,
+        0.1,
+        0,
+        &ThreadPool::sequential(),
+        &CancelToken::never(),
+    )
+    .unwrap()
+    .run;
     assert!(run.succeeded());
     assert!(run.rounds > 0);
-    assert_eq!(schedule.order.len(), 16);
     let config = Config::from_values(run.outputs);
     assert!(model.weight(&config) > 0.0);
-    // decomposition color separation must hold on the power graph
+    // the run's schedule, rebuilt (it is a deterministic function of
+    // the network, the locality and the stream)
     let locality = SequentialSampler::new(oracle.clone(), 0.1).locality(16);
+    let schedule = chromatic_schedule(&net, locality, 0);
+    assert_eq!(schedule.order.len(), 16);
+    assert_eq!(schedule.rounds, run.rounds);
+    // decomposition color separation must hold on the power graph
     let h = lds::graph::power::power(&g, locality.min(4 /* diameter cap */) + 1);
     assert!(schedule.decomposition.verify_color_separation(&h));
 }
@@ -65,7 +86,14 @@ fn theorem_3_4_closes_the_loop() {
     let model = hardcore::model(&g, 1.0);
     let net = Network::new(Instance::unconditioned(model.clone()), 2);
     let oracle = saw(1.0);
-    let rec = sampling_to_inference::marginals_by_sampling(&net, &oracle, 0.03, 3000, 9);
+    let rec = sampling_to_inference::marginals_by_sampling(
+        &net,
+        &oracle,
+        0.03,
+        3000,
+        9,
+        &ThreadPool::sequential(),
+    );
     let tau = PartialConfig::empty(n);
     for v in g.nodes() {
         let exact = distribution::marginal(&model, &tau, v).unwrap();
@@ -106,7 +134,13 @@ fn pinned_instances_flow_through_every_reduction() {
     for seed in 0..20 {
         let net = Network::new(inst.clone(), seed);
         let sampler = SequentialSampler::new(oracle.clone(), 0.05);
-        let run = sampler.run_sequential(&net, &ordering::identity(&g));
+        let run = run_scan_sequential(
+            &net,
+            &sampler,
+            &ordering::identity(&g),
+            &CancelToken::never(),
+        )
+        .unwrap();
         assert_eq!(run.outputs[0], Value(1));
         assert_eq!(run.outputs[4], Value(1));
         assert_eq!(run.outputs[1], Value(0));

@@ -237,33 +237,3 @@ fn structured_marginals_reports_mirror_run_reports() {
         "zero repetitions is invalid"
     );
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_marginals_shims_agree_with_the_reports() {
-    let engine = builder_on_cycle(6).build().unwrap();
-    let bits = |table: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        table
-            .iter()
-            .map(|mu| mu.iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
-    assert_eq!(
-        bits(&engine.marginals_exact_all()),
-        bits(&engine.marginals().marginals)
-    );
-    let old = engine.marginals_by_sampling(80, 5).unwrap();
-    let new = engine.marginals_sampled(80, 5).unwrap();
-    assert_eq!(bits(&old.marginals), bits(&new.marginals));
-    match new.method {
-        MarginalsMethod::Sampled {
-            repetitions,
-            failure_rate,
-            ..
-        } => {
-            assert_eq!(repetitions, old.repetitions);
-            assert_eq!(failure_rate.to_bits(), old.failure_rate.to_bits());
-        }
-        other => panic!("expected Sampled, got {other:?}"),
-    }
-}

@@ -23,12 +23,10 @@
 use lds::gibbs::models::hardcore;
 use lds::gibbs::{PartialConfig, Value};
 use lds::graph::{generators, traversal, Graph, NodeId};
-use lds::localnet::scheduler::{
-    self, run_kernel_chromatic_reference, run_kernel_chromatic_with_stats,
-};
-use lds::localnet::slocal::{run_kernel_sequential, ScanKernel, SlocalKernel};
+use lds::localnet::scheduler::{self, run_kernel_chromatic, run_kernel_chromatic_reference};
+use lds::localnet::slocal::{run_scan_sequential, ScanKernel, SlocalKernel};
 use lds::localnet::{Instance, Network};
-use lds::runtime::ThreadPool;
+use lds::runtime::{CancelToken, ThreadPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,11 +146,13 @@ proptest! {
         let net = network(&g, seed);
         let schedule = scheduler::chromatic_schedule(&net, r, 0);
         let kernel = BallHashKernel { r };
-        let seq = run_kernel_sequential(&net, &kernel, &schedule.order);
+        let never = CancelToken::never();
+        let seq = run_scan_sequential(&net, &kernel, &schedule.order, &never).unwrap();
         for threads in [1usize, 2, 8] {
             let pool = ThreadPool::new(threads);
             let reference = run_kernel_chromatic_reference(&net, &kernel, &schedule, &pool);
-            let (halo, stats) = run_kernel_chromatic_with_stats(&net, &kernel, &schedule, &pool);
+            let (halo, stats) =
+                run_kernel_chromatic(&net, &kernel, &schedule, &pool, &never).unwrap();
             prop_assert_eq!(
                 &halo.outputs, &reference.outputs,
                 "outputs vs reference: graph {} seed {} r {} threads {}", gidx, seed, r, threads
@@ -184,9 +184,10 @@ proptest! {
         let net = network(&g, seed);
         let schedule = scheduler::chromatic_schedule(&net, r, 0);
         let full = FullCopyKernel { inner: BallHashKernel { r } };
-        let seq = lds::localnet::slocal::run_scan_sequential(&net, &full, &schedule.order);
+        let never = CancelToken::never();
+        let seq = run_scan_sequential(&net, &full, &schedule.order, &never).unwrap();
         let pool = ThreadPool::new(8);
-        let (halo, stats) = run_kernel_chromatic_with_stats(&net, &full, &schedule, &pool);
+        let (halo, stats) = run_kernel_chromatic(&net, &full, &schedule, &pool, &never).unwrap();
         prop_assert_eq!(&halo.outputs, &seq.outputs);
         prop_assert_eq!(&halo.failures, &seq.failures);
         if stats.projected_clusters > 0 {
@@ -245,22 +246,23 @@ fn sampler_fans_out_within_halo_bound() {
     let mut fanned_out = false;
     for seed in 0..4u64 {
         let net = Network::new(Instance::unconditioned(hardcore::model(&g, 0.5)), seed);
-        let (seq_run, _, _) =
-            sampler::sample_local_with(&net, &oracle, 0.3, 0, &ThreadPool::sequential());
+        let sample = |pool: &ThreadPool| {
+            sampler::sample_local(&net, &oracle, 0.3, 0, pool, &CancelToken::never()).unwrap()
+        };
+        let seq_run = sample(&ThreadPool::sequential()).run;
         for threads in [2usize, 8] {
-            let (run, _, timings) =
-                sampler::sample_local_with(&net, &oracle, 0.3, 0, &ThreadPool::new(threads));
+            let out = sample(&ThreadPool::new(threads));
             assert_eq!(
-                run.outputs, seq_run.outputs,
+                out.run.outputs, seq_run.outputs,
                 "seed {seed} threads {threads}"
             );
-            assert_eq!(run.failures, seq_run.failures);
+            assert_eq!(out.run.failures, seq_run.failures);
             assert!(
-                timings.sharding.within_halo_bound(),
+                out.sharding.within_halo_bound(),
                 "seed {seed}: {:?}",
-                timings.sharding
+                out.sharding
             );
-            fanned_out |= timings.sharding.projected_clusters > 0;
+            fanned_out |= out.sharding.projected_clusters > 0;
         }
     }
     assert!(fanned_out, "no seed produced a multi-cluster color");

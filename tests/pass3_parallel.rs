@@ -27,7 +27,7 @@ use lds::graph::{generators, traversal, Graph, NodeId};
 use lds::localnet::slocal::multipass_locality;
 use lds::localnet::{scheduler, Instance, Network};
 use lds::oracle::{BoostedOracle, DecayRate, MultiplicativeInference, TwoSpinSawOracle};
-use lds::runtime::{splitmix64, ThreadPool};
+use lds::runtime::{splitmix64, CancelToken, ThreadPool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,8 +147,9 @@ proptest! {
         let schedule = scheduler::chromatic_schedule(&net, locality, 0);
         let reference = jvv.run_detailed_reference(&net, &schedule.order);
         for threads in [1usize, 2, 8] {
-            let (outcome, _timings) =
-                jvv.run_scheduled(&net, &schedule, &ThreadPool::new(threads));
+            let (outcome, _, _) = jvv
+                .run_scheduled(&net, &schedule, &ThreadPool::new(threads), &CancelToken::never())
+                .unwrap();
             assert_outcomes_identical(
                 &outcome,
                 &reference,
@@ -189,7 +190,14 @@ fn parallel_pass3_matches_reference_with_saw_oracle() {
             let schedule = scheduler::chromatic_schedule(&net, locality, 0);
             let reference = jvv.run_detailed_reference(&net, &schedule.order);
             for threads in [1usize, 2, 8] {
-                let (outcome, _) = jvv.run_scheduled(&net, &schedule, &ThreadPool::new(threads));
+                let (outcome, _, _) = jvv
+                    .run_scheduled(
+                        &net,
+                        &schedule,
+                        &ThreadPool::new(threads),
+                        &CancelToken::never(),
+                    )
+                    .unwrap();
                 assert_outcomes_identical(
                     &outcome,
                     &reference,
@@ -220,7 +228,14 @@ fn parallel_pass3_respects_pinning_bitwise() {
         let reference = jvv.run_detailed_reference(&net, &schedule.order);
         assert_eq!(reference.run.outputs[3], Value(1), "pin must survive");
         for threads in [2usize, 8] {
-            let (outcome, _) = jvv.run_scheduled(&net, &schedule, &ThreadPool::new(threads));
+            let (outcome, _, _) = jvv
+                .run_scheduled(
+                    &net,
+                    &schedule,
+                    &ThreadPool::new(threads),
+                    &CancelToken::never(),
+                )
+                .unwrap();
             assert_outcomes_identical(&outcome, &reference, &format!("pinned seed {seed}"));
         }
     }

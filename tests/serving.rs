@@ -208,7 +208,6 @@ fn watermark_below_capacity_sheds_early() {
             queue_capacity: 16,
             admission_watermark: Some(2),
             cache_capacity: 0,
-            ..ServerConfig::default()
         },
     );
     let mut accepted = Vec::new();
@@ -247,7 +246,6 @@ fn concurrent_producers_cannot_overshoot_the_watermark() {
             queue_capacity: 16,
             admission_watermark: Some(2),
             cache_capacity: 0,
-            ..ServerConfig::default()
         },
     ));
     const PRODUCERS: usize = 8;
