@@ -59,10 +59,9 @@ fn e1() {
             let net = Network::new(Instance::unconditioned(model.clone()), 17);
             let sampler = SequentialSampler::new(oracle.clone(), delta);
             let never = CancelToken::never();
-            let run =
-                sampler::sample_local(&net, &oracle, delta, 0, &ThreadPool::sequential(), &never)
-                    .expect("never cancelled")
-                    .run;
+            let run = sampler::sample_local(&net, &oracle, delta, 0, &never)
+                .expect("never cancelled")
+                .run;
             // the schedule is a deterministic function of (net, locality, stream)
             let colors = scheduler::chromatic_schedule(&net, sampler.locality(n), 0).colors;
             let tv = if n <= 8 {
@@ -208,7 +207,9 @@ fn e4() {
         let mut clamped = 0usize;
         for seed in 0..runs as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let out = jvv.run_detailed(&net, &ordering::identity(&g));
+            let (out, _) = jvv
+                .run(&net, &ordering::identity(&g), &CancelToken::never())
+                .expect("never cancelled");
             clamped += out.stats.clamped;
             if out.run.succeeded() {
                 accepted.push(Config::from_values(out.run.outputs));
@@ -712,15 +713,8 @@ fn s2() {
     let model = hardcore::model(&g, 1.0);
     let oracle = BoostedOracle::new(saw(1.0, 0.5));
     let net = Network::new(Instance::unconditioned(model), 3);
-    let out = jvv::sample_exact_local(
-        &net,
-        &oracle,
-        0.01,
-        0,
-        &ThreadPool::sequential(),
-        &CancelToken::never(),
-    )
-    .expect("never cancelled");
+    let out = jvv::sample_exact_local(&net, &oracle, 0.01, 0, &CancelToken::never())
+        .expect("never cancelled");
     let stats = out.jvv.expect("exact sampling reports JVV stats");
     println!(
         "JVV sanity on C7: rounds={} locality={} acceptance={:.3} clamped={}",

@@ -351,63 +351,6 @@ fn main() {
         serving.push((format!("serve_coalesce_speedup_w{width}"), speedup));
     }
 
-    // --- sharding section: the halo-sharded chromatic runner on a
-    // workload whose oracle radius is far below the diameter, so colors
-    // really carry several clusters (cycle(128), λ = 0.5, ε = 0.2).
-    // Width 1 is the sequential reference; width 4 fans clusters out
-    // and ships halo projections, whose sizes and bytes the engine
-    // reports through RunReport::sharding. ---
-    let mut sharding: Vec<(String, f64)> = Vec::new();
-    let mut shard_totals = lds_engine::ShardingStats::default();
-    let mut shard_runs = 0u64;
-    for width in [1usize, 4] {
-        let engine = Engine::builder()
-            .model(ModelSpec::Hardcore { lambda: 0.5 })
-            .graph(generators::cycle(128))
-            .epsilon(0.2)
-            .threads(width)
-            .build()
-            .expect("in regime");
-        let mut pass = [Vec::new(), Vec::new(), Vec::new()];
-        for rep in 0..samples.min(11) as u64 {
-            let report = engine.run_with_seed(Task::SampleExact, rep).unwrap();
-            for phase in &report.phases {
-                let ns = phase.wall_time.as_nanos() as f64;
-                match phase.name {
-                    "ground" => pass[0].push(ns),
-                    "sample" => pass[1].push(ns),
-                    "reject" => pass[2].push(ns),
-                    _ => {}
-                }
-            }
-            if width > 1 {
-                let stats = report.sharding.expect("sampling task reports sharding");
-                shard_totals.merge(&stats);
-                shard_runs += 1;
-            }
-        }
-        for (i, name) in ["ground", "sample", "reject"].iter().enumerate() {
-            sharding.push((
-                format!("shard_jvv_pass{}_{}_w{width}_ns", i + 1, name),
-                median(std::mem::take(&mut pass[i])),
-            ));
-        }
-    }
-    sharding.push((
-        "shard_projected_clusters_per_run".to_string(),
-        shard_totals.projected_clusters as f64 / shard_runs.max(1) as f64,
-    ));
-    sharding.push(("shard_mean_halo".to_string(), shard_totals.mean_halo()));
-    sharding.push(("shard_max_halo".to_string(), shard_totals.max_halo as f64));
-    sharding.push((
-        "shard_bytes_cloned_per_run".to_string(),
-        shard_totals.bytes_cloned as f64 / shard_runs.max(1) as f64,
-    ));
-    sharding.push((
-        "shard_halo_bytes_bound_per_run".to_string(),
-        shard_totals.halo_bytes_bound as f64 / shard_runs.max(1) as f64,
-    ));
-
     // --- net section: the out-of-process serving overhead over real
     // loopback TCP. The repeated seed hits the tenant's idempotency
     // cache, so the round-trip numbers measure the wire (frame + codec +
@@ -864,7 +807,6 @@ fn main() {
     let all_metrics: Vec<(String, f64)> = metrics
         .iter()
         .chain(serving.iter())
-        .chain(sharding.iter())
         .chain(net.iter())
         .chain(count.iter())
         .chain(backends.iter())
@@ -878,7 +820,6 @@ fn main() {
         &[
             ("metrics", &metrics[..]),
             ("serving", &serving[..]),
-            ("sharding", &sharding[..]),
             ("net", &net[..]),
             ("count", &count[..]),
             ("backends", &backends[..]),
@@ -898,31 +839,6 @@ fn main() {
             .map(|(_, v)| *v)
             .expect("tracked metric")
     };
-
-    // Sharding gate: the chromatic runner must ship halo-bounded state,
-    // never full clones. Two conditions: the workload actually fanned
-    // clusters out (otherwise the bound is vacuous), and the bytes
-    // cloned stayed within the halo bound (a full-clone fallback — the
-    // default `project` — copies `n` slots per cluster and trips this).
-    if shard_totals.projected_clusters == 0 {
-        eprintln!("FAIL sharding gate: no cluster was ever projected — the workload no longer exercises the sharded path");
-        failed = true;
-    } else if !shard_totals.within_halo_bound() {
-        eprintln!(
-            "FAIL sharding gate: {} bytes cloned exceeds the halo bound {} — a full-state clone is back on the hot path",
-            shard_totals.bytes_cloned, shard_totals.halo_bytes_bound
-        );
-        failed = true;
-    } else {
-        println!(
-            "sharding gate: {} clusters projected, {} bytes cloned within halo bound {} (mean halo {:.1}, max {}) — ok",
-            shard_totals.projected_clusters,
-            shard_totals.bytes_cloned,
-            shard_totals.halo_bytes_bound,
-            shard_totals.mean_halo(),
-            shard_totals.max_halo
-        );
-    }
 
     // Width-4 coalescing canary: coalesced dispatch must beat serial
     // one-at-a-time dispatch of the same burst even on a single-core

@@ -6,19 +6,19 @@
 //! *local* variant updates many non-adjacent sites per round, so the
 //! whole chain runs in `O(log n)` LOCAL rounds inside the uniqueness
 //! regime. This module implements the **systematic-scan** form of that
-//! chain on the workspace's existing machinery: one sweep is one
-//! chromatic scan ([`scheduler::run_kernel_chromatic`]) in
-//! which every free node, visited in schedule order, resamples its spin
-//! from the conditional distribution given its current neighborhood —
-//! sites of the same color are distance `≥ locality + 2` apart, so the
-//! parallel cluster simulation is execution-equivalent to the sequential
-//! scan and the output is **bit-identical at any pool width**.
+//! chain on the workspace's existing machinery: one sweep is one scan of
+//! the chromatic schedule's ordering ([`run_scan_sequential`]) in which
+//! every free node, visited in schedule order, resamples its spin from
+//! the conditional distribution given its current neighborhood. Sites of
+//! the same color are distance `≥ locality + 2` apart, so by Lemma 3.1
+//! the scan is the execution of the LOCAL simulation that updates each
+//! color class in parallel, and a sweep costs the schedule's rounds.
 //!
 //! Contrast with [`crate::baselines::glauber_dynamics`], the sequential
 //! random-site baseline: same per-site update rule, but that chain picks
 //! sites with a global RNG and is inherently serial, while this one
 //! draws each site's randomness from [`Network::node_rng`] (per node,
-//! per sweep) and parallelizes across color classes.
+//! per sweep), so a sweep is a local algorithm.
 //!
 //! Each update touches only the factors containing the site — a table
 //! lookup per factor — so a sweep costs `O(n · q · deg)` arithmetic with
@@ -29,19 +29,18 @@
 //!
 //! The chain starts from the greedy feasible extension of the instance
 //! pinning (Remark 2.3's sequential local oblivious construction), run
-//! as a chromatic scan itself so the start state is deterministic and
-//! width-independent. Mixing is certified by
+//! as a scan of the same ordering so the start state is deterministic.
+//! Mixing is certified by
 //! [`crate::regime::glauber_plan`] from the model's SSM decay rate.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use lds_gibbs::{distribution, Config, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::scheduler;
-use lds_localnet::slocal::{ScanKernel, SlocalKernel};
+use lds_localnet::slocal::{run_scan_sequential, ScanKernel, SlocalKernel};
 use lds_localnet::Network;
-use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase};
 
 use crate::sampler::{lift, SampleRun};
 
@@ -56,11 +55,9 @@ pub const STREAM_GLAUBER: u64 = 0x4_0000;
 /// The greedy ground pass: pin each free node, in schedule order, to the
 /// first value keeping the partial configuration locally feasible — the
 /// same Remark 2.3 construction [`crate::baselines::glauber_dynamics`]
-/// starts from, here as a pinning-extension kernel so the chromatic
-/// runner makes it width-independent. Reads pins only within the model
-/// locality of the processed node (the fully-pinned factors it checks
-/// all touch that node's ball).
-#[derive(Clone, Debug)]
+/// starts from, here as a pinning-extension kernel over the schedule's
+/// ordering. Reads pins only within the model locality of the processed
+/// node (the fully-pinned factors it checks all touch that node's ball).
 struct GreedyGroundKernel;
 
 impl SlocalKernel for GreedyGroundKernel {
@@ -107,14 +104,14 @@ pub struct GlauberSweepRun {
 /// nodes are never updated.
 #[derive(Clone, Debug)]
 pub struct GlauberKernel {
-    initial: Arc<Config>,
+    initial: Config,
     stream: u64,
 }
 
 impl GlauberKernel {
     /// A sweep kernel starting from `initial` and drawing node
     /// randomness from `stream` (one distinct stream per sweep).
-    pub fn new(initial: Arc<Config>, stream: u64) -> Self {
+    pub fn new(initial: Config, stream: u64) -> Self {
         GlauberKernel { initial, stream }
     }
 }
@@ -125,7 +122,7 @@ impl ScanKernel for GlauberKernel {
     type Run = GlauberSweepRun;
 
     fn init(&self, _net: &Network) -> Config {
-        (*self.initial).clone()
+        self.initial.clone()
     }
 
     fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<GlauberUpdate> {
@@ -173,41 +170,6 @@ impl ScanKernel for GlauberKernel {
         })
     }
 
-    fn apply(&self, state: &mut Config, v: NodeId, effect: &GlauberUpdate) {
-        state.set(v, effect.value);
-    }
-
-    /// Halo restriction of a dense configuration: only the halo's slots
-    /// are copied. Sound because an update reads the factors touching
-    /// the processed node (inside the halo by the schedule construction)
-    /// and writes only the node itself.
-    fn project(&self, state: &Config, halo: &[NodeId]) -> Config {
-        let mut p = Config::constant(state.len(), Value(0));
-        for &v in halo {
-            p.set(v, state.get(v));
-        }
-        p
-    }
-
-    fn project_into(
-        &self,
-        state: &Config,
-        halo: &[NodeId],
-        scratch: &mut Config,
-        stale: &[NodeId],
-    ) {
-        for &v in stale {
-            scratch.set(v, Value(0));
-        }
-        for &v in halo {
-            scratch.set(v, state.get(v));
-        }
-    }
-
-    fn projected_bytes(&self, _n: usize, halo: usize) -> u64 {
-        (halo * core::mem::size_of::<Value>()) as u64
-    }
-
     fn finish(
         &self,
         _net: &Network,
@@ -241,19 +203,17 @@ pub struct GlauberStats {
 }
 
 /// Runs `sweeps` systematic-scan Glauber sweeps from the greedy ground
-/// state, all sharing one chromatic schedule (locality = the model's
-/// factor diameter) — the local Glauber dynamics of Fischer–Ghaffari in
-/// this workspace's scan form. Same-color clusters are simulated
-/// concurrently on `pool`; the result is **bit-identical to the
-/// sequential execution at any pool width**. [`SampleRun::glauber`]
-/// carries the mixing diagnostics.
+/// state, all scanning one chromatic schedule's ordering (locality = the
+/// model's factor diameter) — the local Glauber dynamics of
+/// Fischer–Ghaffari in this workspace's scan form.
+/// [`SampleRun::glauber`] carries the mixing diagnostics.
 ///
 /// The reported round count charges `schedule.rounds` LOCAL rounds per
 /// chromatic pass (the ground pass plus each sweep), the cost of the
 /// Lemma 3.1 simulation.
 ///
-/// `cancel` is threaded into every chromatic pass (checked between
-/// color rounds) and checked once per sweep. Checks consume no
+/// `cancel` is threaded into every pass (checked every 256 nodes) and
+/// checked once per sweep. Checks consume no
 /// randomness, so a completed run is bit-identical to one under
 /// [`CancelToken::never`]; a cancelled run returns `Err(`[`Cancelled`]`)`
 /// with no partial result.
@@ -263,7 +223,6 @@ pub fn sample_glauber(
     net: &Network,
     sweeps: usize,
     stream: u64,
-    pool: &ThreadPool,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
     let locality = net.instance().model().locality().max(1);
@@ -273,8 +232,7 @@ pub fn sample_glauber(
     let schedule_wall = start.elapsed();
 
     let start = Instant::now();
-    let (ground, mut sharding) =
-        scheduler::run_kernel_chromatic(net, &GreedyGroundKernel, &schedule, pool, cancel)?;
+    let ground = run_scan_sequential(net, &GreedyGroundKernel, &schedule.order, cancel)?;
     let ground_wall = start.elapsed();
 
     let mut config = Config::from_values(ground.outputs);
@@ -287,9 +245,8 @@ pub fn sample_glauber(
     let start = Instant::now();
     for s in 0..sweeps {
         cancel.check()?;
-        let kernel = GlauberKernel::new(Arc::new(config), stream_for_sweep(s));
-        let (run, pass) = scheduler::run_kernel_chromatic(net, &kernel, &schedule, pool, cancel)?;
-        sharding.merge(&pass);
+        let kernel = GlauberKernel::new(config, stream_for_sweep(s));
+        let run = run_scan_sequential(net, &kernel, &schedule.order, cancel)?;
         stats.site_updates += run.resampled as u64;
         stats.last_sweep_changes = run.changed;
         config = run.config;
@@ -309,7 +266,6 @@ pub fn sample_glauber(
             Phase::new("ground", ground_wall, 0),
             Phase::new("glauber", sweeps_wall, 0),
         ],
-        sharding,
         jvv: None,
         glauber: Some(stats),
     })
@@ -337,12 +293,12 @@ mod tests {
         Network::new(Instance::unconditioned(hardcore::model(&g, lambda)), seed)
     }
 
-    fn glauber_on(net: &Network, sweeps: usize, pool: &ThreadPool) -> SampleRun {
-        sample_glauber(net, sweeps, 0, pool, &CancelToken::never()).unwrap()
+    fn glauber_out(net: &Network, sweeps: usize) -> SampleRun {
+        sample_glauber(net, sweeps, 0, &CancelToken::never()).unwrap()
     }
 
     fn glauber(net: &Network, sweeps: usize) -> lds_localnet::local::LocalRun<Value> {
-        glauber_on(net, sweeps, &ThreadPool::sequential()).run
+        glauber_out(net, sweeps).run
     }
 
     #[test]
@@ -356,26 +312,6 @@ mod tests {
                 net.instance().model().weight(&config) > 0.0,
                 "seed {seed} produced an infeasible configuration"
             );
-        }
-    }
-
-    #[test]
-    fn bit_identical_across_pool_widths() {
-        for seed in [0u64, 3, 11] {
-            let net = hc_net(14, 1.0, seed);
-            let reference = glauber_on(&net, 5, &ThreadPool::sequential());
-            for threads in [2usize, 4, 8] {
-                let out = glauber_on(&net, 5, &ThreadPool::new(threads));
-                assert_eq!(
-                    out.run.outputs, reference.run.outputs,
-                    "width {threads} seed {seed}"
-                );
-                assert_eq!(out.run.failures, reference.run.failures);
-                assert_eq!(
-                    out.glauber, reference.glauber,
-                    "width {threads} seed {seed}"
-                );
-            }
         }
     }
 
@@ -450,7 +386,7 @@ mod tests {
     #[test]
     fn stats_count_site_updates_and_locality() {
         let net = hc_net(10, 1.0, 5);
-        let out = glauber_on(&net, 3, &ThreadPool::sequential());
+        let out = glauber_out(&net, 3);
         let stats = out.glauber.expect("glauber stats");
         assert_eq!(stats.sweeps, 3);
         assert_eq!(stats.site_updates, 30, "10 free sites x 3 sweeps");

@@ -32,18 +32,17 @@
 //! locally computable acceptance. Success probability `≥ e^{−5n²ε}`,
 //! which is `1 − O(1/n)` at the paper's `ε = 1/n³`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use lds_gibbs::{distribution, Config, PartialConfig, Value};
 use lds_graph::{traversal, NodeId};
-use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
+use lds_localnet::scheduler;
 use lds_localnet::slocal::{
     multipass_locality, run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun,
 };
 use lds_localnet::Network;
 use lds_oracle::MultiplicativeInference;
-use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase};
 use rand::Rng;
 
 use crate::sampler::{lift, SampleRun};
@@ -85,10 +84,7 @@ pub struct LocalJvv<'a, O> {
     eps: f64,
 }
 
-impl<'a, O> LocalJvv<'a, O>
-where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
-{
+impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
     /// Creates the sampler over a multiplicative-error oracle with
     /// per-marginal error `ε`.
     ///
@@ -117,32 +113,31 @@ where
         (-5.0 * (n * n) as f64 * self.eps).exp()
     }
 
-    /// The pass-1 kernel (ground state σ₀). Kernels own a clone of the
-    /// oracle so they can ship to the pool's workers as `'static` jobs.
-    fn ground_kernel(&self) -> GroundKernel<O> {
+    /// The pass-1 kernel (ground state σ₀).
+    fn ground_kernel(&self) -> GroundKernel<'a, O> {
         GroundKernel {
-            oracle: self.oracle.clone(),
+            oracle: self.oracle,
             eps: self.eps,
         }
     }
 
     /// The pass-2 kernel (random configuration `Y`).
-    fn chain_kernel(&self) -> ChainKernel<O> {
+    fn chain_kernel(&self) -> ChainKernel<'a, O> {
         ChainKernel {
-            oracle: self.oracle.clone(),
+            oracle: self.oracle,
             eps: self.eps,
         }
     }
 
     /// The pass-3 kernel (local rejection), given the outputs of passes
     /// 1 and 2 over `order`.
-    fn reject_kernel(
-        &self,
+    fn reject_kernel<'k>(
+        &'k self,
         net: &Network,
-        order: &[NodeId],
+        order: &'k [NodeId],
         ground: SlocalRun<Value>,
         sampled: SlocalRun<Value>,
-    ) -> RejectKernel<O> {
+    ) -> RejectKernel<'k, O> {
         let model = net.instance().model();
         let n = model.node_count();
         let ell = model.locality().max(1);
@@ -152,84 +147,54 @@ where
             pos[v.index()] = i;
         }
         RejectKernel {
-            oracle: self.oracle.clone(),
+            oracle: self.oracle,
             eps: self.eps,
-            ctx: Arc::new(RejectContext {
-                order: order.to_vec(),
-                pos,
-                sigma0: Config::from_values(ground.outputs),
-                y: Config::from_values(sampled.outputs),
-                ground_failures: ground.failures,
-                t,
-                ell,
-                slack: self.slack(n),
-                locality: multipass_locality(&[t, t, 3 * t + ell]),
-            }),
+            order,
+            pos,
+            sigma0: Config::from_values(ground.outputs),
+            y: Config::from_values(sampled.outputs),
+            ground_failures: ground.failures,
+            t,
+            ell,
+            slack: self.slack(n),
+            locality: multipass_locality(&[t, t, 3 * t + ell]),
         }
     }
 
-    /// Runs the three passes sequentially over `order` and returns the
-    /// full outcome.
-    pub fn run_detailed(&self, net: &Network, order: &[NodeId]) -> JvvOutcome {
-        let ground = scan(net, &self.ground_kernel(), order);
-        let sampled = scan(net, &self.chain_kernel(), order);
-        let reject = self.reject_kernel(net, order, ground, sampled);
-        scan(net, &reject, order)
-    }
-
-    /// Runs all three passes with same-color clusters simulated
-    /// concurrently on the pool. Passes 1–2 are pinning-extension
-    /// kernels, so Lemma 3.1's parallel cluster simulation applies
-    /// verbatim; pass 3 runs through the same chromatic engine as a
-    /// [`ScanKernel`] whose within-color resample decisions commute (see
-    /// the commutation proof on `RejectKernel` in this module's source).
-    /// Bit-identical to [`LocalJvv::run_detailed`] on `schedule.order`
-    /// at any pool width.
+    /// Runs the three passes as sequential scans over `order`. Over a
+    /// chromatic schedule's ordering this is the LOCAL execution of
+    /// Lemma 3.1 ([`sample_exact_local`]).
     ///
     /// Returns the outcome (failure bits are the scan's own `F′`, not
-    /// yet merged with the schedule's `F″`), the `ground`, `sample` and
-    /// `reject` phases, and the sharding telemetry of the three passes.
-    /// `cancel` is threaded into each pass's chromatic runner (checked
-    /// between color rounds); checks consume no randomness, and a
-    /// cancelled run returns `Err(`[`Cancelled`]`)` with no partial
-    /// outcome.
-    pub fn run_scheduled(
+    /// merged with a schedule's `F″`) and the `ground`, `sample` and
+    /// `reject` phases. `cancel` is checked every 256 nodes of each pass;
+    /// checks consume no randomness, and a cancelled run returns
+    /// `Err(`[`Cancelled`]`)` with no partial outcome.
+    pub fn run(
         &self,
         net: &Network,
-        schedule: &ChromaticSchedule,
-        pool: &ThreadPool,
+        order: &[NodeId],
         cancel: &CancelToken,
-    ) -> Result<(JvvOutcome, Vec<Phase>, ShardingStats), Cancelled> {
-        let mut sharding = ShardingStats::default();
+    ) -> Result<(JvvOutcome, Vec<Phase>), Cancelled> {
         let start = Instant::now();
-        let (ground, stats) =
-            scheduler::run_kernel_chromatic(net, &self.ground_kernel(), schedule, pool, cancel)?;
+        let ground = run_scan_sequential(net, &self.ground_kernel(), order, cancel)?;
         let ground_phase = Phase::new("ground", start.elapsed(), 0);
-        sharding.merge(&stats);
         let start = Instant::now();
-        let (sampled, stats) =
-            scheduler::run_kernel_chromatic(net, &self.chain_kernel(), schedule, pool, cancel)?;
+        let sampled = run_scan_sequential(net, &self.chain_kernel(), order, cancel)?;
         let sample_phase = Phase::new("sample", start.elapsed(), 0);
-        sharding.merge(&stats);
         let start = Instant::now();
-        let reject = self.reject_kernel(net, &schedule.order, ground, sampled);
-        let (outcome, stats) =
-            scheduler::run_kernel_chromatic(net, &reject, schedule, pool, cancel)?;
+        let reject = self.reject_kernel(net, order, ground, sampled);
+        let outcome = run_scan_sequential(net, &reject, order, cancel)?;
         let reject_phase = Phase::new("reject", start.elapsed(), 0);
-        sharding.merge(&stats);
-        Ok((
-            outcome,
-            vec![ground_phase, sample_phase, reject_phase],
-            sharding,
-        ))
+        Ok((outcome, vec![ground_phase, sample_phase, reject_phase]))
     }
 
     /// The full **pre-refactor** three-pass sequential execution:
     /// passes 1–2 as sequential kernel scans (unchanged by the pass-3
     /// refactor) composed with [`LocalJvv::rejection_pass_reference`].
-    /// The pass-3 equivalence proptest (`tests/pass3_parallel.rs`)
-    /// compares [`LocalJvv::run_scheduled`] at every pool width against
-    /// this, bit for bit. Not part of the serving path.
+    /// The pass-3 equivalence proptest (`tests/pass3_reference.rs`)
+    /// compares [`LocalJvv::run`] against this, bit for bit. Not part of
+    /// the serving path.
     #[doc(hidden)]
     pub fn run_detailed_reference(&self, net: &Network, order: &[NodeId]) -> JvvOutcome {
         let ground = scan(net, &self.ground_kernel(), order);
@@ -257,7 +222,7 @@ where
     /// Pass 3 (local rejection) given the ground state and the sampled
     /// configuration from passes 1 and 2 — the **frozen pre-refactor
     /// sequential scan**, kept verbatim as the reference implementation
-    /// that the pass-3 equivalence proptest (`tests/pass3_parallel.rs`)
+    /// that the pass-3 equivalence proptest (`tests/pass3_reference.rs`)
     /// compares the [`RejectKernel`] execution against, bit for bit. Not
     /// part of the serving path.
     #[doc(hidden)]
@@ -396,13 +361,12 @@ fn scan<K: ScanKernel + ?Sized>(net: &Network, kernel: &K, order: &[NodeId]) -> 
 /// positive estimated marginal (positive estimate ⟹ positive truth by
 /// the multiplicative guarantee). Reads pins within the oracle radius
 /// `t`; failure only on the defensive fallback path.
-#[derive(Clone)]
-struct GroundKernel<O> {
-    oracle: O,
+struct GroundKernel<'a, O> {
+    oracle: &'a O,
     eps: f64,
 }
 
-impl<O: MultiplicativeInference + Sync> SlocalKernel for GroundKernel<O> {
+impl<O: MultiplicativeInference> SlocalKernel for GroundKernel<'_, O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
         let q = model.alphabet_size();
@@ -426,13 +390,12 @@ impl<O: MultiplicativeInference + Sync> SlocalKernel for GroundKernel<O> {
 
 /// Pass-2 kernel: sample `Y_v ~ μ̂^{Y_{<v}}_v` with `v`'s private
 /// randomness (stream [`STREAM_JVV_SAMPLE`]). Never fails.
-#[derive(Clone)]
-struct ChainKernel<O> {
-    oracle: O,
+struct ChainKernel<'a, O> {
+    oracle: &'a O,
     eps: f64,
 }
 
-impl<O: MultiplicativeInference + Sync> SlocalKernel for ChainKernel<O> {
+impl<O: MultiplicativeInference> SlocalKernel for ChainKernel<'_, O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
         let mu = self.oracle.marginal_mul(model, sigma, v, self.eps);
@@ -441,12 +404,50 @@ impl<O: MultiplicativeInference + Sync> SlocalKernel for ChainKernel<O> {
     }
 }
 
-/// Immutable context of one pass-3 execution, shared by every clone of
-/// the kernel (the chromatic runner clones the kernel into each worker
-/// job).
-struct RejectContext {
+/// Per-node effect of the rejection scan: the acceptance bookkeeping,
+/// folded in scan order.
+struct RejectEffect {
+    /// The rejection bit of `v_i` (`F′` — OR-ed into the pass-1 bit,
+    /// exactly as the reference scan does: a failure bit, once set, is
+    /// never cleared).
+    fail: bool,
+    /// Acceptance probability `q_{v_i}`; `None` when the feasibility
+    /// repair failed and no acceptance test ran.
+    q: Option<f64>,
+    /// Whether `q_{v_i}` had to be clamped to 1.
+    clamped: bool,
+}
+
+/// Pass-3 kernel: the local rejection scan of Theorem 4.2 as a
+/// [`ScanKernel`] whose state is the configuration path `σ_{i−1}`.
+/// Checked bit for bit against the frozen
+/// [`LocalJvv::rejection_pass_reference`] in `tests/pass3_reference.rs`.
+///
+/// **Locality.** Processing `v_i` (a) *writes* the configuration path
+/// only inside `B_W(v_i)` with `W = max(t, ℓ)` — Claim 4.6's repair
+/// changes `σ_{i−1} → σ_i` only inside the repair ball, and the greedy
+/// feasibility extension's choice at a free ball node depends only on
+/// factors touching it (range `ℓ`); and (b) *reads* the path only inside
+/// `B_R(v_i)` with `R = 2·max(t, ℓ) + ℓ + t = 3t + ℓ` for `t ≥ ℓ`: the
+/// density ratio visits nodes `v_j` within the cutoff `2·max(t, ℓ) + ℓ`
+/// and queries the oracle there, which by its multiplicative radius
+/// contract reads pins within a further `t` of `v_j` (the telescoping of
+/// Claim 4.7 — distant marginal calls see indistinguishable instances).
+/// The prefix-equality short-circuit is also `R`-local: the two prefixes
+/// it compares are built from `σ_{i−1}` and `σ_i`, which agree outside
+/// `B_W(v_i)`, so the comparison outcome is a function of the ball
+/// region alone. The global feasibility checks inside the repair are
+/// factor-local, and away from `B_R(v_i)` the path state is a feasible
+/// configuration (the path invariant), so checking only the factors near
+/// the ball decides as the reference's global check does.
+/// [`RejectKernel::step`] relies on this to read only `B_R(v_i)`. The
+/// acceptance product is folded in scan order ([`ScanKernel::finish`]),
+/// so even its floating-point rounding sequence matches the reference.
+struct RejectKernel<'a, O> {
+    oracle: &'a O,
+    eps: f64,
     /// The scan ordering `π` (all nodes).
-    order: Vec<NodeId>,
+    order: &'a [NodeId],
     /// `pos[v] = i` ⟺ `order[i] = v`.
     pos: Vec<usize>,
     /// Pass-1 output `σ₀` — the initial configuration path state.
@@ -466,79 +467,14 @@ struct RejectContext {
     locality: usize,
 }
 
-/// Per-node effect of the rejection scan: the configuration-path delta
-/// plus the acceptance bookkeeping, replayed onto the global state in
-/// schedule order.
-struct RejectEffect {
-    /// Values `σ_i` takes where it differs from `σ_{i−1}` — confined to
-    /// `B_{max(t,ℓ)}(v_i)` by Claim 4.6's repair.
-    writes: Vec<(NodeId, Value)>,
-    /// The rejection bit of `v_i` (`F′` — OR-ed into the pass-1 bit,
-    /// exactly as the sequential scan does: a failure bit, once set, is
-    /// never cleared).
-    fail: bool,
-    /// Acceptance probability `q_{v_i}`; `None` when the feasibility
-    /// repair failed and no acceptance test ran.
-    q: Option<f64>,
-    /// Whether `q_{v_i}` had to be clamped to 1.
-    clamped: bool,
-}
-
-/// Pass-3 kernel: the local rejection scan of Theorem 4.2 as a
-/// [`ScanKernel`], so [`scheduler::run_kernel_chromatic`] can simulate
-/// same-color clusters concurrently — the last of the three `local-JVV`
-/// passes to go through Lemma 3.1's parallel cluster simulation.
-///
-/// **Why within-color resample decisions commute** (the equivalence
-/// proof the chromatic runner relies on; property-tested bit-for-bit in
-/// `tests/pass3_parallel.rs`):
-///
-/// Processing `v_i` (a) *writes* the configuration path only inside
-/// `B_W(v_i)` with `W = max(t, ℓ)` — Claim 4.6's repair changes
-/// `σ_{i−1} → σ_i` only inside the repair ball, and the greedy
-/// feasibility extension's choice at a free ball node depends only on
-/// factors touching it (range `ℓ`); and (b) *reads* the path only inside
-/// `B_R(v_i)` with `R = 2·max(t, ℓ) + ℓ + t = 3t + ℓ` for `t ≥ ℓ`: the
-/// density ratio visits nodes `v_j` within the cutoff `2·max(t, ℓ) + ℓ`
-/// and queries the oracle there, which by its multiplicative radius
-/// contract reads pins within a further `t` of `v_j` (the telescoping of
-/// Claim 4.7 — distant marginal calls see indistinguishable instances).
-/// The prefix-equality short-circuit is also `R`-local: the two prefixes
-/// it compares are built from `σ_{i−1}` and `σ_i`, which agree outside
-/// `B_W(v_i)`, so the comparison outcome is a function of the ball
-/// region alone. The global feasibility checks inside the repair are
-/// factor-local, and away from `B_R(v_i)` both the true sequential path
-/// state and a cluster's snapshot state are feasible configurations (the
-/// path invariant), so they decide identically.
-///
-/// The chromatic schedule separates same-color clusters by
-/// `> r + 1` in `G` with `r = t + 2(t + (3t + ℓ)) = 9t + 2ℓ` (Lemma 4.4
-/// folding of the three passes) — strictly more than the interaction
-/// bound `W + R = 4·max(t, ℓ) + t + ℓ` whenever `8t + 1 > 2ℓ` (always
-/// here: every model in the workspace has `ℓ = 1` and every oracle
-/// `t ≥ 0`, and when the schedule caps `r` at the graph diameter,
-/// same-color clusters land in different components and cannot interact
-/// at all). Hence no concurrent cluster can observe another's writes:
-/// processing order within a color is immaterial, i.e. the resample
-/// decisions commute, and replaying the effects in cluster order
-/// reproduces the sequential scan **bit for bit**. The acceptance
-/// product is likewise folded in schedule order ([`ScanKernel::finish`])
-/// so even its floating-point rounding sequence matches the sequential
-/// scan.
-#[derive(Clone)]
-struct RejectKernel<O> {
-    oracle: O,
-    eps: f64,
-    ctx: Arc<RejectContext>,
-}
-
-impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
+impl<O: MultiplicativeInference> RejectKernel<'_, O> {
     /// One rejection step: build `σ_i` from `σ_{i−1}` (Claim 4.6),
     /// compute the acceptance probability `q_{v_i}` (Claim 4.7), flip
-    /// `v_i`'s private coin. Pure function of the path state within
-    /// `B_R(v_i)`, the context, and `v_i`'s randomness.
+    /// `v_i`'s private coin, and advance `sigma` to `σ_i`. Pure function
+    /// of the path state within `B_R(v_i)`, the kernel's inputs, and
+    /// `v_i`'s randomness.
     ///
-    /// **Halo-local by construction**: every read of `sigma_prev` stays
+    /// **Ball-local by construction**: every read of `σ_{i−1}` stays
     /// within `B_{R}(v_i)` — the repair works on ball-restricted values,
     /// the feasibility checks visit only factors touching the ball
     /// (factors farther out are positive by the path invariant, so the
@@ -547,19 +483,17 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
     /// scan positions the oracle can actually reach
     /// (`dist(v_i, v_j) ≤ cutoff` plus the oracle radius `t`). A full
     /// prefix differing only beyond that region yields the exact factor
-    /// `x/x = 1` in the reference, so restricting is bit-identical.
-    /// This is what lets the chromatic runner ship halo projections of
-    /// the configuration path instead of full clones — and it also
-    /// removes the reference's per-position full-pinning clones from
-    /// the sequential hot path.
-    fn step(&self, net: &Network, sigma_prev: &Config, vi: NodeId) -> RejectEffect {
-        let ctx = &*self.ctx;
+    /// `x/x = 1` in the reference, so restricting is bit-identical, and
+    /// the step needs none of the reference's per-position full-pinning
+    /// clones.
+    fn step(&self, net: &Network, sigma: &mut Config, vi: NodeId) -> RejectEffect {
+        let sigma_prev: &Config = sigma;
         let model = net.instance().model();
         let tau = net.instance().pinning();
         let g = model.graph();
         let n = model.node_count();
-        let i = ctx.pos[vi.index()];
-        let w = ctx.t.max(ctx.ell);
+        let i = self.pos[vi.index()];
+        let w = self.t.max(self.ell);
         // σ_i: agree with Y on order[..=i], differ from σ_{i-1} only
         // inside B_t(vi), stay feasible (Claim 4.6 via greedy repair).
         let ball: Vec<NodeId> = traversal::ball(g, vi, w);
@@ -567,18 +501,17 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
         for (k, &u) in ball.iter().enumerate() {
             ball_idx[u.index()] = k;
         }
-        let ball_vals = match repair_local(model, sigma_prev, &ctx.y, &ball, &ball_idx, &ctx.pos, i)
-        {
-            Some(vals) => vals,
-            None => {
-                return RejectEffect {
-                    writes: Vec::new(),
-                    fail: true,
-                    q: None,
-                    clamped: false,
+        let ball_vals =
+            match repair_local(model, sigma_prev, &self.y, &ball, &ball_idx, &self.pos, i) {
+                Some(vals) => vals,
+                None => {
+                    return RejectEffect {
+                        fail: true,
+                        q: None,
+                        clamped: false,
+                    }
                 }
-            }
-        };
+            };
         // where σ_i differs from σ_{i−1}: confined to the ball, listed
         // in ball (BFS) order like the frozen reference
         let writes: Vec<(NodeId, Value)> = ball
@@ -595,11 +528,11 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
         };
 
         // acceptance probability q_{v_i}
-        let cutoff = 2 * w + ctx.ell;
+        let cutoff = 2 * w + self.ell;
         let dist = traversal::bfs_distances(g, vi);
         // scan positions any queried oracle can see: vj within `cutoff`,
         // reading pins a further `t` out
-        let read_radius = cutoff + ctx.t;
+        let read_radius = cutoff + self.t;
         let mut read_nodes: Vec<NodeId> = (0..n)
             .map(NodeId::from_index)
             .filter(|u| {
@@ -607,13 +540,13 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
                 d != traversal::UNREACHABLE && (d as usize) <= read_radius
             })
             .collect();
-        read_nodes.sort_unstable_by_key(|u| ctx.pos[u.index()]);
+        read_nodes.sort_unstable_by_key(|u| self.pos[u.index()]);
         let mut prefix_prev = PrefixScratch::new(tau);
         let mut prefix_new = PrefixScratch::new(tau);
         let mut ratio = 1.0f64;
         // density ratio μ̂^τ(σ_{i-1}) / μ̂^τ(σ_i): only scan positions
         // within the cutoff ball differ.
-        for &vj in &ctx.order {
+        for &vj in self.order {
             let d = dist[vj.index()];
             if d == traversal::UNREACHABLE || d as usize > cutoff {
                 continue;
@@ -621,20 +554,20 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
             if tau.is_pinned(vj) {
                 continue;
             }
-            let j = ctx.pos[vj.index()];
+            let j = self.pos[vj.index()];
             let prev_val = sigma_prev.get(vj);
             let new_val = val_i(vj);
             // the reference's prefix-equality short-circuit, decided
             // without building prefixes: the full prefixes at position
             // j differ iff some repair write sits at a position < j
-            if prev_val == new_val && writes.iter().all(|&(u, _)| ctx.pos[u.index()] >= j) {
+            if prev_val == new_val && writes.iter().all(|&(u, _)| self.pos[u.index()] >= j) {
                 continue;
             }
-            prefix_prev.set_prefix(&read_nodes, &ctx.pos, j, |u| sigma_prev.get(u));
+            prefix_prev.set_prefix(&read_nodes, &self.pos, j, |u| sigma_prev.get(u));
             let mu_prev = self
                 .oracle
                 .marginal_mul(model, prefix_prev.pinning(), vj, self.eps);
-            prefix_new.set_prefix(&read_nodes, &ctx.pos, j, val_i);
+            prefix_new.set_prefix(&read_nodes, &self.pos, j, val_i);
             let mu_new = self
                 .oracle
                 .marginal_mul(model, prefix_new.pinning(), vj, self.eps);
@@ -670,15 +603,17 @@ impl<O: MultiplicativeInference + Sync> RejectKernel<O> {
             }
         }
 
-        let mut q_vi = ratio * ctx.slack;
+        let mut q_vi = ratio * self.slack;
         let clamped = q_vi > 1.0;
         if clamped {
             q_vi = 1.0;
         }
         let mut rng = net.node_rng(vi, STREAM_JVV_REJECT);
         let fail = !rng.gen_bool(q_vi.max(0.0));
+        for (u, val) in writes {
+            sigma.set(u, val);
+        }
         RejectEffect {
-            writes,
             fail,
             q: Some(q_vi),
             clamped,
@@ -832,59 +767,19 @@ fn repair_local(
     )
 }
 
-impl<O: MultiplicativeInference + Sync> ScanKernel for RejectKernel<O> {
+impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
     type State = Config;
     type Effect = RejectEffect;
     type Run = JvvOutcome;
 
     fn init(&self, _net: &Network) -> Config {
-        self.ctx.sigma0.clone()
+        self.sigma0.clone()
     }
 
     fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<RejectEffect> {
         // every node runs its rejection step, pinned ones included —
-        // exactly like the sequential scan
-        let effect = self.step(net, state, v);
-        for &(u, val) in &effect.writes {
-            state.set(u, val);
-        }
-        Some(effect)
-    }
-
-    fn apply(&self, state: &mut Config, _v: NodeId, effect: &RejectEffect) {
-        for &(u, val) in &effect.writes {
-            state.set(u, val);
-        }
-    }
-
-    /// Halo restriction of the configuration path: only the halo slots
-    /// carry path state — [`RejectKernel::step`] never reads past them —
-    /// so the copy is `O(|halo|)`. The buffer keeps full length (the
-    /// step indexes by global id); out-of-halo slots are dead storage.
-    fn project(&self, state: &Config, halo: &[NodeId]) -> Config {
-        let mut p = Config::constant(state.len(), Value(0));
-        for &u in halo {
-            p.set(u, state.get(u));
-        }
-        p
-    }
-
-    fn project_into(
-        &self,
-        state: &Config,
-        halo: &[NodeId],
-        scratch: &mut Config,
-        _stale: &[NodeId],
-    ) {
-        // stale slots need no erasing: out-of-halo slots of a full-length
-        // buffer are never read by the halo-local step
-        for &u in halo {
-            scratch.set(u, state.get(u));
-        }
-    }
-
-    fn projected_bytes(&self, _n: usize, halo: usize) -> u64 {
-        (halo * core::mem::size_of::<Value>()) as u64
+        // exactly like the reference scan
+        Some(self.step(net, state, v))
     }
 
     fn finish(
@@ -893,18 +788,16 @@ impl<O: MultiplicativeInference + Sync> ScanKernel for RejectKernel<O> {
         _state: Config,
         effects: Vec<(NodeId, RejectEffect)>,
     ) -> JvvOutcome {
-        let ctx = &*self.ctx;
         let mut stats = JvvStats {
             acceptance_product: 1.0,
-            locality: ctx.locality,
+            locality: self.locality,
             ..JvvStats::default()
         };
         // pass-1 fallback failures carry over; pass 2 never fails
-        let mut failures = ctx.ground_failures.clone();
-        // fold in schedule order: same floating-point op sequence as the
-        // sequential scan, at every pool width
+        let mut failures = self.ground_failures.clone();
+        // fold in scan order: the reference's floating-point op sequence
         for (v, effect) in effects {
-            // OR, don't assign: the sequential scan only ever *sets*
+            // OR, don't assign: the reference scan only ever *sets*
             // failure bits, so a pass-1 fallback failure survives even
             // when v's rejection coin passes
             failures[v.index()] |= effect.fail;
@@ -916,8 +809,8 @@ impl<O: MultiplicativeInference + Sync> ScanKernel for RejectKernel<O> {
                 None => stats.repair_failures += 1,
             }
         }
-        let n = ctx.y.len();
-        let outputs: Vec<Value> = (0..n).map(|i| ctx.y.get(NodeId::from_index(i))).collect();
+        let n = self.y.len();
+        let outputs: Vec<Value> = (0..n).map(|i| self.y.get(NodeId::from_index(i))).collect();
         JvvOutcome {
             run: SlocalRun { outputs, failures },
             stats,
@@ -976,25 +869,23 @@ fn repair(
     Some(full.to_config())
 }
 
-/// Runs `local-JVV` in the LOCAL model via the Lemma 3.1 transformation,
-/// with the locality computed from the model (Theorem 4.2's
-/// `O(t(n)·log² n)` rounds) and same-color clusters of all three passes
-/// simulated concurrently on `pool` — bit-identical at any pool width.
-/// The run's failures combine the rejection bits `F′` with the
+/// Runs `local-JVV` in the LOCAL model via the Lemma 3.1 transformation:
+/// [`LocalJvv::run`] over the ordering of a chromatic schedule whose
+/// locality is computed from the model (Theorem 4.2's `O(t(n)·log² n)`
+/// rounds). The run's failures combine the rejection bits `F′` with the
 /// decomposition bits `F″`; [`SampleRun::jvv`] carries the statistics.
 ///
-/// `cancel` is checked before the schedule is built and between color
-/// rounds of every pass. Checks consume no randomness, so a completed
-/// run is bit-identical to one under [`CancelToken::never`]; a cancelled
-/// run returns `Err(`[`Cancelled`]`)` with no partial result.
+/// `cancel` is checked before the schedule is built and every 256 nodes
+/// of every pass. Checks consume no randomness, so a completed run is
+/// bit-identical to one under [`CancelToken::never`]; a cancelled run
+/// returns `Err(`[`Cancelled`]`)` with no partial result.
 ///
 /// Phases: `schedule` (all rounds), `ground`, `sample`, `reject`.
-pub fn sample_exact_local<O: MultiplicativeInference + Clone + Send + Sync + 'static>(
+pub fn sample_exact_local<O: MultiplicativeInference>(
     net: &Network,
     oracle: &O,
     eps: f64,
     stream: u64,
-    pool: &ThreadPool,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
     let model = net.instance().model();
@@ -1005,8 +896,7 @@ pub fn sample_exact_local<O: MultiplicativeInference + Clone + Send + Sync + 'st
     cancel.check()?;
     let schedule = scheduler::chromatic_schedule(net, locality, stream);
     let mut phases = vec![Phase::new("schedule", start.elapsed(), schedule.rounds)];
-    let (outcome, passes, sharding) =
-        LocalJvv::new(oracle, eps).run_scheduled(net, &schedule, pool, cancel)?;
+    let (outcome, passes) = LocalJvv::new(oracle, eps).run(net, &schedule.order, cancel)?;
     phases.extend(passes);
     Ok(SampleRun {
         run: lift(
@@ -1016,7 +906,6 @@ pub fn sample_exact_local<O: MultiplicativeInference + Clone + Send + Sync + 'st
             schedule.rounds,
         ),
         phases,
-        sharding,
         jvv: Some(outcome.stats),
         glauber: None,
     })
@@ -1031,6 +920,15 @@ mod tests {
     use lds_graph::{generators, ordering};
     use lds_localnet::Instance;
     use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
+
+    /// One uncancellable [`LocalJvv::run`], outcome only.
+    fn run<O: MultiplicativeInference>(
+        jvv: &LocalJvv<'_, O>,
+        net: &Network,
+        order: &[NodeId],
+    ) -> JvvOutcome {
+        jvv.run(net, order, &CancelToken::never()).unwrap().0
+    }
 
     fn boosted_saw(lambda: f64) -> BoostedOracle<TwoSpinSawOracle> {
         BoostedOracle::new(TwoSpinSawOracle::new(
@@ -1047,7 +945,7 @@ mod tests {
         let jvv = LocalJvv::new(&oracle, 0.05);
         for seed in 0..10 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let out = jvv.run_detailed(&net, &ordering::identity(&g));
+            let out = run(&jvv, &net, &ordering::identity(&g));
             let y = Config::from_values(out.run.outputs.clone());
             assert!(model.weight(&y) > 0.0, "seed {seed}: infeasible Y");
             assert_eq!(out.stats.repair_failures, 0);
@@ -1062,7 +960,7 @@ mod tests {
         let eps = 0.01;
         let jvv = LocalJvv::new(&oracle, eps);
         let net = Network::new(Instance::unconditioned(model), 3);
-        let out = jvv.run_detailed(&net, &ordering::identity(&g));
+        let out = run(&jvv, &net, &ordering::identity(&g));
         assert_eq!(out.stats.clamped, 0, "oracle violated its error bound");
         assert!(out.stats.acceptance_product <= 1.0 + 1e-12);
         assert!(
@@ -1086,7 +984,7 @@ mod tests {
         let mut accepted = Vec::new();
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let out = jvv.run_detailed(&net, &order);
+            let out = run(&jvv, &net, &order);
             if out.run.succeeded() {
                 accepted.push(Config::from_values(out.run.outputs));
             }
@@ -1114,7 +1012,7 @@ mod tests {
         let eps = 1e-6;
         let jvv = LocalJvv::new(&oracle, eps);
         let net = Network::new(Instance::unconditioned(model.clone()), 0);
-        let out = jvv.run_detailed(&net, &ordering::identity(&g));
+        let out = run(&jvv, &net, &ordering::identity(&g));
         // q_{v_i} = slack for every node when the oracle is exact
         let expect = jvv.slack(n).powi(n as i32);
         assert!(
@@ -1136,7 +1034,11 @@ mod tests {
         let jvv = LocalJvv::new(&oracle, 0.05);
         for seed in 0..10 {
             let net = Network::new(inst.clone(), seed);
-            let out = jvv.run_detailed(&net, &ordering::identity(net.instance().model().graph()));
+            let out = run(
+                &jvv,
+                &net,
+                &ordering::identity(net.instance().model().graph()),
+            );
             assert_eq!(out.run.outputs[2], Value(1));
             assert_eq!(out.run.outputs[1], Value(0));
             assert_eq!(out.run.outputs[3], Value(0));
@@ -1149,15 +1051,7 @@ mod tests {
         let model = hardcore::model(&g, 1.0);
         let net = Network::new(Instance::unconditioned(model), 1);
         let oracle = boosted_saw(1.0);
-        let out = sample_exact_local(
-            &net,
-            &oracle,
-            0.05,
-            0,
-            &ThreadPool::sequential(),
-            &CancelToken::never(),
-        )
-        .unwrap();
+        let out = sample_exact_local(&net, &oracle, 0.05, 0, &CancelToken::never()).unwrap();
         assert!(out.run.rounds > 0);
         let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
         assert_eq!(
@@ -1181,7 +1075,7 @@ mod tests {
         let jvv = LocalJvv::new(&oracle, 0.05);
         for seed in 0..5 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let out = jvv.run_detailed(&net, &ordering::identity(&g));
+            let out = run(&jvv, &net, &ordering::identity(&g));
             let y = Config::from_values(out.run.outputs);
             assert!(coloring::is_proper(&g, &y), "seed {seed}");
         }

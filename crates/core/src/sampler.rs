@@ -16,11 +16,11 @@ use std::time::Instant;
 use lds_gibbs::{distribution, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
-use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
-use lds_localnet::slocal::SlocalKernel;
+use lds_localnet::scheduler::{self, ChromaticSchedule};
+use lds_localnet::slocal::{run_scan_sequential, SlocalKernel};
 use lds_localnet::Network;
 use lds_oracle::InferenceOracle;
-use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
+use lds_runtime::{CancelToken, Cancelled, Phase};
 
 use crate::glauber::GlauberStats;
 use crate::jvv::JvvStats;
@@ -34,9 +34,8 @@ pub const STREAM_SEQ_SAMPLER: u64 = 1;
 /// Output: each node's sampled value `Y_v ∈ Σ`; the sampler itself never
 /// fails (failures only enter through the LOCAL transformation).
 ///
-/// The sampler **owns** its oracle (oracles are cheap parameter structs;
-/// clone one in) so that, as the chromatic schedule's kernel, it can
-/// ship to the pool's long-lived workers inside a `'static` job.
+/// The sampler owns its oracle (oracles are cheap parameter structs;
+/// clone one in).
 #[derive(Clone, Debug)]
 pub struct SequentialSampler<O> {
     oracle: O,
@@ -73,9 +72,8 @@ impl<O: InferenceOracle> SequentialSampler<O> {
 
 /// The sampler's per-node step is a pinning-extension kernel: sample
 /// `Y_v ~ μ̂^{τ ∧ σ}_v` with `v`'s private randomness. Reads only pins
-/// within the oracle radius `t` — the locality contract that makes the
-/// chromatic cluster-parallel simulation execution-equivalent.
-impl<O: InferenceOracle + Sync> SlocalKernel for SequentialSampler<O> {
+/// within the oracle radius `t` — the locality contract Lemma 3.1 needs.
+impl<O: InferenceOracle> SlocalKernel for SequentialSampler<O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
         let n = model.node_count();
@@ -98,8 +96,6 @@ pub struct SampleRun {
     /// Per-phase wall clock and rounds in execution order: `schedule`
     /// first, charged every simulated round, then the sampler's passes.
     pub phases: Vec<Phase>,
-    /// Halo-sharding telemetry summed over every chromatic pass.
-    pub sharding: ShardingStats,
     /// Execution statistics (local-JVV only).
     pub jvv: Option<JvvStats>,
     /// Mixing diagnostics (Glauber only).
@@ -128,24 +124,21 @@ pub(crate) fn lift(
 }
 
 /// Runs the Theorem 3.2 sampler in the LOCAL model: the sequential
-/// sampler composed with the Lemma 3.1 transformation, same-color
-/// clusters simulated concurrently on `pool`. Conditioned on no failure
-/// the output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ` for the
-/// schedule's ordering `π`. The result is bit-identical at any pool
-/// width.
+/// sampler composed with the Lemma 3.1 transformation, scanning the
+/// chromatic schedule's ordering `π`. Conditioned on no failure the
+/// output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ`.
 ///
-/// `cancel` is checked before the schedule is built and between color
-/// rounds of the scan. Checks consume no randomness, so a completed run
-/// is bit-identical to one under [`CancelToken::never`]; a cancelled run
+/// `cancel` is checked before the schedule is built and every 256 nodes
+/// of the scan. Checks consume no randomness, so a completed run is
+/// bit-identical to one under [`CancelToken::never`]; a cancelled run
 /// returns `Err(`[`Cancelled`]`)` with no partial result.
 ///
 /// Phases: `schedule` (all rounds), `scan`.
-pub fn sample_local<O: InferenceOracle + Clone + Send + Sync + 'static>(
+pub fn sample_local<O: InferenceOracle + Clone>(
     net: &Network,
     oracle: &O,
     delta: f64,
     stream: u64,
-    pool: &ThreadPool,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
     let sampler = SequentialSampler::new(oracle.clone(), delta);
@@ -154,7 +147,7 @@ pub fn sample_local<O: InferenceOracle + Clone + Send + Sync + 'static>(
     let schedule = scheduler::chromatic_schedule(net, sampler.locality(net.node_count()), stream);
     let schedule_wall = start.elapsed();
     let start = Instant::now();
-    let (scan, sharding) = scheduler::run_kernel_chromatic(net, &sampler, &schedule, pool, cancel)?;
+    let scan = run_scan_sequential(net, &sampler, &schedule.order, cancel)?;
     let scan_wall = start.elapsed();
     Ok(SampleRun {
         run: lift(scan.outputs, &scan.failures, &schedule, schedule.rounds),
@@ -162,30 +155,21 @@ pub fn sample_local<O: InferenceOracle + Clone + Send + Sync + 'static>(
             Phase::new("schedule", schedule_wall, schedule.rounds),
             Phase::new("scan", scan_wall, 0),
         ],
-        sharding,
         jvv: None,
         glauber: None,
     })
 }
 
-/// One sequential, uncancellable [`sample_local`] run — the unit of
-/// Monte Carlo work for the estimators that fan *executions* (not
-/// clusters) across the pool.
-pub(crate) fn sample_once<O: InferenceOracle + Clone + Send + Sync + 'static>(
+/// One uncancellable [`sample_local`] run — the unit of Monte Carlo
+/// work for the estimators that fan executions across the pool.
+pub(crate) fn sample_once<O: InferenceOracle + Clone>(
     net: &Network,
     oracle: &O,
     delta: f64,
 ) -> LocalRun<Value> {
-    sample_local(
-        net,
-        oracle,
-        delta,
-        0,
-        &ThreadPool::sequential(),
-        &CancelToken::never(),
-    )
-    .expect("a never-token cannot cancel")
-    .run
+    sample_local(net, oracle, delta, 0, &CancelToken::never())
+        .expect("a never-token cannot cancel")
+        .run
 }
 
 #[cfg(test)]
@@ -200,7 +184,7 @@ mod tests {
     use lds_oracle::{DecayRate, EnumerationOracle, TwoSpinSawOracle};
 
     /// The sampler's plain SLOCAL scan over `order`.
-    fn scan<O: InferenceOracle + Sync>(
+    fn scan<O: InferenceOracle>(
         sampler: &SequentialSampler<O>,
         net: &Network,
         order: &[NodeId],
@@ -281,15 +265,7 @@ mod tests {
     fn local_version_succeeds_and_matches_feasibility() {
         let net = hc_net(12, 1.0, 3);
         let oracle = saw(1.0);
-        let out = sample_local(
-            &net,
-            &oracle,
-            0.1,
-            0,
-            &ThreadPool::sequential(),
-            &CancelToken::never(),
-        )
-        .unwrap();
+        let out = sample_local(&net, &oracle, 0.1, 0, &CancelToken::never()).unwrap();
         let run = out.run;
         assert!(run.succeeded(), "decomposition failed unexpectedly");
         assert!(run.rounds > 0);

@@ -72,7 +72,7 @@ proptest! {
         let oracle = BoostedOracle::new(saw(lambda));
         let jvv = LocalJvv::new(&oracle, 0.05);
         let net = Network::new(inst, seed);
-        let out = jvv.run_detailed(&net, &ordering::identity(&g));
+        let (out, _) = jvv.run(&net, &ordering::identity(&g), &CancelToken::never()).unwrap();
         let y = Config::from_values(out.run.outputs.clone());
         prop_assert!(model.weight(&y) > 0.0);
         prop_assert_eq!(y.get(pv), Value(1));

@@ -85,16 +85,15 @@ struct EngineCore {
     /// (spec, topology, pinning, ε, δ, backend) — the engine half of a
     /// serving idempotency key; see [`Engine::fingerprint`].
     fingerprint: u64,
-    /// One persistent pool shared (via `Arc`) by batch fan-out,
-    /// chromatic kernels, and boosting trials — workers spawn once at
-    /// build time, not per call.
+    /// One persistent pool shared (via `Arc`) by batch fan-out, the
+    /// counting estimators, and the marginal tables — workers spawn once
+    /// at build time, not per call.
     pool: Arc<ThreadPool>,
     /// Host hardware parallelism, cached at build time. The batch
     /// fan-out caps its lane count here: pool width beyond the physical
     /// cores buys nothing on the across-seeds path (the seeds are pure
     /// throughput work) and the extra dispatch costs real time on small
-    /// hosts. Kernels keep the full pool width — their lane count is
-    /// part of the deterministic schedule shape that telemetry observes.
+    /// hosts. The other fan-outs keep the full pool width.
     host_lanes: usize,
 }
 
@@ -205,10 +204,10 @@ impl EngineBuilder {
     }
 
     /// Sets the width of the engine's thread pool: `run_batch` fans
-    /// seeds across it, the chromatic scheduler simulates same-color
-    /// clusters on it, and the per-vertex oracle trials of
-    /// [`Engine::marginals`] and the Monte Carlo executions of
-    /// [`Engine::marginals_sampled`] run on it.
+    /// seeds across it, [`Task::Count`] fans its chain levels across it,
+    /// and the per-vertex oracle trials of [`Engine::marginals`] and the
+    /// Monte Carlo executions of [`Engine::marginals_sampled`] run on
+    /// it. A single sampling execution always runs sequentially.
     ///
     /// Every result is **bit-identical regardless of `n`** (randomness
     /// is derived per task, never shared — see `lds-runtime`);
@@ -620,8 +619,9 @@ impl Engine {
     }
 
     /// The engine's persistent thread pool. Shared (it is an `Arc`) by
-    /// batch fan-out, chromatic kernels, and boosting trials; clone the
-    /// `Arc` to run other workloads on the same long-lived workers.
+    /// batch fan-out, the counting estimators, and the marginal tables;
+    /// clone the `Arc` to run other workloads on the same long-lived
+    /// workers.
     pub fn pool(&self) -> &Arc<ThreadPool> {
         &self.core.pool
     }
@@ -640,8 +640,8 @@ impl Engine {
         self.run_with_seed(task, self.core.seed)
     }
 
-    /// Serves one task with an explicit network seed, running any
-    /// intra-task parallelism (chromatic cluster simulation) on the
+    /// Serves one task with an explicit network seed. Sampling tasks run
+    /// sequentially; [`Task::Count`] fans its chain marginals across the
     /// engine's pool.
     ///
     /// # Errors
@@ -656,12 +656,12 @@ impl Engine {
 
     /// [`Engine::run_with_seed`] under an optional absolute deadline.
     ///
-    /// The deadline is enforced cooperatively: checked at admission and
-    /// between color rounds of the chromatic runners, never mid-round,
-    /// so the checks consume no randomness and a run that completes in
-    /// time is **bit-identical** to the same `(task, seed)` without a
-    /// deadline. A run that misses its deadline returns
-    /// [`EngineError::DeadlineExceeded`] and no partial report.
+    /// The deadline is enforced cooperatively: checked at admission and,
+    /// for sampling tasks, before the schedule is built and every 256
+    /// nodes of each sequential scan. The checks consume no randomness,
+    /// so a run that completes in time is **bit-identical** to the same
+    /// `(task, seed)` without a deadline. A run that misses its deadline
+    /// returns [`EngineError::DeadlineExceeded`] and no partial report.
     pub fn run_with_deadline(
         &self,
         task: Task,
@@ -678,9 +678,10 @@ impl Engine {
 
     /// Serves the same task once per seed — the single hot path for
     /// multi-seed throughput workloads. Seeds fan out across the
-    /// engine's thread pool (each seed's own execution stays sequential
-    /// so the pool is not oversubscribed by nested fan-out) and the
-    /// reports are gathered **in input order**; per-task randomness is
+    /// engine's thread pool (each seed's own execution, Count's chain
+    /// marginals included, stays sequential so the pool is not
+    /// oversubscribed by nested fan-out) and the reports are gathered
+    /// **in input order**; per-task randomness is
     /// derived from the seed alone, so the reports are bit-identical to
     /// a sequential run at any pool width.
     ///
@@ -701,9 +702,10 @@ impl Engine {
 
     /// [`Engine::run_batch`] under an optional absolute deadline shared
     /// by every seed in the batch (the serving layer's coalesced-group
-    /// deadline). Enforcement is cooperative — see
-    /// [`Engine::run_with_deadline`]; a seed that misses the deadline
-    /// fails the whole batch with [`EngineError::DeadlineExceeded`].
+    /// deadline). Every seed runs on a sequential pool, and enforcement
+    /// is cooperative — see [`Engine::run_with_deadline`]; a seed that
+    /// misses the deadline fails the whole batch with
+    /// [`EngineError::DeadlineExceeded`].
     pub fn run_batch_with_deadline(
         &self,
         task: Task,
@@ -802,9 +804,10 @@ impl Engine {
 }
 
 impl EngineCore {
-    /// [`Engine::run_with_seed`] on an explicit pool (the batch path
-    /// parallelizes *across* seeds and keeps each seed's execution
-    /// sequential to avoid nested thread fan-out).
+    /// [`Engine::run_with_seed`] on an explicit pool, which only
+    /// [`Task::Count`]'s chain marginals use (the batch path
+    /// parallelizes *across* seeds and passes a sequential pool to avoid
+    /// nested thread fan-out).
     fn run_with_seed_on(
         &self,
         task: Task,
@@ -831,9 +834,8 @@ impl EngineCore {
         let deadline = |_: Cancelled| EngineError::DeadlineExceeded;
         match task {
             Task::SampleExact => {
-                let out =
-                    jvv::sample_exact_local(&net, &self.oracle, self.epsilon, 0, pool, cancel)
-                        .map_err(deadline)?;
+                let out = jvv::sample_exact_local(&net, &self.oracle, self.epsilon, 0, cancel)
+                    .map_err(deadline)?;
                 Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
             }
             Task::SampleApprox => match self.approx {
@@ -842,13 +844,12 @@ impl EngineCore {
                     cause: cause.clone(),
                 }),
                 Ok(ApproxPath::Chain) => {
-                    let out =
-                        sampler::sample_local(&net, &self.oracle, self.delta, 0, pool, cancel)
-                            .map_err(deadline)?;
+                    let out = sampler::sample_local(&net, &self.oracle, self.delta, 0, cancel)
+                        .map_err(deadline)?;
                     Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
                 }
                 Ok(ApproxPath::Glauber { sweeps }) => {
-                    let out = glauber::sample_glauber(&net, sweeps as usize, 0, pool, cancel)
+                    let out = glauber::sample_glauber(&net, sweeps as usize, 0, cancel)
                         .map_err(deadline)?;
                     let backend = ServedBackend::Glauber { sweeps };
                     Ok(self.sample_report(task, seed, start, out, backend))
@@ -946,7 +947,6 @@ impl EngineCore {
             glauber: out.glauber,
             wall_time: start.elapsed(),
             phases: out.phases,
-            sharding: Some(out.sharding),
         }
     }
 
@@ -974,7 +974,6 @@ impl EngineCore {
             glauber: None,
             wall_time: start.elapsed(),
             phases,
-            sharding: None,
         }
     }
 

@@ -66,8 +66,8 @@ pub enum EngineError {
         cause: OutOfRegime,
     },
     /// The run's deadline expired before it completed. The run was
-    /// cancelled cooperatively between color rounds and produced **no
-    /// partial report** — re-running the same `(task, seed)` without a
+    /// cancelled cooperatively at a check between scan chunks and
+    /// produced **no partial report** — re-running the same `(task, seed)` without a
     /// deadline yields the bit-identical report the timed-out run would
     /// have produced.
     DeadlineExceeded,

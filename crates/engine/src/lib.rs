@@ -79,7 +79,5 @@ pub use engine::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use lds_core::glauber::GlauberStats;
 pub use oracle::{BoostedEnumeration, TaskOracle};
-pub use report::{
-    MarginalsMethod, MarginalsReport, RunReport, SampleDecode, ShardingStats, Task, TaskOutput,
-};
+pub use report::{MarginalsMethod, MarginalsReport, RunReport, SampleDecode, Task, TaskOutput};
 pub use spec::{ModelSpec, Topology};

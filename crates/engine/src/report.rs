@@ -6,7 +6,6 @@ use lds_core::glauber::GlauberStats;
 use lds_core::jvv::JvvStats;
 use lds_gibbs::{Config, Value};
 use lds_graph::{EdgeId, HyperEdgeId, NodeId};
-pub use lds_localnet::scheduler::ShardingStats;
 pub use lds_runtime::Phase;
 
 use crate::backend::ServedBackend;
@@ -116,11 +115,6 @@ pub struct RunReport {
     /// rounds sum to [`RunReport::rounds`]; the phase wall times are
     /// bounded by [`RunReport::wall_time`].
     pub phases: Vec<Phase>,
-    /// Halo-sharding telemetry of the chromatic cluster simulation
-    /// (sampling tasks only; `None` for inference/counting). At pool
-    /// width 1 the scheduler takes the sequential path and the stats
-    /// are all zero — nothing is shipped anywhere.
-    pub sharding: Option<ShardingStats>,
 }
 
 impl RunReport {
@@ -176,14 +170,6 @@ impl RunReport {
         self.stats.as_ref().map(|s| s.acceptance_product)
     }
 
-    /// The wall-clock time of a named phase, if recorded.
-    pub fn phase_wall_time(&self, name: &str) -> Option<Duration> {
-        self.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.wall_time)
-    }
-
     /// The Glauber sweep count, if Glauber served this run.
     pub fn glauber_sweeps(&self) -> Option<u32> {
         match self.backend {
@@ -193,12 +179,10 @@ impl RunReport {
     }
 
     /// Semantic equality: every field the determinism contract covers,
-    /// ignoring the **execution-strategy fields** that legitimately
-    /// vary between runs of the same `(fingerprint, task, seed)` —
-    /// wall-clock times (`wall_time`, per-phase `wall_time`) and the
-    /// halo-sharding telemetry (`sharding`, a function of pool width).
-    /// Floats are compared bit-for-bit: the contract is bit-identical
-    /// outputs, not approximate agreement.
+    /// ignoring the wall-clock times (`wall_time`, per-phase
+    /// `wall_time`) that legitimately vary between runs of the same
+    /// `(fingerprint, task, seed)`. Floats are compared bit-for-bit: the
+    /// contract is bit-identical outputs, not approximate agreement.
     ///
     /// This is the one definition of "same answer" the determinism,
     /// serving, and net round-trip tests all share; an ad-hoc exclusion

@@ -76,9 +76,8 @@ pub fn ball(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
 }
 
 /// The ball around a node *set*, `B_r(S) = {u | dist_G(u, S) ≤ r}`, in
-/// increasing id order — the halo of a cluster in the chromatic
-/// scheduler's sharded simulation (cluster members plus their radius-`r`
-/// boundary). Multi-source BFS truncated at radius `r`; cost
+/// increasing id order — e.g. a cluster's halo (its members plus their
+/// radius-`r` boundary). Multi-source BFS truncated at radius `r`; cost
 /// `O(|B_r(S)| + edges inside)`, independent of `n` up to the visited
 /// marker.
 pub fn multi_source_ball(g: &Graph, sources: &[NodeId], r: usize) -> Vec<NodeId> {

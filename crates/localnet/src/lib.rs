@@ -22,10 +22,10 @@
 //!   `(O(log n), O(log n))` network decompositions with locally
 //!   certifiable failures.
 //! * [`scheduler`] — the SLOCAL→LOCAL transformation (paper, Lemma 3.1):
-//!   decompose the power graph `G^{r+1}`, derive the chromatic schedule
-//!   ordering and the simulated round count `O(r log² n)`, and run a
-//!   scan kernel on it with
-//!   [`run_kernel_chromatic`](scheduler::run_kernel_chromatic).
+//!   decompose the power graph `G^{r+1}` and derive the chromatic
+//!   schedule ordering and the simulated round count `O(r log² n)`. A
+//!   pass runs as the sequential scan over that ordering, which is the
+//!   execution the lemma's parallel cluster simulation produces.
 //!
 //! # Example
 //!

@@ -8,9 +8,10 @@
 //!
 //! In this simulator an SLOCAL algorithm is a [`ScanKernel`]: a per-node
 //! step over an explicit scan state, driven along the ordering by
-//! [`run_scan_sequential`] (or, lifted to LOCAL by Lemma 3.1, by
-//! [`crate::scheduler::run_kernel_chromatic`]). Kernels are trusted (and
-//! tested) to respect their declared locality. The accompanying helper
+//! [`run_scan_sequential`]. Lifted to LOCAL by Lemma 3.1, a pass is the
+//! same scan over a chromatic schedule's ordering
+//! ([`crate::scheduler`]). Kernels are trusted (and tested) to respect
+//! their declared locality. The accompanying helper
 //! [`multipass_locality`] implements the locality arithmetic of the
 //! paper's Lemma 4.4: a `k`-pass SLOCAL algorithm with per-pass localities
 //! `r_1, ..., r_k` collapses to a single pass with locality
@@ -46,18 +47,14 @@ impl<T> SlocalRun<T> {
 /// shape: the scan state is exactly the pinning of already-processed
 /// nodes, and processing node `v_i` computes a [`Value`] from the pins
 /// within distance `r` of `v_i` plus `v_i`'s private randomness. A
-/// kernel exposes that per-node step so the chromatic scheduler can
-/// simulate same-color clusters **concurrently** (Lemma 3.1's parallel
-/// cluster simulation, [`crate::scheduler::run_kernel_chromatic`])
-/// instead of scanning the ordering one node at a time.
+/// kernel exposes only that per-node step; the blanket [`ScanKernel`]
+/// impl supplies the pinning state and the fold.
 ///
 /// Contract (trusted): `process` may depend only on the instance within
 /// the algorithm's locality of `v`, the pins of `sigma` within that
-/// radius, and `v`'s private randomness from `net`. Under that contract
-/// the concurrent simulation is execution-equivalent to
-/// [`run_scan_sequential`] on the schedule's ordering — property-tested
-/// in `tests/parallel.rs`.
-pub trait SlocalKernel: Sync {
+/// radius, and `v`'s private randomness from `net` — the SLOCAL locality
+/// that Lemma 3.1 turns into a LOCAL round bound.
+pub trait SlocalKernel {
     /// Computes node `v`'s output from the pins of previously processed
     /// nodes. Returns the value and a Las Vegas failure bit.
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool);
@@ -72,95 +69,28 @@ pub trait SlocalKernel: Sync {
 /// feasible configuration `σ_{i−1}` through the scan and accumulates
 /// acceptance statistics — implement `ScanKernel` directly. Every
 /// `SlocalKernel` is a `ScanKernel` through a blanket impl, so
-/// [`crate::scheduler::run_kernel_chromatic`] drives both shapes with
-/// one engine.
+/// [`run_scan_sequential`] drives both shapes.
 ///
-/// Contract (what makes the chromatic cluster-parallel simulation
-/// execution-equivalent to the sequential scan):
-///
-/// * `process(net, state, v)` must mutate `state` exactly as the
-///   sequential scan would, and its reads/writes of `state` must stay
-///   within the kernel's declared locality of `v`;
-/// * `apply(state, v, effect)` must reproduce on another state the state
-///   mutation `process` performed (the runner replays cluster-local
-///   effects onto the global state, in schedule order);
-/// * `finish` folds the effects **in schedule order**, so any
-///   order-sensitive accumulation (e.g. a floating-point product) sees
-///   the same operation sequence at every pool width.
-pub trait ScanKernel: Sync {
-    /// Scan state threaded through the ordering (cloned per concurrent
-    /// cluster by the chromatic runner).
-    type State: Clone + Send + Sync + 'static;
-    /// Per-node result, replayable onto a state via
-    /// [`ScanKernel::apply`].
-    type Effect: Send + 'static;
+/// Contract: `process(net, state, v)` reads and writes `state` only
+/// within the kernel's declared locality of `v`, and `finish` folds the
+/// effects in scan order.
+pub trait ScanKernel {
+    /// Scan state threaded through the ordering.
+    type State;
+    /// Per-node result, folded by [`ScanKernel::finish`].
+    type Effect;
     /// The folded result of a full scan.
     type Run;
 
     /// The scan's initial state.
     fn init(&self, net: &Network) -> Self::State;
 
-    /// Processes node `v` against `state`, mutating it exactly as the
-    /// sequential scan would. Returns `None` when the node is skipped
-    /// (e.g. pinned by the instance).
+    /// Processes node `v` against `state`, mutating it. Returns `None`
+    /// when the node is skipped (e.g. pinned by the instance).
     fn process(&self, net: &Network, state: &mut Self::State, v: NodeId) -> Option<Self::Effect>;
 
-    /// Replays the state mutation of a `process(.., v)` that returned
-    /// `effect` onto another state.
-    fn apply(&self, state: &mut Self::State, v: NodeId, effect: &Self::Effect);
-
-    /// Restricts the scan state to a cluster's halo (the cluster's
-    /// members plus their radius-`r` boundary, `r` the schedule
-    /// locality): the returned state must make `process` behave
-    /// **bit-identically** for any node whose state reads stay inside
-    /// `halo`, and processing such nodes must confine its state writes
-    /// to `halo` as well. The chromatic runner ships one projection per
-    /// concurrent cluster instead of a full snapshot clone.
-    ///
-    /// The default is a full copy — correct for every kernel, so
-    /// existing kernels keep compiling; kernels on the hot path override
-    /// it (and [`ScanKernel::projected_bytes`]) with a real restriction
-    /// so the per-cluster payload is `O(|halo|)`, not `O(n)`.
-    fn project(&self, state: &Self::State, halo: &[NodeId]) -> Self::State {
-        let _ = halo;
-        state.clone()
-    }
-
-    /// [`ScanKernel::project`] into a reusable scratch state — the
-    /// arena path that amortizes per-round allocations across colors.
-    ///
-    /// Contract: `scratch` was produced by a previous
-    /// `project`/`project_into` of **this kernel** for the halo `stale`
-    /// and then mutated only inside `stale` (the write half of the
-    /// `project` contract). The implementation must erase the stale
-    /// slots before (or by) filling the new halo. The default discards
-    /// the scratch and allocates a fresh projection.
-    fn project_into(
-        &self,
-        state: &Self::State,
-        halo: &[NodeId],
-        scratch: &mut Self::State,
-        stale: &[NodeId],
-    ) {
-        let _ = stale;
-        *scratch = self.project(state, halo);
-    }
-
-    /// Telemetry: approximate bytes of scan state copied when shipping
-    /// one cluster's projection, on an `n`-node instance with a
-    /// `halo`-node halo. Must mirror [`ScanKernel::project`]: the
-    /// default full copy accounts the whole dense state; a real
-    /// restriction accounts only the halo slots. The runner sums this
-    /// into [`crate::scheduler::ShardingStats`] and CI gates the sum
-    /// against the halo bound, so a kernel silently falling back to
-    /// full copies is caught.
-    fn projected_bytes(&self, n: usize, halo: usize) -> u64 {
-        let _ = halo;
-        (n * core::mem::size_of::<usize>()) as u64
-    }
-
-    /// Folds the final state and the effects (in schedule order) into
-    /// the run result.
+    /// Folds the final state and the effects (in scan order) into the
+    /// run result.
     fn finish(
         &self,
         net: &Network,
@@ -196,48 +126,6 @@ impl<K: SlocalKernel + ?Sized> ScanKernel for K {
         Some((val, fail))
     }
 
-    fn apply(&self, state: &mut PartialConfig, v: NodeId, &(val, _): &(Value, bool)) {
-        state.pin(v, val);
-    }
-
-    /// Halo restriction of a pinning state: only the halo's pins are
-    /// copied. Sound because a pinning-extension kernel reads pins
-    /// within its locality of the processed node and pins only the node
-    /// itself — both inside the halo by the schedule's construction.
-    fn project(&self, state: &PartialConfig, halo: &[NodeId]) -> PartialConfig {
-        let mut p = PartialConfig::empty(state.len());
-        for &v in halo {
-            if let Some(val) = state.get(v) {
-                p.pin(v, val);
-            }
-        }
-        p
-    }
-
-    fn project_into(
-        &self,
-        state: &PartialConfig,
-        halo: &[NodeId],
-        scratch: &mut PartialConfig,
-        stale: &[NodeId],
-    ) {
-        // every pin in the scratch — projected halo pins and the pins
-        // made while processing its cluster — lies inside the stale halo
-        for &v in stale {
-            scratch.unpin(v);
-        }
-        debug_assert_eq!(scratch.pinned_count(), 0, "scratch escaped its stale halo");
-        for &v in halo {
-            if let Some(val) = state.get(v) {
-                scratch.pin(v, val);
-            }
-        }
-    }
-
-    fn projected_bytes(&self, _n: usize, halo: usize) -> u64 {
-        (halo * core::mem::size_of::<Option<Value>>()) as u64
-    }
-
     fn finish(
         &self,
         net: &Network,
@@ -268,7 +156,9 @@ const CANCEL_CHECK_STRIDE: usize = 256;
 /// Runs any [`ScanKernel`] as the classic sequential SLOCAL scan over
 /// `order`: initialize the state, process each node in order, fold the
 /// effects. Pinning-extension kernels skip nodes pinned by the instance,
-/// which keep their pinned value.
+/// which keep their pinned value. Every pass runs here; a LOCAL pass
+/// (Lemma 3.1) is this scan over
+/// [`ChromaticSchedule::order`](crate::scheduler::ChromaticSchedule::order).
 ///
 /// `order` must visit every free node (schedule orderings do). `cancel`
 /// is checked every `CANCEL_CHECK_STRIDE` nodes; checks consume no

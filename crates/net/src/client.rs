@@ -209,7 +209,6 @@ pub struct Client {
     addr: SocketAddr,
     stream: TcpStream,
     next_id: u64,
-    max_frame_len: u32,
     calls_started: u64,
 }
 
@@ -226,7 +225,6 @@ impl Client {
             addr,
             stream,
             next_id: 1,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             calls_started: 0,
         })
     }
@@ -245,31 +243,20 @@ impl Client {
         Ok(())
     }
 
-    /// The server address this client dials.
-    pub fn server_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Overrides the frame-length cap (must match the server's to make
-    /// use of a raised server cap).
-    pub fn set_max_frame_len(&mut self, max: u32) {
-        self.max_frame_len = max;
-    }
-
     /// Pipelined send: writes one request frame and returns its id
     /// without waiting. Pair with [`Client::recv`].
     pub fn send(&mut self, op: Op) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         let req = Request { id, op };
-        frame::write_frame(&mut self.stream, &req.to_bytes(), self.max_frame_len)?;
+        frame::write_frame(&mut self.stream, &req.to_bytes(), DEFAULT_MAX_FRAME_LEN)?;
         Ok(id)
     }
 
     /// Pipelined receive: blocks for the next response frame.
     /// Responses arrive in request order.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        let payload = frame::read_frame(&mut self.stream, self.max_frame_len)?;
+        let payload = frame::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         Ok(Response::from_bytes(&payload)?)
     }
 
@@ -401,7 +388,8 @@ impl Client {
     /// [`Client::run`] with a completion budget. The budget travels on
     /// the wire as a duration relative to arrival (clock-skew safe);
     /// the server rejects already-expired requests at admission and
-    /// cancels runs that outlive the budget between color rounds — both
+    /// cancels runs that outlive the budget at the engine's cooperative
+    /// checks — both
     /// surface as [`WireError::Expired`]. A run that completes within
     /// the budget is bit-identical to an unbounded run.
     pub fn run_with_deadline(

@@ -29,8 +29,8 @@ use std::time::Duration;
 use lds_core::glauber::GlauberStats;
 use lds_core::jvv::JvvStats;
 use lds_engine::{
-    Backend, ModelSpec, RunReport, SampleDecode, ServedBackend, ShardingStats, SweepBudget, Task,
-    TaskOutput, Topology,
+    Backend, ModelSpec, RunReport, SampleDecode, ServedBackend, SweepBudget, Task, TaskOutput,
+    Topology,
 };
 use lds_gibbs::{Config, PartialConfig, Value};
 use lds_graph::{Graph, Hypergraph, NodeId};
@@ -748,28 +748,6 @@ impl Wire for ServedBackend {
     }
 }
 
-impl Wire for ShardingStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.projected_clusters);
-        w.put_usize(self.inline_clusters);
-        w.put_usize(self.halo_sum);
-        w.put_usize(self.max_halo);
-        w.put_u64(self.bytes_cloned);
-        w.put_u64(self.halo_bytes_bound);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ShardingStats {
-            projected_clusters: r.get_usize()?,
-            inline_clusters: r.get_usize()?,
-            halo_sum: r.get_usize()?,
-            max_halo: r.get_usize()?,
-            bytes_cloned: r.get_u64()?,
-            halo_bytes_bound: r.get_u64()?,
-        })
-    }
-}
-
 /// The phase names the engine is known to emit. `Phase::name` is a
 /// `&'static str`, so decoding *interns* the received name against this
 /// table; a name outside it is a malformed frame (and a reminder to
@@ -823,7 +801,6 @@ impl Wire for RunReport {
         for p in &self.phases {
             p.encode(w);
         }
-        self.sharding.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -845,7 +822,6 @@ impl Wire for RunReport {
         for _ in 0..n_phases {
             phases.push(Phase::decode(r)?);
         }
-        let sharding = Option::<ShardingStats>::decode(r)?;
         Ok(RunReport {
             task,
             seed,
@@ -859,7 +835,6 @@ impl Wire for RunReport {
             glauber,
             wall_time,
             phases,
-            sharding,
         })
     }
 }

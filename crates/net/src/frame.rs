@@ -25,8 +25,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"LDSN");
 
 /// Wire-format version this build speaks. Bump on any codec change.
 /// Version 2 added the backend field to `EngineSpec` and the
-/// backend/Glauber-stats fields to `RunReport`.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// backend/Glauber-stats fields to `RunReport`. Version 3 dropped
+/// `RunReport`'s trailing halo-sharding telemetry, which went away with
+/// the cluster-parallel runner that produced it.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 12;

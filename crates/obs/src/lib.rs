@@ -8,8 +8,7 @@
 //! scheduler rounds against the `O(log² n)`-flavored upper bounds
 //! ([`RoundLedger`]), Glauber sweep counts against their certified
 //! plans, and — below those — the mechanical health of every layer
-//! that executes them (pool steals, halo bytes, queue depths, wire
-//! latencies).
+//! that executes them (pool steals, queue depths, wire latencies).
 //!
 //! Design constraints, in order:
 //!

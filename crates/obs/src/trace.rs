@@ -23,27 +23,6 @@ use std::time::Instant;
 /// plain (copyable, no heap) so recording never allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A chromatic color round began (`color` index).
-    RoundStart {
-        /// Color index within the schedule.
-        color: u32,
-    },
-    /// A chromatic color round finished.
-    RoundEnd {
-        /// Color index within the schedule.
-        color: u32,
-        /// Clusters simulated in this round.
-        clusters: u32,
-    },
-    /// One cluster was dispatched to a pool worker.
-    ClusterDispatch {
-        /// Color index within the schedule.
-        color: u32,
-        /// Cluster index within the color.
-        cluster: u32,
-        /// Size of the cluster's halo (nodes shipped).
-        halo: u32,
-    },
     /// A request entered a serving queue (depth after enqueue).
     QueueEnqueue {
         /// Queue depth after the enqueue.
@@ -248,29 +227,15 @@ mod tests {
         let _g = lock();
         set_sampling(1);
         drain();
-        emit(TraceEvent::RoundStart { color: 0 });
-        emit(TraceEvent::ClusterDispatch {
-            color: 0,
-            cluster: 2,
-            halo: 9,
-        });
-        emit(TraceEvent::RoundEnd {
-            color: 0,
-            clusters: 3,
-        });
+        emit(TraceEvent::QueueEnqueue { depth: 2 });
+        emit(TraceEvent::WireEncode { bytes: 9 });
+        emit(TraceEvent::QueueDequeue { depth: 1 });
         set_sampling(0);
         let events = drain();
         assert_eq!(events.len(), 3);
         assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-        assert_eq!(events[0].event, TraceEvent::RoundStart { color: 0 });
-        assert_eq!(
-            events[1].event,
-            TraceEvent::ClusterDispatch {
-                color: 0,
-                cluster: 2,
-                halo: 9
-            }
-        );
+        assert_eq!(events[0].event, TraceEvent::QueueEnqueue { depth: 2 });
+        assert_eq!(events[1].event, TraceEvent::WireEncode { bytes: 9 });
         // a second drain is empty
         assert!(drain().is_empty());
     }

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long-running kernels.
 //!
-//! A [`CancelToken`] is checked *between* units of work (color rounds,
-//! Glauber sweeps, sequential scan steps) — never inside one — so a
+//! A [`CancelToken`] is checked *between* units of work (Glauber sweeps,
+//! chunks of a sequential scan) — never inside one — so a
 //! cancelled computation stops at a clean boundary and returns a typed
 //! [`Cancelled`] instead of a partial result. Crucially for this
 //! workspace, a cancellation check consumes **no randomness**: a run

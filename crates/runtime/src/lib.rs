@@ -1,11 +1,10 @@
 //! Deterministic parallel runtime for the lds workspace.
 //!
-//! The paper's SLOCAL→LOCAL transformation (Lemma 3.1) is defined by
-//! *parallel* simulation of same-color clusters, and every multi-seed
-//! workload (batched sampling, Monte Carlo marginal reconstruction,
-//! boosted-inference trials) consists of independent executions. This
-//! crate supplies the two ingredients that let the workspace exploit that
-//! parallelism without giving up reproducibility:
+//! Every multi-seed workload (batched sampling, Monte Carlo marginal
+//! reconstruction, boosted-inference trials, counting's chain levels)
+//! consists of independent executions. This crate supplies the two
+//! ingredients that let the workspace exploit that parallelism without
+//! giving up reproducibility:
 //!
 //! * [`ThreadPool`] — a `std::thread` work-stealing pool (instrumented
 //!   through `lds-obs`, the only dependency).
@@ -20,7 +19,7 @@
 //!   overload rejection) and whose `recv_timeout` is the coalescing
 //!   window. `lds-serve` builds on this.
 //! * [`CancelToken`] — cooperative cancellation checked *between*
-//!   units of work (color rounds, sweeps). A check consumes no
+//!   units of work (scan chunks, sweeps). A check consumes no
 //!   randomness, so deadline-bounded runs that complete are
 //!   bit-identical to unbounded ones; `lds-engine` maps a cancelled
 //!   run into its typed `DeadlineExceeded`.

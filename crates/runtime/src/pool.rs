@@ -76,8 +76,9 @@ fn pool_metrics() -> &'static PoolMetrics {
 ///
 /// Cloning a `ThreadPool` is cheap and **shares** the same workers (the
 /// clone is another handle, not another set of threads); the engine
-/// hands one pool to batch fan-out, chromatic kernels, and boosting
-/// trials this way. The workers exit when the last handle drops.
+/// hands one pool to batch fan-out, the counting estimators, and
+/// boosting trials this way. The workers exit when the last handle
+/// drops.
 ///
 /// # Example
 ///
@@ -267,8 +268,8 @@ impl ThreadPool {
     /// oversubscribing the *machine*: fanning a CPU-bound batch across
     /// more lanes than the host has cores buys no parallelism and pays
     /// real context-switch overhead per item (measured ~45% on the batch
-    /// serving path at width 4 on a 1-core host), while correctness
-    /// paths (chromatic kernels, boosting trials) keep the pool's full
+    /// serving path at width 4 on a 1-core host), while the other call
+    /// sites (counting levels, boosting trials) keep the pool's full
     /// explicit width.
     pub fn par_map_bounded<T, R, F>(&self, items: &[T], f: F, max_lanes: usize) -> Vec<R>
     where

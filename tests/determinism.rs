@@ -3,12 +3,11 @@
 //!
 //! The runtime's contract (lds-runtime) is that parallelism never
 //! changes a result: randomness is derived per task from the master
-//! seed, `par_map` gathers in input order, and the chromatic scheduler's
-//! concurrent cluster simulation is execution-equivalent to the
-//! sequential scan. This suite locks the contract down across all five
-//! `ModelSpec` applications (plus the general two-spin variant), all
-//! four task kinds, and pools of width 1, 2 and 8 — byte-comparing
-//! samples, counts, marginals, round costs, and JVV statistics.
+//! seed, and `par_map` gathers in input order. This suite locks the
+//! contract down across all five `ModelSpec` applications (plus the
+//! general two-spin variant), all four task kinds, and pools of width 1,
+//! 2 and 8 — byte-comparing samples, counts, marginals, round costs, and
+//! JVV statistics.
 //!
 //! The CI matrix additionally runs this suite under `LDS_THREADS=1` and
 //! `LDS_THREADS=4`, which drives the *default* pool width of engines

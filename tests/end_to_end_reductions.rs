@@ -53,16 +53,9 @@ fn theorem_3_2_local_version_with_lemma_3_1() {
     let model = hardcore::model(&g, 0.8);
     let oracle = saw(0.8);
     let net = Network::new(Instance::unconditioned(model.clone()), 11);
-    let run = sample_local(
-        &net,
-        &oracle,
-        0.1,
-        0,
-        &ThreadPool::sequential(),
-        &CancelToken::never(),
-    )
-    .unwrap()
-    .run;
+    let run = sample_local(&net, &oracle, 0.1, 0, &CancelToken::never())
+        .unwrap()
+        .run;
     assert!(run.succeeded());
     assert!(run.rounds > 0);
     let config = Config::from_values(run.outputs);

@@ -11,10 +11,11 @@ use lds::localnet::{Instance, Network};
 use lds::oracle::{
     BoostedOracle, DecayRate, EnumerationOracle, MultiplicativeInference, TwoSpinSawOracle,
 };
+use lds::runtime::CancelToken;
 
 /// Runs JVV `trials` times and returns (success rate, TV of accepted
 /// empirical distribution vs exact, total clamped).
-fn jvv_statistics<O: MultiplicativeInference + Clone + Send + Sync + 'static>(
+fn jvv_statistics<O: MultiplicativeInference>(
     model: &GibbsModel,
     oracle: &O,
     eps: f64,
@@ -26,7 +27,9 @@ fn jvv_statistics<O: MultiplicativeInference + Clone + Send + Sync + 'static>(
     let mut clamped = 0usize;
     for seed in 0..trials as u64 {
         let net = Network::new(Instance::unconditioned(model.clone()), seed);
-        let out = jvv.run_detailed(&net, &ordering::identity(&g));
+        let (out, _) = jvv
+            .run(&net, &ordering::identity(&g), &CancelToken::never())
+            .unwrap();
         clamped += out.stats.clamped;
         if out.run.succeeded() {
             accepted.push(Config::from_values(out.run.outputs));
@@ -115,7 +118,9 @@ fn jvv_respects_conditioning_exactly() {
     let mut accepted = Vec::new();
     for seed in 0..8000u64 {
         let net = Network::new(inst.clone(), seed);
-        let out = jvv.run_detailed(&net, &ordering::identity(&g));
+        let (out, _) = jvv
+            .run(&net, &ordering::identity(&g), &CancelToken::never())
+            .unwrap();
         if out.run.succeeded() {
             accepted.push(Config::from_values(out.run.outputs));
         }

@@ -12,8 +12,8 @@ use std::time::Duration;
 use lds::core::glauber::GlauberStats;
 use lds::core::jvv::JvvStats;
 use lds::engine::{
-    Backend, ModelSpec, RunReport, SampleDecode, ServedBackend, ShardingStats, SweepBudget, Task,
-    TaskOutput, Topology,
+    Backend, ModelSpec, RunReport, SampleDecode, ServedBackend, SweepBudget, Task, TaskOutput,
+    Topology,
 };
 use lds::gibbs::{Config, PartialConfig, Value};
 use lds::graph::{EdgeId, GraphBuilder, HyperEdgeId, Hypergraph, NodeId};
@@ -207,7 +207,7 @@ fn arb_report() -> impl Strategy<Value = RunReport> {
         (arb_task(), any::<u64>(), arb_output(), any::<bool>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
         (0u8..2, any::<u64>(), 0usize..4),
-        (arb_duration(), arb_duration(), 0u8..2),
+        (arb_duration(), arb_duration()),
         (arb_served_backend(), 0u8..2),
     )
         .prop_map(
@@ -215,7 +215,7 @@ fn arb_report() -> impl Strategy<Value = RunReport> {
                 (task, seed, output, succeeded),
                 (rounds, bound_bits, rate_bits),
                 (has_stats, stat_bits, n_phases),
-                (wall, phase_wall, has_sharding),
+                (wall, phase_wall),
                 (backend, has_glauber),
             )| {
                 RunReport {
@@ -249,14 +249,6 @@ fn arb_report() -> impl Strategy<Value = RunReport> {
                             )
                         })
                         .collect(),
-                    sharding: (has_sharding == 1).then(|| ShardingStats {
-                        projected_clusters: (stat_bits % 11) as usize,
-                        inline_clusters: (stat_bits % 5) as usize,
-                        halo_sum: (stat_bits % 1000) as usize,
-                        max_halo: (stat_bits % 100) as usize,
-                        bytes_cloned: stat_bits,
-                        halo_bytes_bound: stat_bits.wrapping_mul(2),
-                    }),
                 }
             },
         )
@@ -513,8 +505,8 @@ proptest! {
 }
 
 /// Encodes a `RunReport` in the **protocol-v1** layout (no backend, no
-/// Glauber stats — the shape before this release) and feeds it to the
-/// current decoder: an old-version peer's bytes must produce a typed
+/// Glauber stats, a trailing sharding byte) and feeds it to the current
+/// decoder: an old-version peer's bytes must produce a typed
 /// error, never a panic and never a silent misdecode. (The frame-level
 /// version gate rejects such peers first; this covers the codec layer
 /// on its own.)

@@ -41,11 +41,9 @@ fn ising_spec(n: usize) -> EngineSpec {
 /// Two reports of the same `(fingerprint, task, seed)` must agree on
 /// every semantic field — in process or over TCP, at any thread width.
 /// [`RunReport::semantic_eq`] is the shared definition of that
-/// agreement: it excludes only the execution-strategy fields (wall
-/// clocks, sharding telemetry), which legitimately differ between a
-/// direct `run_with_seed` (intra-run sharding) and the serve layer's
-/// `run_batch` (parallel across seeds, each seed on a sequential
-/// inner pool).
+/// agreement: it excludes only the wall clocks, which legitimately
+/// differ between a direct `run_with_seed` and the serve layer's
+/// `run_batch` (parallel across seeds).
 fn assert_same_answer(a: &RunReport, b: &RunReport, context: &str) {
     assert!(a.semantic_eq(b), "{context}:\n{a:?}\nvs\n{b:?}");
 }

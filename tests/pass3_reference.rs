@@ -1,25 +1,21 @@
-//! Pass-3 equivalence: the chromatic (cluster-parallel) rejection pass
-//! is **bit-identical** to the pre-refactor sequential scan.
+//! Pass-3 equivalence: the rejection pass kernel is **bit-identical** to
+//! the frozen pre-refactor sequential scan.
 //!
 //! `local-JVV`'s rejection pass was refactored from a hard-coded
-//! sequential loop into a `ScanKernel` driven by the chromatic scheduler
-//! (so same-color clusters resample concurrently). The original loop is
+//! sequential loop into a ball-local `ScanKernel`. The original loop is
 //! kept frozen as `LocalJvv::run_detailed_reference`; this suite checks
-//! the refactored execution against it:
+//! the refactored execution (`LocalJvv::run` over a chromatic schedule's
+//! ordering) against it:
 //!
 //! * a proptest over random graphs and **explicit oracle radii
 //!   t ∈ {1, 2, 3}** (a deterministic radius-`t` pseudo-oracle makes the
-//!   radius a direct test parameter instead of a function of `ε`), at
-//!   pool widths 1, 2 and 8 — outputs, failure bits, and the
-//!   floating-point acceptance statistics must match bit for bit;
+//!   radius a direct test parameter instead of a function of `ε`) —
+//!   outputs, failure bits, and the floating-point acceptance statistics
+//!   must match bit for bit;
 //! * the same comparison through the real SAW-tree oracle on the
 //!   engine's serving path workloads.
-//!
-//! The CI determinism matrix runs this suite under
-//! `LDS_THREADS ∈ {1, 4, 8}`; the widths exercised here are explicit, so
-//! every leg checks the full 1/2/8 sweep.
 
-use lds::core::jvv::LocalJvv;
+use lds::core::jvv::{JvvOutcome, LocalJvv};
 use lds::gibbs::models::hardcore;
 use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::{GibbsModel, PartialConfig, Value};
@@ -27,7 +23,7 @@ use lds::graph::{generators, traversal, Graph, NodeId};
 use lds::localnet::slocal::multipass_locality;
 use lds::localnet::{scheduler, Instance, Network};
 use lds::oracle::{BoostedOracle, DecayRate, MultiplicativeInference, TwoSpinSawOracle};
-use lds::runtime::{splitmix64, CancelToken, ThreadPool};
+use lds::runtime::{splitmix64, CancelToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -106,14 +102,21 @@ fn network(g: &Graph, seed: u64) -> Network {
     Network::new(Instance::unconditioned(hardcore::model(g, 1.0)), seed)
 }
 
+/// One uncancellable `LocalJvv::run` over `order`, outcome only.
+fn run<O: MultiplicativeInference>(
+    jvv: &LocalJvv<'_, O>,
+    net: &Network,
+    order: &[NodeId],
+) -> JvvOutcome {
+    jvv.run(net, order, &CancelToken::never())
+        .expect("never cancelled")
+        .0
+}
+
 /// Asserts two JVV outcomes identical to the bit: outputs, failure
 /// bits, and the floating-point acceptance statistics.
 #[track_caller]
-fn assert_outcomes_identical(
-    a: &lds::core::jvv::JvvOutcome,
-    b: &lds::core::jvv::JvvOutcome,
-    context: &str,
-) {
+fn assert_outcomes_identical(a: &JvvOutcome, b: &JvvOutcome, context: &str) {
     assert_eq!(a.run.outputs, b.run.outputs, "{context}: outputs");
     assert_eq!(a.run.failures, b.run.failures, "{context}: failures");
     assert_eq!(
@@ -130,10 +133,10 @@ fn assert_outcomes_identical(
 }
 
 proptest! {
-    /// Parallel pass 3 == frozen sequential scan, for explicit oracle
-    /// radii t ∈ {1, 2, 3} on random graphs, at widths 1/2/8.
+    /// Pass-3 kernel == frozen sequential scan, for explicit oracle
+    /// radii t ∈ {1, 2, 3} on random graphs.
     #[test]
-    fn parallel_pass3_equals_prerefactor_scan(
+    fn pass3_kernel_equals_prerefactor_scan(
         gidx in 0usize..5,
         seed in 0u64..200,
         t in 1usize..4,
@@ -146,23 +149,10 @@ proptest! {
         let locality = multipass_locality(&[t, t, 3 * t + ell]);
         let schedule = scheduler::chromatic_schedule(&net, locality, 0);
         let reference = jvv.run_detailed_reference(&net, &schedule.order);
-        for threads in [1usize, 2, 8] {
-            let (outcome, _, _) = jvv
-                .run_scheduled(&net, &schedule, &ThreadPool::new(threads), &CancelToken::never())
-                .unwrap();
-            assert_outcomes_identical(
-                &outcome,
-                &reference,
-                &format!("graph {gidx} seed {seed} t {t} threads {threads}"),
-            );
-        }
-        // the refactored sequential path must also reproduce the frozen
-        // scan exactly (same kernel, no snapshots)
-        let detailed = jvv.run_detailed(&net, &schedule.order);
         assert_outcomes_identical(
-            &detailed,
+            &run(&jvv, &net, &schedule.order),
             &reference,
-            &format!("graph {gidx} seed {seed} t {t} sequential"),
+            &format!("graph {gidx} seed {seed} t {t}"),
         );
     }
 }
@@ -170,7 +160,7 @@ proptest! {
 /// The same equivalence through the real boosted SAW-tree oracle — the
 /// oracle the engine serves hardcore/Ising/two-spin requests with.
 #[test]
-fn parallel_pass3_matches_reference_with_saw_oracle() {
+fn pass3_kernel_matches_reference_with_saw_oracle() {
     let oracle = BoostedOracle::new(TwoSpinSawOracle::new(
         TwoSpinParams::hardcore(1.0),
         DecayRate::new(0.5, 2.0),
@@ -189,21 +179,11 @@ fn parallel_pass3_matches_reference_with_saw_oracle() {
             let locality = multipass_locality(&[t, t, 3 * t + ell]);
             let schedule = scheduler::chromatic_schedule(&net, locality, 0);
             let reference = jvv.run_detailed_reference(&net, &schedule.order);
-            for threads in [1usize, 2, 8] {
-                let (outcome, _, _) = jvv
-                    .run_scheduled(
-                        &net,
-                        &schedule,
-                        &ThreadPool::new(threads),
-                        &CancelToken::never(),
-                    )
-                    .unwrap();
-                assert_outcomes_identical(
-                    &outcome,
-                    &reference,
-                    &format!("saw eps {eps} seed {seed} threads {threads}"),
-                );
-            }
+            assert_outcomes_identical(
+                &run(&jvv, &net, &schedule.order),
+                &reference,
+                &format!("saw eps {eps} seed {seed}"),
+            );
         }
     }
 }
@@ -211,7 +191,7 @@ fn parallel_pass3_matches_reference_with_saw_oracle() {
 /// Pinned instances run pass 3 over every node (pinned ones included);
 /// the equivalence must survive pinning too.
 #[test]
-fn parallel_pass3_respects_pinning_bitwise() {
+fn pass3_kernel_respects_pinning_bitwise() {
     let g = generators::cycle(12);
     let model = hardcore::model(&g, 1.0);
     let mut tau = PartialConfig::empty(12);
@@ -227,17 +207,11 @@ fn parallel_pass3_respects_pinning_bitwise() {
         let schedule = scheduler::chromatic_schedule(&net, locality, 0);
         let reference = jvv.run_detailed_reference(&net, &schedule.order);
         assert_eq!(reference.run.outputs[3], Value(1), "pin must survive");
-        for threads in [2usize, 8] {
-            let (outcome, _, _) = jvv
-                .run_scheduled(
-                    &net,
-                    &schedule,
-                    &ThreadPool::new(threads),
-                    &CancelToken::never(),
-                )
-                .unwrap();
-            assert_outcomes_identical(&outcome, &reference, &format!("pinned seed {seed}"));
-        }
+        assert_outcomes_identical(
+            &run(&jvv, &net, &schedule.order),
+            &reference,
+            &format!("pinned seed {seed}"),
+        );
     }
 }
 

@@ -10,11 +10,10 @@
 //! the table — the failure message prints the new table in source form.
 //!
 //! Each digest is FNV-1a over the report's canonical wire encoding
-//! ([`Wire::to_bytes`]) after zeroing the execution-strategy fields
-//! that [`RunReport::semantic_eq`] also ignores: the wall times and the
-//! halo-sharding telemetry, whose trailing `None` byte is then left out
-//! of the hash. Engines use the default pool width, so the
-//! `LDS_THREADS` CI matrix checks the same pins at every width.
+//! ([`Wire::to_bytes`]) after zeroing the wall times, which
+//! [`RunReport::semantic_eq`] also ignores. Engines use the default pool
+//! width, so the `LDS_THREADS` CI matrix checks the same pins at every
+//! width.
 
 use std::time::Duration;
 
@@ -84,16 +83,7 @@ fn report_digest(report: &RunReport) -> u64 {
     for p in &mut r.phases {
         p.wall_time = Duration::ZERO;
     }
-    r.sharding = None;
-    // `sharding` is the last field a report encodes, and `None` is a
-    // single 0 byte: hash the encoding without it
-    let mut bytes = r.to_bytes();
-    assert_eq!(
-        bytes.pop(),
-        Some(0),
-        "sharding must encode as a trailing None"
-    );
-    fnv1a(&bytes)
+    fnv1a(&r.to_bytes())
 }
 
 fn marginals_digest(report: &MarginalsReport) -> u64 {

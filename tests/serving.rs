@@ -28,8 +28,8 @@ fn hardcore_engine(n: usize) -> Arc<Engine> {
 // Report agreement is asserted through `RunReport::semantic_eq` — the
 // one definition of "same answer" shared by the determinism, serving,
 // and net round-trip suites. It covers every output field bit-for-bit
-// and excludes only the execution-strategy fields (wall clocks,
-// sharding telemetry) that legitimately vary between runs.
+// and excludes only the wall clocks, which legitimately vary between
+// runs.
 
 #[test]
 fn concurrent_identical_requests_are_bit_identical_and_execute_once() {

@@ -215,50 +215,3 @@ fn coloring_glauber_samples_fit_the_gibbs_law() {
     assert!(test.dof >= 20, "degenerate binning: {test:?}");
     assert!(test.p_value > P_FLOOR, "glauber coloring misfit: {test:?}");
 }
-
-/// The same goodness-of-fit, but with each execution's **intra-task**
-/// parallelism live: samples are drawn one `run_with_seed` at a time on
-/// a width-4 pool, so all three `local-JVV` passes — the rejection pass
-/// included, since PR 3 routed it through `run_kernel_chromatic` — run
-/// same-color clusters concurrently. The parallel pass 3 must still
-/// produce the exact Gibbs law (it is bit-identical to the sequential
-/// scan; this checks the distribution end to end regardless).
-#[test]
-fn hardcore_exact_samples_fit_with_parallel_pass3() {
-    let engine = Engine::builder()
-        .model(ModelSpec::Hardcore { lambda: 1.0 })
-        .graph(generators::cycle(8))
-        .epsilon(0.001)
-        .threads(4)
-        .build()
-        .unwrap();
-    let model = engine.instance().model();
-    let joint = distribution::joint_distribution(model, engine.instance().pinning())
-        .expect("instance small enough to enumerate");
-    let weights: Vec<f64> = joint.iter().map(|(_, p)| *p).collect();
-    let trials = 1500usize;
-    let mut counts = vec![0u64; joint.len()];
-    let mut accepted = 0usize;
-    for seed in 0..trials as u64 {
-        let report = engine
-            .run_with_seed(Task::SampleExact, seed)
-            .expect("valid task");
-        if !report.succeeded {
-            continue;
-        }
-        accepted += 1;
-        let config = report.config().expect("sampling task");
-        let idx = joint
-            .iter()
-            .position(|(c, _)| c == config)
-            .expect("sample must be a feasible configuration");
-        counts[idx] += 1;
-    }
-    assert!(
-        accepted * 2 >= trials,
-        "success rate collapsed: {accepted}/{trials}"
-    );
-    let test = stats::goodness_of_fit(&counts, &weights, 5.0);
-    assert!(test.dof >= 20, "degenerate binning: {test:?}");
-    assert!(test.p_value > P_FLOOR, "parallel pass-3 misfit: {test:?}");
-}
