@@ -30,8 +30,8 @@
 //! The chain starts from the greedy feasible extension of the instance
 //! pinning (Remark 2.3's sequential local oblivious construction), run
 //! as a scan of the same ordering so the start state is deterministic.
-//! Mixing is certified by
-//! [`crate::regime::glauber_plan`] from the model's SSM decay rate.
+//! Mixing is certified by [`crate::regime::glauber_plan`] from the
+//! model's SSM decay rate.
 
 use std::time::Instant;
 
@@ -213,10 +213,9 @@ pub struct GlauberStats {
 /// Lemma 3.1 simulation.
 ///
 /// `cancel` is threaded into every pass (checked every 256 nodes) and
-/// checked once per sweep. Checks consume no
-/// randomness, so a completed run is bit-identical to one under
-/// [`CancelToken::never`]; a cancelled run returns `Err(`[`Cancelled`]`)`
-/// with no partial result.
+/// checked once per sweep. Checks consume no randomness, so a completed
+/// run is bit-identical to one under [`CancelToken::never`]; a cancelled
+/// run returns `Err(`[`Cancelled`]`)` with no partial result.
 ///
 /// Phases: `schedule` (all rounds), `ground`, `glauber`.
 pub fn sample_glauber(
