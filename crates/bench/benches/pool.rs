@@ -2,10 +2,10 @@
 //! small `par_map` calls.
 //!
 //! The persistent pool parks its workers once and ships jobs over a
-//! channel, so a chromatic schedule with many small colors (many small
-//! `par_map` calls) pays the thread-spawn cost once per engine instead
-//! of once per color. This bench measures exactly that regime — many
-//! calls, few items, negligible per-item work.
+//! channel, so many small `par_map` calls (small batches, a few
+//! marginals each) pay the thread-spawn cost once per engine instead of
+//! once per call. This bench measures exactly that regime — many calls,
+//! few items, negligible per-item work.
 
 use std::time::Instant;
 
@@ -13,8 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lds_runtime::ThreadPool;
 
 /// The many-small-calls workload: `calls` par_maps of `items` cheap
-/// items each (a few hundred ns of work per item, like a small cluster
-/// scan on a tiny graph).
+/// items each (a few hundred ns of work per item, like a short scan on a
+/// tiny graph).
 fn small_item(x: &u64) -> u64 {
     (0..32u64).fold(*x, |a, b| a.wrapping_mul(0x9e37_79b9).wrapping_add(b))
 }
