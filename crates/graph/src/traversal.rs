@@ -75,39 +75,6 @@ pub fn ball(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
     bounded_bfs(g, v, r).0
 }
 
-/// The ball around a node *set*, `B_r(S) = {u | dist_G(u, S) ≤ r}`, in
-/// increasing id order — e.g. a cluster's halo (its members plus their
-/// radius-`r` boundary). Multi-source BFS truncated at radius `r`; cost
-/// `O(|B_r(S)| + edges inside)`, independent of `n` up to the visited
-/// marker.
-pub fn multi_source_ball(g: &Graph, sources: &[NodeId], r: usize) -> Vec<NodeId> {
-    let mut dist = vec![UNREACHABLE; g.node_count()];
-    let mut members = Vec::new();
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s.index()] == UNREACHABLE {
-            dist[s.index()] = 0;
-            queue.push_back(s);
-            members.push(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v.index()];
-        if dv as usize >= r {
-            continue;
-        }
-        for &w in g.neighbors(v) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = dv + 1;
-                queue.push_back(w);
-                members.push(w);
-            }
-        }
-    }
-    members.sort_unstable();
-    members
-}
-
 /// The ball together with each member's distance from the center.
 pub fn ball_with_distances(g: &Graph, v: NodeId, r: usize) -> Vec<(NodeId, u32)> {
     let (order, dist) = bounded_bfs(g, v, r);
@@ -214,31 +181,6 @@ mod tests {
     fn ball_radius_zero_is_center() {
         let g = generators::cycle(5);
         assert_eq!(ball(&g, NodeId(3), 0), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn multi_source_ball_matches_union_of_balls() {
-        let g = generators::torus(4, 4);
-        for r in 0..4usize {
-            let sources = [NodeId(0), NodeId(5), NodeId(5), NodeId(10)];
-            let got = multi_source_ball(&g, &sources, r);
-            let mut expect: Vec<NodeId> = sources
-                .iter()
-                .flat_map(|&s| ball(&g, s, r))
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "radius {r}");
-        }
-    }
-
-    #[test]
-    fn multi_source_ball_stays_in_components() {
-        let g = Graph::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
-        let b = multi_source_ball(&g, &[NodeId(0)], 9);
-        assert_eq!(b, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert!(multi_source_ball(&g, &[], 3).is_empty());
     }
 
     #[test]

@@ -284,14 +284,14 @@ fn reader_loop(
         if let Some(lds_chaos::Fault::Delay(d)) = lds_chaos::point("net.read_stall") {
             thread::sleep(d);
         }
-        let payload = match read_frame_polled(stream, cfg.max_frame_len, shutdown) {
+        let payload = match read_frame(stream, cfg.max_frame_len, || shutdown.is_triggered()) {
             Ok(ReadOutcome::Frame(payload)) => payload,
             // clean EOF at a frame boundary: stop reading, writer drains
             Ok(ReadOutcome::CleanEof) => return,
             // server shutdown: requests the peer already pipelined into
             // the socket must not vanish — answer each buffered frame
             // with a typed ShuttingDown before the session ends
-            Ok(ReadOutcome::Shutdown) => {
+            Ok(ReadOutcome::Stopped) => {
                 drain_buffered_requests(stream, tx, cfg);
                 return;
             }
@@ -497,74 +497,64 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Outgoing>, cfg: Arc<NetConfig
     }
 }
 
-/// Why a polled frame read stopped without producing a frame — the
-/// reader must tell shutdown apart from a peer's orderly close, because
-/// only shutdown owes the peer `ShuttingDown` answers for frames it
-/// already pipelined into the socket.
+/// How a frame read ended without an error. The session reader must
+/// tell its stop test (shutdown) apart from a peer's orderly close,
+/// because only shutdown owes the peer `ShuttingDown` answers for frames
+/// it already pipelined into the socket.
 enum ReadOutcome {
     /// One complete frame payload.
     Frame(Vec<u8>),
     /// The peer closed the connection at a frame boundary.
     CleanEof,
-    /// The server's shutdown signal fired mid-read.
-    Shutdown,
+    /// The caller's stop test fired first; a partial frame is abandoned.
+    Stopped,
 }
 
-/// Why [`read_full`] stopped before filling the buffer.
-enum ReadStop {
-    CleanEof,
-    Shutdown,
-}
-
-/// Reads one frame, re-checking the shutdown signal at every read
-/// timeout.
-fn read_frame_polled(
+/// Reads one frame, retrying through read timeouts and checking `stop`
+/// before every read: the session reader stops on shutdown, the
+/// shutdown drain at its deadline.
+fn read_frame(
     stream: &mut TcpStream,
     max_len: u32,
-    shutdown: &ShutdownSignal,
+    stop: impl Fn() -> bool,
 ) -> Result<ReadOutcome, FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    match read_full(stream, &mut header, shutdown, true)? {
-        Some(ReadStop::CleanEof) => return Ok(ReadOutcome::CleanEof),
-        Some(ReadStop::Shutdown) => return Ok(ReadOutcome::Shutdown),
-        None => {}
+    if let Some(outcome) = read_full(stream, &mut header, &stop)? {
+        return Ok(outcome);
     }
     let len = frame::parse_header(&header, max_len)?;
     let mut payload = vec![0u8; len as usize];
-    // mid-frame shutdown (a mid-frame "clean" stop cannot happen): the
-    // partial frame is abandoned, the drain answers whole ones
-    if read_full(stream, &mut payload, shutdown, false)?.is_some() {
-        return Ok(ReadOutcome::Shutdown);
+    match read_full(stream, &mut payload, &stop)? {
+        None => Ok(ReadOutcome::Frame(payload)),
+        Some(ReadOutcome::CleanEof) => Err(mid_frame_eof()),
+        Some(outcome) => Ok(outcome),
     }
-    Ok(ReadOutcome::Frame(payload))
+}
+
+fn mid_frame_eof() -> FrameError {
+    FrameError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "connection closed mid-frame",
+    ))
 }
 
 /// Fills `buf`, retrying through read timeouts. `Ok(None)` means the
-/// buffer was filled; `Ok(Some(stop))` says why reading should stop
-/// without an error: shutdown, or (only when `clean_eof_ok` and nothing
-/// was consumed) an orderly close. EOF mid-frame is an
+/// buffer was filled; otherwise `stop` fired or (before any byte
+/// arrived) the peer closed. EOF after a partial read is an
 /// [`io::ErrorKind::UnexpectedEof`] error.
 fn read_full(
     stream: &mut TcpStream,
     buf: &mut [u8],
-    shutdown: &ShutdownSignal,
-    clean_eof_ok: bool,
-) -> Result<Option<ReadStop>, FrameError> {
+    stop: &impl Fn() -> bool,
+) -> Result<Option<ReadOutcome>, FrameError> {
     let mut pos = 0;
     while pos < buf.len() {
-        if shutdown.is_triggered() {
-            return Ok(Some(ReadStop::Shutdown));
+        if stop() {
+            return Ok(Some(ReadOutcome::Stopped));
         }
         match stream.read(&mut buf[pos..]) {
-            Ok(0) => {
-                if clean_eof_ok && pos == 0 {
-                    return Ok(Some(ReadStop::CleanEof));
-                }
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )));
-            }
+            Ok(0) if pos == 0 => return Ok(Some(ReadOutcome::CleanEof)),
+            Ok(0) => return Err(mid_frame_eof()),
             Ok(n) => pos += n,
             Err(e)
                 if matches!(
@@ -590,7 +580,9 @@ fn read_full(
 /// peer that keeps streaming cannot hold the session open.
 fn drain_buffered_requests(stream: &mut TcpStream, tx: &Sender<Outgoing>, cfg: &NetConfig) {
     let deadline = Instant::now() + cfg.poll_interval;
-    while let Ok(Some(payload)) = read_frame_bounded(stream, cfg.max_frame_len, deadline) {
+    let past_deadline = || Instant::now() >= deadline;
+    while let Ok(ReadOutcome::Frame(payload)) = read_frame(stream, cfg.max_frame_len, past_deadline)
+    {
         let id = Reader::new(&payload).get_u64().unwrap_or(0);
         let resp = Response {
             id,
@@ -600,54 +592,4 @@ fn drain_buffered_requests(stream: &mut TcpStream, tx: &Sender<Outgoing>, cfg: &
             return;
         }
     }
-}
-
-/// Reads one frame, giving up (cleanly) at `deadline` or on EOF —
-/// the drain companion of [`read_frame_polled`].
-fn read_frame_bounded(
-    stream: &mut TcpStream,
-    max_len: u32,
-    deadline: Instant,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    if !read_full_until(stream, &mut header, deadline)? {
-        return Ok(None);
-    }
-    let len = frame::parse_header(&header, max_len)?;
-    let mut payload = vec![0u8; len as usize];
-    if !read_full_until(stream, &mut payload, deadline)? {
-        return Ok(None);
-    }
-    Ok(Some(payload))
-}
-
-/// Fills `buf`, retrying through read timeouts until `deadline`.
-/// Returns `false` on deadline or EOF (the drain treats both as "done").
-fn read_full_until(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<bool, FrameError> {
-    let mut pos = 0;
-    while pos < buf.len() {
-        if Instant::now() >= deadline {
-            return Ok(false);
-        }
-        match stream.read(&mut buf[pos..]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => pos += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(true)
 }

@@ -98,24 +98,42 @@ impl Histogram {
     /// may land in either side of the snapshot; each observation is
     /// counted at most once.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<(u64, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let n = c.load(Ordering::Relaxed);
-                (n > 0).then_some((bucket_mid(i), n))
-            })
-            .collect();
-        // derive count from the captured buckets so the snapshot is
-        // internally consistent even under concurrent recording
-        let count = buckets.iter().map(|&(_, n)| n).sum();
-        HistogramSnapshot {
-            count,
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets,
+        merged_snapshot(&[self])
+    }
+
+    /// Adds every observation of `other` to this histogram, as if each
+    /// had been recorded here too.
+    pub(crate) fn absorb(&self, other: &Histogram) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
+            mine.fetch_add(load(theirs), Ordering::Relaxed);
         }
+        self.count.fetch_add(load(&other.count), Ordering::Relaxed);
+        self.sum.fetch_add(load(&other.sum), Ordering::Relaxed);
+        self.max.fetch_max(load(&other.max), Ordering::Relaxed);
+    }
+}
+
+/// One snapshot of the observations of all `parts` together — for a
+/// single histogram, exactly its own [`Histogram::snapshot`].
+pub(crate) fn merged_snapshot(parts: &[&Histogram]) -> HistogramSnapshot {
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let buckets: Vec<(u64, u64)> = (0..BUCKETS)
+        .filter_map(|i| {
+            let n: u64 = parts.iter().map(|h| load(&h.buckets[i])).sum();
+            (n > 0).then_some((bucket_mid(i), n))
+        })
+        .collect();
+    // derive count from the captured buckets so the snapshot is
+    // internally consistent even under concurrent recording
+    let count = buckets.iter().map(|&(_, n)| n).sum();
+    HistogramSnapshot {
+        count,
+        sum: parts
+            .iter()
+            .fold(0, |sum, h| sum.wrapping_add(load(&h.sum))),
+        max: parts.iter().map(|h| load(&h.max)).max().unwrap_or(0),
+        buckets,
     }
 }
 
@@ -223,6 +241,23 @@ mod tests {
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
         assert!(s.buckets.is_empty());
+    }
+
+    #[test]
+    fn merging_and_absorbing_match_recording_into_one() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [0u64, 7, 40, 41, 900, 1 << 40] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [40u64, 5000, 3] {
+            b.record(v);
+            both.record(v);
+        }
+        assert_eq!(merged_snapshot(&[&a, &b]), both.snapshot());
+        a.absorb(&b);
+        assert_eq!(a.snapshot(), both.snapshot());
+        assert_eq!(a.count(), both.count());
     }
 
     #[test]

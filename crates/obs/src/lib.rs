@@ -26,8 +26,11 @@
 //!
 //! The registry is process-global ([`global`]) so the live `NetServer`
 //! (`Op::Metrics`) and the bench harness (`perf_telemetry`) read the
-//! same numbers by construction. Independent registries can still be
-//! created for tests ([`MetricsRegistry::new`]).
+//! same numbers by construction. A component with numbers of its own
+//! (each serving front-end) records into a [`MetricsScope`], and the
+//! snapshot reports every name once, totalled over all scopes.
+//! Independent registries can still be created for tests
+//! ([`MetricsRegistry::new`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +42,7 @@ pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use ledger::{LedgerSummary, ObservableKind, RoundLedger, RoundObservation};
-pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Counter, Gauge, MetricsRegistry, MetricsScope, MetricsSnapshot};
 
 use std::sync::OnceLock;
 

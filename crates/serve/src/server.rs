@@ -2,64 +2,73 @@
 //! dispatch, idempotent completion.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use lds_engine::{Engine, EngineError, RunReport, Task};
 use lds_obs::trace::{self, TraceEvent};
-use lds_obs::Histogram;
+use lds_obs::{Counter, Gauge, Histogram, MetricsScope};
 use lds_runtime::channel::{self, RecvTimeoutError, TryRecvError, TrySendError};
 
 use crate::cache::{IdempotencyKey, LruCache};
 use crate::coalesce::coalesce;
-use crate::stats::{latency_percentiles, Counters, ServerStats};
+use crate::stats::{latency_percentiles, ServerStats};
 
-/// Serving observability handles against the process metrics registry,
-/// resolved once. These aggregate across every [`Server`] in the
-/// process (the scrape/`Op::Metrics` view); the per-server numbers
-/// behind [`Server::stats`] live on each server's own state.
+/// One server's series, resolved once from its own scope of the process
+/// metrics registry. Every serve event is one bump on one of these
+/// handles: [`Server::stats`] reads them back (each counter is the
+/// [`ServerStats`] field of the same name), and the registry's snapshot
+/// (`Op::Metrics`) reports each name totalled over every live server —
+/// dropping the server folds its counters and latencies into those
+/// totals and removes its gauges.
 struct ServeMetrics {
-    /// Process-wide request latency histogram
-    /// (`serve_request_latency_ns`) — same recordings as each server's
-    /// private histogram.
-    latency: Arc<Histogram>,
-    submitted: Arc<lds_obs::Counter>,
-    rejected: Arc<lds_obs::Counter>,
-    cache_hits: Arc<lds_obs::Counter>,
-    cache_misses: Arc<lds_obs::Counter>,
-    batches: Arc<lds_obs::Counter>,
-    batched_requests: Arc<lds_obs::Counter>,
-    /// Queue depth observed at the most recent enqueue/dequeue.
-    queue_depth: Arc<lds_obs::Gauge>,
-    /// The admission watermark in force at the most recent submit.
-    watermark: Arc<lds_obs::Gauge>,
+    submitted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    engine_executions: Arc<Counter>,
+    batches: Arc<Counter>,
+    batched_requests: Arc<Counter>,
     /// Requests answered [`ServeError::Expired`] (or shed at admission
     /// with [`SubmitError::Expired`]) because their deadline passed.
-    deadline_misses: Arc<lds_obs::Counter>,
+    deadline_misses: Arc<Counter>,
     /// Worker sessions respawned by the supervisor after a panic.
-    worker_restarts: Arc<lds_obs::Counter>,
+    worker_restarts: Arc<Counter>,
+    /// Requests in the queue: +1 per enqueue, −1 per dequeue, so it
+    /// equals the queue length whenever no hand-off is in flight.
+    queue_depth: Arc<Gauge>,
+    /// Request latency, submit → respond, over the server's lifetime.
+    latency: Arc<Histogram>,
+    /// Owns the series above (and the admission-watermark gauge).
+    _scope: MetricsScope<'static>,
 }
 
-fn serve_metrics() -> &'static ServeMetrics {
-    static METRICS: std::sync::OnceLock<ServeMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = lds_obs::global();
+impl ServeMetrics {
+    fn new(watermark: usize) -> ServeMetrics {
+        let scope = lds_obs::global().scope();
+        scope
+            .gauge("serve_admission_watermark")
+            .set(watermark as i64);
         ServeMetrics {
-            latency: reg.histogram("serve_request_latency_ns"),
-            submitted: reg.counter("serve_submitted"),
-            rejected: reg.counter("serve_rejected"),
-            cache_hits: reg.counter("serve_cache_hits"),
-            cache_misses: reg.counter("serve_cache_misses"),
-            batches: reg.counter("serve_batches"),
-            batched_requests: reg.counter("serve_batched_requests"),
-            queue_depth: reg.gauge("serve_queue_depth"),
-            watermark: reg.gauge("serve_admission_watermark"),
-            deadline_misses: reg.counter("serve_deadline_misses"),
-            worker_restarts: reg.counter("serve_worker_restarts"),
+            submitted: scope.counter("serve_submitted"),
+            rejected: scope.counter("serve_rejected"),
+            completed: scope.counter("serve_completed"),
+            failed: scope.counter("serve_failed"),
+            cache_hits: scope.counter("serve_cache_hits"),
+            cache_misses: scope.counter("serve_cache_misses"),
+            engine_executions: scope.counter("serve_engine_executions"),
+            batches: scope.counter("serve_batches"),
+            batched_requests: scope.counter("serve_batched_requests"),
+            deadline_misses: scope.counter("serve_deadline_misses"),
+            worker_restarts: scope.counter("serve_worker_restarts"),
+            queue_depth: scope.gauge("serve_queue_depth"),
+            latency: scope.histogram("serve_request_latency_ns"),
+            _scope: scope,
         }
-    })
+    }
 }
 
 /// Tuning knobs of a [`Server`]. Start from `ServerConfig::default()`
@@ -251,42 +260,34 @@ struct Shared {
     engine: Arc<Engine>,
     config: ServerConfig,
     ledger: Mutex<Ledger>,
-    counters: Counters,
-    /// This server's own latency histogram (lock-free recording); the
-    /// same latencies also land in the process-wide
-    /// `serve_request_latency_ns` histogram for scraping.
-    latency: Histogram,
+    metrics: ServeMetrics,
+    /// The admission watermark: [`ServerConfig::admission_watermark`]
+    /// clamped to `1..=queue capacity`.
+    watermark: usize,
     /// Probe end of the request queue, used only for depth/peak stats
     /// (holding a receiver does not keep the queue alive — shutdown is
     /// signalled by dropping the *sender*).
     probe: channel::Receiver<Pending>,
     started_at: Instant,
-    /// Worker sessions respawned after a panic (see [`supervise`]).
-    /// Kept off [`ServerStats`] so the wire shape is unchanged; read it
-    /// via [`Server::worker_restarts`].
-    worker_restarts: AtomicU64,
 }
 
 impl Shared {
-    /// Answers a group of requests. Latency recording is a lock-free
-    /// histogram bump per response (the old shared-reservoir mutex is
-    /// gone), into both this server's histogram and the process-wide
-    /// one.
+    /// Answers a group of requests, counting each answer and recording
+    /// its latency.
     fn respond_many<I>(&self, responses: I)
     where
         I: IntoIterator<Item = (Pending, Result<RunReport, ServeError>)>,
     {
-        let metrics = serve_metrics();
         for (pending, result) in responses {
-            let counter = if result.is_ok() {
-                &self.counters.completed
+            let outcome = if result.is_ok() {
+                &self.metrics.completed
             } else {
-                &self.counters.failed
+                &self.metrics.failed
             };
-            Counters::bump(counter, 1);
-            let elapsed = pending.submitted_at.elapsed();
-            self.latency.record_duration(elapsed);
-            metrics.latency.record_duration(elapsed);
+            outcome.inc();
+            self.metrics
+                .latency
+                .record_duration(pending.submitted_at.elapsed());
             // a dropped Ticket is a fire-and-forget request; ignore it
             let _ = pending.tx.send(result);
         }
@@ -297,7 +298,7 @@ impl Shared {
     /// caller's buffer in place so worker sessions reuse one batch
     /// allocation across coalescing windows.
     fn dispatch(self: &Arc<Self>, batch: &mut Vec<Pending>) {
-        let metrics = serve_metrics();
+        let metrics = &self.metrics;
         // requests whose deadline passed while queued are answered
         // Expired before any claiming; the common all-unbounded batch
         // skips this with one scan and no clock read
@@ -315,8 +316,6 @@ impl Shared {
                 return;
             }
         }
-        Counters::bump(&self.counters.batches, 1);
-        Counters::bump(&self.counters.batched_requests, batch.len() as u64);
         metrics.batches.inc();
         metrics.batched_requests.add(batch.len() as u64);
         let fingerprint = self.engine.fingerprint();
@@ -363,8 +362,6 @@ impl Shared {
                     }
                 }
             }
-            Counters::bump(&self.counters.cache_hits, hits);
-            Counters::bump(&self.counters.cache_misses, misses);
             metrics.cache_hits.add(hits);
             metrics.cache_misses.add(misses);
             self.respond_many(cached.into_iter().map(|(w, report)| (w, Ok(report))));
@@ -380,7 +377,7 @@ impl Shared {
             // dead). A panicking execution instead cancels its waiters
             // and the worker keeps serving.
             let seeds: Vec<u64> = to_run.iter().map(|(s, _)| *s).collect();
-            Counters::bump(&self.counters.engine_executions, seeds.len() as u64);
+            metrics.engine_executions.add(seeds.len() as u64);
             // correlate engine-side trace events with the request that
             // opened the group (a batch executes as one unit)
             let group_trace_id = to_run
@@ -493,8 +490,8 @@ fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
     // queue-depth gauge + QueueDequeue trace event, correlated to the
     // request just taken off the queue
     let note_dequeue = |p: &Pending| {
+        shared.metrics.queue_depth.add(-1);
         let depth = rx.len();
-        serve_metrics().queue_depth.set(depth as i64);
         trace::with_request_id(p.trace_id, || {
             trace::emit(TraceEvent::QueueDequeue {
                 depth: depth.min(u32::MAX as usize) as u32,
@@ -554,7 +551,7 @@ fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 
 /// Runs one worker session under a supervisor: a clean exit (queue
 /// disconnected and drained) ends the session; a panic is contained,
-/// counted (`Server::worker_restarts`, obs `serve_worker_restarts`),
+/// counted (`serve_worker_restarts`, read via [`Server::worker_restarts`]),
 /// and the session respawns on the same thread and keeps draining. The
 /// unwound batch's responders drop during the unwind, so every
 /// in-flight ticket of the dead session is answered with a typed
@@ -566,10 +563,7 @@ fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
         }));
         match session {
             Ok(()) => return,
-            Err(_panic) => {
-                shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                serve_metrics().worker_restarts.inc();
-            }
+            Err(_panic) => shared.metrics.worker_restarts.inc(),
         }
     }
 }
@@ -619,18 +613,22 @@ impl Server {
     /// Starts a server with the given configuration; worker sessions
     /// spawn immediately.
     pub fn new(engine: Arc<Engine>, config: ServerConfig) -> Server {
-        let (tx, rx) = channel::bounded::<Pending>(config.queue_capacity.max(1));
+        let capacity = config.queue_capacity.max(1);
+        let watermark = config
+            .admission_watermark
+            .unwrap_or(capacity)
+            .clamp(1, capacity);
+        let (tx, rx) = channel::bounded::<Pending>(capacity);
         let shared = Arc::new(Shared {
             engine,
             ledger: Mutex::new(Ledger {
                 cache: LruCache::new(config.cache_capacity),
                 inflight: HashMap::new(),
             }),
-            counters: Counters::default(),
-            latency: Histogram::new(),
+            metrics: ServeMetrics::new(watermark),
+            watermark,
             probe: rx.clone(),
             started_at: Instant::now(),
-            worker_restarts: AtomicU64::new(0),
             config,
         });
         let workers = (0..shared.config.workers.max(1))
@@ -690,11 +688,9 @@ impl Server {
         seed: u64,
         deadline: Option<Instant>,
     ) -> Result<Ticket, SubmitError> {
-        let metrics = serve_metrics();
-        Counters::bump(&self.shared.counters.submitted, 1);
+        let metrics = &self.shared.metrics;
         metrics.submitted.inc();
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            Counters::bump(&self.shared.counters.rejected, 1);
             metrics.rejected.inc();
             metrics.deadline_misses.inc();
             return Err(SubmitError::Expired);
@@ -702,13 +698,7 @@ impl Server {
         let Some(queue) = &self.queue else {
             return Err(SubmitError::ShuttingDown);
         };
-        let watermark = self
-            .shared
-            .config
-            .admission_watermark
-            .unwrap_or(queue.capacity())
-            .clamp(1, queue.capacity());
-        metrics.watermark.set(watermark as i64);
+        let watermark = self.shared.watermark;
         let (pending, ticket) = Self::make_request(task, seed, deadline);
         let trace_id = pending.trace_id;
         // the depth check and the enqueue are one atomic operation:
@@ -720,7 +710,6 @@ impl Server {
                 Ok(ticket)
             }
             Err(TrySendError::Full(_, depth)) => {
-                Counters::bump(&self.shared.counters.rejected, 1);
                 metrics.rejected.inc();
                 Err(SubmitError::Overloaded {
                     queue_depth: depth,
@@ -735,8 +724,7 @@ impl Server {
     /// backpressure for in-process clients that prefer waiting over
     /// shedding).
     pub fn submit(&self, task: Task, seed: u64) -> Result<Ticket, SubmitError> {
-        Counters::bump(&self.shared.counters.submitted, 1);
-        serve_metrics().submitted.inc();
+        self.shared.metrics.submitted.inc();
         let Some(queue) = &self.queue else {
             return Err(SubmitError::ShuttingDown);
         };
@@ -751,11 +739,11 @@ impl Server {
             .map_err(|_| SubmitError::ShuttingDown)
     }
 
-    /// Records an accepted enqueue: the process-wide queue-depth gauge
-    /// and a [`TraceEvent::QueueEnqueue`] correlated to the request.
+    /// Records an accepted enqueue: the queue-depth gauge and a
+    /// [`TraceEvent::QueueEnqueue`] correlated to the request.
     fn note_enqueue(&self, trace_id: u64) {
+        self.shared.metrics.queue_depth.add(1);
         let depth = self.shared.probe.len();
-        serve_metrics().queue_depth.set(depth as i64);
         trace::with_request_id(trace_id, || {
             trace::emit(TraceEvent::QueueEnqueue {
                 depth: depth.min(u32::MAX as usize) as u32,
@@ -796,24 +784,25 @@ impl Server {
     /// Zero in fault-free operation; kept off [`ServerStats`] so the
     /// wire shape is unchanged.
     pub fn worker_restarts(&self) -> u64 {
-        self.shared.worker_restarts.load(Ordering::Relaxed)
+        self.shared.metrics.worker_restarts.get()
     }
 
-    /// A point-in-time stats snapshot (counters are relaxed atomics:
-    /// the snapshot is consistent enough for telemetry, not a barrier).
+    /// A point-in-time stats snapshot, read from this server's registry
+    /// series (relaxed atomics: consistent enough for telemetry, not a
+    /// barrier).
     pub fn stats(&self) -> ServerStats {
-        let c = &self.shared.counters;
-        let (p50, p99) = latency_percentiles(&self.shared.latency);
+        let m = &self.shared.metrics;
+        let (p50, p99) = latency_percentiles(&m.latency);
         ServerStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            cache_hits: c.cache_hits.load(Ordering::Relaxed),
-            cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            engine_executions: c.engine_executions.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            batched_requests: c.batched_requests.load(Ordering::Relaxed),
+            submitted: m.submitted.get(),
+            rejected: m.rejected.get(),
+            completed: m.completed.get(),
+            failed: m.failed.get(),
+            cache_hits: m.cache_hits.get(),
+            cache_misses: m.cache_misses.get(),
+            engine_executions: m.engine_executions.get(),
+            batches: m.batches.get(),
+            batched_requests: m.batched_requests.get(),
             queue_depth: self.shared.probe.len(),
             peak_queue_depth: self.shared.probe.peak_depth(),
             p50_latency: p50,

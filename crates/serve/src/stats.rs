@@ -1,53 +1,16 @@
-//! Serving observability: lock-free counters, latency percentiles off
-//! the shared `lds-obs` histogram, and the [`ServerStats`] snapshot.
+//! Serving observability: the [`ServerStats`] snapshot a server reads
+//! from its own `lds-obs` registry scope.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use lds_obs::Histogram;
 
-/// Monotonic event counters bumped on the request path. All relaxed:
-/// each counter is an independent tally, never used to synchronize.
-#[derive(Default)]
-pub(crate) struct Counters {
-    /// Submission attempts (accepted + rejected).
-    pub submitted: AtomicU64,
-    /// Requests shed by admission control.
-    pub rejected: AtomicU64,
-    /// Requests answered with a report.
-    pub completed: AtomicU64,
-    /// Requests answered with an error.
-    pub failed: AtomicU64,
-    /// Requests answered straight from the idempotency cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that missed the cache (executed or piggybacked on an
-    /// identical in-flight execution).
-    pub cache_misses: AtomicU64,
-    /// Seeds actually run on the engine. `cache_misses −
-    /// engine_executions` is the number of requests deduplicated
-    /// against an identical concurrent execution.
-    pub engine_executions: AtomicU64,
-    /// Coalesced dispatch rounds.
-    pub batches: AtomicU64,
-    /// Requests dispatched across all rounds (`/ batches` = mean
-    /// coalescing factor).
-    pub batched_requests: AtomicU64,
-}
-
-impl Counters {
-    pub(crate) fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-}
-
 /// `(p50, p99)` of a latency [`Histogram`] as durations (zeros when
-/// empty). The histogram replaced the old hand-rolled latency ring:
-/// recording is now a lock-free atomic bump (no reservoir mutex on the
-/// response path), the percentiles cover the server's whole lifetime
-/// instead of a sliding window, and the same bucket counts are
-/// exported through the process metrics registry (`Op::Metrics`, text
-/// exposition) — one definition of latency everywhere. Quantiles are
-/// bucket midpoints, within ~6% relative error.
+/// empty). The percentiles cover the server's whole lifetime, and the
+/// histogram is the server's `serve_request_latency_ns` series in the
+/// process metrics registry (`Op::Metrics`, text exposition) — one
+/// definition of latency everywhere. Quantiles are bucket midpoints,
+/// within ~6% relative error.
 pub(crate) fn latency_percentiles(histogram: &Histogram) -> (Duration, Duration) {
     let snap = histogram.snapshot();
     (
@@ -82,9 +45,10 @@ pub struct ServerStats {
     pub queue_depth: usize,
     /// High-watermark of queue depth since the server started.
     pub peak_queue_depth: usize,
-    /// Median request latency over the recent window (submit → respond).
+    /// Median request latency over the server's lifetime (submit →
+    /// respond).
     pub p50_latency: Duration,
-    /// 99th-percentile request latency over the recent window.
+    /// 99th-percentile request latency over the server's lifetime.
     pub p99_latency: Duration,
     /// Time since the server started.
     pub uptime: Duration,
@@ -141,7 +105,7 @@ impl ServerStats {
     /// are built exactly this way.
     ///
     /// Point-in-time fields (`queue_depth`, `peak_queue_depth`) and the
-    /// windowed latency percentiles keep their current values — they
+    /// lifetime latency percentiles keep their current values — they
     /// are not counters and cannot be differenced.
     pub fn since(&self, earlier: &ServerStats) -> ServerStats {
         ServerStats {
@@ -269,7 +233,7 @@ mod tests {
         // interval throughput: 30 completions over 4 seconds
         assert_eq!(delta.uptime, Duration::from_secs(4));
         assert!((delta.throughput() - 7.5).abs() < 1e-12);
-        // point-in-time / windowed fields pass through from `self`
+        // point-in-time and lifetime-percentile fields pass through from `self`
         assert_eq!(delta.queue_depth, later.queue_depth);
         assert_eq!(delta.p50_latency, later.p50_latency);
     }
@@ -401,7 +365,7 @@ latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
         assert_eq!(delta.cache_hit_rate(), 0.0);
         assert_eq!(delta.mean_batch_size(), 0.0);
         assert_eq!(delta.deduped(), 0);
-        // the windowed percentile fields are not deltas and survive
+        // the lifetime percentile fields are not deltas and survive
         assert_eq!(delta.p50_latency, snap.p50_latency);
     }
 }
