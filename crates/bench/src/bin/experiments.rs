@@ -59,11 +59,11 @@ fn e1() {
             let net = Network::new(Instance::unconditioned(model.clone()), 17);
             let sampler = SequentialSampler::new(oracle.clone(), delta);
             let never = CancelToken::never();
-            let run = sampler::sample_local(&net, &oracle, delta, 0, &never)
+            let schedule = scheduler::chromatic_schedule(&net, sampler.locality(n), 0);
+            let run = sampler::sample_local(&net, &oracle, delta, &schedule, &never)
                 .expect("never cancelled")
                 .run;
-            // the schedule is a deterministic function of (net, locality, stream)
-            let colors = scheduler::chromatic_schedule(&net, sampler.locality(n), 0).colors;
+            let colors = schedule.colors;
             let tv = if n <= 8 {
                 let trials = 5000usize;
                 let mut samples = Vec::with_capacity(trials);
@@ -305,9 +305,7 @@ fn e6a() {
         let oracle = saw(1.0, alpha.min(0.95));
         let eps = 0.05f64;
         let model = inst.model().clone();
-        let rmul = MultiplicativeInference::radius_mul(&oracle, &model, eps);
-        let ell = model.locality().max(1);
-        let locality = lds_localnet::slocal::multipass_locality(&[rmul, rmul, 3 * rmul + ell]);
+        let locality = jvv::LocalJvv::new(&oracle, eps).locality(&model);
         let net = Network::new(Instance::unconditioned(model.clone()), 3);
         let rounds = (0..5)
             .map(|s| scheduler::chromatic_schedule(&net, locality, s).rounds)
@@ -370,8 +368,7 @@ fn e6b() {
         let model = hardcore::model(&g, lambda);
         let oracle = saw(lambda, alpha.min(0.95));
         let eps = 0.05f64;
-        let rmul = MultiplicativeInference::radius_mul(&oracle, &model, eps);
-        let locality = lds_localnet::slocal::multipass_locality(&[rmul, rmul, 3 * rmul + 1]);
+        let locality = jvv::LocalJvv::new(&oracle, eps).locality(&model);
         let net = Network::new(Instance::unconditioned(model), 3);
         let rounds = (0..5)
             .map(|s| scheduler::chromatic_schedule(&net, locality, s).rounds)
@@ -713,7 +710,9 @@ fn s2() {
     let model = hardcore::model(&g, 1.0);
     let oracle = BoostedOracle::new(saw(1.0, 0.5));
     let net = Network::new(Instance::unconditioned(model), 3);
-    let out = jvv::sample_exact_local(&net, &oracle, 0.01, 0, &CancelToken::never())
+    let locality = jvv::LocalJvv::new(&oracle, 0.01).locality(net.instance().model());
+    let schedule = scheduler::chromatic_schedule(&net, locality, 0);
+    let out = jvv::sample_exact_local(&net, &oracle, 0.01, &schedule, &CancelToken::never())
         .expect("never cancelled");
     let stats = out.jvv.expect("exact sampling reports JVV stats");
     println!(

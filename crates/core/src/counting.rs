@@ -42,7 +42,7 @@ use lds_localnet::{Instance, Network};
 use lds_oracle::{chain_marginals_mul, InferenceOracle, MultiplicativeInference};
 use lds_runtime::{splitmix64, ThreadPool};
 
-use crate::sampler::sample_once;
+use crate::sampler::{sample_once, shared_schedule};
 
 /// Precision floor for the anchor pass. The anchor only needs to be
 /// *feasible* — any coarse argmax works, and the chain-rule error bound
@@ -345,7 +345,8 @@ struct LevelStat {
 /// summed into `estimate.log_error_bound`.
 ///
 /// Levels are fanned across `pool` with per-level SplitMix64 seed
-/// derivation, so the result is bit-identical at every pool width.
+/// derivation, so the result is bit-identical at every pool width. Every
+/// sampler execution scans one chromatic schedule, drawn once per call.
 ///
 /// The certified bound covers Monte Carlo error only: each sampler
 /// execution also carries the additive TV bias `δ_s + ε₀` of Theorem
@@ -367,11 +368,18 @@ where
     let instance = Arc::new(
         Instance::new(model.clone(), pinning.clone()).map_err(|_| CountError::InfeasibleAnchor)?,
     );
+    // one chromatic schedule for every sampler execution of the call:
+    // it depends on the graph alone, which the level pinnings keep
+    let schedule = shared_schedule(
+        &Network::from_shared(Arc::clone(&instance), seed0),
+        oracle,
+        cfg.sampler_delta,
+    );
     let anchor_seed = splitmix64(seed0 ^ 0x616e_6368_6f72); // "anchor"
     let mut anchor = None;
     for attempt in 0..cfg.max_anchor_attempts.max(1) as u64 {
         let net = Network::from_shared(Arc::clone(&instance), anchor_seed.wrapping_add(attempt));
-        let run = sample_once(&net, oracle, cfg.sampler_delta);
+        let run = sample_once(&net, oracle, cfg.sampler_delta, &schedule);
         if !run.succeeded() {
             continue;
         }
@@ -422,10 +430,11 @@ where
         pinning.clone(),
         levels.clone(),
         cfg.clone(),
+        schedule,
     ));
     let indices: Vec<usize> = (0..levels.len()).collect();
     let stats: Vec<Result<LevelStat, CountError>> = pool.par_map(&indices, move |&i| {
-        let (oracle, model, base, levels, cfg) = &*shared;
+        let (oracle, model, base, levels, cfg, schedule) = &*shared;
         let (v, target) = levels[i];
         let mut prefix = base.clone();
         for &(u, val) in &levels[..i] {
@@ -445,7 +454,7 @@ where
                     Arc::clone(&instance),
                     level_seed.wrapping_add(m as u64 + s),
                 );
-                let run = sample_once(&net, oracle, cfg.sampler_delta);
+                let run = sample_once(&net, oracle, cfg.sampler_delta, schedule);
                 if run.outputs[v.index()] == target {
                     hits += 1;
                 }

@@ -33,11 +33,11 @@
 //! Mixing is certified by [`crate::regime::glauber_plan`] from the
 //! model's SSM decay rate.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use lds_gibbs::{distribution, Config, PartialConfig, Value};
+use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
-use lds_localnet::scheduler;
+use lds_localnet::scheduler::ChromaticSchedule;
 use lds_localnet::slocal::{run_scan_sequential, ScanKernel, SlocalKernel};
 use lds_localnet::Network;
 use lds_runtime::{CancelToken, Cancelled, Phase};
@@ -202,9 +202,15 @@ pub struct GlauberStats {
     pub locality: usize,
 }
 
+/// The schedule locality of Glauber sweeps: the model's factor diameter
+/// (at least 1), the radius a site update reads.
+pub fn sweep_locality(model: &GibbsModel) -> usize {
+    model.locality().max(1)
+}
+
 /// Runs `sweeps` systematic-scan Glauber sweeps from the greedy ground
-/// state, all scanning one chromatic schedule's ordering (locality = the
-/// model's factor diameter) — the local Glauber dynamics of
+/// state, all scanning the ordering of `schedule`, a chromatic schedule
+/// drawn for [`sweep_locality`] — the local Glauber dynamics of
 /// Fischer–Ghaffari in this workspace's scan form.
 /// [`SampleRun::glauber`] carries the mixing diagnostics.
 ///
@@ -217,19 +223,14 @@ pub struct GlauberStats {
 /// run is bit-identical to one under [`CancelToken::never`]; a cancelled
 /// run returns `Err(`[`Cancelled`]`)` with no partial result.
 ///
-/// Phases: `schedule` (all rounds), `ground`, `glauber`.
+/// Phases: `schedule` (all rounds, zero wall time: the caller that got
+/// the schedule owns that time), `ground`, `glauber`.
 pub fn sample_glauber(
     net: &Network,
     sweeps: usize,
-    stream: u64,
+    schedule: &ChromaticSchedule,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
-    let locality = net.instance().model().locality().max(1);
-    let start = Instant::now();
-    cancel.check()?;
-    let schedule = scheduler::chromatic_schedule(net, locality, stream);
-    let schedule_wall = start.elapsed();
-
     let start = Instant::now();
     let ground = run_scan_sequential(net, &GreedyGroundKernel, &schedule.order, cancel)?;
     let ground_wall = start.elapsed();
@@ -239,7 +240,7 @@ pub fn sample_glauber(
         sweeps,
         site_updates: 0,
         last_sweep_changes: 0,
-        locality,
+        locality: sweep_locality(net.instance().model()),
     };
     let start = Instant::now();
     for s in 0..sweeps {
@@ -254,14 +255,9 @@ pub fn sample_glauber(
 
     let rounds = schedule.rounds * (sweeps + 1);
     Ok(SampleRun {
-        run: lift(
-            config.values().to_vec(),
-            &ground.failures,
-            &schedule,
-            rounds,
-        ),
+        run: lift(config.values().to_vec(), &ground.failures, schedule, rounds),
         phases: vec![
-            Phase::new("schedule", schedule_wall, rounds),
+            Phase::new("schedule", Duration::ZERO, rounds),
             Phase::new("ground", ground_wall, 0),
             Phase::new("glauber", sweeps_wall, 0),
         ],
@@ -285,7 +281,7 @@ mod tests {
     use lds_gibbs::models::{coloring, hardcore};
     use lds_gibbs::PartialConfig;
     use lds_graph::generators;
-    use lds_localnet::Instance;
+    use lds_localnet::{scheduler, Instance};
 
     fn hc_net(n: usize, lambda: f64, seed: u64) -> Network {
         let g = generators::cycle(n);
@@ -293,7 +289,8 @@ mod tests {
     }
 
     fn glauber_out(net: &Network, sweeps: usize) -> SampleRun {
-        sample_glauber(net, sweeps, 0, &CancelToken::never()).unwrap()
+        let schedule = scheduler::complete_schedule(net, sweep_locality(net.instance().model()));
+        sample_glauber(net, sweeps, &schedule, &CancelToken::never()).unwrap()
     }
 
     fn glauber(net: &Network, sweeps: usize) -> lds_localnet::local::LocalRun<Value> {

@@ -32,11 +32,11 @@
 //! locally computable acceptance. Success probability `≥ e^{−5n²ε}`,
 //! which is `1 − O(1/n)` at the paper's `ε = 1/n³`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use lds_gibbs::{distribution, Config, PartialConfig, Value};
+use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
 use lds_graph::{traversal, NodeId};
-use lds_localnet::scheduler;
+use lds_localnet::scheduler::ChromaticSchedule;
 use lds_localnet::slocal::{
     multipass_locality, run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun,
 };
@@ -113,6 +113,16 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
         (-5.0 * (n * n) as f64 * self.eps).exp()
     }
 
+    /// The single-pass SLOCAL locality of the three passes on `model`
+    /// (Lemma 4.4 folding of localities `t`, `t` and `3t + ℓ`, where `t`
+    /// is the oracle radius and `ℓ` the model's factor diameter) — the
+    /// locality [`sample_exact_local`]'s schedule is drawn for.
+    pub fn locality(&self, model: &GibbsModel) -> usize {
+        let ell = model.locality().max(1);
+        let t = self.oracle.radius_mul(model, self.eps);
+        multipass_locality(&[t, t, 3 * t + ell])
+    }
+
     /// The pass-1 kernel (ground state σ₀).
     fn ground_kernel(&self) -> GroundKernel<'a, O> {
         GroundKernel {
@@ -157,7 +167,7 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
             t,
             ell,
             slack: self.slack(n),
-            locality: multipass_locality(&[t, t, 3 * t + ell]),
+            locality: self.locality(model),
         }
     }
 
@@ -242,7 +252,7 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
         let slack = self.slack(n);
         let mut stats = JvvStats {
             acceptance_product: 1.0,
-            locality: multipass_locality(&[t, t, 3 * t + ell]),
+            locality: self.locality(model),
             ..JvvStats::default()
         };
         // pass-1 fallback failures carry over; pass 2 never fails
@@ -870,39 +880,35 @@ fn repair(
 }
 
 /// Runs `local-JVV` in the LOCAL model via the Lemma 3.1 transformation:
-/// [`LocalJvv::run`] over the ordering of a chromatic schedule whose
-/// locality is computed from the model (Theorem 4.2's `O(t(n)·log² n)`
-/// rounds). The run's failures combine the rejection bits `F′` with the
-/// decomposition bits `F″`; [`SampleRun::jvv`] carries the statistics.
+/// [`LocalJvv::run`] over the ordering of `schedule`, a chromatic
+/// schedule drawn for [`LocalJvv::locality`] (Theorem 4.2's
+/// `O(t(n)·log² n)` rounds). The output is exact for any ordering, so
+/// one schedule serves every execution. The run's failures combine the
+/// rejection bits `F′` with the decomposition bits `F″`;
+/// [`SampleRun::jvv`] carries the statistics.
 ///
-/// `cancel` is checked before the schedule is built and every 256 nodes
-/// of every pass. Checks consume no randomness, so a completed run is
-/// bit-identical to one under [`CancelToken::never`]; a cancelled run
-/// returns `Err(`[`Cancelled`]`)` with no partial result.
+/// `cancel` is checked every 256 nodes of every pass. Checks consume no
+/// randomness, so a completed run is bit-identical to one under
+/// [`CancelToken::never`]; a cancelled run returns
+/// `Err(`[`Cancelled`]`)` with no partial result.
 ///
-/// Phases: `schedule` (all rounds), `ground`, `sample`, `reject`.
+/// Phases: `schedule` (all rounds, zero wall time: the caller that got
+/// the schedule owns that time), `ground`, `sample`, `reject`.
 pub fn sample_exact_local<O: MultiplicativeInference>(
     net: &Network,
     oracle: &O,
     eps: f64,
-    stream: u64,
+    schedule: &ChromaticSchedule,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
-    let model = net.instance().model();
-    let ell = model.locality().max(1);
-    let t = oracle.radius_mul(model, eps);
-    let locality = multipass_locality(&[t, t, 3 * t + ell]);
-    let start = Instant::now();
-    cancel.check()?;
-    let schedule = scheduler::chromatic_schedule(net, locality, stream);
-    let mut phases = vec![Phase::new("schedule", start.elapsed(), schedule.rounds)];
+    let mut phases = vec![Phase::new("schedule", Duration::ZERO, schedule.rounds)];
     let (outcome, passes) = LocalJvv::new(oracle, eps).run(net, &schedule.order, cancel)?;
     phases.extend(passes);
     Ok(SampleRun {
         run: lift(
             outcome.run.outputs,
             &outcome.run.failures,
-            &schedule,
+            schedule,
             schedule.rounds,
         ),
         phases,
@@ -918,7 +924,7 @@ mod tests {
     use lds_gibbs::models::two_spin::TwoSpinParams;
     use lds_gibbs::models::{coloring, hardcore};
     use lds_graph::{generators, ordering};
-    use lds_localnet::Instance;
+    use lds_localnet::{scheduler, Instance};
     use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
 
     /// One uncancellable [`LocalJvv::run`], outcome only.
@@ -1051,7 +1057,10 @@ mod tests {
         let model = hardcore::model(&g, 1.0);
         let net = Network::new(Instance::unconditioned(model), 1);
         let oracle = boosted_saw(1.0);
-        let out = sample_exact_local(&net, &oracle, 0.05, 0, &CancelToken::never()).unwrap();
+        let locality = LocalJvv::new(&oracle, 0.05).locality(net.instance().model());
+        let schedule = scheduler::complete_schedule(&net, locality);
+        let out =
+            sample_exact_local(&net, &oracle, 0.05, &schedule, &CancelToken::never()).unwrap();
         assert!(out.run.rounds > 0);
         let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
         assert_eq!(

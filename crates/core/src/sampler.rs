@@ -11,7 +11,7 @@
 //! (Lemma 3.1, [`lds_localnet::scheduler`]): time complexity
 //! `O(t(n, δ/n) · log² n)`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lds_gibbs::{distribution, PartialConfig, Value};
 use lds_graph::NodeId;
@@ -125,34 +125,33 @@ pub(crate) fn lift(
 
 /// Runs the Theorem 3.2 sampler in the LOCAL model: the sequential
 /// sampler composed with the Lemma 3.1 transformation, scanning the
-/// chromatic schedule's ordering `π`. Conditioned on no failure the
-/// output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ`.
+/// ordering `π` of `schedule`, a chromatic schedule drawn for the
+/// sampler's [`SequentialSampler::locality`]. Conditioned on no failure
+/// the output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ` for any `π`, so
+/// one schedule serves every execution.
 ///
-/// `cancel` is checked before the schedule is built and every 256 nodes
-/// of the scan. Checks consume no randomness, so a completed run is
-/// bit-identical to one under [`CancelToken::never`]; a cancelled run
-/// returns `Err(`[`Cancelled`]`)` with no partial result.
+/// `cancel` is checked every 256 nodes of the scan. Checks consume no
+/// randomness, so a completed run is bit-identical to one under
+/// [`CancelToken::never`]; a cancelled run returns
+/// `Err(`[`Cancelled`]`)` with no partial result.
 ///
-/// Phases: `schedule` (all rounds), `scan`.
+/// Phases: `schedule` (all rounds, zero wall time: the caller that got
+/// the schedule owns that time), `scan`.
 pub fn sample_local<O: InferenceOracle + Clone>(
     net: &Network,
     oracle: &O,
     delta: f64,
-    stream: u64,
+    schedule: &ChromaticSchedule,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
     let sampler = SequentialSampler::new(oracle.clone(), delta);
     let start = Instant::now();
-    cancel.check()?;
-    let schedule = scheduler::chromatic_schedule(net, sampler.locality(net.node_count()), stream);
-    let schedule_wall = start.elapsed();
-    let start = Instant::now();
     let scan = run_scan_sequential(net, &sampler, &schedule.order, cancel)?;
     let scan_wall = start.elapsed();
     Ok(SampleRun {
-        run: lift(scan.outputs, &scan.failures, &schedule, schedule.rounds),
+        run: lift(scan.outputs, &scan.failures, schedule, schedule.rounds),
         phases: vec![
-            Phase::new("schedule", schedule_wall, schedule.rounds),
+            Phase::new("schedule", Duration::ZERO, schedule.rounds),
             Phase::new("scan", scan_wall, 0),
         ],
         jvv: None,
@@ -160,16 +159,30 @@ pub fn sample_local<O: InferenceOracle + Clone>(
     })
 }
 
-/// One uncancellable [`sample_local`] run — the unit of Monte Carlo
-/// work for the estimators that fan executions across the pool.
+/// One uncancellable [`sample_local`] run over `schedule` — the unit of
+/// Monte Carlo work for the estimators that fan executions across the
+/// pool.
 pub(crate) fn sample_once<O: InferenceOracle + Clone>(
     net: &Network,
     oracle: &O,
     delta: f64,
+    schedule: &ChromaticSchedule,
 ) -> LocalRun<Value> {
-    sample_local(net, oracle, delta, 0, &CancelToken::never())
+    sample_local(net, oracle, delta, schedule, &CancelToken::never())
         .expect("a never-token cannot cancel")
         .run
+}
+
+/// The chromatic schedule a Monte Carlo estimator shares across its
+/// executions: one [`scheduler::complete_schedule`] draw from `net`'s
+/// seed at the chain-rule sampler's locality.
+pub(crate) fn shared_schedule<O: InferenceOracle + Clone>(
+    net: &Network,
+    oracle: &O,
+    delta: f64,
+) -> ChromaticSchedule {
+    let locality = SequentialSampler::new(oracle.clone(), delta).locality(net.node_count());
+    scheduler::complete_schedule(net, locality)
 }
 
 #[cfg(test)]
@@ -265,7 +278,8 @@ mod tests {
     fn local_version_succeeds_and_matches_feasibility() {
         let net = hc_net(12, 1.0, 3);
         let oracle = saw(1.0);
-        let out = sample_local(&net, &oracle, 0.1, 0, &CancelToken::never()).unwrap();
+        let schedule = shared_schedule(&net, &oracle, 0.1);
+        let out = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never()).unwrap();
         let run = out.run;
         assert!(run.succeeded(), "decomposition failed unexpectedly");
         assert!(run.rounds > 0);

@@ -24,7 +24,7 @@ use lds_localnet::Network;
 use lds_oracle::InferenceOracle;
 use lds_runtime::ThreadPool;
 
-use crate::sampler::sample_once;
+use crate::sampler::{sample_once, shared_schedule};
 
 /// Result of the sampling→inference reduction.
 #[derive(Clone, Debug)]
@@ -52,7 +52,8 @@ pub fn repetitions_for(n: usize, q: usize, delta_s: f64, eta: f64) -> usize {
 /// Theorem 3.2 LOCAL sampler (error `δ` per run), using `repetitions`
 /// independent runs with network seeds `seed₀, seed₀+1, ...`, fanned out
 /// across `pool`. Each repetition derives its own network seed, so the
-/// estimate is bit-identical at any pool width.
+/// estimate is bit-identical at any pool width. Every repetition scans
+/// one chromatic schedule, drawn once per call from `net`'s seed.
 ///
 /// Failed executions contribute their outputs too (the reduction reads
 /// the *unconditioned* marginal, which is what the `δ + ε₀` bound is
@@ -74,14 +75,16 @@ pub fn marginals_by_sampling<O: InferenceOracle + Clone + Send + Sync + 'static>
     // how many repetitions the Hoeffding bound asks for
     let chunk = (pool.threads() * 16).max(64);
     let reps: Vec<u64> = (0..repetitions as u64).collect();
+    let schedule = Arc::new(shared_schedule(net, oracle, delta));
     for chunk_reps in reps.chunks(chunk) {
-        // ship owned context to the pool's 'static jobs: the instance by
-        // Arc, the oracle by clone (cheap parameter struct)
+        // ship owned context to the pool's 'static jobs: the instance and
+        // the schedule by Arc, the oracle by clone (cheap parameter struct)
         let instance = net.shared_instance();
+        let schedule = Arc::clone(&schedule);
         let oracle = oracle.clone();
         let runs = pool.par_map(chunk_reps, move |&rep| {
             let run_net = Network::from_shared(Arc::clone(&instance), seed0.wrapping_add(rep));
-            sample_once(&run_net, &oracle, delta)
+            sample_once(&run_net, &oracle, delta, &schedule)
         });
         for run in runs {
             rounds = rounds.max(run.rounds);

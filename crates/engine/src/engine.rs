@@ -1,7 +1,7 @@
 //! The engine: build-time validation, oracle dispatch, task serving.
 
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use lds_core::{complexity, counting, glauber, jvv, regime, sampler, sampling_to_inference};
 use lds_gibbs::models::hypergraph_matching::HypergraphMatchingInstance;
@@ -11,6 +11,7 @@ use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::models::{coloring, hardcore, two_spin};
 use lds_gibbs::{Config, PartialConfig};
 use lds_graph::{Graph, Hypergraph, NodeId};
+use lds_localnet::scheduler::{self, ChromaticSchedule};
 use lds_localnet::{Instance, Network};
 use lds_oracle::{DecayRate, MultiplicativeInference, TwoSpinSawOracle};
 use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
@@ -37,7 +38,9 @@ enum Decoder {
 /// Built once via [`Engine::builder`] — model construction, oracle
 /// selection, and the uniqueness-regime check all happen in
 /// [`EngineBuilder::build`] — then serves any number of typed
-/// [`Task`]s, each returning a uniform [`RunReport`].
+/// [`Task`]s, each returning a uniform [`RunReport`]. Each sampling path
+/// draws its chromatic schedule (Lemma 3.1) on its first request and
+/// scans that one schedule in every later request.
 ///
 /// # Example
 ///
@@ -81,6 +84,12 @@ struct EngineCore {
     /// Glauber request (surfaced as
     /// [`EngineError::BackendUnavailable`] when the task is requested).
     approx: Result<ApproxPath, regime::OutOfRegime>,
+    /// The chromatic schedule `SampleExact` scans, drawn on first use
+    /// (see [`EngineCore::schedule`]).
+    exact_schedule: OnceLock<ChromaticSchedule>,
+    /// The chromatic schedule of the resolved `SampleApprox` path (chain
+    /// rule or Glauber), drawn on first use.
+    approx_schedule: OnceLock<ChromaticSchedule>,
     /// Stable identity of everything that determines task outputs
     /// (spec, topology, pinning, ε, δ, backend) — the engine half of a
     /// serving idempotency key; see [`Engine::fingerprint`].
@@ -175,7 +184,14 @@ impl EngineBuilder {
 
     /// Sets the multiplicative oracle error `ε` used by exact sampling,
     /// inference, and counting (default `0.01`; the paper's exact-
-    /// sampling instantiation is `ε = 1/n³`).
+    /// sampling instantiation is `ε = 1/n³`,
+    /// [`LocalJvv::paper_epsilon`](lds_core::jvv::LocalJvv::paper_epsilon)).
+    ///
+    /// [`Task::SampleExact`] succeeds with probability at least
+    /// `e^{−5n²ε}` on `n` carrier nodes, so at the default `ε` it almost
+    /// never succeeds beyond a few dozen nodes (see [`Task::SampleExact`]
+    /// for measured rates); pass the paper's `ε` when exact samples
+    /// must succeed.
     ///
     /// Validated **at set time**: a NaN or non-positive value makes
     /// [`EngineBuilder::build`] fail with
@@ -446,6 +462,8 @@ impl EngineBuilder {
                 seed: self.seed,
                 backend,
                 approx,
+                exact_schedule: OnceLock::new(),
+                approx_schedule: OnceLock::new(),
                 fingerprint,
                 pool,
                 host_lanes: std::thread::available_parallelism()
@@ -656,12 +674,15 @@ impl Engine {
 
     /// [`Engine::run_with_seed`] under an optional absolute deadline.
     ///
-    /// The deadline is enforced cooperatively: checked at admission and,
-    /// for sampling tasks, before the schedule is built and every 256
-    /// nodes of each sequential scan. The checks consume no randomness,
-    /// so a run that completes in time is **bit-identical** to the same
-    /// `(task, seed)` without a deadline. A run that misses its deadline
-    /// returns [`EngineError::DeadlineExceeded`] and no partial report.
+    /// The deadline is enforced cooperatively: checked at admission,
+    /// which comes before a sampling path's first-use schedule draw, and
+    /// every 256 nodes of each sequential scan. The draw itself cannot be
+    /// interrupted; once it finishes the schedule stays cached for later
+    /// requests, whether or not this run makes its deadline. The checks
+    /// consume no randomness, so a run that completes in time is
+    /// **bit-identical** to the same `(task, seed)` without a deadline.
+    /// A run that misses its deadline returns
+    /// [`EngineError::DeadlineExceeded`] and no partial report.
     pub fn run_with_deadline(
         &self,
         task: Task,
@@ -834,9 +855,13 @@ impl EngineCore {
         let deadline = |_: Cancelled| EngineError::DeadlineExceeded;
         match task {
             Task::SampleExact => {
-                let out = jvv::sample_exact_local(&net, &self.oracle, self.epsilon, 0, cancel)
-                    .map_err(deadline)?;
-                Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
+                let (schedule, wall) = self.schedule(&self.exact_schedule, || {
+                    jvv::LocalJvv::new(&self.oracle, self.epsilon).locality(model)
+                });
+                let out =
+                    jvv::sample_exact_local(&net, &self.oracle, self.epsilon, schedule, cancel)
+                        .map_err(deadline)?;
+                Ok(self.sample_report(task, seed, start, wall, out, ServedBackend::Exact))
             }
             Task::SampleApprox => match self.approx {
                 Err(ref cause) => Err(EngineError::BackendUnavailable {
@@ -844,15 +869,22 @@ impl EngineCore {
                     cause: cause.clone(),
                 }),
                 Ok(ApproxPath::Chain) => {
-                    let out = sampler::sample_local(&net, &self.oracle, self.delta, 0, cancel)
-                        .map_err(deadline)?;
-                    Ok(self.sample_report(task, seed, start, out, ServedBackend::Exact))
+                    let (schedule, wall) = self.schedule(&self.approx_schedule, || {
+                        sampler::SequentialSampler::new(Arc::clone(&self.oracle), self.delta)
+                            .locality(model.node_count())
+                    });
+                    let out =
+                        sampler::sample_local(&net, &self.oracle, self.delta, schedule, cancel)
+                            .map_err(deadline)?;
+                    Ok(self.sample_report(task, seed, start, wall, out, ServedBackend::Exact))
                 }
                 Ok(ApproxPath::Glauber { sweeps }) => {
-                    let out = glauber::sample_glauber(&net, sweeps as usize, 0, cancel)
+                    let (schedule, wall) =
+                        self.schedule(&self.approx_schedule, || glauber::sweep_locality(model));
+                    let out = glauber::sample_glauber(&net, sweeps as usize, schedule, cancel)
                         .map_err(deadline)?;
                     let backend = ServedBackend::Glauber { sweeps };
-                    Ok(self.sample_report(task, seed, start, out, backend))
+                    Ok(self.sample_report(task, seed, start, wall, out, backend))
                 }
             },
             Task::Infer { vertex, value } => {
@@ -909,7 +941,27 @@ impl EngineCore {
         }
     }
 
-    /// The report of a sampling task, built from the sampler's outcome.
+    /// The chromatic schedule in `cell` and the wall time spent getting
+    /// it. The first caller draws it with
+    /// [`scheduler::complete_schedule`] at `locality()` from a network
+    /// seeded with the topology fingerprint, so the schedule depends on
+    /// the graph and the locality alone; concurrent first callers wait
+    /// for that one draw, and later callers only look it up.
+    fn schedule<'a>(
+        &'a self,
+        cell: &'a OnceLock<ChromaticSchedule>,
+        locality: impl FnOnce() -> usize,
+    ) -> (&'a ChromaticSchedule, Duration) {
+        let start = Instant::now();
+        let schedule = cell.get_or_init(|| {
+            let net = Network::from_shared(Arc::clone(&self.instance), self.topology.fingerprint());
+            scheduler::complete_schedule(&net, locality())
+        });
+        (schedule, start.elapsed())
+    }
+
+    /// The report of a sampling task, built from the sampler's outcome
+    /// and `schedule_wall`, the time spent getting its schedule.
     ///
     /// Also records the round-ledger observable: the measured rounds
     /// against the model's predicted bound, or, for a Glauber-served
@@ -922,9 +974,12 @@ impl EngineCore {
         task: Task,
         seed: u64,
         start: Instant,
-        out: sampler::SampleRun,
+        schedule_wall: Duration,
+        mut out: sampler::SampleRun,
         backend: ServedBackend,
     ) -> RunReport {
+        // every sampler reports the schedule phase first
+        out.phases[0].wall_time = schedule_wall;
         let ledger = lds_obs::ledger();
         if let (Some(g), ServedBackend::Glauber { sweeps }) = (&out.glauber, backend) {
             ledger.record_sweeps(self.spec.name(), g.sweeps as u64, sweeps as u64);

@@ -20,7 +20,10 @@
 //! This module computes the schedule: the ordering `π`, the failure bits
 //! and the round cost of `B`. By step 3 the simulator runs a pass as the
 //! sequential scan ([`crate::slocal::run_scan_sequential`]) over
-//! [`ChromaticSchedule::order`] and charges it the rounds of `B`.
+//! [`ChromaticSchedule::order`] and charges it the rounds of `B`. The
+//! schedule depends only on the graph, the locality and a seed, so a
+//! caller that runs many executions draws it once
+//! ([`complete_schedule`]) and scans it in every one.
 //!
 //! Simulated round cost charged here:
 //! `Σ_colors (2·weak_radius_color + r + 1)`, the cost of gather +
@@ -52,8 +55,6 @@ pub struct ChromaticSchedule {
     pub rounds: usize,
     /// Colors used by the decomposition.
     pub colors: usize,
-    /// Largest weak radius of a cluster, measured in `G`.
-    pub max_weak_radius: usize,
     /// The decomposition itself (on `G^{r+1}`).
     pub decomposition: NetworkDecomposition,
 }
@@ -102,10 +103,32 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
         failed: decomposition.failed.clone(),
         rounds,
         colors: decomposition.colors,
-        max_weak_radius: decomposition.max_weak_radius(g),
         order,
         decomposition,
     }
+}
+
+/// Draws allowed by [`complete_schedule`] before it gives up.
+pub const SCHEDULE_DRAWS: u64 = 4;
+
+/// A chromatic schedule that clusters every node if one of
+/// [`SCHEDULE_DRAWS`] draws does: draws [`chromatic_schedule`] on streams
+/// `0, 1, …` and returns the first draw without `F″` failures, else the
+/// last draw, whose failure bits then surface in every run over it.
+///
+/// A schedule depends only on the graph, the locality and `net`'s seed,
+/// so one draw can serve any number of executions. A redraw stays
+/// independent of the samplers' randomness (Proposition 4.3): every draw
+/// reads only the [`streams::DECOMPOSITION`] domain.
+pub fn complete_schedule(net: &Network, locality: usize) -> ChromaticSchedule {
+    let mut schedule = chromatic_schedule(net, locality, 0);
+    for stream in 1..SCHEDULE_DRAWS {
+        if !schedule.failed.contains(&true) {
+            break;
+        }
+        schedule = chromatic_schedule(net, locality, stream);
+    }
+    schedule
 }
 
 #[cfg(test)]
@@ -175,6 +198,14 @@ mod tests {
         let s3 = chromatic_schedule(&net, 6, 0);
         assert!(s1.rounds >= s1.colors); // at least one round per color
         assert!(s3.rounds > s1.rounds); // larger locality costs more
+    }
+
+    #[test]
+    fn complete_schedule_keeps_a_complete_first_draw() {
+        let net = net(5, 4);
+        let s = complete_schedule(&net, 2);
+        assert!(!s.failed.contains(&true));
+        assert_eq!(s.order, chromatic_schedule(&net, 2, 0).order);
     }
 
     #[test]

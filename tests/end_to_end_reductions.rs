@@ -53,17 +53,15 @@ fn theorem_3_2_local_version_with_lemma_3_1() {
     let model = hardcore::model(&g, 0.8);
     let oracle = saw(0.8);
     let net = Network::new(Instance::unconditioned(model.clone()), 11);
-    let run = sample_local(&net, &oracle, 0.1, 0, &CancelToken::never())
+    let locality = SequentialSampler::new(oracle.clone(), 0.1).locality(16);
+    let schedule = chromatic_schedule(&net, locality, 0);
+    let run = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never())
         .unwrap()
         .run;
     assert!(run.succeeded());
     assert!(run.rounds > 0);
     let config = Config::from_values(run.outputs);
     assert!(model.weight(&config) > 0.0);
-    // the run's schedule, rebuilt (it is a deterministic function of
-    // the network, the locality and the stream)
-    let locality = SequentialSampler::new(oracle.clone(), 0.1).locality(16);
-    let schedule = chromatic_schedule(&net, locality, 0);
     assert_eq!(schedule.order.len(), 16);
     assert_eq!(schedule.rounds, run.rounds);
     // decomposition color separation must hold on the power graph

@@ -180,118 +180,118 @@ fn report_digests_match_the_pinned_table() {
 }
 
 const PINNED: &[(&str, u64)] = &[
-    ("hardcore/exact/0", 0xef2d02ea2aa49c4b),
-    ("hardcore/chain/0", 0xe62f9874afcecced),
-    ("hardcore/glauber/0", 0x98299196de685f1c),
+    ("hardcore/exact/0", 0xa66b21540d6c29f1),
+    ("hardcore/chain/0", 0x06092729e42d4457),
+    ("hardcore/glauber/0", 0xbaa43af9a82bf062),
     ("hardcore/infer/0", 0xf33a3265d8d00f4a),
     ("hardcore/count/0", 0xe724fde4dc0e82fb),
-    ("hardcore/sampled/0", 0x19c48cfbf9ac9c0a),
-    ("hardcore/exact/1", 0x4984696cb9e4191b),
-    ("hardcore/chain/1", 0xa1176483dbaa4eaa),
-    ("hardcore/glauber/1", 0xe259aa649f766dea),
+    ("hardcore/sampled/0", 0x472876f1afea52a9),
+    ("hardcore/exact/1", 0x7cc14e264542a0cf),
+    ("hardcore/chain/1", 0x2f5e039cab3a5858),
+    ("hardcore/glauber/1", 0x3e85e48f05e3ca66),
     ("hardcore/infer/1", 0x1fb6584c86747743),
     ("hardcore/count/1", 0x658450c17ea5f414),
-    ("hardcore/sampled/1", 0x74305f6d8e23d891),
-    ("hardcore/exact/2", 0x773b03ce21cb71d7),
-    ("hardcore/chain/2", 0x4871a12a3923029a),
-    ("hardcore/glauber/2", 0x88aff45026ea8138),
+    ("hardcore/sampled/1", 0x61f69f8bb8bf41b9),
+    ("hardcore/exact/2", 0x18287bce3c3d0cf8),
+    ("hardcore/chain/2", 0x1005f62fb536a2f2),
+    ("hardcore/glauber/2", 0xad4199a0d93e198c),
     ("hardcore/infer/2", 0xd08447d7f8c196c5),
     ("hardcore/count/2", 0x3b270de2c1763882),
-    ("hardcore/sampled/2", 0x57cab745b9a17452),
+    ("hardcore/sampled/2", 0x79b36ece11e46eb8),
     ("hardcore/marginals", 0xf8b7561244370ab5),
-    ("matching/exact/0", 0x8314fe71f0879989),
-    ("matching/chain/0", 0x81c2a9d149fd5fc4),
-    ("matching/glauber/0", 0x96d476b6acbb6dbd),
+    ("matching/exact/0", 0x2bd301fa6311c783),
+    ("matching/chain/0", 0x443c4e3ca45ab982),
+    ("matching/glauber/0", 0x1f1efb0501d1a123),
     ("matching/infer/0", 0x4a1e75738a1fb624),
     ("matching/count/0", 0xe3eae1ec4acc5c59),
-    ("matching/sampled/0", 0x601b0159117bdcd1),
-    ("matching/exact/1", 0x5dea485119d0a776),
-    ("matching/chain/1", 0x3f9839d68b45a2c1),
-    ("matching/glauber/1", 0x90ddd29b71df8f95),
+    ("matching/sampled/0", 0x7a5ba2aaaa6bf67b),
+    ("matching/exact/1", 0x5b1accbbcb258673),
+    ("matching/chain/1", 0x7c9cb11101373897),
+    ("matching/glauber/1", 0xa8054f8c6d642cad),
     ("matching/infer/1", 0xb0c3d0289e450039),
     ("matching/count/1", 0x2350f07626871c16),
-    ("matching/sampled/1", 0x3c729e1052460696),
-    ("matching/exact/2", 0xbafed7087584ec4d),
-    ("matching/chain/2", 0xfdc9aae8fa6eeba3),
-    ("matching/glauber/2", 0x7b422069fd2c6a7b),
+    ("matching/sampled/1", 0x7bffe6f96cd3ccbf),
+    ("matching/exact/2", 0x071ad56a9f8107a8),
+    ("matching/chain/2", 0xd977f76632057635),
+    ("matching/glauber/2", 0xe00c18696e8be226),
     ("matching/infer/2", 0x463bc20d19e6ef27),
     ("matching/count/2", 0x78ac1e477e4d94b8),
-    ("matching/sampled/2", 0xadd79cbd127b2bd7),
+    ("matching/sampled/2", 0xf176083bb773cce9),
     ("matching/marginals", 0x9e432fa0461e7ec5),
-    ("ising/exact/0", 0x9e7e3377ff9cc003),
-    ("ising/chain/0", 0x22c14d9bc82c5f0b),
-    ("ising/glauber/0", 0xfd0bed98a0a3b738),
+    ("ising/exact/0", 0x95a836651fd4697d),
+    ("ising/chain/0", 0xc34b9944955b0ac9),
+    ("ising/glauber/0", 0xe2476521bef1b707),
     ("ising/infer/0", 0x8a9f541c737b6801),
     ("ising/count/0", 0x123a665e9bef5920),
-    ("ising/sampled/0", 0x826ed3572e3583d1),
-    ("ising/exact/1", 0xd96b64f221edeb20),
-    ("ising/chain/1", 0x6e5098554a3b4acc),
-    ("ising/glauber/1", 0xe87edbd707493332),
+    ("ising/sampled/0", 0xb5e02b7aa9698284),
+    ("ising/exact/1", 0x310d9b05469f2fe6),
+    ("ising/chain/1", 0x4ddb1a0cf7772d12),
+    ("ising/glauber/1", 0x090305197b049718),
     ("ising/infer/1", 0xb3f5fec4fe8d95ac),
     ("ising/count/1", 0x16b357ba2441a9e3),
-    ("ising/sampled/1", 0x1ca844bccaf8c799),
-    ("ising/exact/2", 0x7643b00fb6c61a92),
-    ("ising/chain/2", 0xa3cc8a1aec6dbea7),
-    ("ising/glauber/2", 0xe4a71a0432a32431),
+    ("ising/sampled/1", 0x2d08beddf24abac3),
+    ("ising/exact/2", 0x30edbef03f7eff25),
+    ("ising/chain/2", 0xa044524ff69723c7),
+    ("ising/glauber/2", 0xe47599f3b4abefdd),
     ("ising/infer/2", 0xe1be2a27c6410406),
     ("ising/count/2", 0x2b9ad4d3059bd7a5),
-    ("ising/sampled/2", 0x446e6d1f064cf2e2),
+    ("ising/sampled/2", 0x5716d22b00135a93),
     ("ising/marginals", 0x658b09bc8061a185),
-    ("two-spin/exact/0", 0xbf45c7df610125f6),
-    ("two-spin/chain/0", 0xb0f71d48986e50bb),
-    ("two-spin/glauber/0", 0x7e2161c133e0e650),
+    ("two-spin/exact/0", 0xe78e9f5d46940b1c),
+    ("two-spin/chain/0", 0x103fb70a2463b581),
+    ("two-spin/glauber/0", 0xa5a988b458d78438),
     ("two-spin/infer/0", 0x2128916a204bc972),
     ("two-spin/count/0", 0xd75c27dfa0306d0a),
-    ("two-spin/sampled/0", 0xe265d545943b3076),
-    ("two-spin/exact/1", 0x5c751b0c6359dbaf),
-    ("two-spin/chain/1", 0xfe262e7a7b443183),
-    ("two-spin/glauber/1", 0xd94affeff1128526),
+    ("two-spin/sampled/0", 0xbd3e7b33656f8d78),
+    ("two-spin/exact/1", 0x1fe640fd588d0618),
+    ("two-spin/chain/1", 0xcf72d54d7775c16d),
+    ("two-spin/glauber/1", 0x8bf4055d91e1eb8c),
     ("two-spin/infer/1", 0x98e2ee7c0ac2e86f),
     ("two-spin/count/1", 0xbdcae3a3ad9aaae5),
-    ("two-spin/sampled/1", 0x86ecac48583eb427),
-    ("two-spin/exact/2", 0x9debec80eca58150),
-    ("two-spin/chain/2", 0x5790fbe73b0fb0ff),
-    ("two-spin/glauber/2", 0x796a23d775e2a8ec),
+    ("two-spin/sampled/1", 0x4d2c2ce9c8cff27c),
+    ("two-spin/exact/2", 0x55c0fcd33b2aa4f1),
+    ("two-spin/chain/2", 0xa1ede4a6b05a5d2f),
+    ("two-spin/glauber/2", 0xdcc26b50e7f3ea16),
     ("two-spin/infer/2", 0x2a67d9c165f93a81),
     ("two-spin/count/2", 0x543162ab35d7f357),
-    ("two-spin/sampled/2", 0x04680e9a99c8bb0e),
+    ("two-spin/sampled/2", 0xaa5175321ef93e8e),
     ("two-spin/marginals", 0xe1347c12ee991865),
-    ("coloring/exact/0", 0xe32a21d9d19b6fc8),
-    ("coloring/chain/0", 0x376773b71b914e2c),
-    ("coloring/glauber/0", 0xb74f170fadaa026a),
+    ("coloring/exact/0", 0x762252acde61dd4e),
+    ("coloring/chain/0", 0x5b0f1cf04634a3b6),
+    ("coloring/glauber/0", 0x75c139ab5ce9ec6c),
     ("coloring/infer/0", 0x925a16184ffe19a1),
     ("coloring/count/0", 0x5dba71a66f0ab2f4),
-    ("coloring/sampled/0", 0xe81a96b31109048e),
-    ("coloring/exact/1", 0xd90c86e013d72f5a),
-    ("coloring/chain/1", 0x351ec10b17f69513),
-    ("coloring/glauber/1", 0x6ed3d5df641e0526),
+    ("coloring/sampled/0", 0xec1688061e351fd9),
+    ("coloring/exact/1", 0x94a136a17fc6161a),
+    ("coloring/chain/1", 0x42287992082c36f1),
+    ("coloring/glauber/1", 0xdcb043e87eb21da3),
     ("coloring/infer/1", 0x05f78c0768086320),
     ("coloring/count/1", 0x459e7c40307492e7),
-    ("coloring/sampled/1", 0xc1fe7ab53ac14178),
-    ("coloring/exact/2", 0xfa900cee1143eaea),
-    ("coloring/chain/2", 0x50c8afe83978e719),
-    ("coloring/glauber/2", 0x7723efcf57e4211c),
+    ("coloring/sampled/1", 0xe9863279e4dd5ef1),
+    ("coloring/exact/2", 0x919bc31eea9d093b),
+    ("coloring/chain/2", 0x41f86443e3aa1861),
+    ("coloring/glauber/2", 0xb404a2899862f385),
     ("coloring/infer/2", 0xa5371597f7bdbd16),
     ("coloring/count/2", 0x0d0bbe3b071d8bb1),
-    ("coloring/sampled/2", 0x50381cbc86bd3b40),
+    ("coloring/sampled/2", 0xe4d7f64db01d2ac6),
     ("coloring/marginals", 0xcfed111614dfdf15),
-    ("hypergraph-matching/exact/0", 0x1a401e6445a5286e),
-    ("hypergraph-matching/chain/0", 0x4beddfa1b43648d8),
-    ("hypergraph-matching/glauber/0", 0x9e630d9d9bca1e47),
+    ("hypergraph-matching/exact/0", 0x87ef771df170b4e6),
+    ("hypergraph-matching/chain/0", 0xf725580de0d6d328),
+    ("hypergraph-matching/glauber/0", 0x6817286db6838ca7),
     ("hypergraph-matching/infer/0", 0x0ee9cf0852227e6f),
     ("hypergraph-matching/count/0", 0xb54b70880452d0fc),
-    ("hypergraph-matching/sampled/0", 0x56749463b0129556),
-    ("hypergraph-matching/exact/1", 0xa450893f97e73e24),
-    ("hypergraph-matching/chain/1", 0x11aaf252d7f2d0eb),
-    ("hypergraph-matching/glauber/1", 0x5aa5d32af9a0e89f),
+    ("hypergraph-matching/sampled/0", 0x7c1cc603740824b9),
+    ("hypergraph-matching/exact/1", 0xc4fd7dcf52becf14),
+    ("hypergraph-matching/chain/1", 0x9827de80cf78a76b),
+    ("hypergraph-matching/glauber/1", 0x7d39733cb17d01af),
     ("hypergraph-matching/infer/1", 0xb8e02df919bf8806),
     ("hypergraph-matching/count/1", 0x08b765a41b8b2477),
-    ("hypergraph-matching/sampled/1", 0x55f617f4bf7dcd25),
+    ("hypergraph-matching/sampled/1", 0xfc44e11c4d9fa5c5),
     ("hypergraph-matching/exact/2", 0x443d6b96a1dbc2c6),
     ("hypergraph-matching/chain/2", 0xa8814eba8fb10935),
     ("hypergraph-matching/glauber/2", 0x6811cb18b9ee54a3),
     ("hypergraph-matching/infer/2", 0xbbebe91f91b15ca4),
     ("hypergraph-matching/count/2", 0xd384980836adaccd),
-    ("hypergraph-matching/sampled/2", 0x1bbe100ba65552da),
+    ("hypergraph-matching/sampled/2", 0x8be2938913296bb5),
     ("hypergraph-matching/marginals", 0x3833fdd82bf5280d),
 ];
