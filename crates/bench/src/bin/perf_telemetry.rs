@@ -1,9 +1,8 @@
-//! CI perf telemetry: run the tracked `runtime` / `jvv` / `serving`
-//! workloads in quick mode, emit a `BENCH_runtime.json` summary
-//! (lower-quartile ns per op for identical-work loops, median over the
-//! fixed seed set for the per-seed JVV passes; pool width; git sha),
-//! and fail if any tracked metric regressed more than 25% against the
-//! committed `bench/baseline.json`.
+//! The workspace's timing harness: a table of scenario rows. Each row
+//! builds one workload, times it, and returns an `{outcome, metrics}`
+//! record; a row's outcome is `failure` exactly when one of its own
+//! checks failed. The records go to a `BENCH_runtime.json` summary with
+//! the host's available parallelism and the git sha.
 //!
 //! ```sh
 //! cargo run -p lds-bench --release --bin perf_telemetry -- \
@@ -11,53 +10,160 @@
 //! ```
 //!
 //! Flags: `--out PATH` (default `BENCH_runtime.json`), `--baseline PATH`
-//! (skip the gate when absent), `--quick` (fewer samples — what CI
-//! runs), `--write-baseline` (also rewrite the baseline file with the
+//! (skip the baseline gates when absent), `--quick` (fewer samples — what
+//! CI runs), `--write-baseline` (also rewrite the baseline file with the
 //! fresh numbers, for refreshing the committed reference on purpose).
 //!
-//! The **regression gate**: each metric present in both the run and the
-//! baseline must be `≤ 1.25×` its baseline median.
+//! The run fails if any of these fails:
+//! - the row checks: at pool width 4, coalesced dispatch stays within
+//!   1.25× (+10 µs) of one-at-a-time dispatch (`serving`); at width 1,
+//!   Glauber sampling costs strictly less than exact JVV (`backends`);
+//!   span tracing (`obs`), armed-but-idle fail points and the fault-free
+//!   retry wrapper (`resilience`) each cost at most 5%;
+//! - after the last row, once: the ledger gate (no round observable of
+//!   any sampling run this binary performed exceeded the paper's bound),
+//!   the key-drift gate (every gated key is in both the run and the
+//!   baseline) and the regression gate (every gated key is at most 1.25×
+//!   its baseline).
 //!
-//! The emitted JSON carries a second `serving` section: coalesced
-//! dispatch through `lds-serve` vs. one-at-a-time dispatch of the same
-//! burst through a zero-window server (serial submit/wait round
-//! trips), at engine pool widths 1 and 4 — the speedup isolates what
-//! the coalescer buys over per-request dispatch. Only the width-1
-//! coalesced cost is gated (it is dispatch overhead on an inline
-//! engine, stable on any hardware); width 4 additionally has an
-//! in-binary canary — on runners with real cores batch fan-out makes
-//! the speedup larger, never smaller. A `net` section prices the out-of-process path the
-//! same way: loopback TCP round-trips against a cache-hot tenant
-//! (strict vs. pipelined ×4) plus `RunReport` codec encode/decode; only
-//! the strict round-trip (`net_roundtrip_w1_ns`) is gated. A `count`
-//! section prices the two-pass chain-rule counter (anchor / marginals
-//! phase split at widths 1 and 4, `count_chain_w1_ns` gated) and the
-//! annealed sampling-backed variant (certified error and samples per
-//! level). A `backends` section prices `Task::SampleApprox` per
-//! sampling backend — chain-rule vs. Glauber dynamics at widths 1 and
-//! 4, with the exact-JVV width-1 cost as reference; only
-//! `glauber_sample_w1_ns` is gated against the baseline, and an
-//! in-binary gate requires Glauber to stay strictly below exact JVV at
-//! width 1. A `resilience` section prices the fault-free cost of the
-//! chaos/retry machinery on the cache-hot loopback round-trip:
-//! armed-but-idle fail points vs. disarmed, and the retry-wrapped
-//! client vs. the plain call — both held to ≤5% by in-binary gates,
-//! with `resil_retry_roundtrip_w1_ns` gated against the baseline.
+//! Statistics: the lower quartile of ns per op for identical-work loops,
+//! the median over a fixed seed set for work that differs by seed, and
+//! per-rep ratios for paired comparisons.
 //!
-//! The JSON is hand-rolled (the container vendors no serde); the
-//! baseline reader scans for `"key": number` pairs regardless of
-//! nesting, so section structure is cosmetic and keys stay globally
-//! unique.
+//! In key names `_wN` is the engine or pool width N, and `_depth4` is
+//! four requests pipelined on one loopback connection. The gated
+//! `net_roundtrip_w1_ns` and `resil_retry_roundtrip_w1_ns` keep their
+//! names for the baseline: their `w1` is the strict round trip, one
+//! request in flight. The trend rows time one workload of each paper
+//! experiment group (keys `e1_*`, `e3_*`, `s2_*`, `e6a_*` to `e6c_*`,
+//! `e7_*`, `e8_*`, `s1_*`) and are never gated.
+//!
+//! The JSON is hand-rolled (the workspace vendors no serde); the baseline
+//! reader scans for `"key": number` pairs regardless of nesting, so the
+//! record structure is cosmetic and keys stay globally unique.
 
+use std::hint::black_box;
 use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lds_bench::workloads;
+use lds_core::counting::{log_partition_function_annealed, AnnealedConfig};
+use lds_core::sampler::SequentialSampler;
 use lds_engine::{Backend, Engine, ModelSpec, RunReport, SweepBudget, Task, Topology};
-use lds_graph::generators;
+use lds_gibbs::models::{hardcore, two_spin::TwoSpinParams};
+use lds_gibbs::PartialConfig;
+use lds_graph::{generators, ordering, power, Graph, NodeId};
+use lds_localnet::decomposition::{linial_saks, DecompositionParams};
+use lds_localnet::slocal::run_scan_sequential;
+use lds_localnet::{scheduler, Instance, Network};
 use lds_net::{Client, EngineSpec, NetConfig, NetServer, Op, Wire};
-use lds_runtime::ThreadPool;
+use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
+use lds_oracle::{InferenceOracle, MultiplicativeInference};
+use lds_runtime::{CancelToken, ThreadPool};
 use lds_serve::{RegistryConfig, Server, ServerConfig};
+use lds_ssm::{correlation, estimator, phase};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+type Row = fn(usize) -> Record;
+
+/// The scenario table, in run order. The rows with checks and gated keys
+/// run first, so the process state they are timed in does not depend on
+/// the trend rows that follow them.
+const ROWS: &[(&str, Row)] = &[
+    ("pool", pool),
+    ("run_batch", run_batch),
+    ("jvv", jvv),
+    ("serving", serving),
+    ("net", net),
+    ("count", count),
+    ("backends", backends),
+    ("obs", obs),
+    ("resilience", resilience),
+    ("e1_reductions", e1_reductions),
+    ("e3_s2_oracles", e3_s2_oracles),
+    ("e6_apps", e6_apps),
+    ("e7_e8_phase", e7_e8_phase),
+    ("s1_decomposition", s1_decomposition),
+];
+
+/// The metrics the baseline gates: lower-is-better ns only. The JSON also
+/// carries width-4 ns numbers (synchronization-bound, hardware-dependent),
+/// higher-is-better ratios and the trend rows, and a `--write-baseline`
+/// refresh copies all of it. Without this allowlist those keys would
+/// silently join the gate, which for a ratio means failing on a >25%
+/// *improvement*.
+const GATED_METRICS: &[&str] = &[
+    "pool_par_map_w1_ns",
+    "run_batch_per_sample_ns",
+    "jvv_pass1_ground_ns",
+    "jvv_pass2_sample_ns",
+    "jvv_pass3_reject_ns",
+    "serve_coalesced_w1_ns",
+    "net_roundtrip_w1_ns",
+    "count_chain_w1_ns",
+    "glauber_sample_w1_ns",
+    "resil_retry_roundtrip_w1_ns",
+];
+
+const HARDCORE: ModelSpec = ModelSpec::Hardcore { lambda: 1.0 };
+
+/// The seeds of the reference batch.
+const BATCH: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 7];
+
+/// The seed every loopback request carries. After the first request the
+/// tenant's idempotency cache answers it, so a round trip times the wire
+/// (frame, codec, session threads, dispatch), not the engine.
+const HOT_SEED: u64 = 7;
+
+/// One row's result: what it measured and the checks it made.
+#[derive(Default)]
+struct Record {
+    metrics: Vec<(String, f64)>,
+    checks: Vec<Check>,
+}
+
+/// A pass/fail condition, printed as one gate line.
+struct Check {
+    gate: &'static str,
+    ok: bool,
+    detail: String,
+}
+
+impl Record {
+    fn of<const N: usize>(metrics: [(&str, f64); N]) -> Record {
+        let metrics = metrics.map(|(k, v)| (k.to_string(), v)).into();
+        Record {
+            metrics,
+            checks: Vec::new(),
+        }
+    }
+
+    fn metric(&mut self, key: impl Into<String>, value: f64) {
+        self.metrics.push((key.into(), value));
+    }
+
+    fn check(&mut self, gate: &'static str, ok: bool, detail: String) {
+        self.checks.push(Check { gate, ok, detail });
+    }
+
+    /// Records a paired overhead `ratio` as the percentage metric `key`,
+    /// and checks it is at most 5%.
+    fn overhead(&mut self, key: &'static str, what: &str, ratio: f64) {
+        let pct = (ratio - 1.0) * 100.0;
+        self.metric(key, pct);
+        self.check(key, ratio <= 1.05, format!("{what} {pct:+.1}% (limit 5%)"));
+    }
+
+    fn outcome(&self) -> &'static str {
+        if self.checks.iter().all(|c| c.ok) {
+            "success"
+        } else {
+            "failure"
+        }
+    }
+}
 
 /// Median of a sample vector (ns). The right summary for series whose
 /// reps do *different* work (e.g. per-seed JVV passes, where rejection
@@ -80,21 +186,635 @@ fn lower_quartile(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Times `body` `samples` times (after one warmup) and returns the
-/// lower-quartile ns per call, where `body` performs `per_sample_ops`
+/// lower-quartile ns per op, where `body` performs `per_sample_ops`
 /// identical ops per rep.
-fn measure<F: FnMut()>(samples: usize, per_sample_ops: usize, mut body: F) -> f64 {
-    body(); // warmup
+fn measure<T>(samples: usize, per_sample_ops: usize, mut body: impl FnMut() -> T) -> f64 {
+    black_box(body()); // warmup
     let mut xs = Vec::with_capacity(samples);
     for _ in 0..samples {
         let start = Instant::now();
-        body();
+        black_box(body());
         xs.push(start.elapsed().as_nanos() as f64 / per_sample_ops as f64);
     }
     lower_quartile(xs)
 }
 
+/// Paired, interleaved measurement: each rep times all `K` windows back
+/// to back (`window(i)` returns the i-th window's ns), so a scheduler
+/// interference burst on a shared host lands on every series instead of
+/// skewing the ratio of two estimates taken seconds apart. Rep 0 is a
+/// warmup. With `alternate`, odd reps run the windows in reverse, so the
+/// second-runs-warmer effect cancels across reps instead of biasing a
+/// ratio one way. Returns each window's series.
+fn paired<const K: usize>(
+    reps: usize,
+    alternate: bool,
+    mut window: impl FnMut(usize) -> f64,
+) -> [Vec<f64>; K] {
+    let mut series: [Vec<f64>; K] = std::array::from_fn(|_| Vec::with_capacity(reps));
+    for rep in 0..=reps {
+        let mut ns = [0.0; K];
+        for j in 0..K {
+            let i = if alternate && rep % 2 == 1 {
+                K - 1 - j
+            } else {
+                j
+            };
+            ns[i] = window(i);
+        }
+        if rep > 0 {
+            for (s, x) in series.iter_mut().zip(ns) {
+                s.push(x);
+            }
+        }
+    }
+    series
+}
+
+/// The per-rep ratios `a[i] / b[i]` of two paired series.
+fn per_rep_ratios(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a / b).collect()
+}
+
+fn engine(model: ModelSpec, graph: Graph, epsilon: f64, width: usize, backend: Backend) -> Engine {
+    Engine::builder()
+        .model(model)
+        .graph(graph)
+        .epsilon(epsilon)
+        .threads(width)
+        .backend(backend)
+        .build()
+        .expect("in regime")
+}
+
+/// The reference instance: hardcore λ = 1 on cycle(10) at ε = 0.01.
+fn reference(width: usize, backend: Backend) -> Engine {
+    engine(HARDCORE, generators::cycle(10), 0.01, width, backend)
+}
+
+fn saw_oracle() -> TwoSpinSawOracle {
+    TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0))
+}
+
+/// A loopback `NetServer` (one worker, no coalescing window) and one
+/// client, with a hardcore tenant on cycle(10) whose `HOT_SEED` answer is
+/// already cached. Returns the server, the client and the tenant's
+/// fingerprint.
+fn loopback() -> (NetServer, Client, u64) {
+    let server = ServerConfig {
+        workers: 1,
+        coalesce_window: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let registry = RegistryConfig {
+        server,
+        ..RegistryConfig::default()
+    };
+    let config = NetConfig {
+        registry,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config).expect("bind loopback");
+    let mut client = Client::connect(server.local_addr()).expect("connect loopback");
+    let spec = EngineSpec::new(HARDCORE, Topology::Graph(generators::cycle(10)));
+    let fp = client.register(&spec).expect("register tenant");
+    client
+        .run(fp, Task::SampleExact, HOT_SEED)
+        .expect("warm the cache");
+    (server, client, fp)
+}
+
+fn phase_ns(report: &RunReport, name: &str) -> f64 {
+    let phase = report.phases.iter().find(|p| p.name == name);
+    phase.expect("phase recorded").wall_time.as_nanos() as f64
+}
+
 fn small_item(x: &u64) -> u64 {
     (0..32u64).fold(*x, |a, b| a.wrapping_mul(0x9e37_79b9).wrapping_add(b))
+}
+
+/// Many small `par_map` calls: 64 calls of 8 cheap items per rep, the
+/// per-call overhead of the persistent pool.
+fn pool(samples: usize) -> Record {
+    const CALLS: usize = 64;
+    let items: Vec<u64> = (0..8).collect();
+    let mut r = Record::default();
+    for width in [1usize, 4] {
+        let pool = ThreadPool::new(width);
+        let ns = measure(samples, CALLS, || {
+            for _ in 0..CALLS {
+                black_box(pool.par_map(&items, small_item));
+            }
+        });
+        r.metric(format!("pool_par_map_w{width}_ns"), ns);
+    }
+    r
+}
+
+/// The reference batch, per sample: `run_batch` of eight exact samples
+/// on a width-1 engine.
+fn run_batch(samples: usize) -> Record {
+    let engine = reference(1, Backend::Exact);
+    // a batch costs ~0.5 ms, so extra reps are free — and this metric
+    // is gated, so its estimate must not wander with host-load spikes
+    let ns = measure(samples.max(21), BATCH.len(), || {
+        engine.run_batch(Task::SampleExact, BATCH).unwrap()
+    });
+    Record::of([("run_batch_per_sample_ns", ns)])
+}
+
+/// Local-JVV's three passes (Thm 4.2) on torus(4,4) at width 1, from each
+/// report's phase wall times.
+fn jvv(samples: usize) -> Record {
+    let engine = engine(HARDCORE, generators::torus(4, 4), 0.01, 1, Backend::Exact);
+    // per-seed work differs (rejection restarts are Las Vegas), so the
+    // seed set is part of each metric's identity — keep it fixed and
+    // summarize with the median over seeds
+    let reports: Vec<RunReport> = (0..samples.min(11) as u64)
+        .map(|seed| engine.run_with_seed(Task::SampleExact, seed).unwrap())
+        .collect();
+    let pass = |name| median(reports.iter().map(|r| phase_ns(r, name)).collect());
+    Record::of([
+        ("jvv_pass1_ground_ns", pass("ground")),
+        ("jvv_pass2_sample_ns", pass("sample")),
+        ("jvv_pass3_reject_ns", pass("reject")),
+    ])
+}
+
+/// Coalesced vs one-at-a-time dispatch of the same bursts, per engine
+/// pool width, with the cache off: this measures dispatch shape, not
+/// replay. Both go through a server. One-at-a-time is a serial client
+/// (submit, wait, repeat) against a zero-window server, so it pays the
+/// front-end's per-request dispatch on every request; the coalesced
+/// client bursts into a windowed server that folds the burst into one
+/// `run_batch`. The speedup is therefore what the coalescer itself buys,
+/// apart from the library-vs-server tax `serve_coalesced_w1_ns` tracks.
+fn serving(samples: usize) -> Record {
+    const BURST: u64 = 8;
+    let mut r = Record::default();
+    for width in [1usize, 4] {
+        let eng = Arc::new(reference(width, Backend::Exact));
+        let server = |coalesce_window| {
+            let config = ServerConfig {
+                workers: 1,
+                coalesce_window,
+                max_batch: BURST as usize,
+                cache_capacity: 0,
+                ..ServerConfig::default()
+            };
+            Server::new(Arc::clone(&eng), config)
+        };
+        let (serial, coalescing) = (server(Duration::ZERO), server(Duration::from_millis(2)));
+        let (mut seed, mut co_seed) = (0u64, 1_000_000u64);
+        // the windows are tiny (~µs per burst), so extra reps are free
+        // and buy most of the stability
+        let [one, co] = paired(samples.max(21), false, |i| {
+            let start = Instant::now();
+            if i == 0 {
+                for _ in 0..BURST {
+                    seed += 1;
+                    let ticket = serial.submit(Task::SampleExact, seed).unwrap();
+                    black_box(ticket.wait().unwrap());
+                }
+            } else {
+                let tickets: Vec<_> = (0..BURST)
+                    .map(|_| {
+                        co_seed += 1;
+                        coalescing.submit(Task::SampleExact, co_seed).unwrap()
+                    })
+                    .collect();
+                for t in tickets {
+                    black_box(t.wait().unwrap());
+                }
+            }
+            start.elapsed().as_nanos() as f64 / BURST as f64
+        });
+        // the median of per-rep ratios, not the ratio of two estimates:
+        // a stall on one series in one rep shifts only that rep's ratio
+        let speedup = median(per_rep_ratios(&one, &co));
+        let (one, co) = (lower_quartile(one), lower_quartile(co));
+        r.metric(format!("serve_one_at_a_time_w{width}_ns"), one);
+        r.metric(format!("serve_coalesced_w{width}_ns"), co);
+        r.metric(format!("serve_coalesce_speedup_w{width}"), speedup);
+        // Width-4 canary: coalescing must not lose to serial dispatch
+        // even on a single-core runner. The batch fan-out caps its lanes
+        // at the host parallelism, so pool width beyond the cores costs
+        // no dispatch overhead; a recurrence of that regression trips
+        // this. The margin is a timer-noise allowance on tiny bursts,
+        // not headroom for oversubscription.
+        if width == 4 {
+            let detail = format!("coalesced {co:.0} ns vs one-at-a-time {one:.0} ns per request");
+            r.check("serve-w4", co <= one * 1.25 + 10_000.0, detail);
+        }
+    }
+    r
+}
+
+/// The out-of-process serving overhead over loopback TCP against a
+/// cache-hot tenant: the strict round trip, four requests pipelined on
+/// the connection (amortizing the syscall round trips), and the codec
+/// cost of a real `RunReport`.
+fn net(samples: usize) -> Record {
+    const OPS: usize = 16;
+    const DEPTH: usize = 4;
+    const CODEC_OPS: usize = 64;
+    let (_server, mut client, fp) = loopback();
+    // the strict round trip is gated and syscall-bound (~25 µs/op), so
+    // extra reps are cheap stability
+    let strict = measure(samples.max(21), OPS, || {
+        for _ in 0..OPS {
+            black_box(client.run(fp, Task::SampleExact, HOT_SEED).unwrap());
+        }
+    });
+    let pipelined = measure(samples.max(21), OPS, || {
+        for _ in 0..OPS / DEPTH {
+            for _ in 0..DEPTH {
+                let op = Op::Run {
+                    fingerprint: fp,
+                    task: Task::SampleExact,
+                    seed: HOT_SEED,
+                    deadline: None,
+                };
+                client.send(op).unwrap();
+            }
+            for _ in 0..DEPTH {
+                black_box(client.recv().unwrap());
+            }
+        }
+    });
+    let report = client.run(fp, Task::SampleExact, HOT_SEED).unwrap();
+    let bytes = report.to_bytes();
+    let encode = measure(samples, CODEC_OPS, || {
+        for _ in 0..CODEC_OPS {
+            black_box(report.to_bytes());
+        }
+    });
+    let decode = measure(samples, CODEC_OPS, || {
+        for _ in 0..CODEC_OPS {
+            black_box(RunReport::from_bytes(&bytes).unwrap());
+        }
+    });
+    Record::of([
+        ("net_roundtrip_w1_ns", strict),
+        ("net_roundtrip_depth4_ns", pipelined),
+        ("net_pipeline_speedup_depth4", strict / pipelined),
+        ("net_codec_encode_report_ns", encode),
+        ("net_codec_decode_report_ns", decode),
+        ("net_report_payload_bytes", bytes.len() as f64),
+    ])
+}
+
+/// The two-pass chain-rule counter (`Task::Count`) on cycle(48) per pool
+/// width, with its sequential anchor pass and marginal pass split out
+/// from `RunReport::phases`; then the annealed sampling-backed
+/// estimator's certified error and samples per level.
+fn count(samples: usize) -> Record {
+    let mut r = Record::default();
+    for width in [1usize, 4] {
+        let engine = engine(HARDCORE, generators::cycle(48), 0.05, width, Backend::Exact);
+        // one chain costs ~50 µs; the width-1 total is gated, so buy
+        // estimator stability with extra reps
+        let reports: Vec<RunReport> = (0..samples.max(21) as u64)
+            .map(|seed| engine.run_with_seed(Task::Count, seed).unwrap())
+            .collect();
+        // the two-pass estimator is deterministic — every rep is
+        // identical work, so the lower quartile is the cost estimate
+        let lq = |ns: fn(&RunReport) -> f64| lower_quartile(reports.iter().map(ns).collect());
+        let chain = lq(|r| phase_ns(r, "anchor") + phase_ns(r, "marginals"));
+        let anchor = lq(|r| phase_ns(r, "anchor"));
+        let marginals = lq(|r| phase_ns(r, "marginals"));
+        r.metric(format!("count_chain_w{width}_ns"), chain);
+        r.metric(format!("count_anchor_w{width}_ns"), anchor);
+        r.metric(format!("count_marginals_w{width}_ns"), marginals);
+    }
+    let model = hardcore::model(&generators::cycle(12), 1.0);
+    let cfg = AnnealedConfig {
+        eps: 0.35,
+        max_samples_per_level: 2048,
+        ..AnnealedConfig::default()
+    };
+    let (free, oracle, pool) = (PartialConfig::empty(12), saw_oracle(), ThreadPool::new(1));
+    let run = log_partition_function_annealed(&model, &free, &oracle, &cfg, 7, &pool)
+        .expect("annealed count");
+    let levels = run.levels.max(1) as f64;
+    let (error, spent) = (run.estimate.log_error_bound, run.samples as f64);
+    r.metric("count_annealed_level_err", error / levels);
+    r.metric("count_annealed_samples_per_level", spent / levels);
+    r.metric(
+        "count_annealed_certified_levels",
+        run.certified_levels as f64,
+    );
+    r
+}
+
+/// `Task::SampleApprox` per sampling backend on the reference instance,
+/// at widths 1 and 4. The chain-rule sampler pays one radius-t ball
+/// enumeration per node; Glauber pays `sweeps` passes of factor-table
+/// lookups per site and no oracle queries at all. That gap is the point
+/// of the backend, so `glauber_sample_w1_ns` is gated, and the width-1
+/// exact-JVV cost rides along as the reference Glauber must undercut.
+fn backends(samples: usize) -> Record {
+    let mut r = Record::default();
+    for width in [1usize, 4] {
+        let exact = reference(width, Backend::Exact);
+        let sweeps = SweepBudget::Auto;
+        let glauber = reference(width, Backend::Glauber { sweeps });
+        // both paths are deterministic identical work per rep; the
+        // width-1 Glauber cost is gated, so buy stability with reps
+        let per_sample = |engine: &Engine, task| {
+            measure(samples.max(21), BATCH.len(), || {
+                engine.run_batch(task, BATCH).unwrap()
+            })
+        };
+        let chain_ns = per_sample(&exact, Task::SampleApprox);
+        let glauber_ns = per_sample(&glauber, Task::SampleApprox);
+        r.metric(format!("approx_chain_w{width}_ns"), chain_ns);
+        r.metric(format!("glauber_sample_w{width}_ns"), glauber_ns);
+        if width == 1 {
+            let jvv_ns = per_sample(&exact, Task::SampleExact);
+            r.metric("jvv_exact_sample_w1_ns", jvv_ns);
+            let served = glauber.run(Task::SampleApprox).expect("in regime");
+            let sweeps = served.glauber_sweeps().expect("Glauber served");
+            r.metric("glauber_sweeps_resolved", sweeps as f64);
+            // strict, no noise allowance: on this workload the gap is
+            // multiples, not percent, so losing it means the backend
+            // regressed (or the auto sweep plan exploded)
+            let ratio = jvv_ns / glauber_ns;
+            let detail = format!(
+                "glauber {glauber_ns:.0} ns vs exact JVV {jvv_ns:.0} ns per sample ({ratio:.1}x)"
+            );
+            r.check("backends", glauber_ns < jvv_ns, detail);
+        }
+    }
+    r
+}
+
+/// What span tracing costs when it is on: the reference width-1 batch
+/// with sampling off and on, paired. The registry counters are lock-free
+/// atomics that are always live; the knob is `trace::set_sampling`, off
+/// by default. Holding the overhead to 5% is the contract that keeps the
+/// instrumentation compiled into the hot path: the disabled path is one
+/// relaxed atomic load per emission site, and the enabled path only
+/// writes to a per-thread ring.
+fn obs(samples: usize) -> Record {
+    use lds_obs::trace;
+    // the 5% gate leaves little noise headroom, so this row widens each
+    // timed window (4 batches ≈ 2 ms) and takes more paired reps than
+    // the others: per-window scheduler noise shrinks with window length,
+    // and the quantile below does the rest
+    const BATCHES: usize = 4;
+    let engine = reference(1, Backend::Exact);
+    let per_window = (BATCH.len() * BATCHES) as f64;
+    let [off, on] = paired(samples.max(41), true, |sampling| {
+        trace::set_sampling(sampling as u32);
+        let start = Instant::now();
+        for _ in 0..BATCHES {
+            black_box(engine.run_batch(Task::SampleExact, BATCH).unwrap());
+        }
+        let ns = start.elapsed().as_nanos() as f64 / per_window;
+        // scraping the ring is the consumer's cost, not the producer's —
+        // drain outside the timed window
+        black_box(trace::drain());
+        ns
+    });
+    trace::set_sampling(0);
+    // lower quartile, as for the identical-work loops: a real
+    // instrumentation cost shifts every rep's ratio, this quantile
+    // included, while a host-load burst that lands on one series in a
+    // few reps does not drag the estimate with it
+    let overhead = lower_quartile(per_rep_ratios(&on, &off));
+    let mut r = Record::of([
+        ("obs_disabled_run_batch_per_sample_ns", lower_quartile(off)),
+        (
+            "obs_instrumented_run_batch_per_sample_ns",
+            lower_quartile(on),
+        ),
+    ]);
+    r.overhead(
+        "obs_trace_overhead_pct",
+        "span tracing on the width-1 batch",
+        overhead,
+    );
+    r
+}
+
+/// What the chaos and retry machinery costs when nothing fails, on the
+/// `net` row's cache-hot strict round trip: fail points armed on a site
+/// no hot path hits vs disarmed (armed-but-idle means every
+/// `chaos::point` consults the registry instead of one relaxed load),
+/// and `run_retrying` (classification and attempt bookkeeping, no
+/// retries fire) vs plain `run`. Holding both to 5% is the contract that
+/// keeps fail points compiled into the serving path and makes
+/// `run_retrying` the default-safe call.
+fn resilience(samples: usize) -> Record {
+    use lds_chaos::{Fault, Plan, Trigger};
+    const OPS: usize = 16;
+    let (_server, mut client, fp) = loopback();
+    let policy = lds_net::RetryPolicy::default();
+    let [plain, armed, retry] = paired(samples.max(41), true, |i| {
+        let plan = || Plan::new(7).with("resil.never_hit", Trigger::Always, Fault::Reset);
+        let _armed = (i == 1).then(|| lds_chaos::arm(plan()));
+        let start = Instant::now();
+        for _ in 0..OPS {
+            let report = if i == 2 {
+                client.run_retrying(fp, Task::SampleExact, HOT_SEED, &policy)
+            } else {
+                client.run(fp, Task::SampleExact, HOT_SEED)
+            };
+            black_box(report.unwrap());
+        }
+        start.elapsed().as_nanos() as f64 / OPS as f64
+    });
+    let armed_overhead = lower_quartile(per_rep_ratios(&armed, &plain));
+    let retry_overhead = lower_quartile(per_rep_ratios(&retry, &plain));
+    let mut r = Record::default();
+    r.metric("resil_disarmed_roundtrip_ns", lower_quartile(plain));
+    r.metric("resil_armed_idle_roundtrip_ns", lower_quartile(armed));
+    r.overhead(
+        "resil_armed_idle_overhead_pct",
+        "armed-but-idle fail points",
+        armed_overhead,
+    );
+    r.metric("resil_retry_roundtrip_w1_ns", lower_quartile(retry));
+    r.overhead(
+        "resil_retry_overhead_pct",
+        "fault-free retry wrapper",
+        retry_overhead,
+    );
+    r
+}
+
+/// E1: Thm 3.2's sequential chain-rule scan on cycle(64), and Lemma 3.1's
+/// chromatic schedule draw on torus(8,8).
+fn e1_reductions(samples: usize) -> Record {
+    let cycle = generators::cycle(64);
+    let scan_net = Network::new(Instance::unconditioned(hardcore::model(&cycle, 1.0)), 1);
+    let sampler = SequentialSampler::new(saw_oracle(), 0.05);
+    let (order, never) = (ordering::identity(&cycle), CancelToken::never());
+    let scan = measure(samples, 1, || {
+        run_scan_sequential(&scan_net, &sampler, &order, &never)
+    });
+    let torus = hardcore::model(&generators::torus(8, 8), 0.8);
+    let schedule_net = Network::new(Instance::unconditioned(torus), 1);
+    let schedule = measure(samples, 1, || {
+        scheduler::chromatic_schedule(&schedule_net, 3, 0)
+    });
+    Record::of([
+        ("e1_scan_cycle64_ns", scan),
+        ("e1_schedule_torus8_ns", schedule),
+    ])
+}
+
+/// E3 and S2: one boosted multiplicative query on cycle(12) at ε = 0.1,
+/// one SAW-tree query at depth 8 on torus(6,6), and one ball-enumeration
+/// query at radius 2 on torus(4,4).
+fn e3_s2_oracles(samples: usize) -> Record {
+    let cycle = hardcore::model(&generators::cycle(12), 1.0);
+    let torus6 = hardcore::model(&generators::torus(6, 6), 1.0);
+    let torus4 = hardcore::model(&generators::torus(4, 4), 1.0);
+    let free = PartialConfig::empty;
+    let (free12, free36, free16) = (free(12), free(36), free(16));
+    let (boosted, saw) = (BoostedOracle::new(saw_oracle()), saw_oracle());
+    let enumeration = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
+    let boosted_ns = measure(samples, 1, || {
+        boosted.marginal_mul(&cycle, &free12, NodeId(0), 0.1)
+    });
+    let saw_ns = measure(samples, 1, || saw.marginal(&torus6, &free36, NodeId(14), 8));
+    let enum_ns = measure(samples, 1, || {
+        enumeration.marginal(&torus4, &free16, NodeId(5), 2)
+    });
+    Record::of([
+        ("e3_boosted_marginal_ns", boosted_ns),
+        ("s2_saw_marginal_t8_ns", saw_ns),
+        ("s2_enum_marginal_t2_ns", enum_ns),
+    ])
+}
+
+/// E6a–c: exact samples from the Corollary 5.3 application engines —
+/// matchings on a random 4-regular graph of 8 nodes, hardcore on
+/// cycle(16), 4-colorings of cycle(8) — as the median engine wall time
+/// over a fixed seed set.
+fn e6_apps(samples: usize) -> Record {
+    let apps = [
+        (
+            "e6a_matching",
+            ModelSpec::Matching { lambda: 1.0 },
+            workloads::regular(8, 4, 1),
+            0.02,
+        ),
+        ("e6b_hardcore", HARDCORE, generators::cycle(16), 0.01),
+        (
+            "e6c_coloring",
+            ModelSpec::Coloring { q: 4 },
+            generators::cycle(8),
+            0.02,
+        ),
+    ];
+    let mut r = Record::default();
+    for (id, model, graph, epsilon) in apps {
+        let engine = engine(model, graph, epsilon, 1, Backend::Exact);
+        // request 0 draws the schedule; time the requests after it
+        let wall: Vec<f64> = (0..=samples as u64)
+            .map(|seed| engine.run_with_seed(Task::SampleExact, seed).unwrap())
+            .map(|report| report.wall_time.as_nanos() as f64)
+            .collect();
+        r.metric(format!("{id}_sample_ns"), median(wall[1..].to_vec()));
+    }
+    r
+}
+
+/// E7 and E8: the hardcore phase sweep on the Δ = 4 tree to depth 400,
+/// the boundary-to-root gap series at λ = 2 on the complete ternary tree
+/// to depth 1000, and the limiting gap at λ = 2.5 on the Δ = 4 tree to
+/// depth 300.
+fn e7_e8_phase(samples: usize) -> Record {
+    let ratios = [0.3, 0.6, 0.9, 1.2, 2.0];
+    let sweep = measure(samples, 1, || phase::hardcore_tree_sweep(4, &ratios, 400));
+    let series = measure(samples, 1, || estimator::tree_gap_series(3, 2.0, 1000));
+    let limit = measure(samples, 1, || correlation::limiting_tree_gap(4, 2.5, 300));
+    Record::of([
+        ("e7_phase_sweep_depth400_ns", sweep),
+        ("e8_gap_series_depth1000_ns", series),
+        ("e8_limiting_gap_depth300_ns", limit),
+    ])
+}
+
+/// S1, the substrate of Lemma 3.1: a Linial–Saks network decomposition
+/// of torus(14,14), and the power graph G⁶ of torus(10,10).
+fn s1_decomposition(samples: usize) -> Record {
+    let torus14 = generators::torus(14, 14);
+    let params = DecompositionParams::for_size(torus14.node_count());
+    let torus10 = generators::torus(10, 10);
+    let decomposition_ns = measure(samples, 1, || {
+        linial_saks(&torus14, params, &mut StdRng::seed_from_u64(3))
+    });
+    let power_ns = measure(samples, 1, || power::power(&torus10, 6));
+    Record::of([
+        ("s1_linial_saks_torus14_ns", decomposition_ns),
+        ("s1_power_graph_k6_ns", power_ns),
+    ])
+}
+
+/// The round ledger and the registry's series counts, read once after the
+/// last row so the ledger gate covers every sampling run this binary
+/// performed. A violation means the reproduction's theorem broke, which
+/// no perf number excuses.
+fn ledger() -> Record {
+    let summary = lds_obs::ledger().summary();
+    let snap = lds_obs::global().snapshot();
+    let mut r = Record::of([
+        ("obs_ledger_observations", summary.observations as f64),
+        ("obs_ledger_violations", summary.violations as f64),
+        ("obs_ledger_max_ratio", summary.max_ratio),
+        ("obs_registry_counters", snap.counters.len() as f64),
+        ("obs_registry_gauges", snap.gauges.len() as f64),
+        ("obs_registry_histograms", snap.histograms.len() as f64),
+    ]);
+    let detail = format!(
+        "{} of {} round observables over the paper bound (max ratio {:.2})",
+        summary.violations, summary.observations, summary.max_ratio
+    );
+    r.check("ledger", summary.violations == 0, detail);
+    r
+}
+
+/// The key-drift and regression gates. Every gated key must be in both
+/// the run and the baseline: a key only in the baseline means the
+/// workload silently stopped emitting it (the regression gate would skip
+/// it forever); a key only in the run means a gated metric was added
+/// without refreshing the baseline, which only a `--write-baseline`
+/// refresh may do. Every gated key in both must be at most 1.25× its
+/// baseline.
+fn baseline_gates(run: &[(String, f64)], base: &[(String, f64)], refreshing: bool) -> Vec<Check> {
+    let find = |metrics: &[(String, f64)], key: &str| {
+        metrics.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    };
+    let gate = |key: &&str| {
+        let (gate, ok, detail) = match (find(base, key), find(run, key)) {
+            (Some(base), Some(now)) => {
+                let pct = (now / base - 1.0) * 100.0;
+                let detail = format!("{key} = {now:.0} ns vs baseline {base:.0} ns ({pct:+.0}%)");
+                ("regression", now <= base * 1.25, detail)
+            }
+            (Some(_), None) => {
+                let detail = format!("gated metric {key} is in the baseline, not in this run");
+                ("key-drift", false, detail)
+            }
+            (None, Some(_)) if refreshing => {
+                let detail = format!("gated metric {key} joins the baseline on this refresh");
+                ("key-drift", true, detail)
+            }
+            (None, Some(_)) => {
+                let detail = format!(
+                    "gated metric {key} has no baseline entry — refresh with --write-baseline"
+                );
+                ("key-drift", false, detail)
+            }
+            (None, None) => return None,
+        };
+        Some(Check { gate, ok, detail })
+    };
+    GATED_METRICS.iter().filter_map(gate).collect()
 }
 
 fn git_sha() -> String {
@@ -113,70 +833,49 @@ fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Extracts every `"key": <number>` pair from a flat JSON text. Tolerant
-/// by construction: non-numeric values are skipped, nesting is ignored.
+/// Extracts every `"key": <number>` pair from a JSON text. Tolerant by
+/// construction: non-numeric values are skipped, nesting is ignored.
 fn parse_metrics(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let Some(end) = text[i + 1..].find('"').map(|e| i + 1 + e) else {
+    let mut rest = text;
+    while let Some((_, tail)) = rest.split_once('"') {
+        let Some((key, tail)) = tail.split_once('"') else {
             break;
         };
-        let key = &text[i + 1..end];
-        let mut j = end + 1;
-        while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-            j += 1;
-        }
-        if j < bytes.len() && bytes[j] == b':' {
-            j += 1;
-            while j < bytes.len() && (bytes[j] as char).is_whitespace() {
-                j += 1;
-            }
-            let num_end = text[j..]
-                .find(|c: char| {
-                    !(c.is_ascii_digit()
-                        || c == '.'
-                        || c == '-'
-                        || c == 'e'
-                        || c == 'E'
-                        || c == '+')
-                })
-                .map(|e| j + e)
-                .unwrap_or(text.len());
-            if let Ok(v) = text[j..num_end].parse::<f64>() {
+        rest = tail;
+        if let Some(value) = tail.trim_start().strip_prefix(':') {
+            let value = value.trim_start();
+            let end = value
+                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .unwrap_or(value.len());
+            if let Ok(v) = value[..end].parse() {
                 out.push((key.to_string(), v));
             }
-            i = num_end;
-        } else {
-            i = end + 1;
+            // a string value is read next as a key with no ':' after it
+            rest = &value[end..];
         }
     }
     out
 }
 
-fn render_json(sha: &str, quick: bool, sections: &[(&str, &[(String, f64)])]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"git_sha\": \"{sha}\",\n"));
-    s.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        ThreadPool::available().threads()
-    ));
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    for (si, (name, metrics)) in sections.iter().enumerate() {
-        let section_comma = if si + 1 == sections.len() { "" } else { "," };
-        s.push_str(&format!("  \"{name}\": {{\n"));
-        for (i, (k, v)) in metrics.iter().enumerate() {
-            let comma = if i + 1 == metrics.len() { "" } else { "," };
-            s.push_str(&format!("    \"{k}\": {v:.1}{comma}\n"));
-        }
-        s.push_str(&format!("  }}{section_comma}\n"));
+fn render_json(sha: &str, quick: bool, records: &[(&str, Record)]) -> String {
+    let parallelism = ThreadPool::available().threads();
+    let mut s = format!(
+        "{{\n  \"git_sha\": \"{sha}\",\n  \"available_parallelism\": {parallelism},\n  \"quick\": {quick}"
+    );
+    for (name, record) in records {
+        let metrics: Vec<String> = record
+            .metrics
+            .iter()
+            .map(|(k, v)| format!("      \"{k}\": {v:.1}"))
+            .collect();
+        s.push_str(&format!(
+            ",\n  \"{name}\": {{\n    \"outcome\": \"{}\",\n    \"metrics\": {{\n{}\n    }}\n  }}",
+            record.outcome(),
+            metrics.join(",\n")
+        ));
     }
-    s.push_str("}\n");
+    s.push_str("\n}\n");
     s
 }
 
@@ -193,852 +892,149 @@ fn main() {
     let write_baseline = args.iter().any(|a| a == "--write-baseline");
     let samples = if quick { 9 } else { 25 };
 
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-
-    // --- pool metrics: many small par_map calls per sample ---
-    const CALLS: usize = 64;
-    let items: Vec<u64> = (0..8).collect();
-    for width in [1usize, 4] {
-        let pool = ThreadPool::new(width);
-        let persistent = measure(samples, CALLS, || {
-            for _ in 0..CALLS {
-                std::hint::black_box(pool.par_map(&items, small_item));
-            }
-        });
-        metrics.push((format!("pool_par_map_w{width}_ns"), persistent));
-    }
-
-    // --- engine batch throughput, width 1 (the sequential reference the
-    // runtime bench compares widths against) ---
-    let engine = Engine::builder()
-        .model(ModelSpec::Hardcore { lambda: 1.0 })
-        .graph(generators::cycle(10))
-        .epsilon(0.01)
-        .threads(1)
-        .build()
-        .expect("in regime");
-    let seeds: Vec<u64> = (0..8).collect();
-    // a batch costs ~0.5 ms, so extra reps are free — and this metric
-    // is gated, so its median must not wander with host-load spikes
-    let batch_ns = measure(samples.max(21), seeds.len(), || {
-        std::hint::black_box(engine.run_batch(Task::SampleExact, &seeds).unwrap());
-    });
-    metrics.push(("run_batch_per_sample_ns".to_string(), batch_ns));
-
-    // --- local-JVV per-pass wall clock (the jvv bench's serving-path
-    // phases), width 1 on a torus ---
-    let engine = Engine::builder()
-        .model(ModelSpec::Hardcore { lambda: 1.0 })
-        .graph(generators::torus(4, 4))
-        .epsilon(0.01)
-        .threads(1)
-        .build()
-        .expect("in regime");
-    let mut ground = Vec::new();
-    let mut sample = Vec::new();
-    let mut reject = Vec::new();
-    // per-seed work differs (rejection restarts are Las Vegas), so the
-    // seed set is part of each metric's identity — keep it fixed and
-    // summarize with the median over seeds
-    for rep in 0..samples.min(11) as u64 {
-        let report = engine.run_with_seed(Task::SampleExact, rep).unwrap();
-        for phase in &report.phases {
-            let ns = phase.wall_time.as_nanos() as f64;
-            match phase.name {
-                "ground" => ground.push(ns),
-                "sample" => sample.push(ns),
-                "reject" => reject.push(ns),
-                _ => {}
-            }
-        }
-    }
-    metrics.push(("jvv_pass1_ground_ns".to_string(), median(ground)));
-    metrics.push(("jvv_pass2_sample_ns".to_string(), median(sample)));
-    metrics.push(("jvv_pass3_reject_ns".to_string(), median(reject)));
-
-    // --- serving section: coalesced dispatch vs one-at-a-time
-    // dispatch, per engine pool width (cache disabled — this measures
-    // dispatch shape, not replay). Both shapes go through the server:
-    // one-at-a-time is a serial client (submit, wait, repeat) against
-    // an opportunistic zero-window server — it pays the front-end's
-    // per-request dispatch cost on every request — while the coalesced
-    // client bursts the same seeds into a windowed server that folds
-    // them into one `run_batch`. The ratio is therefore what the
-    // coalescer itself buys, independent of the raw library-vs-server
-    // tax (which `serve_coalesced_w1_ns` tracks against the baseline
-    // in absolute terms). ---
-    let mut serving: Vec<(String, f64)> = Vec::new();
-    const SERVE_BURST: u64 = 8;
-    for width in [1usize, 4] {
-        let eng = Arc::new(
-            Engine::builder()
-                .model(ModelSpec::Hardcore { lambda: 1.0 })
-                .graph(generators::cycle(10))
-                .epsilon(0.01)
-                .threads(width)
-                .build()
-                .expect("in regime"),
-        );
-        let serial_server = Server::new(
-            Arc::clone(&eng),
-            ServerConfig {
-                workers: 1,
-                coalesce_window: Duration::ZERO,
-                max_batch: SERVE_BURST as usize,
-                cache_capacity: 0,
-                ..ServerConfig::default()
-            },
-        );
-        let server = Server::new(
-            Arc::clone(&eng),
-            ServerConfig {
-                workers: 1,
-                coalesce_window: Duration::from_millis(2),
-                max_batch: SERVE_BURST as usize,
-                cache_capacity: 0,
-                ..ServerConfig::default()
-            },
-        );
-        // Paired, interleaved measurement: each iteration times both
-        // dispatch shapes back-to-back, so a scheduler interference
-        // burst on a shared host lands on both series instead of
-        // skewing the ratio of two medians taken seconds apart. The
-        // windows are tiny (~µs per burst), so extra reps are free and
-        // buy most of the stability.
-        let reps = samples.max(21);
-        let mut one_ns = Vec::with_capacity(reps);
-        let mut co_ns = Vec::with_capacity(reps);
-        let mut ratios = Vec::with_capacity(reps);
-        let mut seed = 0u64;
-        let mut co_seed = 1_000_000u64;
-        for rep in 0..=reps {
-            let start = Instant::now();
-            for _ in 0..SERVE_BURST {
-                seed += 1;
-                let ticket = serial_server.submit(Task::SampleExact, seed).unwrap();
-                std::hint::black_box(ticket.wait().unwrap());
-            }
-            let one = start.elapsed().as_nanos() as f64 / SERVE_BURST as f64;
-            let start = Instant::now();
-            let tickets: Vec<_> = (0..SERVE_BURST)
-                .map(|_| {
-                    co_seed += 1;
-                    server.submit(Task::SampleExact, co_seed).unwrap()
-                })
-                .collect();
-            for t in tickets {
-                std::hint::black_box(t.wait().unwrap());
-            }
-            let co = start.elapsed().as_nanos() as f64 / SERVE_BURST as f64;
-            if rep > 0 {
-                // rep 0 is the warmup for both shapes
-                one_ns.push(one);
-                co_ns.push(co);
-                ratios.push(one / co);
-            }
-        }
-        // identical work per rep → lower-quartile cost estimates
-        let one_at_a_time = lower_quartile(one_ns);
-        let coalesced = lower_quartile(co_ns);
-        // The speedup is the median of per-rep ratios, not the ratio of
-        // the two medians: a stall that lands on one series in one rep
-        // shifts that rep's ratio, but the median of 21+ paired ratios
-        // shrugs it off, where a ratio of independently-noisy medians
-        // would not.
-        let speedup = median(ratios);
-        serving.push((format!("serve_one_at_a_time_w{width}_ns"), one_at_a_time));
-        serving.push((format!("serve_coalesced_w{width}_ns"), coalesced));
-        serving.push((format!("serve_coalesce_speedup_w{width}"), speedup));
-    }
-
-    // --- net section: the out-of-process serving overhead over real
-    // loopback TCP. The repeated seed hits the tenant's idempotency
-    // cache, so the round-trip numbers measure the wire (frame + codec +
-    // session threads + dispatch), not the engine. Depth 1 is strict
-    // request/response; depth 4 keeps four requests pipelined on the
-    // connection and amortizes the syscall round-trips. The codec
-    // numbers price serializing a real RunReport. ---
-    let mut net: Vec<(String, f64)> = Vec::new();
-    {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            NetConfig {
-                registry: RegistryConfig {
-                    server: ServerConfig {
-                        workers: 1,
-                        coalesce_window: Duration::ZERO,
-                        ..ServerConfig::default()
-                    },
-                    ..RegistryConfig::default()
-                },
-                ..NetConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let mut client = Client::connect(server.local_addr()).expect("connect loopback");
-        let spec = EngineSpec::new(
-            ModelSpec::Hardcore { lambda: 1.0 },
-            Topology::Graph(generators::cycle(10)),
-        );
-        let fp = client.register(&spec).expect("register tenant");
-
-        const NET_OPS: usize = 16;
-        const PIPELINE: usize = 4;
-        // the strict round-trip is gated and syscall-bound (~25 µs/op),
-        // so extra reps are cheap stability
-        let one_at_a_time = measure(samples.max(21), NET_OPS, || {
-            for _ in 0..NET_OPS {
-                std::hint::black_box(client.run(fp, Task::SampleExact, 7).unwrap());
-            }
-        });
-        let pipelined = measure(samples.max(21), NET_OPS, || {
-            for _ in 0..NET_OPS / PIPELINE {
-                for _ in 0..PIPELINE {
-                    client
-                        .send(Op::Run {
-                            fingerprint: fp,
-                            task: Task::SampleExact,
-                            seed: 7,
-                            deadline: None,
-                        })
-                        .unwrap();
-                }
-                for _ in 0..PIPELINE {
-                    std::hint::black_box(client.recv().unwrap());
-                }
-            }
-        });
-        net.push(("net_roundtrip_w1_ns".to_string(), one_at_a_time));
-        net.push((format!("net_roundtrip_w{PIPELINE}_ns"), pipelined));
-        net.push((
-            format!("net_pipeline_speedup_w{PIPELINE}"),
-            one_at_a_time / pipelined,
-        ));
-
-        let report = spec
-            .build()
-            .expect("in regime")
-            .run_with_seed(Task::SampleExact, 7)
-            .expect("sample");
-        let bytes = report.to_bytes();
-        const CODEC_OPS: usize = 64;
-        let encode = measure(samples, CODEC_OPS, || {
-            for _ in 0..CODEC_OPS {
-                std::hint::black_box(report.to_bytes());
-            }
-        });
-        let decode = measure(samples, CODEC_OPS, || {
-            for _ in 0..CODEC_OPS {
-                std::hint::black_box(RunReport::from_bytes(&bytes).unwrap());
-            }
-        });
-        net.push(("net_codec_encode_report_ns".to_string(), encode));
-        net.push(("net_codec_decode_report_ns".to_string(), decode));
-        net.push(("net_report_payload_bytes".to_string(), bytes.len() as f64));
-        server.shutdown();
-    }
-
-    // --- count section: the two-pass chain-rule counter through the
-    // engine (Task::Count) on cycle(48), per pool width. The anchor
-    // pass is a cheap coarse-precision sequential walk; the marginal
-    // pass fans the frozen chain across the pool — the per-phase split
-    // comes straight from RunReport::phases. Only the width-1 chain
-    // cost is gated (compute on an inline pool, stable on any
-    // hardware); width 4 is trend telemetry like serving. The annealed
-    // rows price the sampling-backed anytime variant: certified error
-    // achieved per level and the samples the stopping rule spent. ---
-    let mut count: Vec<(String, f64)> = Vec::new();
-    for width in [1usize, 4] {
-        let engine = Engine::builder()
-            .model(ModelSpec::Hardcore { lambda: 1.0 })
-            .graph(generators::cycle(48))
-            .epsilon(0.05)
-            .threads(width)
-            .build()
-            .expect("in regime");
-        let mut total = Vec::new();
-        let mut anchor = Vec::new();
-        let mut marginals = Vec::new();
-        // one chain costs ~50 µs; the width-1 total is gated, so buy
-        // estimator stability with extra reps
-        for rep in 0..samples.max(21) as u64 {
-            let report = engine.run_with_seed(Task::Count, rep).unwrap();
-            let mut chain = 0.0;
-            for phase in &report.phases {
-                let ns = phase.wall_time.as_nanos() as f64;
-                chain += ns;
-                match phase.name {
-                    "anchor" => anchor.push(ns),
-                    "marginals" => marginals.push(ns),
-                    _ => {}
-                }
-            }
-            total.push(chain);
-        }
-        // the two-pass estimator is deterministic — every rep is
-        // identical work, so the lower quartile is the cost estimate
-        count.push((format!("count_chain_w{width}_ns"), lower_quartile(total)));
-        count.push((format!("count_anchor_w{width}_ns"), lower_quartile(anchor)));
-        count.push((
-            format!("count_marginals_w{width}_ns"),
-            lower_quartile(marginals),
-        ));
-    }
-    {
-        use lds_core::counting::{self, AnnealedConfig};
-        use lds_gibbs::models::{hardcore, two_spin::TwoSpinParams};
-        use lds_gibbs::PartialConfig;
-        use lds_oracle::{DecayRate, TwoSpinSawOracle};
-        let g = generators::cycle(12);
-        let model = hardcore::model(&g, 1.0);
-        let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0));
-        let cfg = AnnealedConfig {
-            eps: 0.35,
-            max_samples_per_level: 2048,
-            ..AnnealedConfig::default()
-        };
-        let run = counting::log_partition_function_annealed(
-            &model,
-            &PartialConfig::empty(12),
-            &oracle,
-            &cfg,
-            7,
-            &ThreadPool::new(1),
-        )
-        .expect("annealed count");
-        count.push((
-            "count_annealed_level_err".to_string(),
-            run.estimate.log_error_bound / run.levels.max(1) as f64,
-        ));
-        count.push((
-            "count_annealed_samples_per_level".to_string(),
-            run.samples as f64 / run.levels.max(1) as f64,
-        ));
-        count.push((
-            "count_annealed_certified_levels".to_string(),
-            run.certified_levels as f64,
-        ));
-    }
-
-    // --- backends section: what serving `Task::SampleApprox` costs per
-    // sampling backend on the reference workload (hardcore λ = 1 on
-    // cycle(10) — the same instance the engine batch metric uses), at
-    // widths 1 and 4. The chain-rule sampler pays one radius-t ball
-    // enumeration per node; Glauber pays `sweeps` passes of factor-table
-    // lookups per site and no oracle queries at all — that gap is the
-    // point of the backend, and `glauber_sample_w1_ns` is gated so it
-    // cannot quietly erode. The width-1 exact-JVV cost rides along as
-    // the in-binary reference: Glauber must undercut it (see the
-    // backends gate below). ---
-    let mut backends: Vec<(String, f64)> = Vec::new();
-    let mut glauber_w1 = f64::INFINITY;
-    let mut jvv_w1 = f64::INFINITY;
-    for width in [1usize, 4] {
-        let build = |backend: Backend| {
-            Engine::builder()
-                .model(ModelSpec::Hardcore { lambda: 1.0 })
-                .graph(generators::cycle(10))
-                .epsilon(0.01)
-                .threads(width)
-                .backend(backend)
-                .build()
-                .expect("in regime")
-        };
-        let exact = build(Backend::Exact);
-        let glauber = build(Backend::Glauber {
-            sweeps: SweepBudget::Auto,
-        });
-        let seeds: Vec<u64> = (0..8).collect();
-        // both paths are deterministic identical work per rep; the
-        // width-1 Glauber cost is gated, so buy stability with reps
-        let chain_ns = measure(samples.max(21), seeds.len(), || {
-            std::hint::black_box(exact.run_batch(Task::SampleApprox, &seeds).unwrap());
-        });
-        let glauber_ns = measure(samples.max(21), seeds.len(), || {
-            std::hint::black_box(glauber.run_batch(Task::SampleApprox, &seeds).unwrap());
-        });
-        backends.push((format!("approx_chain_w{width}_ns"), chain_ns));
-        backends.push((format!("glauber_sample_w{width}_ns"), glauber_ns));
-        if width == 1 {
-            glauber_w1 = glauber_ns;
-            let jvv_ns = measure(samples.max(21), seeds.len(), || {
-                std::hint::black_box(exact.run_batch(Task::SampleExact, &seeds).unwrap());
-            });
-            jvv_w1 = jvv_ns;
-            backends.push(("jvv_exact_sample_w1_ns".to_string(), jvv_ns));
-            let sweeps = glauber
-                .run(Task::SampleApprox)
-                .expect("in regime")
-                .glauber_sweeps()
-                .expect("Glauber served") as f64;
-            backends.push(("glauber_sweeps_resolved".to_string(), sweeps));
-        }
-    }
-
-    // --- obs section: what the observability layer costs when it is
-    // actually on. The registry counters are lock-free atomics that are
-    // always live; the knob is span *tracing* (`trace::set_sampling`),
-    // off by default. Paired, interleaved measurement of the reference
-    // width-1 batch (same instance as `run_batch_per_sample_ns`) with
-    // sampling off and on: the lower quartile of the per-rep ratios is
-    // the overhead estimate,
-    // and the in-binary gate below holds it to ≤5% — the contract that
-    // lets the instrumentation stay compiled into the hot path. The
-    // ledger rows surface the round-complexity observables every
-    // sampling run in this binary recorded against the paper's bounds;
-    // violations are a hard gate, not telemetry. ---
-    let mut obs: Vec<(String, f64)> = Vec::new();
-    let obs_overhead;
-    let ledger_summary;
-    {
-        use lds_obs::trace;
-        let engine = Engine::builder()
-            .model(ModelSpec::Hardcore { lambda: 1.0 })
-            .graph(generators::cycle(10))
-            .epsilon(0.01)
-            .threads(1)
-            .build()
-            .expect("in regime");
-        let seeds: Vec<u64> = (0..8).collect();
-        // the ≤5% gate leaves little noise headroom, so this section
-        // widens each timed window (4 batches ≈ 2 ms) and takes more
-        // paired reps than the others: per-window scheduler noise
-        // shrinks with window length, and the quantile below does the
-        // rest
-        const OBS_BATCHES: usize = 4;
-        let reps = samples.max(41);
-        let mut off_ns = Vec::with_capacity(reps);
-        let mut on_ns = Vec::with_capacity(reps);
-        let mut ratios = Vec::with_capacity(reps);
-        let per_window = (seeds.len() * OBS_BATCHES) as f64;
-        let window = |sampling: u32| {
-            trace::set_sampling(sampling);
-            let start = Instant::now();
-            for _ in 0..OBS_BATCHES {
-                std::hint::black_box(engine.run_batch(Task::SampleExact, &seeds).unwrap());
-            }
-            let ns = start.elapsed().as_nanos() as f64 / per_window;
-            // scraping the ring is the consumer's cost, not the
-            // producer's — drain outside the timed window
-            std::hint::black_box(trace::drain());
-            ns
-        };
-        for rep in 0..=reps {
-            // alternate which window runs first so the second-runs-
-            // warmer ordering effect cancels across reps instead of
-            // biasing the ratio one way
-            let (off, on) = if rep % 2 == 0 {
-                let off = window(0);
-                (off, window(1))
-            } else {
-                let on = window(1);
-                (window(0), on)
-            };
-            if rep > 0 {
-                off_ns.push(off);
-                on_ns.push(on);
-                ratios.push(on / off);
-            }
-        }
-        trace::set_sampling(0);
-        // lower quartile, same reasoning as the other identical-work
-        // loops: a real instrumentation cost shifts every rep's ratio,
-        // this quantile included, while a host-load burst that lands on
-        // one series in a few reps does not drag the estimate with it
-        obs_overhead = lower_quartile(ratios);
-        obs.push((
-            "obs_disabled_run_batch_per_sample_ns".to_string(),
-            lower_quartile(off_ns),
-        ));
-        obs.push((
-            "obs_instrumented_run_batch_per_sample_ns".to_string(),
-            lower_quartile(on_ns),
-        ));
-        obs.push((
-            "obs_trace_overhead_pct".to_string(),
-            (obs_overhead - 1.0) * 100.0,
-        ));
-        ledger_summary = lds_obs::ledger().summary();
-        obs.push((
-            "obs_ledger_observations".to_string(),
-            ledger_summary.observations as f64,
-        ));
-        obs.push((
-            "obs_ledger_violations".to_string(),
-            ledger_summary.violations as f64,
-        ));
-        obs.push(("obs_ledger_max_ratio".to_string(), ledger_summary.max_ratio));
-        let snap = lds_obs::global().snapshot();
-        obs.push((
-            "obs_registry_counters".to_string(),
-            snap.counters.len() as f64,
-        ));
-        obs.push(("obs_registry_gauges".to_string(), snap.gauges.len() as f64));
-        obs.push((
-            "obs_registry_histograms".to_string(),
-            snap.histograms.len() as f64,
-        ));
-    }
-
-    // --- resilience section: what the chaos/retry machinery costs when
-    // nothing is failing — the contract that lets fail points stay
-    // compiled into the serving path and lets callers default to the
-    // retry-wrapped client. Two paired, interleaved measurements of the
-    // cache-hot strict round-trip (same workload as
-    // `net_roundtrip_w1_ns`): (1) fail points armed on a site no hot
-    // path ever hits vs. fully disarmed — armed-but-idle means every
-    // `chaos::point` consults the registry instead of one relaxed load;
-    // (2) `run_retrying` (fault-free: classify + attempt bookkeeping,
-    // no retries fire) vs. plain `run`. Both in-binary gates hold the
-    // overhead to ≤5%. ---
-    let mut resilience: Vec<(String, f64)> = Vec::new();
-    let armed_idle_overhead;
-    let retry_overhead;
-    {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            NetConfig {
-                registry: RegistryConfig {
-                    server: ServerConfig {
-                        workers: 1,
-                        coalesce_window: Duration::ZERO,
-                        ..ServerConfig::default()
-                    },
-                    ..RegistryConfig::default()
-                },
-                ..NetConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let mut client = Client::connect(server.local_addr()).expect("connect loopback");
-        let spec = EngineSpec::new(
-            ModelSpec::Hardcore { lambda: 1.0 },
-            Topology::Graph(generators::cycle(10)),
-        );
-        let fp = client.register(&spec).expect("register tenant");
-        client
-            .run(fp, Task::SampleExact, 7)
-            .expect("warm the cache");
-
-        const RESIL_OPS: usize = 16;
-        let policy = lds_net::RetryPolicy::default();
-        let reps = samples.max(41);
-        let window_plain = |client: &mut Client| {
-            let start = Instant::now();
-            for _ in 0..RESIL_OPS {
-                std::hint::black_box(client.run(fp, Task::SampleExact, 7).unwrap());
-            }
-            start.elapsed().as_nanos() as f64 / RESIL_OPS as f64
-        };
-        let window_armed = |client: &mut Client| {
-            // a rule on a site nothing hits: the registry is armed, every
-            // fail point takes the consult path, no fault ever fires
-            let _guard = lds_chaos::arm(lds_chaos::Plan::new(7).with(
-                "resil.never_hit",
-                lds_chaos::Trigger::Always,
-                lds_chaos::Fault::Reset,
-            ));
-            window_plain(client)
-        };
-        let window_retry = |client: &mut Client| {
-            let start = Instant::now();
-            for _ in 0..RESIL_OPS {
-                std::hint::black_box(
-                    client
-                        .run_retrying(fp, Task::SampleExact, 7, &policy)
-                        .unwrap(),
-                );
-            }
-            start.elapsed().as_nanos() as f64 / RESIL_OPS as f64
-        };
-        // paired, order-alternating reps, same reasoning as the obs
-        // section: the ≤5% gate leaves no headroom for second-runs-
-        // warmer bias or one-sided host-load bursts
-        let mut plain_ns = Vec::with_capacity(reps);
-        let mut armed_ns = Vec::with_capacity(reps);
-        let mut armed_ratios = Vec::with_capacity(reps);
-        let mut retry_ns = Vec::with_capacity(reps);
-        let mut retry_ratios = Vec::with_capacity(reps);
-        for rep in 0..=reps {
-            let (plain, armed, retry) = if rep % 2 == 0 {
-                let plain = window_plain(&mut client);
-                let armed = window_armed(&mut client);
-                (plain, armed, window_retry(&mut client))
-            } else {
-                let retry = window_retry(&mut client);
-                let armed = window_armed(&mut client);
-                (window_plain(&mut client), armed, retry)
-            };
-            if rep > 0 {
-                plain_ns.push(plain);
-                armed_ns.push(armed);
-                armed_ratios.push(armed / plain);
-                retry_ns.push(retry);
-                retry_ratios.push(retry / plain);
-            }
-        }
-        armed_idle_overhead = lower_quartile(armed_ratios);
-        retry_overhead = lower_quartile(retry_ratios);
-        resilience.push((
-            "resil_disarmed_roundtrip_ns".to_string(),
-            lower_quartile(plain_ns),
-        ));
-        resilience.push((
-            "resil_armed_idle_roundtrip_ns".to_string(),
-            lower_quartile(armed_ns),
-        ));
-        resilience.push((
-            "resil_armed_idle_overhead_pct".to_string(),
-            (armed_idle_overhead - 1.0) * 100.0,
-        ));
-        resilience.push((
-            "resil_retry_roundtrip_w1_ns".to_string(),
-            lower_quartile(retry_ns),
-        ));
-        resilience.push((
-            "resil_retry_overhead_pct".to_string(),
-            (retry_overhead - 1.0) * 100.0,
-        ));
-        server.shutdown();
-    }
-
-    let sha = git_sha();
-    // all sections flattened, for the gates below
-    let all_metrics: Vec<(String, f64)> = metrics
+    let mut records: Vec<(&str, Record)> = ROWS
         .iter()
-        .chain(serving.iter())
-        .chain(net.iter())
-        .chain(count.iter())
-        .chain(backends.iter())
-        .chain(obs.iter())
-        .chain(resilience.iter())
-        .cloned()
+        .map(|&(name, row)| (name, row(samples)))
         .collect();
-    let json = render_json(
-        &sha,
-        quick,
-        &[
-            ("metrics", &metrics[..]),
-            ("serving", &serving[..]),
-            ("net", &net[..]),
-            ("count", &count[..]),
-            ("backends", &backends[..]),
-            ("obs", &obs[..]),
-            ("resilience", &resilience[..]),
-        ],
-    );
+    // after the last row, so the ledger gate sees every sampling run
+    records.push(("ledger", ledger()));
+    let json = render_json(&git_sha(), quick, &records);
     std::fs::write(&out_path, &json).expect("write summary");
     println!("wrote {out_path}:\n{json}");
 
-    let mut failed = false;
-
-    let get = |name: &str| -> f64 {
-        all_metrics
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .expect("tracked metric")
-    };
-
-    // Width-4 coalescing canary: coalesced dispatch must beat serial
-    // one-at-a-time dispatch of the same burst even on a single-core
-    // runner (real cores make the win bigger). The batch fan-out caps
-    // its lanes at the host parallelism, so pool width beyond the
-    // cores no longer costs dispatch overhead — a recurrence of that
-    // regression trips this. The margin is an absolute timer-noise
-    // allowance on tiny bursts, not headroom for oversubscription.
-    let (one4, co4) = (
-        get("serve_one_at_a_time_w4_ns"),
-        get("serve_coalesced_w4_ns"),
-    );
-    if co4 > one4 * 1.25 + 10_000.0 {
-        eprintln!(
-            "FAIL serve-w4 gate: coalesced dispatch {co4:.0} ns per request vs one-at-a-time {one4:.0} ns"
-        );
-        failed = true;
-    } else {
-        println!("serve-w4 gate: coalesced {co4:.0} ns vs one-at-a-time {one4:.0} ns — ok");
-    }
-
-    // Backends gate: on the reference SampleApprox workload at width 1,
-    // Glauber must undercut the exact-JVV sampler. The whole point of
-    // the backend is skipping oracle queries — if a sweep of factor
-    // lookups stops beating a radius-t ball enumeration per node plus
-    // rejection restarts, the backend regressed (or the auto sweep plan
-    // exploded). This is a strict inequality, no noise allowance: on
-    // this workload the gap is multiples, not percent.
-    if glauber_w1 >= jvv_w1 {
-        eprintln!(
-            "FAIL backends gate: glauber {glauber_w1:.0} ns per sample is not below exact JVV {jvv_w1:.0} ns at width 1"
-        );
-        failed = true;
-    } else {
-        println!(
-            "backends gate: glauber {glauber_w1:.0} ns vs exact JVV {jvv_w1:.0} ns per sample ({:.1}x) — ok",
-            jvv_w1 / glauber_w1
-        );
-    }
-
-    // Obs gate: enabling span tracing must cost ≤5% on the reference
-    // width-1 batch (lower quartile of paired per-rep ratios, so
-    // host-load bursts land on both series). This is the contract that
-    // keeps the
-    // instrumentation compiled into the hot path: the disabled path is
-    // a single relaxed atomic load per emission site, and the enabled
-    // path only writes to a per-thread ring.
-    if obs_overhead > 1.05 {
-        eprintln!(
-            "FAIL obs gate: span tracing costs {:.1}% on the width-1 batch (limit 5%)",
-            (obs_overhead - 1.0) * 100.0
-        );
-        failed = true;
-    } else {
-        println!(
-            "obs gate: span tracing overhead {:+.1}% on the width-1 batch — ok",
-            (obs_overhead - 1.0) * 100.0
-        );
-    }
-
-    // Resilience gates: the chaos/retry machinery must be free when
-    // nothing fails. Armed-but-idle fail points (registry consult per
-    // site instead of one relaxed load) and the retry-wrapped client
-    // (classification + attempt bookkeeping, zero retries) each stay
-    // within 5% of the plain cache-hot round-trip — the contract that
-    // keeps fail points compiled in and makes `run_retrying` the
-    // default-safe call.
-    if armed_idle_overhead > 1.05 {
-        eprintln!(
-            "FAIL resilience gate: armed-but-idle fail points cost {:.1}% on the round-trip (limit 5%)",
-            (armed_idle_overhead - 1.0) * 100.0
-        );
-        failed = true;
-    } else {
-        println!(
-            "resilience gate: armed-but-idle fail points {:+.1}% on the round-trip — ok",
-            (armed_idle_overhead - 1.0) * 100.0
-        );
-    }
-    if retry_overhead > 1.05 {
-        eprintln!(
-            "FAIL resilience gate: the fault-free retry-wrapped call costs {:.1}% over plain (limit 5%)",
-            (retry_overhead - 1.0) * 100.0
-        );
-        failed = true;
-    } else {
-        println!(
-            "resilience gate: fault-free retry wrapper {:+.1}% over plain — ok",
-            (retry_overhead - 1.0) * 100.0
-        );
-    }
-
-    // Ledger gate: every sampling run this binary performed recorded a
-    // round observable against the paper's bound; a violation means the
-    // reproduction's theorem broke, which no perf number excuses.
-    if ledger_summary.violations > 0 {
-        eprintln!(
-            "FAIL ledger gate: {} of {} round observables exceeded the paper bound (max ratio {:.2})",
-            ledger_summary.violations, ledger_summary.observations, ledger_summary.max_ratio
-        );
-        failed = true;
-    } else {
-        println!(
-            "ledger gate: {} round observables within the paper bounds (max ratio {:.2}) — ok",
-            ledger_summary.observations, ledger_summary.max_ratio
-        );
-    }
-
-    // Regression gate against the committed baseline. Only the
-    // allowlisted lower-is-better metrics are ever gated: the emitted
-    // JSON also carries width-4 ns numbers (synchronization-bound,
-    // hardware-dependent) and higher-is-better speedup *ratios*, and a
-    // `--write-baseline` refresh copies the full JSON — without the
-    // allowlist those keys would silently join the gate, which for a
-    // ratio means failing CI on a >25% *improvement*.
-    const GATED_METRICS: &[&str] = &[
-        "pool_par_map_w1_ns",
-        "run_batch_per_sample_ns",
-        "jvv_pass1_ground_ns",
-        "jvv_pass2_sample_ns",
-        "jvv_pass3_reject_ns",
-        "serve_coalesced_w1_ns",
-        "net_roundtrip_w1_ns",
-        "count_chain_w1_ns",
-        "glauber_sample_w1_ns",
-        "resil_retry_roundtrip_w1_ns",
-    ];
+    let run: Vec<(String, f64)> = records
+        .iter()
+        .flat_map(|(_, r)| r.metrics.iter().cloned())
+        .collect();
+    let mut checks: Vec<Check> = records.into_iter().flat_map(|(_, r)| r.checks).collect();
     if let Some(path) = baseline_path {
         match std::fs::read_to_string(&path) {
             Ok(text) => {
-                let baseline = parse_metrics(&text);
-                // Key-drift gate: every gated key must exist on *both*
-                // sides. A gated key present in the baseline but absent
-                // from this run means the workload silently stopped
-                // emitting it (the regression gate would skip it
-                // forever); present in the run but absent from the
-                // baseline means a new gated metric was added without
-                // refreshing the committed reference. Either way the
-                // gate has quietly gone vacuous — fail loudly instead.
-                // (`--write-baseline` is the sanctioned refresh path,
-                // so a baseline-side gap only warns there.)
-                for key in GATED_METRICS {
-                    let in_baseline = baseline.iter().any(|(k, _)| k == key);
-                    let in_run = all_metrics.iter().any(|(k, _)| k == key);
-                    match (in_baseline, in_run) {
-                        (true, false) => {
-                            eprintln!(
-                                "FAIL key-drift gate: gated metric {key} is in the baseline but this run no longer emits it"
-                            );
-                            failed = true;
-                        }
-                        (false, true) if !write_baseline => {
-                            eprintln!(
-                                "FAIL key-drift gate: gated metric {key} has no baseline entry — refresh with --write-baseline"
-                            );
-                            failed = true;
-                        }
-                        (false, true) => {
-                            println!("key-drift gate: {key} joins the baseline on this refresh");
-                        }
-                        _ => {}
-                    }
-                }
-                for (key, base) in &baseline {
-                    if !GATED_METRICS.contains(&key.as_str()) {
-                        continue;
-                    }
-                    let Some((_, current)) = all_metrics.iter().find(|(k, _)| k == key) else {
-                        continue;
-                    };
-                    if *current > base * 1.25 {
-                        eprintln!(
-                            "FAIL regression gate: {key} = {current:.0} ns vs baseline {base:.0} ns (>{:.0}%)",
-                            (current / base - 1.0) * 100.0
-                        );
-                        failed = true;
-                    } else {
-                        println!(
-                            "regression gate: {key} = {current:.0} ns vs baseline {base:.0} ns ({:+.0}%) — ok",
-                            (current / base - 1.0) * 100.0
-                        );
-                    }
-                }
+                checks.extend(baseline_gates(&run, &parse_metrics(&text), write_baseline));
                 if write_baseline {
                     std::fs::write(&path, &json).expect("write baseline");
                     println!("rewrote baseline {path}");
                 }
             }
-            Err(e) => {
-                if write_baseline {
-                    std::fs::write(&path, &json).expect("write baseline");
-                    println!("created baseline {path}");
-                } else {
-                    eprintln!("no baseline at {path} ({e}); skipping regression gate");
-                }
+            Err(_) if write_baseline => {
+                std::fs::write(&path, &json).expect("write baseline");
+                println!("created baseline {path}");
             }
+            Err(e) => eprintln!("no baseline at {path} ({e}); skipping the baseline gates"),
+        }
+    }
+    let mut failed = false;
+    for check in &checks {
+        if check.ok {
+            println!("{} gate: {} — ok", check.gate, check.detail);
+        } else {
+            eprintln!("FAIL {} gate: {}", check.gate, check.detail);
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = include_str!("../../../../bench/baseline.json");
+
+    fn failures(checks: Vec<Check>) -> Vec<(&'static str, String)> {
+        let failed = checks.into_iter().filter(|c| !c.ok);
+        failed.map(|c| (c.gate, c.detail)).collect()
+    }
+
+    /// The committed baseline's gated entries, in `GATED_METRICS` order.
+    fn gated_baseline() -> Vec<(String, f64)> {
+        let baseline = parse_metrics(BASELINE);
+        let entry = |key: &&str| baseline.iter().find(|(k, _)| k == key).cloned();
+        let gated = GATED_METRICS.iter().map(entry);
+        gated
+            .map(|e| e.expect("gated key in the baseline"))
+            .collect()
+    }
+
+    #[test]
+    fn parse_metrics_reads_the_committed_baseline() {
+        for (key, value) in gated_baseline() {
+            assert!(value.is_finite() && value > 0.0, "{key} = {value}");
         }
     }
 
-    if failed {
-        std::process::exit(1);
+    #[test]
+    fn parse_metrics_reads_the_record_json() {
+        let mut serving = Record::of([
+            ("serve_coalesced_w4_ns", 53140.0),
+            ("serve_coalesce_speedup_w4", 2.1),
+        ]);
+        serving.check("serve-w4", false, String::new());
+        let records = [
+            ("serving", serving),
+            ("ledger", Record::of([("obs_ledger_max_ratio", -0.5)])),
+        ];
+        // a sha that starts with digits is a string, not a metric
+        let json = render_json("4460e1", true, &records);
+        let parsed: Vec<(String, f64)> = parse_metrics(&json)
+            .into_iter()
+            .filter(|(k, _)| k != "available_parallelism")
+            .collect();
+        let expected: Vec<(String, f64)> = records
+            .iter()
+            .flat_map(|(_, r)| r.metrics.iter().cloned())
+            .collect();
+        assert_eq!(parsed, expected);
+        assert!(json.contains("\"outcome\": \"failure\""));
+        assert!(json.contains("\"outcome\": \"success\""));
+    }
+
+    #[test]
+    fn a_gated_key_passes_at_exactly_its_bound_and_fails_just_above() {
+        let baseline = gated_baseline();
+        let mut run: Vec<(String, f64)> = baseline
+            .iter()
+            .map(|(k, v)| (k.clone(), v * 1.25))
+            .collect();
+        assert_eq!(failures(baseline_gates(&run, &baseline, false)), []);
+        run[3].1 += 1e-6;
+        let failed = failures(baseline_gates(&run, &baseline, false));
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].0, "regression");
+        assert!(failed[0].1.starts_with("jvv_pass2_sample_ns "));
+    }
+
+    #[test]
+    fn key_drift_fails_in_both_directions() {
+        let baseline = gated_baseline();
+        let without_first = &baseline[1..];
+        // the run no longer emits a gated key
+        let failed = failures(baseline_gates(without_first, &baseline, false));
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].0, "key-drift");
+        assert!(failed[0].1.contains("pool_par_map_w1_ns"));
+        // the baseline lacks a gated key the run emits ...
+        let failed = failures(baseline_gates(&baseline, without_first, false));
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].0, "key-drift");
+        assert!(failed[0].1.contains("pool_par_map_w1_ns"));
+        // ... which only a refresh may add
+        assert_eq!(failures(baseline_gates(&baseline, without_first, true)), []);
+    }
+
+    #[test]
+    fn a_row_fails_exactly_when_one_of_its_own_checks_fails() {
+        let mut row = Record::of([("obs_disabled_run_batch_per_sample_ns", 60000.0)]);
+        assert_eq!(row.outcome(), "success");
+        row.overhead("obs_trace_overhead_pct", "at the limit", 1.05);
+        assert_eq!(row.outcome(), "success");
+        let mut other = Record::default();
+        other.overhead("resil_retry_overhead_pct", "over the limit", 1.06);
+        assert_eq!(other.outcome(), "failure");
+        assert_eq!(row.outcome(), "success");
+        row.check("serve-w4", false, String::new());
+        assert_eq!(row.outcome(), "failure");
     }
 }

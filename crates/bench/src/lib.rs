@@ -1,8 +1,11 @@
-//! Shared infrastructure for the experiment harness and Criterion
-//! benches: workload constructors and plain-text table rendering.
+//! Shared infrastructure for the `experiments` tables and the
+//! `perf_telemetry` timing harness: workload constructors and plain-text
+//! table rendering.
 //!
 //! The `experiments` binary regenerates every experiment table (E1–E8,
-//! S1–S2); each table's caption states the paper claim it checks.
+//! S1–S2); each table's caption states the paper claim it checks. The
+//! `perf_telemetry` binary times the tracked workloads as a table of
+//! scenario rows and gates them against `bench/baseline.json`.
 
 #![forbid(unsafe_code)]
 

@@ -274,9 +274,14 @@ impl TwoSpinSawOracle {
     /// gap shrinks at the strong-spatial-mixing rate, so most queries
     /// stop far below `t_max` — this is what makes the oracle's cost
     /// ball-bounded in *information* rather than in the planned
-    /// worst-case radius. The geometric growth of tree size in depth
-    /// bounds the re-exploration overhead by a constant factor of the
-    /// final attempt.
+    /// worst-case radius. Each attempt re-walks the tree from the root,
+    /// so a query that stops at depth `t` pays for the trees of every
+    /// depth up to `t`. That costs a constant factor over one query at
+    /// depth `t` only when tree size grows geometrically in depth, as
+    /// when the self-avoiding walks branch: 2.0× at ε = 10⁻² and 2.7× at
+    /// 10⁻³ on torus(4,4). A cycle's SAW tree is a path, which grows
+    /// linearly, so there the factor is Θ(t): 3.0×, 4.6× and 10× on
+    /// cycle(128) at ε = 0.01, 10⁻³ and 1/n³.
     ///
     /// Every returned interval is certified exactly like
     /// [`TwoSpinSawOracle::marginal_bounds`] at the stopping depth; with

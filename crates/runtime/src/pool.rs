@@ -49,8 +49,9 @@ fn pool_metrics() -> &'static PoolMetrics {
 /// job channel (the calling thread is always the pool's remaining lane —
 /// see below); [`par_map`](ThreadPool::par_map) ships each call's work to
 /// them as `'static` closures instead of spawning scoped threads per
-/// call, so a schedule with many small colors pays the thread-spawn cost
-/// **once per pool**, not once per color.
+/// call, so a caller making many small calls (short batches, a few
+/// marginals each) pays the thread-spawn cost **once per pool**, not
+/// once per call.
 ///
 /// Within one `par_map` call the workers self-schedule by stealing the
 /// next unclaimed item index from a shared atomic counter. An idle
