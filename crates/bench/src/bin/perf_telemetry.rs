@@ -17,9 +17,10 @@
 //! The run fails if any of these fails:
 //! - the row checks: at pool width 4, coalesced dispatch stays within
 //!   1.25× (+10 µs) of one-at-a-time dispatch (`serving`); at width 1,
-//!   Glauber sampling costs strictly less than exact JVV (`backends`);
-//!   span tracing (`obs`), armed-but-idle fail points and the fault-free
-//!   retry wrapper (`resilience`) each cost at most 5%;
+//!   a repeat Count on one engine costs under a tenth of its first
+//!   (`count`), and Glauber sampling costs strictly less than exact JVV
+//!   (`backends`); span tracing (`obs`), armed-but-idle fail points and
+//!   the fault-free retry wrapper (`resilience`) each cost at most 5%;
 //! - after the last row, once: the ledger gate (no round observable of
 //!   any sampling run this binary performed exceeded the paper's bound),
 //!   the key-drift gate (every gated key is in both the run and the
@@ -468,24 +469,46 @@ fn net(samples: usize) -> Record {
 /// width, with its sequential anchor pass and marginal pass split out
 /// from `RunReport::phases`; then the annealed sampling-backed
 /// estimator's certified error and samples per level.
+///
+/// An engine runs the estimator on its first Count only and looks the
+/// answer up after, so every rep builds a fresh engine and times its
+/// first Count. At width 1 a second Count on the same engine times the
+/// lookup (`count_repeat_w1_ns`, trend only), and the row checks that a
+/// repeat costs under a tenth of the first, per rep.
 fn count(samples: usize) -> Record {
     let mut r = Record::default();
     for width in [1usize, 4] {
-        let engine = engine(HARDCORE, generators::cycle(48), 0.05, width, Backend::Exact);
         // one chain costs ~50 µs; the width-1 total is gated, so buy
         // estimator stability with extra reps
-        let reports: Vec<RunReport> = (0..samples.max(21) as u64)
-            .map(|seed| engine.run_with_seed(Task::Count, seed).unwrap())
-            .collect();
+        let (mut firsts, mut repeats) = (Vec::new(), Vec::new());
+        for seed in 0..samples.max(21) as u64 {
+            let engine = engine(HARDCORE, generators::cycle(48), 0.05, width, Backend::Exact);
+            firsts.push(engine.run_with_seed(Task::Count, seed).unwrap());
+            if width == 1 {
+                repeats.push(engine.run_with_seed(Task::Count, seed + 1).unwrap());
+            }
+        }
         // the two-pass estimator is deterministic — every rep is
         // identical work, so the lower quartile is the cost estimate
-        let lq = |ns: fn(&RunReport) -> f64| lower_quartile(reports.iter().map(ns).collect());
+        let lq = |ns: fn(&RunReport) -> f64| lower_quartile(firsts.iter().map(ns).collect());
         let chain = lq(|r| phase_ns(r, "anchor") + phase_ns(r, "marginals"));
         let anchor = lq(|r| phase_ns(r, "anchor"));
         let marginals = lq(|r| phase_ns(r, "marginals"));
         r.metric(format!("count_chain_w{width}_ns"), chain);
         r.metric(format!("count_anchor_w{width}_ns"), anchor);
         r.metric(format!("count_marginals_w{width}_ns"), marginals);
+        if width == 1 {
+            let wall = |r: &RunReport| r.wall_time.as_nanos() as f64;
+            let repeat = lower_quartile(repeats.iter().map(wall).collect());
+            r.metric("count_repeat_w1_ns", repeat);
+            let walls = |reports: &[RunReport]| reports.iter().map(wall).collect::<Vec<_>>();
+            let ratio = median(per_rep_ratios(&walls(&repeats), &walls(&firsts)));
+            let detail = format!(
+                "repeat Count {repeat:.0} ns vs first {:.0} ns ({ratio:.4}x per rep, limit 0.1x)",
+                lq(wall)
+            );
+            r.check("count", ratio < 0.1, detail);
+        }
     }
     let model = hardcore::model(&generators::cycle(12), 1.0);
     let cfg = AnnealedConfig {

@@ -3,7 +3,8 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use lds_core::{complexity, counting, glauber, jvv, regime, sampler, sampling_to_inference};
+use lds_core::counting::{self, CountError};
+use lds_core::{complexity, glauber, jvv, regime, sampler, sampling_to_inference};
 use lds_gibbs::models::hypergraph_matching::HypergraphMatchingInstance;
 use lds_gibbs::models::ising::IsingParams;
 use lds_gibbs::models::matching::MatchingInstance;
@@ -40,7 +41,9 @@ enum Decoder {
 /// [`EngineBuilder::build`] — then serves any number of typed
 /// [`Task`]s, each returning a uniform [`RunReport`]. Each sampling path
 /// draws its chromatic schedule (Lemma 3.1) on its first request and
-/// scans that one schedule in every later request.
+/// scans that one schedule in every later request. [`Task::Infer`] and
+/// [`Task::Count`] read no randomness, so the engine answers each one
+/// once, on first use, and looks the answer up after.
 ///
 /// # Example
 ///
@@ -90,6 +93,13 @@ struct EngineCore {
     /// The chromatic schedule of the resolved `SampleApprox` path (chain
     /// rule or Glauber), drawn on first use.
     approx_schedule: OnceLock<ChromaticSchedule>,
+    /// The marginal table: one cell per carrier vertex holding `μ^τ_v`
+    /// at `ε`, filled on first use (see [`EngineCore::marginal`]).
+    /// `Task::Infer` and [`Engine::marginals`] both read it.
+    marginal_table: Vec<OnceLock<Vec<f64>>>,
+    /// `Task::Count`'s answer, `(ln Ẑ, log_error_bound)` or its typed
+    /// failure, filled on first use.
+    count: OnceLock<Result<(f64, f64), CountError>>,
     /// Stable identity of everything that determines task outputs
     /// (spec, topology, pinning, ε, δ, backend) — the engine half of a
     /// serving idempotency key; see [`Engine::fingerprint`].
@@ -464,6 +474,8 @@ impl EngineBuilder {
                 approx,
                 exact_schedule: OnceLock::new(),
                 approx_schedule: OnceLock::new(),
+                marginal_table: (0..carrier_n).map(|_| OnceLock::new()).collect(),
+                count: OnceLock::new(),
                 fingerprint,
                 pool,
                 host_lanes: std::thread::available_parallelism()
@@ -616,7 +628,9 @@ impl Engine {
     /// Because every task's randomness derives from its seed alone,
     /// `(fingerprint, Task, seed)` fully identifies a [`RunReport`] up
     /// to wall-clock timing — serving layers (`lds-serve`) use exactly
-    /// this triple as the idempotency-cache key. The default
+    /// this triple as the idempotency-cache key. [`Task::Infer`] and
+    /// [`Task::Count`] read no randomness at all: the engine answers
+    /// each once, and their reports only echo the seed. The default
     /// [`Engine::seed`] and the pool width are deliberately excluded:
     /// neither changes any output bit.
     pub fn fingerprint(&self) -> u64 {
@@ -659,8 +673,8 @@ impl Engine {
     }
 
     /// Serves one task with an explicit network seed. Sampling tasks run
-    /// sequentially; [`Task::Count`] fans its chain marginals across the
-    /// engine's pool.
+    /// sequentially; a first [`Task::Count`] fans its chain marginals
+    /// across the engine's pool.
     ///
     /// # Errors
     ///
@@ -678,7 +692,10 @@ impl Engine {
     /// which comes before a sampling path's first-use schedule draw, and
     /// every 256 nodes of each sequential scan. The draw itself cannot be
     /// interrupted; once it finishes the schedule stays cached for later
-    /// requests, whether or not this run makes its deadline. The checks
+    /// requests, whether or not this run makes its deadline.
+    /// [`Task::Infer`] and [`Task::Count`] check the deadline only at
+    /// admission: a request that finds its answer still being computed
+    /// by an earlier request waits for that computation. The checks
     /// consume no randomness, so a run that completes in time is
     /// **bit-identical** to the same `(task, seed)` without a deadline.
     /// A run that misses its deadline returns
@@ -747,34 +764,35 @@ impl Engine {
     }
 
     /// Marginals at every carrier vertex with multiplicative error `ε`
-    /// (the full inference table) — the independent per-vertex oracle
-    /// trials (boosted frontier pinning + exact ball marginal) fan out
-    /// across the engine's pool via
-    /// [`lds_oracle::marginals_mul_batch`], in vertex order. Mirrors
-    /// [`RunReport`]: the table rides in a [`MarginalsReport`] with the
-    /// method ([`MarginalsMethod::Exact`]), the oracle gather radius as
-    /// the round count, and the phase timing.
+    /// (the full inference table): the engine's marginal table, which
+    /// [`Task::Infer`] reads too. The per-vertex lookups fan out across
+    /// the engine's pool, in vertex order, and each entry no request has
+    /// filled yet is filled there by an independent oracle query (the
+    /// SAW tree's certified bounds, or boosted frontier pinning plus an
+    /// exact ball marginal for colorings). Mirrors [`RunReport`]: the
+    /// table rides in a [`MarginalsReport`] with the method
+    /// ([`MarginalsMethod::Exact`]), the oracle gather radius as the
+    /// round count, and the phase timing.
     pub fn marginals(&self) -> MarginalsReport {
         let start = Instant::now();
-        let model = self.core.instance.model();
-        let vertices: Vec<NodeId> = (0..model.node_count()).map(NodeId::from_index).collect();
-        let marginals = lds_oracle::marginals_mul_batch(
-            &self.core.oracle,
-            model,
-            self.core.instance.pinning(),
-            &vertices,
-            self.core.epsilon,
-            &self.core.pool,
-        );
-        let rounds = self.core.oracle.radius_mul(model, self.core.epsilon);
+        let core = &self.core;
+        let vertices: Vec<NodeId> = (0..core.marginal_table.len())
+            .map(NodeId::from_index)
+            .collect();
+        let filler = Arc::clone(core);
+        let marginals = core
+            .pool
+            .par_map(&vertices, move |&v| filler.marginal(v).to_vec());
+        let rounds = core.oracle.radius_mul(core.instance.model(), core.epsilon);
+        let wall_time = start.elapsed();
         MarginalsReport {
             method: MarginalsMethod::Exact {
-                epsilon: self.core.epsilon,
+                epsilon: core.epsilon,
             },
             marginals,
             rounds,
-            wall_time: start.elapsed(),
-            phases: vec![Phase::new("oracle", start.elapsed(), rounds)],
+            wall_time,
+            phases: vec![Phase::new("oracle", wall_time, rounds)],
         }
     }
 
@@ -810,6 +828,7 @@ impl Engine {
             seed0,
             &self.core.pool,
         );
+        let wall_time = start.elapsed();
         Ok(MarginalsReport {
             method: MarginalsMethod::Sampled {
                 repetitions: run.repetitions,
@@ -818,14 +837,14 @@ impl Engine {
             },
             rounds: run.rounds,
             marginals: run.marginals,
-            wall_time: start.elapsed(),
-            phases: vec![Phase::new("sampling", start.elapsed(), run.rounds)],
+            wall_time,
+            phases: vec![Phase::new("sampling", wall_time, run.rounds)],
         })
     }
 }
 
 impl EngineCore {
-    /// [`Engine::run_with_seed`] on an explicit pool, which only
+    /// [`Engine::run_with_seed`] on an explicit pool, which only a first
     /// [`Task::Count`]'s chain marginals use (the batch path
     /// parallelizes *across* seeds and passes a sequential pool to avoid
     /// nested thread fan-out).
@@ -905,9 +924,7 @@ impl EngineCore {
                         ),
                     });
                 }
-                let distribution =
-                    self.oracle
-                        .marginal_mul(model, self.instance.pinning(), vertex, self.epsilon);
+                let distribution = self.marginal(vertex).to_vec();
                 let probability = distribution[value.index()];
                 let rounds = self.oracle.radius_mul(model, self.epsilon);
                 let phases = vec![Phase::new("oracle", start.elapsed(), rounds)];
@@ -918,23 +935,33 @@ impl EngineCore {
                 Ok(self.oracle_report(task, seed, start, output, rounds, phases))
             }
             Task::Count => {
-                // anchor pass is sequential by construction; the n
-                // frozen chain marginals fan out across the pool
-                let run = counting::log_partition_function(
-                    model,
-                    self.instance.pinning(),
-                    &self.oracle,
-                    self.epsilon,
-                    pool,
-                )?;
+                // the first use runs both passes: the anchor pass is
+                // sequential by construction, and the n frozen chain
+                // marginals fan out across the pool; concurrent first
+                // users wait for it, and later users look it up
+                let mut passes = None;
+                let count = self.count.get_or_init(|| {
+                    let run = counting::log_partition_function(
+                        model,
+                        self.instance.pinning(),
+                        &self.oracle,
+                        self.epsilon,
+                        pool,
+                    )?;
+                    passes = Some((run.anchor_time, run.marginal_time));
+                    Ok((run.estimate.log_z, run.estimate.log_error_bound))
+                });
+                let (log_z, log_error_bound) = (*count)?;
+                // a lookup charges its time to the marginals phase
+                let (anchor, marginals) = passes.unwrap_or((Duration::ZERO, start.elapsed()));
                 let rounds = self.oracle.radius_mul(model, self.epsilon);
                 let phases = vec![
-                    Phase::new("anchor", run.anchor_time, 0),
-                    Phase::new("marginals", run.marginal_time, rounds),
+                    Phase::new("anchor", anchor, 0),
+                    Phase::new("marginals", marginals, rounds),
                 ];
                 let output = TaskOutput::Count {
-                    log_z: run.estimate.log_z,
-                    log_error_bound: run.estimate.log_error_bound,
+                    log_z,
+                    log_error_bound,
                 };
                 Ok(self.oracle_report(task, seed, start, output, rounds, phases))
             }
@@ -958,6 +985,16 @@ impl EngineCore {
             scheduler::complete_schedule(&net, locality())
         });
         (schedule, start.elapsed())
+    }
+
+    /// Vertex `v`'s entry of the marginal table, `μ^τ_v` at `ε`. The
+    /// first caller queries the oracle; concurrent first callers wait
+    /// for that one query, and later callers only look it up.
+    fn marginal(&self, v: NodeId) -> &[f64] {
+        self.marginal_table[v.index()].get_or_init(|| {
+            let (model, pinning) = (self.instance.model(), self.instance.pinning());
+            self.oracle.marginal_mul(model, pinning, v, self.epsilon)
+        })
     }
 
     /// The report of a sampling task, built from the sampler's outcome

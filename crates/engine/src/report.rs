@@ -37,6 +37,10 @@ pub enum Task {
     SampleApprox,
     /// Estimate the conditional marginal `μ^τ_v` and report the
     /// probability of `value` at `vertex` (multiplicative error `ε`).
+    ///
+    /// Reads no randomness: the engine computes each vertex's marginal
+    /// once, on first use, and answers later requests from that entry
+    /// of its marginal table. The report only echoes the seed.
     Infer {
         /// The carrier-graph vertex to infer at.
         vertex: NodeId,
@@ -44,6 +48,10 @@ pub enum Task {
         value: Value,
     },
     /// Estimate `ln Z^τ` by the chain rule over a multiplicative oracle.
+    ///
+    /// Reads no randomness: the engine runs the estimator once, on first
+    /// use, and answers later requests (a typed failure included) from
+    /// that result. The report only echoes the seed.
     Count,
 }
 

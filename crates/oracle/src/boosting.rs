@@ -200,47 +200,6 @@ impl<O: InferenceOracle> BoostedOracle<O> {
     }
 }
 
-/// Marginals at many vertices, the independent per-vertex trials fanned
-/// out across the pool.
-///
-/// Each vertex's boosted computation — frontier enumeration, the
-/// sequential argmax pinning over its own ring `Γ`, and the final exact
-/// ball marginal — is a self-contained trial that shares nothing with
-/// the other vertices, so the trials parallelize embarrassingly. The
-/// LOCAL model runs them at *every* node simultaneously anyway; this is
-/// the simulator catching up with the model. Results are in `vertices`
-/// order and bit-identical to calling
-/// [`MultiplicativeInference::marginal_mul`] in a loop, at any pool
-/// width. This is the single fan-out implementation — the engine's full
-/// marginal table dispatches here through its oracle handle.
-///
-/// The pool's workers are long-lived and take `'static` jobs, so the
-/// parallel path ships one `Arc` of `(oracle, model, pinning)` clones to
-/// them; the sequential path borrows everything and clones nothing.
-pub fn marginals_mul_batch<O>(
-    oracle: &O,
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    vertices: &[NodeId],
-    eps: f64,
-    pool: &ThreadPool,
-) -> Vec<Vec<f64>>
-where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
-{
-    if pool.is_sequential() || vertices.len() <= 1 {
-        return vertices
-            .iter()
-            .map(|&v| oracle.marginal_mul(model, pinning, v, eps))
-            .collect();
-    }
-    let shared = Arc::new((oracle.clone(), model.clone(), pinning.clone()));
-    pool.par_map(vertices, move |&v| {
-        let (oracle, model, pinning) = &*shared;
-        oracle.marginal_mul(model, pinning, v, eps)
-    })
-}
-
 /// The `n` chain-rule marginal distributions `μ^{τ∧σ_{<i}}_{v_i}` of a
 /// frozen pinning chain, fanned out across the pool.
 ///
@@ -419,22 +378,6 @@ mod tests {
         let boosted = boosted_hc(1.0);
         let r = boosted.radius_mul(&m, 0.5);
         assert_eq!(r, 2 * boosted.inner_radius(&m, 0.5) + 1);
-    }
-
-    #[test]
-    fn batched_trials_match_sequential_bitwise() {
-        let g = generators::cycle(10);
-        let m = hardcore::model(&g, 1.0);
-        let tau = PartialConfig::empty(10);
-        let boosted = boosted_hc(1.0);
-        let vs: Vec<NodeId> = g.nodes().collect();
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            let batch = marginals_mul_batch(&boosted, &m, &tau, &vs, 0.3, &pool);
-            for (i, &v) in vs.iter().enumerate() {
-                assert_eq!(batch[i], boosted.marginal_mul(&m, &tau, v, 0.3));
-            }
-        }
     }
 
     #[test]

@@ -33,9 +33,7 @@ mod decay;
 mod enumeration;
 pub mod saw;
 
-pub use boosting::{
-    chain_marginals_mul, marginals_mul_batch, BoostedOracle, MultiplicativeInference,
-};
+pub use boosting::{chain_marginals_mul, BoostedOracle, MultiplicativeInference};
 pub use decay::DecayRate;
 pub use enumeration::EnumerationOracle;
 pub use saw::TwoSpinSawOracle;

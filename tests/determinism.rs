@@ -308,13 +308,17 @@ fn glauber_batches_are_bit_identical_across_thread_counts() {
 #[test]
 fn phase_rounds_sum_to_report_rounds() {
     let engine = engine_for(&ModelSpec::Hardcore { lambda: 1.0 }, 2);
+    let infer = Task::Infer {
+        vertex: NodeId(0),
+        value: Value(1),
+    };
+    // Infer and Count run twice: the second report is a cache lookup
     for task in [
         Task::SampleExact,
         Task::SampleApprox,
-        Task::Infer {
-            vertex: NodeId(0),
-            value: Value(1),
-        },
+        infer,
+        infer,
+        Task::Count,
         Task::Count,
     ] {
         let report = engine.run(task).unwrap();
@@ -325,6 +329,18 @@ fn phase_rounds_sum_to_report_rounds() {
         assert!(
             timed <= report.wall_time,
             "{task:?} phase time exceeds total"
+        );
+    }
+    // so do both whole-table marginals reports
+    let sampled = engine.marginals_sampled(16, 1).unwrap();
+    for (method, report) in [("exact", engine.marginals()), ("sampled", sampled)] {
+        let total: usize = report.phases.iter().map(|p| p.rounds).sum();
+        assert_eq!(total, report.rounds, "{method} marginals");
+        assert!(!report.phases.is_empty(), "{method} marginals: no phases");
+        let timed: std::time::Duration = report.phases.iter().map(|p| p.wall_time).sum();
+        assert!(
+            timed <= report.wall_time,
+            "{method} marginals: phase time exceeds total"
         );
     }
     // the Glauber path's phase accounting obeys the same invariant
