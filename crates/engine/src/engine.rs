@@ -233,7 +233,9 @@ impl EngineBuilder {
     /// seeds across it, [`Task::Count`] fans its chain levels across it,
     /// and the per-vertex oracle trials of [`Engine::marginals`] and the
     /// Monte Carlo executions of [`Engine::marginals_sampled`] run on
-    /// it. A single sampling execution always runs sequentially.
+    /// it. A single sampling execution always runs sequentially. It
+    /// also sets how many requests a `lds-serve` `Server` over this
+    /// engine runs at once: one session per pool thread.
     ///
     /// Every result is **bit-identical regardless of `n`** (randomness
     /// is derived per task, never shared — see `lds-runtime`);
@@ -730,28 +732,18 @@ impl Engine {
     /// results by the bit-identity contract of
     /// [`ThreadPool::par_map_bounded`].
     ///
+    /// There is no deadline variant: a caller that needs one runs each
+    /// seed through [`Engine::run_with_deadline`], which is what a
+    /// `lds-serve` server does, one request per dispatch, so no serving
+    /// path calls this.
+    ///
     /// # Errors
     ///
     /// Fails fast with the first task error in seed order (reports of
     /// other seeds are discarded).
     pub fn run_batch(&self, task: Task, seeds: &[u64]) -> Result<Vec<RunReport>, EngineError> {
-        self.run_batch_with_deadline(task, seeds, None)
-    }
-
-    /// [`Engine::run_batch`] under an optional absolute deadline shared
-    /// by every seed in the batch (the serving layer's coalesced-group
-    /// deadline). Every seed runs on a sequential pool, and enforcement
-    /// is cooperative — see [`Engine::run_with_deadline`]; a seed that
-    /// misses the deadline fails the whole batch with
-    /// [`EngineError::DeadlineExceeded`].
-    pub fn run_batch_with_deadline(
-        &self,
-        task: Task,
-        seeds: &[u64],
-        deadline: Option<Instant>,
-    ) -> Result<Vec<RunReport>, EngineError> {
         let core = Arc::clone(&self.core);
-        let cancel = CancelToken::with_deadline_opt(deadline);
+        let cancel = CancelToken::never();
         self.core
             .pool
             .par_map_bounded(

@@ -18,7 +18,7 @@ use crate::backend::ServedBackend;
 /// Theorem 5.1), and counting (chain rule).
 ///
 /// `Task` is `Eq + Hash` (it is float-free by construction) so serving
-/// layers can key coalescing groups and idempotency-cache entries by
+/// layers can key in-flight dedup and idempotency-cache entries by
 /// `(fingerprint, Task, seed)` — see `lds-serve`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Task {

@@ -848,8 +848,6 @@ impl Wire for ServerStats {
         w.put_u64(self.cache_hits);
         w.put_u64(self.cache_misses);
         w.put_u64(self.engine_executions);
-        w.put_u64(self.batches);
-        w.put_u64(self.batched_requests);
         w.put_usize(self.queue_depth);
         w.put_usize(self.peak_queue_depth);
         self.p50_latency.encode(w);
@@ -866,8 +864,6 @@ impl Wire for ServerStats {
             cache_hits: r.get_u64()?,
             cache_misses: r.get_u64()?,
             engine_executions: r.get_u64()?,
-            batches: r.get_u64()?,
-            batched_requests: r.get_u64()?,
             queue_depth: r.get_usize()?,
             peak_queue_depth: r.get_usize()?,
             p50_latency: Duration::decode(r)?,

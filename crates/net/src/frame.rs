@@ -27,8 +27,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"LDSN");
 /// Version 2 added the backend field to `EngineSpec` and the
 /// backend/Glauber-stats fields to `RunReport`. Version 3 dropped
 /// `RunReport`'s trailing halo-sharding telemetry, which went away with
-/// the cluster-parallel runner that produced it.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// the cluster-parallel runner that produced it. Version 4 dropped
+/// `ServerStats`' `batches` and `batched_requests`, which went away
+/// with the serving layer's request coalescer.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 12;

@@ -3,11 +3,11 @@
 //! `std::sync::mpsc` gives us the unbounded single-consumer channel the
 //! [`crate::ThreadPool`] parks its workers on, but a serving front-end
 //! needs the opposite shape: a **bounded** queue that multiple producers
-//! (client sessions) push into and multiple consumers (worker sessions)
-//! drain, where a full queue is an *admission-control signal* rather
-//! than an allocation. This module is that primitive: a
-//! `Mutex<VecDeque>` + two condvars, nothing clever — the queue is a
-//! backpressure valve, not a hot loop.
+//! (client sessions) push into and multiple consumers (worker sessions,
+//! each taking one request at a time) drain, where a full queue is an
+//! *admission-control signal* rather than an allocation. This module is
+//! that primitive: a `Mutex<VecDeque>` + two condvars, nothing clever —
+//! the queue is a backpressure valve, not a hot loop.
 //!
 //! Semantics:
 //!
@@ -19,9 +19,6 @@
 //! * [`Receiver::recv`] blocks until an item arrives (or every sender is
 //!   gone **and** the queue has drained — queued items are never lost to
 //!   a disconnect).
-//! * [`Receiver::recv_timeout`] is `recv` with a deadline; it is what
-//!   lets a coalescing worker wait a bounded window for more compatible
-//!   requests before dispatching a batch.
 //! * Both ends are [`Clone`]; the channel disconnects when either side's
 //!   count reaches zero.
 //!
@@ -31,7 +28,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Creates a bounded blocking MPMC channel with room for `capacity`
 /// queued items. A capacity of `0` is clamped to `1` (a rendezvous
@@ -101,24 +97,6 @@ pub struct SendError<T>(pub T);
 /// drained.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Error of [`Receiver::try_recv`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The queue is currently empty.
-    Empty,
-    /// Every sender is gone and the queue has drained.
-    Disconnected,
-}
-
-/// Error of [`Receiver::recv_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The deadline passed with the queue still empty.
-    Timeout,
-    /// Every sender is gone and the queue has drained.
-    Disconnected,
-}
 
 impl<T> Sender<T> {
     /// Enqueues without blocking. A full queue hands the item back as
@@ -213,64 +191,6 @@ impl<T> Receiver<T> {
                 return Err(RecvError);
             }
             inner = self.shared.not_empty.wait(inner).expect("channel poisoned");
-        }
-    }
-
-    /// Dequeues without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        if let Some(item) = inner.queue.pop_front() {
-            drop(inner);
-            self.shared.not_full.notify_one();
-            return Ok(item);
-        }
-        if inner.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    /// Dequeues, blocking at most `timeout`. This is the coalescing
-    /// window primitive: a worker that already holds one request waits
-    /// here for more compatible ones before dispatching the batch.
-    ///
-    /// The deadline is computed **once** and every re-wait after a
-    /// wakeup (spurious or racing — another receiver may have taken the
-    /// item that woke us) uses the *remaining* time, so repeated
-    /// wakeups can never stretch the total wait beyond `timeout`. A
-    /// `timeout` too large to represent as an absolute `Instant`
-    /// (e.g. `Duration::MAX`) degrades to waiting without a deadline
-    /// instead of panicking on `Instant` overflow.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut inner = self.shared.inner.lock().expect("channel poisoned");
-        loop {
-            if let Some(item) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
-                return Ok(item);
-            }
-            if inner.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let Some(deadline) = deadline else {
-                // unrepresentable deadline: effectively recv()
-                inner = self.shared.not_empty.wait(inner).expect("channel poisoned");
-                continue;
-            };
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            let (guard, result) = self
-                .shared
-                .not_empty
-                .wait_timeout(inner, remaining)
-                .expect("channel poisoned");
-            inner = guard;
-            if result.timed_out() && inner.queue.is_empty() {
-                return Err(RecvTimeoutError::Timeout);
-            }
         }
     }
 
@@ -378,7 +298,6 @@ mod tests {
         for i in 0..5 {
             assert_eq!(rx.recv(), Ok(i));
         }
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 
     #[test]
@@ -431,9 +350,8 @@ mod tests {
         tx.try_send(8).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(7));
-        assert_eq!(rx.try_recv(), Ok(8));
+        assert_eq!(rx.recv(), Ok(8));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
@@ -442,74 +360,6 @@ mod tests {
         drop(rx);
         assert_eq!(tx.send(1), Err(SendError(1)));
         assert_eq!(tx.try_send(2), Err(TrySendError::Disconnected(2)));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_succeeds() {
-        let (tx, rx) = bounded(4);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.try_send(42).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(42));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn recv_timeout_does_not_drift_under_repeated_wakeups() {
-        // Regression shape for the classic condvar bug where each
-        // wakeup restarts the *full* timeout. A receiver waits 60 ms on
-        // a channel that a producer notifies every 5 ms for ~500 ms
-        // while a stealing consumer keeps the queue empty: if re-waits
-        // used the full timeout, the wait would be pushed out to the
-        // end of the notification storm (~560 ms). With remaining-time
-        // re-waits it ends within the timeout (or earlier, if this
-        // receiver happens to win an item race — equally fine).
-        let (tx, rx) = bounded::<u64>(64);
-        let thief = rx.clone();
-        let stealer = thread::spawn(move || while thief.recv().is_ok() {});
-        let producer = {
-            let tx = tx.clone();
-            thread::spawn(move || {
-                for i in 0..100u64 {
-                    if tx.send(i).is_err() {
-                        break;
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let start = Instant::now();
-        let _ = rx.recv_timeout(Duration::from_millis(60));
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(250),
-            "recv_timeout(60ms) took {elapsed:?} under notification storm — timeout drift"
-        );
-        producer.join().unwrap();
-        drop(tx);
-        drop(rx);
-        stealer.join().unwrap();
-    }
-
-    #[test]
-    fn recv_timeout_with_unrepresentable_deadline_does_not_panic() {
-        // Duration::MAX overflows `Instant + Duration`; the wait must
-        // degrade to "no deadline", not panic.
-        let (tx, rx) = bounded::<u32>(4);
-        tx.try_send(11).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(11));
-        // empty queue + disconnected sender exercises the wait path
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(Duration::MAX),
-            Err(RecvTimeoutError::Disconnected)
-        );
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   parks workers on an unbounded `std::sync::mpsc` job channel; a
 //!   serving front-end needs the inverse: a bounded request queue whose
 //!   "full" state is an admission-control signal (`try_send` →
-//!   overload rejection) and whose `recv_timeout` is the coalescing
-//!   window. `lds-serve` builds on this.
+//!   overload rejection) and that its sessions drain with a blocking
+//!   `recv`, one request at a time. `lds-serve` builds on this.
 //! * [`CancelToken`] — cooperative cancellation checked *between*
 //!   units of work (scan chunks, sweeps). A check consumes no
 //!   randomness, so deadline-bounded runs that complete are

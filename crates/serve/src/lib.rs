@@ -9,11 +9,13 @@
 //! concurrent request streams from many clients and serves them off one
 //! shared engine, exploiting the structure the paper guarantees:
 //!
-//! * Requests are **embarrassingly parallel across seeds** — so the
-//!   server *coalesces* compatible requests that arrive within a short
-//!   window into one [`lds_engine::Engine::run_batch`] call, paying one
-//!   dispatch overhead per group instead of per request
-//!   ([`ServerConfig::coalesce_window`]).
+//! * Each `(task, seed)` is **its own local execution**, driven by that
+//!   seed's randomness alone, so two requests share no work a batch
+//!   could amortize — a worker session takes one request off the queue
+//!   and answers it with one [`lds_engine::Engine::run_with_deadline`]
+//!   call, and a server runs one session per thread of its engine's
+//!   pool ([`lds_engine::Engine::threads`]), so requests of any mix of
+//!   tasks run side by side.
 //! * Outputs are a **pure function of `(engine, task, seed)`** — so
 //!   repeated requests are *idempotent* by construction, and the server
 //!   answers them from an LRU [cache](ServerStats::cache_hits) keyed by
@@ -26,7 +28,8 @@
 //!
 //! Everything is dependency-free `std`: worker sessions are plain
 //! threads, the queue is a condvar channel, and the engine's persistent
-//! `ThreadPool` (shared by all workers) does the heavy lifting.
+//! `ThreadPool` (shared by all sessions) runs the fan-out of a first
+//! `Count`.
 //!
 //! # Example
 //!
@@ -59,7 +62,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod coalesce;
 mod registry;
 mod server;
 mod stats;

@@ -5,9 +5,9 @@
 //! the same hardcore cycle. The registry turns the serving layer
 //! multi-tenant: a map from [`Engine::fingerprint`] to a **live
 //! tenant** — the engine wrapped in its own [`Server`] (own bounded
-//! queue, own coalescing sessions, own idempotency cache, own
-//! [`ServerStats`]) — with LRU eviction of cold tenants at a capacity
-//! cap.
+//! queue, own sessions — one per thread of the engine's pool — own
+//! idempotency cache, own [`ServerStats`]) — with LRU eviction of cold
+//! tenants at a capacity cap.
 //!
 //! The fingerprint is the routing key *and* the identity contract:
 //! because it pins everything that determines task outputs (spec bits,
@@ -37,7 +37,8 @@ pub struct RegistryConfig {
     /// Registering beyond it evicts the least-recently-used tenant.
     pub capacity: usize,
     /// Per-tenant [`Server`] configuration (every registered engine
-    /// gets its own queue/workers/cache built from this template).
+    /// gets its own queue and cache built from this template, and one
+    /// session per thread of its pool).
     pub server: ServerConfig,
 }
 
@@ -86,7 +87,10 @@ pub struct RegistryStats {
     pub misses: u64,
 }
 
-/// A map from [`Engine::fingerprint`] to live, serving engines.
+/// A map from [`Engine::fingerprint`] to live, serving engines. Each
+/// tenant's [`Server`] runs one session per thread of its engine's pool
+/// ([`Engine::threads`]), so a tenant's concurrency is set where its
+/// engine is built, not here.
 ///
 /// ```
 /// use std::sync::Arc;

@@ -1,18 +1,17 @@
-//! The serving front-end: bounded admission, worker sessions, coalesced
-//! dispatch, idempotent completion.
+//! The serving front-end: bounded admission, one session per engine pool
+//! thread, one request per dispatch, idempotent completion.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_engine::{Engine, EngineError, RunReport, Task};
 use lds_obs::trace::{self, TraceEvent};
 use lds_obs::{Counter, Gauge, Histogram, MetricsScope};
-use lds_runtime::channel::{self, RecvTimeoutError, TryRecvError, TrySendError};
+use lds_runtime::channel::{self, TrySendError};
 
 use crate::cache::{IdempotencyKey, LruCache};
-use crate::coalesce::coalesce;
 use crate::stats::{latency_percentiles, ServerStats};
 
 /// One server's series, resolved once from its own scope of the process
@@ -30,8 +29,6 @@ struct ServeMetrics {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     engine_executions: Arc<Counter>,
-    batches: Arc<Counter>,
-    batched_requests: Arc<Counter>,
     /// Requests answered [`ServeError::Expired`] (or shed at admission
     /// with [`SubmitError::Expired`]) because their deadline passed.
     deadline_misses: Arc<Counter>,
@@ -60,8 +57,6 @@ impl ServeMetrics {
             cache_hits: scope.counter("serve_cache_hits"),
             cache_misses: scope.counter("serve_cache_misses"),
             engine_executions: scope.counter("serve_engine_executions"),
-            batches: scope.counter("serve_batches"),
-            batched_requests: scope.counter("serve_batched_requests"),
             deadline_misses: scope.counter("serve_deadline_misses"),
             worker_restarts: scope.counter("serve_worker_restarts"),
             queue_depth: scope.gauge("serve_queue_depth"),
@@ -72,7 +67,9 @@ impl ServeMetrics {
 }
 
 /// Tuning knobs of a [`Server`]. Start from `ServerConfig::default()`
-/// and override fields; every knob has a safe clamp.
+/// and override fields; every knob has a safe clamp. How many requests
+/// a server runs at once is not a knob here: it runs one session per
+/// thread of its engine's pool ([`lds_engine::EngineBuilder::threads`]).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bounded request-queue capacity — the hard admission limit
@@ -86,17 +83,6 @@ pub struct ServerConfig {
     /// the capacity. Lets a deployer shed load before latency degrades
     /// rather than when the queue is hard-full.
     pub admission_watermark: Option<usize>,
-    /// Worker sessions draining the queue (default 1, clamped to ≥ 1).
-    /// Each session coalesces its own batches; the engine's persistent
-    /// pool is shared by all of them.
-    pub workers: usize,
-    /// How long a worker holding one request waits for more compatible
-    /// ones before dispatching the batch (default 200 µs). Zero means
-    /// "opportunistic": take whatever is already queued, never wait.
-    pub coalesce_window: Duration,
-    /// Most requests one dispatch round may carry (default 64, clamped
-    /// to ≥ 1).
-    pub max_batch: usize,
     /// Idempotency-cache entries (default 1024; `0` disables caching —
     /// identical requests then still dedup while in flight, but not
     /// across time).
@@ -108,9 +94,6 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_capacity: 256,
             admission_watermark: None,
-            workers: 1,
-            coalesce_window: Duration::from_micros(200),
-            max_batch: 64,
             cache_capacity: 1024,
         }
     }
@@ -156,9 +139,8 @@ impl std::error::Error for SubmitError {}
 /// Why an accepted request did not produce a report.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServeError {
-    /// The engine failed the task (the underlying error is attached; a
-    /// coalesced batch fails as a unit, so this may originate from a
-    /// sibling seed in the same `run_batch` call).
+    /// The engine failed this request's task (the underlying error is
+    /// attached).
     Engine(EngineError),
     /// The server dropped the request without an answer (shutdown or a
     /// worker failure mid-dispatch).
@@ -241,7 +223,7 @@ struct Pending {
 /// Cache and in-flight bookkeeping under **one** lock.
 ///
 /// Keeping both structures behind a single mutex makes the
-/// at-most-one-execution argument a one-liner: every worker's
+/// at-most-one-execution argument a one-liner: every session's
 /// resolve-or-claim step and every owner's publish step is atomic with
 /// respect to both maps, so there is no window in which a key is
 /// neither cached nor claimed while an execution for it is running.
@@ -251,7 +233,7 @@ struct Pending {
 struct Ledger {
     cache: LruCache<IdempotencyKey, RunReport>,
     /// Keys currently executing, each with the waiters that piggybacked
-    /// after the owning worker claimed the key.
+    /// after the owning session claimed the key.
     inflight: HashMap<IdempotencyKey, Vec<Pending>>,
 }
 
@@ -272,271 +254,112 @@ struct Shared {
 }
 
 impl Shared {
-    /// Answers a group of requests, counting each answer and recording
-    /// its latency.
-    fn respond_many<I>(&self, responses: I)
-    where
-        I: IntoIterator<Item = (Pending, Result<RunReport, ServeError>)>,
-    {
-        for (pending, result) in responses {
-            let outcome = if result.is_ok() {
-                &self.metrics.completed
-            } else {
-                &self.metrics.failed
-            };
-            outcome.inc();
-            self.metrics
-                .latency
-                .record_duration(pending.submitted_at.elapsed());
-            // a dropped Ticket is a fire-and-forget request; ignore it
-            let _ = pending.tx.send(result);
-        }
+    /// Answers one request, counting the answer and recording its
+    /// latency.
+    fn respond(&self, pending: Pending, result: Result<RunReport, ServeError>) {
+        let outcome = if result.is_ok() {
+            &self.metrics.completed
+        } else {
+            &self.metrics.failed
+        };
+        outcome.inc();
+        self.metrics
+            .latency
+            .record_duration(pending.submitted_at.elapsed());
+        // a dropped Ticket is a fire-and-forget request; ignore it
+        let _ = pending.tx.send(result);
     }
 
-    /// Dispatches one drained batch: coalesce, resolve against the
-    /// ledger, run what remains, publish and answer. Drains the
-    /// caller's buffer in place so worker sessions reuse one batch
-    /// allocation across coalescing windows.
-    fn dispatch(self: &Arc<Self>, batch: &mut Vec<Pending>) {
+    /// Answers one dequeued request on its own: expire it, or take one
+    /// ledger step (cache hit, ride-along on an identical in-flight
+    /// execution, or claim), run a claim on the engine, publish the
+    /// result and answer the request and its riders.
+    fn dispatch(&self, pending: Pending) {
         let metrics = &self.metrics;
-        // requests whose deadline passed while queued are answered
-        // Expired before any claiming; the common all-unbounded batch
-        // skips this with one scan and no clock read
-        if batch.iter().any(|p| p.deadline.is_some()) {
-            let now = Instant::now();
-            let (expired, live): (Vec<Pending>, Vec<Pending>) = batch
-                .drain(..)
-                .partition(|p| p.deadline.is_some_and(|d| now >= d));
-            batch.extend(live);
-            if !expired.is_empty() {
-                metrics.deadline_misses.add(expired.len() as u64);
-                self.respond_many(expired.into_iter().map(|p| (p, Err(ServeError::Expired))));
-            }
-            if batch.is_empty() {
+        if pending.deadline.is_some_and(|d| Instant::now() >= d) {
+            metrics.deadline_misses.inc();
+            self.respond(pending, Err(ServeError::Expired));
+            return;
+        }
+        let (task, seed, trace_id) = (pending.task, pending.seed, pending.trace_id);
+        let key = IdempotencyKey {
+            fingerprint: self.engine.fingerprint(),
+            task,
+            seed,
+        };
+        {
+            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            if let Some(report) = ledger.cache.get(&key).cloned() {
+                drop(ledger);
+                metrics.cache_hits.inc();
+                trace::with_request_id(trace_id, || trace::emit(TraceEvent::CacheHit));
+                self.respond(pending, Ok(report));
                 return;
             }
+            metrics.cache_misses.inc();
+            trace::with_request_id(trace_id, || trace::emit(TraceEvent::CacheMiss));
+            // another session owns this key: ride along, answered by
+            // that owner
+            if let Some(riders) = ledger.inflight.get_mut(&key) {
+                riders.push(pending);
+                return;
+            }
+            ledger.inflight.insert(key, Vec::new());
         }
-        metrics.batches.inc();
-        metrics.batched_requests.add(batch.len() as u64);
-        let fingerprint = self.engine.fingerprint();
-        for group in coalesce(batch.drain(..), |p| (p.task, p.seed)) {
-            let task = group.task;
-            // phase 1 — resolve each unique seed against the ledger:
-            // answer from cache, piggyback on an identical in-flight
-            // execution, or claim it for execution here. One ledger
-            // lock covers the whole group (one pass per group, not per
-            // request); replies go out after the lock drops.
-            let mut to_run: Vec<(u64, Vec<Pending>)> = Vec::new();
-            let mut cached: Vec<(Pending, RunReport)> = Vec::new();
-            let (mut hits, mut misses) = (0u64, 0u64);
-            {
-                let mut ledger = self.ledger.lock().expect("ledger poisoned");
-                for (seed, waiters) in group.entries {
-                    let key = IdempotencyKey {
-                        fingerprint,
-                        task,
-                        seed,
-                    };
-                    if let Some(report) = ledger.cache.get(&key).cloned() {
-                        hits += waiters.len() as u64;
-                        for w in waiters {
-                            trace::with_request_id(w.trace_id, || {
-                                trace::emit(TraceEvent::CacheHit)
-                            });
-                            cached.push((w, report.clone()));
-                        }
-                        continue;
-                    }
-                    misses += waiters.len() as u64;
-                    for w in &waiters {
-                        trace::with_request_id(w.trace_id, || trace::emit(TraceEvent::CacheMiss));
-                    }
-                    match ledger.inflight.get_mut(&key) {
-                        // another worker owns this key: every waiter
-                        // rides along and is answered by that owner
-                        Some(riders) => riders.extend(waiters),
-                        None => {
-                            ledger.inflight.insert(key, Vec::new());
-                            to_run.push((seed, waiters));
-                        }
-                    }
-                }
-            }
-            metrics.cache_hits.add(hits);
-            metrics.cache_misses.add(misses);
-            self.respond_many(cached.into_iter().map(|(w, report)| (w, Ok(report))));
-            if to_run.is_empty() {
-                continue;
-            }
-            // phase 2 — one engine call for the whole group. Panics are
-            // contained here: `par_map` re-raises a job panic on its
-            // caller — this worker thread — and letting it unwind past
-            // the claims made in phase 1 would strand the inflight
-            // entries forever (riders never answered, the key never
-            // executable again, and with one worker the whole queue
-            // dead). A panicking execution instead cancels its waiters
-            // and the worker keeps serving.
-            let seeds: Vec<u64> = to_run.iter().map(|(s, _)| *s).collect();
-            metrics.engine_executions.add(seeds.len() as u64);
-            // correlate engine-side trace events with the request that
-            // opened the group (a batch executes as one unit)
-            let group_trace_id = to_run
-                .iter()
-                .find_map(|(_, ws)| ws.first().map(|w| w.trace_id))
-                .unwrap_or(0);
-            // a batch executes as one unit, so it can only carry a
-            // deadline every member agreed to: the laxest (max) one,
-            // and only when every claimed waiter is bounded — one
-            // unbounded waiter must not have its run cancelled by a
-            // sibling's budget
-            let group_deadline: Option<Instant> = if to_run
-                .iter()
-                .flat_map(|(_, ws)| ws)
-                .all(|w| w.deadline.is_some())
-            {
-                to_run
-                    .iter()
-                    .flat_map(|(_, ws)| ws)
-                    .filter_map(|w| w.deadline)
-                    .max()
-            } else {
-                None
-            };
-            let outcome: Result<Vec<RunReport>, ServeError> =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    trace::with_request_id(group_trace_id, || {
-                        self.engine
-                            .run_batch_with_deadline(task, &seeds, group_deadline)
-                    })
-                })) {
-                    Ok(Ok(reports)) => Ok(reports),
-                    Ok(Err(err)) => Err(ServeError::Engine(err)),
-                    Err(_panic) => Err(ServeError::Cancelled),
-                };
-            // phase 3 — publish to the cache and answer every waiter,
-            // including riders that attached while we were running.
-            // One ledger lock publishes (or releases) the whole group;
-            // responses again happen outside the lock.
-            match outcome {
-                Ok(reports) => {
-                    let mut answered: Vec<(Vec<Pending>, Vec<Pending>, RunReport)> =
-                        Vec::with_capacity(reports.len());
-                    {
-                        let mut ledger = self.ledger.lock().expect("ledger poisoned");
-                        for ((seed, waiters), report) in to_run.into_iter().zip(reports) {
-                            let key = IdempotencyKey {
-                                fingerprint,
-                                task,
-                                seed,
-                            };
-                            ledger.cache.insert(key, report.clone());
-                            let riders = ledger.inflight.remove(&key).unwrap_or_default();
-                            answered.push((waiters, riders, report));
-                        }
-                    }
-                    self.respond_many(answered.into_iter().flat_map(
-                        |(waiters, riders, report)| {
-                            waiters
-                                .into_iter()
-                                .chain(riders)
-                                .map(move |w| (w, Ok(report.clone())))
-                        },
-                    ));
-                }
-                Err(err) => {
-                    // the execution fails (or panics) as a unit: every
-                    // claimed seed of this group gets the error and its
-                    // inflight claim is released; nothing is cached —
-                    // deadline outcomes in particular must not shadow a
-                    // later retry with a larger budget
-                    if matches!(err, ServeError::Engine(EngineError::DeadlineExceeded)) {
-                        metrics.deadline_misses.inc();
-                    }
-                    let mut answered: Vec<(Vec<Pending>, Vec<Pending>)> =
-                        Vec::with_capacity(to_run.len());
-                    {
-                        let mut ledger = self.ledger.lock().expect("ledger poisoned");
-                        for (seed, waiters) in to_run {
-                            let key = IdempotencyKey {
-                                fingerprint,
-                                task,
-                                seed,
-                            };
-                            let riders = ledger.inflight.remove(&key).unwrap_or_default();
-                            answered.push((waiters, riders));
-                        }
-                    }
-                    self.respond_many(answered.into_iter().flat_map(|(waiters, riders)| {
-                        waiters
-                            .into_iter()
-                            .chain(riders)
-                            .map(|w| (w, Err(err.clone())))
-                    }));
-                }
-            }
+        // Panics are contained here: letting one unwind past the claim
+        // would strand the inflight entry forever (riders never
+        // answered, the key never executable again). A panicking
+        // execution instead cancels its waiters and the session keeps
+        // serving.
+        metrics.engine_executions.inc();
+        let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trace::with_request_id(trace_id, || {
+                self.engine.run_with_deadline(task, seed, pending.deadline)
+            })
+        })) {
+            Ok(Ok(report)) => Ok(report),
+            Ok(Err(err)) => Err(ServeError::Engine(err)),
+            Err(_panic) => Err(ServeError::Cancelled),
+        };
+        if matches!(
+            outcome,
+            Err(ServeError::Engine(EngineError::DeadlineExceeded))
+        ) {
+            metrics.deadline_misses.inc();
         }
+        // publish, then answer outside the lock. Failures are never
+        // cached: deadline outcomes in particular must not shadow a
+        // later retry with a larger budget.
+        let riders = {
+            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            if let Ok(report) = &outcome {
+                ledger.cache.insert(key, report.clone());
+            }
+            ledger.inflight.remove(&key).unwrap_or_default()
+        };
+        for rider in riders {
+            self.respond(rider, outcome.clone());
+        }
+        self.respond(pending, outcome);
     }
 }
 
-/// One worker session: drain the queue, coalesce within the window,
-/// dispatch. Exits when the queue disconnects *and* drains — accepted
+/// One worker session: take one request off the queue, answer it,
+/// repeat. Exits when the queue disconnects *and* drains — accepted
 /// requests are always served, even during shutdown.
 fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
-    let window = shared.config.coalesce_window;
-    let max_batch = shared.config.max_batch.max(1);
-    // one batch buffer per session, reused across windows — dispatch
-    // drains it in place instead of taking a fresh allocation each time
-    let mut batch: Vec<Pending> = Vec::with_capacity(max_batch);
-    // queue-depth gauge + QueueDequeue trace event, correlated to the
-    // request just taken off the queue
-    let note_dequeue = |p: &Pending| {
+    while let Ok(pending) = rx.recv() {
         shared.metrics.queue_depth.add(-1);
         let depth = rx.len();
-        trace::with_request_id(p.trace_id, || {
+        trace::with_request_id(pending.trace_id, || {
             trace::emit(TraceEvent::QueueDequeue {
                 depth: depth.min(u32::MAX as usize) as u32,
             });
         });
-    };
-    while let Ok(first) = rx.recv() {
-        note_dequeue(&first);
-        batch.push(first);
-        // The deadline is computed lazily, only once the queue actually
-        // runs dry: while requests are already queued (the loaded-server
-        // steady state) the session takes them with plain `try_recv` —
-        // no clock reads, no condvar park — and a burst that fills
-        // `max_batch` dispatches without ever starting the window.
-        let mut deadline: Option<Instant> = None;
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(p) => {
-                    note_dequeue(&p);
-                    batch.push(p);
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {}
-            }
-            if window.is_zero() {
-                // opportunistic mode: never wait for more
-                break;
-            }
-            let d = *deadline.get_or_insert_with(|| Instant::now() + window);
-            let Some(remaining) = d.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match rx.recv_timeout(remaining) {
-                Ok(p) => {
-                    note_dequeue(&p);
-                    batch.push(p);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
         // fail points OUTSIDE dispatch's own panic containment: a
-        // `Panic` here unwinds the session mid-batch — the held
-        // pendings' responders drop (tickets answer typed Cancelled)
-        // and the supervisor respawns the session
+        // `Panic` here unwinds the session holding the request — its
+        // responder drops (the ticket answers typed Cancelled) and the
+        // supervisor respawns the session
         if let Some(lds_chaos::Fault::Delay(d)) = lds_chaos::point("serve.queue_stall") {
             thread::sleep(d);
         }
@@ -545,7 +368,7 @@ fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
                 panic!("injected fault: serve.worker_panic");
             }
         }
-        shared.dispatch(&mut batch);
+        shared.dispatch(pending);
     }
 }
 
@@ -553,9 +376,9 @@ fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 /// disconnected and drained) ends the session; a panic is contained,
 /// counted (`serve_worker_restarts`, read via [`Server::worker_restarts`]),
 /// and the session respawns on the same thread and keeps draining. The
-/// unwound batch's responders drop during the unwind, so every
-/// in-flight ticket of the dead session is answered with a typed
-/// [`ServeError::Cancelled`] — never left hanging.
+/// unwound request's responder drops during the unwind, so its ticket
+/// is answered with a typed [`ServeError::Cancelled`] — never left
+/// hanging.
 fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
     loop {
         let session = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -571,47 +394,48 @@ fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 /// A concurrent serving front-end over one shared [`Engine`].
 ///
 /// ```text
-///  clients ──try_submit──▶ [bounded queue] ──▶ worker sessions
-///     ▲   Overloaded ◀──┘ (admission ctl)       │  coalesce window
+///  clients ──try_submit──▶ [bounded queue] ──▶ sessions, one per
+///     ▲   Overloaded ◀──┘ (admission ctl)       │  engine pool thread
 ///     │                                         ▼
-///  Ticket::wait ◀── respond ◀── ledger ◀── Engine::run_batch
+///  Ticket::wait ◀── respond ◀── ledger ◀── Engine::run_with_deadline
 ///                         (idempotency cache + in-flight dedup)
 /// ```
 ///
 /// * **Admission control** — the request queue is bounded;
 ///   [`Server::try_submit`] sheds load with [`SubmitError::Overloaded`]
 ///   at the configured watermark instead of queuing unboundedly.
-/// * **Coalescing** — a worker holding one request waits up to
-///   [`ServerConfig::coalesce_window`] for more, then groups compatible
-///   requests (same engine, same [`Task`]) into one
-///   [`Engine::run_batch`] call. Batching across seeds is the engine's
-///   parallel hot path, so a coalesced group costs one dispatch
-///   overhead instead of one per request.
+/// * **One request per dispatch, one session per pool thread** — each
+///   `(task, seed)` is its own execution, driven by that seed's
+///   randomness alone, so two requests share no work a batch could
+///   amortize. A session takes one request off the queue and answers
+///   it with one [`Engine::run_with_deadline`] call under the request's
+///   own deadline. The server runs [`Engine::threads`] sessions, so
+///   requests of any mix of tasks run side by side, and an engine error
+///   or missed deadline fails only its own request.
 /// * **Idempotency** — answers are cached under
 ///   `(engine fingerprint, task, seed)`. Per-request seeds are the
 ///   idempotency key of the whole workspace: task randomness derives
 ///   from the seed alone, so a cached answer is bit-identical to a
 ///   recomputed one. Identical requests in flight dedup to a single
-///   execution regardless of which worker carries them.
-/// * **Determinism** — coalescing and caching change *when and where*
-///   a task runs, never its output bits: `run_batch` keeps each seed's
-///   execution on a sequential lane, so a report served through the
+///   execution regardless of which session carries them.
+/// * **Determinism** — sessions and caching change *when and where* a
+///   task runs, never its output bits: a report served through the
 ///   server equals the report of a direct `engine.run_with_seed` call
 ///   (up to wall-clock fields).
 ///
 /// Dropping the server (or calling [`Server::shutdown`]) stops
-/// admission, drains every accepted request, and joins the workers.
+/// admission, drains every accepted request, and joins the sessions.
 pub struct Server {
     shared: Arc<Shared>,
     /// `None` after shutdown; dropping the sender is the shutdown
-    /// signal (workers exit once the queue disconnects and drains).
+    /// signal (sessions exit once the queue disconnects and drains).
     queue: Option<channel::Sender<Pending>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    sessions: Vec<thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts a server with the given configuration; worker sessions
-    /// spawn immediately.
+    /// Starts a server with the given configuration; its sessions, one
+    /// per thread of the engine's pool, spawn immediately.
     pub fn new(engine: Arc<Engine>, config: ServerConfig) -> Server {
         let capacity = config.queue_capacity.max(1);
         let watermark = config
@@ -631,20 +455,20 @@ impl Server {
             started_at: Instant::now(),
             config,
         });
-        let workers = (0..shared.config.workers.max(1))
+        let sessions = (0..shared.engine.threads())
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 let rx = rx.clone();
                 thread::Builder::new()
                     .name(format!("lds-serve-{i}"))
                     .spawn(move || supervise(shared, rx))
-                    .expect("spawn serve worker")
+                    .expect("spawn serve session")
             })
             .collect();
         Server {
             shared,
             queue: Some(tx),
-            workers,
+            sessions,
         }
     }
 
@@ -801,8 +625,6 @@ impl Server {
             cache_hits: m.cache_hits.get(),
             cache_misses: m.cache_misses.get(),
             engine_executions: m.engine_executions.get(),
-            batches: m.batches.get(),
-            batched_requests: m.batched_requests.get(),
             queue_depth: self.shared.probe.len(),
             peak_queue_depth: self.shared.probe.peak_depth(),
             p50_latency: p50,
@@ -812,7 +634,7 @@ impl Server {
     }
 
     /// Stops admission, drains every accepted request, joins the
-    /// workers. Called automatically on drop; explicit shutdown lets
+    /// sessions. Called automatically on drop; explicit shutdown lets
     /// callers sequence it (e.g. before reading final stats from a
     /// clone of the handle's data).
     pub fn shutdown(mut self) {
@@ -820,11 +642,11 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        // dropping the only sender disconnects the queue; workers
+        // dropping the only sender disconnects the queue; sessions
         // finish the drain and exit
         self.queue.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for session in self.sessions.drain(..) {
+            let _ = session.join();
         }
     }
 }
@@ -848,6 +670,8 @@ impl std::fmt::Debug for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use lds_engine::ModelSpec;
     use lds_graph::generators;
 
@@ -885,8 +709,8 @@ mod tests {
     fn cache_serves_repeats_without_reexecution() {
         let server = Server::with_defaults(test_engine());
         let a = server.run(Task::SampleExact, 5).unwrap();
-        // run sequentially so the second request cannot coalesce with
-        // the first: it must be a pure cache hit
+        // run sequentially so the second request cannot ride along on
+        // the first's execution: it must be a pure cache hit
         let b = server.run(Task::SampleExact, 5).unwrap();
         assert_eq!(a.config().unwrap().values(), b.config().unwrap().values());
         let stats = server.stats();
@@ -934,7 +758,7 @@ mod tests {
         use lds_gibbs::Value;
         use lds_graph::NodeId;
         let server = Server::with_defaults(test_engine());
-        // an out-of-range vertex makes run_batch fail inside dispatch:
+        // an out-of-range vertex makes the engine run fail inside dispatch:
         // the claim must be released and the error surfaced, not cached
         let bad = Task::Infer {
             vertex: NodeId(999),
@@ -960,17 +784,11 @@ mod tests {
 
     #[test]
     fn shutdown_drains_accepted_requests() {
-        let server = Server::new(
-            test_engine(),
-            ServerConfig {
-                coalesce_window: Duration::from_millis(2),
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::with_defaults(test_engine());
         let tickets: Vec<Ticket> = (0..8u64)
             .map(|s| server.try_submit(Task::SampleExact, s).unwrap())
             .collect();
-        server.shutdown(); // joins workers; accepted work must finish
+        server.shutdown(); // joins sessions; accepted work must finish
         for t in tickets {
             assert!(t.wait().is_ok(), "accepted request dropped on shutdown");
         }
@@ -983,8 +801,6 @@ mod tests {
             server.run(Task::SampleExact, s).unwrap();
         }
         let stats = server.stats();
-        assert!(stats.batches >= 1);
-        assert_eq!(stats.batched_requests, 4);
         assert_eq!(stats.submitted, 4);
         assert!(stats.p50_latency > Duration::ZERO);
         assert!(stats.p99_latency >= stats.p50_latency);

@@ -37,10 +37,6 @@ pub struct ServerStats {
     pub cache_misses: u64,
     /// Seeds actually executed on the engine.
     pub engine_executions: u64,
-    /// Coalesced dispatch rounds.
-    pub batches: u64,
-    /// Requests dispatched across all rounds.
-    pub batched_requests: u64,
     /// Requests currently queued.
     pub queue_depth: usize,
     /// High-watermark of queue depth since the server started.
@@ -63,15 +59,6 @@ impl ServerStats {
             0.0
         } else {
             self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Mean number of requests per coalesced dispatch round.
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / self.batches as f64
         }
     }
 
@@ -118,10 +105,6 @@ impl ServerStats {
             engine_executions: self
                 .engine_executions
                 .saturating_sub(earlier.engine_executions),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batched_requests: self
-                .batched_requests
-                .saturating_sub(earlier.batched_requests),
             queue_depth: self.queue_depth,
             peak_queue_depth: self.peak_queue_depth,
             p50_latency: self.p50_latency,
@@ -146,13 +129,7 @@ impl std::fmt::Display for ServerStats {
             self.cache_hit_rate() * 100.0,
             self.deduped()
         )?;
-        writeln!(
-            f,
-            "engine:   {} executions in {} batches (mean coalescing {:.2}x)",
-            self.engine_executions,
-            self.batches,
-            self.mean_batch_size()
-        )?;
+        writeln!(f, "engine:   {} executions", self.engine_executions)?;
         writeln!(
             f,
             "queue:    depth {} (peak {})",
@@ -207,8 +184,6 @@ mod tests {
             cache_hits: 4,
             cache_misses: 10,
             engine_executions: 9,
-            batches: 3,
-            batched_requests: 12,
             queue_depth: 2,
             peak_queue_depth: 8,
             p50_latency: Duration::from_micros(100),
@@ -248,8 +223,6 @@ mod tests {
             cache_hits: 30,
             cache_misses: 60,
             engine_executions: 45,
-            batches: 15,
-            batched_requests: 90,
             queue_depth: 0,
             peak_queue_depth: 12,
             p50_latency: Duration::from_micros(500),
@@ -257,7 +230,6 @@ mod tests {
             uptime: Duration::from_secs(2),
         };
         assert!((stats.cache_hit_rate() - 30.0 / 90.0).abs() < 1e-12);
-        assert!((stats.mean_batch_size() - 6.0).abs() < 1e-12);
         assert_eq!(stats.deduped(), 15);
         assert!((stats.throughput() - 44.0).abs() < 1e-12);
         let rendered = stats.to_string();
@@ -278,8 +250,6 @@ mod tests {
             cache_hits: 30,
             cache_misses: 60,
             engine_executions: 45,
-            batches: 15,
-            batched_requests: 90,
             queue_depth: 0,
             peak_queue_depth: 12,
             p50_latency: Duration::from_micros(500),
@@ -289,7 +259,7 @@ mod tests {
         let expected = "\
 requests: 100 submitted, 88 completed, 2 failed, 10 rejected
 cache:    30 hits / 60 misses (hit rate 33.3%), 15 deduped in flight
-engine:   45 executions in 15 batches (mean coalescing 6.00x)
+engine:   45 executions
 queue:    depth 0 (peak 12)
 latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
         assert_eq!(stats.to_string(), expected);
@@ -307,8 +277,6 @@ latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
             cache_hits: n,
             cache_misses: n,
             engine_executions: n,
-            batches: n,
-            batched_requests: n,
             queue_depth: 1,
             peak_queue_depth: 3,
             p50_latency: Duration::from_micros(10),
@@ -325,8 +293,6 @@ latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
         assert_eq!(delta.cache_hits, 0);
         assert_eq!(delta.cache_misses, 0);
         assert_eq!(delta.engine_executions, 0);
-        assert_eq!(delta.batches, 0);
-        assert_eq!(delta.batched_requests, 0);
         // uptime saturates too, so rates divide by zero safely
         assert_eq!(delta.uptime, Duration::ZERO);
         assert_eq!(delta.throughput(), 0.0);
@@ -349,8 +315,6 @@ latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
             cache_hits: 7,
             cache_misses: 33,
             engine_executions: 30,
-            batches: 9,
-            batched_requests: 40,
             queue_depth: 0,
             peak_queue_depth: 5,
             p50_latency: Duration::from_micros(100),
@@ -363,7 +327,6 @@ latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
         assert_eq!(delta.uptime, Duration::ZERO);
         assert_eq!(delta.throughput(), 0.0);
         assert_eq!(delta.cache_hit_rate(), 0.0);
-        assert_eq!(delta.mean_batch_size(), 0.0);
         assert_eq!(delta.deduped(), 0);
         // the lifetime percentile fields are not deltas and survive
         assert_eq!(delta.p50_latency, snap.p50_latency);

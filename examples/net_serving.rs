@@ -27,7 +27,6 @@ fn main() {
         NetConfig {
             registry: RegistryConfig {
                 server: ServerConfig {
-                    workers: 1,
                     queue_capacity: 2,
                     ..ServerConfig::default()
                 },

@@ -4,11 +4,12 @@
 //! Simulates several client threads firing bursts of mixed
 //! `SampleExact`/`Count` requests at one shared engine. Clients reuse a
 //! small set of "hot" seeds (as retrying or fan-in clients do), so the
-//! run exercises all three serving mechanisms at once: the coalescer
-//! folds each burst into a few `run_batch` calls, the idempotency cache
-//! answers repeated `(task, seed)` keys without re-executing, and
-//! admission control sheds load when a burst outruns the queue. Prints
-//! the final `ServerStats`.
+//! run exercises all three serving mechanisms at once: two sessions,
+//! one per thread of the engine's pool, each answer one request at a
+//! time; the idempotency cache answers repeated `(task, seed)` keys
+//! without re-executing, and identical requests in flight share one
+//! execution; and admission control sheds load when a burst outruns the
+//! queue. Prints the final `ServerStats`.
 //!
 //! Run with: `cargo run --example serving --release`
 
@@ -31,11 +32,13 @@ fn main() {
             .model(ModelSpec::Hardcore { lambda: 1.0 })
             .graph(generators::cycle(14))
             .epsilon(0.001)
+            .threads(2)
             .build()
             .expect("λ = 1 in regime on a cycle"),
     );
     println!(
-        "engine: hardcore λ = 1 on C14, fingerprint {:#018x}, pool width {}",
+        "engine: hardcore λ = 1 on C14, fingerprint {:#018x}, pool width {} \
+         (one server session per pool thread)",
         engine.fingerprint(),
         engine.threads()
     );
@@ -43,8 +46,6 @@ fn main() {
     let server = Arc::new(Server::new(
         Arc::clone(&engine),
         ServerConfig {
-            workers: 2,
-            coalesce_window: Duration::from_micros(500),
             queue_capacity: 64,
             ..ServerConfig::default()
         },
@@ -94,8 +95,8 @@ fn main() {
     let stats = server.stats();
     println!("\n--- ServerStats ---\n{stats}");
     println!(
-        "\ncoalescing folded {} requests into {} engine executions \
-         ({:.1}% answered without executing)",
+        "\n{} requests took {} engine executions \
+         ({:.1}% answered from the cache or an identical in-flight run)",
         stats.completed,
         stats.engine_executions,
         100.0 * (1.0 - stats.engine_executions as f64 / stats.completed.max(1) as f64)

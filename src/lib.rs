@@ -31,8 +31,8 @@
 //!   counter-based RNG stream derivation, so every result is
 //!   bit-identical regardless of thread count.
 //! * [`serve`] — the concurrent serving front-end: a bounded request
-//!   queue with admission control, request coalescing into
-//!   `run_batch`, an idempotency cache keyed by
+//!   queue with admission control, one request per dispatch on one
+//!   session per engine pool thread, an idempotency cache keyed by
 //!   `(engine fingerprint, task, seed)`, and the multi-tenant
 //!   [`serve::EngineRegistry`] with LRU eviction.
 //! * [`net`] — out-of-process serving: a versioned binary wire codec,

@@ -10,14 +10,16 @@
 //! server-side engines are built without an explicit width, so every
 //! assertion holds at widths 1, 4, and 8.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lds::chaos::{self, Fault, Plan, Trigger};
-use lds::engine::{ModelSpec, RunReport, Task, Topology};
-use lds::graph::generators;
+use lds::engine::{Engine, ModelSpec, RunReport, Task, Topology};
+use lds::gibbs::Value;
+use lds::graph::{generators, NodeId};
 use lds::net::{Client, ClientError, EngineSpec, NetServer, Op, Reply, RetryPolicy, WireError};
+use lds::serve::Server;
 
 /// The chaos registry is process-global; scenarios that arm a plan
 /// must not overlap. Every test takes this guard first.
@@ -146,10 +148,11 @@ fn deadline_outcomes_are_report_xor_typed_expired_never_partial() {
     }
 }
 
-/// A worker panicking mid-batch is contained: the in-flight request is
-/// answered typed (`Cancelled`), the supervisor respawns the worker,
-/// and the same connection keeps being served. The retry policy treats
-/// `Cancelled` as transient, so `run_retrying` rides through the crash.
+/// A worker session panicking while it holds a request is contained:
+/// that request is answered typed (`Cancelled`), the supervisor
+/// respawns the session, and the same connection keeps being served.
+/// The retry policy treats `Cancelled` as transient, so `run_retrying`
+/// rides through the crash.
 #[test]
 fn worker_panic_is_contained_respawned_and_survivable() {
     let _serial = serial();
@@ -253,6 +256,55 @@ fn injected_engine_fault_is_typed_terminal_and_precisely_placed() {
     assert_eq!(chaos::firings("engine.oracle_error"), 1);
     drop(guard);
     server.shutdown();
+}
+
+/// A tenant runs one session per thread of its engine's pool: with a
+/// delay stretching every engine run to 250 ms, a SampleExact and an
+/// Infer submitted together to a default `Server` run side by side over
+/// a two-thread engine and one after the other over a one-thread
+/// engine.
+#[test]
+fn a_tenants_concurrency_follows_its_pool_width() {
+    let _serial = serial();
+    let seed = chaos::seed_from_env(0x5EED);
+    let infer = Task::Infer {
+        vertex: NodeId(0),
+        value: Value(1),
+    };
+    // time from submitting both requests to holding both answers
+    let both_answered = |threads: usize| {
+        let engine = Engine::builder()
+            .model(ModelSpec::Hardcore { lambda: 1.0 })
+            .graph(generators::cycle(8))
+            .threads(threads)
+            .build()
+            .unwrap();
+        let server = Server::with_defaults(Arc::new(engine));
+        let start = Instant::now();
+        let tickets = [
+            server.try_submit(Task::SampleExact, 1).unwrap(),
+            server.try_submit(infer, 1).unwrap(),
+        ];
+        for ticket in tickets {
+            ticket.wait().expect("a delayed run still answers");
+        }
+        start.elapsed()
+    };
+    let guard = chaos::arm(Plan::new(seed).with(
+        "engine.oracle_error",
+        Trigger::Always,
+        Fault::Delay(Duration::from_millis(250)),
+    ));
+    let (two, one) = (both_answered(2), both_answered(1));
+    drop(guard);
+    assert!(
+        two < Duration::from_millis(400),
+        "two sessions must run the two requests side by side, took {two:?}"
+    );
+    assert!(
+        one >= Duration::from_millis(500),
+        "one session must run the two requests one after the other, took {one:?}"
+    );
 }
 
 /// Probabilistic schedules replay identically for the same seed — the

@@ -257,15 +257,15 @@ fn arb_report() -> impl Strategy<Value = RunReport> {
 fn arb_server_stats() -> impl Strategy<Value = ServerStats> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), 0usize..10_000, 0usize..10_000),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+        (0usize..10_000, 0usize..10_000),
         (arb_duration(), arb_duration(), arb_duration()),
     )
         .prop_map(
             |(
                 (submitted, rejected, completed, failed),
-                (cache_hits, cache_misses, engine_executions, batches),
-                (batched_requests, queue_depth, peak_queue_depth),
+                (cache_hits, cache_misses, engine_executions),
+                (queue_depth, peak_queue_depth),
                 (p50, p99, uptime),
             )| ServerStats {
                 submitted,
@@ -275,8 +275,6 @@ fn arb_server_stats() -> impl Strategy<Value = ServerStats> {
                 cache_hits,
                 cache_misses,
                 engine_executions,
-                batches,
-                batched_requests,
                 queue_depth,
                 peak_queue_depth,
                 p50_latency: p50,

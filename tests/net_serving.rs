@@ -13,7 +13,7 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
-use lds::engine::{ModelSpec, RunReport, Task, Topology};
+use lds::engine::{Engine, ModelSpec, RunReport, Task, Topology};
 use lds::graph::generators;
 use lds::net::codec::Wire;
 use lds::net::{
@@ -284,11 +284,10 @@ fn stats_travel_the_wire_and_interval_resets() {
 #[test]
 fn flooding_one_tenant_gets_typed_overload_while_others_complete() {
     let mut config = NetConfig::default();
-    // a tiny tenant queue, one worker, no coalescing delay shortcut:
-    // the flood must hit the admission watermark
+    // a tiny tenant queue and one session: the flood must hit the
+    // admission watermark
     config.registry.server = ServerConfig {
         queue_capacity: 2,
-        workers: 1,
         ..ServerConfig::default()
     };
     config.session_queue_capacity = 256;
@@ -296,7 +295,18 @@ fn flooding_one_tenant_gets_typed_overload_while_others_complete() {
     let addr = server.local_addr();
 
     let mut flooder = Client::connect(addr).unwrap();
-    let fp_flood = flooder.register(&hardcore_spec(48)).unwrap();
+    // a tenant runs one session per pool thread, and a spec leaves the
+    // width to the server, so the one-session tenant registers in process
+    let spec = hardcore_spec(48);
+    let flood_engine = Engine::builder()
+        .model(spec.model)
+        .topology(spec.topology)
+        .epsilon(spec.epsilon)
+        .delta(spec.delta)
+        .threads(1)
+        .build()
+        .unwrap();
+    let fp_flood = server.registry().register(flood_engine);
     let fp_calm = server.registry().register(ising_spec(8).build().unwrap());
 
     // pipeline a burst far past the queue capacity, all distinct seeds

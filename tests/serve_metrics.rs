@@ -16,7 +16,7 @@ use lds::graph::generators;
 use lds::obs::MetricsSnapshot;
 use lds::serve::{Server, ServerConfig, ServerStats, Ticket};
 
-/// How long the stalled server's worker sleeps holding its first batch.
+/// How long the stalled server's session sleeps holding its first request.
 /// Everything checked while it sleeps takes milliseconds.
 const STALL: Duration = Duration::from_secs(3);
 

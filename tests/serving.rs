@@ -2,24 +2,29 @@
 //! answers, at most one engine execution per key), determinism across
 //! pool widths, and admission-control backpressure.
 //!
-//! These run in the CI `LDS_THREADS` determinism matrix: engines built
-//! without an explicit width pick up the matrix value, so every
-//! assertion here holds at widths 1, 4, and 8.
+//! These run in the CI `LDS_THREADS` determinism matrix. A server runs
+//! one session per thread of its engine's pool, and how many sessions
+//! drain the queue is part of what these tests check, so every engine
+//! here has an explicit width and every assertion holds at matrix
+//! widths 1, 4, and 8 alike.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
 
 use lds::engine::{Engine, ModelSpec, RunReport, Task};
 use lds::graph::generators;
 use lds::serve::{Server, ServerConfig, SubmitError};
 
-fn hardcore_engine(n: usize) -> Arc<Engine> {
+/// A hardcore engine on `cycle(n)` whose pool width, and so the number
+/// of sessions a server over it runs, is `threads` at every matrix
+/// width.
+fn hardcore_engine(n: usize, threads: usize) -> Arc<Engine> {
     Arc::new(
         Engine::builder()
             .model(ModelSpec::Hardcore { lambda: 1.0 })
             .graph(generators::cycle(n))
             .epsilon(0.001)
+            .threads(threads)
             .build()
             .expect("in regime"),
     )
@@ -33,18 +38,11 @@ fn hardcore_engine(n: usize) -> Arc<Engine> {
 
 #[test]
 fn concurrent_identical_requests_are_bit_identical_and_execute_once() {
-    let engine = hardcore_engine(10);
-    let direct = engine.run_with_seed(Task::SampleExact, 42).unwrap();
-    // two worker sessions so the in-flight ledger (not worker
+    // two sessions so the in-flight ledger (not session
     // single-threading) has to provide the at-most-one guarantee
-    let server = Arc::new(Server::new(
-        Arc::clone(&engine),
-        ServerConfig {
-            workers: 2,
-            coalesce_window: Duration::from_micros(500),
-            ..ServerConfig::default()
-        },
-    ));
+    let engine = hardcore_engine(10, 2);
+    let direct = engine.run_with_seed(Task::SampleExact, 42).unwrap();
+    let server = Arc::new(Server::with_defaults(Arc::clone(&engine)));
     const CLIENTS: usize = 8;
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
@@ -116,45 +114,13 @@ fn served_outputs_are_identical_across_pool_widths() {
 }
 
 #[test]
-fn coalescing_batches_compatible_requests() {
-    let server = Server::new(
-        hardcore_engine(8),
-        ServerConfig {
-            workers: 1,
-            coalesce_window: Duration::from_millis(5),
-            max_batch: 64,
-            ..ServerConfig::default()
-        },
-    );
-    // submit a burst faster than the window closes: the single worker
-    // must fold it into far fewer dispatch rounds than requests
-    let tickets: Vec<_> = (0..16u64)
-        .map(|seed| server.submit(Task::SampleExact, seed).unwrap())
-        .collect();
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    let stats = server.stats();
-    assert_eq!(stats.completed, 16);
-    assert_eq!(stats.batched_requests, 16);
-    assert!(
-        stats.mean_batch_size() > 1.0,
-        "no coalescing happened: {stats}"
-    );
-    assert_eq!(stats.engine_executions, 16, "all seeds distinct");
-}
-
-#[test]
 fn backpressure_rejects_above_watermark_without_deadlock() {
-    // a deliberately tiny, slow server: one worker, no coalescing, a
-    // 2-deep queue, and a model large enough that each execution takes
-    // ~milliseconds while submissions take microseconds
+    // a deliberately tiny, slow server: one session, a 2-deep queue,
+    // and a model large enough that each execution takes ~milliseconds
+    // while submissions take microseconds
     let server = Server::new(
-        hardcore_engine(18),
+        hardcore_engine(18, 1),
         ServerConfig {
-            workers: 1,
-            coalesce_window: Duration::ZERO,
-            max_batch: 1,
             queue_capacity: 2,
             cache_capacity: 0, // every request must actually execute
             ..ServerConfig::default()
@@ -200,11 +166,8 @@ fn backpressure_rejects_above_watermark_without_deadlock() {
 #[test]
 fn watermark_below_capacity_sheds_early() {
     let server = Server::new(
-        hardcore_engine(18),
+        hardcore_engine(18, 1),
         ServerConfig {
-            workers: 1,
-            coalesce_window: Duration::ZERO,
-            max_batch: 1,
             queue_capacity: 16,
             admission_watermark: Some(2),
             cache_capacity: 0,
@@ -238,11 +201,8 @@ fn concurrent_producers_cannot_overshoot_the_watermark() {
     // with many producers racing, the queue never exceeds the soft
     // watermark (this is what a post-hoc `len()` check cannot give)
     let server = Arc::new(Server::new(
-        hardcore_engine(16),
+        hardcore_engine(16, 1),
         ServerConfig {
-            workers: 1,
-            coalesce_window: Duration::ZERO,
-            max_batch: 1,
             queue_capacity: 16,
             admission_watermark: Some(2),
             cache_capacity: 0,
@@ -281,15 +241,7 @@ fn concurrent_producers_cannot_overshoot_the_watermark() {
 
 #[test]
 fn mixed_task_stream_serves_every_request() {
-    let engine = hardcore_engine(8);
-    let server = Arc::new(Server::new(
-        Arc::clone(&engine),
-        ServerConfig {
-            workers: 2,
-            coalesce_window: Duration::from_millis(1),
-            ..ServerConfig::default()
-        },
-    ));
+    let server = Arc::new(Server::with_defaults(hardcore_engine(8, 2)));
     let clients: Vec<_> = (0..4u64)
         .map(|c| {
             let server = Arc::clone(&server);
