@@ -285,7 +285,8 @@ fn small_item(x: &u64) -> u64 {
 }
 
 /// Many small `par_map` calls: 64 calls of 8 cheap items per rep, the
-/// per-call overhead of the persistent pool.
+/// per-call overhead of a scoped fan-out (inline at width 1, three
+/// helper-thread spawns per call at width 4).
 fn pool(samples: usize) -> Record {
     const CALLS: usize = 64;
     let items: Vec<u64> = (0..8).collect();

@@ -145,7 +145,7 @@ pub fn log_partition_function<O>(
     pool: &ThreadPool,
 ) -> Result<CountRun, CountError>
 where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
+    O: MultiplicativeInference + Sync,
 {
     let n = model.node_count();
     let anchor_eps = eps.max(ANCHOR_EPS_FLOOR);
@@ -360,7 +360,7 @@ pub fn log_partition_function_annealed<O>(
     pool: &ThreadPool,
 ) -> Result<AnnealedCount, CountError>
 where
-    O: InferenceOracle + Clone + Send + Sync + 'static,
+    O: InferenceOracle + Clone + Sync,
 {
     let n = model.node_count();
 
@@ -424,19 +424,10 @@ where
     let budget = cfg.max_samples_per_level.max(chunk);
     let checkpoints = budget.div_ceil(chunk);
     let delta_ckpt = cfg.delta / levels.len() as f64 / checkpoints as f64;
-    let shared = Arc::new((
-        oracle.clone(),
-        model.clone(),
-        pinning.clone(),
-        levels.clone(),
-        cfg.clone(),
-        schedule,
-    ));
     let indices: Vec<usize> = (0..levels.len()).collect();
-    let stats: Vec<Result<LevelStat, CountError>> = pool.par_map(&indices, move |&i| {
-        let (oracle, model, base, levels, cfg, schedule) = &*shared;
+    let stats: Vec<Result<LevelStat, CountError>> = pool.par_map(&indices, |&i| {
         let (v, target) = levels[i];
-        let mut prefix = base.clone();
+        let mut prefix = pinning.clone();
         for &(u, val) in &levels[..i] {
             prefix.pin(u, val);
         }
@@ -454,7 +445,7 @@ where
                     Arc::clone(&instance),
                     level_seed.wrapping_add(m as u64 + s),
                 );
-                let run = sample_once(&net, oracle, cfg.sampler_delta, schedule);
+                let run = sample_once(&net, oracle, cfg.sampler_delta, &schedule);
                 if run.outputs[v.index()] == target {
                     hits += 1;
                 }
@@ -578,7 +569,7 @@ mod tests {
         eps: f64,
     ) -> Result<CountEstimate, CountError>
     where
-        O: MultiplicativeInference + Clone + Send + Sync + 'static,
+        O: MultiplicativeInference + Sync,
     {
         log_partition_function(model, tau, oracle, eps, &ThreadPool::sequential())
             .map(|run| run.estimate)

@@ -17,8 +17,6 @@
 //! `1 − η`. Locality is untouched — each execution is a LOCAL run — only
 //! the per-node post-processing differs.
 
-use std::sync::Arc;
-
 use lds_gibbs::Value;
 use lds_localnet::Network;
 use lds_oracle::InferenceOracle;
@@ -58,7 +56,7 @@ pub fn repetitions_for(n: usize, q: usize, delta_s: f64, eta: f64) -> usize {
 /// Failed executions contribute their outputs too (the reduction reads
 /// the *unconditioned* marginal, which is what the `δ + ε₀` bound is
 /// about); the failure rate is reported separately.
-pub fn marginals_by_sampling<O: InferenceOracle + Clone + Send + Sync + 'static>(
+pub fn marginals_by_sampling<O: InferenceOracle + Clone + Sync>(
     net: &Network,
     oracle: &O,
     delta: f64,
@@ -75,16 +73,11 @@ pub fn marginals_by_sampling<O: InferenceOracle + Clone + Send + Sync + 'static>
     // how many repetitions the Hoeffding bound asks for
     let chunk = (pool.threads() * 16).max(64);
     let reps: Vec<u64> = (0..repetitions as u64).collect();
-    let schedule = Arc::new(shared_schedule(net, oracle, delta));
+    let schedule = shared_schedule(net, oracle, delta);
     for chunk_reps in reps.chunks(chunk) {
-        // ship owned context to the pool's 'static jobs: the instance and
-        // the schedule by Arc, the oracle by clone (cheap parameter struct)
-        let instance = net.shared_instance();
-        let schedule = Arc::clone(&schedule);
-        let oracle = oracle.clone();
-        let runs = pool.par_map(chunk_reps, move |&rep| {
-            let run_net = Network::from_shared(Arc::clone(&instance), seed0.wrapping_add(rep));
-            sample_once(&run_net, &oracle, delta, &schedule)
+        let runs = pool.par_map(chunk_reps, |&rep| {
+            let run_net = Network::from_shared(net.shared_instance(), seed0.wrapping_add(rep));
+            sample_once(&run_net, oracle, delta, &schedule)
         });
         for run in runs {
             rounds = rounds.max(run.rounds);

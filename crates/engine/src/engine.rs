@@ -62,14 +62,6 @@ enum Decoder {
 /// assert_eq!(report.config().unwrap().len(), 10);
 /// ```
 pub struct Engine {
-    /// Everything the engine owns lives behind one `Arc` so that batch
-    /// fan-out can ship `'static` jobs to the pool's long-lived workers
-    /// (each job captures a clone of this handle, never a borrow).
-    core: Arc<EngineCore>,
-}
-
-/// The engine's shared innards; see [`Engine`].
-struct EngineCore {
     spec: ModelSpec,
     topology: Topology,
     instance: Arc<Instance>,
@@ -88,13 +80,13 @@ struct EngineCore {
     /// [`EngineError::BackendUnavailable`] when the task is requested).
     approx: Result<ApproxPath, regime::OutOfRegime>,
     /// The chromatic schedule `SampleExact` scans, drawn on first use
-    /// (see [`EngineCore::schedule`]).
+    /// (see [`Engine::schedule`]).
     exact_schedule: OnceLock<ChromaticSchedule>,
     /// The chromatic schedule of the resolved `SampleApprox` path (chain
     /// rule or Glauber), drawn on first use.
     approx_schedule: OnceLock<ChromaticSchedule>,
     /// The marginal table: one cell per carrier vertex holding `μ^τ_v`
-    /// at `ε`, filled on first use (see [`EngineCore::marginal`]).
+    /// at `ε`, filled on first use (see [`Engine::marginal`]).
     /// `Task::Infer` and [`Engine::marginals`] both read it.
     marginal_table: Vec<OnceLock<Vec<f64>>>,
     /// `Task::Count`'s answer, `(ln Ẑ, log_error_bound)` or its typed
@@ -104,15 +96,14 @@ struct EngineCore {
     /// (spec, topology, pinning, ε, δ, backend) — the engine half of a
     /// serving idempotency key; see [`Engine::fingerprint`].
     fingerprint: u64,
-    /// One persistent pool shared (via `Arc`) by batch fan-out, the
-    /// counting estimators, and the marginal tables — workers spawn once
-    /// at build time, not per call.
-    pool: Arc<ThreadPool>,
+    /// The fan-out width of a first `Task::Count`, [`Engine::marginals`]
+    /// and [`Engine::marginals_sampled`]; it owns no threads.
+    pool: ThreadPool,
     /// Host hardware parallelism, cached at build time. The batch
-    /// fan-out caps its lane count here: pool width beyond the physical
+    /// fan-out caps its lane count here: width beyond the physical
     /// cores buys nothing on the across-seeds path (the seeds are pure
-    /// throughput work) and the extra dispatch costs real time on small
-    /// hosts. The other fan-outs keep the full pool width.
+    /// throughput work) and the extra lanes cost real time on small
+    /// hosts. The other fan-outs keep the full width.
     host_lanes: usize,
 }
 
@@ -229,13 +220,16 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the width of the engine's thread pool: `run_batch` fans
-    /// seeds across it, [`Task::Count`] fans its chain levels across it,
-    /// and the per-vertex oracle trials of [`Engine::marginals`] and the
-    /// Monte Carlo executions of [`Engine::marginals_sampled`] run on
-    /// it. A single sampling execution always runs sequentially. It
-    /// also sets how many requests a `lds-serve` `Server` over this
-    /// engine runs at once: one session per pool thread.
+    /// Sets the engine's fan-out width: a first [`Task::Count`] fans its
+    /// chain levels across that many lanes, [`Engine::marginals`] its
+    /// per-vertex oracle queries, [`Engine::marginals_sampled`] its
+    /// Monte Carlo executions, and [`Engine::run_batch`] its seeds
+    /// (capped at the host's parallelism). Each fan-out spawns scoped
+    /// helper threads and joins them before it returns, so an engine
+    /// owns no threads between calls. A single sampling execution always
+    /// runs sequentially. The width also sets how many requests a
+    /// `lds-serve` `Server` over this engine runs at once: one session
+    /// per lane.
     ///
     /// Every result is **bit-identical regardless of `n`** (randomness
     /// is derived per task, never shared — see `lds-runtime`);
@@ -303,10 +297,9 @@ impl EngineBuilder {
         let epsilon = self.epsilon.unwrap_or(0.01);
         let delta = self.delta.unwrap_or(0.05);
         validate_spec_parameters(&spec)?;
-        let pool = match self.threads {
-            Some(n) => Arc::new(ThreadPool::new(n)),
-            None => Arc::new(ThreadPool::from_env()),
-        };
+        let pool = self
+            .threads
+            .map_or_else(ThreadPool::from_env, ThreadPool::new);
         let topology = self.topology.ok_or(EngineError::MissingTopology {
             expected: spec.expected_topology(),
         })?;
@@ -461,29 +454,25 @@ impl EngineBuilder {
         let instance = Arc::new(Instance::new(model, pinning)?);
 
         Ok(Engine {
-            core: Arc::new(EngineCore {
-                spec,
-                topology,
-                instance,
-                oracle,
-                decoder,
-                rate,
-                bound_rounds,
-                epsilon,
-                delta,
-                seed: self.seed,
-                backend,
-                approx,
-                exact_schedule: OnceLock::new(),
-                approx_schedule: OnceLock::new(),
-                marginal_table: (0..carrier_n).map(|_| OnceLock::new()).collect(),
-                count: OnceLock::new(),
-                fingerprint,
-                pool,
-                host_lanes: std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            }),
+            spec,
+            topology,
+            instance,
+            oracle,
+            decoder,
+            rate,
+            bound_rounds,
+            epsilon,
+            delta,
+            seed: self.seed,
+            backend,
+            approx,
+            exact_schedule: OnceLock::new(),
+            approx_schedule: OnceLock::new(),
+            marginal_table: (0..carrier_n).map(|_| OnceLock::new()).collect(),
+            count: OnceLock::new(),
+            fingerprint,
+            pool,
+            host_lanes: ThreadPool::available().threads(),
         })
     }
 }
@@ -557,14 +546,14 @@ fn saw_oracle(params: TwoSpinParams, rate: f64) -> TwoSpinSawOracle {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("spec", &self.core.spec)
-            .field("carrier_nodes", &self.core.instance.node_count())
+            .field("spec", &self.spec)
+            .field("carrier_nodes", &self.instance.node_count())
             .field("oracle", &self.oracle_name())
-            .field("rate", &self.core.rate)
-            .field("epsilon", &self.core.epsilon)
-            .field("delta", &self.core.delta)
-            .field("seed", &self.core.seed)
-            .field("threads", &self.core.pool.threads())
+            .field("rate", &self.rate)
+            .field("epsilon", &self.epsilon)
+            .field("delta", &self.delta)
+            .field("seed", &self.seed)
+            .field("threads", &self.pool.threads())
             .finish_non_exhaustive()
     }
 }
@@ -577,49 +566,49 @@ impl Engine {
 
     /// The model specification this engine was built from.
     pub fn spec(&self) -> &ModelSpec {
-        &self.core.spec
+        &self.spec
     }
 
     /// The input topology (base graph or hypergraph).
     pub fn topology(&self) -> &Topology {
-        &self.core.topology
+        &self.topology
     }
 
     /// The validated instance `(G, x, τ)` on the carrier graph.
     pub fn instance(&self) -> &Instance {
-        &self.core.instance
+        &self.instance
     }
 
     /// Number of carrier-graph nodes (for edge models: line/intersection
     /// graph nodes, not base nodes).
     pub fn carrier_node_count(&self) -> usize {
-        self.core.instance.node_count()
+        self.instance.node_count()
     }
 
     /// The SSM decay rate used for radius planning.
     pub fn rate(&self) -> f64 {
-        self.core.rate
+        self.rate
     }
 
     /// The paper's round bound for this model, evaluated with the
     /// calibration constant 3 (see [`RunReport::bound_rounds`]).
     pub fn bound_rounds(&self) -> f64 {
-        self.core.bound_rounds
+        self.bound_rounds
     }
 
     /// The multiplicative oracle error `ε`.
     pub fn epsilon(&self) -> f64 {
-        self.core.epsilon
+        self.epsilon
     }
 
     /// The approximate-sampling error `δ`.
     pub fn delta(&self) -> f64 {
-        self.core.delta
+        self.delta
     }
 
     /// The default seed used by [`Engine::run`].
     pub fn seed(&self) -> u64 {
-        self.core.seed
+        self.seed
     }
 
     /// A stable 64-bit fingerprint of everything that determines task
@@ -636,7 +625,7 @@ impl Engine {
     /// [`Engine::seed`] and the pool width are deliberately excluded:
     /// neither changes any output bit.
     pub fn fingerprint(&self) -> u64 {
-        self.core.fingerprint
+        self.fingerprint
     }
 
     /// The sampling backend this engine was built with (as requested:
@@ -644,25 +633,17 @@ impl Engine {
     /// The backend that actually served a run is in
     /// [`RunReport::backend`].
     pub fn backend(&self) -> Backend {
-        self.core.backend
+        self.backend
     }
 
-    /// Width of the engine's thread pool.
+    /// The engine's fan-out width (see [`EngineBuilder::threads`]).
     pub fn threads(&self) -> usize {
-        self.core.pool.threads()
-    }
-
-    /// The engine's persistent thread pool. Shared (it is an `Arc`) by
-    /// batch fan-out, the counting estimators, and the marginal tables;
-    /// clone the `Arc` to run other workloads on the same long-lived
-    /// workers.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.core.pool
+        self.pool.threads()
     }
 
     /// The dispatched oracle's name.
     pub fn oracle_name(&self) -> &str {
-        MultiplicativeInference::name(&*self.core.oracle)
+        MultiplicativeInference::name(&*self.oracle)
     }
 
     /// Serves one task with the engine's default seed.
@@ -671,12 +652,12 @@ impl Engine {
     ///
     /// See [`Engine::run_with_seed`].
     pub fn run(&self, task: Task) -> Result<RunReport, EngineError> {
-        self.run_with_seed(task, self.core.seed)
+        self.run_with_seed(task, self.seed)
     }
 
     /// Serves one task with an explicit network seed. Sampling tasks run
     /// sequentially; a first [`Task::Count`] fans its chain marginals
-    /// across the engine's pool.
+    /// across [`Engine::threads`] lanes.
     ///
     /// # Errors
     ///
@@ -684,8 +665,7 @@ impl Engine {
     /// [`Task::Infer`]; [`EngineError::CountFailed`] — carrying the
     /// broken invariant — if the count estimator fails.
     pub fn run_with_seed(&self, task: Task, seed: u64) -> Result<RunReport, EngineError> {
-        self.core
-            .run_with_seed_on(task, seed, &self.core.pool, &CancelToken::never())
+        self.run_with_seed_on(task, seed, &self.pool, &CancelToken::never())
     }
 
     /// [`Engine::run_with_seed`] under an optional absolute deadline.
@@ -708,29 +688,27 @@ impl Engine {
         seed: u64,
         deadline: Option<Instant>,
     ) -> Result<RunReport, EngineError> {
-        self.core.run_with_seed_on(
+        self.run_with_seed_on(
             task,
             seed,
-            &self.core.pool,
+            &self.pool,
             &CancelToken::with_deadline_opt(deadline),
         )
     }
 
-    /// Serves the same task once per seed — the single hot path for
-    /// multi-seed throughput workloads. Seeds fan out across the
-    /// engine's thread pool (each seed's own execution, Count's chain
-    /// marginals included, stays sequential so the pool is not
-    /// oversubscribed by nested fan-out) and the reports are gathered
-    /// **in input order**; per-task randomness is
-    /// derived from the seed alone, so the reports are bit-identical to
-    /// a sequential run at any pool width.
+    /// Serves the same task once per seed. Seeds fan out across the
+    /// engine's lanes (each seed's own execution, Count's chain
+    /// marginals included, stays sequential so nested fan-out cannot
+    /// oversubscribe the host) and the reports are gathered **in input
+    /// order**; per-task randomness is derived from the seed alone, so
+    /// the reports are bit-identical to a sequential run at any width.
     ///
-    /// The fan-out is additionally capped at the host's hardware
-    /// parallelism: on an across-seeds throughput path, lanes beyond the
-    /// physical cores only add dispatch overhead (measured ~45% per
-    /// sample at width 4 on a 1-core host), and the cap cannot change
-    /// results by the bit-identity contract of
-    /// [`ThreadPool::par_map_bounded`].
+    /// The fan-out runs on [`Engine::threads`] lanes capped at the
+    /// host's hardware parallelism: on an across-seeds throughput path,
+    /// lanes beyond the physical cores only add overhead (measured ~45%
+    /// per sample at width 4 on a 1-core host), and the lane count
+    /// cannot change results by the determinism contract of
+    /// [`ThreadPool::par_map`].
     ///
     /// There is no deadline variant: a caller that needs one runs each
     /// seed through [`Engine::run_with_deadline`], which is what a
@@ -739,18 +717,14 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails fast with the first task error in seed order (reports of
-    /// other seeds are discarded).
+    /// The first task error in seed order. Every seed runs before it is
+    /// returned, and the reports of the other seeds are discarded.
     pub fn run_batch(&self, task: Task, seeds: &[u64]) -> Result<Vec<RunReport>, EngineError> {
-        let core = Arc::clone(&self.core);
-        let cancel = CancelToken::never();
-        self.core
-            .pool
-            .par_map_bounded(
-                seeds,
-                move |&seed| core.run_with_seed_on(task, seed, &ThreadPool::sequential(), &cancel),
-                self.core.host_lanes,
-            )
+        let (sequential, cancel) = (ThreadPool::sequential(), CancelToken::never());
+        ThreadPool::new(self.threads().min(self.host_lanes))
+            .par_map(seeds, |&seed| {
+                self.run_with_seed_on(task, seed, &sequential, &cancel)
+            })
             .into_iter()
             .collect()
     }
@@ -767,19 +741,15 @@ impl Engine {
     /// round count, and the phase timing.
     pub fn marginals(&self) -> MarginalsReport {
         let start = Instant::now();
-        let core = &self.core;
-        let vertices: Vec<NodeId> = (0..core.marginal_table.len())
+        let vertices: Vec<NodeId> = (0..self.marginal_table.len())
             .map(NodeId::from_index)
             .collect();
-        let filler = Arc::clone(core);
-        let marginals = core
-            .pool
-            .par_map(&vertices, move |&v| filler.marginal(v).to_vec());
-        let rounds = core.oracle.radius_mul(core.instance.model(), core.epsilon);
+        let marginals = self.pool.par_map(&vertices, |&v| self.marginal(v).to_vec());
+        let rounds = self.oracle.radius_mul(self.instance.model(), self.epsilon);
         let wall_time = start.elapsed();
         MarginalsReport {
             method: MarginalsMethod::Exact {
-                epsilon: core.epsilon,
+                epsilon: self.epsilon,
             },
             marginals,
             rounds,
@@ -811,21 +781,21 @@ impl Engine {
                 message: "need at least one sampler execution".into(),
             });
         }
-        let net = Network::from_shared(Arc::clone(&self.core.instance), seed0);
+        let net = Network::from_shared(Arc::clone(&self.instance), seed0);
         let run = sampling_to_inference::marginals_by_sampling(
             &net,
-            &self.core.oracle,
-            self.core.delta,
+            &self.oracle,
+            self.delta,
             repetitions,
             seed0,
-            &self.core.pool,
+            &self.pool,
         );
         let wall_time = start.elapsed();
         Ok(MarginalsReport {
             method: MarginalsMethod::Sampled {
                 repetitions: run.repetitions,
                 failure_rate: run.failure_rate,
-                delta: self.core.delta,
+                delta: self.delta,
             },
             rounds: run.rounds,
             marginals: run.marginals,
@@ -833,9 +803,7 @@ impl Engine {
             phases: vec![Phase::new("sampling", wall_time, run.rounds)],
         })
     }
-}
 
-impl EngineCore {
     /// [`Engine::run_with_seed`] on an explicit pool, which only a first
     /// [`Task::Count`]'s chain marginals use (the batch path
     /// parallelizes *across* seeds and passes a sequential pool to avoid

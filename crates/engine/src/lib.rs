@@ -27,8 +27,9 @@
 //! * [`RunReport`] — output configuration (with matching decode), round
 //!   count, the paper's round bound, decay rate, the backend that
 //!   served it, JVV statistics, Glauber mixing diagnostics, wall time.
-//! * [`Engine::run_batch`] — multi-seed execution through one hot path,
-//!   the seam future batching/scheduling backends plug into.
+//! * [`Engine::run_batch`] — one task over many seeds, fanned across the
+//!   engine's lanes and gathered in seed order, for experiments and
+//!   batch clients (a `lds-serve` server answers one seed per dispatch).
 //! * [`EngineError`] — one structured error enum absorbing
 //!   `OutOfRegime` (with computed vs. critical threshold values),
 //!   `InfeasiblePinning`, and builder/task misuse.
@@ -59,7 +60,7 @@
 //! let count = engine.run(Task::Count).unwrap();
 //! assert!(count.log_z().unwrap() > 0.0); // ln(#weighted ind. sets)
 //!
-//! // multi-seed batch: one hot path for throughput workloads
+//! // one task over many seeds, in seed order
 //! let reports = engine.run_batch(Task::SampleExact, &[1, 2, 3]).unwrap();
 //! assert_eq!(reports.len(), 3);
 //! ```

@@ -21,8 +21,8 @@ use lds_oracle::{
 /// straight to the generic algorithms in `lds_core` (`sampler::sample_local`,
 /// `jvv::sample_exact_local`, `counting::log_partition_function`):
 /// `lds-oracle` implements both oracle traits for `Arc<T>`, so the
-/// shared handle is itself a cloneable, `'static` oracle the algorithms
-/// can ship to the pool's long-lived workers.
+/// shared handle is itself an oracle: the algorithms borrow it, and the
+/// chain-rule sampler, which owns its oracle, holds a clone of it.
 pub trait TaskOracle: InferenceOracle + MultiplicativeInference + Send + Sync {}
 
 impl<O: InferenceOracle + MultiplicativeInference + Send + Sync> TaskOracle for O {}

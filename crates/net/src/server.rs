@@ -41,18 +41,20 @@ use crate::codec::{Reader, Wire};
 use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_LEN, HEADER_LEN};
 use crate::proto::{Op, Reply, Request, Response, WireError};
 
+/// How often blocked reads and the accept loop re-check the shutdown
+/// signal — the shutdown latency bound.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Socket write timeout; a peer that stops reading for this long loses
+/// its connection instead of wedging a writer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning knobs of a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Cap on frame payload length, both directions
     /// (default [`DEFAULT_MAX_FRAME_LEN`]).
     pub max_frame_len: u32,
-    /// How often blocked reads and the accept loop re-check the
-    /// shutdown signal — the shutdown latency bound (default 20 ms).
-    pub poll_interval: Duration,
-    /// Socket write timeout; a peer that stops reading for this long
-    /// loses its connection instead of wedging a writer (default 5 s).
-    pub write_timeout: Duration,
     /// Bound on queued-but-unwritten responses per connection
     /// (default 64).
     pub session_queue_capacity: usize,
@@ -65,8 +67,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(20),
-            write_timeout: Duration::from_secs(5),
             session_queue_capacity: 64,
             registry: RegistryConfig::default(),
         }
@@ -228,14 +228,14 @@ fn accept_loop(
             // nonblocking accept: park on the shutdown signal, which
             // doubles as the poll tick
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shutdown.wait_timeout(cfg.poll_interval) {
+                if shutdown.wait_timeout(POLL_INTERVAL) {
                     break;
                 }
             }
             // transient accept errors (per-connection resets): back off
             // one tick and keep serving
             Err(_) => {
-                if shutdown.wait_timeout(cfg.poll_interval) {
+                if shutdown.wait_timeout(POLL_INTERVAL) {
                     break;
                 }
             }
@@ -253,8 +253,8 @@ fn session(
     shutdown: ShutdownSignal,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(cfg.poll_interval));
-    let _ = stream.set_write_timeout(Some(cfg.write_timeout));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut read_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -579,7 +579,7 @@ fn read_full(
 /// of vanishing into a closed connection. Bounded by a deadline so a
 /// peer that keeps streaming cannot hold the session open.
 fn drain_buffered_requests(stream: &mut TcpStream, tx: &Sender<Outgoing>, cfg: &NetConfig) {
-    let deadline = Instant::now() + cfg.poll_interval;
+    let deadline = Instant::now() + POLL_INTERVAL;
     let past_deadline = || Instant::now() >= deadline;
     while let Ok(ReadOutcome::Frame(payload)) = read_frame(stream, cfg.max_frame_len, past_deadline)
     {

@@ -3,7 +3,7 @@
 //!
 //! Tracing is **off by default**. The disabled emit path is one
 //! relaxed atomic load and a branch, so instrumented hot loops (the
-//! width-1 serving path, pool steal loops) pay ~nothing until a test
+//! serve dispatch, the net reader and writer) pay ~nothing until a test
 //! or operator turns sampling on with [`set_sampling`]. With sampling
 //! `k`, every `k`-th emitted event (per thread) is recorded into that
 //! thread's fixed-size ring; [`drain`] collects the rings from every

@@ -226,7 +226,7 @@ pub fn chain_marginals_mul<O>(
     pool: &ThreadPool,
 ) -> Vec<Vec<f64>>
 where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
+    O: MultiplicativeInference + Sync,
 {
     if pool.is_sequential() || levels.len() <= 1 {
         let mut prefix = base.clone();
@@ -237,10 +237,8 @@ where
         }
         return out;
     }
-    let shared = Arc::new((oracle.clone(), model.clone(), base.clone(), levels.to_vec()));
     let indices: Vec<usize> = (0..levels.len()).collect();
-    pool.par_map(&indices, move |&i| {
-        let (oracle, model, base, levels) = &*shared;
+    pool.par_map(&indices, |&i| {
         let mut prefix = base.clone();
         for &(u, val) in &levels[..i] {
             prefix.pin(u, val);

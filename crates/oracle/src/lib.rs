@@ -68,8 +68,8 @@ pub trait InferenceOracle {
 }
 
 /// A shared oracle is an oracle: lets callers hand an `Arc` (including
-/// an `Arc<dyn …>` trait object) to the generic algorithms, which clone
-/// their oracle into `'static` pool jobs.
+/// an `Arc<dyn …>` trait object) to the generic algorithms, and lets a
+/// sampler that owns its oracle hold a clone of the shared handle.
 impl<T: InferenceOracle + ?Sized> InferenceOracle for std::sync::Arc<T> {
     fn name(&self) -> &str {
         (**self).name()

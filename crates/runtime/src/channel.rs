@@ -1,13 +1,12 @@
 //! A blocking bounded MPMC channel.
 //!
-//! `std::sync::mpsc` gives us the unbounded single-consumer channel the
-//! [`crate::ThreadPool`] parks its workers on, but a serving front-end
-//! needs the opposite shape: a **bounded** queue that multiple producers
-//! (client sessions) push into and multiple consumers (worker sessions,
-//! each taking one request at a time) drain, where a full queue is an
-//! *admission-control signal* rather than an allocation. This module is
-//! that primitive: a `Mutex<VecDeque>` + two condvars, nothing clever —
-//! the queue is a backpressure valve, not a hot loop.
+//! `std::sync::mpsc` is unbounded with a single consumer, but a serving
+//! front-end needs the opposite shape: a **bounded** queue that multiple
+//! producers (client sessions) push into and multiple consumers (worker
+//! sessions, each taking one request at a time) drain, where a full
+//! queue is an *admission-control signal* rather than an allocation.
+//! This module is that primitive: a `Mutex<VecDeque>` + two condvars,
+//! nothing clever — the queue is a backpressure valve, not a hot loop.
 //!
 //! Semantics:
 //!

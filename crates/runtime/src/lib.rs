@@ -6,18 +6,18 @@
 //! ingredients that let the workspace exploit that parallelism without
 //! giving up reproducibility:
 //!
-//! * [`ThreadPool`] — a `std::thread` work-stealing pool (instrumented
-//!   through `lds-obs`, the only dependency).
-//!   Workers self-schedule by stealing the next unclaimed item index from
-//!   a shared atomic counter; results are gathered **in input order**, so
-//!   [`ThreadPool::par_map`] is a drop-in replacement for a sequential
-//!   `map` regardless of how the OS schedules the workers.
-//! * [`channel::bounded`] — a blocking bounded MPMC channel. The pool
-//!   parks workers on an unbounded `std::sync::mpsc` job channel; a
-//!   serving front-end needs the inverse: a bounded request queue whose
-//!   "full" state is an admission-control signal (`try_send` →
-//!   overload rejection) and that its sessions drain with a blocking
-//!   `recv`, one request at a time. `lds-serve` builds on this.
+//! * [`ThreadPool`] — a fan-out width that owns no threads (instrumented
+//!   through `lds-obs`, the only dependency). [`ThreadPool::par_map`]
+//!   runs each call on scoped `std::thread`s that borrow the call's
+//!   context; the lanes claim the next unclaimed item index from a
+//!   shared atomic counter and results are gathered **in input order**,
+//!   so `par_map` is a drop-in replacement for a sequential `map`
+//!   regardless of how the OS schedules the lanes.
+//! * [`channel::bounded`] — a blocking bounded MPMC channel: a request
+//!   queue whose "full" state is an admission-control signal
+//!   (`try_send` → overload rejection) and that a server's sessions
+//!   drain with a blocking `recv`, one request at a time. `lds-serve`
+//!   builds on this.
 //! * [`CancelToken`] — cooperative cancellation checked *between*
 //!   units of work (scan chunks, sweeps). A check consumes no
 //!   randomness, so deadline-bounded runs that complete are

@@ -27,9 +27,9 @@
 //!   watermark instead of letting latency grow without limit.
 //!
 //! Everything is dependency-free `std`: worker sessions are plain
-//! threads, the queue is a condvar channel, and the engine's persistent
-//! `ThreadPool` (shared by all sessions) runs the fan-out of a first
-//! `Count`.
+//! threads, the queue is a condvar channel, and the session that serves
+//! a first `Count` fans its chain marginals out on scoped threads that
+//! are joined before it answers.
 //!
 //! # Example
 //!

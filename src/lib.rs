@@ -26,8 +26,8 @@
 //!   applications.
 //! * [`ssm`] — strong spatial mixing estimation, rate fitting, the phase
 //!   transition and the `Ω(diam)` lower-bound witness.
-//! * [`runtime`] — the deterministic parallel runtime: a work-stealing
-//!   `std::thread` pool, a bounded blocking MPMC channel, and
+//! * [`runtime`] — the deterministic parallel runtime: scoped
+//!   `std::thread` fan-out, a bounded blocking MPMC channel, and
 //!   counter-based RNG stream derivation, so every result is
 //!   bit-identical regardless of thread count.
 //! * [`serve`] — the concurrent serving front-end: a bounded request

@@ -6,9 +6,10 @@
 //! must preserve: an Infer entry is the `marginals()` entry whichever of
 //! the two fills it first, a repeat request with another seed answers
 //! alike and matches a fresh engine, a burst of concurrent first uses
-//! (Count's pool fan-out and the batch lanes that wait on it included)
-//! matches a sequential run without deadlock, and a first request that
-//! fails admission or validation leaves the cache usable.
+//! (Count's scoped fan-out lanes and the batch lanes that wait on the
+//! count cell included) matches a sequential run without deadlock, and
+//! a first request that fails admission or validation leaves the cache
+//! usable.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -176,8 +177,8 @@ fn repeat_requests_answer_alike_and_match_a_fresh_engine() {
 }
 
 /// The ways a request reaches the cache, by index: Infer at a shared
-/// vertex, Count through `run_with_seed` (a first use fans out on the
-/// engine pool), Count through `run_batch` (its lanes may wait on the
+/// vertex, Count through `run_with_seed` (a first use fans out on
+/// scoped lanes), Count through `run_batch` (its lanes may wait on the
 /// count cell) and `marginals()`.
 const OPS: [&str; 4] = ["infer", "count", "batch count", "marginals"];
 

@@ -42,8 +42,8 @@ fn ising_spec(n: usize) -> EngineSpec {
 /// every semantic field — in process or over TCP, at any thread width.
 /// [`RunReport::semantic_eq`] is the shared definition of that
 /// agreement: it excludes only the wall clocks, which legitimately
-/// differ between a direct `run_with_seed` and the serve layer's
-/// `run_batch` (parallel across seeds).
+/// differ between a direct `run_with_seed` and the same run served
+/// over TCP.
 fn assert_same_answer(a: &RunReport, b: &RunReport, context: &str) {
     assert!(a.semantic_eq(b), "{context}:\n{a:?}\nvs\n{b:?}");
 }

@@ -5,41 +5,21 @@
 //! This equality is exact by design: the net layer deliberately
 //! excludes the metrics op from its own instrumentation (no byte
 //! counters, no latency record, no trace events), so serving the
-//! scrape does not perturb the registry being scraped. The only
-//! asynchrony left is the engine pool's worker bookkeeping (a worker
-//! bumps `pool_parks` *after* `run_batch` returns, on its way back to
-//! blocking), so the comparison retries briefly until the process
-//! quiesces instead of demanding instant agreement.
-
-use std::thread;
-use std::time::Duration;
+//! scrape does not perturb the registry being scraped. Every reply the
+//! client has read was recorded before it was written, and the engine's
+//! fan-outs join their threads before they return, so nothing records
+//! in the background: one local snapshot and one wire snapshot, taken
+//! in that order, must agree.
 
 use lds::engine::{ModelSpec, Task, Topology};
 use lds::graph::generators;
 use lds::net::{Client, EngineSpec, NetServer};
-use lds::obs::MetricsSnapshot;
 
 fn hardcore_spec(n: usize) -> EngineSpec {
     EngineSpec::new(
         ModelSpec::Hardcore { lambda: 1.0 },
         Topology::Graph(generators::cycle(n)),
     )
-}
-
-/// Take the local snapshot and the wire snapshot until they agree
-/// (the wire one second, so a quiesced process cannot race it).
-fn converged_snapshots(client: &mut Client) -> (MetricsSnapshot, MetricsSnapshot) {
-    let mut last = None;
-    for _ in 0..20 {
-        let local = lds::obs::global().snapshot();
-        let wire = client.metrics().expect("metrics scrape");
-        if local == wire {
-            return (local, wire);
-        }
-        last = Some((local, wire));
-        thread::sleep(Duration::from_millis(100));
-    }
-    last.expect("at least one attempt")
 }
 
 #[test]
@@ -56,7 +36,8 @@ fn wire_metrics_snapshot_matches_the_local_registry() {
     client.run(fp, Task::Count, 0).unwrap();
     client.ping().unwrap();
 
-    let (local, wire) = converged_snapshots(&mut client);
+    let local = lds::obs::global().snapshot();
+    let wire = client.metrics().expect("metrics scrape");
     assert_eq!(
         local, wire,
         "wire scrape must decode to the same snapshot the process reads locally"
