@@ -18,8 +18,10 @@
 //! - the row checks: at pool width 4, a burst through four server
 //!   sessions stays within 1.25× (+10 µs) of serial dispatch
 //!   (`serving`); at width 1, a repeat Count on one engine costs under
-//!   a tenth of its first (`count`), and Glauber sampling costs
-//!   strictly less than exact JVV (`backends`); span tracing (`obs`),
+//!   a tenth of its first (`count`), local-JVV's reject pass costs at
+//!   most 1.25× per node on cycle(1024) what it costs on cycle(128)
+//!   (`jvv`), and Glauber sampling costs strictly less than exact JVV
+//!   (`backends`); span tracing (`obs`),
 //!   armed-but-idle fail points and the fault-free retry wrapper
 //!   (`resilience`) each cost at most 5%;
 //! - after the last row, once: the ledger gate (no round observable of
@@ -316,21 +318,44 @@ fn run_batch(samples: usize) -> Record {
 }
 
 /// Local-JVV's three passes (Thm 4.2) on torus(4,4) at width 1, from each
-/// report's phase wall times.
+/// report's phase wall times; then the reject pass's cost per node on
+/// cycle(1024) over cycle(128), which the row checks is at most 1.25: a
+/// step costs what its ball costs, whatever `n`. The ratio compares two
+/// series from one run, so it holds on any host.
 fn jvv(samples: usize) -> Record {
-    let engine = engine(HARDCORE, generators::torus(4, 4), 0.01, 1, Backend::Exact);
+    const ROUNDS: usize = 9;
+    let torus = engine(HARDCORE, generators::torus(4, 4), 0.01, 1, Backend::Exact);
     // per-seed work differs (rejection restarts are Las Vegas), so the
     // seed set is part of each metric's identity — keep it fixed and
     // summarize with the median over seeds
     let reports: Vec<RunReport> = (0..samples.min(11) as u64)
-        .map(|seed| engine.run_with_seed(Task::SampleExact, seed).unwrap())
+        .map(|seed| torus.run_with_seed(Task::SampleExact, seed).unwrap())
         .collect();
     let pass = |name| median(reports.iter().map(|r| phase_ns(r, name)).collect());
-    Record::of([
+    let mut r = Record::of([
         ("jvv_pass1_ground_ns", pass("ground")),
         ("jvv_pass2_sample_ns", pass("sample")),
         ("jvv_pass3_reject_ns", pass("reject")),
-    ])
+    ]);
+    let sizes = [128usize, 1024];
+    let engines = sizes.map(|n| engine(HARDCORE, generators::cycle(n), 0.01, 1, Backend::Exact));
+    // identical work per round, rounds interleaved across the sizes; the
+    // minimum is each size's cost with the least host interference
+    let [small, large] = paired(ROUNDS, true, |i| {
+        let report = engines[i].run_with_seed(Task::SampleExact, 1).unwrap();
+        phase_ns(&report, "reject") / sizes[i] as f64
+    });
+    let min = |xs: Vec<f64>| xs.into_iter().fold(f64::INFINITY, f64::min);
+    let (small, large) = (min(small), min(large));
+    let ratio = large / small;
+    r.metric("jvv_reject_per_node_n128_ns", small);
+    r.metric("jvv_reject_per_node_n1024_ns", large);
+    r.metric("jvv_reject_scaling_n1024_over_n128", ratio);
+    let detail = format!(
+        "reject {large:.0} ns per node at n = 1024 vs {small:.0} at n = 128 ({ratio:.2}x, limit 1.25x)"
+    );
+    r.check("jvv-scaling", ratio <= 1.25, detail);
+    r
 }
 
 /// Serial vs burst dispatch of eight requests through one server per

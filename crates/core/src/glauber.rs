@@ -35,6 +35,7 @@
 
 use std::time::{Duration, Instant};
 
+use lds_gibbs::admissible::first_feasible_value;
 use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::scheduler::ChromaticSchedule;
@@ -53,20 +54,17 @@ use crate::sampler::{lift, SampleRun};
 pub const STREAM_GLAUBER: u64 = 0x4_0000;
 
 /// The greedy ground pass: pin each free node, in schedule order, to the
-/// first value keeping the partial configuration locally feasible — the
-/// same Remark 2.3 construction [`crate::baselines::glauber_dynamics`]
-/// starts from, here as a pinning-extension kernel over the schedule's
+/// first value keeping every factor touching it positive — the same
+/// Remark 2.3 construction [`crate::baselines::glauber_dynamics`] starts
+/// from, here as a pinning-extension kernel over the schedule's
 /// ordering. Reads pins only within the model locality of the processed
-/// node (the fully-pinned factors it checks all touch that node's ball).
+/// node (it checks only the factors touching that node), so a node that
+/// fails does not fail the nodes after it.
 struct GreedyGroundKernel;
 
 impl SlocalKernel for GreedyGroundKernel {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
-        let model = net.instance().model();
-        let feasible = (0..model.alphabet_size())
-            .map(Value::from_index)
-            .find(|&c| model.is_locally_feasible(&sigma.with_pin(v, c)));
-        match feasible {
+        match first_feasible_value(net.instance().model(), sigma, v) {
             Some(c) => (c, false),
             None => (Value(0), true),
         }
@@ -393,6 +391,26 @@ mod tests {
             phases,
             [("schedule", out.run.rounds), ("ground", 0), ("glauber", 0)]
         );
+    }
+
+    #[test]
+    fn a_ground_failure_does_not_spread_to_another_component() {
+        // a triangle 0–1–2 with 0 ↦ 0 and 1 ↦ 1 leaves node 2 no color
+        // of two; the edge 3–4 is another component
+        let mut b = lds_graph::GraphBuilder::new(5);
+        for (u, v) in [(0, 1), (1, 2), (0, 2), (3, 4)] {
+            b.add_edge(NodeId(u), NodeId(v));
+        }
+        let model = coloring::model(&b.build(), 2);
+        let mut tau = PartialConfig::empty(5);
+        tau.pin(NodeId(0), Value(0));
+        tau.pin(NodeId(1), Value(1));
+        let net = Network::new(Instance::new(model, tau).unwrap(), 0);
+        let order = [4, 2, 3].map(NodeId);
+        let run =
+            run_scan_sequential(&net, &GreedyGroundKernel, &order, &CancelToken::never()).unwrap();
+        assert_eq!(run.failures, [false, false, true, false, false]);
+        assert_ne!(run.outputs[3], run.outputs[4], "3 and 4 are adjacent");
     }
 
     #[test]

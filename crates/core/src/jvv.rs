@@ -34,6 +34,7 @@
 
 use std::time::{Duration, Instant};
 
+use lds_gibbs::admissible::first_feasible_value;
 use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
 use lds_graph::{traversal, NodeId};
 use lds_localnet::scheduler::ChromaticSchedule;
@@ -141,13 +142,13 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
 
     /// The pass-3 kernel (local rejection), given the outputs of passes
     /// 1 and 2 over `order`.
-    fn reject_kernel<'k>(
-        &'k self,
+    fn reject_kernel(
+        &self,
         net: &Network,
-        order: &'k [NodeId],
+        order: &[NodeId],
         ground: SlocalRun<Value>,
         sampled: SlocalRun<Value>,
-    ) -> RejectKernel<'k, O> {
+    ) -> RejectKernel<'a, O> {
         let model = net.instance().model();
         let n = model.node_count();
         let ell = model.locality().max(1);
@@ -159,7 +160,6 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
         RejectKernel {
             oracle: self.oracle,
             eps: self.eps,
-            order,
             pos,
             sigma0: Config::from_values(ground.outputs),
             y: Config::from_values(sampled.outputs),
@@ -388,11 +388,9 @@ impl<O: MultiplicativeInference> SlocalKernel for GroundKernel<'_, O> {
         if let Some(c) = (0..q).find(|&c| support[c]) {
             return (Value::from_index(c), false);
         }
-        // defensive fallback: greedy local feasibility
-        let fallback =
-            (0..q).find(|&c| model.is_locally_feasible(&sigma.with_pin(v, Value::from_index(c))));
-        match fallback {
-            Some(c) => (Value::from_index(c), false),
+        // defensive fallback: the greedy local feasibility of Remark 2.3
+        match first_feasible_value(model, sigma, v) {
+            Some(c) => (c, false),
             None => (Value(0), true),
         }
     }
@@ -429,35 +427,47 @@ struct RejectEffect {
 }
 
 /// Pass-3 kernel: the local rejection scan of Theorem 4.2 as a
-/// [`ScanKernel`] whose state is the configuration path `σ_{i−1}`.
-/// Checked bit for bit against the frozen
-/// [`LocalJvv::rejection_pass_reference`] in `tests/pass3_reference.rs`.
+/// [`ScanKernel`] whose state is the configuration path `σ_{i−1}` plus
+/// the per-step scratch ([`RejectState`]). Checked bit for bit against
+/// the frozen [`LocalJvv::rejection_pass_reference`] in
+/// `tests/pass3_reference.rs`.
 ///
-/// **Locality.** Processing `v_i` (a) *writes* the configuration path
-/// only inside `B_W(v_i)` with `W = max(t, ℓ)` — Claim 4.6's repair
-/// changes `σ_{i−1} → σ_i` only inside the repair ball, and the greedy
+/// **Locality.** Everything rests on the oracle's radius contract: a
+/// `marginal_mul` at `v_j` reads pins only within `t` of `v_j`. An oracle
+/// that reads farther can make the kernel differ from the reference;
+/// `BoostedOracle<EnumerationOracle>` is one, since its base gathers
+/// `B_{t'+ℓ}` at inner radius `t'`, which puts its view `ℓ` past its
+/// `radius_mul`.
+/// Processing `v_i` (a) *writes* the configuration path only inside
+/// `B_W(v_i)` with `W = max(t, ℓ)` — Claim 4.6's repair changes
+/// `σ_{i−1} → σ_i` only inside the repair ball, and the greedy
 /// feasibility extension's choice at a free ball node depends only on
 /// factors touching it (range `ℓ`); and (b) *reads* the path only inside
 /// `B_R(v_i)` with `R = 2·max(t, ℓ) + ℓ + t = 3t + ℓ` for `t ≥ ℓ`: the
-/// density ratio visits nodes `v_j` within the cutoff `2·max(t, ℓ) + ℓ`
-/// and queries the oracle there, which by its multiplicative radius
-/// contract reads pins within a further `t` of `v_j` (the telescoping of
-/// Claim 4.7 — distant marginal calls see indistinguishable instances).
-/// The prefix-equality short-circuit is also `R`-local: the two prefixes
-/// it compares are built from `σ_{i−1}` and `σ_i`, which agree outside
-/// `B_W(v_i)`, so the comparison outcome is a function of the ball
-/// region alone. The global feasibility checks inside the repair are
-/// factor-local, and away from `B_R(v_i)` the path state is a feasible
-/// configuration (the path invariant), so checking only the factors near
-/// the ball decides as the reference's global check does.
-/// [`RejectKernel::step`] relies on this to read only `B_R(v_i)`. The
-/// acceptance product is folded in scan order ([`ScanKernel::finish`]),
-/// so even its floating-point rounding sequence matches the reference.
+/// density ratio visits scan positions `v_j` within the cutoff
+/// `2·max(t, ℓ) + ℓ` and queries the oracle there, which reads pins
+/// within a further `t` of `v_j` (the telescoping of Claim 4.7 — distant
+/// marginal calls see indistinguishable instances). The global
+/// feasibility checks inside the repair are factor-local, and away from
+/// `B_R(v_i)` the path state is a feasible configuration (the path
+/// invariant), so checking only the factors near the ball decides as the
+/// reference's global check does. The acceptance product is folded in
+/// scan order ([`ScanKernel::finish`]), so even its floating-point
+/// rounding sequence matches the reference.
+///
+/// **Density factors.** The density `μ̂^τ(σ)` is a product of one factor
+/// per scan position `j`: the oracle's marginal at `v_j` under the
+/// prefix `τ ∧ (order[..j] ↦ σ)`, at `σ(v_j)`. By the radius contract
+/// that factor is a function of `σ(v_j)` and of the prefix pins within
+/// `t` of `v_j`. The scan state keeps the factor of every position under
+/// the current path state, filled on first use, so a step queries only
+/// the `σ_i` side of the factors it changes: their `σ_{i−1}` side is the
+/// `σ` side an earlier step stored. A factor changes only where a write
+/// reaches it, and every write lies within `W` of `v_i`, hence within
+/// the cutoff ball; a step leaves the factors outside it alone.
 struct RejectKernel<'a, O> {
     oracle: &'a O,
     eps: f64,
-    /// The scan ordering `π` (all nodes).
-    order: &'a [NodeId],
     /// `pos[v] = i` ⟺ `order[i] = v`.
     pos: Vec<usize>,
     /// Pass-1 output `σ₀` — the initial configuration path state.
@@ -477,136 +487,164 @@ struct RejectKernel<'a, O> {
     locality: usize,
 }
 
+/// The rejection scan's state: the configuration path and the per-step
+/// structures, allocated once per scan and reset per step in `O(ball)`.
+struct RejectState {
+    /// The path state `σ_{i−1}`.
+    sigma: Config,
+    /// `factor[j]`: the density factor of scan position `j` under
+    /// `sigma`; `None` until a step first needs it.
+    factor: Vec<Option<f64>>,
+    /// `ball_idx[u]`: `u`'s index in the current step's read ball,
+    /// `usize::MAX` outside it (and between steps).
+    ball_idx: Vec<usize>,
+    /// The chain-rule prefix of the current query.
+    prefix: Prefix,
+}
+
 impl<O: MultiplicativeInference> RejectKernel<'_, O> {
     /// One rejection step: build `σ_i` from `σ_{i−1}` (Claim 4.6),
     /// compute the acceptance probability `q_{v_i}` (Claim 4.7), flip
-    /// `v_i`'s private coin, and advance `sigma` to `σ_i`. Pure function
+    /// `v_i`'s private coin, and advance the path to `σ_i`. Pure function
     /// of the path state within `B_R(v_i)`, the kernel's inputs, and
-    /// `v_i`'s randomness.
+    /// `v_i`'s randomness; its work is sized by that ball, not by `n`.
     ///
-    /// **Ball-local by construction**: every read of `σ_{i−1}` stays
-    /// within `B_{R}(v_i)` — the repair works on ball-restricted values,
-    /// the feasibility checks visit only factors touching the ball
-    /// (factors farther out are positive by the path invariant, so the
-    /// frozen reference's global scan decides identically), and the
-    /// chain-rule prefixes handed to the oracle are restricted to the
-    /// scan positions the oracle can actually reach
-    /// (`dist(v_i, v_j) ≤ cutoff` plus the oracle radius `t`). A full
-    /// prefix differing only beyond that region yields the exact factor
-    /// `x/x = 1` in the reference, so restricting is bit-identical, and
-    /// the step needs none of the reference's per-position full-pinning
-    /// clones.
-    fn step(&self, net: &Network, sigma: &mut Config, vi: NodeId) -> RejectEffect {
-        let sigma_prev: &Config = sigma;
+    /// It runs one BFS from `v_i` to the read radius `R`, and one to radius
+    /// `t` around each write. In BFS order the first one's `d ≤ W` prefix
+    /// is `traversal::ball(g, v_i, W)`, so the repair and the weight ratio
+    /// see the reference's ball in the reference's order.
+    /// The density ratio walks the cutoff ball in scan order. Position
+    /// `j` contributes `factor[j] / μ̂_{σ_i}` unless no write of this step
+    /// reaches its factor: no write at `v_j` and none at a position below
+    /// `j` within `t` of `v_j`. There the reference's two prefixes differ
+    /// only outside the oracle's view, so it multiplies by `x/x = 1`
+    /// exactly, and skipping is bit-identical. The oracle sees a prefix
+    /// restricted to the read ball, which by the same contract answers
+    /// as the reference's full prefix does.
+    fn step(&self, net: &Network, state: &mut RejectState, vi: NodeId) -> RejectEffect {
+        let g = net.instance().model().graph();
+        let cutoff = 2 * self.t.max(self.ell) + self.ell;
+        let read = traversal::ball_with_distances(g, vi, cutoff + self.t);
+        for (k, &(u, _)) in read.iter().enumerate() {
+            state.ball_idx[u.index()] = k;
+        }
+        let effect = self.step_in_ball(net, state, vi, &read);
+        for &(u, _) in &read {
+            state.ball_idx[u.index()] = usize::MAX;
+        }
+        effect
+    }
+
+    /// [`RejectKernel::step`] inside the read ball `read` (BFS order,
+    /// with distances), which `state.ball_idx` indexes.
+    fn step_in_ball(
+        &self,
+        net: &Network,
+        state: &mut RejectState,
+        vi: NodeId,
+        read: &[(NodeId, u32)],
+    ) -> RejectEffect {
+        let RejectState {
+            sigma,
+            factor,
+            ball_idx,
+            prefix,
+        } = state;
         let model = net.instance().model();
         let tau = net.instance().pinning();
         let g = model.graph();
-        let n = model.node_count();
         let i = self.pos[vi.index()];
         let w = self.t.max(self.ell);
+        let cutoff = 2 * w + self.ell;
         // σ_i: agree with Y on order[..=i], differ from σ_{i-1} only
-        // inside B_t(vi), stay feasible (Claim 4.6 via greedy repair).
-        let ball: Vec<NodeId> = traversal::ball(g, vi, w);
-        let mut ball_idx = vec![usize::MAX; n];
-        for (k, &u) in ball.iter().enumerate() {
-            ball_idx[u.index()] = k;
-        }
-        let ball_vals =
-            match repair_local(model, sigma_prev, &self.y, &ball, &ball_idx, &self.pos, i) {
-                Some(vals) => vals,
-                None => {
-                    return RejectEffect {
-                        fail: true,
-                        q: None,
-                        clamped: false,
-                    }
-                }
+        // inside B_w(vi), stay feasible (Claim 4.6 via greedy repair).
+        let nw = read.partition_point(|&(_, d)| d as usize <= w);
+        let ball: Vec<NodeId> = read[..nw].iter().map(|&(u, _)| u).collect();
+        let Some(ball_vals) = repair_local(model, sigma, &self.y, &ball, ball_idx, &self.pos, i)
+        else {
+            return RejectEffect {
+                fail: true,
+                q: None,
+                clamped: false,
             };
-        // where σ_i differs from σ_{i−1}: confined to the ball, listed
-        // in ball (BFS) order like the frozen reference
+        };
+        // where σ_i differs from σ_{i−1}: confined to the ball
         let writes: Vec<(NodeId, Value)> = ball
             .iter()
-            .enumerate()
-            .filter(|&(k, &u)| ball_vals[k] != sigma_prev.get(u))
-            .map(|(k, &u)| (u, ball_vals[k]))
+            .zip(&ball_vals)
+            .filter(|&(&u, &val)| val != sigma.get(u))
+            .map(|(&u, &val)| (u, val))
             .collect();
-        let val_i = |u: NodeId| -> Value {
-            match ball_idx[u.index()] {
-                usize::MAX => sigma_prev.get(u),
-                k => ball_vals[k],
-            }
+        let val_i = |u: NodeId| match ball_vals.get(ball_idx[u.index()]) {
+            Some(&val) => val,
+            None => sigma.get(u),
         };
+        // reach[k]: the least scan position of a write within t of
+        // read[k] (every such node lies in the read ball)
+        let mut reach = vec![usize::MAX; read.len()];
+        for &(u, _) in &writes {
+            for x in traversal::ball(g, u, self.t) {
+                let k = ball_idx[x.index()];
+                reach[k] = reach[k].min(self.pos[u.index()]);
+            }
+        }
 
-        // acceptance probability q_{v_i}
-        let cutoff = 2 * w + self.ell;
-        let dist = traversal::bfs_distances(g, vi);
-        // scan positions any queried oracle can see: vj within `cutoff`,
-        // reading pins a further `t` out
-        let read_radius = cutoff + self.t;
-        let mut read_nodes: Vec<NodeId> = (0..n)
-            .map(NodeId::from_index)
-            .filter(|u| {
-                let d = dist[u.index()];
-                d != traversal::UNREACHABLE && (d as usize) <= read_radius
-            })
-            .collect();
-        read_nodes.sort_unstable_by_key(|u| self.pos[u.index()]);
-        let mut prefix_prev = PrefixScratch::new(tau);
-        let mut prefix_new = PrefixScratch::new(tau);
+        // density ratio μ̂^τ(σ_{i-1}) / μ̂^τ(σ_i) over the cutoff ball, in
+        // scan order; the prefix holds σ_i on the read nodes scanned
+        // before the current position
+        let mut by_pos = read.to_vec();
+        by_pos.sort_unstable_by_key(|&(u, _)| self.pos[u.index()]);
+        let mut pinned = 0;
         let mut ratio = 1.0f64;
-        // density ratio μ̂^τ(σ_{i-1}) / μ̂^τ(σ_i): only scan positions
-        // within the cutoff ball differ.
-        for &vj in self.order {
-            let d = dist[vj.index()];
-            if d == traversal::UNREACHABLE || d as usize > cutoff {
-                continue;
-            }
-            if tau.is_pinned(vj) {
-                continue;
-            }
+        for &(vj, d) in &by_pos {
             let j = self.pos[vj.index()];
-            let prev_val = sigma_prev.get(vj);
-            let new_val = val_i(vj);
-            // the reference's prefix-equality short-circuit, decided
-            // without building prefixes: the full prefixes at position
-            // j differ iff some repair write sits at a position < j
-            if prev_val == new_val && writes.iter().all(|&(u, _)| self.pos[u.index()] >= j) {
+            // skip unless a write reaches v_j's factor: one at v_j itself
+            // (position j) or one below j within t of v_j
+            if d as usize > cutoff || tau.is_pinned(vj) || reach[ball_idx[vj.index()]] > j {
                 continue;
             }
-            prefix_prev.set_prefix(&read_nodes, &self.pos, j, |u| sigma_prev.get(u));
-            let mu_prev = self
+            while let Some(&(u, _)) = by_pos.get(pinned).filter(|(u, _)| self.pos[u.index()] < j) {
+                prefix.push(u, val_i(u));
+                pinned += 1;
+            }
+            let num = match factor[j] {
+                Some(x) => x,
+                None => {
+                    // first use: the σ_{i−1} side, on σ_{i−1}'s prefix
+                    let below = writes.iter().filter(|(u, _)| self.pos[u.index()] < j);
+                    for &(u, _) in below.clone() {
+                        prefix.push(u, sigma.get(u));
+                    }
+                    let mu = self
+                        .oracle
+                        .marginal_mul(model, prefix.pinning(), vj, self.eps);
+                    for &(u, val) in below {
+                        prefix.push(u, val);
+                    }
+                    mu[sigma.get(vj).index()]
+                }
+            };
+            let mu = self
                 .oracle
-                .marginal_mul(model, prefix_prev.pinning(), vj, self.eps);
-            prefix_new.set_prefix(&read_nodes, &self.pos, j, val_i);
-            let mu_new = self
-                .oracle
-                .marginal_mul(model, prefix_new.pinning(), vj, self.eps);
-            let num = mu_prev[prev_val.index()];
-            let den = mu_new[new_val.index()];
+                .marginal_mul(model, prefix.pinning(), vj, self.eps);
+            let den = mu[val_i(vj).index()];
+            factor[j] = Some(den);
             if den > 0.0 {
                 ratio *= num / den;
             }
         }
+        prefix.rollback();
         // weight ratio w(σ_i) / w(σ_{i-1}): factors touching the ball
+        let in_ball = |s: &NodeId| ball_idx[s.index()] < nw;
         for &u in &ball {
             for &fi in model.factors_touching(u) {
                 let f = &model.factors()[fi];
                 // count each factor once: at its minimum ball member
-                let first = f
-                    .scope()
-                    .iter()
-                    .filter(|s| {
-                        dist[s.index()] != traversal::UNREACHABLE && (dist[s.index()] as usize) <= w
-                    })
-                    .min()
-                    .copied();
-                if first != Some(u) {
+                if f.scope().iter().filter(|s| in_ball(s)).min() != Some(&u) {
                     continue;
                 }
                 let w_new = f.eval_partial(|s| Some(val_i(s))).expect("full config");
-                let w_prev = f
-                    .eval_partial(|s| Some(sigma_prev.get(s)))
-                    .expect("full config");
+                let w_prev = f.eval_partial(|s| Some(sigma.get(s))).expect("full config");
                 if w_prev > 0.0 {
                     ratio *= w_new / w_prev;
                 }
@@ -631,45 +669,35 @@ impl<O: MultiplicativeInference> RejectKernel<'_, O> {
     }
 }
 
-/// Reusable chain-rule prefix `τ ∧ (order[..j] ∩ read region ↦ config)`:
-/// seeded with `τ` once per rejection step, re-pinned per queried
-/// position, rolled back afterwards — no per-position full clones.
-struct PrefixScratch {
+/// A chain-rule prefix `τ ∧ (order[..j] ↦ σ)` restricted to one step's
+/// read ball: `τ` is cloned once per scan, pinned on top of during a
+/// step, and rolled back when the step ends.
+struct Prefix {
     pc: PartialConfig,
-    /// Nodes pinned on top of `τ`, with `τ`'s original slot for rollback.
+    /// Every pin made on top of `τ`, with the slot it overwrote.
     touched: Vec<(NodeId, Option<Value>)>,
 }
 
-impl PrefixScratch {
+impl Prefix {
     fn new(tau: &PartialConfig) -> Self {
-        PrefixScratch {
+        Prefix {
             pc: tau.clone(),
             touched: Vec::new(),
         }
     }
 
-    /// Loads the prefix at scan position `j`: pins every read-region
-    /// node with position `< j` (`read_nodes` is sorted by position) to
-    /// its value under `get`, after rolling back the previous load.
-    fn set_prefix(
-        &mut self,
-        read_nodes: &[NodeId],
-        pos: &[usize],
-        j: usize,
-        get: impl Fn(NodeId) -> Value,
-    ) {
-        for (u, old) in self.touched.drain(..) {
+    fn push(&mut self, u: NodeId, val: Value) {
+        self.touched.push((u, self.pc.get(u)));
+        self.pc.pin(u, val);
+    }
+
+    /// Undoes every pin since the last rollback, newest first, back to `τ`.
+    fn rollback(&mut self) {
+        while let Some((u, old)) = self.touched.pop() {
             match old {
                 Some(v) => self.pc.pin(u, v),
                 None => self.pc.unpin(u),
             }
-        }
-        for &u in read_nodes {
-            if pos[u.index()] >= j {
-                break;
-            }
-            self.touched.push((u, self.pc.get(u)));
-            self.pc.pin(u, get(u));
         }
     }
 
@@ -686,7 +714,8 @@ impl PrefixScratch {
 /// `σ_prev` only on `ball + ℓ` and visiting only factors touching the
 /// ball — factors farther out evaluate on the untouched path state,
 /// which is feasible (the path invariant), so the reference's global
-/// feasibility scan decides identically.
+/// feasibility scan decides identically. `ball_idx` maps each node of a
+/// ball around `ball` to its index there, with `ball` as its prefix.
 fn repair_local(
     model: &lds_gibbs::GibbsModel,
     sigma_prev: &Config,
@@ -716,9 +745,9 @@ fn repair_local(
         sigma_prev: &Config,
         u: NodeId,
     ) -> Option<Value> {
-        match ball_idx[u.index()] {
-            usize::MAX => Some(sigma_prev.get(u)),
-            k => vals[k],
+        match vals.get(ball_idx[u.index()]) {
+            Some(&val) => val,
+            None => Some(sigma_prev.get(u)),
         }
     }
     // factors touching the ball, each visited once
@@ -778,15 +807,21 @@ fn repair_local(
 }
 
 impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
-    type State = Config;
+    type State = RejectState;
     type Effect = RejectEffect;
     type Run = JvvOutcome;
 
-    fn init(&self, _net: &Network) -> Config {
-        self.sigma0.clone()
+    fn init(&self, net: &Network) -> RejectState {
+        let n = self.y.len();
+        RejectState {
+            sigma: self.sigma0.clone(),
+            factor: vec![None; n],
+            ball_idx: vec![usize::MAX; n],
+            prefix: Prefix::new(net.instance().pinning()),
+        }
     }
 
-    fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<RejectEffect> {
+    fn process(&self, net: &Network, state: &mut RejectState, v: NodeId) -> Option<RejectEffect> {
         // every node runs its rejection step, pinned ones included —
         // exactly like the reference scan
         Some(self.step(net, state, v))
@@ -795,7 +830,7 @@ impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
     fn finish(
         &self,
         _net: &Network,
-        _state: Config,
+        _state: RejectState,
         effects: Vec<(NodeId, RejectEffect)>,
     ) -> JvvOutcome {
         let mut stats = JvvStats {

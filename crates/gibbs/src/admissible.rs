@@ -76,20 +76,34 @@ pub fn greedy_feasible_extension(
     }
     let free: Vec<NodeId> = current.free_nodes().collect();
     for v in free {
-        let mut placed = false;
-        for val in (0..model.alphabet_size()).map(Value::from_index) {
-            let candidate = current.with_pin(v, val);
-            if model.is_locally_feasible(&candidate) {
-                current = candidate;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
-        }
+        let val = first_feasible_value(model, &current, v)?;
+        current.pin(v, val);
     }
     Some(current)
+}
+
+/// The value the greedy construction of Remark 2.3 picks at `v`: the
+/// first `c` such that every factor touching `v` that `pinning ∧ (v ↦ c)`
+/// fully determines is positive, or `None` if there is no such value.
+///
+/// It reads only the factors touching `v`, so it costs `O(q · deg)`
+/// factor lookups, and a violated factor elsewhere in `pinning` does not
+/// fail `v`. On a locally feasible `pinning` it agrees with checking
+/// [`GibbsModel::is_locally_feasible`] on each extension.
+pub fn first_feasible_value(
+    model: &GibbsModel,
+    pinning: &PartialConfig,
+    v: NodeId,
+) -> Option<Value> {
+    (0..model.alphabet_size())
+        .map(Value::from_index)
+        .find(|&c| {
+            let at = |s: NodeId| if s == v { Some(c) } else { pinning.get(s) };
+            model
+                .factors_touching(v)
+                .iter()
+                .all(|&fi| model.factors()[fi].eval_partial(at).is_none_or(|w| w > 0.0))
+        })
 }
 
 #[cfg(test)]

@@ -16,11 +16,42 @@
 //! "unbounded local computation", and running it on a line graph computes
 //! monomer–dimer (matching) marginals via the Corollary 5.3 duality.
 
+use std::cell::Cell;
+
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::{EdgeId, Graph, NodeId};
 
 use crate::{DecayRate, InferenceOracle};
+
+/// A walk's per-node scratch: which nodes the current path visits, and
+/// the edge through which the path left each of them.
+#[derive(Default)]
+struct PathScratch {
+    on_path: Vec<bool>,
+    exit_edge: Vec<EdgeId>,
+}
+
+thread_local! {
+    /// One [`PathScratch`] per thread, reused across queries. A completed
+    /// walk leaves `on_path` all false; `exit_edge` is written before it
+    /// is read, so it needs no reset.
+    static PATH_SCRATCH: Cell<PathScratch> = Cell::default();
+}
+
+/// Runs `walk` on this thread's path scratch, sized for `n` nodes. The
+/// scratch is taken out of the thread-local for the walk and put back
+/// only when the walk returns: a walk that panics drops it with `on_path`
+/// entries still set, and the next query starts from a fresh one. A
+/// nested query finds the slot empty and works on scratch of its own.
+fn with_path_scratch<R>(n: usize, walk: impl FnOnce(&mut PathScratch) -> R) -> R {
+    let mut scratch = PATH_SCRATCH.take();
+    scratch.on_path.resize(n, false);
+    scratch.exit_edge.resize(n, EdgeId(0));
+    let result = walk(&mut scratch);
+    PATH_SCRATCH.set(scratch);
+    result
+}
 
 /// Certified marginal bounds from a truncated SAW tree.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -159,8 +190,8 @@ impl TwoSpinSawOracle {
         from: Option<NodeId>,
         depth: usize,
         cap: usize,
-        on_path: &mut Vec<bool>,
-        exit_edge: &mut Vec<EdgeId>,
+        on_path: &mut [bool],
+        exit_edge: &mut [EdgeId],
         budget: &mut usize,
     ) -> RatioInterval {
         if let Some(val) = pinning.get(u) {
@@ -232,10 +263,9 @@ impl TwoSpinSawOracle {
             let p = if val == Value(1) { 1.0 } else { 0.0 };
             return MarginalBounds { lo: p, hi: p };
         }
-        let mut on_path = vec![false; g.node_count()];
-        let mut exit_edge = vec![EdgeId(0); g.node_count()];
-        self.bounds_at_depth(g, pinning, v, t, &mut on_path, &mut exit_edge)
-            .0
+        with_path_scratch(g.node_count(), |scratch| {
+            self.bounds_at_depth(g, pinning, v, t, scratch).0
+        })
     }
 
     /// One truncated-tree evaluation at depth cap `t`, on caller-provided
@@ -246,10 +276,10 @@ impl TwoSpinSawOracle {
         pinning: &PartialConfig,
         v: NodeId,
         t: usize,
-        on_path: &mut Vec<bool>,
-        exit_edge: &mut Vec<EdgeId>,
+        scratch: &mut PathScratch,
     ) -> (MarginalBounds, bool) {
         let mut budget = self.node_budget;
+        let PathScratch { on_path, exit_edge } = scratch;
         let r = self.ratio(g, pinning, v, None, 0, t, on_path, exit_edge, &mut budget);
         let to_p = |r: f64| {
             if r.is_infinite() {
@@ -298,19 +328,17 @@ impl TwoSpinSawOracle {
             let p = if val == Value(1) { 1.0 } else { 0.0 };
             return MarginalBounds { lo: p, hi: p };
         }
-        let mut on_path = vec![false; g.node_count()];
-        let mut exit_edge = vec![EdgeId(0); g.node_count()];
-        for t in 1..t_max {
-            let (b, exhausted) =
-                self.bounds_at_depth(g, pinning, v, t, &mut on_path, &mut exit_edge);
-            if decided(&b) || exhausted {
-                return b;
+        with_path_scratch(g.node_count(), |scratch| {
+            for t in 1..t_max {
+                let (b, exhausted) = self.bounds_at_depth(g, pinning, v, t, scratch);
+                if decided(&b) || exhausted {
+                    return b;
+                }
             }
-        }
-        // the final attempt runs at the full planned radius, so the
-        // result is never shallower-informed than the fixed-depth query
-        self.bounds_at_depth(g, pinning, v, t_max, &mut on_path, &mut exit_edge)
-            .0
+            // the final attempt runs at the full planned radius, so the
+            // result is never shallower-informed than the fixed-depth query
+            self.bounds_at_depth(g, pinning, v, t_max, scratch).0
+        })
     }
 }
 
@@ -553,6 +581,66 @@ mod tests {
         assert!(tiny.hi >= full.hi - 1e-12);
         // and must be wider (the budget really bit)
         assert!(tiny.gap() > full.gap());
+    }
+
+    fn bits(b: MarginalBounds) -> (u64, u64) {
+        (b.lo.to_bits(), b.hi.to_bits())
+    }
+
+    /// Runs `f` on a thread of its own, so it starts from a fresh path
+    /// scratch.
+    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        std::thread::scope(|s| s.spawn(f).join().expect("query thread"))
+    }
+
+    #[test]
+    fn a_walk_that_panics_does_not_poison_the_next_query_on_its_thread() {
+        let g = generators::cycle(10);
+        let oracle = hc_oracle(1.0);
+        let query = || oracle.marginal_bounds(&g, &PartialConfig::empty(10), NodeId(3), 6);
+        let fresh = on_fresh_thread(query);
+        let after = on_fresh_thread(|| {
+            // a 5-node pinning on a 10-node graph: the walk indexes past
+            // it and panics with nodes still marked on its path
+            let short = PartialConfig::empty(5);
+            let walk = || oracle.marginal_bounds(&g, &short, NodeId(0), 6);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(walk));
+            assert!(panicked.is_err(), "the short pinning must panic");
+            query()
+        });
+        assert_eq!(bits(after), bits(fresh));
+    }
+
+    #[test]
+    fn queries_interleaved_across_graph_sizes_match_a_fresh_thread_bitwise() {
+        let oracle = hc_oracle(1.0);
+        let mut pinned = PartialConfig::empty(16);
+        pinned.pin(NodeId(6), Value(1));
+        let queries = [
+            (generators::cycle(10), PartialConfig::empty(10), NodeId(3)),
+            (generators::torus(4, 4), pinned, NodeId(5)),
+            (generators::path(3), PartialConfig::empty(3), NodeId(1)),
+            (
+                generators::torus(5, 5),
+                PartialConfig::empty(25),
+                NodeId(12),
+            ),
+            (generators::cycle(7), PartialConfig::empty(7), NodeId(0)),
+        ];
+        let answer = |(g, tau, v): &(Graph, PartialConfig, NodeId)| {
+            let b = oracle.marginal_bounds(g, tau, *v, 6);
+            let anytime = oracle.marginal_bounds_anytime(g, tau, *v, 8, |b| b.gap() < 1e-3);
+            (bits(b), bits(anytime))
+        };
+        let fresh: Vec<_> = queries
+            .iter()
+            .map(|q| on_fresh_thread(|| answer(q)))
+            .collect();
+        let reused = on_fresh_thread(|| {
+            let rounds = (0..2).flat_map(|_| queries.iter().map(answer));
+            rounds.collect::<Vec<_>>()
+        });
+        assert_eq!(reused, [fresh.clone(), fresh].concat());
     }
 
     #[test]

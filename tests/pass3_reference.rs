@@ -12,12 +12,19 @@
 //!   radius a direct test parameter instead of a function of `ε`) —
 //!   outputs, failure bits, and the floating-point acceptance statistics
 //!   must match bit for bit;
+//! * the same comparison on `q = Δ + 2` colorings, through a variant of
+//!   that oracle with zero mass on values a pinned neighbor forbids: the
+//!   greedy repair then rewrites unscanned ball nodes away from `v_i`;
 //! * the same comparison through the real SAW-tree oracle on the
-//!   engine's serving path workloads.
+//!   engine's serving path workloads;
+//! * the kernel's oracle query count against the reference's.
+
+use std::cell::Cell;
 
 use lds::core::jvv::{JvvOutcome, LocalJvv};
-use lds::gibbs::models::hardcore;
+use lds::core::regime;
 use lds::gibbs::models::two_spin::TwoSpinParams;
+use lds::gibbs::models::{coloring, hardcore};
 use lds::gibbs::{GibbsModel, PartialConfig, Value};
 use lds::graph::{generators, traversal, Graph, NodeId};
 use lds::localnet::slocal::multipass_locality;
@@ -88,6 +95,91 @@ impl MultiplicativeInference for BallHashOracle {
     }
 }
 
+/// [`BallHashOracle`] with zero mass on every value that a factor
+/// touching `v`, fully pinned with `v` set to it, forbids — still a
+/// function of the pins within `t ≥ ℓ` of `v`. Over colorings it makes
+/// passes 1 and 2 produce proper colorings, so the rejection pass's
+/// repairs succeed and move unscanned ball nodes.
+#[derive(Clone)]
+struct ProperBallHashOracle(BallHashOracle);
+
+impl MultiplicativeInference for ProperBallHashOracle {
+    fn name(&self) -> &str {
+        "proper-ball-hash"
+    }
+
+    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
+        self.0.radius_mul(model, eps)
+    }
+
+    fn marginal_mul(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+    ) -> Vec<f64> {
+        let mut weights = self.0.marginal_mul(model, pinning, v, eps);
+        for (c, w) in weights.iter_mut().enumerate() {
+            let at = |s: NodeId| {
+                if s == v {
+                    Some(Value::from_index(c))
+                } else {
+                    pinning.get(s)
+                }
+            };
+            let forbidden = model.factors_touching(v).iter().any(|&fi| {
+                model.factors()[fi]
+                    .eval_partial(at)
+                    .is_some_and(|x| x <= 0.0)
+            });
+            if forbidden {
+                *w = 0.0;
+            }
+        }
+        let total: f64 = weights.iter().sum();
+        weights.into_iter().map(|w| w / total).collect()
+    }
+}
+
+/// Counts `marginal_mul` calls to the wrapped oracle; `support_mul`
+/// passes through uncounted.
+struct CountingOracle<O> {
+    inner: O,
+    queries: Cell<usize>,
+}
+
+impl<O: MultiplicativeInference> MultiplicativeInference for CountingOracle<O> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
+        self.inner.radius_mul(model, eps)
+    }
+
+    fn marginal_mul(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+    ) -> Vec<f64> {
+        self.queries.set(self.queries.get() + 1);
+        self.inner.marginal_mul(model, pinning, v, eps)
+    }
+
+    fn support_mul(
+        &self,
+        model: &GibbsModel,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+    ) -> Vec<bool> {
+        self.inner.support_mul(model, pinning, v, eps)
+    }
+}
+
 fn workload(idx: usize, seed: u64) -> Graph {
     match idx % 5 {
         0 => generators::cycle(14),
@@ -155,6 +247,71 @@ proptest! {
             &format!("graph {gidx} seed {seed} t {t}"),
         );
     }
+}
+
+proptest! {
+    /// Pass-3 kernel == frozen sequential scan on `q = Δ + 2` colorings,
+    /// where repair writes land on unscanned ball nodes away from `v_i`:
+    /// a skip rule that looked for writes only near `v_i` fails here.
+    #[test]
+    fn pass3_kernel_equals_prerefactor_scan_on_colorings(
+        gidx in 0usize..5,
+        seed in 0u64..200,
+        t in 1usize..4,
+    ) {
+        let g = workload(gidx, seed);
+        let model = coloring::model(&g, g.max_degree() + 2);
+        let net = Network::new(Instance::unconditioned(model), seed);
+        let oracle = ProperBallHashOracle(BallHashOracle { t });
+        let jvv = LocalJvv::new(&oracle, 0.01);
+        let ell = net.instance().model().locality().max(1);
+        let locality = multipass_locality(&[t, t, 3 * t + ell]);
+        let schedule = scheduler::chromatic_schedule(&net, locality, 0);
+        let reference = jvv.run_detailed_reference(&net, &schedule.order);
+        assert_outcomes_identical(
+            &run(&jvv, &net, &schedule.order),
+            &reference,
+            &format!("coloring graph {gidx} seed {seed} t {t}"),
+        );
+    }
+}
+
+/// Claim 4.7's telescoping, counted: the kernel reuses each position's
+/// `σ_{i−1}` density factor and queries only where a repair write
+/// reaches, so on cycle(128) at ε = 0.01 it makes at most half the
+/// reference's pass-3 oracle queries, with the engine's SAW oracle.
+#[test]
+fn pass3_kernel_makes_at_most_half_the_reference_queries() {
+    let g = generators::cycle(128);
+    let eps = 0.01;
+    let rate = regime::hardcore(&g, 1.0).expect("in regime").rate;
+    let oracle = CountingOracle {
+        inner: TwoSpinSawOracle::new(
+            TwoSpinParams::hardcore(1.0),
+            DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
+        ),
+        queries: Cell::new(0),
+    };
+    let jvv = LocalJvv::new(&oracle, eps);
+    // pass 1 asks only support queries and pass 2 one marginal query per
+    // node, so a run's pass-3 queries are its marginal queries minus n
+    let n = g.node_count();
+    let (mut kernel, mut reference) = (0, 0);
+    for seed in 0..4u64 {
+        let net = network(&g, seed);
+        let locality = jvv.locality(net.instance().model());
+        let order = scheduler::chromatic_schedule(&net, locality, 0).order;
+        let start = oracle.queries.get();
+        run(&jvv, &net, &order);
+        let mid = oracle.queries.get();
+        jvv.run_detailed_reference(&net, &order);
+        kernel += mid - start - n;
+        reference += oracle.queries.get() - mid - n;
+    }
+    assert!(
+        2 * kernel <= reference,
+        "kernel made {kernel} pass-3 queries, reference {reference}"
+    );
 }
 
 /// The same equivalence through the real boosted SAW-tree oracle — the
