@@ -20,7 +20,8 @@
 //!   (`serving`); at width 1, a repeat Count on one engine costs under
 //!   a tenth of its first (`count`), local-JVV's reject pass costs at
 //!   most 1.25× per node on cycle(1024) what it costs on cycle(128)
-//!   (`jvv`), and Glauber sampling costs strictly less than exact JVV
+//!   (`jvv`, which also tracks the reject kernel's own share of the pass
+//!   as a trend), and Glauber sampling costs strictly less than exact JVV
 //!   (`backends`); span tracing (`obs`),
 //!   armed-but-idle fail points and the fault-free retry wrapper
 //!   (`resilience`) each cost at most 5%;
@@ -56,13 +57,15 @@ use std::time::Instant;
 
 use lds_bench::workloads;
 use lds_core::counting::{log_partition_function_annealed, AnnealedConfig};
+use lds_core::jvv::{JvvOutcome, LocalJvv};
+use lds_core::regime;
 use lds_core::sampler::SequentialSampler;
 use lds_engine::{Backend, Engine, ModelSpec, RunReport, SweepBudget, Task, Topology};
 use lds_gibbs::models::{hardcore, two_spin::TwoSpinParams};
-use lds_gibbs::PartialConfig;
+use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::{generators, ordering, power, Graph, NodeId};
 use lds_localnet::decomposition::{linial_saks, DecompositionParams};
-use lds_localnet::slocal::run_scan_sequential;
+use lds_localnet::slocal::{run_scan_sequential, SlocalRun};
 use lds_localnet::{scheduler, Instance, Network};
 use lds_net::{Client, EngineSpec, NetConfig, NetServer, Op, Wire};
 use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
@@ -317,11 +320,35 @@ fn run_batch(samples: usize) -> Record {
     Record::of([("run_batch_per_sample_ns", ns)])
 }
 
+/// An oracle that answers every query with the same marginal, at the SAW
+/// oracle's radius. σ₀ and `Y` fix a reject pass's steps, writes and
+/// queries, whatever the answers, so a pass through this oracle does the
+/// kernel's whole work and next to no oracle work.
+struct ConstantOracle(TwoSpinSawOracle);
+
+impl MultiplicativeInference for ConstantOracle {
+    fn name(&self) -> &str {
+        "constant"
+    }
+
+    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
+        self.0.radius_mul(model, eps)
+    }
+
+    fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+        vec![0.5, 0.5]
+    }
+}
+
 /// Local-JVV's three passes (Thm 4.2) on torus(4,4) at width 1, from each
 /// report's phase wall times; then the reject pass's cost per node on
 /// cycle(1024) over cycle(128), which the row checks is at most 1.25: a
 /// step costs what its ball costs, whatever `n`. The ratio compares two
-/// series from one run, so it holds on any host.
+/// series from one run, so it holds on any host. Last, the kernel's own
+/// share of the reject pass on cycle(128) (a trend): the pass through
+/// the engine's SAW oracle against the same pass through
+/// [`ConstantOracle`], on the pass-1/2 inputs of real runs (σ₀ all
+/// vacant, `Y` as pass 2 drew it), in interleaved rounds.
 fn jvv(samples: usize) -> Record {
     const ROUNDS: usize = 9;
     let torus = engine(HARDCORE, generators::torus(4, 4), 0.01, 1, Backend::Exact);
@@ -355,7 +382,58 @@ fn jvv(samples: usize) -> Record {
         "reject {large:.0} ns per node at n = 1024 vs {small:.0} at n = 128 ({ratio:.2}x, limit 1.25x)"
     );
     r.check("jvv-scaling", ratio <= 1.25, detail);
+
+    let (n, eps) = (128, 0.01);
+    let g = generators::cycle(n);
+    let rate = regime::hardcore(&g, 1.0).expect("in regime").rate;
+    let saw = TwoSpinSawOracle::new(
+        TwoSpinParams::hardcore(1.0),
+        DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
+    );
+    let constant = ConstantOracle(saw.clone());
+    let (with_saw, kernel_only) = (LocalJvv::new(&saw, eps), LocalJvv::new(&constant, eps));
+    let inputs: Vec<_> = (1..=4u64)
+        .map(|seed| {
+            let net = Network::new(Instance::unconditioned(hardcore::model(&g, 1.0)), seed);
+            let locality = with_saw.locality(net.instance().model());
+            let order = scheduler::chromatic_schedule(&net, locality, 0).order;
+            let (run, _) = with_saw.run(&net, &order, &CancelToken::never()).unwrap();
+            (net, order, run.run.outputs)
+        })
+        .collect();
+    let [through_saw, through_constant] = paired(ROUNDS, true, |i| {
+        let start = Instant::now();
+        for (net, order, y) in &inputs {
+            black_box(match i {
+                0 => reject_pass(&with_saw, net, order, y),
+                _ => reject_pass(&kernel_only, net, order, y),
+            });
+        }
+        start.elapsed().as_nanos() as f64 / (inputs.len() * n) as f64
+    });
+    let share = median(per_rep_ratios(&through_constant, &through_saw));
+    r.metric("jvv_reject_kernel_per_node_n128_ns", min(through_constant));
+    r.metric("jvv_reject_kernel_share_n128", share);
     r
+}
+
+/// One reject pass over `order` from σ₀ all vacant and the given `Y`.
+fn reject_pass<O: MultiplicativeInference>(
+    jvv: &LocalJvv<'_, O>,
+    net: &Network,
+    order: &[NodeId],
+    y: &[Value],
+) -> JvvOutcome {
+    let n = y.len();
+    let ground = SlocalRun {
+        outputs: vec![Value(0); n],
+        failures: vec![false; n],
+    };
+    let sampled = SlocalRun {
+        outputs: y.to_vec(),
+        failures: vec![false; n],
+    };
+    jvv.rejection_pass_scan(net, order, ground, sampled)
 }
 
 /// Serial vs burst dispatch of eight requests through one server per
@@ -897,7 +975,11 @@ fn render_json(sha: &str, quick: bool, records: &[(&str, Record)]) -> String {
         let metrics: Vec<String> = record
             .metrics
             .iter()
-            .map(|(k, v)| format!("      \"{k}\": {v:.1}"))
+            .map(|(k, v)| {
+                // one decimal is enough for ns, not for a ratio or a share
+                let digits = if v.abs() < 10.0 { 4 } else { 1 };
+                format!("      \"{k}\": {v:.digits$}")
+            })
             .collect();
         s.push_str(&format!(
             ",\n  \"{name}\": {{\n    \"outcome\": \"{}\",\n    \"metrics\": {{\n{}\n    }}\n  }}",

@@ -216,10 +216,11 @@ pub fn sweep_locality(model: &GibbsModel) -> usize {
 /// chromatic pass (the ground pass plus each sweep), the cost of the
 /// Lemma 3.1 simulation.
 ///
-/// `cancel` is threaded into every pass (checked every 256 nodes) and
-/// checked once per sweep. Checks consume no randomness, so a completed
-/// run is bit-identical to one under [`CancelToken::never`]; a cancelled
-/// run returns `Err(`[`Cancelled`]`)` with no partial result.
+/// `cancel` is threaded into every pass (checked every 256 nodes and
+/// when the pass ends) and checked once per sweep. Checks consume no
+/// randomness, so a completed run is bit-identical to one under
+/// [`CancelToken::never`]; a cancelled run returns `Err(`[`Cancelled`]`)`
+/// with no partial result.
 ///
 /// Phases: `schedule` (all rounds, zero wall time: the caller that got
 /// the schedule owns that time), `ground`, `glauber`.

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use lds_gibbs::admissible::first_feasible_value;
 use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
-use lds_graph::{traversal, NodeId};
+use lds_graph::{traversal, Graph, NodeId};
 use lds_localnet::scheduler::ChromaticSchedule;
 use lds_localnet::slocal::{
     multipass_locality, run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun,
@@ -177,9 +177,10 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
     ///
     /// Returns the outcome (failure bits are the scan's own `F′`, not
     /// merged with a schedule's `F″`) and the `ground`, `sample` and
-    /// `reject` phases. `cancel` is checked every 256 nodes of each pass;
-    /// checks consume no randomness, and a cancelled run returns
-    /// `Err(`[`Cancelled`]`)` with no partial outcome.
+    /// `reject` phases. `cancel` is checked every 256 nodes of each pass
+    /// and when each pass ends; checks consume no randomness, and a
+    /// cancelled run returns `Err(`[`Cancelled`]`)` with no partial
+    /// outcome.
     pub fn run(
         &self,
         net: &Network,
@@ -428,9 +429,9 @@ struct RejectEffect {
 
 /// Pass-3 kernel: the local rejection scan of Theorem 4.2 as a
 /// [`ScanKernel`] whose state is the configuration path `σ_{i−1}` plus
-/// the per-step scratch ([`RejectState`]). Checked bit for bit against
-/// the frozen [`LocalJvv::rejection_pass_reference`] in
-/// `tests/pass3_reference.rs`.
+/// the density-factor table and the step's buffers ([`RejectState`]).
+/// Checked bit for bit against the frozen
+/// [`LocalJvv::rejection_pass_reference`] in `tests/pass3_reference.rs`.
 ///
 /// **Locality.** Everything rests on the oracle's radius contract: a
 /// `marginal_mul` at `v_j` reads pins only within `t` of `v_j`. An oracle
@@ -487,19 +488,135 @@ struct RejectKernel<'a, O> {
     locality: usize,
 }
 
-/// The rejection scan's state: the configuration path and the per-step
-/// structures, allocated once per scan and reset per step in `O(ball)`.
+/// The rejection scan's state: the configuration path, the density
+/// factors, and every buffer a step works in. The per-node arrays are
+/// sized once per scan, the buffers grow to the largest ball a step has
+/// needed, and a step resets what it uses in `O(ball)`, so past the first
+/// steps the oracle's answers are a step's only heap allocations.
 struct RejectState {
     /// The path state `σ_{i−1}`.
     sigma: Config,
     /// `factor[j]`: the density factor of scan position `j` under
     /// `sigma`; `None` until a step first needs it.
     factor: Vec<Option<f64>>,
-    /// `ball_idx[u]`: `u`'s index in the current step's read ball,
-    /// `usize::MAX` outside it (and between steps).
-    ball_idx: Vec<usize>,
     /// The chain-rule prefix of the current query.
     prefix: Prefix,
+    /// The step's BFS around `v_i`: the repair ball, then the read ball.
+    ball: Ball,
+    /// The BFS to radius `t` around one write.
+    around: Ball,
+    /// `σ_i` on the repair ball, aligned with `ball.nodes`; `None` while
+    /// the repair has not placed a node yet.
+    vals: Vec<Option<Value>>,
+    /// The repair's free nodes, in increasing id order.
+    free: Vec<NodeId>,
+    /// The step's writes `(u, σ_i(u))`, in ball order.
+    writes: Vec<(NodeId, Value)>,
+    /// `reach[k]`: the least scan position of a write within `t` of
+    /// `ball.nodes[k]`, `usize::MAX` if none.
+    reach: Vec<usize>,
+    /// The read ball as `(scan position, ball index)`, in scan order.
+    by_pos: Vec<(usize, usize)>,
+    /// Factors the current walk has visited, by factor index.
+    seen: Marks,
+    /// The weight factors of a write step as `(ball index of the member
+    /// the reference's walk meets it at, its index in that member's
+    /// factors_touching list, factor index)`.
+    weights: Vec<(usize, usize, usize)>,
+}
+
+/// Marks over `0..len` that clear in `O(1)`: a mark is current when its
+/// stamp equals the epoch, and clearing moves the epoch on.
+struct Marks {
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Marks {
+    fn new(len: usize) -> Self {
+        Marks {
+            stamp: vec![0; len],
+            epoch: 1,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // a stamp from 2³² clears ago would read as current
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `i`; `true` if it was not marked.
+    fn insert(&mut self, i: usize) -> bool {
+        let fresh = self.stamp[i] != self.epoch;
+        self.stamp[i] = self.epoch;
+        fresh
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.stamp[i] == self.epoch
+    }
+}
+
+/// A BFS from one center that grows radius by radius. `nodes` lists the
+/// members with their distances in `traversal::ball`'s FIFO order and
+/// doubles as the queue, so growing from radius `r` to `r′` expands each
+/// new layer once and leaves `nodes` exactly as one BFS to `r′` would.
+struct Ball {
+    nodes: Vec<(NodeId, u32)>,
+    /// The next member of `nodes` to expand.
+    head: usize,
+    member: Marks,
+    /// `slot[u]`: `u`'s index in `nodes`, meaningful for members.
+    slot: Vec<u32>,
+}
+
+impl Ball {
+    fn new(n: usize) -> Self {
+        Ball {
+            nodes: Vec::new(),
+            head: 0,
+            member: Marks::new(n),
+            slot: vec![0; n],
+        }
+    }
+
+    /// Restarts the ball as `{center}`, radius 0.
+    fn reset(&mut self, center: NodeId) {
+        self.nodes.clear();
+        self.head = 0;
+        self.member.clear();
+        self.insert(center, 0);
+    }
+
+    fn insert(&mut self, u: NodeId, d: u32) {
+        if self.member.insert(u.index()) {
+            self.slot[u.index()] = self.nodes.len() as u32;
+            self.nodes.push((u, d));
+        }
+    }
+
+    /// Grows the ball to radius `r` (a no-op if it is already that big).
+    fn grow(&mut self, g: &Graph, r: usize) {
+        while let Some(&(v, d)) = self.nodes.get(self.head) {
+            if d as usize >= r {
+                break;
+            }
+            self.head += 1;
+            for &x in g.neighbors(v) {
+                self.insert(x, d + 1);
+            }
+        }
+    }
+
+    /// `u`'s index in `nodes`, if `u` is a member.
+    fn index(&self, u: NodeId) -> Option<usize> {
+        let i = u.index();
+        self.member.contains(i).then(|| self.slot[i] as usize)
+    }
 }
 
 impl<O: MultiplicativeInference> RejectKernel<'_, O> {
@@ -507,103 +624,237 @@ impl<O: MultiplicativeInference> RejectKernel<'_, O> {
     /// compute the acceptance probability `q_{v_i}` (Claim 4.7), flip
     /// `v_i`'s private coin, and advance the path to `σ_i`. Pure function
     /// of the path state within `B_R(v_i)`, the kernel's inputs, and
-    /// `v_i`'s randomness; its work is sized by that ball, not by `n`.
+    /// `v_i`'s randomness; its work is sized by that ball, not by `n`,
+    /// and its buffers live in the scan state ([`RejectState`]).
     ///
-    /// It runs one BFS from `v_i` to the read radius `R`, and one to radius
-    /// `t` around each write. In BFS order the first one's `d ≤ W` prefix
-    /// is `traversal::ball(g, v_i, W)`, so the repair and the weight ratio
-    /// see the reference's ball in the reference's order.
-    /// The density ratio walks the cutoff ball in scan order. Position
-    /// `j` contributes `factor[j] / μ̂_{σ_i}` unless no write of this step
-    /// reaches its factor: no write at `v_j` and none at a position below
-    /// `j` within `t` of `v_j`. There the reference's two prefixes differ
-    /// only outside the oracle's view, so it multiplies by `x/x = 1`
-    /// exactly, and skipping is bit-identical. The oracle sees a prefix
-    /// restricted to the read ball, which by the same contract answers
-    /// as the reference's full prefix does.
+    /// **One resumable BFS.** The step grows a BFS from `v_i` to `W` for
+    /// the repair, and on to the read radius `R` only when the repair
+    /// writes. At every radius the BFS list is `traversal::ball`'s FIFO
+    /// order, so its first part is the reference's repair ball in the
+    /// reference's order.
+    ///
+    /// **No-write exit.** A step whose repair leaves `σ` unchanged takes
+    /// `q_{v_i} = 1.0 · s` and flips its coin. That is the reference's
+    /// number to the bit: with `σ_i = σ_{i−1}` both of its prefixes agree
+    /// at every density position, so it visits none, and each weight
+    /// factor it multiplies in is `w/w` for a finite positive `w`, which
+    /// is exactly 1. The factor table is left alone. "No write" is
+    /// decided from the repair's output, never from `Y(v_i) = σ(v_i)`:
+    /// on colorings the repair rewrites unscanned ball nodes, and after a
+    /// failed repair the path no longer agrees with `Y` on scanned nodes.
+    ///
+    /// **Write steps.** `reach` comes from one BFS to radius `t` around
+    /// each write: the skip rule below needs each node's least-positioned
+    /// write within `t`, which a multi-source BFS (nearest write) does not
+    /// give. The density ratio walks the cutoff ball in scan order.
+    /// Position `j` contributes `factor[j] / μ̂_{σ_i}` unless no write of
+    /// this step reaches its factor: no write at `v_j` and none at a
+    /// position below `j` within `t` of `v_j`. There the reference's two
+    /// prefixes differ only outside the oracle's view, so it multiplies
+    /// by `x/x = 1` exactly, and skipping is bit-identical. The oracle
+    /// sees a prefix restricted to the read ball, which by the same
+    /// contract answers as the reference's full prefix does. The weight
+    /// ratio evaluates only the factors whose scope holds a write, in the
+    /// order the reference's walk meets them; every other factor of that
+    /// walk is `w/w = 1`, and leaving out a factor of exactly 1 does not
+    /// change the product.
     fn step(&self, net: &Network, state: &mut RejectState, vi: NodeId) -> RejectEffect {
-        let g = net.instance().model().graph();
-        let cutoff = 2 * self.t.max(self.ell) + self.ell;
-        let read = traversal::ball_with_distances(g, vi, cutoff + self.t);
-        for (k, &(u, _)) in read.iter().enumerate() {
-            state.ball_idx[u.index()] = k;
-        }
-        let effect = self.step_in_ball(net, state, vi, &read);
-        for &(u, _) in &read {
-            state.ball_idx[u.index()] = usize::MAX;
-        }
-        effect
-    }
-
-    /// [`RejectKernel::step`] inside the read ball `read` (BFS order,
-    /// with distances), which `state.ball_idx` indexes.
-    fn step_in_ball(
-        &self,
-        net: &Network,
-        state: &mut RejectState,
-        vi: NodeId,
-        read: &[(NodeId, u32)],
-    ) -> RejectEffect {
-        let RejectState {
-            sigma,
-            factor,
-            ball_idx,
-            prefix,
-        } = state;
         let model = net.instance().model();
-        let tau = net.instance().pinning();
-        let g = model.graph();
-        let i = self.pos[vi.index()];
-        let w = self.t.max(self.ell);
-        let cutoff = 2 * w + self.ell;
         // σ_i: agree with Y on order[..=i], differ from σ_{i-1} only
-        // inside B_w(vi), stay feasible (Claim 4.6 via greedy repair).
-        let nw = read.partition_point(|&(_, d)| d as usize <= w);
-        let ball: Vec<NodeId> = read[..nw].iter().map(|&(u, _)| u).collect();
-        let Some(ball_vals) = repair_local(model, sigma, &self.y, &ball, ball_idx, &self.pos, i)
-        else {
+        // inside B_w(vi), stay feasible (Claim 4.6 via greedy repair)
+        state.ball.reset(vi);
+        state.ball.grow(model.graph(), self.t.max(self.ell));
+        if !self.repair_ball(model, state, self.pos[vi.index()]) {
             return RejectEffect {
                 fail: true,
                 q: None,
                 clamped: false,
             };
+        }
+        // where σ_i differs from σ_{i−1}: confined to the repair ball
+        let RejectState {
+            sigma,
+            ball,
+            vals,
+            writes,
+            ..
+        } = state;
+        writes.clear();
+        for (&(u, _), &val) in ball.nodes.iter().zip(vals.iter()) {
+            let val = val.expect("ball fully repaired");
+            if val != sigma.get(u) {
+                writes.push((u, val));
+            }
+        }
+        // no write: each factor of the reference's ratio is exactly 1
+        let ratio = if writes.is_empty() {
+            1.0
+        } else {
+            self.write_ratio(net, state)
         };
-        // where σ_i differs from σ_{i−1}: confined to the ball
-        let writes: Vec<(NodeId, Value)> = ball
-            .iter()
-            .zip(&ball_vals)
-            .filter(|&(&u, &val)| val != sigma.get(u))
-            .map(|(&u, &val)| (u, val))
-            .collect();
-        let val_i = |u: NodeId| match ball_vals.get(ball_idx[u.index()]) {
-            Some(&val) => val,
+        let mut q_vi = ratio * self.slack;
+        let clamped = q_vi > 1.0;
+        if clamped {
+            q_vi = 1.0;
+        }
+        let mut rng = net.node_rng(vi, STREAM_JVV_REJECT);
+        let fail = !rng.gen_bool(q_vi.max(0.0));
+        for &(u, val) in &state.writes {
+            state.sigma.set(u, val);
+        }
+        RejectEffect {
+            fail,
+            q: Some(q_vi),
+            clamped,
+        }
+    }
+
+    /// Claim 4.6 constructively and **ball-locally**: fills `state.vals`
+    /// with the values `σ_i` takes on the repair ball (the members of
+    /// `state.ball`) — agreeing with `Y` on scanned positions `≤ i`,
+    /// equal to `σ_{i−1}` outside the ball, feasible — or returns `false`
+    /// if the greedy repair fails. It repairs the unscanned ball nodes in
+    /// increasing id order (sound for locally admissible models),
+    /// mirroring the reference's [`repair`] exactly while reading `σ_{i−1}`
+    /// only on `ball + ℓ` and visiting only factors touching the ball.
+    /// Factors farther out, and fully determined ones that keep
+    /// `σ_{i−1}`'s values, evaluate as on the path state, which is
+    /// feasible, so the reference's global feasibility scan decides
+    /// identically. That is the path invariant: `σ₀` is feasible unless
+    /// pass 1 fell back, and each repair keeps the path feasible.
+    fn repair_ball(&self, model: &GibbsModel, state: &mut RejectState, i: usize) -> bool {
+        let RejectState {
+            sigma,
+            ball,
+            vals,
+            free,
+            seen,
+            ..
+        } = state;
+        // scanned positions (vi included) take Y's values; the rest are
+        // repaired below
+        vals.clear();
+        vals.extend(
+            ball.nodes
+                .iter()
+                .map(|&(u, _)| (self.pos[u.index()] <= i).then(|| self.y.get(u))),
+        );
+        // the candidate's value at any node; `None` = still free
+        let at = |vals: &[Option<Value>], u: NodeId| match ball.index(u) {
+            Some(k) => vals[k],
+            None => Some(sigma.get(u)),
+        };
+        // upfront feasibility: every fully determined factor is positive.
+        // The reference checks them all, globally; one whose values all
+        // equal σ_{i−1}'s passes by the path invariant, so only a factor
+        // at a scanned node where Y differs from σ_{i−1} can fail
+        seen.clear();
+        for (&(u, _), &val) in ball.nodes.iter().zip(vals.iter()) {
+            if val.is_none_or(|c| c == sigma.get(u)) {
+                continue;
+            }
+            for &fi in model.factors_touching(u) {
+                let f = &model.factors()[fi];
+                if seen.insert(fi) && f.eval_partial(|s| at(vals, s)).is_some_and(|w| w <= 0.0) {
+                    return false;
+                }
+            }
+        }
+        // greedy extension of the unscanned ball nodes in increasing id
+        // order — the reference's free_nodes() scan order. A candidate is
+        // accepted iff every factor it completes is positive; factors not
+        // touching the node are unchanged and were verified positive when
+        // they completed, so this equals the reference's global check.
+        free.clear();
+        free.extend(
+            ball.nodes
+                .iter()
+                .map(|&(u, _)| u)
+                .filter(|u| self.pos[u.index()] > i),
+        );
+        free.sort_unstable();
+        for &u in free.iter() {
+            let k = ball.index(u).expect("ball member");
+            let placed = (0..model.alphabet_size()).any(|c| {
+                vals[k] = Some(Value::from_index(c));
+                model.factors_touching(u).iter().all(|&fi| {
+                    model.factors()[fi]
+                        .eval_partial(|s| at(vals, s))
+                        .is_none_or(|w| w > 0.0)
+                })
+            });
+            if !placed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The acceptance ratio `μ̂^τ(σ_{i−1})·w(σ_i) / (μ̂^τ(σ_i)·w(σ_{i−1}))`
+    /// of a step whose repair wrote `state.writes`: grows the ball to the
+    /// read radius, then multiplies the density and weight factors the
+    /// writes reach, in the reference's order.
+    fn write_ratio(&self, net: &Network, state: &mut RejectState) -> f64 {
+        let model = net.instance().model();
+        let tau = net.instance().pinning();
+        let g = model.graph();
+        let cutoff = 2 * self.t.max(self.ell) + self.ell;
+        let RejectState {
+            sigma,
+            factor,
+            prefix,
+            ball,
+            around,
+            vals,
+            writes,
+            reach,
+            by_pos,
+            seen,
+            weights,
+            ..
+        } = state;
+        ball.grow(g, cutoff + self.t);
+        let nw = vals.len();
+        let val_i = |u: NodeId| match ball.index(u).and_then(|k| vals.get(k)) {
+            Some(val) => val.expect("ball fully repaired"),
             None => sigma.get(u),
         };
         // reach[k]: the least scan position of a write within t of
-        // read[k] (every such node lies in the read ball)
-        let mut reach = vec![usize::MAX; read.len()];
-        for &(u, _) in &writes {
-            for x in traversal::ball(g, u, self.t) {
-                let k = ball_idx[x.index()];
-                reach[k] = reach[k].min(self.pos[u.index()]);
+        // ball.nodes[k] (every such node lies in the read ball)
+        reach.clear();
+        reach.resize(ball.nodes.len(), usize::MAX);
+        for &(u, _) in writes.iter() {
+            let p = self.pos[u.index()];
+            around.reset(u);
+            around.grow(g, self.t);
+            for &(x, _) in &around.nodes {
+                let k = ball.index(x).expect("within the read ball");
+                reach[k] = reach[k].min(p);
             }
         }
 
         // density ratio μ̂^τ(σ_{i-1}) / μ̂^τ(σ_i) over the cutoff ball, in
         // scan order; the prefix holds σ_i on the read nodes scanned
         // before the current position
-        let mut by_pos = read.to_vec();
-        by_pos.sort_unstable_by_key(|&(u, _)| self.pos[u.index()]);
+        by_pos.clear();
+        by_pos.extend(
+            ball.nodes
+                .iter()
+                .enumerate()
+                .map(|(k, &(u, _))| (self.pos[u.index()], k)),
+        );
+        by_pos.sort_unstable();
         let mut pinned = 0;
         let mut ratio = 1.0f64;
-        for &(vj, d) in &by_pos {
-            let j = self.pos[vj.index()];
+        for &(j, k) in by_pos.iter() {
+            let (vj, d) = ball.nodes[k];
             // skip unless a write reaches v_j's factor: one at v_j itself
             // (position j) or one below j within t of v_j
-            if d as usize > cutoff || tau.is_pinned(vj) || reach[ball_idx[vj.index()]] > j {
+            if d as usize > cutoff || tau.is_pinned(vj) || reach[k] > j {
                 continue;
             }
-            while let Some(&(u, _)) = by_pos.get(pinned).filter(|(u, _)| self.pos[u.index()] < j) {
+            while let Some(&(_, kp)) = by_pos.get(pinned).filter(|&&(p, _)| p < j) {
+                let u = ball.nodes[kp].0;
                 prefix.push(u, val_i(u));
                 pinned += 1;
             }
@@ -634,38 +885,36 @@ impl<O: MultiplicativeInference> RejectKernel<'_, O> {
             }
         }
         prefix.rollback();
-        // weight ratio w(σ_i) / w(σ_{i-1}): factors touching the ball
-        let in_ball = |s: &NodeId| ball_idx[s.index()] < nw;
-        for &u in &ball {
+
+        // weight ratio w(σ_i) / w(σ_{i-1}): the reference walks the repair
+        // ball and counts each factor touching it once, at its least
+        // member in the ball; of those, only a factor whose scope holds a
+        // write differs from 1
+        let in_repair_ball = |s: &&NodeId| ball.index(**s).is_some_and(|k| k < nw);
+        seen.clear();
+        weights.clear();
+        for &(u, _) in writes.iter() {
             for &fi in model.factors_touching(u) {
-                let f = &model.factors()[fi];
-                // count each factor once: at its minimum ball member
-                if f.scope().iter().filter(|s| in_ball(s)).min() != Some(&u) {
+                if !seen.insert(fi) {
                     continue;
                 }
-                let w_new = f.eval_partial(|s| Some(val_i(s))).expect("full config");
-                let w_prev = f.eval_partial(|s| Some(sigma.get(s))).expect("full config");
-                if w_prev > 0.0 {
-                    ratio *= w_new / w_prev;
-                }
+                let scope = model.factors()[fi].scope();
+                let first = *scope.iter().filter(in_repair_ball).min().expect("u is one");
+                let at = model.factors_touching(first).iter().position(|&x| x == fi);
+                let k = ball.index(first).expect("ball member");
+                weights.push((k, at.expect("first touches its factor"), fi));
             }
         }
-
-        let mut q_vi = ratio * self.slack;
-        let clamped = q_vi > 1.0;
-        if clamped {
-            q_vi = 1.0;
+        weights.sort_unstable();
+        for &(_, _, fi) in weights.iter() {
+            let f = &model.factors()[fi];
+            let w_new = f.eval_partial(|s| Some(val_i(s))).expect("full config");
+            let w_prev = f.eval_partial(|s| Some(sigma.get(s))).expect("full config");
+            if w_prev > 0.0 {
+                ratio *= w_new / w_prev;
+            }
         }
-        let mut rng = net.node_rng(vi, STREAM_JVV_REJECT);
-        let fail = !rng.gen_bool(q_vi.max(0.0));
-        for (u, val) in writes {
-            sigma.set(u, val);
-        }
-        RejectEffect {
-            fail,
-            q: Some(q_vi),
-            clamped,
-        }
+        ratio
     }
 }
 
@@ -706,106 +955,6 @@ impl Prefix {
     }
 }
 
-/// Claim 4.6 constructively and **ball-locally**: the values `σ_i` takes
-/// on `ball` — agreeing with `Y` on scanned positions `≤ i`, equal to
-/// `σ_prev` outside the ball, feasible. Greedy repair of the unscanned
-/// ball nodes in increasing id order (sound for locally admissible
-/// models), mirroring [`repair`]'s decisions exactly while reading
-/// `σ_prev` only on `ball + ℓ` and visiting only factors touching the
-/// ball — factors farther out evaluate on the untouched path state,
-/// which is feasible (the path invariant), so the reference's global
-/// feasibility scan decides identically. `ball_idx` maps each node of a
-/// ball around `ball` to its index there, with `ball` as its prefix.
-fn repair_local(
-    model: &lds_gibbs::GibbsModel,
-    sigma_prev: &Config,
-    y: &Config,
-    ball: &[NodeId],
-    ball_idx: &[usize],
-    pos: &[usize],
-    i: usize,
-) -> Option<Vec<Value>> {
-    let q = model.alphabet_size();
-    // σ_i on the ball: scanned positions (vi included) take Y's values;
-    // the rest are repaired below
-    let mut vals: Vec<Option<Value>> = ball
-        .iter()
-        .map(|&u| {
-            if pos[u.index()] <= i {
-                Some(y.get(u))
-            } else {
-                None
-            }
-        })
-        .collect();
-    // the candidate pinning's value at any node; `None` = still free
-    fn val_at(
-        vals: &[Option<Value>],
-        ball_idx: &[usize],
-        sigma_prev: &Config,
-        u: NodeId,
-    ) -> Option<Value> {
-        match vals.get(ball_idx[u.index()]) {
-            Some(&val) => val,
-            None => Some(sigma_prev.get(u)),
-        }
-    }
-    // factors touching the ball, each visited once
-    let mut touching: Vec<usize> = ball
-        .iter()
-        .flat_map(|&u| model.factors_touching(u).iter().copied())
-        .collect();
-    touching.sort_unstable();
-    touching.dedup();
-    // upfront feasibility: every fully determined factor positive (the
-    // reference checks all fully pinned factors globally; away from the
-    // ball they evaluate on the feasible path state and pass)
-    for &fi in &touching {
-        let f = &model.factors()[fi];
-        if let Some(w) = f.eval_partial(|s| val_at(&vals, ball_idx, sigma_prev, s)) {
-            if w <= 0.0 {
-                return None;
-            }
-        }
-    }
-    // greedy extension of the unscanned ball nodes in increasing id
-    // order — the reference's free_nodes() scan order. A candidate is
-    // accepted iff every factor it completes is positive; factors not
-    // touching the node are unchanged and were verified positive when
-    // they completed, so this equals the reference's global check.
-    let mut free: Vec<NodeId> = ball
-        .iter()
-        .copied()
-        .filter(|&u| pos[u.index()] > i)
-        .collect();
-    free.sort_unstable();
-    for u in free {
-        let k = ball_idx[u.index()];
-        let mut placed = false;
-        for c in (0..q).map(Value::from_index) {
-            vals[k] = Some(c);
-            let ok = model.factors_touching(u).iter().all(|&fi| {
-                match model.factors()[fi].eval_partial(|s| val_at(&vals, ball_idx, sigma_prev, s)) {
-                    Some(w) => w > 0.0,
-                    None => true,
-                }
-            });
-            if ok {
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return None;
-        }
-    }
-    Some(
-        vals.into_iter()
-            .map(|v| v.expect("ball fully repaired"))
-            .collect(),
-    )
-}
-
 impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
     type State = RejectState;
     type Effect = RejectEffect;
@@ -816,8 +965,16 @@ impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
         RejectState {
             sigma: self.sigma0.clone(),
             factor: vec![None; n],
-            ball_idx: vec![usize::MAX; n],
             prefix: Prefix::new(net.instance().pinning()),
+            ball: Ball::new(n),
+            around: Ball::new(n),
+            vals: Vec::new(),
+            free: Vec::new(),
+            writes: Vec::new(),
+            reach: Vec::new(),
+            by_pos: Vec::new(),
+            seen: Marks::new(net.instance().model().factors().len()),
+            weights: Vec::new(),
         }
     }
 
@@ -922,8 +1079,9 @@ fn repair(
 /// rejection bits `F′` with the decomposition bits `F″`;
 /// [`SampleRun::jvv`] carries the statistics.
 ///
-/// `cancel` is checked every 256 nodes of every pass. Checks consume no
-/// randomness, so a completed run is bit-identical to one under
+/// `cancel` is checked every 256 nodes of every pass and when each pass
+/// ends. Checks consume no randomness, so a completed run is
+/// bit-identical to one under
 /// [`CancelToken::never`]; a cancelled run returns
 /// `Err(`[`Cancelled`]`)` with no partial result.
 ///
@@ -956,7 +1114,7 @@ pub fn sample_exact_local<O: MultiplicativeInference>(
 mod tests {
     use super::*;
     use lds_gibbs::metrics;
-    use lds_gibbs::models::two_spin::TwoSpinParams;
+    use lds_gibbs::models::two_spin::{self, TwoSpinParams};
     use lds_gibbs::models::{coloring, hardcore};
     use lds_graph::{generators, ordering};
     use lds_localnet::{scheduler, Instance};
@@ -1108,6 +1266,30 @@ mod tests {
             ]
         );
         assert!(out.jvv.expect("jvv stats").locality > 0);
+    }
+
+    #[test]
+    fn kernel_matches_reference_bitwise_on_a_soft_model() {
+        // soft two-spin factors make each weight factor a write reaches
+        // differ from 1, so the acceptance product's bits depend on the
+        // order the kernel multiplies them in
+        let params = TwoSpinParams::new(0.7, 1.3, 0.8);
+        let oracle = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+        let jvv = LocalJvv::new(&oracle, 0.05);
+        for g in [generators::cycle(12), generators::torus(4, 4)] {
+            for seed in 0..6 {
+                let net = Network::new(Instance::unconditioned(two_spin::model(&g, params)), seed);
+                let order = ordering::random(&g, &mut net.node_rng(NodeId(0), 99));
+                let reference = jvv.run_detailed_reference(&net, &order);
+                let kernel = run(&jvv, &net, &order);
+                assert_eq!(kernel.run.failures, reference.run.failures, "seed {seed}");
+                assert_eq!(
+                    kernel.stats.acceptance_product.to_bits(),
+                    reference.stats.acceptance_product.to_bits(),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -130,9 +130,9 @@ pub(crate) fn lift(
 /// the output follows `μ̂_{I,π}` with `d_TV(μ̂, μ^τ) ≤ δ` for any `π`, so
 /// one schedule serves every execution.
 ///
-/// `cancel` is checked every 256 nodes of the scan. Checks consume no
-/// randomness, so a completed run is bit-identical to one under
-/// [`CancelToken::never`]; a cancelled run returns
+/// `cancel` is checked every 256 nodes of the scan and when it ends.
+/// Checks consume no randomness, so a completed run is bit-identical to
+/// one under [`CancelToken::never`]; a cancelled run returns
 /// `Err(`[`Cancelled`]`)` with no partial result.
 ///
 /// Phases: `schedule` (all rounds, zero wall time: the caller that got

@@ -671,10 +671,12 @@ impl Engine {
     /// [`Engine::run_with_seed`] under an optional absolute deadline.
     ///
     /// The deadline is enforced cooperatively: checked at admission,
-    /// which comes before a sampling path's first-use schedule draw, and
-    /// every 256 nodes of each sequential scan. The draw itself cannot be
-    /// interrupted; once it finishes the schedule stays cached for later
-    /// requests, whether or not this run makes its deadline.
+    /// which comes before a sampling path's first-use schedule draw,
+    /// every 256 nodes of each sequential scan, and when each scan ends,
+    /// so a sampling run whose last scan ends past the deadline misses
+    /// it. The draw itself cannot be interrupted; once it finishes the
+    /// schedule stays cached for later requests, whether or not this run
+    /// makes its deadline.
     /// [`Task::Infer`] and [`Task::Count`] check the deadline only at
     /// admission: a request that finds its answer still being computed
     /// by an earlier request waits for that computation. The checks

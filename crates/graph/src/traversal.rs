@@ -75,12 +75,6 @@ pub fn ball(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
     bounded_bfs(g, v, r).0
 }
 
-/// The ball together with each member's distance from the center.
-pub fn ball_with_distances(g: &Graph, v: NodeId, r: usize) -> Vec<(NodeId, u32)> {
-    let (order, dist) = bounded_bfs(g, v, r);
-    order.into_iter().map(|u| (u, dist[u.index()])).collect()
-}
-
 /// The sphere `{u | dist_G(u, v) = r}` in id order.
 pub fn sphere(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
     let (order, dist) = bounded_bfs(g, v, r);
@@ -181,16 +175,6 @@ mod tests {
     fn ball_radius_zero_is_center() {
         let g = generators::cycle(5);
         assert_eq!(ball(&g, NodeId(3), 0), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn ball_with_distances_is_consistent() {
-        let g = generators::grid(4, 4);
-        let full = bfs_distances(&g, NodeId(5));
-        for (u, d) in ball_with_distances(&g, NodeId(5), 3) {
-            assert_eq!(full[u.index()], d);
-            assert!(d <= 3);
-        }
     }
 
     #[test]

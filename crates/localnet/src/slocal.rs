@@ -150,7 +150,7 @@ impl<K: SlocalKernel + ?Sized> ScanKernel for K {
 
 /// How many nodes the sequential scan processes between cancellation
 /// checks. Chunked so a real deadline token (whose check reads the
-/// clock) costs `O(n / CHUNK)` clock reads, not `O(n)`.
+/// clock) costs `O(n / CANCEL_CHECK_STRIDE)` clock reads, not `O(n)`.
 const CANCEL_CHECK_STRIDE: usize = 256;
 
 /// Runs any [`ScanKernel`] as the classic sequential SLOCAL scan over
@@ -161,10 +161,11 @@ const CANCEL_CHECK_STRIDE: usize = 256;
 /// [`ChromaticSchedule::order`](crate::scheduler::ChromaticSchedule::order).
 ///
 /// `order` must visit every free node (schedule orderings do). `cancel`
-/// is checked every `CANCEL_CHECK_STRIDE` nodes; checks consume no
-/// randomness, so a scan that completes is bit-identical to one under
-/// [`CancelToken::never`], and a cancelled scan returns
-/// `Err(`[`Cancelled`]`)` with no partial result.
+/// is checked before every `CANCEL_CHECK_STRIDE` nodes and once more
+/// after the last, so a scan that runs past its deadline fails however
+/// short it is. Checks consume no randomness, so a scan that completes
+/// is bit-identical to one under [`CancelToken::never`], and a cancelled
+/// scan returns `Err(`[`Cancelled`]`)` with no partial result.
 pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
     net: &Network,
     kernel: &K,
@@ -172,7 +173,7 @@ pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
     cancel: &CancelToken,
 ) -> Result<K::Run, Cancelled> {
     let mut state = kernel.init(net);
-    let mut effects = Vec::new();
+    let mut effects = Vec::with_capacity(order.len());
     for chunk in order.chunks(CANCEL_CHECK_STRIDE) {
         cancel.check()?;
         for &v in chunk {
@@ -181,6 +182,7 @@ pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
             }
         }
     }
+    cancel.check()?;
     Ok(kernel.finish(net, state, effects))
 }
 
@@ -202,6 +204,47 @@ pub fn write_radius_locality(read: usize, write: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Instance;
+    use lds_gibbs::models::hardcore;
+    use lds_graph::generators;
+
+    /// Pins every node to 0 and cancels `cancel` while processing `last`.
+    struct CancelAt<'a> {
+        cancel: &'a CancelToken,
+        last: NodeId,
+    }
+
+    impl SlocalKernel for CancelAt<'_> {
+        fn process(&self, _net: &Network, _sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
+            if v == self.last {
+                self.cancel.cancel();
+            }
+            (Value(0), false)
+        }
+    }
+
+    #[test]
+    fn a_scan_cancelled_at_its_last_node_returns_cancelled() {
+        let g = generators::path(10);
+        let net = Network::new(Instance::unconditioned(hardcore::model(&g, 1.0)), 1);
+        let order: Vec<NodeId> = g.nodes().collect();
+        let cancel = CancelToken::manual();
+        let kernel = CancelAt {
+            cancel: &cancel,
+            last: order[9],
+        };
+        assert_eq!(
+            run_scan_sequential(&net, &kernel, &order, &cancel).map(|run| run.outputs),
+            Err(Cancelled)
+        );
+        // the same scan under a token nobody cancels completes
+        let never = CancelToken::never();
+        let kernel = CancelAt {
+            cancel: &never,
+            last: order[9],
+        };
+        assert!(run_scan_sequential(&net, &kernel, &order, &never).is_ok());
+    }
 
     #[test]
     fn multipass_locality_matches_lemma() {
