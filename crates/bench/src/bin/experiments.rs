@@ -19,10 +19,7 @@ use lds_graph::{ordering, NodeId};
 use lds_localnet::decomposition::{linial_saks, DecompositionParams};
 use lds_localnet::slocal::run_scan_sequential;
 use lds_localnet::{scheduler, Instance, Network};
-use lds_oracle::{
-    BoostedOracle, DecayRate, EnumerationOracle, InferenceOracle, MultiplicativeInference,
-    TwoSpinSawOracle,
-};
+use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use lds_runtime::{CancelToken, ThreadPool};
 use lds_ssm::{correlation, estimator, phase, rate};
 use rand::rngs::StdRng;
@@ -55,11 +52,11 @@ fn e1() {
             let g = workloads::cycle(n);
             let model = hardcore::model(&g, 1.0);
             let oracle = saw(1.0, 0.5);
-            let tt = oracle.radius(n, delta / n as f64);
+            let tt = oracle.radius(&model, Target::Tv(delta / n as f64));
             let net = Network::new(Instance::unconditioned(model.clone()), 17);
-            let sampler = SequentialSampler::new(oracle.clone(), delta);
+            let sampler = SequentialSampler::new(&oracle, delta);
             let never = CancelToken::never();
-            let schedule = scheduler::chromatic_schedule(&net, sampler.locality(n), 0);
+            let schedule = scheduler::chromatic_schedule(&net, sampler.locality(&model), 0);
             let run = sampler::sample_local(&net, &oracle, delta, &schedule, &never)
                 .expect("never cancelled")
                 .run;
@@ -164,7 +161,7 @@ fn e3() {
         let exact = distribution::marginal(&model, &tau, NodeId(0)).unwrap();
         let boosted = BoostedOracle::new(saw(lambda, 0.5));
         for &eps in &[0.5f64, 0.2, 0.1] {
-            let est = boosted.marginal_mul(&model, &tau, NodeId(0), eps);
+            let est = boosted.query(&model, &tau, NodeId(0), Target::Mul(eps));
             let err = metrics::multiplicative_err(&exact, &est);
             t.row(vec![
                 name.into(),
@@ -265,7 +262,7 @@ fn e5() {
         let planned = DecayRate::new(0.6, 2.0);
         let oracle = EnumerationOracle::new(planned);
         for &tt in &[2usize, 4, 6] {
-            let est = oracle.marginal(&model, &tau, NodeId(0), tt);
+            let est = oracle.marginal_with_frontier(&model, &tau, NodeId(0), tt).0;
             let err = metrics::tv_distance(&exact, &est);
             t.row(vec![
                 f(lambda),
@@ -679,21 +676,21 @@ fn s2() {
     let sawo = saw(1.0, 0.5);
     for &tt in &[2usize, 4, 6] {
         let start = Instant::now();
-        let est = sawo.marginal(&model, &tau, NodeId(5), tt);
+        let b = sawo.marginal_bounds(&g, &tau, NodeId(5), tt);
         let lat = start.elapsed().as_micros();
-        let gap = sawo.marginal_bounds(&g, &tau, NodeId(5), tt).gap();
+        let est = [1.0 - b.midpoint(), b.midpoint()];
         t.row(vec![
             "saw".into(),
             d(tt),
             f(metrics::tv_distance(&exact, &est)),
-            f(gap),
+            f(b.gap()),
             d(lat),
         ]);
     }
     let enumo = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
     for &tt in &[1usize, 2] {
         let start = Instant::now();
-        let est = enumo.marginal(&model, &tau, NodeId(5), tt);
+        let est = enumo.marginal_with_frontier(&model, &tau, NodeId(5), tt).0;
         let lat = start.elapsed().as_micros();
         t.row(vec![
             "enumeration".into(),

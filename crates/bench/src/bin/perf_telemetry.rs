@@ -69,7 +69,7 @@ use lds_localnet::slocal::{run_scan_sequential, SlocalRun};
 use lds_localnet::{scheduler, Instance, Network};
 use lds_net::{Client, EngineSpec, NetConfig, NetServer, Op, Wire};
 use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
-use lds_oracle::{InferenceOracle, MultiplicativeInference};
+use lds_oracle::{Oracle, Target};
 use lds_runtime::{CancelToken, ThreadPool};
 use lds_serve::{Server, ServerConfig};
 use lds_ssm::{correlation, estimator, phase};
@@ -326,16 +326,16 @@ fn run_batch(samples: usize) -> Record {
 /// kernel's whole work and next to no oracle work.
 struct ConstantOracle(TwoSpinSawOracle);
 
-impl MultiplicativeInference for ConstantOracle {
+impl Oracle for ConstantOracle {
     fn name(&self) -> &str {
         "constant"
     }
 
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        self.0.radius_mul(model, eps)
+    fn radius(&self, model: &GibbsModel, target: Target) -> usize {
+        self.0.radius(model, target)
     }
 
-    fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+    fn query(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: Target) -> Vec<f64> {
         vec![0.5, 0.5]
     }
 }
@@ -418,7 +418,7 @@ fn jvv(samples: usize) -> Record {
 }
 
 /// One reject pass over `order` from σ₀ all vacant and the given `Y`.
-fn reject_pass<O: MultiplicativeInference>(
+fn reject_pass<O: Oracle>(
     jvv: &LocalJvv<'_, O>,
     net: &Network,
     order: &[NodeId],
@@ -757,7 +757,8 @@ fn resilience(samples: usize) -> Record {
 fn e1_reductions(samples: usize) -> Record {
     let cycle = generators::cycle(64);
     let scan_net = Network::new(Instance::unconditioned(hardcore::model(&cycle, 1.0)), 1);
-    let sampler = SequentialSampler::new(saw_oracle(), 0.05);
+    let oracle = saw_oracle();
+    let sampler = SequentialSampler::new(&oracle, 0.05);
     let (order, never) = (ordering::identity(&cycle), CancelToken::never());
     let scan = measure(samples, 1, || {
         run_scan_sequential(&scan_net, &sampler, &order, &never)
@@ -785,11 +786,13 @@ fn e3_s2_oracles(samples: usize) -> Record {
     let (boosted, saw) = (BoostedOracle::new(saw_oracle()), saw_oracle());
     let enumeration = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
     let boosted_ns = measure(samples, 1, || {
-        boosted.marginal_mul(&cycle, &free12, NodeId(0), 0.1)
+        boosted.query(&cycle, &free12, NodeId(0), Target::Mul(0.1))
     });
-    let saw_ns = measure(samples, 1, || saw.marginal(&torus6, &free36, NodeId(14), 8));
+    let saw_ns = measure(samples, 1, || {
+        saw.marginal_bounds(torus6.graph(), &free36, NodeId(14), 8)
+    });
     let enum_ns = measure(samples, 1, || {
-        enumeration.marginal(&torus4, &free16, NodeId(5), 2)
+        enumeration.marginal_with_frontier(&torus4, &free16, NodeId(5), 2)
     });
     Record::of([
         ("e3_boosted_marginal_ns", boosted_ns),

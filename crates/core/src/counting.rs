@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::{Instance, Network};
-use lds_oracle::{chain_marginals_mul, InferenceOracle, MultiplicativeInference};
+use lds_oracle::{chain_marginals_mul, Oracle, Target};
 use lds_runtime::{splitmix64, ThreadPool};
 
 use crate::sampler::{sample_once, shared_schedule};
@@ -101,7 +101,10 @@ impl std::error::Error for CountError {}
 pub struct CountEstimate {
     /// The estimate of `ln Z^τ`.
     pub log_z: f64,
-    /// Guaranteed bound on `|ln Ẑ − ln Z|` given the oracle error: `n·ε`.
+    /// The chain rule's bound on `|ln Ẑ − ln Z|`, `n·ε` over the `n` free
+    /// nodes. It holds only if every chain answer met its multiplicative
+    /// error `ε`, and nothing checks that yet: an oracle query whose walk
+    /// ran out of budget can miss it.
     pub log_error_bound: f64,
     /// The feasible anchor configuration used by the chain rule.
     pub anchor: lds_gibbs::Config,
@@ -145,7 +148,7 @@ pub fn log_partition_function<O>(
     pool: &ThreadPool,
 ) -> Result<CountRun, CountError>
 where
-    O: MultiplicativeInference + Sync,
+    O: Oracle + Sync + ?Sized,
 {
     let n = model.node_count();
     let anchor_eps = eps.max(ANCHOR_EPS_FLOOR);
@@ -157,7 +160,7 @@ where
         if sigma.is_pinned(v) {
             continue;
         }
-        let mu = oracle.marginal_mul(model, &sigma, v, anchor_eps);
+        let mu = oracle.query(model, &sigma, v, Target::Mul(anchor_eps));
         let (argmax, p) = mu
             .iter()
             .copied()
@@ -210,7 +213,7 @@ where
 /// cross-width proptests (`tests/counting_parallel.rs`). Do not
 /// "improve" this function — change [`log_partition_function`] and let
 /// the tests prove agreement.
-pub fn log_partition_function_reference<O: MultiplicativeInference>(
+pub fn log_partition_function_reference<O: Oracle + ?Sized>(
     model: &GibbsModel,
     pinning: &PartialConfig,
     oracle: &O,
@@ -226,7 +229,7 @@ pub fn log_partition_function_reference<O: MultiplicativeInference>(
         if sigma.is_pinned(v) {
             continue;
         }
-        let mu = oracle.marginal_mul(model, &sigma, v, anchor_eps);
+        let mu = oracle.query(model, &sigma, v, Target::Mul(anchor_eps));
         let (argmax, p) = mu
             .iter()
             .copied()
@@ -250,7 +253,7 @@ pub fn log_partition_function_reference<O: MultiplicativeInference>(
     let mut prefix = pinning.clone();
     let mut log_z = w.ln();
     for &(v, val) in &levels {
-        let mu = oracle.marginal_mul(model, &prefix, v, eps);
+        let mu = oracle.query(model, &prefix, v, Target::Mul(eps));
         let p = mu
             .get(val.index())
             .copied()
@@ -360,7 +363,7 @@ pub fn log_partition_function_annealed<O>(
     pool: &ThreadPool,
 ) -> Result<AnnealedCount, CountError>
 where
-    O: InferenceOracle + Clone + Sync,
+    O: Oracle + Sync + ?Sized,
 {
     let n = model.node_count();
 
@@ -569,7 +572,7 @@ mod tests {
         eps: f64,
     ) -> Result<CountEstimate, CountError>
     where
-        O: MultiplicativeInference + Sync,
+        O: Oracle + Sync,
     {
         log_partition_function(model, tau, oracle, eps, &ThreadPool::sequential())
             .map(|run| run.estimate)
@@ -578,7 +581,7 @@ mod tests {
     /// The pre-split estimator, kept verbatim: one full-precision pass
     /// doing argmax construction and accumulation together. Used to
     /// check the two-pass estimator agrees within the combined bounds.
-    fn pr6_estimator<O: MultiplicativeInference>(
+    fn pr6_estimator<O: Oracle>(
         model: &GibbsModel,
         pinning: &PartialConfig,
         oracle: &O,
@@ -592,7 +595,7 @@ mod tests {
             if sigma.is_pinned(v) {
                 continue;
             }
-            let mu = oracle.marginal_mul(model, &sigma, v, eps);
+            let mu = oracle.query(model, &sigma, v, Target::Mul(eps));
             let (argmax, p) = mu
                 .iter()
                 .copied()
@@ -803,14 +806,14 @@ mod tests {
     /// An oracle that always returns an empty marginal vector.
     #[derive(Clone)]
     struct EmptyOracle;
-    impl MultiplicativeInference for EmptyOracle {
+    impl Oracle for EmptyOracle {
         fn name(&self) -> &str {
             "empty"
         }
-        fn radius_mul(&self, _: &GibbsModel, _: f64) -> usize {
+        fn radius(&self, _: &GibbsModel, _: Target) -> usize {
             0
         }
-        fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+        fn query(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: Target) -> Vec<f64> {
             Vec::new()
         }
     }
@@ -818,20 +821,14 @@ mod tests {
     /// An oracle that returns an all-zero marginal vector.
     #[derive(Clone)]
     struct ZeroOracle;
-    impl MultiplicativeInference for ZeroOracle {
+    impl Oracle for ZeroOracle {
         fn name(&self) -> &str {
             "zero"
         }
-        fn radius_mul(&self, _: &GibbsModel, _: f64) -> usize {
+        fn radius(&self, _: &GibbsModel, _: Target) -> usize {
             0
         }
-        fn marginal_mul(
-            &self,
-            model: &GibbsModel,
-            _: &PartialConfig,
-            _: NodeId,
-            _: f64,
-        ) -> Vec<f64> {
+        fn query(&self, model: &GibbsModel, _: &PartialConfig, _: NodeId, _: Target) -> Vec<f64> {
             vec![0.0; model.alphabet_size()]
         }
     }
@@ -840,14 +837,14 @@ mod tests {
     /// claims every node is occupied with probability 1.
     #[derive(Clone)]
     struct AlwaysOccupied;
-    impl MultiplicativeInference for AlwaysOccupied {
+    impl Oracle for AlwaysOccupied {
         fn name(&self) -> &str {
             "occupied"
         }
-        fn radius_mul(&self, _: &GibbsModel, _: f64) -> usize {
+        fn radius(&self, _: &GibbsModel, _: Target) -> usize {
             0
         }
-        fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+        fn query(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: Target) -> Vec<f64> {
             vec![0.0, 1.0]
         }
     }

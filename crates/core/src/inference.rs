@@ -4,31 +4,32 @@
 //! instance `(G, x, τ)` and error `δ`, every node `v` outputs an estimate
 //! `μ̂_v` with `d_TV(μ̂_v, μ^τ_v) ≤ δ`.
 //!
-//! [`LocalInference`] wraps any [`InferenceOracle`] as a LOCAL algorithm:
-//! each node gathers its radius-`t(n, δ)` view and runs the oracle *inside
-//! the view* (restricted model, restricted pinning), so locality is
-//! enforced by construction.
+//! [`LocalInference`] wraps any [`Oracle`] as a LOCAL algorithm: each node
+//! gathers the view of the oracle's radius at [`Target::Tv`]`(δ)` and runs
+//! the oracle *inside the view* (restricted model, restricted pinning), so
+//! locality is enforced by construction.
 //!
 //! Proposition 3.3 (inference algorithms can be assumed deterministic and
 //! failure-free) is realized structurally: both shipped oracles are
 //! deterministic functions of the view and never fail, so the failure
 //! bits are always 0.
 
+use lds_gibbs::GibbsModel;
 use lds_localnet::local::{LocalAlgorithm, NodeOutcome};
 use lds_localnet::View;
-use lds_oracle::InferenceOracle;
+use lds_oracle::{Oracle, Target};
 
 /// The approximate-inference LOCAL algorithm built from an oracle.
 ///
 /// Output at each node: the estimated marginal distribution `μ̂_v` as a
 /// length-`q` probability vector.
 #[derive(Clone, Debug)]
-pub struct LocalInference<'a, O> {
+pub struct LocalInference<'a, O: ?Sized> {
     oracle: &'a O,
     delta: f64,
 }
 
-impl<'a, O: InferenceOracle> LocalInference<'a, O> {
+impl<'a, O: Oracle + ?Sized> LocalInference<'a, O> {
     /// Creates the algorithm for total-variation error `δ`.
     ///
     /// # Panics
@@ -50,22 +51,24 @@ impl<'a, O: InferenceOracle> LocalInference<'a, O> {
     }
 }
 
-impl<O: InferenceOracle> LocalAlgorithm for LocalInference<'_, O> {
+impl<O: Oracle + ?Sized> LocalAlgorithm for LocalInference<'_, O> {
     type Output = Vec<f64>;
 
-    fn radius(&self, n: usize) -> usize {
+    fn radius(&self, model: &GibbsModel) -> usize {
         // the oracle peeks one locality-width past its radius for the
         // frontier ring; the +ℓ is folded into the oracle's own gather,
         // so the LOCAL radius is t + ℓ with ℓ = O(1). We charge t + 1
         // for the pairwise models shipped here.
-        self.oracle.radius(n, self.delta) + 1
+        self.oracle.radius(model, Target::Tv(self.delta)) + 1
     }
 
     fn run_at(&self, view: &View) -> NodeOutcome<Vec<f64>> {
-        let t = view.radius().saturating_sub(1);
-        let marginal = self
-            .oracle
-            .marginal(view.model(), view.pinning(), view.center_local(), t);
+        let marginal = self.oracle.query(
+            view.model(),
+            view.pinning(),
+            view.center_local(),
+            Target::Tv(self.delta),
+        );
         NodeOutcome::ok(marginal)
     }
 }
@@ -109,10 +112,9 @@ mod tests {
         let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
         let algo = LocalInference::new(&oracle, 0.25);
         let run = run_local(&net, &algo);
-        let t = oracle.radius(16, 0.25);
         let tau = PartialConfig::empty(16);
         for v in [NodeId(0), NodeId(5), NodeId(10)] {
-            let global = oracle.marginal(&m, &tau, v, t);
+            let global = oracle.query(&m, &tau, v, Target::Tv(0.25));
             let local = &run.outputs[v.index()];
             assert!(
                 metrics::tv_distance(&global, local) < 1e-9,

@@ -42,7 +42,7 @@ use lds_localnet::slocal::{
     multipass_locality, run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun,
 };
 use lds_localnet::Network;
-use lds_oracle::MultiplicativeInference;
+use lds_oracle::{Oracle, Target};
 use lds_runtime::{CancelToken, Cancelled, Phase};
 use rand::Rng;
 
@@ -80,12 +80,12 @@ pub struct JvvOutcome {
 
 /// The `local-JVV` exact sampler.
 #[derive(Clone, Debug)]
-pub struct LocalJvv<'a, O> {
+pub struct LocalJvv<'a, O: ?Sized> {
     oracle: &'a O,
     eps: f64,
 }
 
-impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
+impl<'a, O: Oracle + ?Sized> LocalJvv<'a, O> {
     /// Creates the sampler over a multiplicative-error oracle with
     /// per-marginal error `ε`.
     ///
@@ -120,7 +120,7 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
     /// locality [`sample_exact_local`]'s schedule is drawn for.
     pub fn locality(&self, model: &GibbsModel) -> usize {
         let ell = model.locality().max(1);
-        let t = self.oracle.radius_mul(model, self.eps);
+        let t = self.oracle.radius(model, Target::Mul(self.eps));
         multipass_locality(&[t, t, 3 * t + ell])
     }
 
@@ -152,7 +152,7 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
         let model = net.instance().model();
         let n = model.node_count();
         let ell = model.locality().max(1);
-        let t = self.oracle.radius_mul(model, self.eps);
+        let t = self.oracle.radius(model, Target::Mul(self.eps));
         let mut pos = vec![usize::MAX; n];
         for (i, &v) in order.iter().enumerate() {
             pos[v.index()] = i;
@@ -249,7 +249,8 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
         let g = model.graph();
         let n = model.node_count();
         let ell = model.locality().max(1);
-        let t = self.oracle.radius_mul(model, self.eps);
+        let mul = Target::Mul(self.eps);
+        let t = self.oracle.radius(model, mul);
         let slack = self.slack(n);
         let mut stats = JvvStats {
             acceptance_product: 1.0,
@@ -304,8 +305,8 @@ impl<'a, O: MultiplicativeInference> LocalJvv<'a, O> {
                 if prev_val == new_val && prefix_prev == prefix_new {
                     continue;
                 }
-                let mu_prev = self.oracle.marginal_mul(model, &prefix_prev, vj, self.eps);
-                let mu_new = self.oracle.marginal_mul(model, &prefix_new, vj, self.eps);
+                let mu_prev = self.oracle.query(model, &prefix_prev, vj, mul);
+                let mu_new = self.oracle.query(model, &prefix_new, vj, mul);
                 let num = mu_prev[prev_val.index()];
                 let den = mu_new[new_val.index()];
                 if den > 0.0 {
@@ -372,21 +373,23 @@ fn scan<K: ScanKernel + ?Sized>(net: &Network, kernel: &K, order: &[NodeId]) -> 
 /// positive estimated marginal (positive estimate ⟹ positive truth by
 /// the multiplicative guarantee). Reads pins within the oracle radius
 /// `t`; failure only on the defensive fallback path.
-struct GroundKernel<'a, O> {
+struct GroundKernel<'a, O: ?Sized> {
     oracle: &'a O,
     eps: f64,
 }
 
-impl<O: MultiplicativeInference> SlocalKernel for GroundKernel<'_, O> {
+impl<O: Oracle + ?Sized> SlocalKernel for GroundKernel<'_, O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
         let q = model.alphabet_size();
         // only *positivity* matters here (positive estimate ⟹ positive
-        // truth); `support_mul` lets the oracle certify it without
+        // truth); the `Support` target lets the oracle certify it without
         // computing the magnitude — for the SAW oracle a one-or-two
         // level tree instead of the full planned radius
-        let support = self.oracle.support_mul(model, sigma, v, self.eps);
-        if let Some(c) = (0..q).find(|&c| support[c]) {
+        let support = self
+            .oracle
+            .query(model, sigma, v, Target::Support(self.eps));
+        if let Some(c) = (0..q).find(|&c| support[c] > 0.0) {
             return (Value::from_index(c), false);
         }
         // defensive fallback: the greedy local feasibility of Remark 2.3
@@ -399,15 +402,15 @@ impl<O: MultiplicativeInference> SlocalKernel for GroundKernel<'_, O> {
 
 /// Pass-2 kernel: sample `Y_v ~ μ̂^{Y_{<v}}_v` with `v`'s private
 /// randomness (stream [`STREAM_JVV_SAMPLE`]). Never fails.
-struct ChainKernel<'a, O> {
+struct ChainKernel<'a, O: ?Sized> {
     oracle: &'a O,
     eps: f64,
 }
 
-impl<O: MultiplicativeInference> SlocalKernel for ChainKernel<'_, O> {
+impl<O: Oracle + ?Sized> SlocalKernel for ChainKernel<'_, O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
-        let mu = self.oracle.marginal_mul(model, sigma, v, self.eps);
+        let mu = self.oracle.query(model, sigma, v, Target::Mul(self.eps));
         let mut rng = net.node_rng(v, STREAM_JVV_SAMPLE);
         (distribution::sample_from_marginal(&mu, &mut rng), false)
     }
@@ -434,11 +437,12 @@ struct RejectEffect {
 /// [`LocalJvv::rejection_pass_reference`] in `tests/pass3_reference.rs`.
 ///
 /// **Locality.** Everything rests on the oracle's radius contract: a
-/// `marginal_mul` at `v_j` reads pins only within `t` of `v_j`. An oracle
-/// that reads farther can make the kernel differ from the reference;
-/// `BoostedOracle<EnumerationOracle>` is one, since its base gathers
-/// `B_{t'+ℓ}` at inner radius `t'`, which puts its view `ℓ` past its
-/// `radius_mul`.
+/// `Mul(ε)` query at `v_j` reads pins only within
+/// `t = radius(model, Mul(ε))` of `v_j`. An oracle that reads farther can
+/// make the kernel differ from the reference; `EnumerationOracle`, which
+/// serves colorings, is one: its boosted `Mul` view gathers `B_{t'+ℓ}`
+/// around each frontier node at inner radius `t'`, which puts it `ℓ` past
+/// the radius it declares.
 /// Processing `v_i` (a) *writes* the configuration path only inside
 /// `B_W(v_i)` with `W = max(t, ℓ)` — Claim 4.6's repair changes
 /// `σ_{i−1} → σ_i` only inside the repair ball, and the greedy
@@ -466,7 +470,7 @@ struct RejectEffect {
 /// `σ` side an earlier step stored. A factor changes only where a write
 /// reaches it, and every write lies within `W` of `v_i`, hence within
 /// the cutoff ball; a step leaves the factors outside it alone.
-struct RejectKernel<'a, O> {
+struct RejectKernel<'a, O: ?Sized> {
     oracle: &'a O,
     eps: f64,
     /// `pos[v] = i` ⟺ `order[i] = v`.
@@ -619,7 +623,7 @@ impl Ball {
     }
 }
 
-impl<O: MultiplicativeInference> RejectKernel<'_, O> {
+impl<O: Oracle + ?Sized> RejectKernel<'_, O> {
     /// One rejection step: build `σ_i` from `σ_{i−1}` (Claim 4.6),
     /// compute the acceptance probability `q_{v_i}` (Claim 4.7), flip
     /// `v_i`'s private coin, and advance the path to `σ_i`. Pure function
@@ -799,6 +803,7 @@ impl<O: MultiplicativeInference> RejectKernel<'_, O> {
         let tau = net.instance().pinning();
         let g = model.graph();
         let cutoff = 2 * self.t.max(self.ell) + self.ell;
+        let mul = Target::Mul(self.eps);
         let RejectState {
             sigma,
             factor,
@@ -866,18 +871,14 @@ impl<O: MultiplicativeInference> RejectKernel<'_, O> {
                     for &(u, _) in below.clone() {
                         prefix.push(u, sigma.get(u));
                     }
-                    let mu = self
-                        .oracle
-                        .marginal_mul(model, prefix.pinning(), vj, self.eps);
+                    let mu = self.oracle.query(model, prefix.pinning(), vj, mul);
                     for &(u, val) in below {
                         prefix.push(u, val);
                     }
                     mu[sigma.get(vj).index()]
                 }
             };
-            let mu = self
-                .oracle
-                .marginal_mul(model, prefix.pinning(), vj, self.eps);
+            let mu = self.oracle.query(model, prefix.pinning(), vj, mul);
             let den = mu[val_i(vj).index()];
             factor[j] = Some(den);
             if den > 0.0 {
@@ -955,7 +956,7 @@ impl Prefix {
     }
 }
 
-impl<O: MultiplicativeInference> ScanKernel for RejectKernel<'_, O> {
+impl<O: Oracle + ?Sized> ScanKernel for RejectKernel<'_, O> {
     type State = RejectState;
     type Effect = RejectEffect;
     type Run = JvvOutcome;
@@ -1087,7 +1088,7 @@ fn repair(
 ///
 /// Phases: `schedule` (all rounds, zero wall time: the caller that got
 /// the schedule owns that time), `ground`, `sample`, `reject`.
-pub fn sample_exact_local<O: MultiplicativeInference>(
+pub fn sample_exact_local<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
     eps: f64,
@@ -1121,11 +1122,7 @@ mod tests {
     use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
 
     /// One uncancellable [`LocalJvv::run`], outcome only.
-    fn run<O: MultiplicativeInference>(
-        jvv: &LocalJvv<'_, O>,
-        net: &Network,
-        order: &[NodeId],
-    ) -> JvvOutcome {
+    fn run<O: Oracle>(jvv: &LocalJvv<'_, O>, net: &Network, order: &[NodeId]) -> JvvOutcome {
         jvv.run(net, order, &CancelToken::never()).unwrap().0
     }
 

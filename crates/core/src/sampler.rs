@@ -13,13 +13,13 @@
 
 use std::time::{Duration, Instant};
 
-use lds_gibbs::{distribution, PartialConfig, Value};
+use lds_gibbs::{distribution, GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule};
 use lds_localnet::slocal::{run_scan_sequential, SlocalKernel};
 use lds_localnet::Network;
-use lds_oracle::InferenceOracle;
+use lds_oracle::{Oracle, Target};
 use lds_runtime::{CancelToken, Cancelled, Phase};
 
 use crate::glauber::GlauberStats;
@@ -33,22 +33,19 @@ pub const STREAM_SEQ_SAMPLER: u64 = 1;
 ///
 /// Output: each node's sampled value `Y_v ∈ Σ`; the sampler itself never
 /// fails (failures only enter through the LOCAL transformation).
-///
-/// The sampler owns its oracle (oracles are cheap parameter structs;
-/// clone one in).
 #[derive(Clone, Debug)]
-pub struct SequentialSampler<O> {
-    oracle: O,
+pub struct SequentialSampler<'a, O: ?Sized> {
+    oracle: &'a O,
     delta: f64,
 }
 
-impl<O: InferenceOracle> SequentialSampler<O> {
+impl<'a, O: Oracle + ?Sized> SequentialSampler<'a, O> {
     /// Creates the sampler with output total-variation error `δ`.
     ///
     /// # Panics
     ///
     /// Panics if `δ ≤ 0`.
-    pub fn new(oracle: O, delta: f64) -> Self {
+    pub fn new(oracle: &'a O, delta: f64) -> Self {
         assert!(delta > 0.0, "error target must be positive");
         SequentialSampler { oracle, delta }
     }
@@ -63,22 +60,26 @@ impl<O: InferenceOracle> SequentialSampler<O> {
         self.delta
     }
 
-    /// The sampler's SLOCAL locality on `n` nodes: the oracle radius at
+    /// The oracle target of every query on `model`: [`Target::Tv`] at the
+    /// per-node error `δ/n`.
+    fn target(&self, model: &GibbsModel) -> Target {
+        Target::Tv(self.per_node_delta(model.node_count()))
+    }
+
+    /// The sampler's SLOCAL locality on `model`: the oracle radius at
     /// per-node error `δ/n`, plus one for the pin it writes.
-    pub fn locality(&self, n: usize) -> usize {
-        self.oracle.radius(n, self.per_node_delta(n)) + 1
+    pub fn locality(&self, model: &GibbsModel) -> usize {
+        self.oracle.radius(model, self.target(model)) + 1
     }
 }
 
 /// The sampler's per-node step is a pinning-extension kernel: sample
 /// `Y_v ~ μ̂^{τ ∧ σ}_v` with `v`'s private randomness. Reads only pins
 /// within the oracle radius `t` — the locality contract Lemma 3.1 needs.
-impl<O: InferenceOracle> SlocalKernel for SequentialSampler<O> {
+impl<O: Oracle + ?Sized> SlocalKernel for SequentialSampler<'_, O> {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
         let model = net.instance().model();
-        let n = model.node_count();
-        let t = self.oracle.radius(n, self.per_node_delta(n));
-        let mu = self.oracle.marginal(model, sigma, v, t);
+        let mu = self.oracle.query(model, sigma, v, self.target(model));
         let mut rng = net.node_rng(v, STREAM_SEQ_SAMPLER);
         (distribution::sample_from_marginal(&mu, &mut rng), false)
     }
@@ -137,14 +138,14 @@ pub(crate) fn lift(
 ///
 /// Phases: `schedule` (all rounds, zero wall time: the caller that got
 /// the schedule owns that time), `scan`.
-pub fn sample_local<O: InferenceOracle + Clone>(
+pub fn sample_local<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
     delta: f64,
     schedule: &ChromaticSchedule,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
-    let sampler = SequentialSampler::new(oracle.clone(), delta);
+    let sampler = SequentialSampler::new(oracle, delta);
     let start = Instant::now();
     let scan = run_scan_sequential(net, &sampler, &schedule.order, cancel)?;
     let scan_wall = start.elapsed();
@@ -162,7 +163,7 @@ pub fn sample_local<O: InferenceOracle + Clone>(
 /// One uncancellable [`sample_local`] run over `schedule` — the unit of
 /// Monte Carlo work for the estimators that fan executions across the
 /// pool.
-pub(crate) fn sample_once<O: InferenceOracle + Clone>(
+pub(crate) fn sample_once<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
     delta: f64,
@@ -176,12 +177,12 @@ pub(crate) fn sample_once<O: InferenceOracle + Clone>(
 /// The chromatic schedule a Monte Carlo estimator shares across its
 /// executions: one [`scheduler::complete_schedule`] draw from `net`'s
 /// seed at the chain-rule sampler's locality.
-pub(crate) fn shared_schedule<O: InferenceOracle + Clone>(
+pub(crate) fn shared_schedule<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
     delta: f64,
 ) -> ChromaticSchedule {
-    let locality = SequentialSampler::new(oracle.clone(), delta).locality(net.node_count());
+    let locality = SequentialSampler::new(oracle, delta).locality(net.instance().model());
     scheduler::complete_schedule(net, locality)
 }
 
@@ -197,8 +198,8 @@ mod tests {
     use lds_oracle::{DecayRate, EnumerationOracle, TwoSpinSawOracle};
 
     /// The sampler's plain SLOCAL scan over `order`.
-    fn scan<O: InferenceOracle>(
-        sampler: &SequentialSampler<O>,
+    fn scan<O: Oracle>(
+        sampler: &SequentialSampler<'_, O>,
         net: &Network,
         order: &[NodeId],
     ) -> SlocalRun<Value> {
@@ -219,7 +220,7 @@ mod tests {
         let oracle = saw(1.5);
         for seed in 0..20 {
             let net = hc_net(9, 1.5, seed);
-            let sampler = SequentialSampler::new(oracle.clone(), 0.1);
+            let sampler = SequentialSampler::new(&oracle, 0.1);
             let order = ordering::identity(net.instance().model().graph());
             let run = scan(&sampler, &net, &order);
             let config = Config::from_values(run.outputs.clone());
@@ -241,7 +242,7 @@ mod tests {
         let mut samples = Vec::with_capacity(trials);
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let sampler = SequentialSampler::new(oracle.clone(), 0.02);
+            let sampler = SequentialSampler::new(&oracle, 0.02);
             let order = ordering::identity(&g);
             let run = scan(&sampler, &net, &order);
             samples.push(Config::from_values(run.outputs));
@@ -263,7 +264,7 @@ mod tests {
         let oracle = saw(1.0);
         for seed in 0..10 {
             let net = Network::new(inst.clone(), seed);
-            let sampler = SequentialSampler::new(oracle.clone(), 0.1);
+            let sampler = SequentialSampler::new(&oracle, 0.1);
             let run = scan(
                 &sampler,
                 &net,
@@ -296,7 +297,7 @@ mod tests {
         let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
         for seed in 0..10 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let sampler = SequentialSampler::new(oracle.clone(), 0.1);
+            let sampler = SequentialSampler::new(&oracle, 0.1);
             let run = scan(&sampler, &net, &ordering::identity(&g));
             let config = Config::from_values(run.outputs);
             assert!(
@@ -317,7 +318,7 @@ mod tests {
         let mut occ_rev = 0usize;
         for seed in 0..trials as u64 {
             let net = Network::new(Instance::unconditioned(model.clone()), seed);
-            let sampler = SequentialSampler::new(oracle.clone(), 0.02);
+            let sampler = SequentialSampler::new(&oracle, 0.02);
             let a = scan(&sampler, &net, &ordering::identity(&g));
             if a.outputs[3] == Value(1) {
                 occ_id += 1;

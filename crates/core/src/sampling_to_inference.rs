@@ -19,7 +19,7 @@
 
 use lds_gibbs::Value;
 use lds_localnet::Network;
-use lds_oracle::InferenceOracle;
+use lds_oracle::Oracle;
 use lds_runtime::ThreadPool;
 
 use crate::sampler::{sample_once, shared_schedule};
@@ -56,7 +56,7 @@ pub fn repetitions_for(n: usize, q: usize, delta_s: f64, eta: f64) -> usize {
 /// Failed executions contribute their outputs too (the reduction reads
 /// the *unconditioned* marginal, which is what the `δ + ε₀` bound is
 /// about); the failure rate is reported separately.
-pub fn marginals_by_sampling<O: InferenceOracle + Clone + Sync>(
+pub fn marginals_by_sampling<O: Oracle + Sync + ?Sized>(
     net: &Network,
     oracle: &O,
     delta: f64,

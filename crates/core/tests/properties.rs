@@ -47,7 +47,7 @@ proptest! {
             1 => ordering::reverse(&g),
             _ => ordering::bfs_from(&g, NodeId(0)),
         };
-        let sampler = SequentialSampler::new(oracle.clone(), 0.1);
+        let sampler = SequentialSampler::new(&oracle, 0.1);
         let run = run_scan_sequential(&net, &sampler, &order, &CancelToken::never()).unwrap();
         let config = Config::from_values(run.outputs);
         prop_assert!(model.weight(&config) > 0.0);

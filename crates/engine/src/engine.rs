@@ -14,12 +14,11 @@ use lds_gibbs::{Config, PartialConfig};
 use lds_graph::{Graph, Hypergraph, NodeId};
 use lds_localnet::scheduler::{self, ChromaticSchedule};
 use lds_localnet::{Instance, Network};
-use lds_oracle::{DecayRate, MultiplicativeInference, TwoSpinSawOracle};
+use lds_oracle::{DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use lds_runtime::{CancelToken, Cancelled, Phase, ThreadPool};
 
 use crate::backend::{self, ApproxPath, Backend, ServedBackend, SweepBudget};
 use crate::error::EngineError;
-use crate::oracle::{BoostedEnumeration, TaskOracle};
 use crate::report::{MarginalsMethod, MarginalsReport, RunReport, SampleDecode, Task, TaskOutput};
 use crate::spec::{ModelSpec, Topology};
 
@@ -65,7 +64,7 @@ pub struct Engine {
     spec: ModelSpec,
     topology: Topology,
     instance: Arc<Instance>,
-    oracle: Arc<dyn TaskOracle>,
+    oracle: Box<dyn Oracle + Send + Sync>,
     decoder: Decoder,
     rate: f64,
     bound_rounds: f64,
@@ -305,7 +304,7 @@ impl EngineBuilder {
         })?;
 
         // regime check + model/oracle/decoder construction, per spec
-        type SharedOracle = Arc<dyn TaskOracle>;
+        type BoxedOracle = Box<dyn Oracle + Send + Sync>;
         // The paper's round bounds are asymptotic; `bound_rounds`
         // evaluates them with this explicit constant so the realized
         // Linial–Saks schedule cost stays *below* the bound on every
@@ -318,7 +317,7 @@ impl EngineBuilder {
         // regression (an extra log factor, a runaway locality) still
         // trips it.
         const BOUND_CALIBRATION: f64 = 3.0;
-        let (model, oracle, decoder, rate, bound_rounds): (_, SharedOracle, _, f64, f64) =
+        let (model, oracle, decoder, rate, bound_rounds): (_, BoxedOracle, _, f64, f64) =
             match &spec {
                 ModelSpec::Hardcore { lambda } => {
                     let g = require_graph(&topology)?;
@@ -330,7 +329,7 @@ impl EngineBuilder {
                     );
                     (
                         hardcore::model(g, *lambda),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
+                        Box::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
                         Decoder::Spins,
                         rate,
                         bound,
@@ -347,7 +346,7 @@ impl EngineBuilder {
                     let inst = MatchingInstance::new(g, *lambda);
                     (
                         inst.model().clone(),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
+                        Box::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
                         Decoder::Matching(inst),
                         rate,
                         bound,
@@ -361,7 +360,7 @@ impl EngineBuilder {
                         complexity::ssm_rounds_bound(rate, g.node_count(), BOUND_CALIBRATION);
                     (
                         two_spin::model(g, params.to_two_spin()),
-                        Arc::new(saw_oracle(params.to_two_spin(), rate)),
+                        Box::new(saw_oracle(params.to_two_spin(), rate)),
                         Decoder::Spins,
                         rate,
                         bound,
@@ -380,7 +379,7 @@ impl EngineBuilder {
                         complexity::ssm_rounds_bound(rate, g.node_count(), BOUND_CALIBRATION);
                     (
                         two_spin::model(g, params),
-                        Arc::new(saw_oracle(params, rate)),
+                        Box::new(saw_oracle(params, rate)),
                         Decoder::Spins,
                         rate,
                         bound,
@@ -392,7 +391,7 @@ impl EngineBuilder {
                     let bound = complexity::log3_rounds_bound(g.node_count(), BOUND_CALIBRATION);
                     (
                         coloring::model(g, *q),
-                        Arc::new(BoostedEnumeration::new(DecayRate::new(
+                        Box::new(EnumerationOracle::new(DecayRate::new(
                             rate.clamp(1e-6, 0.95),
                             2.0,
                         ))),
@@ -414,7 +413,7 @@ impl EngineBuilder {
                     let bound = complexity::log3_rounds_bound(h.node_count(), BOUND_CALIBRATION);
                     (
                         inst.model().clone(),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
+                        Box::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
                         Decoder::Hypergraph(inst),
                         rate,
                         bound,
@@ -643,7 +642,7 @@ impl Engine {
 
     /// The dispatched oracle's name.
     pub fn oracle_name(&self) -> &str {
-        MultiplicativeInference::name(&*self.oracle)
+        self.oracle.name()
     }
 
     /// Serves one task with the engine's default seed.
@@ -747,7 +746,7 @@ impl Engine {
             .map(NodeId::from_index)
             .collect();
         let marginals = self.pool.par_map(&vertices, |&v| self.marginal(v).to_vec());
-        let rounds = self.oracle.radius_mul(self.instance.model(), self.epsilon);
+        let rounds = self.oracle_radius();
         let wall_time = start.elapsed();
         MarginalsReport {
             method: MarginalsMethod::Exact {
@@ -786,7 +785,7 @@ impl Engine {
         let net = Network::from_shared(Arc::clone(&self.instance), seed0);
         let run = sampling_to_inference::marginals_by_sampling(
             &net,
-            &self.oracle,
+            &*self.oracle,
             self.delta,
             repetitions,
             seed0,
@@ -837,10 +836,10 @@ impl Engine {
         match task {
             Task::SampleExact => {
                 let (schedule, wall) = self.schedule(&self.exact_schedule, || {
-                    jvv::LocalJvv::new(&self.oracle, self.epsilon).locality(model)
+                    jvv::LocalJvv::new(&*self.oracle, self.epsilon).locality(model)
                 });
                 let out =
-                    jvv::sample_exact_local(&net, &self.oracle, self.epsilon, schedule, cancel)
+                    jvv::sample_exact_local(&net, &*self.oracle, self.epsilon, schedule, cancel)
                         .map_err(deadline)?;
                 Ok(self.sample_report(task, seed, start, wall, out, ServedBackend::Exact))
             }
@@ -851,11 +850,10 @@ impl Engine {
                 }),
                 Ok(ApproxPath::Chain) => {
                     let (schedule, wall) = self.schedule(&self.approx_schedule, || {
-                        sampler::SequentialSampler::new(Arc::clone(&self.oracle), self.delta)
-                            .locality(model.node_count())
+                        sampler::SequentialSampler::new(&*self.oracle, self.delta).locality(model)
                     });
                     let out =
-                        sampler::sample_local(&net, &self.oracle, self.delta, schedule, cancel)
+                        sampler::sample_local(&net, &*self.oracle, self.delta, schedule, cancel)
                             .map_err(deadline)?;
                     Ok(self.sample_report(task, seed, start, wall, out, ServedBackend::Exact))
                 }
@@ -888,7 +886,7 @@ impl Engine {
                 }
                 let distribution = self.marginal(vertex).to_vec();
                 let probability = distribution[value.index()];
-                let rounds = self.oracle.radius_mul(model, self.epsilon);
+                let rounds = self.oracle_radius();
                 let phases = vec![Phase::new("oracle", start.elapsed(), rounds)];
                 let output = TaskOutput::Marginal {
                     distribution,
@@ -906,7 +904,7 @@ impl Engine {
                     let run = counting::log_partition_function(
                         model,
                         self.instance.pinning(),
-                        &self.oracle,
+                        &*self.oracle,
                         self.epsilon,
                         pool,
                     )?;
@@ -916,7 +914,7 @@ impl Engine {
                 let (log_z, log_error_bound) = (*count)?;
                 // a lookup charges its time to the marginals phase
                 let (anchor, marginals) = passes.unwrap_or((Duration::ZERO, start.elapsed()));
-                let rounds = self.oracle.radius_mul(model, self.epsilon);
+                let rounds = self.oracle_radius();
                 let phases = vec![
                     Phase::new("anchor", anchor, 0),
                     Phase::new("marginals", marginals, rounds),
@@ -949,13 +947,21 @@ impl Engine {
         (schedule, start.elapsed())
     }
 
+    /// The oracle's radius at `Mul(ε)`: the gather radius that Infer,
+    /// Count and [`Engine::marginals`] report as their rounds.
+    fn oracle_radius(&self) -> usize {
+        let model = self.instance.model();
+        self.oracle.radius(model, Target::Mul(self.epsilon))
+    }
+
     /// Vertex `v`'s entry of the marginal table, `μ^τ_v` at `ε`. The
     /// first caller queries the oracle; concurrent first callers wait
     /// for that one query, and later callers only look it up.
     fn marginal(&self, v: NodeId) -> &[f64] {
         self.marginal_table[v.index()].get_or_init(|| {
             let (model, pinning) = (self.instance.model(), self.instance.pinning());
-            self.oracle.marginal_mul(model, pinning, v, self.epsilon)
+            self.oracle
+                .query(model, pinning, v, Target::Mul(self.epsilon))
         })
     }
 

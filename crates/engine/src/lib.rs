@@ -14,10 +14,12 @@
 //!   validates the uniqueness regime **once** at build time, constructs
 //!   the Gibbs model on its carrier graph (line/intersection graph for
 //!   the edge models), verifies the pinning, and selects the oracle.
-//! * [`TaskOracle`] — object-safe union of the additive and
-//!   multiplicative oracle contracts; the engine owns one
-//!   `Arc<dyn TaskOracle>` (Weitz SAW tree for two-spin-shaped models,
-//!   boosted enumeration for colorings) shared by every task.
+//! * The oracle — one `Box<dyn lds_oracle::Oracle>`, picked at build
+//!   time and shared by every task: the Weitz SAW tree for
+//!   two-spin-shaped models, ball enumeration (boosted for
+//!   multiplicative targets) for colorings. Each task names its error
+//!   target in the query: `Tv(δ)` for the chain-rule sampler, `Mul(ε)`
+//!   and `Support(ε)` for local-JVV, `Mul(ε)` for inference and counting.
 //! * [`Task`] — `SampleExact` (local-JVV, Theorem 4.2), `SampleApprox`
 //!   (Theorem 3.2 under the LOCAL scheduler), `Infer` (multiplicative
 //!   marginals), `Count` (chain rule).
@@ -71,7 +73,6 @@
 mod backend;
 mod engine;
 mod error;
-mod oracle;
 mod report;
 mod spec;
 
@@ -79,6 +80,5 @@ pub use backend::{Backend, ServedBackend, SweepBudget};
 pub use engine::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use lds_core::glauber::GlauberStats;
-pub use oracle::{BoostedEnumeration, TaskOracle};
 pub use report::{MarginalsMethod, MarginalsReport, RunReport, SampleDecode, Task, TaskOutput};
 pub use spec::{ModelSpec, Topology};

@@ -88,7 +88,9 @@ pub enum TaskOutput {
     Count {
         /// The estimate of `ln Z^τ`.
         log_z: f64,
-        /// Guaranteed bound on `|ln Ẑ − ln Z|`: free nodes × ε.
+        /// The chain rule's bound on `|ln Ẑ − ln Z|`: free nodes × ε. It
+        /// holds only if every chain answer met ε, which nothing checks
+        /// yet: a query whose walk ran out of budget can miss it.
         log_error_bound: f64,
     },
 }

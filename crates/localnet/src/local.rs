@@ -8,6 +8,7 @@
 //! algorithms are required to keep `Σ_v E[F_v] = O(1/n)` ("a well accepted
 //! notion of Las Vegas algorithms for local computation").
 
+use lds_gibbs::GibbsModel;
 use lds_graph::NodeId;
 
 use crate::{Network, View};
@@ -51,8 +52,9 @@ pub trait LocalAlgorithm {
     /// Per-node output type.
     type Output;
 
-    /// The gather radius `t(n)` used by every node.
-    fn radius(&self, n: usize) -> usize;
+    /// The gather radius `t` used by every node, planned from the
+    /// instance's model (its size `n` among others).
+    fn radius(&self, model: &GibbsModel) -> usize;
 
     /// Computes the output of the view's center node.
     fn run_at(&self, view: &View) -> NodeOutcome<Self::Output>;
@@ -85,7 +87,7 @@ impl<T> LocalRun<T> {
 /// semantics: each node computes independently from its own view).
 pub fn run_local<A: LocalAlgorithm>(net: &Network, algo: &A) -> LocalRun<A::Output> {
     let n = net.node_count();
-    let t = algo.radius(n);
+    let t = algo.radius(net.instance().model());
     let mut outputs = Vec::with_capacity(n);
     let mut failures = Vec::with_capacity(n);
     for v in 0..n {
@@ -115,7 +117,7 @@ mod tests {
     impl LocalAlgorithm for BallCounter {
         type Output = usize;
 
-        fn radius(&self, _n: usize) -> usize {
+        fn radius(&self, _: &GibbsModel) -> usize {
             2
         }
 
@@ -148,7 +150,7 @@ mod tests {
     impl LocalAlgorithm for OddFails {
         type Output = u32;
 
-        fn radius(&self, _n: usize) -> usize {
+        fn radius(&self, _: &GibbsModel) -> usize {
             0
         }
 
@@ -176,7 +178,7 @@ mod tests {
     impl LocalAlgorithm for RandomBit {
         type Output = u64;
 
-        fn radius(&self, _n: usize) -> usize {
+        fn radius(&self, _: &GibbsModel) -> usize {
             1
         }
 

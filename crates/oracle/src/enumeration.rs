@@ -23,7 +23,7 @@
 use lds_gibbs::{distribution, GibbsModel, PartialConfig, Value};
 use lds_graph::{traversal, NodeId};
 
-use crate::{DecayRate, InferenceOracle};
+use crate::{boosting, DecayRate, Oracle, Target};
 
 /// Exact-within-ball inference via enumeration (Theorem 5.1's algorithm).
 #[derive(Clone, Debug)]
@@ -103,23 +103,44 @@ impl EnumerationOracle {
     }
 }
 
-impl InferenceOracle for EnumerationOracle {
+/// `Tv(δ)` is Theorem 5.1's algorithm at the planned radius
+/// `t = min{t : c·αᵗ ≤ δ}`. `Mul(ε)` and `Support(ε)` boost those answers
+/// through Lemma 4.1 ([`crate::boosting`]), so this one oracle serves
+/// every target on colorings.
+///
+/// Both views reach `ℓ` past the radius they declare: a `Tv` query at
+/// radius `t` gathers `B_{t+ℓ}(v)` for its frontier ring, and a boosted
+/// answer at inner radius `t'` reads pins in `B_{2t'+2ℓ}(v)` against the
+/// declared `2t' + ℓ`, because the base query at each frontier node
+/// gathers a frontier ring of its own.
+impl Oracle for EnumerationOracle {
     fn name(&self) -> &str {
         "enumeration"
     }
 
-    fn radius(&self, _n: usize, delta: f64) -> usize {
-        self.rate.radius_for(delta)
+    fn radius(&self, model: &GibbsModel, target: Target) -> usize {
+        match target {
+            Target::Tv(delta) => self.rate.radius_for(delta),
+            Target::Mul(eps) | Target::Support(eps) => boosting::boosted_radius(self, model, eps),
+        }
     }
 
-    fn marginal(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        t: usize,
+        target: Target,
     ) -> Vec<f64> {
-        self.marginal_with_frontier(model, pinning, v, t).0
+        match target {
+            Target::Tv(delta) => {
+                let t = self.rate.radius_for(delta);
+                self.marginal_with_frontier(model, pinning, v, t).0
+            }
+            Target::Mul(eps) | Target::Support(eps) => {
+                boosting::boost(self, model, pinning, v, eps).0
+            }
+        }
     }
 }
 
@@ -141,7 +162,7 @@ mod tests {
         let tau = PartialConfig::empty(7);
         let exact = distribution::marginal(&m, &tau, NodeId(0)).unwrap();
         // radius 7 covers the cycle: frontier ring is empty
-        let est = oracle().marginal(&m, &tau, NodeId(0), 7);
+        let est = oracle().marginal_with_frontier(&m, &tau, NodeId(0), 7).0;
         assert!(metrics::tv_distance(&exact, &est) < 1e-12);
     }
 
@@ -153,7 +174,7 @@ mod tests {
         let exact = distribution::marginal(&m, &tau, NodeId(0)).unwrap();
         let mut last = f64::INFINITY;
         for t in [1usize, 3, 5] {
-            let est = oracle().marginal(&m, &tau, NodeId(0), t);
+            let est = oracle().marginal_with_frontier(&m, &tau, NodeId(0), t).0;
             let err = metrics::tv_distance(&exact, &est);
             assert!(err <= last + 1e-12, "error grew at t={t}");
             last = err;
@@ -168,10 +189,10 @@ mod tests {
         let mut tau = PartialConfig::empty(5);
         tau.pin(NodeId(1), Value(1));
         // node 2 neighbors an occupied node: must be empty
-        let est = oracle().marginal(&m, &tau, NodeId(2), 2);
+        let est = oracle().marginal_with_frontier(&m, &tau, NodeId(2), 2).0;
         assert!(est[1] < 1e-12);
         // pinned node returns its point mass
-        let pinned = oracle().marginal(&m, &tau, NodeId(1), 2);
+        let pinned = oracle().marginal_with_frontier(&m, &tau, NodeId(1), 2).0;
         assert_eq!(pinned, vec![0.0, 1.0]);
     }
 
@@ -190,7 +211,9 @@ mod tests {
     #[test]
     fn radius_planning_uses_decay() {
         let o = oracle();
-        assert_eq!(o.radius(100, 0.125), 4); // 2 * 0.5^4 = 0.125
-        assert!(o.radius(100, 1e-6) > o.radius(100, 1e-2));
+        let m = hardcore::model(&generators::cycle(100), 1.0);
+        let radius = |delta| o.radius(&m, Target::Tv(delta));
+        assert_eq!(radius(0.125), 4); // 2 * 0.5^4 = 0.125
+        assert!(radius(1e-6) > radius(1e-2));
     }
 }

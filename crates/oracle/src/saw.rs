@@ -22,7 +22,7 @@ use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::{EdgeId, Graph, NodeId};
 
-use crate::{DecayRate, InferenceOracle};
+use crate::{DecayRate, Oracle, Target};
 
 /// A walk's per-node scratch: which nodes the current path visits, and
 /// the edge through which the path left each of them.
@@ -342,105 +342,81 @@ impl TwoSpinSawOracle {
     }
 }
 
-impl crate::MultiplicativeInference for TwoSpinSawOracle {
-    fn name(&self) -> &str {
-        "saw-tree-mul"
-    }
-
-    /// Heuristic multiplicative radius: two-spin marginals in the
-    /// uniqueness regime are bounded away from 0 and 1 (hard zeros are
-    /// certified exactly by the interval), so a certified gap of
-    /// `ε/4` implies multiplicative error `≈ ε`. The distributed JVV
-    /// sampler remains *exact* for any consistent estimator as long as no
-    /// acceptance probability exceeds 1 (tracked by
-    /// `JvvStats::clamped`); this radius choice controls the success
-    /// probability, not correctness.
-    fn radius_mul(&self, _model: &GibbsModel, eps: f64) -> usize {
-        self.rate.radius_for(0.25 * eps)
-    }
-
-    fn marginal_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<f64> {
-        let t = crate::MultiplicativeInference::radius_mul(self, model, eps);
-        // Anytime deepening, stopped once the *certified* per-entry
-        // relative error of the midpoint is ≤ ε/3 — a rigorous form of
-        // the guarantee the worst-case radius plan only assumes. The
-        // depth cap `t` and node budget still bound the work, so the
-        // result is never less accurate than the fixed-depth query was.
-        let decided = |b: &MarginalBounds| {
-            b.hi == 0.0
-                || b.lo == 1.0
-                || (b.gap() <= (2.0 * eps / 3.0) * b.lo
-                    && b.gap() <= (2.0 * eps / 3.0) * (1.0 - b.hi))
-        };
-        let b = self.marginal_bounds_anytime(model.graph(), pinning, v, t, decided);
-        // preserve certified zeros/ones exactly (support correctness)
-        let p = if b.hi == 0.0 {
-            0.0
-        } else if b.lo == 1.0 {
-            1.0
-        } else {
-            b.midpoint()
-        };
-        vec![1.0 - p, p]
-    }
-
-    /// Positivity needs only a *decided* interval, not a tight one: a
-    /// pinned-occupied neighbor certifies a hard zero after one level,
-    /// and one resolved level bounds the ratio away from the forcing
-    /// boundary — so the ground-state pass pays `O(Δ²)` per node
-    /// instead of a deep tree walk.
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool> {
-        if let Some(val) = pinning.get(v) {
-            return vec![val == Value(0), val == Value(1)];
-        }
-        let t = crate::MultiplicativeInference::radius_mul(self, model, eps);
-        // occupied decided: certified zero (hi = 0) or certified
-        // positive (lo > 0); vacant decided symmetrically at 1
-        let decided =
-            |b: &MarginalBounds| (b.hi == 0.0 || b.lo > 0.0) && (b.lo == 1.0 || b.hi < 1.0);
-        let b = self.marginal_bounds_anytime(model.graph(), pinning, v, t, decided);
-        if decided(&b) {
-            return vec![b.lo < 1.0, b.hi > 0.0];
-        }
-        // undecided at the cap: fall back to the full estimate so the
-        // support matches `marginal_mul` exactly
-        crate::MultiplicativeInference::marginal_mul(self, model, pinning, v, eps)
-            .into_iter()
-            .map(|p| p > 0.0)
-            .collect()
-    }
-}
-
-impl InferenceOracle for TwoSpinSawOracle {
+/// `Tv(δ)` walks the tree once at the planned depth
+/// `t = min{t : c·αᵗ ≤ δ}` and answers the midpoint of its bounds.
+/// `Mul(ε)` and `Support(ε)` deepen with
+/// [`TwoSpinSawOracle::marginal_bounds_anytime`] up to the depth planned
+/// for a certified gap of `ε/4`, stopping as soon as the bounds decide
+/// the target.
+impl Oracle for TwoSpinSawOracle {
     fn name(&self) -> &str {
         "saw-tree"
     }
 
-    fn radius(&self, _n: usize, delta: f64) -> usize {
-        self.rate.radius_for(delta)
+    /// The multiplicative radius is heuristic: two-spin marginals in the
+    /// uniqueness regime are bounded away from 0 and 1 (hard zeros are
+    /// certified exactly by the interval), so a certified gap of `ε/4`
+    /// implies multiplicative error `≈ ε`. The distributed JVV sampler
+    /// remains *exact* for any consistent estimator as long as no
+    /// acceptance probability exceeds 1 (tracked by `JvvStats::clamped`);
+    /// this radius choice controls the success probability, not
+    /// correctness.
+    fn radius(&self, _model: &GibbsModel, target: Target) -> usize {
+        match target {
+            Target::Tv(delta) => self.rate.radius_for(delta),
+            Target::Mul(eps) | Target::Support(eps) => self.rate.radius_for(0.25 * eps),
+        }
     }
 
-    fn marginal(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        t: usize,
+        target: Target,
     ) -> Vec<f64> {
-        let b = self.marginal_bounds(model.graph(), pinning, v, t);
-        let p = b.midpoint();
+        let (g, t) = (model.graph(), self.radius(model, target));
+        let p = match target {
+            Target::Tv(_) => self.marginal_bounds(g, pinning, v, t).midpoint(),
+            // Stop once the *certified* per-entry relative error of the
+            // midpoint is ≤ ε/3 — a rigorous form of the guarantee the
+            // worst-case radius plan only assumes. The depth cap `t` and
+            // the node budget still bound the work.
+            Target::Mul(eps) => {
+                let rel = 2.0 * eps / 3.0;
+                let decided = |b: &MarginalBounds| {
+                    b.hi == 0.0
+                        || b.lo == 1.0
+                        || (b.gap() <= rel * b.lo && b.gap() <= rel * (1.0 - b.hi))
+                };
+                let b = self.marginal_bounds_anytime(g, pinning, v, t, decided);
+                // preserve certified zeros/ones exactly (support correctness)
+                if b.hi == 0.0 {
+                    0.0
+                } else if b.lo == 1.0 {
+                    1.0
+                } else {
+                    b.midpoint()
+                }
+            }
+            // Positivity needs only a *decided* interval, not a tight
+            // one: a pinned-occupied neighbor certifies a hard zero after
+            // one level, and one resolved level bounds the ratio away from
+            // the forcing boundary — so the ground-state pass pays
+            // `O(Δ²)` per node instead of a deep tree walk. Occupied is
+            // decided by a certified zero (hi = 0) or a certified positive
+            // (lo > 0), vacant symmetrically at 1.
+            Target::Support(eps) => {
+                let decided =
+                    |b: &MarginalBounds| (b.hi == 0.0 || b.lo > 0.0) && (b.lo == 1.0 || b.hi < 1.0);
+                let b = self.marginal_bounds_anytime(g, pinning, v, t, decided);
+                if !decided(&b) {
+                    // undecided at the cap: the full estimate's support
+                    return self.query(model, pinning, v, Target::Mul(eps));
+                }
+                return vec![f64::from(b.lo < 1.0), f64::from(b.hi > 0.0)];
+            }
+        };
         vec![1.0 - p, p]
     }
 }
@@ -559,7 +535,8 @@ mod tests {
         let tau = PartialConfig::empty(6);
         let exact = distribution::marginal(&m, &tau, NodeId(0)).unwrap();
         let oracle = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
-        let est = oracle.marginal(&m, &tau, NodeId(0), 7);
+        let p = oracle.marginal_bounds(&g, &tau, NodeId(0), 7).midpoint();
+        let est = [1.0 - p, p];
         assert!(
             metrics::tv_distance(&exact, &est) < 1e-9,
             "est={est:?} exact={exact:?}"

@@ -1,13 +1,12 @@
 //! Property-based tests for the inference oracles.
 
+use lds_gibbs::models::two_spin;
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::models::{coloring, hardcore};
-use lds_gibbs::{distribution, metrics, PartialConfig, Value};
+use lds_gibbs::{distribution, metrics, GibbsModel, PartialConfig, Value};
 use lds_graph::{generators, Graph, NodeId};
-use lds_oracle::{
-    BoostedOracle, DecayRate, EnumerationOracle, InferenceOracle, MultiplicativeInference,
-    TwoSpinSawOracle,
-};
+use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
+use proptest::collection;
 use proptest::prelude::*;
 
 fn workload(idx: usize) -> Graph {
@@ -81,7 +80,7 @@ proptest! {
         tau.pin(pv, Value(1));
         let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
         for &nb in g.neighbors(pv) {
-            let mu = oracle.marginal(&m, &tau, nb, t);
+            let mu = oracle.marginal_with_frontier(&m, &tau, nb, t).0;
             prop_assert_eq!(mu[1], 0.0, "neighbor {} of occupied {} got mass", nb, pv);
             prop_assert!((mu.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
@@ -101,7 +100,7 @@ proptest! {
         let boosted = BoostedOracle::new(TwoSpinSawOracle::new(
             TwoSpinParams::hardcore(lambda), DecayRate::new(0.55, 2.0)));
         let exact = distribution::marginal(&m, &tau, NodeId(0)).unwrap();
-        let est = boosted.marginal_mul(&m, &tau, NodeId(0), eps);
+        let est = boosted.query(&m, &tau, NodeId(0), Target::Mul(eps));
         let err = metrics::multiplicative_err(&exact, &est);
         prop_assert!(err <= eps, "n={n} λ={lambda} ε={eps}: err {err}");
     }
@@ -132,13 +131,13 @@ proptest! {
         let saw = TwoSpinSawOracle::new(
             TwoSpinParams::hardcore(lambda), DecayRate::new(0.5, 2.0));
         prop_assert_eq!(
-            saw.marginal(&m, &sigma, NodeId(0), t),
-            saw.marginal(&m, &tau, NodeId(0), t)
+            saw.marginal_bounds(&g, &sigma, NodeId(0), t),
+            saw.marginal_bounds(&g, &tau, NodeId(0), t)
         );
         let enumo = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
         prop_assert_eq!(
-            enumo.marginal(&m, &sigma, NodeId(0), t),
-            enumo.marginal(&m, &tau, NodeId(0), t)
+            enumo.marginal_with_frontier(&m, &sigma, NodeId(0), t).0,
+            enumo.marginal_with_frontier(&m, &tau, NodeId(0), t).0
         );
     }
 
@@ -150,8 +149,119 @@ proptest! {
         let m = coloring::model(&g, q);
         let tau = PartialConfig::empty(n);
         let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
-        let mu = oracle.marginal(&m, &tau, NodeId(0), t);
+        let mu = oracle.marginal_with_frontier(&m, &tau, NodeId(0), t).0;
         prop_assert_eq!(mu.len(), q);
         prop_assert!((mu.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
+
+    /// `Support(ε)` is positive exactly where `Mul(ε)` is: the SAW
+    /// oracle, hardcore or a soft two-spin model, over random pinnings,
+    /// torus(4,4) included.
+    #[test]
+    fn saw_support_is_positive_exactly_where_mul_is(
+        gidx in 0usize..5,
+        soft in any::<bool>(),
+        lambda in 0.3f64..2.5,
+        eps in 0.05f64..0.8,
+        codes in collection::vec(0usize..4, 16),
+    ) {
+        let g = support_workload(gidx);
+        let params = two_spin_params(soft, lambda);
+        let m = two_spin::model(&g, params);
+        let tau = pinning_from_codes(&m, &codes);
+        let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+        support_matches_mul(&saw, &m, &tau, eps)?;
+    }
+
+    /// The same contract for the boosted SAW oracle, whose support is its
+    /// multiplicative answer's.
+    #[test]
+    fn boosted_support_is_positive_exactly_where_mul_is(
+        gidx in 0usize..4,
+        soft in any::<bool>(),
+        lambda in 0.3f64..2.5,
+        eps in 0.05f64..0.8,
+        codes in collection::vec(0usize..4, 16),
+    ) {
+        let g = support_workload(gidx);
+        let params = two_spin_params(soft, lambda);
+        let m = two_spin::model(&g, params);
+        let tau = pinning_from_codes(&m, &codes);
+        let boosted = BoostedOracle::new(TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0)));
+        support_matches_mul(&boosted, &m, &tau, eps)?;
+    }
+
+    /// The same contract for the enumeration oracle on cycle colorings.
+    #[test]
+    fn enumeration_support_is_positive_exactly_where_mul_is(
+        n in 5usize..9,
+        q in 3usize..5,
+        eps in 0.05f64..0.8,
+        codes in collection::vec(0usize..8, 8),
+    ) {
+        let m = coloring::model(&generators::cycle(n), q);
+        let tau = pinning_from_codes(&m, &codes);
+        let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
+        support_matches_mul(&oracle, &m, &tau, eps)?;
+    }
+}
+
+/// The support-contract workloads: [`workload`]'s four graphs, then
+/// torus(4,4).
+fn support_workload(idx: usize) -> Graph {
+    if idx < 4 {
+        workload(idx)
+    } else {
+        generators::torus(4, 4)
+    }
+}
+
+/// Hardcore at fugacity `λ`, or a soft antiferromagnetic two-spin model
+/// (no hard zeros beyond the pins) at the same `λ`.
+fn two_spin_params(soft: bool, lambda: f64) -> two_spin::TwoSpinParams {
+    if soft {
+        two_spin::TwoSpinParams::new(0.6, 0.4, lambda)
+    } else {
+        two_spin::TwoSpinParams::hardcore(lambda)
+    }
+}
+
+/// A locally feasible pinning from one code per node: a code `c < q`
+/// pins the node to the first of the values `c, c+1, …` (mod `q`) that
+/// keeps the pinning locally feasible, and any other code leaves it
+/// free. Local feasibility is feasibility for these models.
+fn pinning_from_codes(model: &GibbsModel, codes: &[usize]) -> PartialConfig {
+    let q = model.alphabet_size();
+    let mut tau = PartialConfig::empty(model.node_count());
+    for (v, &c) in model.graph().nodes().zip(codes).filter(|(_, &c)| c < q) {
+        let feasible = (0..q)
+            .map(|k| tau.with_pin(v, Value::from_index((c + k) % q)))
+            .find(|candidate| model.is_locally_feasible(candidate));
+        if let Some(pinned) = feasible {
+            tau = pinned;
+        }
+    }
+    tau
+}
+
+/// Checks at every vertex that `Support(ε)` is positive exactly where
+/// `Mul(ε)` is.
+fn support_matches_mul(
+    oracle: &dyn Oracle,
+    model: &GibbsModel,
+    tau: &PartialConfig,
+    eps: f64,
+) -> Result<(), String> {
+    let positive = |mu: &[f64]| mu.iter().map(|&p| p > 0.0).collect::<Vec<_>>();
+    for v in model.graph().nodes() {
+        let mul = oracle.query(model, tau, v, Target::Mul(eps));
+        let support = oracle.query(model, tau, v, Target::Support(eps));
+        if positive(&support) != positive(&mul) {
+            return Err(format!(
+                "{} at {v}, ε = {eps}: support {support:?} vs mul {mul:?}",
+                oracle.name()
+            ));
+        }
+    }
+    Ok(())
 }

@@ -22,9 +22,9 @@ use lds::graph::{generators, NodeId};
 
 const SEEDS: [u64; 4] = [0, 7, 1_000_003, u64::MAX - 5];
 
-/// The engine kinds: a SAW-tree engine, a boosted-enumeration engine
+/// The engine kinds: a SAW-tree engine, an enumeration engine (colorings)
 /// and a pinned engine.
-const KINDS: [&str; 3] = ["saw", "boosted-enumeration", "pinned"];
+const KINDS: [&str; 3] = ["saw", "enumeration", "pinned"];
 
 /// A free vertex of every kind's carrier graph, away from the pins.
 const SHARED: Task = Task::Infer {

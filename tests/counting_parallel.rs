@@ -32,9 +32,7 @@ use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::models::{coloring, hardcore, matching::MatchingInstance};
 use lds::gibbs::{GibbsModel, PartialConfig, Value};
 use lds::graph::{generators, Graph, NodeId};
-use lds::oracle::{
-    BoostedOracle, DecayRate, EnumerationOracle, MultiplicativeInference, TwoSpinSawOracle,
-};
+use lds::oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use lds::runtime::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -68,7 +66,7 @@ fn assert_matches_reference<O>(
     eps: f64,
     context: &str,
 ) where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
+    O: Oracle + Clone + Send + Sync + 'static,
 {
     let reference = log_partition_function_reference(model, tau, oracle, eps);
     for threads in [1usize, 4, 8] {
@@ -134,11 +132,12 @@ proptest! {
     }
 }
 
-/// The equivalence for proper colorings through the boosted enumeration
-/// oracle — the oracle the engine serves coloring requests with.
+/// The equivalence for proper colorings through the enumeration oracle,
+/// which boosts its own `Mul` answers — the oracle the engine serves
+/// coloring requests with.
 #[test]
 fn parallel_counter_equals_reference_on_colorings() {
-    let oracle = BoostedOracle::new(EnumerationOracle::new(DecayRate::new(0.4, 2.0)));
+    let oracle = EnumerationOracle::new(DecayRate::new(0.4, 2.0));
     for g in [generators::cycle(8), generators::path(7)] {
         let model = coloring::model(&g, 3);
         let n = g.node_count();
@@ -181,14 +180,14 @@ fn parallel_counter_equals_reference_on_matchings() {
 #[derive(Clone)]
 struct AlwaysOccupied;
 
-impl MultiplicativeInference for AlwaysOccupied {
+impl Oracle for AlwaysOccupied {
     fn name(&self) -> &str {
         "always-occupied"
     }
-    fn radius_mul(&self, _: &GibbsModel, _: f64) -> usize {
+    fn radius(&self, _: &GibbsModel, _: Target) -> usize {
         0
     }
-    fn marginal_mul(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: f64) -> Vec<f64> {
+    fn query(&self, _: &GibbsModel, _: &PartialConfig, _: NodeId, _: Target) -> Vec<f64> {
         vec![0.0, 1.0]
     }
 }

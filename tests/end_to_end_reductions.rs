@@ -13,8 +13,7 @@ use lds::graph::{generators, ordering, NodeId};
 use lds::localnet::scheduler::chromatic_schedule;
 use lds::localnet::slocal::run_scan_sequential;
 use lds::localnet::{Instance, Network};
-use lds::oracle::boosting::MultiplicativeInference;
-use lds::oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
+use lds::oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use lds::runtime::{CancelToken, ThreadPool};
 
 fn saw(lambda: f64) -> TwoSpinSawOracle {
@@ -27,7 +26,7 @@ fn theorem_3_2_sampler_distribution_matches_target() {
     let g = generators::cycle(n);
     let model = hardcore::model(&g, 1.3);
     let oracle = saw(1.3);
-    let sampler = SequentialSampler::new(oracle.clone(), 0.02);
+    let sampler = SequentialSampler::new(&oracle, 0.02);
     let trials = 20_000usize;
     let mut samples = Vec::with_capacity(trials);
     for seed in 0..trials as u64 {
@@ -53,7 +52,7 @@ fn theorem_3_2_local_version_with_lemma_3_1() {
     let model = hardcore::model(&g, 0.8);
     let oracle = saw(0.8);
     let net = Network::new(Instance::unconditioned(model.clone()), 11);
-    let locality = SequentialSampler::new(oracle.clone(), 0.1).locality(16);
+    let locality = SequentialSampler::new(&oracle, 0.1).locality(&model);
     let schedule = chromatic_schedule(&net, locality, 0);
     let run = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never())
         .unwrap()
@@ -104,7 +103,7 @@ fn lemma_4_1_boosting_chain_on_colorings() {
     let tau = PartialConfig::empty(9);
     let boosted = BoostedOracle::new(EnumerationOracle::new(DecayRate::new(0.5, 2.0)));
     let exact = distribution::marginal(&model, &tau, NodeId(4)).unwrap();
-    let est = boosted.marginal_mul(&model, &tau, NodeId(4), 0.4);
+    let est = boosted.query(&model, &tau, NodeId(4), Target::Mul(0.4));
     let err = metrics::multiplicative_err(&exact, &est);
     assert!(err <= 0.4, "boosted coloring err {err}");
 }
@@ -124,7 +123,7 @@ fn pinned_instances_flow_through_every_reduction() {
     // sampler honors pins
     for seed in 0..20 {
         let net = Network::new(inst.clone(), seed);
-        let sampler = SequentialSampler::new(oracle.clone(), 0.05);
+        let sampler = SequentialSampler::new(&oracle, 0.05);
         let run = run_scan_sequential(
             &net,
             &sampler,
@@ -139,6 +138,7 @@ fn pinned_instances_flow_through_every_reduction() {
 
     // inference honors pins: conditional marginals match enumeration
     let exact = distribution::marginal(&model, &tau, NodeId(2)).unwrap();
-    let est = lds::oracle::InferenceOracle::marginal(&oracle, &model, &tau, NodeId(2), 6);
+    let p = oracle.marginal_bounds(&g, &tau, NodeId(2), 6).midpoint();
+    let est = [1.0 - p, p];
     assert!(metrics::tv_distance(&exact, &est) < 0.01);
 }

@@ -8,14 +8,12 @@ use lds::gibbs::models::{coloring, hardcore};
 use lds::gibbs::{distribution, metrics, Config, GibbsModel, PartialConfig};
 use lds::graph::{generators, ordering};
 use lds::localnet::{Instance, Network};
-use lds::oracle::{
-    BoostedOracle, DecayRate, EnumerationOracle, MultiplicativeInference, TwoSpinSawOracle,
-};
+use lds::oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, TwoSpinSawOracle};
 use lds::runtime::CancelToken;
 
 /// Runs JVV `trials` times and returns (success rate, TV of accepted
 /// empirical distribution vs exact, total clamped).
-fn jvv_statistics<O: MultiplicativeInference>(
+fn jvv_statistics<O: Oracle>(
     model: &GibbsModel,
     oracle: &O,
     eps: f64,

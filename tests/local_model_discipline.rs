@@ -11,7 +11,7 @@ use lds::graph::{generators, traversal, NodeId};
 use lds::localnet::decomposition::UNCLUSTERED;
 use lds::localnet::local::run_local;
 use lds::localnet::{scheduler, Instance, Network};
-use lds::oracle::{DecayRate, EnumerationOracle, InferenceOracle, TwoSpinSawOracle};
+use lds::oracle::{DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 
 #[test]
 fn view_computation_equals_global_computation() {
@@ -22,10 +22,9 @@ fn view_computation_equals_global_computation() {
     let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
     let algo = LocalInference::new(&oracle, 0.3);
     let run = run_local(&net, &algo);
-    let t = oracle.radius(16, 0.3);
     let tau = PartialConfig::empty(16);
     for v in g.nodes() {
-        let global = oracle.marginal(&model, &tau, v, t);
+        let global = oracle.query(&model, &tau, v, Target::Tv(0.3));
         assert!(
             metrics::tv_distance(&global, &run.outputs[v.index()]) < 1e-12,
             "node {v} diverged between view and global execution"
@@ -46,11 +45,11 @@ fn far_disagreements_are_invisible_to_all_oracles() {
     // disagreement at distance 10; probe with radius < 10 (enumeration
     // peeks one locality step further, so stay at 8)
     for t in [2usize, 5, 8] {
-        let a = saw.marginal(&model, &sigma, NodeId(0), t);
-        let b = saw.marginal(&model, &tau, NodeId(0), t);
+        let a = saw.marginal_bounds(&g, &sigma, NodeId(0), t);
+        let b = saw.marginal_bounds(&g, &tau, NodeId(0), t);
         assert_eq!(a, b, "SAW oracle saw a distance-10 disagreement at t={t}");
-        let c = enumo.marginal(&model, &sigma, NodeId(0), t);
-        let e = enumo.marginal(&model, &tau, NodeId(0), t);
+        let c = enumo.marginal_with_frontier(&model, &sigma, NodeId(0), t).0;
+        let e = enumo.marginal_with_frontier(&model, &tau, NodeId(0), t).0;
         assert_eq!(c, e, "enumeration oracle saw the disagreement at t={t}");
     }
 }

@@ -29,7 +29,7 @@ use lds::gibbs::{GibbsModel, PartialConfig, Value};
 use lds::graph::{generators, traversal, Graph, NodeId};
 use lds::localnet::slocal::multipass_locality;
 use lds::localnet::{scheduler, Instance, Network};
-use lds::oracle::{BoostedOracle, DecayRate, MultiplicativeInference, TwoSpinSawOracle};
+use lds::oracle::{BoostedOracle, DecayRate, Oracle, Target, TwoSpinSawOracle};
 use lds::runtime::{splitmix64, CancelToken};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,21 +47,21 @@ struct BallHashOracle {
     t: usize,
 }
 
-impl MultiplicativeInference for BallHashOracle {
+impl Oracle for BallHashOracle {
     fn name(&self) -> &str {
         "ball-hash"
     }
 
-    fn radius_mul(&self, _model: &GibbsModel, _eps: f64) -> usize {
+    fn radius(&self, _model: &GibbsModel, _target: Target) -> usize {
         self.t
     }
 
-    fn marginal_mul(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        _eps: f64,
+        _target: Target,
     ) -> Vec<f64> {
         let q = model.alphabet_size();
         if let Some(val) = pinning.get(v) {
@@ -103,23 +103,23 @@ impl MultiplicativeInference for BallHashOracle {
 #[derive(Clone)]
 struct ProperBallHashOracle(BallHashOracle);
 
-impl MultiplicativeInference for ProperBallHashOracle {
+impl Oracle for ProperBallHashOracle {
     fn name(&self) -> &str {
         "proper-ball-hash"
     }
 
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        self.0.radius_mul(model, eps)
+    fn radius(&self, model: &GibbsModel, target: Target) -> usize {
+        self.0.radius(model, target)
     }
 
-    fn marginal_mul(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        eps: f64,
+        target: Target,
     ) -> Vec<f64> {
-        let mut weights = self.0.marginal_mul(model, pinning, v, eps);
+        let mut weights = self.0.query(model, pinning, v, target);
         for (c, w) in weights.iter_mut().enumerate() {
             let at = |s: NodeId| {
                 if s == v {
@@ -142,41 +142,33 @@ impl MultiplicativeInference for ProperBallHashOracle {
     }
 }
 
-/// Counts `marginal_mul` calls to the wrapped oracle; `support_mul`
-/// passes through uncounted.
+/// Counts `Mul` queries to the wrapped oracle; `Support` queries pass
+/// through uncounted.
 struct CountingOracle<O> {
     inner: O,
     queries: Cell<usize>,
 }
 
-impl<O: MultiplicativeInference> MultiplicativeInference for CountingOracle<O> {
+impl<O: Oracle> Oracle for CountingOracle<O> {
     fn name(&self) -> &str {
         self.inner.name()
     }
 
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        self.inner.radius_mul(model, eps)
+    fn radius(&self, model: &GibbsModel, target: Target) -> usize {
+        self.inner.radius(model, target)
     }
 
-    fn marginal_mul(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        eps: f64,
+        target: Target,
     ) -> Vec<f64> {
-        self.queries.set(self.queries.get() + 1);
-        self.inner.marginal_mul(model, pinning, v, eps)
-    }
-
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool> {
-        self.inner.support_mul(model, pinning, v, eps)
+        if let Target::Mul(_) = target {
+            self.queries.set(self.queries.get() + 1);
+        }
+        self.inner.query(model, pinning, v, target)
     }
 }
 
@@ -195,11 +187,7 @@ fn network(g: &Graph, seed: u64) -> Network {
 }
 
 /// One uncancellable `LocalJvv::run` over `order`, outcome only.
-fn run<O: MultiplicativeInference>(
-    jvv: &LocalJvv<'_, O>,
-    net: &Network,
-    order: &[NodeId],
-) -> JvvOutcome {
+fn run<O: Oracle>(jvv: &LocalJvv<'_, O>, net: &Network, order: &[NodeId]) -> JvvOutcome {
     jvv.run(net, order, &CancelToken::never())
         .expect("never cancelled")
         .0
@@ -332,7 +320,7 @@ fn pass3_kernel_matches_reference_with_saw_oracle() {
             let jvv = LocalJvv::new(&oracle, eps);
             let model = net.instance().model();
             let ell = model.locality().max(1);
-            let t = oracle.radius_mul(model, eps);
+            let t = oracle.radius(model, Target::Mul(eps));
             let locality = multipass_locality(&[t, t, 3 * t + ell]);
             let schedule = scheduler::chromatic_schedule(&net, locality, 0);
             let reference = jvv.run_detailed_reference(&net, &schedule.order);

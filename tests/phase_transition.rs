@@ -6,7 +6,7 @@ use lds::core::ssm_inference;
 use lds::gibbs::models::hardcore;
 use lds::gibbs::{distribution, metrics, PartialConfig, Value};
 use lds::graph::{generators, NodeId};
-use lds::oracle::{DecayRate, InferenceOracle};
+use lds::oracle::{DecayRate, Oracle, Target};
 use lds::ssm::{correlation, estimator, phase, rate};
 
 #[test]
@@ -50,8 +50,8 @@ fn measured_ssm_rate_supports_planned_inference() {
     let tau = PartialConfig::empty(14);
     let exact = distribution::marginal(&model, &tau, NodeId(0)).unwrap();
     for delta in [0.1f64, 0.02] {
-        let t = oracle.radius(14, delta);
-        let est = oracle.marginal(&model, &tau, NodeId(0), t);
+        let t = oracle.radius(&model, Target::Tv(delta));
+        let est = oracle.query(&model, &tau, NodeId(0), Target::Tv(delta));
         let err = metrics::tv_distance(&exact, &est);
         assert!(err <= delta, "δ={delta}: err {err} at planned radius {t}");
     }

@@ -17,7 +17,7 @@ use lds::gibbs::{GibbsModel, PartialConfig, Value};
 use lds::graph::{generators, NodeId};
 use lds::localnet::slocal::SlocalRun;
 use lds::localnet::{scheduler, Instance, Network};
-use lds::oracle::{DecayRate, MultiplicativeInference, TwoSpinSawOracle};
+use lds::oracle::{DecayRate, Oracle, Target, TwoSpinSawOracle};
 use lds::runtime::CancelToken;
 
 /// Counts every allocation and reallocation on the calling thread; the
@@ -50,41 +50,33 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Counts `marginal_mul` calls to the wrapped oracle. Each answer of the
-/// SAW oracle is exactly one `Vec`.
+/// Counts `Mul` queries to the wrapped oracle. Each answer of the SAW
+/// oracle is exactly one `Vec`.
 struct CountingOracle<O> {
     inner: O,
     queries: Cell<usize>,
 }
 
-impl<O: MultiplicativeInference> MultiplicativeInference for CountingOracle<O> {
+impl<O: Oracle> Oracle for CountingOracle<O> {
     fn name(&self) -> &str {
         self.inner.name()
     }
 
-    fn radius_mul(&self, model: &GibbsModel, eps: f64) -> usize {
-        self.inner.radius_mul(model, eps)
+    fn radius(&self, model: &GibbsModel, target: Target) -> usize {
+        self.inner.radius(model, target)
     }
 
-    fn marginal_mul(
+    fn query(
         &self,
         model: &GibbsModel,
         pinning: &PartialConfig,
         v: NodeId,
-        eps: f64,
+        target: Target,
     ) -> Vec<f64> {
-        self.queries.set(self.queries.get() + 1);
-        self.inner.marginal_mul(model, pinning, v, eps)
-    }
-
-    fn support_mul(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> Vec<bool> {
-        self.inner.support_mul(model, pinning, v, eps)
+        if let Target::Mul(_) = target {
+            self.queries.set(self.queries.get() + 1);
+        }
+        self.inner.query(model, pinning, v, target)
     }
 }
 
