@@ -24,7 +24,10 @@
 //!   as a trend), and Glauber sampling costs strictly less than exact JVV
 //!   (`backends`); span tracing (`obs`),
 //!   armed-but-idle fail points and the fault-free retry wrapper
-//!   (`resilience`) each cost at most 5%;
+//!   (`resilience`) each cost at most 5%; the SAW oracle's `Tv(δ/n)`
+//!   query on torus(4,4) costs at most half one walk at its planned
+//!   depth, and its `Mul(1/n³)` queries over a cycle(128) scan at most 4×
+//!   one walk each at their stopping depths (`saw`);
 //! - after the last row, once: the ledger gate (no round observable of
 //!   any sampling run this binary performed exceeded the paper's bound),
 //!   the key-drift gate (every gated key is in both the run and the
@@ -91,6 +94,7 @@ const ROWS: &[(&str, Row)] = &[
     ("backends", backends),
     ("obs", obs),
     ("resilience", resilience),
+    ("saw", saw),
     ("e1_reductions", e1_reductions),
     ("e3_s2_oracles", e3_s2_oracles),
     ("e6_apps", e6_apps),
@@ -266,6 +270,15 @@ fn saw_oracle() -> TwoSpinSawOracle {
     TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0))
 }
 
+/// The engine's SAW oracle for hardcore λ = 1 on `g`.
+fn engine_saw(g: &Graph) -> TwoSpinSawOracle {
+    let rate = regime::hardcore(g, 1.0).expect("in regime").rate;
+    TwoSpinSawOracle::new(
+        TwoSpinParams::hardcore(1.0),
+        DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
+    )
+}
+
 /// A loopback `NetServer` with shipped defaults and one client, with a
 /// hardcore tenant on cycle(10) whose `HOT_SEED` answer is already
 /// cached. Returns the server, the client and the tenant's fingerprint.
@@ -385,11 +398,7 @@ fn jvv(samples: usize) -> Record {
 
     let (n, eps) = (128, 0.01);
     let g = generators::cycle(n);
-    let rate = regime::hardcore(&g, 1.0).expect("in regime").rate;
-    let saw = TwoSpinSawOracle::new(
-        TwoSpinParams::hardcore(1.0),
-        DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
-    );
+    let saw = engine_saw(&g);
     let constant = ConstantOracle(saw.clone());
     let (with_saw, kernel_only) = (LocalJvv::new(&saw, eps), LocalJvv::new(&constant, eps));
     let inputs: Vec<_> = (1..=4u64)
@@ -749,6 +758,98 @@ fn resilience(samples: usize) -> Record {
         "fault-free retry wrapper",
         retry_overhead,
     );
+    r
+}
+
+/// What the SAW oracle's depth search costs over single walks, on the
+/// engine's oracle, as two ratios of the same run. Each ratio is one
+/// series' minimum over interleaved rounds against the other's, as in
+/// `jvv-scaling`:
+/// - `Tv(δ/n)` at v0 of torus(4,4) with the empty pinning (δ = 0.05)
+///   against one walk at its planned depth, the whole SAW tree: the
+///   query deepens only until the gap certifies `δ/n`. Limit 0.5.
+/// - `Mul(1/n³)` at every step of one cycle(128) chain-rule scan, each on
+///   its prefix of the scan, against one walk each at the depth where
+///   the query stops. Limit 4×.
+fn saw(samples: usize) -> Record {
+    const ROUNDS: usize = 9;
+    const SCANS: usize = 16;
+    let mut r = Record::default();
+    let min = |xs: Vec<f64>| xs.into_iter().fold(f64::INFINITY, f64::min);
+
+    let torus = generators::torus(4, 4);
+    let (model, oracle) = (hardcore::model(&torus, 1.0), engine_saw(&torus));
+    let (empty, tv) = (PartialConfig::empty(16), Target::Tv(0.05 / 16.0));
+    let planned = oracle.radius(&model, tv);
+    let [query, walk] = paired(ROUNDS.max(samples), true, |i| {
+        let start = Instant::now();
+        match i {
+            0 => drop(black_box(oracle.query(&model, &empty, NodeId(0), tv))),
+            _ => drop(black_box(oracle.marginal_bounds(
+                &torus,
+                &empty,
+                NodeId(0),
+                planned,
+            ))),
+        }
+        start.elapsed().as_nanos() as f64
+    });
+    let (query, walk) = (min(query), min(walk));
+    let ratio = query / walk;
+    r.metric("saw_tv_query_torus44_ns", query);
+    r.metric("saw_tv_over_planned_walk_torus44", ratio);
+    let detail = format!(
+        "Tv(δ/n) at v0 of torus(4,4) {query:.0} ns vs one depth-{planned} walk {walk:.0} ns \
+         ({ratio:.2}x, limit 0.5x)"
+    );
+    r.check("saw-tv-deepening", ratio <= 0.5, detail);
+
+    let (n, eps) = (128, 1.0 / 128f64.powi(3));
+    let cycle = generators::cycle(n);
+    let (model, oracle) = (hardcore::model(&cycle, 1.0), engine_saw(&cycle));
+    let net = Network::new(Instance::unconditioned(model.clone()), 1);
+    let sampler = SequentialSampler::new(&oracle, 0.05);
+    let order = scheduler::chromatic_schedule(&net, sampler.locality(&model), 0).order;
+    let y = run_scan_sequential(&net, &sampler, &order, &CancelToken::never())
+        .expect("never cancelled")
+        .outputs;
+    let mul = Target::Mul(eps);
+    let planned = oracle.radius(&model, mul);
+    // each step's prefix of the scan, and the depth a one-level loop
+    // stops at there
+    let steps: Vec<(PartialConfig, NodeId, usize)> = order
+        .iter()
+        .scan(PartialConfig::empty(n), |prefix, &v| {
+            let stop = (1..planned)
+                .find(|&t| oracle.marginal_bounds(&cycle, prefix, v, t).meets(mul))
+                .unwrap_or(planned);
+            let step = (prefix.clone(), v, stop);
+            prefix.pin(v, y[v.index()]);
+            Some(step)
+        })
+        .collect();
+    let [queries, walks] = paired(ROUNDS.max(samples), true, |i| {
+        let start = Instant::now();
+        for _ in 0..SCANS {
+            for (prefix, v, stop) in &steps {
+                match i {
+                    0 => drop(black_box(oracle.query(&model, prefix, *v, mul))),
+                    _ => drop(black_box(oracle.marginal_bounds(&cycle, prefix, *v, *stop))),
+                }
+            }
+        }
+        start.elapsed().as_nanos() as f64 / (SCANS * n) as f64
+    });
+    let (queries, walks) = (min(queries), min(walks));
+    let ratio = queries / walks;
+    let at_depth_1 = steps.iter().filter(|s| s.2 == 1).count();
+    r.metric("saw_mul_query_cycle128_ns", queries);
+    r.metric("saw_mul_over_stop_walk_cycle128", ratio);
+    let detail = format!(
+        "Mul(1/n^3) over a cycle(128) scan {queries:.0} ns per query vs one walk at its \
+         stopping depth {walks:.0} ns ({ratio:.2}x, limit 4x; {at_depth_1} of {n} stop at depth 1)"
+    );
+    r.check("saw-mul-deepening", ratio <= 4.0, detail);
     r
 }
 

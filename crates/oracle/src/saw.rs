@@ -63,6 +63,9 @@ pub struct MarginalBounds {
 }
 
 impl MarginalBounds {
+    /// The bounds that certify nothing.
+    const UNKNOWN: MarginalBounds = MarginalBounds { lo: 0.0, hi: 1.0 };
+
     /// Midpoint estimate of the occupation probability.
     pub fn midpoint(&self) -> f64 {
         0.5 * (self.lo + self.hi)
@@ -73,7 +76,62 @@ impl MarginalBounds {
     pub fn gap(&self) -> f64 {
         self.hi - self.lo
     }
+
+    /// Whether these bounds meet the stop rule of a query at `target`:
+    /// - `Tv(δ)`: a gap of at most `2δ`, so the midpoint is within `δ`;
+    /// - `Mul(ε)`: a certified 0 or 1, or a certified relative error of
+    ///   the midpoint of at most `ε/3` on both entries;
+    /// - `Support(ε)`: a decided support. Occupied is decided by a
+    ///   certified zero (`hi = 0`) or a certified positive (`lo > 0`),
+    ///   vacant symmetrically at 1.
+    ///
+    /// Each rule holds on any bounds nested inside bounds that meet it.
+    pub fn meets(&self, target: Target) -> bool {
+        let (lo, hi, gap) = (self.lo, self.hi, self.gap());
+        match target {
+            Target::Tv(delta) => gap <= 2.0 * delta,
+            Target::Mul(eps) => {
+                let rel = 2.0 * eps / 3.0;
+                hi == 0.0 || lo == 1.0 || (gap <= rel * lo && gap <= rel * (1.0 - hi))
+            }
+            Target::Support(_) => (hi == 0.0 || lo > 0.0) && (lo == 1.0 || hi < 1.0),
+        }
+    }
+
+    /// The intersection of two certified bounds on the same marginal.
+    fn intersect(self, other: MarginalBounds) -> MarginalBounds {
+        MarginalBounds {
+            lo: self.lo.max(other.lo),
+            hi: self.hi.min(other.hi),
+        }
+    }
 }
+
+/// What a walk has spent so far: the nodes it may still expand, and one
+/// past the depth of the deepest node it expanded.
+struct Tally {
+    left: usize,
+    reach: usize,
+}
+
+/// One walk of the truncated tree: its bounds, the tree nodes it
+/// expanded, whether it used up its node budget, and the shallowest depth
+/// whose walk is this one bit for bit. That depth is below the walk's own
+/// only when the walk cut nothing, so it holds its whole SAW tree.
+struct Walk {
+    bounds: MarginalBounds,
+    nodes: usize,
+    exhausted: bool,
+    first: usize,
+}
+
+/// The node budget of a `Tv` query's probe, its one walk at the planned
+/// depth. A planned tree that fits answers the query from that walk
+/// alone. A cycle's tree at depth `t` has `2t − 1` nodes, so every
+/// cycle query up to depth 128 stays on this one walk. A probe that runs
+/// out wastes at most these 256 nodes, a few µs, ahead of a deepening
+/// whose own walks are larger.
+const PROBE_NODES: usize = 256;
 
 /// The SAW-tree inference oracle for two-spin systems.
 ///
@@ -128,8 +186,8 @@ fn safe_mul(x: f64, y: f64) -> f64 {
 impl TwoSpinSawOracle {
     /// Creates the oracle for the given two-spin parameters and decay
     /// rate (used only for radius planning; the bounds themselves are
-    /// certified regardless). The default per-call work budget is
-    /// 200 000 SAW-tree nodes; see [`TwoSpinSawOracle::with_node_budget`].
+    /// certified regardless). The default work budget is 200 000
+    /// SAW-tree nodes per walk; see [`TwoSpinSawOracle::with_node_budget`].
     pub fn new(params: TwoSpinParams, rate: DecayRate) -> Self {
         TwoSpinSawOracle {
             params,
@@ -138,7 +196,7 @@ impl TwoSpinSawOracle {
         }
     }
 
-    /// Sets the per-call work budget (number of SAW-tree nodes explored).
+    /// Sets the per-walk work budget (number of SAW-tree nodes explored).
     /// When the budget is exhausted, unexplored subtrees contribute the
     /// unknown interval `[0, 1]` — the returned bounds stay **certified**
     /// (they only widen), making the oracle an anytime algorithm on dense
@@ -192,7 +250,7 @@ impl TwoSpinSawOracle {
         cap: usize,
         on_path: &mut [bool],
         exit_edge: &mut [EdgeId],
-        budget: &mut usize,
+        tally: &mut Tally,
     ) -> RatioInterval {
         if let Some(val) = pinning.get(u) {
             return if val == Value(1) {
@@ -204,10 +262,13 @@ impl TwoSpinSawOracle {
         if depth >= cap {
             return RatioInterval::UNKNOWN;
         }
-        if *budget == 0 {
+        if tally.left == 0 {
             return RatioInterval::UNKNOWN;
         }
-        *budget -= 1;
+        tally.left -= 1;
+        if depth >= tally.reach {
+            tally.reach = depth + 1;
+        }
         let mut lo = self.params.lambda;
         let mut hi = self.params.lambda;
         on_path[u.index()] = true;
@@ -239,7 +300,7 @@ impl TwoSpinSawOracle {
                     cap,
                     on_path,
                     exit_edge,
-                    budget,
+                    tally,
                 )
             };
             let (flo, fhi) = self.factor_interval(child);
@@ -264,23 +325,29 @@ impl TwoSpinSawOracle {
             return MarginalBounds { lo: p, hi: p };
         }
         with_path_scratch(g.node_count(), |scratch| {
-            self.bounds_at_depth(g, pinning, v, t, scratch).0
+            self.walk(g, pinning, v, t, self.node_budget, scratch)
+                .bounds
         })
     }
 
-    /// One truncated-tree evaluation at depth cap `t`, on caller-provided
-    /// scratch. Returns the bounds and whether the node budget ran out.
-    fn bounds_at_depth(
+    /// One walk of the tree truncated at depth `t`, under `budget` nodes,
+    /// on caller-provided scratch. A walk that uses its whole budget
+    /// counts as exhausted.
+    fn walk(
         &self,
         g: &Graph,
         pinning: &PartialConfig,
         v: NodeId,
         t: usize,
+        budget: usize,
         scratch: &mut PathScratch,
-    ) -> (MarginalBounds, bool) {
-        let mut budget = self.node_budget;
+    ) -> Walk {
+        let mut tally = Tally {
+            left: budget,
+            reach: 0,
+        };
         let PathScratch { on_path, exit_edge } = scratch;
-        let r = self.ratio(g, pinning, v, None, 0, t, on_path, exit_edge, &mut budget);
+        let r = self.ratio(g, pinning, v, None, 0, t, on_path, exit_edge, &mut tally);
         let to_p = |r: f64| {
             if r.is_infinite() {
                 1.0
@@ -288,65 +355,143 @@ impl TwoSpinSawOracle {
                 r / (1.0 + r)
             }
         };
-        (
-            MarginalBounds {
+        Walk {
+            bounds: MarginalBounds {
                 lo: to_p(r.lo),
                 hi: to_p(r.hi),
             },
-            budget == 0,
-        )
+            nodes: budget - tally.left,
+            exhausted: tally.left == 0,
+            first: if tally.left == 0 { t } else { tally.reach },
+        }
     }
 
-    /// **Anytime** certified bounds: iterative deepening `t = 1, 2, …,
-    /// t_max`, stopping at the first depth whose bounds satisfy
-    /// `decided` (or once an attempt exhausts the node budget — deeper
-    /// caps cannot reliably tighten a budget-bound tree). The certified
-    /// gap shrinks at the strong-spatial-mixing rate, so most queries
-    /// stop far below `t_max` — this is what makes the oracle's cost
-    /// ball-bounded in *information* rather than in the planned
-    /// worst-case radius. Each attempt re-walks the tree from the root,
-    /// so a query that stops at depth `t` pays for the trees of every
-    /// depth up to `t`. That costs a constant factor over one query at
-    /// depth `t` only when tree size grows geometrically in depth, as
-    /// when the self-avoiding walks branch: 2.0× at ε = 10⁻² and 2.7× at
-    /// 10⁻³ on torus(4,4). A cycle's SAW tree is a path, which grows
-    /// linearly, so there the factor is Θ(t): 3.0×, 4.6× and 10× on
-    /// cycle(128) at ε = 0.01, 10⁻³ and 1/n³.
+    /// `Tv`'s probe: the walk at the planned depth `t` under
+    /// [`PROBE_NODES`], or `None` if that tree outgrows it.
+    fn probe(
+        &self,
+        g: &Graph,
+        pinning: &PartialConfig,
+        v: NodeId,
+        t: usize,
+    ) -> Option<MarginalBounds> {
+        let budget = PROBE_NODES.min(self.node_budget);
+        let probe = with_path_scratch(g.node_count(), |scratch| {
+            self.walk(g, pinning, v, t, budget, scratch)
+        });
+        (!probe.exhausted).then_some(probe.bounds)
+    }
+
+    /// The depth search behind every query on a free `v`. It walks
+    /// deepening trees up to depth `t_max` and stops at the first walk
+    /// that meets `target` or exhausts the node budget, or at `t_max`.
+    /// Exhaustion is monotone in depth, since a deeper tree holds the
+    /// shallower one. The answer is the intersection of the walks at
+    /// depths up to the one the search stops at. Every one of them is
+    /// certified, so a walk cut short by the budget cannot widen it.
     ///
-    /// Every returned interval is certified exactly like
-    /// [`TwoSpinSawOracle::marginal_bounds`] at the stopping depth; with
-    /// `decided = |_| false` this is `marginal_bounds(.., t_max)`.
-    pub fn marginal_bounds_anytime(
+    /// Each walk starts again from the root, so the search picks each
+    /// next depth from the node counts of its walks, for the tree to
+    /// about double per walk. While each level adds more nodes than the
+    /// one before, as on a torus, it takes one level per walk. Otherwise
+    /// it extrapolates the growth linearly to where the tree doubles: on
+    /// a cycle, whose SAW tree is a path, that doubles the depth. A jump
+    /// stops short at `t_max − 1` before going on to `t_max`: where the
+    /// decay rate is tight, as on a cycle, a query that runs to its gap
+    /// stops at `t_max − 1` or `t_max`, and a jump onto `t_max` would
+    /// cost a walk back. A walk that cut nothing holds its whole tree,
+    /// and every deeper walk repeats it, so the search stops there too.
+    /// The arithmetic is integer, and a walk allocates nothing.
+    ///
+    /// A jump can overshoot. From a walk that stops after a jump, `Mul`
+    /// and `Support` search back down (`t − 1`, `t − 2`, `t − 4`, …, then
+    /// bisecting) to the first depth that stops. That is where a
+    /// one-level-at-a-time loop stops too: each stop rule carries over to
+    /// nested bounds, and until a walk exhausts the budget the bounds
+    /// nest bit for bit across depths, so the answer is that depth's
+    /// bounds. Walks deeper than it are left out of the intersection, or
+    /// they would move those bits. `Tv` keeps the overshoot.
+    ///
+    /// Over the prefixes of one chain-rule scan, a `Mul` query costs
+    /// about 3× one walk at its stopping depth on cycle(128): 3.0×, 2.9×
+    /// and 3.0× at ε = 0.01, 10⁻³ and 1/n³, where a one-level loop cost
+    /// 3.8×, 4.8× and 7.5×. On torus(4,4) it costs what that loop did:
+    /// 2.0× at ε = 0.01, 2.5× at 10⁻³ and 1/n³ (in one process, in
+    /// interleaved rounds, on a 2-vCPU host).
+    fn search(
         &self,
         g: &Graph,
         pinning: &PartialConfig,
         v: NodeId,
         t_max: usize,
-        decided: impl Fn(&MarginalBounds) -> bool,
+        target: Target,
     ) -> MarginalBounds {
-        if let Some(val) = pinning.get(v) {
-            let p = if val == Value(1) { 1.0 } else { 0.0 };
-            return MarginalBounds { lo: p, hi: p };
-        }
         with_path_scratch(g.node_count(), |scratch| {
-            for t in 1..t_max {
-                let (b, exhausted) = self.bounds_at_depth(g, pinning, v, t, scratch);
-                if decided(&b) || exhausted {
-                    return b;
+            let mut walk = |t| self.walk(g, pinning, v, t, self.node_budget, scratch);
+            let stops = |w: &Walk| w.exhausted || w.bounds.meets(target);
+            // the intersection of every walk below the depth being decided
+            let mut below = MarginalBounds::UNKNOWN;
+            let (mut last, mut last_nodes) = (0, 0);
+            // the nodes the tree gained into the last walk, and over how
+            // many levels
+            let mut last_growth: (usize, usize) = (0, 1);
+            let mut t = t_max.min(1);
+            let (top, stopped) = loop {
+                let w = walk(t);
+                let stopped = stops(&w);
+                // a walk that holds its whole tree ends the search too: every
+                // deeper walk repeats it bit for bit
+                if stopped || t == t_max || w.first < t {
+                    break (w, stopped);
+                }
+                below = below.intersect(w.bounds);
+                let growth = (w.nodes - last_nodes, t - last);
+                let branching =
+                    growth.0.saturating_mul(last_growth.1) > last_growth.0.saturating_mul(growth.1);
+                let step = if branching {
+                    1
+                } else {
+                    w.nodes.saturating_mul(growth.1) / growth.0.max(1)
+                };
+                (last, last_nodes, last_growth) = (t, w.nodes, growth);
+                let ceiling = if t + 1 < t_max { t_max - 1 } else { t_max };
+                t = t.saturating_add(step.max(1)).min(ceiling);
+            };
+            if !stopped || matches!(target, Target::Tv(_)) {
+                return below.intersect(top.bounds);
+            }
+            // every depth up to `fail` runs on, the walk at `hold` stops with
+            // bounds `held`, and the first depth that stops lies in (fail, hold]
+            let (mut fail, mut hold, mut held) = (last, top.first.max(last + 1), top.bounds);
+            let (from, mut stride) = (hold, Some(1));
+            while hold > fail + 1 {
+                let d = match stride {
+                    Some(s) if from > fail + s => (from - s).min(hold - 1),
+                    _ => fail + (hold - fail) / 2,
+                };
+                let w = walk(d);
+                if stops(&w) {
+                    (hold, held) = (w.first.max(fail + 1), w.bounds);
+                    stride = stride.map(|s| 2 * s);
+                } else {
+                    fail = d;
+                    below = below.intersect(w.bounds);
+                    stride = None;
                 }
             }
-            // the final attempt runs at the full planned radius, so the
-            // result is never shallower-informed than the fixed-depth query
-            self.bounds_at_depth(g, pinning, v, t_max, scratch).0
+            below.intersect(held)
         })
     }
 }
 
-/// `Tv(δ)` walks the tree once at the planned depth
-/// `t = min{t : c·αᵗ ≤ δ}` and answers the midpoint of its bounds.
-/// `Mul(ε)` and `Support(ε)` deepen with
-/// [`TwoSpinSawOracle::marginal_bounds_anytime`] up to the depth planned
-/// for a certified gap of `ε/4`, stopping as soon as the bounds decide
+/// Every target runs one depth search up to its planned depth (see
+/// `search`), which answers from the intersection of the walks up to
+/// where it stops. `Tv(δ)`, planned at `t = min{t : c·αᵗ ≤ δ}`, first
+/// walks depth `t` under a probe budget of 256 nodes and answers that
+/// walk's midpoint when it completes, as on every cycle; only a planned
+/// tree that outgrows the probe deepens, stopping at the first certified
+/// gap of at most `2δ`. `Mul(ε)` and `Support(ε)`, planned for a
+/// certified gap of `ε/4`, stop at the first depth whose bounds decide
 /// the target.
 impl Oracle for TwoSpinSawOracle {
     fn name(&self) -> &str {
@@ -376,21 +521,24 @@ impl Oracle for TwoSpinSawOracle {
         target: Target,
     ) -> Vec<f64> {
         let (g, t) = (model.graph(), self.radius(model, target));
+        let b = match (pinning.get(v), target) {
+            (Some(val), _) => {
+                let p = if val == Value(1) { 1.0 } else { 0.0 };
+                MarginalBounds { lo: p, hi: p }
+            }
+            (None, Target::Tv(_)) => self
+                .probe(g, pinning, v, t)
+                .unwrap_or_else(|| self.search(g, pinning, v, t, target)),
+            (None, _) => self.search(g, pinning, v, t, target),
+        };
         let p = match target {
-            Target::Tv(_) => self.marginal_bounds(g, pinning, v, t).midpoint(),
-            // Stop once the *certified* per-entry relative error of the
-            // midpoint is ≤ ε/3 — a rigorous form of the guarantee the
-            // worst-case radius plan only assumes. The depth cap `t` and
-            // the node budget still bound the work.
-            Target::Mul(eps) => {
-                let rel = 2.0 * eps / 3.0;
-                let decided = |b: &MarginalBounds| {
-                    b.hi == 0.0
-                        || b.lo == 1.0
-                        || (b.gap() <= rel * b.lo && b.gap() <= rel * (1.0 - b.hi))
-                };
-                let b = self.marginal_bounds_anytime(g, pinning, v, t, decided);
-                // preserve certified zeros/ones exactly (support correctness)
+            Target::Tv(_) => b.midpoint(),
+            // The *certified* per-entry relative error of the midpoint
+            // is ≤ ε/3 — a rigorous form of the guarantee the worst-case
+            // radius plan only assumes — unless the search ran out of
+            // depth or budget first. Certified zeros and ones stay exact
+            // (support correctness).
+            Target::Mul(_) => {
                 if b.hi == 0.0 {
                     0.0
                 } else if b.lo == 1.0 {
@@ -403,14 +551,9 @@ impl Oracle for TwoSpinSawOracle {
             // one: a pinned-occupied neighbor certifies a hard zero after
             // one level, and one resolved level bounds the ratio away from
             // the forcing boundary — so the ground-state pass pays
-            // `O(Δ²)` per node instead of a deep tree walk. Occupied is
-            // decided by a certified zero (hi = 0) or a certified positive
-            // (lo > 0), vacant symmetrically at 1.
+            // `O(Δ²)` per node instead of a deep tree walk.
             Target::Support(eps) => {
-                let decided =
-                    |b: &MarginalBounds| (b.hi == 0.0 || b.lo > 0.0) && (b.lo == 1.0 || b.hi < 1.0);
-                let b = self.marginal_bounds_anytime(g, pinning, v, t, decided);
-                if !decided(&b) {
+                if !b.meets(target) {
                     // undecided at the cap: the full estimate's support
                     return self.query(model, pinning, v, Target::Mul(eps));
                 }
@@ -591,6 +734,7 @@ mod tests {
     #[test]
     fn queries_interleaved_across_graph_sizes_match_a_fresh_thread_bitwise() {
         let oracle = hc_oracle(1.0);
+        let model = |g: &Graph| two_spin::model(g, oracle.params());
         let mut pinned = PartialConfig::empty(16);
         pinned.pin(NodeId(6), Value(1));
         let queries = [
@@ -606,8 +750,9 @@ mod tests {
         ];
         let answer = |(g, tau, v): &(Graph, PartialConfig, NodeId)| {
             let b = oracle.marginal_bounds(g, tau, *v, 6);
-            let anytime = oracle.marginal_bounds_anytime(g, tau, *v, 8, |b| b.gap() < 1e-3);
-            (bits(b), bits(anytime))
+            let searched = oracle.query(&model(g), tau, *v, Target::Mul(1e-3));
+            let searched: Vec<u64> = searched.iter().map(|p| p.to_bits()).collect();
+            (bits(b), searched)
         };
         let fresh: Vec<_> = queries
             .iter()

@@ -2,7 +2,7 @@
 
 use lds_gibbs::models::two_spin;
 use lds_gibbs::models::two_spin::TwoSpinParams;
-use lds_gibbs::models::{coloring, hardcore};
+use lds_gibbs::models::{coloring, hardcore, ising};
 use lds_gibbs::{distribution, metrics, GibbsModel, PartialConfig, Value};
 use lds_graph::{generators, Graph, NodeId};
 use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
@@ -49,18 +49,34 @@ proptest! {
         }
     }
 
-    /// SAW certified gaps are monotone non-increasing in the radius.
+    /// SAW bounds nest across depths with no tolerance: from one depth to
+    /// the next, `lo` never falls and `hi` never rises, so the certified
+    /// gap never grows. Hardcore, soft and Ising-type models, with random
+    /// pinnings, at every vertex. The depth search relies on this: it
+    /// answers `Mul` and `Support` from the first depth that stops, found
+    /// by searching back from a deeper one.
     #[test]
-    fn saw_gap_monotone_in_radius(gidx in 0usize..4, lambda in 0.2f64..2.0) {
-        let g = workload(gidx);
-        let tau = PartialConfig::empty(g.node_count());
-        let oracle = TwoSpinSawOracle::new(
-            TwoSpinParams::hardcore(lambda), DecayRate::new(0.5, 2.0));
-        let mut last = f64::INFINITY;
-        for t in 1..7 {
-            let gap = oracle.marginal_bounds(&g, &tau, NodeId(0), t).gap();
-            prop_assert!(gap <= last + 1e-12, "gap grew at t={t}");
-            last = gap;
+    fn saw_gap_monotone_in_radius(
+        gidx in 0usize..6,
+        kind in 0usize..3,
+        lambda in 0.2f64..2.0,
+        codes in collection::vec(0usize..5, 12),
+    ) {
+        let g = nesting_workload(gidx);
+        let params = two_spin_params(kind, lambda);
+        let m = two_spin::model(&g, params);
+        let tau = pinning_from_codes(&m, &codes);
+        let oracle = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+        for v in g.nodes() {
+            let mut last = oracle.marginal_bounds(&g, &tau, v, 0);
+            for t in 1..=g.node_count() {
+                let b = oracle.marginal_bounds(&g, &tau, v, t);
+                prop_assert!(
+                    b.lo >= last.lo && b.hi <= last.hi && b.gap() <= last.gap(),
+                    "v={v}: [{}, {}] at t={t} leaves [{}, {}]", b.lo, b.hi, last.lo, last.hi
+                );
+                last = b;
+            }
         }
     }
 
@@ -117,9 +133,15 @@ proptest! {
         }
     }
 
-    /// Locality: oracles are insensitive to pins beyond their radius.
+    /// Locality: oracles are insensitive to pins beyond their radius,
+    /// and so is every SAW query, whatever its depth search walks.
     #[test]
-    fn oracles_are_local(lambda in 0.3f64..2.0, t in 1usize..5) {
+    fn oracles_are_local(
+        lambda in 0.3f64..2.0,
+        t in 1usize..5,
+        delta in 1e-4f64..0.5,
+        eps in 1e-4f64..0.8,
+    ) {
         let g = generators::cycle(16);
         let m = hardcore::model(&g, lambda);
         let far = NodeId(8);
@@ -139,6 +161,20 @@ proptest! {
             enumo.marginal_with_frontier(&m, &sigma, NodeId(0), t).0,
             enumo.marginal_with_frontier(&m, &tau, NodeId(0), t).0
         );
+        // a cycle long enough that node r + 1 lies at distance r + 1
+        let g = generators::cycle(40);
+        let m = hardcore::model(&g, lambda);
+        for target in [Target::Tv(delta), Target::Mul(eps), Target::Support(eps)] {
+            let far = NodeId::from_index(saw.radius(&m, target) + 1);
+            prop_assert!(2 * far.index() <= g.node_count(), "{target:?} plans past the cycle");
+            let sigma = PartialConfig::empty(40).with_pin(far, Value(0));
+            let tau = PartialConfig::empty(40).with_pin(far, Value(1));
+            prop_assert_eq!(
+                saw.query(&m, &sigma, NodeId(0), target),
+                saw.query(&m, &tau, NodeId(0), target),
+                "{:?} reads the pin at {}", target, far
+            );
+        }
     }
 
     /// Enumeration oracle on colorings returns proper conditional
@@ -155,18 +191,18 @@ proptest! {
     }
 
     /// `Support(ε)` is positive exactly where `Mul(ε)` is: the SAW
-    /// oracle, hardcore or a soft two-spin model, over random pinnings,
-    /// torus(4,4) included.
+    /// oracle, hardcore, a soft two-spin model or an Ising-type model,
+    /// over random pinnings, torus(4,4) included.
     #[test]
     fn saw_support_is_positive_exactly_where_mul_is(
         gidx in 0usize..5,
-        soft in any::<bool>(),
+        kind in 0usize..3,
         lambda in 0.3f64..2.5,
         eps in 0.05f64..0.8,
         codes in collection::vec(0usize..4, 16),
     ) {
         let g = support_workload(gidx);
-        let params = two_spin_params(soft, lambda);
+        let params = two_spin_params(kind, lambda);
         let m = two_spin::model(&g, params);
         let tau = pinning_from_codes(&m, &codes);
         let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
@@ -178,13 +214,13 @@ proptest! {
     #[test]
     fn boosted_support_is_positive_exactly_where_mul_is(
         gidx in 0usize..4,
-        soft in any::<bool>(),
+        kind in 0usize..3,
         lambda in 0.3f64..2.5,
         eps in 0.05f64..0.8,
         codes in collection::vec(0usize..4, 16),
     ) {
         let g = support_workload(gidx);
-        let params = two_spin_params(soft, lambda);
+        let params = two_spin_params(kind, lambda);
         let m = two_spin::model(&g, params);
         let tau = pinning_from_codes(&m, &codes);
         let boosted = BoostedOracle::new(TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0)));
@@ -206,6 +242,119 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `Mul` and `Support` answers of the SAW oracle's depth search equal,
+    /// bit for bit, those of [`one_level_loop`]: hardcore, soft and
+    /// Ising-type models under random locally feasible pinnings, at
+    /// ε = 0.01, 10⁻³ and 1/n³. The default node budget holds every
+    /// tree here whole (torus(4,4)'s whole SAW tree has 90 677 nodes), so
+    /// no walk exhausts it.
+    #[test]
+    fn saw_search_matches_the_one_level_loop(
+        gidx in 0usize..4,
+        kind in 0usize..3,
+        lambda in 0.3f64..2.5,
+        eidx in 0usize..3,
+        spread in 2usize..40,
+        codes in collection::vec(0usize..40, 128),
+        vertex in 0usize..128,
+    ) {
+        let g = search_workload(gidx);
+        let n = g.node_count();
+        let params = two_spin_params(kind, lambda);
+        let m = two_spin::model(&g, params);
+        // pins about 2 in `spread` nodes
+        let codes: Vec<usize> = codes.iter().map(|c| c % spread).collect();
+        let tau = pinning_from_codes(&m, &codes);
+        let eps = [0.01, 1e-3, 1.0 / (n as f64).powi(3)][eidx];
+        let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+        let v = NodeId::from_index(vertex % n);
+        for target in [Target::Mul(eps), Target::Support(eps)] {
+            let searched = saw.query(&m, &tau, v, target);
+            let looped = one_level_loop(&saw, &m, &tau, v, target);
+            prop_assert_eq!(
+                bits(&searched), bits(&looped),
+                "{:?} at {} on n = {}: {:?} vs {:?}", target, v, n, searched, looped
+            );
+        }
+    }
+
+    /// On cycles the planned tree fits the `Tv` probe, so `Tv(δ)` is one
+    /// walk at the planned depth: the midpoint of `marginal_bounds` at
+    /// `radius(Tv(δ))`, bit for bit.
+    #[test]
+    fn saw_tv_on_cycles_is_one_walk_at_the_planned_depth(
+        n in 3usize..=128,
+        kind in 0usize..3,
+        lambda in 0.3f64..2.5,
+        alpha in 0.3f64..0.95,
+        delta in 1e-6f64..0.5,
+        codes in collection::vec(0usize..6, 128),
+        vertex in 0usize..128,
+    ) {
+        let g = generators::cycle(n);
+        let params = two_spin_params(kind, lambda);
+        let m = two_spin::model(&g, params);
+        let tau = pinning_from_codes(&m, &codes);
+        let saw = TwoSpinSawOracle::new(params, DecayRate::new(alpha, 2.0));
+        let v = NodeId::from_index(vertex % n);
+        let target = Target::Tv(delta);
+        let p = saw.marginal_bounds(&g, &tau, v, saw.radius(&m, target)).midpoint();
+        prop_assert_eq!(bits(&saw.query(&m, &tau, v, target)), bits(&[1.0 - p, p]));
+    }
+}
+
+/// The depth-search workloads: cycle(12), cycle(128), torus(4,4) and
+/// grid(3,4).
+fn search_workload(idx: usize) -> Graph {
+    match idx {
+        0 => generators::cycle(12),
+        1 => generators::cycle(128),
+        2 => generators::torus(4, 4),
+        _ => generators::grid(3, 4),
+    }
+}
+
+/// The answer the SAW oracle's depth search must give at `Mul(ε)` or
+/// `Support(ε)`, by the loop it replaces: walk depths `t = 1, 2, …` and
+/// stop at the first whose bounds meet the target's rule; if none below
+/// the planned depth does, answer the planned depth. A support still
+/// undecided there answers as `Mul(ε)`.
+fn one_level_loop(
+    saw: &TwoSpinSawOracle,
+    model: &GibbsModel,
+    tau: &PartialConfig,
+    v: NodeId,
+    target: Target,
+) -> Vec<f64> {
+    let (g, planned) = (model.graph(), saw.radius(model, target));
+    let b = (1..planned)
+        .map(|t| saw.marginal_bounds(g, tau, v, t))
+        .find(|b| b.meets(target))
+        .unwrap_or_else(|| saw.marginal_bounds(g, tau, v, planned));
+    match target {
+        Target::Support(_) if b.meets(target) => {
+            vec![f64::from(b.lo < 1.0), f64::from(b.hi > 0.0)]
+        }
+        Target::Support(eps) => one_level_loop(saw, model, tau, v, Target::Mul(eps)),
+        _ => {
+            let p = if b.hi == 0.0 {
+                0.0
+            } else if b.lo == 1.0 {
+                1.0
+            } else {
+                b.midpoint()
+            };
+            vec![1.0 - p, p]
+        }
+    }
+}
+
+/// The bit patterns of an answer, for exact comparison.
+fn bits(answer: &[f64]) -> Vec<u64> {
+    answer.iter().map(|p| p.to_bits()).collect()
+}
+
 /// The support-contract workloads: [`workload`]'s four graphs, then
 /// torus(4,4).
 fn support_workload(idx: usize) -> Graph {
@@ -216,13 +365,25 @@ fn support_workload(idx: usize) -> Graph {
     }
 }
 
-/// Hardcore at fugacity `λ`, or a soft antiferromagnetic two-spin model
-/// (no hard zeros beyond the pins) at the same `λ`.
-fn two_spin_params(soft: bool, lambda: f64) -> two_spin::TwoSpinParams {
-    if soft {
-        two_spin::TwoSpinParams::new(0.6, 0.4, lambda)
-    } else {
-        two_spin::TwoSpinParams::hardcore(lambda)
+/// The models of the SAW properties, by `kind`: hardcore at fugacity
+/// `λ`; a soft antiferromagnetic two-spin model (no hard zeros beyond the
+/// pins) at the same `λ`; or an antiferromagnetic Ising model whose field
+/// favors value 1 by `λ`.
+fn two_spin_params(kind: usize, lambda: f64) -> two_spin::TwoSpinParams {
+    match kind {
+        0 => two_spin::TwoSpinParams::hardcore(lambda),
+        1 => two_spin::TwoSpinParams::new(0.6, 0.4, lambda),
+        _ => ising::IsingParams::new(-0.25, 0.5 * lambda.ln()).to_two_spin(),
+    }
+}
+
+/// The nesting workloads: [`workload`]'s four graphs, then cycle(12) and
+/// grid(3,4).
+fn nesting_workload(idx: usize) -> Graph {
+    match idx {
+        0..=3 => workload(idx),
+        4 => generators::cycle(12),
+        _ => generators::grid(3, 4),
     }
 }
 

@@ -1,0 +1,66 @@
+//! Answers from SAW walks that run out of their node budget. A walk cut
+//! short certifies little: its unexplored subtrees count as unknown. The
+//! SAW oracle answers from the intersection of every walk up to where its
+//! depth search stops, so a walk that exhausts the budget cannot pull the
+//! answer outside the bounds that shallower walks certified.
+
+use lds::core::regime;
+use lds::engine::{Engine, ModelSpec, Task};
+use lds::gibbs::models::hardcore;
+use lds::gibbs::models::two_spin::TwoSpinParams;
+use lds::gibbs::{PartialConfig, Value};
+use lds::graph::{generators, NodeId};
+use lds::oracle::{DecayRate, Oracle, Target, TwoSpinSawOracle};
+
+/// Infer at v0 on torus(6,6), hardcore λ = 1 at the engine defaults
+/// (ε = 0.01). Depth 12 certifies [0.2237, 0.2369]; the depth-13 walk
+/// exhausts the budget at [0, 0.3725], whose midpoint 0.1863 was the
+/// answer while the search answered its last walk alone.
+#[test]
+fn torus66_infer_answers_inside_the_depth12_bounds() {
+    let engine = Engine::builder()
+        .model(ModelSpec::Hardcore { lambda: 1.0 })
+        .graph(generators::torus(6, 6))
+        .threads(1)
+        .build()
+        .expect("in regime");
+    let task = Task::Infer {
+        vertex: NodeId(0),
+        value: Value(1),
+    };
+    let report = engine.run_with_seed(task, 1).expect("infer");
+    let p = report.marginal().expect("a marginal")[1];
+    assert!((0.2237..=0.2369).contains(&p), "Infer at v0 answered {p}");
+}
+
+/// The chain-rule sampler's first query on torus(5,5): `Tv(δ/n)` at v0
+/// with the empty pinning, δ = 0.05, on the engine's oracle. The planned
+/// depth is 37, and a walk that deep exhausts the budget at [0, 0.5],
+/// whose midpoint 0.25 was the answer while `Tv` walked only the planned
+/// depth. Depth 10 certifies [0.2150, 0.2366].
+#[test]
+fn torus55_tv_answers_inside_the_depth10_bounds() {
+    let g = generators::torus(5, 5);
+    let rate = regime::hardcore(&g, 1.0).expect("in regime").rate;
+    let saw = TwoSpinSawOracle::new(
+        TwoSpinParams::hardcore(1.0),
+        DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
+    );
+    let (model, tau) = (hardcore::model(&g, 1.0), PartialConfig::empty(25));
+    let target = Target::Tv(0.05 / 25.0);
+    assert_eq!(saw.radius(&model, target), 37);
+    let depth10 = saw.marginal_bounds(&g, &tau, NodeId(0), 10);
+    assert!(
+        (0.2149..0.2151).contains(&depth10.lo) && (0.2365..0.2367).contains(&depth10.hi),
+        "depth-10 bounds [{}, {}]",
+        depth10.lo,
+        depth10.hi
+    );
+    let p = saw.query(&model, &tau, NodeId(0), target)[1];
+    assert!(
+        depth10.lo <= p && p <= depth10.hi,
+        "Tv at v0 answered {p}, outside [{}, {}]",
+        depth10.lo,
+        depth10.hi
+    );
+}
