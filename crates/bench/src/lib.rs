@@ -38,7 +38,7 @@ impl Table {
     }
 
     /// Renders the table to a string.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {

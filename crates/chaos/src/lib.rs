@@ -83,7 +83,7 @@ pub struct Rule {
 
 impl Rule {
     /// A rule for `site` with the given trigger and fault.
-    pub fn new(site: &str, trigger: Trigger, fault: Fault) -> Rule {
+    fn new(site: &str, trigger: Trigger, fault: Fault) -> Rule {
         Rule {
             site: site.to_string(),
             trigger,
@@ -166,7 +166,7 @@ pub fn arm(plan: Plan) -> ChaosGuard {
 
 /// Disarms the registry; every [`point`] reverts to the one-load fast
 /// path. Idempotent.
-pub fn disarm() {
+fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     *lock_state() = None;
 }
@@ -252,15 +252,6 @@ fn consult(site: &str) -> Option<Fault> {
     fired
 }
 
-/// How many times `site` was hit since arming (0 when disarmed or
-/// never hit).
-pub fn hits(site: &str) -> u64 {
-    lock_state()
-        .as_ref()
-        .and_then(|armed| armed.sites.get(site))
-        .map_or(0, |s| s.hits)
-}
-
 /// How many times a rule fired at `site` since arming.
 pub fn firings(site: &str) -> u64 {
     lock_state()
@@ -306,7 +297,7 @@ mod tests {
         let _serial = serial();
         disarm();
         assert_eq!(point("net.write_torn"), None);
-        assert_eq!(hits("net.write_torn"), 0);
+        assert_eq!(firings("net.write_torn"), 0);
     }
 
     #[test]
@@ -315,7 +306,6 @@ mod tests {
         let _guard = arm(Plan::new(1).with("s", Trigger::Nth(2), Fault::Reset));
         let fired: Vec<bool> = (0..5).map(|_| point("s").is_some()).collect();
         assert_eq!(fired, vec![false, false, true, false, false]);
-        assert_eq!(hits("s"), 5);
         assert_eq!(firings("s"), 1);
     }
 

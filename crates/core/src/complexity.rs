@@ -41,7 +41,7 @@ pub fn hypergraph_matching_threshold(rank: usize, delta: usize) -> f64 {
 /// The coloring constant `α* ≈ 1.76322`, the positive root of
 /// `x = e^{1/x}` (paper, Corollary 5.3): `q ≥ αΔ` colorings of
 /// triangle-free graphs mix for `α > α*`.
-pub fn alpha_star() -> f64 {
+pub(crate) fn alpha_star() -> f64 {
     // fixed-point iteration x ← e^{1/x} converges quickly near 1.76
     let mut x = 1.75f64;
     for _ in 0..128 {
@@ -94,7 +94,7 @@ pub fn coloring_decay_rate(q: usize, delta: usize) -> f64 {
 }
 
 /// `log₂ n`, clamped below by 1 (round formulas use it as a factor).
-pub fn log2n(n: usize) -> f64 {
+fn log2n(n: usize) -> f64 {
     (n.max(2) as f64).log2().max(1.0)
 }
 

@@ -110,14 +110,6 @@ pub struct CountEstimate {
     pub anchor: lds_gibbs::Config,
 }
 
-impl CountEstimate {
-    /// The estimate of `Z^τ` itself (may overflow to `inf` for large
-    /// instances; prefer [`CountEstimate::log_z`]).
-    pub fn z(&self) -> f64 {
-        self.log_z.exp()
-    }
-}
-
 /// A count estimate together with per-phase telemetry.
 #[derive(Clone, Debug)]
 pub struct CountRun {
@@ -505,57 +497,6 @@ where
     })
 }
 
-/// Approximately counts independent sets of `g` weighted by fugacity `λ`
-/// (`λ = 1` counts plain independent sets). Convenience wrapper wiring
-/// the hardcore model to a boosted SAW oracle.
-pub fn count_independent_sets(
-    g: &lds_graph::Graph,
-    lambda: f64,
-    eps: f64,
-) -> Result<CountEstimate, CountError> {
-    use lds_gibbs::models::{hardcore, two_spin::TwoSpinParams};
-    use lds_oracle::{BoostedOracle, DecayRate, TwoSpinSawOracle};
-    let model = hardcore::model(g, lambda);
-    let rate = crate::complexity::hardcore_decay_rate(lambda, g.max_degree().max(2));
-    let oracle = BoostedOracle::new(TwoSpinSawOracle::new(
-        TwoSpinParams::hardcore(lambda),
-        DecayRate::new(rate.clamp(0.05, 0.95), 2.0),
-    ));
-    log_partition_function(
-        &model,
-        &PartialConfig::empty(g.node_count()),
-        &oracle,
-        eps,
-        &ThreadPool::sequential(),
-    )
-    .map(|run| run.estimate)
-}
-
-/// Approximately counts matchings of `g` weighted by edge weight `λ`
-/// (`λ = 1` counts plain matchings), via the line-graph duality.
-pub fn count_matchings(
-    g: &lds_graph::Graph,
-    lambda: f64,
-    eps: f64,
-) -> Result<CountEstimate, CountError> {
-    use lds_gibbs::models::{matching::MatchingInstance, two_spin::TwoSpinParams};
-    use lds_oracle::{BoostedOracle, DecayRate, TwoSpinSawOracle};
-    let inst = MatchingInstance::new(g, lambda);
-    let rate = crate::complexity::matching_decay_rate(lambda, g.max_degree().max(1));
-    let oracle = BoostedOracle::new(TwoSpinSawOracle::new(
-        TwoSpinParams::hardcore(lambda),
-        DecayRate::new(rate.clamp(0.05, 0.95), 2.0),
-    ));
-    log_partition_function(
-        inst.model(),
-        &PartialConfig::empty(inst.model().node_count()),
-        &oracle,
-        eps,
-        &ThreadPool::sequential(),
-    )
-    .map(|run| run.estimate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +517,23 @@ mod tests {
     {
         log_partition_function(model, tau, oracle, eps, &ThreadPool::sequential())
             .map(|run| run.estimate)
+    }
+
+    /// The boosted SAW oracle for fugacity `λ`, planned at decay `rate`.
+    fn boosted_saw(lambda: f64, rate: f64) -> BoostedOracle<TwoSpinSawOracle> {
+        BoostedOracle::new(TwoSpinSawOracle::new(
+            TwoSpinParams::hardcore(lambda),
+            DecayRate::new(rate.clamp(0.05, 0.95), 2.0),
+        ))
+    }
+
+    /// The chain-rule estimate of `ln Z` for independent sets of `g` at
+    /// fugacity `λ`, through the boosted SAW oracle at the hardcore rate.
+    fn independent_sets(g: &lds_graph::Graph, lambda: f64, eps: f64) -> CountEstimate {
+        let rate = crate::complexity::hardcore_decay_rate(lambda, g.max_degree().max(2));
+        let model = hardcore::model(g, lambda);
+        let tau = PartialConfig::empty(g.node_count());
+        estimate(&model, &tau, &boosted_saw(lambda, rate), eps).unwrap()
     }
 
     /// The pre-split estimator, kept verbatim: one full-precision pass
@@ -628,7 +586,7 @@ mod tests {
         let fib = [1u64, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233];
         for n in 2..=10usize {
             let g = generators::path(n);
-            let est = count_independent_sets(&g, 1.0, 1e-4).unwrap();
+            let est = independent_sets(&g, 1.0, 1e-4);
             let expect = fib[n + 1] as f64; // F(n+2), 0-indexed offset
             assert!(
                 (est.log_z - expect.ln()).abs() <= est.log_error_bound + 1e-6,
@@ -647,7 +605,7 @@ mod tests {
         let lucas = [2u64, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123, 199];
         for (n, &expect) in lucas.iter().enumerate().take(11).skip(3) {
             let g = generators::cycle(n);
-            let est = count_independent_sets(&g, 1.0, 1e-4).unwrap();
+            let est = independent_sets(&g, 1.0, 1e-4);
             let expect = expect as f64;
             assert!(
                 (est.log_z - expect.ln()).abs() <= est.log_error_bound + 1e-6,
@@ -664,7 +622,7 @@ mod tests {
         for lambda in [0.5f64, 1.5] {
             let model = hardcore::model(&g, lambda);
             let exact = distribution::partition_function(&model, &PartialConfig::empty(6));
-            let est = count_independent_sets(&g, lambda, 1e-5).unwrap();
+            let est = independent_sets(&g, lambda, 1e-5);
             assert!(
                 (est.log_z - exact.ln()).abs() <= est.log_error_bound + 1e-6,
                 "λ={lambda}: {} vs {}",
@@ -682,7 +640,15 @@ mod tests {
             inst.model(),
             &PartialConfig::empty(inst.model().node_count()),
         );
-        let est = count_matchings(&g, 1.0, 1e-5).unwrap();
+        // the line-graph duality: matchings of C6 are the hardcore model on L(C6)
+        let rate = crate::complexity::matching_decay_rate(1.0, g.max_degree().max(1));
+        let est = estimate(
+            inst.model(),
+            &PartialConfig::empty(inst.model().node_count()),
+            &boosted_saw(1.0, rate),
+            1e-5,
+        )
+        .unwrap();
         assert!(
             (est.log_z - exact.ln()).abs() <= est.log_error_bound + 1e-6,
             "{} vs {}",
@@ -731,8 +697,8 @@ mod tests {
     #[test]
     fn error_bound_scales_with_eps_and_size() {
         let g = generators::cycle(8);
-        let a = count_independent_sets(&g, 1.0, 1e-3).unwrap();
-        let b = count_independent_sets(&g, 1.0, 1e-5).unwrap();
+        let a = independent_sets(&g, 1.0, 1e-3);
+        let b = independent_sets(&g, 1.0, 1e-5);
         assert!(b.log_error_bound < a.log_error_bound);
         assert_eq!(a.log_error_bound, 8.0 * 1e-3);
     }

@@ -14,11 +14,11 @@
 //! the scan is the execution of the LOCAL simulation that updates each
 //! color class in parallel, and a sweep costs the schedule's rounds.
 //!
-//! Contrast with [`crate::baselines::glauber_dynamics`], the sequential
-//! random-site baseline: same per-site update rule, but that chain picks
-//! sites with a global RNG and is inherently serial, while this one
-//! draws each site's randomness from [`Network::node_rng`] (per node,
-//! per sweep), so a sweep is a local algorithm.
+//! Contrast with the classic random-site chain: same per-site update
+//! rule, but that chain picks sites with a global RNG and is inherently
+//! serial, while this one draws each site's randomness from
+//! [`Network::node_rng`] (per node, per sweep), so a sweep is a local
+//! algorithm.
 //!
 //! Each update touches only the factors containing the site — a table
 //! lookup per factor — so a sweep costs `O(n · q · deg)` arithmetic with
@@ -54,12 +54,11 @@ use crate::sampler::{lift, SampleRun};
 pub const STREAM_GLAUBER: u64 = 0x4_0000;
 
 /// The greedy ground pass: pin each free node, in schedule order, to the
-/// first value keeping every factor touching it positive — the same
-/// Remark 2.3 construction [`crate::baselines::glauber_dynamics`] starts
-/// from, here as a pinning-extension kernel over the schedule's
-/// ordering. Reads pins only within the model locality of the processed
-/// node (it checks only the factors touching that node), so a node that
-/// fails does not fail the nodes after it.
+/// first value keeping every factor touching it positive — Remark 2.3's
+/// sequential local oblivious construction, here as a pinning-extension
+/// kernel over the schedule's ordering. Reads pins only within the model
+/// locality of the processed node (it checks only the factors touching
+/// that node), so a node that fails does not fail the nodes after it.
 struct GreedyGroundKernel;
 
 impl SlocalKernel for GreedyGroundKernel {
@@ -109,7 +108,7 @@ pub struct GlauberKernel {
 impl GlauberKernel {
     /// A sweep kernel starting from `initial` and drawing node
     /// randomness from `stream` (one distinct stream per sweep).
-    pub fn new(initial: Config, stream: u64) -> Self {
+    fn new(initial: Config, stream: u64) -> Self {
         GlauberKernel { initial, stream }
     }
 }

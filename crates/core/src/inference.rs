@@ -39,16 +39,6 @@ impl<'a, O: Oracle + ?Sized> LocalInference<'a, O> {
         assert!(delta > 0.0, "error target must be positive");
         LocalInference { oracle, delta }
     }
-
-    /// The error target `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// The wrapped oracle.
-    pub fn oracle(&self) -> &O {
-        self.oracle
-    }
 }
 
 impl<O: Oracle + ?Sized> LocalAlgorithm for LocalInference<'_, O> {

@@ -98,18 +98,20 @@ impl<'a, O: Oracle + ?Sized> LocalJvv<'a, O> {
     }
 
     /// The paper's instantiation `ε = 1/n³` (Proposition 4.3), giving
-    /// success probability `1 − O(1/n)`.
+    /// success probability `1 − O(1/n)`. The experiment tables (E4, E6)
+    /// run local-JVV at it to check that claim.
     pub fn paper_epsilon(n: usize) -> f64 {
         1.0 / (n.max(2) as f64).powi(3)
     }
 
     /// The slack factor `s = e^{−3nε}` of the rejection probabilities.
-    pub fn slack(&self, n: usize) -> f64 {
+    fn slack(&self, n: usize) -> f64 {
         (-3.0 * n as f64 * self.eps).exp()
     }
 
     /// The rejection-phase success lower bound `e^{−5n²ε}` (Lemma 4.8
-    /// generalized to arbitrary `ε`).
+    /// generalized to arbitrary `ε`); experiment E4 prints it beside the
+    /// measured success rate.
     pub fn success_lower_bound(&self, n: usize) -> f64 {
         (-5.0 * (n * n) as f64 * self.eps).exp()
     }

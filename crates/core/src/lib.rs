@@ -14,7 +14,6 @@
 //! | Corollary 5.3: per-model exact samplers (matchings, hardcore, colorings, 2-spin, hypergraph matchings) | the `lds-engine` facade ([`regime`] holds the shared checks) |
 //! | Chain-rule counting from inference (the "counting" of the title) | [`counting`] |
 //! | Round-complexity formulas for the applications | [`complexity`] |
-//! | Baselines: global chain-rule sampling, Glauber dynamics | [`baselines`] |
 //! | Local Glauber dynamics (Fischer–Ghaffari, arXiv:1802.06676) as a chromatic-scan backend | [`glauber`] |
 //!
 //! # Quickstart
@@ -44,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod complexity;
 pub mod counting;
 pub mod glauber;

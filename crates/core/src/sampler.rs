@@ -51,13 +51,8 @@ impl<'a, O: Oracle + ?Sized> SequentialSampler<'a, O> {
     }
 
     /// The per-node inference error `δ/n` the oracle is queried with.
-    pub fn per_node_delta(&self, n: usize) -> f64 {
+    fn per_node_delta(&self, n: usize) -> f64 {
         self.delta / n.max(1) as f64
-    }
-
-    /// The output error target `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 
     /// The oracle target of every query on `model`: [`Target::Tv`] at the

@@ -17,7 +17,6 @@
 //! `1 − η`. Locality is untouched — each execution is a LOCAL run — only
 //! the per-node post-processing differs.
 
-use lds_gibbs::Value;
 use lds_localnet::Network;
 use lds_oracle::Oracle;
 use lds_runtime::ThreadPool;
@@ -35,15 +34,6 @@ pub struct SampledMarginals {
     pub rounds: usize,
     /// Number of Monte Carlo executions.
     pub repetitions: usize,
-}
-
-/// Number of repetitions needed for Monte Carlo estimation error `δ_s`
-/// per marginal entry at confidence `1 − η` (Hoeffding + union bound over
-/// `q` entries and `n` nodes).
-pub fn repetitions_for(n: usize, q: usize, delta_s: f64, eta: f64) -> usize {
-    assert!(delta_s > 0.0 && eta > 0.0, "positive error and confidence");
-    let union = (2.0 * (q * n.max(1)) as f64 / eta).ln();
-    (union / (2.0 * delta_s * delta_s)).ceil() as usize
 }
 
 /// Estimates every node's marginal `μ̃_v` by repeated execution of the
@@ -105,14 +95,6 @@ pub fn marginals_by_sampling<O: Oracle + Sync + ?Sized>(
     }
 }
 
-/// The per-value occupation indicator of one execution (used by
-/// experiment tables).
-pub fn indicator(output: Value, q: usize) -> Vec<f64> {
-    let mut e = vec![0.0; q];
-    e[output.index()] = 1.0;
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,12 +104,6 @@ mod tests {
     use lds_graph::generators;
     use lds_localnet::Instance;
     use lds_oracle::{DecayRate, TwoSpinSawOracle};
-
-    #[test]
-    fn repetition_bound_is_monotone() {
-        assert!(repetitions_for(10, 2, 0.01, 0.01) > repetitions_for(10, 2, 0.05, 0.01));
-        assert!(repetitions_for(100, 2, 0.05, 0.01) > repetitions_for(10, 2, 0.05, 0.01));
-    }
 
     #[test]
     fn recovered_marginals_match_exact() {
@@ -150,10 +126,5 @@ mod tests {
         }
         assert!(result.rounds > 0);
         assert_eq!(result.repetitions, 4000);
-    }
-
-    #[test]
-    fn indicator_is_point_mass() {
-        assert_eq!(indicator(Value(1), 3), vec![0.0, 1.0, 0.0]);
     }
 }

@@ -85,7 +85,7 @@ pub fn goodness_of_fit(observed: &[u64], weights: &[f64], min_expected: f64) -> 
 }
 
 /// The chi-square survival function `Pr[χ²_dof ≥ x] = Q(dof/2, x/2)`.
-pub fn chi_square_pvalue(x: f64, dof: usize) -> f64 {
+fn chi_square_pvalue(x: f64, dof: usize) -> f64 {
     if dof == 0 || x <= 0.0 {
         return 1.0;
     }
@@ -93,7 +93,7 @@ pub fn chi_square_pvalue(x: f64, dof: usize) -> f64 {
 }
 
 /// `ln Γ(x)` for `x > 0` (Lanczos, g = 5, accurate to ~1e-13).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma needs a positive argument, got {x}");
     const COEF: [f64; 6] = [
         76.180_091_729_471_46,
@@ -116,7 +116,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// The regularized upper incomplete gamma function `Q(a, x)`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_q domain: a > 0, x >= 0");
     if x == 0.0 {
         return 1.0;

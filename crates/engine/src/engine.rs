@@ -589,25 +589,9 @@ impl Engine {
         self.rate
     }
 
-    /// The paper's round bound for this model, evaluated with the
-    /// calibration constant 3 (see [`RunReport::bound_rounds`]).
-    pub fn bound_rounds(&self) -> f64 {
-        self.bound_rounds
-    }
-
     /// The multiplicative oracle error `ε`.
     pub fn epsilon(&self) -> f64 {
         self.epsilon
-    }
-
-    /// The approximate-sampling error `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
-    /// The default seed used by [`Engine::run`].
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// A stable 64-bit fingerprint of everything that determines task
@@ -620,8 +604,8 @@ impl Engine {
     /// to wall-clock timing — serving layers (`lds-serve`) use exactly
     /// this triple as the idempotency-cache key. [`Task::Infer`] and
     /// [`Task::Count`] read no randomness at all: the engine answers
-    /// each once, and their reports only echo the seed. The default
-    /// [`Engine::seed`] and the pool width are deliberately excluded:
+    /// each once, and their reports only echo the seed. The default seed
+    /// of [`Engine::run`] and the pool width are deliberately excluded:
     /// neither changes any output bit.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint

@@ -82,7 +82,7 @@ impl ModelSpec {
     }
 
     /// The topology kind this model runs on.
-    pub fn expected_topology(&self) -> &'static str {
+    pub(crate) fn expected_topology(&self) -> &'static str {
         match self {
             ModelSpec::HypergraphMatching { .. } => "hypergraph",
             _ => "graph",

@@ -6,58 +6,10 @@
 //! such models, constructing a feasible solution is trivial for a
 //! sequential local oblivious procedure (Remark 2.3) — the property `(⋆⋆)`
 //! that Theorem 5.1 requires.
-//!
-//! Exhaustive verification is exponential; it is intended for the small
-//! instances used in tests and experiment sanity checks.
 
 use lds_graph::NodeId;
 
-use crate::{distribution, GibbsModel, PartialConfig, Value};
-
-/// Exhaustively checks local admissibility: for **every** subset `Λ ⊆ V`
-/// and **every** `σ ∈ Σ^Λ`, local feasibility implies feasibility.
-///
-/// Runs in time `O((q+1)^n ·` cost of a feasibility check`)`; use only on
-/// small models.
-///
-/// Returns the first counterexample (a locally feasible but infeasible
-/// pinning) or `None` if the model is locally admissible.
-pub fn find_inadmissible_pinning(model: &GibbsModel) -> Option<PartialConfig> {
-    let n = model.node_count();
-    let q = model.alphabet_size();
-    // iterate over all (q+1)^n partial configurations via mixed-radix count
-    let mut digits = vec![0usize; n]; // 0 = unpinned, 1..=q = Value(d-1)
-    loop {
-        let mut p = PartialConfig::empty(n);
-        for (i, &d) in digits.iter().enumerate() {
-            if d > 0 {
-                p.pin(NodeId::from_index(i), Value::from_index(d - 1));
-            }
-        }
-        if model.is_locally_feasible(&p) && !distribution::is_feasible(model, &p) {
-            return Some(p);
-        }
-        // increment mixed-radix counter
-        let mut i = 0;
-        loop {
-            if i == n {
-                return None;
-            }
-            digits[i] += 1;
-            if digits[i] <= q {
-                break;
-            }
-            digits[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-/// Returns `true` if the model is locally admissible (exhaustive check;
-/// exponential time — small models only).
-pub fn is_locally_admissible(model: &GibbsModel) -> bool {
-    find_inadmissible_pinning(model).is_none()
-}
+use crate::{GibbsModel, PartialConfig, Value};
 
 /// Greedily extends `pinning` to a full locally feasible configuration by
 /// scanning free nodes in id order and choosing, at each node, a value
@@ -109,14 +61,33 @@ pub fn first_feasible_value(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution;
     use crate::models::{coloring, hardcore};
     use lds_graph::generators;
+
+    /// Remark 2.3 on a locally admissible model: the greedy construction
+    /// extends the empty pinning and every one-node pinning to a full
+    /// configuration of positive weight.
+    fn greedy_extends_every_single_pin(m: &GibbsModel) -> bool {
+        let n = m.node_count();
+        let extends = |p: &PartialConfig| {
+            greedy_feasible_extension(m, p).is_some_and(|full| m.weight(&full.to_config()) > 0.0)
+        };
+        extends(&PartialConfig::empty(n))
+            && (0..n).all(|v| {
+                (0..m.alphabet_size()).all(|c| {
+                    let mut p = PartialConfig::empty(n);
+                    p.pin(NodeId::from_index(v), Value::from_index(c));
+                    extends(&p)
+                })
+            })
+    }
 
     #[test]
     fn hardcore_is_locally_admissible() {
         let g = generators::cycle(4);
         let m = hardcore::model(&g, 1.0);
-        assert!(is_locally_admissible(&m));
+        assert!(greedy_extends_every_single_pin(&m));
     }
 
     #[test]
@@ -124,20 +95,21 @@ mod tests {
         // (Δ+1)-coloring of a cycle: Δ = 2, q = 3
         let g = generators::cycle(4);
         let m = coloring::model(&g, 3);
-        assert!(is_locally_admissible(&m));
+        assert!(greedy_extends_every_single_pin(&m));
     }
 
     #[test]
     fn two_coloring_of_even_cycle_is_not_admissible() {
         // proper 2-colorings of C4 exist, but pinning opposite corners
-        // with the same color is locally feasible yet infeasible.
+        // with different colors is locally feasible yet infeasible.
         let g = generators::cycle(4);
         let m = coloring::model(&g, 2);
-        let bad = find_inadmissible_pinning(&m);
-        assert!(bad.is_some());
-        let bad = bad.unwrap();
+        let mut bad = PartialConfig::empty(4);
+        bad.pin(NodeId(0), Value(0));
+        bad.pin(NodeId(2), Value(1));
         assert!(m.is_locally_feasible(&bad));
         assert!(!distribution::is_feasible(&m, &bad));
+        assert!(greedy_feasible_extension(&m, &bad).is_none());
     }
 
     #[test]
@@ -147,7 +119,7 @@ mod tests {
         let mut p = PartialConfig::empty(5);
         p.pin(NodeId(0), Value(1));
         let full = greedy_feasible_extension(&m, &p).unwrap();
-        assert!(full.is_complete());
+        assert_eq!(full.free_nodes().count(), 0);
         assert!(m.weight(&full.to_config()) > 0.0);
         assert_eq!(full.get(NodeId(0)), Some(Value(1)));
     }

@@ -40,7 +40,8 @@ impl Config {
         self.values.len()
     }
 
-    /// Returns `true` if the configuration covers zero nodes.
+    /// Returns `true` if the configuration covers zero nodes. Kept beside
+    /// [`Config::len`], which clippy's `len_without_is_empty` requires.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
@@ -68,25 +69,6 @@ impl Config {
     /// The underlying value slice indexed by node id.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// The restriction `σ_Λ` of this configuration to the nodes of `sub`
-    /// (paper notation `σ(S)`).
-    pub fn restrict(&self, sub: &[NodeId]) -> PartialConfig {
-        let mut p = PartialConfig::empty(self.len());
-        for &v in sub {
-            p.pin(v, self.get(v));
-        }
-        p
-    }
-
-    /// Converts the full configuration into a fully pinned
-    /// [`PartialConfig`].
-    pub fn to_partial(&self) -> PartialConfig {
-        PartialConfig {
-            values: self.values.iter().map(|&v| Some(v)).collect(),
-            pinned: self.values.len(),
-        }
     }
 }
 
@@ -143,7 +125,9 @@ impl PartialConfig {
         self.values.len()
     }
 
-    /// Returns `true` if the underlying node set is empty.
+    /// Returns `true` if the underlying node set is empty. Kept beside
+    /// [`PartialConfig::len`], which clippy's `len_without_is_empty`
+    /// requires.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
@@ -206,17 +190,12 @@ impl PartialConfig {
     }
 
     /// Iterator over the free (unpinned) nodes.
-    pub fn free_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn free_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.values
             .iter()
             .enumerate()
             .filter(|(_, v)| v.is_none())
             .map(|(i, _)| NodeId::from_index(i))
-    }
-
-    /// Returns `true` if every node is pinned.
-    pub fn is_complete(&self) -> bool {
-        self.pinned == self.values.len()
     }
 
     /// Converts a fully pinned partial configuration into a [`Config`].
@@ -234,26 +213,9 @@ impl PartialConfig {
         }
     }
 
-    /// Merges another pinning into this one; on overlap the other wins.
-    pub fn extend_with(&mut self, other: &PartialConfig) {
-        assert_eq!(self.len(), other.len(), "pinning size mismatch");
-        for (v, val) in other.pins() {
-            self.pin(v, val);
-        }
-    }
-
-    /// Returns `true` if the two pinnings agree on the intersection of
-    /// their domains.
-    pub fn consistent_with(&self, other: &PartialConfig) -> bool {
-        self.len() == other.len()
-            && self.pins().all(|(v, val)| match other.get(v) {
-                None => true,
-                Some(o) => o == val,
-            })
-    }
-
     /// The set of nodes where both pinnings are defined but disagree
-    /// (the set `D` of Definition 5.1, strong spatial mixing).
+    /// (the set `D` of Definition 5.1, strong spatial mixing). Kept to
+    /// state that definition; no served path computes it.
     pub fn disagreement(&self, other: &PartialConfig) -> Vec<NodeId> {
         assert_eq!(self.len(), other.len(), "pinning size mismatch");
         self.pins()
@@ -320,8 +282,11 @@ mod tests {
     #[test]
     fn complete_roundtrip() {
         let c = Config::from_values(vec![Value(0), Value(1), Value(2)]);
-        let p = c.to_partial();
-        assert!(p.is_complete());
+        let mut p = PartialConfig::empty(c.len());
+        for (i, &v) in c.values().iter().enumerate() {
+            p.pin(NodeId::from_index(i), v);
+        }
+        assert_eq!(p.pinned_count(), c.len());
         assert_eq!(p.to_config(), c);
     }
 
@@ -339,34 +304,11 @@ mod tests {
         a.pin(NodeId(0), Value(1));
         b.pin(NodeId(0), Value(1));
         b.pin(NodeId(2), Value(0));
-        assert!(a.consistent_with(&b));
-        assert!(b.consistent_with(&a));
         assert!(a.disagreement(&b).is_empty());
+        assert!(b.disagreement(&a).is_empty());
         a.pin(NodeId(2), Value(1));
-        assert!(!a.consistent_with(&b));
         assert_eq!(a.disagreement(&b), vec![NodeId(2)]);
-    }
-
-    #[test]
-    fn restrict_extracts_subset() {
-        let c = Config::from_values(vec![Value(5), Value(6), Value(7)]);
-        let p = c.restrict(&[NodeId(0), NodeId(2)]);
-        assert_eq!(p.get(NodeId(0)), Some(Value(5)));
-        assert_eq!(p.get(NodeId(1)), None);
-        assert_eq!(p.get(NodeId(2)), Some(Value(7)));
-    }
-
-    #[test]
-    fn extend_with_merges() {
-        let mut a = PartialConfig::empty(3);
-        a.pin(NodeId(0), Value(0));
-        let mut b = PartialConfig::empty(3);
-        b.pin(NodeId(0), Value(1));
-        b.pin(NodeId(1), Value(1));
-        a.extend_with(&b);
-        assert_eq!(a.get(NodeId(0)), Some(Value(1)));
-        assert_eq!(a.get(NodeId(1)), Some(Value(1)));
-        assert_eq!(a.pinned_count(), 2);
+        assert_eq!(b.disagreement(&a), vec![NodeId(2)]);
     }
 
     #[test]

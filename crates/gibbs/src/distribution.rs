@@ -18,7 +18,7 @@ use crate::{Config, GibbsModel, PartialConfig, Value};
 ///
 /// Enumeration assigns nodes in id order and prunes as soon as a completed
 /// factor evaluates to zero.
-pub fn enumerate_feasible(
+fn enumerate_feasible(
     model: &GibbsModel,
     pinning: &PartialConfig,
     mut visit: impl FnMut(&[Value], f64),
@@ -95,13 +95,6 @@ pub fn partition_function(model: &GibbsModel, pinning: &PartialConfig) -> f64 {
     let mut z = 0.0;
     enumerate_feasible(model, pinning, |_, w| z += w);
     z
-}
-
-/// Number of feasible completions of the pinning.
-pub fn feasible_count(model: &GibbsModel, pinning: &PartialConfig) -> usize {
-    let mut c = 0usize;
-    enumerate_feasible(model, pinning, |_, _| c += 1);
-    c
 }
 
 /// Returns `true` if the pinning is feasible with respect to `μ`, i.e. has
@@ -260,7 +253,12 @@ mod tests {
         let z = partition_function(&m, &PartialConfig::empty(4));
         // independent sets of C4: {}, 4 singletons, 2 opposite pairs
         assert!((z - 7.0).abs() < 1e-12);
-        assert_eq!(feasible_count(&m, &PartialConfig::empty(4)), 7);
+        assert_eq!(
+            joint_distribution(&m, &PartialConfig::empty(4))
+                .unwrap()
+                .len(),
+            7
+        );
     }
 
     #[test]

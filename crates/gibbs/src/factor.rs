@@ -70,7 +70,7 @@ impl Factor {
     ///
     /// Panics if `weights.len() != q` (with `q` inferred from the length)
     /// — i.e. never; the length *defines* `q`. Panics on negative entries.
-    pub fn unary(v: NodeId, weights: Vec<f64>) -> Self {
+    pub(crate) fn unary(v: NodeId, weights: Vec<f64>) -> Self {
         let q = weights.len();
         Factor::new(vec![v], q, weights)
     }
@@ -91,7 +91,7 @@ impl Factor {
     }
 
     /// Alphabet size the table is defined over.
-    pub fn alphabet_size(&self) -> usize {
+    pub(crate) fn alphabet_size(&self) -> usize {
         self.q
     }
 
@@ -131,7 +131,7 @@ impl Factor {
     /// # Panics
     ///
     /// Panics if `f` returns `None` for a scope node.
-    pub fn remap(&self, f: impl Fn(NodeId) -> Option<NodeId>) -> Factor {
+    pub(crate) fn remap(&self, f: impl Fn(NodeId) -> Option<NodeId>) -> Factor {
         Factor {
             scope: self
                 .scope
@@ -141,11 +141,6 @@ impl Factor {
             q: self.q,
             table: self.table.clone(),
         }
-    }
-
-    /// The raw table (row-major, first scope node slowest).
-    pub fn table(&self) -> &[f64] {
-        &self.table
     }
 }
 

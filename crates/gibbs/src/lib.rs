@@ -20,13 +20,11 @@
 //!   against.
 //! * [`admissible`] — the *locally admissible* property (Definition 2.5):
 //!   locally feasible pinnings are globally feasible.
-//! * [`markov`] — the spatial Markov property / conditional independence
-//!   (Proposition 2.1).
 //! * [`metrics`] — total variation distance and the multiplicative error
 //!   function `err(μ, μ̂) = max_x |ln μ(x) − ln μ̂(x)|` (paper, eq. (2)).
 //! * [`models`] — the paper's application models: hardcore (weighted
-//!   independent sets), Ising, general 2-spin systems, proper `q`- and
-//!   list-colorings, monomer–dimer matchings (via line-graph duality) and
+//!   independent sets), Ising, general 2-spin systems, proper
+//!   `q`-colorings, monomer–dimer matchings (via line-graph duality) and
 //!   weighted hypergraph matchings (via intersection-graph duality).
 //!
 //! # Example: hardcore model on a 4-cycle
@@ -50,7 +48,6 @@ pub mod admissible;
 mod config;
 pub mod distribution;
 mod factor;
-pub mod markov;
 pub mod metrics;
 mod model;
 pub mod models;

@@ -108,18 +108,13 @@ impl GibbsModel {
 
     /// Indices of factors whose maximum scope node is `v` (for id-ordered
     /// enumeration with early pruning).
-    pub fn factors_completed_at(&self, v: NodeId) -> &[usize] {
+    pub(crate) fn factors_completed_at(&self, v: NodeId) -> &[usize] {
         &self.completed_at[v.index()]
     }
 
     /// The locality `ℓ`: maximum scope diameter in `G` (Definition 2.4).
     pub fn locality(&self) -> usize {
         self.locality
-    }
-
-    /// Human-readable model name (for experiment reports).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// The weight `w(σ) = ∏ f(σ_S)` (paper, eq. (1)).
@@ -130,15 +125,6 @@ impl GibbsModel {
                 f.eval_partial(|v| Some(config.get(v)))
                     .expect("full config")
             })
-            .product()
-    }
-
-    /// Product of all factors whose scope is fully pinned by `p` — the
-    /// onsite weight of Definition 2.5.
-    pub fn partial_weight(&self, p: &PartialConfig) -> f64 {
-        self.factors
-            .iter()
-            .filter_map(|f| f.eval_partial(|v| p.get(v)))
             .product()
     }
 
@@ -257,15 +243,6 @@ mod tests {
         assert!(m.is_locally_feasible(&p));
         p.pin(NodeId(1), Value(1));
         assert!(!m.is_locally_feasible(&p));
-    }
-
-    #[test]
-    fn partial_weight_counts_completed_factors() {
-        let m = hardcore_path3();
-        let mut p = PartialConfig::empty(3);
-        p.pin(NodeId(1), Value(1));
-        // only the unary factor on node 1 is complete
-        assert_eq!(m.partial_weight(&p), 2.0);
     }
 
     #[test]

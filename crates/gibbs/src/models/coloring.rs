@@ -1,4 +1,4 @@
-//! Proper `q`-colorings and list-colorings.
+//! Proper `q`-colorings and their residual color lists.
 //!
 //! The uniform distribution over proper (list-)colorings is the paradigm
 //! example running through the paper: self-reduction pins a partial
@@ -43,29 +43,6 @@ pub fn model(g: &Graph, q: usize) -> GibbsModel {
     assert!(q > 0, "need at least one color");
     let factors = g.edges().iter().map(|e| diff_factor(e.u, e.v, q)).collect();
     GibbsModel::new(g.clone(), q, factors, "coloring")
-}
-
-/// Builds the uniform distribution over proper list-colorings: node `v`
-/// may only receive colors in `lists[v]` (subsets of `0..q`).
-///
-/// # Panics
-///
-/// Panics if `lists.len() != n`, or if some list is empty or mentions a
-/// color `>= q`.
-pub fn list_model(g: &Graph, q: usize, lists: &[Vec<usize>]) -> GibbsModel {
-    assert_eq!(lists.len(), g.node_count(), "one list per vertex");
-    let mut factors: Vec<Factor> = g.edges().iter().map(|e| diff_factor(e.u, e.v, q)).collect();
-    for v in g.nodes() {
-        let list = &lists[v.index()];
-        assert!(!list.is_empty(), "empty color list at {v}");
-        let mut allow = vec![0.0; q];
-        for &c in list {
-            assert!(c < q, "color {c} out of range at {v}");
-            allow[c] = 1.0;
-        }
-        factors.push(Factor::unary(v, allow));
-    }
-    GibbsModel::new(g.clone(), q, factors, "list-coloring")
 }
 
 /// Returns `true` if `config` is a proper coloring of `g`.
@@ -127,20 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn list_coloring_restricts_colors() {
-        let g = generators::path(2);
-        // node 0 may be {0}, node 1 may be {0,1} -> only coloring (0,1)
-        let m = list_model(&g, 2, &[vec![0], vec![0, 1]]);
-        assert_eq!(
-            distribution::feasible_count(&m, &PartialConfig::empty(2)),
-            1
-        );
-        let joint = distribution::joint_distribution(&m, &PartialConfig::empty(2)).unwrap();
-        assert_eq!(joint[0].0.get(NodeId(0)), Value(0));
-        assert_eq!(joint[0].0.get(NodeId(1)), Value(1));
-    }
-
-    #[test]
     fn residual_lists_follow_remark_2_2() {
         let g = generators::path(3);
         let mut tau = PartialConfig::empty(3);
@@ -166,7 +129,7 @@ mod tests {
 
     #[test]
     fn conditioning_matches_list_model() {
-        // pin a color and compare marginals with the residual list model
+        // pin a color: node 1's marginal is uniform on its residual list
         let g = generators::path(3);
         let q = 3;
         let m = model(&g, q);

@@ -44,7 +44,7 @@ pub fn model(g: &Graph, lambda: f64) -> GibbsModel {
 ///
 /// Panics if `activities.len() != n` or any activity is negative or
 /// non-finite.
-pub fn model_with_activities(g: &Graph, activities: &[f64]) -> GibbsModel {
+fn model_with_activities(g: &Graph, activities: &[f64]) -> GibbsModel {
     assert_eq!(activities.len(), g.node_count(), "one activity per vertex");
     assert!(
         activities.iter().all(|l| l.is_finite() && *l >= 0.0),
@@ -125,8 +125,8 @@ mod tests {
         let m = model(&g, 0.0);
         // only the empty set carries positive weight
         assert_eq!(
-            distribution::feasible_count(&m, &PartialConfig::empty(4)),
-            1
+            distribution::partition_function(&m, &PartialConfig::empty(4)),
+            1.0
         );
         let mu = distribution::marginal(&m, &PartialConfig::empty(4), NodeId(0)).unwrap();
         assert_eq!(mu[1], 0.0);

@@ -63,11 +63,6 @@ impl HypergraphMatchingInstance {
         }
     }
 
-    /// The underlying hypergraph `H`.
-    pub fn hypergraph(&self) -> &Hypergraph {
-        &self.hypergraph
-    }
-
     /// The intersection graph; node `i` is hyperedge `HyperEdgeId(i)`.
     pub fn intersection_graph(&self) -> &Graph {
         &self.intersection

@@ -45,25 +45,6 @@ impl IsingParams {
         let b = (2.0 * self.beta).exp();
         TwoSpinParams::new(b, b, (2.0 * self.field).exp())
     }
-
-    /// Returns `true` if antiferromagnetic (`β < 0`).
-    pub fn is_antiferromagnetic(&self) -> bool {
-        self.beta < 0.0
-    }
-
-    /// Uniqueness condition for the antiferromagnetic Ising model on
-    /// graphs of maximum degree `Δ`: `e^{2|β|} < Δ/(Δ−2)`.
-    ///
-    /// Ferromagnetic parameters (`β ≥ 0`) return `true` only when the same
-    /// bound holds (the symmetric condition), matching the tree-uniqueness
-    /// criterion `e^{2|β|} < Δ/(Δ−2)` for `Δ ≥ 3`; for `Δ ≤ 2`
-    /// uniqueness always holds.
-    pub fn is_unique(&self, delta: usize) -> bool {
-        if delta <= 2 {
-            return true;
-        }
-        (2.0 * self.beta.abs()).exp() < delta as f64 / (delta as f64 - 2.0)
-    }
 }
 
 /// Builds the Ising model on `g` via its two-spin representation.
@@ -128,16 +109,5 @@ mod tests {
         let m = model(&g, IsingParams::new(0.0, 0.3));
         let mu = distribution::marginal(&m, &PartialConfig::empty(2), NodeId(0)).unwrap();
         assert!(mu[1] > 0.5);
-    }
-
-    #[test]
-    fn uniqueness_threshold() {
-        // Δ=4: unique iff e^{2|β|} < 2, i.e. |β| < ln(2)/2 ≈ 0.3466
-        let unique = IsingParams::new(-0.3, 0.0);
-        let nonunique = IsingParams::new(-0.4, 0.0);
-        assert!(unique.is_unique(4));
-        assert!(!nonunique.is_unique(4));
-        // degree ≤ 2 always unique
-        assert!(nonunique.is_unique(2));
     }
 }

@@ -35,7 +35,6 @@ use crate::{Config, GibbsModel, Value};
 #[derive(Clone, Debug)]
 pub struct MatchingInstance {
     base: Graph,
-    line: LineGraph,
     model: GibbsModel,
 }
 
@@ -56,19 +55,8 @@ impl MatchingInstance {
         );
         MatchingInstance {
             base: g.clone(),
-            line,
             model,
         }
-    }
-
-    /// The base graph `G`.
-    pub fn base(&self) -> &Graph {
-        &self.base
-    }
-
-    /// The line graph `L(G)`; its node `i` is base edge `EdgeId(i)`.
-    pub fn line(&self) -> &LineGraph {
-        &self.line
     }
 
     /// The hardcore model over `L(G)` representing the matching

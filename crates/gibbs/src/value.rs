@@ -65,12 +65,6 @@ impl Alphabet {
         Alphabet { q }
     }
 
-    /// The binary alphabet `{0, 1}` used by spin systems (0 = unoccupied /
-    /// minus, 1 = occupied / plus).
-    pub fn binary() -> Self {
-        Alphabet { q: 2 }
-    }
-
     /// Alphabet size `q = |Σ|`.
     #[inline]
     pub fn size(&self) -> usize {
@@ -110,7 +104,8 @@ mod tests {
 
     #[test]
     fn binary_alphabet() {
-        let b = Alphabet::binary();
+        // spin systems use {0, 1}: 0 = unoccupied / minus, 1 = occupied / plus
+        let b = Alphabet::new(2);
         assert_eq!(b.size(), 2);
         assert!(b.contains(OCCUPIED));
         assert!(b.contains(EMPTY));

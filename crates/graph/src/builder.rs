@@ -35,16 +35,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Number of nodes the built graph will have.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// # Panics
@@ -84,11 +74,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Returns `true` if the edge `{u, v}` has been added.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.seen.contains(&Edge::new(u, v))
-    }
-
     /// Finalizes the builder into a [`Graph`].
     pub fn build(self) -> Graph {
         Graph::from_parts(self.n, self.edges)
@@ -104,9 +89,8 @@ mod tests {
         let mut b = GraphBuilder::new(4);
         b.add_edge(NodeId(0), NodeId(1))
             .add_edge(NodeId(2), NodeId(3));
-        assert_eq!(b.edge_count(), 2);
-        assert!(b.has_edge(NodeId(1), NodeId(0)));
         let g = b.build();
+        assert!(g.has_edge(NodeId(1), NodeId(0)));
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 2);
     }
@@ -131,6 +115,6 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         assert!(b.try_add_edge(NodeId(0), NodeId(1)));
         assert!(!b.try_add_edge(NodeId(1), NodeId(0)));
-        assert_eq!(b.edge_count(), 1);
+        assert_eq!(b.build().edge_count(), 1);
     }
 }

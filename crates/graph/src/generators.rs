@@ -1,8 +1,8 @@
 //! Graph families used as experiment workloads.
 //!
 //! Deterministic families (paths, cycles, grids, tori, complete graphs,
-//! balanced trees, hypercubes, stars) and random families (Erdős–Rényi,
-//! random Δ-regular via the configuration model, random bipartite). The
+//! balanced trees, stars) and random families (Erdős–Rényi and random
+//! Δ-regular via the configuration model). The
 //! paper's applications are evaluated on bounded-degree graphs; tori and
 //! random regular graphs are the canonical such workloads, and balanced
 //! Δ-ary trees witness the uniqueness/non-uniqueness phase transition.
@@ -123,21 +123,6 @@ pub fn balanced_tree(arity: usize, depth: usize) -> Graph {
     b.build()
 }
 
-/// `d`-dimensional hypercube `Q_d` on `2^d` nodes.
-pub fn hypercube(d: usize) -> Graph {
-    let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..d {
-            let w = v ^ (1 << bit);
-            if v < w {
-                b.add_edge(NodeId::from_index(v), NodeId::from_index(w));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Erdős–Rényi `G(n, p)`: each pair is an edge independently with
 /// probability `p`.
 pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
@@ -184,22 +169,6 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
         }
         return b.build();
     }
-}
-
-/// Random bipartite graph on parts of sizes `left` and `right`; each
-/// cross pair is an edge independently with probability `p`. Left nodes get
-/// ids `0..left`, right nodes `left..left+right`. Always triangle-free.
-pub fn random_bipartite<R: Rng + ?Sized>(left: usize, right: usize, p: f64, rng: &mut R) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    let mut b = GraphBuilder::new(left + right);
-    for i in 0..left {
-        for j in 0..right {
-            if rng.gen_bool(p) {
-                b.add_edge(NodeId::from_index(i), NodeId::from_index(left + j));
-            }
-        }
-    }
-    b.build()
 }
 
 #[cfg(test)]
@@ -254,18 +223,12 @@ mod tests {
         assert_eq!(g.node_count(), 15);
         assert_eq!(g.edge_count(), 14);
         assert_eq!(g.degree(NodeId(0)), 2);
-        assert!(traversal::is_connected(&g));
+        assert!(traversal::bfs_distances(&g, NodeId(0))
+            .iter()
+            .all(|&d| d != traversal::UNREACHABLE));
         assert_eq!(traversal::eccentricity(&g, NodeId(0)), 3);
         // leaves have degree 1
         assert_eq!(g.degree(NodeId(14)), 1);
-    }
-
-    #[test]
-    fn hypercube_is_d_regular() {
-        let g = hypercube(4);
-        assert_eq!(g.node_count(), 16);
-        assert!(g.nodes().all(|v| g.degree(v) == 4));
-        assert_eq!(traversal::diameter(&g), 4);
     }
 
     #[test]
@@ -285,12 +248,5 @@ mod tests {
             assert_eq!(g.node_count(), n);
             assert!(g.nodes().all(|v| g.degree(v) == d), "n={n} d={d}");
         }
-    }
-
-    #[test]
-    fn random_bipartite_is_triangle_free() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = random_bipartite(6, 7, 0.5, &mut rng);
-        assert!(g.is_triangle_free());
     }
 }

@@ -12,7 +12,7 @@ pub struct EdgeId(pub u32);
 impl EdgeId {
     /// Returns the id as a `usize` index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -54,33 +54,13 @@ impl Edge {
     /// # Panics
     ///
     /// Panics if `u == v` (self-loops are not allowed in simple graphs).
-    pub fn new(u: NodeId, v: NodeId) -> Self {
+    pub(crate) fn new(u: NodeId, v: NodeId) -> Self {
         assert_ne!(u, v, "self-loop {u}-{v} not allowed in a simple graph");
         if u < v {
             Edge { u, v }
         } else {
             Edge { u: v, v: u }
         }
-    }
-
-    /// Returns the endpoint different from `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not an endpoint of this edge.
-    pub fn other(&self, w: NodeId) -> NodeId {
-        if w == self.u {
-            self.v
-        } else if w == self.v {
-            self.u
-        } else {
-            panic!("{w} is not an endpoint of {self:?}")
-        }
-    }
-
-    /// Returns `true` if `w` is an endpoint of this edge.
-    pub fn contains(&self, w: NodeId) -> bool {
-        w == self.u || w == self.v
     }
 }
 
@@ -263,20 +243,6 @@ impl Graph {
         self.adj[lo..hi].binary_search(&v).is_ok()
     }
 
-    /// The id of the edge `{u, v}`, if present.
-    pub fn edge_id(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let (lo, hi) = self.range(u);
-        self.adj[lo..hi]
-            .binary_search(&v)
-            .ok()
-            .map(|k| self.adj_edge[lo + k])
-    }
-
-    /// Returns `true` if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.node_count() == 0
-    }
-
     /// Checks whether the vertex set `s` induces a triangle-free subgraph
     /// equal to the whole graph (`s = V` case used by the colorings
     /// application, Corollary 5.3).
@@ -345,8 +311,7 @@ mod tests {
         let g = square();
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
-        assert!(!g.is_empty());
-        assert!(Graph::from_edges(0, []).is_empty());
+        assert_eq!(Graph::from_edges(0, []).node_count(), 0);
     }
 
     #[test]
@@ -363,7 +328,10 @@ mod tests {
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(g.has_edge(NodeId(1), NodeId(0)));
         assert!(!g.has_edge(NodeId(0), NodeId(2)));
-        let e = g.edge_id(NodeId(3), NodeId(0)).unwrap();
+        let (_, e) = g
+            .incident(NodeId(3))
+            .find(|&(nb, _)| nb == NodeId(0))
+            .unwrap();
         assert_eq!(g.edge(e), Edge::new(NodeId(0), NodeId(3)));
     }
 
@@ -372,9 +340,7 @@ mod tests {
         let g = square();
         for v in g.nodes() {
             for (nb, eid) in g.incident(v) {
-                let e = g.edge(eid);
-                assert!(e.contains(v) && e.contains(nb));
-                assert_eq!(e.other(v), nb);
+                assert_eq!(g.edge(eid), Edge::new(v, nb));
             }
         }
     }
@@ -384,8 +350,7 @@ mod tests {
         let e = Edge::new(NodeId(5), NodeId(2));
         assert_eq!(e.u, NodeId(2));
         assert_eq!(e.v, NodeId(5));
-        assert_eq!(e.other(NodeId(2)), NodeId(5));
-        assert_eq!(e.other(NodeId(5)), NodeId(2));
+        assert_eq!(Edge::new(NodeId(2), NodeId(5)), e);
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub struct HyperEdgeId(pub u32);
 impl HyperEdgeId {
     /// Returns the id as a `usize` index.
     #[inline]
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -148,7 +148,8 @@ impl Hypergraph {
 
     /// Random `r`-uniform hypergraph: `m` hyperedges, each a uniformly
     /// random `r`-subset of the vertices (duplicates between hyperedges
-    /// allowed, as in the standard model).
+    /// allowed, as in the standard model). Experiment E6e samples
+    /// Corollary 5.3's weighted hypergraph matchings on these.
     ///
     /// # Panics
     ///

@@ -8,12 +8,11 @@
 //! * [`GraphBuilder`] — incremental construction with duplicate/loop
 //!   rejection.
 //! * [`generators`] — deterministic families (paths, cycles, grids, tori,
-//!   complete graphs, balanced trees, hypercubes) and random families
-//!   (Erdős–Rényi, random Δ-regular, random bipartite) used as experiment
-//!   workloads.
-//! * [`traversal`] — BFS distances, balls `B_r(v)`, spheres, eccentricity,
-//!   diameter and connected components; these implement the paper's
-//!   radius-`t` information gathering.
+//!   complete graphs, balanced trees) and random families (Erdős–Rényi,
+//!   random Δ-regular) used as experiment workloads.
+//! * [`traversal`] — BFS distances, balls `B_r(v)`, spheres, eccentricity
+//!   and diameter; these implement the paper's radius-`t` information
+//!   gathering.
 //! * [`Subgraph`] — induced subgraphs with node mappings back to the parent
 //!   (the "view" extraction primitive).
 //! * [`power`] — power graphs `G^k` (needed by the SLOCAL→LOCAL
@@ -23,7 +22,6 @@
 //!   constant factor).
 //! * [`Hypergraph`] — hypergraphs and their intersection graphs (weighted
 //!   hypergraph matchings, Corollary 5.3).
-//! * [`coloring`] — greedy proper colorings (chromatic scheduling).
 //! * [`ordering`] — vertex orderings (identity, random, degeneracy,
 //!   BFS-adversarial) used as the adversarial SLOCAL scan orders.
 //!
@@ -43,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-pub mod coloring;
 pub mod generators;
 mod graph;
 mod hypergraph;

@@ -71,7 +71,8 @@ impl Subgraph {
         self.parent.len()
     }
 
-    /// Returns `true` if the subgraph has no nodes.
+    /// Returns `true` if the subgraph has no nodes. Kept beside
+    /// [`Subgraph::len`], which clippy's `len_without_is_empty` requires.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }
@@ -93,12 +94,6 @@ impl Subgraph {
     /// Returns `true` if `parent` is a member of the subgraph.
     pub fn contains(&self, parent: NodeId) -> bool {
         self.local.contains_key(&parent)
-    }
-
-    /// The member list in local-id order (i.e. `members()[i]` is the parent
-    /// id of local node `i`).
-    pub fn members(&self) -> &[NodeId] {
-        &self.parent
     }
 }
 

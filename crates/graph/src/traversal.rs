@@ -1,4 +1,4 @@
-//! BFS-based traversal: distances, balls, spheres, diameter, components.
+//! BFS-based traversal: distances, balls, spheres, diameter.
 //!
 //! These primitives realize the paper's notation `dist_G(u, v)`,
 //! `B_r(v) = {u | dist_G(u,v) ≤ r}` and `dist_G(v, S)` (Section 2,
@@ -23,7 +23,7 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 /// Multi-source BFS: `d[v] = dist_G(v, S)` for the source set `S`.
 ///
 /// Matches the paper's `dist_G(v, S) = min_{u in S} dist_G(u, v)`.
-pub fn multi_source_distances(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
+fn multi_source_distances(g: &Graph, sources: &[NodeId]) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.node_count()];
     let mut queue = VecDeque::new();
     for &s in sources {
@@ -87,7 +87,7 @@ pub fn sphere(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
 }
 
 /// Eccentricity of `v`: max distance to any reachable node.
-pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
+pub(crate) fn eccentricity(g: &Graph, v: NodeId) -> u32 {
     bfs_distances(g, v)
         .into_iter()
         .filter(|&d| d != UNREACHABLE)
@@ -100,37 +100,6 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> u32 {
 /// diameter over connected components.
 pub fn diameter(g: &Graph) -> u32 {
     g.nodes().map(|v| eccentricity(g, v)).max().unwrap_or(0)
-}
-
-/// Connected components; returns `comp[v] = component index` and the number
-/// of components. Component indices are assigned in order of smallest
-/// member id.
-pub fn connected_components(g: &Graph) -> (Vec<u32>, usize) {
-    let mut comp = vec![UNREACHABLE; g.node_count()];
-    let mut next = 0u32;
-    for v in g.nodes() {
-        if comp[v.index()] != UNREACHABLE {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        comp[v.index()] = next;
-        queue.push_back(v);
-        while let Some(u) = queue.pop_front() {
-            for &w in g.neighbors(u) {
-                if comp[w.index()] == UNREACHABLE {
-                    comp[w.index()] = next;
-                    queue.push_back(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next as usize)
-}
-
-/// Returns `true` if the graph is connected (vacuously true when empty).
-pub fn is_connected(g: &Graph) -> bool {
-    g.is_empty() || connected_components(g).1 == 1
 }
 
 #[cfg(test)]
@@ -187,14 +156,11 @@ mod tests {
     #[test]
     fn components_of_disconnected_graph() {
         let g = Graph::from_edges(5, [(0, 1), (2, 3)]);
-        let (comp, k) = connected_components(&g);
-        assert_eq!(k, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[4], comp[0]);
-        assert!(!is_connected(&g));
-        assert!(is_connected(&generators::cycle(4)));
+        let d = bfs_distances(&g, NodeId(0));
+        assert_eq!(d, vec![0, 1, UNREACHABLE, UNREACHABLE, UNREACHABLE]);
+        assert_eq!(eccentricity(&g, NodeId(4)), 0);
+        // the diameter ignores unreachable pairs
+        assert_eq!(diameter(&g), 1);
     }
 
     use crate::Graph;

@@ -91,13 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn greedy_coloring_is_always_proper(g in arb_graph()) {
-        let c = lds_graph::coloring::greedy_coloring_by_id(&g);
-        prop_assert!(lds_graph::coloring::is_proper_coloring(&g, &c));
-        prop_assert!(lds_graph::coloring::color_count(&c) <= g.max_degree() + 1);
-    }
-
-    #[test]
     fn orderings_are_permutations(g in arb_graph(), seed in any::<u64>()) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -92,17 +92,6 @@ impl Instance {
     pub fn node_count(&self) -> usize {
         self.model.node_count()
     }
-
-    /// Returns a new instance with extra pins merged in (the
-    /// self-reduction `τ ∧ σ`); no feasibility re-check is performed.
-    pub fn with_pins(&self, extra: &PartialConfig) -> Instance {
-        let mut pinning = self.pinning.clone();
-        pinning.extend_with(extra);
-        Instance {
-            model: self.model.clone(),
-            pinning,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,16 +119,5 @@ mod tests {
         let err = Instance::new(hardcore::model(&g, 1.0), tau).unwrap_err();
         assert_eq!(err, InfeasiblePinning);
         assert!(err.to_string().contains("constraint"));
-    }
-
-    #[test]
-    fn with_pins_merges() {
-        let g = generators::path(3);
-        let inst = Instance::unconditioned(hardcore::model(&g, 1.0));
-        let mut extra = PartialConfig::empty(3);
-        extra.pin(NodeId(1), Value(0));
-        let inst2 = inst.with_pins(&extra);
-        assert_eq!(inst2.pinning().pinned_count(), 1);
-        assert_eq!(inst.pinning().pinned_count(), 0);
     }
 }

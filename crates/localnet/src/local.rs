@@ -31,22 +31,13 @@ impl<T> NodeOutcome<T> {
             failed: false,
         }
     }
-
-    /// A failed outcome (the value is still reported; callers condition on
-    /// success).
-    pub fn failed(value: T) -> Self {
-        NodeOutcome {
-            value,
-            failed: true,
-        }
-    }
 }
 
 /// A LOCAL algorithm: a radius and a per-node computation on views.
 ///
 /// Determinism discipline: `run_at` must be a pure function of the view
 /// (which includes member seeds); all randomness must come from
-/// [`View::member_rng`]. The runner never gives a node anything outside
+/// [`View::member_seed`]. The runner never gives a node anything outside
 /// its radius-`t` ball, so locality is enforced by construction.
 pub trait LocalAlgorithm {
     /// Per-node output type.
@@ -75,11 +66,6 @@ impl<T> LocalRun<T> {
     /// Returns `true` if no node failed.
     pub fn succeeded(&self) -> bool {
         self.failures.iter().all(|&f| !f)
-    }
-
-    /// Number of failed nodes.
-    pub fn failure_count(&self) -> usize {
-        self.failures.iter().filter(|&&f| f).count()
     }
 }
 
@@ -122,7 +108,7 @@ mod tests {
         }
 
         fn run_at(&self, view: &View) -> NodeOutcome<usize> {
-            NodeOutcome::ok(view.subgraph().len())
+            NodeOutcome::ok(view.model().node_count())
         }
     }
 
@@ -141,7 +127,7 @@ mod tests {
         assert!(run.outputs.iter().all(|&c| c == 5));
         assert!(run.succeeded());
         assert_eq!(run.rounds, 2);
-        assert_eq!(run.failure_count(), 0);
+        assert_eq!(run.failures.iter().filter(|&&f| f).count(), 0);
     }
 
     /// An algorithm that fails at odd nodes — exercises failure plumbing.
@@ -155,11 +141,10 @@ mod tests {
         }
 
         fn run_at(&self, view: &View) -> NodeOutcome<u32> {
-            let id = view.center().0;
-            if id % 2 == 1 {
-                NodeOutcome::failed(id)
-            } else {
-                NodeOutcome::ok(id)
+            let id = view.subgraph().to_parent(view.center_local()).0;
+            NodeOutcome {
+                value: id,
+                failed: id % 2 == 1,
             }
         }
     }
@@ -168,7 +153,7 @@ mod tests {
     fn failures_are_reported_per_node() {
         let run = run_local(&net(), &OddFails);
         assert!(!run.succeeded());
-        assert_eq!(run.failure_count(), 5);
+        assert_eq!(run.failures.iter().filter(|&&f| f).count(), 5);
         assert!(run.failures[1] && !run.failures[2]);
     }
 
@@ -183,8 +168,9 @@ mod tests {
         }
 
         fn run_at(&self, view: &View) -> NodeOutcome<u64> {
-            use rand::Rng;
-            let mut rng = view.member_rng(view.center_local());
+            use rand::{Rng, SeedableRng};
+            let seed = view.member_seed(view.center_local());
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             NodeOutcome::ok(rng.gen())
         }
     }

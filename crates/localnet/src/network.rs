@@ -69,7 +69,7 @@ impl Network {
     }
 
     /// The master seed of this execution.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -90,25 +90,14 @@ impl Network {
     }
 
     /// Gathers the radius-`t` view of node `v`: ball topology, restricted
-    /// model `w_B`, restricted pinning, member seeds (stream 0 seeds are
-    /// derivable from the view by re-deriving with the member ids, so we
-    /// expose member ids and the master seed through the view).
+    /// model `w_B`, restricted pinning and member seeds (stream 0).
     pub fn view(&self, v: NodeId, t: usize) -> View {
         let mut members = traversal::ball(self.instance.model().graph(), v, t);
         // Local ids are assigned in increasing global-id order so that
         // id-based tie-breaking inside a view matches the global graph
         // (the unique IDs are part of the gathered information).
         members.sort_unstable();
-        View::build(self, v, t, &members)
-    }
-
-    /// Returns a new network with extra pins merged into the pinning (the
-    /// local self-reduction step); randomness is unchanged.
-    pub fn with_pins(&self, extra: &lds_gibbs::PartialConfig) -> Network {
-        Network {
-            instance: Arc::new(self.instance.with_pins(extra)),
-            seed: self.seed,
-        }
+        View::build(self, v, &members)
     }
 }
 

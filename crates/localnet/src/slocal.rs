@@ -195,12 +195,6 @@ pub fn multipass_locality(pass_localities: &[usize]) -> usize {
     }
 }
 
-/// Locality after allowing writes into neighbors' memories within radius
-/// `w` (paper, Lemma 4.4(1)): reads of radius `r` become `r + w`.
-pub fn write_radius_locality(read: usize, write: usize) -> usize {
-    read + write
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,10 +245,5 @@ mod tests {
         assert_eq!(multipass_locality(&[]), 0);
         assert_eq!(multipass_locality(&[3]), 3);
         assert_eq!(multipass_locality(&[3, 2, 1]), 3 + 2 * 3);
-    }
-
-    #[test]
-    fn write_radius_adds() {
-        assert_eq!(write_radius_locality(4, 2), 6);
     }
 }

@@ -1,34 +1,27 @@
 use lds_gibbs::{GibbsModel, PartialConfig};
 use lds_graph::{traversal, NodeId, Subgraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::Network;
 
 /// The radius-`t` view of a node in the LOCAL model: everything node `v`
 /// learns by gathering all information within distance `t` — the ball's
 /// topology, the local constraints fully inside it, the pinned values of
-/// its members, their private randomness, and the globally known
-/// parameters (`n` and the master seed).
+/// its members and their private randomness.
 ///
 /// All node ids inside a view are *local* ids of the induced
 /// [`Subgraph`]; translate with [`View::subgraph`].
 #[derive(Clone, Debug)]
 pub struct View {
-    center_global: NodeId,
     center_local: NodeId,
-    radius: usize,
     sub: Subgraph,
     model: GibbsModel,
     pinning: PartialConfig,
     seeds: Vec<u64>,
     distances: Vec<u32>,
-    n_global: usize,
-    master_seed: u64,
 }
 
 impl View {
-    pub(crate) fn build(net: &Network, center: NodeId, t: usize, members: &[NodeId]) -> View {
+    pub(crate) fn build(net: &Network, center: NodeId, members: &[NodeId]) -> View {
         let (model, sub) = net.instance().model().restrict_to(members);
         let pinning = GibbsModel::localize_pinning(&sub, net.instance().pinning());
         let seeds = members.iter().map(|&v| net.node_seed(v, 0)).collect();
@@ -36,32 +29,18 @@ impl View {
         // distance from center, clipped to the ball
         let distances = members.iter().map(|&v| global_dist[v.index()]).collect();
         View {
-            center_global: center,
             center_local: sub.to_local(center).expect("center is a member"),
-            radius: t,
             sub,
             model,
             pinning,
             seeds,
             distances,
-            n_global: net.node_count(),
-            master_seed: net.seed(),
         }
-    }
-
-    /// The global id of the view's center.
-    pub fn center(&self) -> NodeId {
-        self.center_global
     }
 
     /// The local id of the center inside [`View::subgraph`].
     pub fn center_local(&self) -> NodeId {
         self.center_local
-    }
-
-    /// The gather radius `t`.
-    pub fn radius(&self) -> usize {
-        self.radius
     }
 
     /// The ball `B_t(v)` as an induced subgraph with id mapping.
@@ -85,35 +64,9 @@ impl View {
         self.seeds[local.index()]
     }
 
-    /// An RNG for the member with the given local id.
-    pub fn member_rng(&self, local: NodeId) -> StdRng {
-        StdRng::seed_from_u64(self.seeds[local.index()])
-    }
-
     /// Distance of a member (local id) from the center.
     pub fn distance(&self, local: NodeId) -> u32 {
         self.distances[local.index()]
-    }
-
-    /// Local ids of members at distance exactly `radius` from the center
-    /// whose *global* neighborhood may extend beyond the view — the
-    /// frontier `Γ`-candidates of the paper's local computations.
-    pub fn boundary(&self) -> Vec<NodeId> {
-        (0..self.sub.len())
-            .map(NodeId::from_index)
-            .filter(|&l| self.distances[l.index()] as usize == self.radius)
-            .collect()
-    }
-
-    /// The globally known network size `n` (paper: every node knows a
-    /// polynomial upper bound on `n`).
-    pub fn global_node_count(&self) -> usize {
-        self.n_global
-    }
-
-    /// The master seed (globally known public randomness).
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
     }
 }
 
@@ -146,10 +99,10 @@ mod tests {
     fn boundary_is_sphere() {
         let net = network();
         let view = net.view(NodeId(0), 2);
-        let boundary: Vec<NodeId> = view
-            .boundary()
-            .iter()
-            .map(|&l| view.subgraph().to_parent(l))
+        let boundary: Vec<NodeId> = (0..view.model().node_count())
+            .map(NodeId::from_index)
+            .filter(|&l| view.distance(l) == 2)
+            .map(|l| view.subgraph().to_parent(l))
             .collect();
         let mut sorted = boundary.clone();
         sorted.sort_unstable();
@@ -160,7 +113,7 @@ mod tests {
     fn member_seeds_match_network_seeds() {
         let net = network();
         let view = net.view(NodeId(5), 2);
-        for l in 0..view.subgraph().len() {
+        for l in 0..view.model().node_count() {
             let local = NodeId::from_index(l);
             let global = view.subgraph().to_parent(local);
             assert_eq!(view.member_seed(local), net.node_seed(global, 0));
@@ -174,15 +127,5 @@ mod tests {
         assert_eq!(view.distance(view.center_local()), 0);
         let l = view.subgraph().to_local(NodeId(7)).unwrap();
         assert_eq!(view.distance(l), 1);
-    }
-
-    #[test]
-    fn global_knowledge_is_exposed() {
-        let net = network();
-        let view = net.view(NodeId(1), 1);
-        assert_eq!(view.global_node_count(), 8);
-        assert_eq!(view.master_seed(), 99);
-        assert_eq!(view.radius(), 1);
-        assert_eq!(view.center(), NodeId(1));
     }
 }

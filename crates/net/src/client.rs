@@ -143,7 +143,7 @@ enum Attempt {
 }
 
 /// A deterministic retry/backoff/timeout policy for
-/// [`Client::call_retrying`].
+/// [`Client::run_retrying`].
 ///
 /// Retrying `Op::Run` is safe because the server's idempotency cache
 /// keys on `(fingerprint, task, seed)` with at-most-one execution: a
@@ -263,7 +263,7 @@ impl Client {
     /// Strict request/response: send one op, wait for its answer,
     /// verify the id, and surface server-side errors as
     /// [`ClientError::Server`].
-    pub fn call(&mut self, op: Op) -> Result<Reply, ClientError> {
+    fn call(&mut self, op: Op) -> Result<Reply, ClientError> {
         let id = self.send(op)?;
         let resp = self.recv()?;
         if resp.id != id {
@@ -300,7 +300,7 @@ impl Client {
     /// pushback) are retried under `policy` — reconnecting first when
     /// the connection's state is unknown — with deterministic jittered
     /// backoff. Terminal errors surface immediately.
-    pub fn call_retrying(&mut self, op: Op, policy: &RetryPolicy) -> Result<Reply, ClientError> {
+    fn call_retrying(&mut self, op: Op, policy: &RetryPolicy) -> Result<Reply, ClientError> {
         let call_index = self.calls_started;
         self.calls_started += 1;
         let started = Instant::now();

@@ -90,28 +90,13 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32`, little-endian.
-    pub fn put_u32(&mut self, v: u32) {
+    fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -136,7 +121,7 @@ impl Writer {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -155,12 +140,12 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader over `buf`, positioned at the start.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -177,38 +162,33 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CodecError> {
+    fn get_u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a `u64` and checks it fits the local `usize`.
-    pub fn get_usize(&mut self) -> Result<usize, CodecError> {
+    pub(crate) fn get_usize(&mut self) -> Result<usize, CodecError> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| CodecError::Malformed(format!("{v} overflows usize")))
     }
 
     /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a `bool`; any byte other than `0`/`1` is malformed.
-    pub fn get_bool(&mut self) -> Result<bool, CodecError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, CodecError> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -220,7 +200,7 @@ impl<'a> Reader<'a> {
     /// elements of at least `min_elem_bytes` each must fit in the bytes
     /// remaining. This is the allocation guard — call it before any
     /// `Vec::with_capacity`.
-    pub fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
+    fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let len = self.get_usize()?;
         let need = len.checked_mul(min_elem_bytes.max(1)).ok_or_else(|| {
             CodecError::Malformed(format!("length {len} overflows byte accounting"))
@@ -235,7 +215,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
+    pub(crate) fn get_str(&mut self) -> Result<&'a str, CodecError> {
         let len = self.get_len(1)?;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|e| CodecError::Malformed(format!("utf-8: {e}")))
@@ -963,7 +943,6 @@ mod tests {
     fn primitives_round_trip() {
         let mut w = Writer::new();
         w.put_u8(7);
-        w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(u64::MAX);
         w.put_f64(f64::NAN);
@@ -972,7 +951,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         // NaN survives bit-exactly — the text path would lose it

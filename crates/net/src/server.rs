@@ -49,15 +49,15 @@ const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// its connection instead of wedging a writer.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Bound on queued-but-unwritten responses per connection.
+const SESSION_QUEUE_CAPACITY: usize = 64;
+
 /// Tuning knobs of a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// Cap on frame payload length, both directions
     /// (default [`DEFAULT_MAX_FRAME_LEN`]).
     pub max_frame_len: u32,
-    /// Bound on queued-but-unwritten responses per connection
-    /// (default 64).
-    pub session_queue_capacity: usize,
     /// The engine registry configuration (tenant capacity, per-tenant
     /// server template).
     pub registry: RegistryConfig,
@@ -67,7 +67,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            session_queue_capacity: 64,
             registry: RegistryConfig::default(),
         }
     }
@@ -259,7 +258,7 @@ fn session(
         Ok(s) => s,
         Err(_) => return,
     };
-    let (tx, rx) = channel::bounded::<Outgoing>(cfg.session_queue_capacity.max(1));
+    let (tx, rx) = channel::bounded::<Outgoing>(SESSION_QUEUE_CAPACITY);
     let writer = {
         let cfg = Arc::clone(&cfg);
         thread::spawn(move || writer_loop(stream, rx, cfg))

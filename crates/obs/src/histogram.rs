@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -87,11 +87,6 @@ impl Histogram {
     /// Records a [`std::time::Duration`] in nanoseconds.
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of the bucket counts. Concurrent recordings
@@ -171,15 +166,6 @@ impl HistogramSnapshot {
         }
         self.buckets.last().map(|&(v, _)| v).unwrap_or(0)
     }
-
-    /// Mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +225,7 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.quantile(0.5), 0);
-        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.sum, 0);
         assert!(s.buckets.is_empty());
     }
 
@@ -257,7 +243,7 @@ mod tests {
         assert_eq!(merged_snapshot(&[&a, &b]), both.snapshot());
         a.absorb(&b);
         assert_eq!(a.snapshot(), both.snapshot());
-        assert_eq!(a.count(), both.count());
+        assert_eq!(a.snapshot().count, both.snapshot().count);
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl RoundObservation {
     }
 
     /// `true` when the observation breaks its kind's rule.
-    pub fn violates(&self) -> bool {
+    fn violates(&self) -> bool {
         match self.kind {
             ObservableKind::ChromaticRounds => self.measured > self.bound,
             ObservableKind::GlauberSweeps => self.measured != self.bound,
@@ -86,14 +86,9 @@ pub struct RoundLedger {
 const RETAINED: usize = 4096;
 
 impl RoundLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        RoundLedger::default()
-    }
-
     /// Records one observation; returns `false` (and counts a
     /// violation) when it breaks its bound.
-    pub fn record(&self, obs: RoundObservation) -> bool {
+    fn record(&self, obs: RoundObservation) -> bool {
         let ok = !obs.violates();
         self.recorded.fetch_add(1, Ordering::Relaxed);
         if !ok {
@@ -131,7 +126,7 @@ impl RoundLedger {
     }
 
     /// Observations that broke their bound so far.
-    pub fn violations(&self) -> u64 {
+    fn violations(&self) -> u64 {
         self.violations.load(Ordering::Relaxed)
     }
 
@@ -176,7 +171,7 @@ mod tests {
 
     #[test]
     fn within_bound_observations_are_clean() {
-        let ledger = RoundLedger::new();
+        let ledger = RoundLedger::default();
         assert!(ledger.record_rounds("hardcore", 40, 64.0));
         assert!(ledger.record_rounds("ising", 64, 64.0)); // boundary is ok
         assert!(ledger.record_sweeps("glauber", 12, 12));
@@ -189,7 +184,7 @@ mod tests {
 
     #[test]
     fn violations_are_flagged_as_hard_errors() {
-        let ledger = RoundLedger::new();
+        let ledger = RoundLedger::default();
         assert!(!ledger.record_rounds("coloring", 65, 64.0));
         assert!(!ledger.record_sweeps("glauber", 11, 12)); // != plan, even below
         assert!(ledger.record_rounds("matching", 10, 64.0));
@@ -223,7 +218,7 @@ mod tests {
 
     #[test]
     fn retention_caps_memory_but_not_counts() {
-        let ledger = RoundLedger::new();
+        let ledger = RoundLedger::default();
         for i in 0..(RETAINED as u64 + 100) {
             ledger.record_rounds("bulk", i as usize % 10, 100.0);
         }

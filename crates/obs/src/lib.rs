@@ -30,7 +30,7 @@
 //! (each serving front-end) records into a [`MetricsScope`], and the
 //! snapshot reports every name once, totalled over all scopes.
 //! Independent registries can still be created for tests
-//! ([`MetricsRegistry::new`]).
+//! (`MetricsRegistry::default()`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +52,7 @@ use std::sync::OnceLock;
 /// [`MetricsSnapshot::render_text`] renders it for scraping.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+    GLOBAL.get_or_init(MetricsRegistry::default)
 }
 
 /// The process-wide round ledger (see [`RoundLedger`]). Engine runs
@@ -60,5 +60,5 @@ pub fn global() -> &'static MetricsRegistry {
 /// it for bound violations.
 pub fn ledger() -> &'static RoundLedger {
     static LEDGER: OnceLock<RoundLedger> = OnceLock::new();
-    LEDGER.get_or_init(RoundLedger::new)
+    LEDGER.get_or_init(RoundLedger::default)
 }

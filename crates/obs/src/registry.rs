@@ -45,7 +45,7 @@ impl Gauge {
     }
 
     /// The current level.
-    pub fn get(&self) -> i64 {
+    fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -126,19 +126,9 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     /// The unscoped counter under `name` (created on first use).
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
         resolve(&self.counters, name, None)
-    }
-
-    /// The unscoped gauge under `name` (created on first use).
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        resolve(&self.gauges, name, None)
     }
 
     /// The unscoped histogram under `name` (created on first use).
@@ -277,28 +267,30 @@ mod tests {
 
     #[test]
     fn handles_are_shared_by_name() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let a = reg.counter("hits");
         let b = reg.counter("hits");
         a.inc();
         b.add(2);
         assert_eq!(reg.counter("hits").get(), 3);
 
-        let g = reg.gauge("depth");
+        let scope = reg.scope();
+        let g = scope.gauge("depth");
         g.set(5);
         g.add(-2);
-        assert_eq!(reg.gauge("depth").get(), 3);
+        assert_eq!(scope.gauge("depth").get(), 3);
 
         reg.histogram("lat").record(42);
-        assert_eq!(reg.histogram("lat").count(), 1);
+        assert_eq!(reg.histogram("lat").snapshot().count, 1);
     }
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("zeta").add(1);
         reg.counter("alpha").add(2);
-        reg.gauge("mid").set(-7);
+        let scope = reg.scope();
+        scope.gauge("mid").set(-7);
         reg.histogram("lat").record(100);
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
@@ -310,13 +302,15 @@ mod tests {
     }
 
     /// The registry with no scopes reports what it did before scopes
-    /// existed: this snapshot and its rendering are pinned literally.
+    /// existed: this snapshot and its rendering are pinned literally. A
+    /// gauge is set through a scope, so one live scope holds `depth`.
     #[test]
     fn a_registry_without_scopes_snapshots_as_before() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("jobs").add(7);
         reg.counter("hits").inc();
-        reg.gauge("depth").set(-2);
+        let scope = reg.scope();
+        scope.gauge("depth").set(-2);
         let lat = reg.histogram("lat");
         for v in [3u64, 40, 40, 900] {
             lat.record(v);
@@ -348,7 +342,7 @@ mod tests {
 
     #[test]
     fn scopes_add_to_the_totals_and_keep_their_own_numbers() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("jobs").add(1);
         let (a, b) = (reg.scope(), reg.scope());
         a.counter("jobs").add(2);
@@ -377,7 +371,7 @@ mod tests {
 
     #[test]
     fn dropping_a_scope_keeps_its_totals_and_removes_its_gauges() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         let (a, b) = (reg.scope(), reg.scope());
         a.counter("jobs").add(2);
         b.counter("jobs").add(4);
@@ -401,12 +395,12 @@ mod tests {
         assert_eq!(after.gauge("depth"), Some(0));
         // the folded totals now live on the unscoped series
         assert_eq!(reg.counter("jobs").get(), 6);
-        assert_eq!(reg.histogram("lat").count(), 2);
+        assert_eq!(reg.histogram("lat").snapshot().count, 2);
     }
 
     #[test]
     fn totals_never_go_backwards_while_scopes_come_and_go() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         std::thread::scope(|s| {
             let workers: Vec<_> = (0..2)
                 .map(|_| {
@@ -433,9 +427,10 @@ mod tests {
 
     #[test]
     fn text_exposition_round_trips_equality() {
-        let reg = MetricsRegistry::new();
+        let reg = MetricsRegistry::default();
         reg.counter("jobs").add(7);
-        reg.gauge("depth").set(2);
+        let scope = reg.scope();
+        scope.gauge("depth").set(2);
         let h = reg.histogram("lat");
         for v in [10u64, 20, 30] {
             h.record(v);

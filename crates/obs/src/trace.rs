@@ -117,11 +117,6 @@ pub fn set_sampling(every: u32) {
     SAMPLING.store(every, Ordering::Relaxed);
 }
 
-/// The current sampling rate (0 = disabled).
-pub fn sampling() -> u32 {
-    SAMPLING.load(Ordering::Relaxed)
-}
-
 /// A fresh process-unique request id (never 0).
 pub fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)

@@ -61,27 +61,11 @@ impl<O: Oracle> BoostedOracle<O> {
         BoostedOracle { base }
     }
 
-    /// The base oracle.
-    pub fn base(&self) -> &O {
-        &self.base
-    }
-
     /// The base-oracle radius `t` at `Tv(ε/(5qn))` used inside the
-    /// boosting construction.
+    /// boosting construction; experiment E3 reports it beside the boosted
+    /// error that Lemma 4.1 bounds by `ε`.
     pub fn inner_radius(&self, model: &GibbsModel, eps: f64) -> usize {
         inner_radius(&self.base, model, eps)
-    }
-
-    /// The boosted marginal together with the fully pinned frontier
-    /// configuration `τ_m` (exposed for tests).
-    pub fn marginal_with_frontier(
-        &self,
-        model: &GibbsModel,
-        pinning: &PartialConfig,
-        v: NodeId,
-        eps: f64,
-    ) -> (Vec<f64>, PartialConfig) {
-        boost(&self.base, model, pinning, v, eps)
     }
 }
 
@@ -280,7 +264,7 @@ mod tests {
         let m = hardcore::model(&g, 1.0);
         let tau = PartialConfig::empty(12);
         let boosted = boosted_hc(1.0);
-        let (_, tau_m) = boosted.marginal_with_frontier(&m, &tau, NodeId(0), 0.5);
+        let (_, tau_m) = boost(&boosted.base, &m, &tau, NodeId(0), 0.5);
         let t = boosted.inner_radius(&m, 0.5);
         let ell = m.locality().max(1);
         let dist = lds_graph::traversal::bfs_distances(&g, NodeId(0));

@@ -37,11 +37,6 @@ impl EnumerationOracle {
         EnumerationOracle { rate }
     }
 
-    /// The decay rate used for radius planning.
-    pub fn rate(&self) -> DecayRate {
-        self.rate
-    }
-
     /// The marginal computed within the ball, plus the pinning `τ'`
     /// actually used on the frontier (exposed for tests).
     pub fn marginal_with_frontier(

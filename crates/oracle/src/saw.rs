@@ -200,16 +200,13 @@ impl TwoSpinSawOracle {
     /// When the budget is exhausted, unexplored subtrees contribute the
     /// unknown interval `[0, 1]` — the returned bounds stay **certified**
     /// (they only widen), making the oracle an anytime algorithm on dense
-    /// graphs where the SAW tree is exponential in the radius.
+    /// graphs where the SAW tree is exponential in the radius. No served
+    /// path sets a budget; this stays for the unit test of that claim:
+    /// an exhausted walk's bounds contain the unbudgeted walk's.
     pub fn with_node_budget(mut self, budget: usize) -> Self {
         assert!(budget > 0, "budget must be positive");
         self.node_budget = budget;
         self
-    }
-
-    /// The model parameters.
-    pub fn params(&self) -> TwoSpinParams {
-        self.params
     }
 
     /// The edge factor `f(R) = (γR + 1)/(R + β)`: the multiplicative
@@ -734,7 +731,7 @@ mod tests {
     #[test]
     fn queries_interleaved_across_graph_sizes_match_a_fresh_thread_bitwise() {
         let oracle = hc_oracle(1.0);
-        let model = |g: &Graph| two_spin::model(g, oracle.params());
+        let model = |g: &Graph| two_spin::model(g, TwoSpinParams::hardcore(1.0));
         let mut pinned = PartialConfig::empty(16);
         pinned.pin(NodeId(6), Value(1));
         let queries = [

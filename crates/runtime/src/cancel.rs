@@ -46,8 +46,9 @@ struct Inner {
 ///
 /// * [`CancelToken::never`] — the default for every legacy entry point;
 ///   checks are a branch on `None` and always pass.
-/// * [`CancelToken::with_deadline`] — cancelled once `Instant::now()`
-///   passes the deadline (how serve enforces per-request budgets).
+/// * [`CancelToken::with_deadline_opt`] — cancelled once `Instant::now()`
+///   passes the deadline, if one is given (how serve enforces
+///   per-request budgets).
 /// * [`CancelToken::manual`] — cancelled explicitly via
 ///   [`CancelToken::cancel`] (tests, administrative aborts).
 #[derive(Clone, Debug, Default)]
@@ -61,23 +62,17 @@ impl CancelToken {
         CancelToken { inner: None }
     }
 
-    /// A token that cancels once `deadline` passes.
-    pub fn with_deadline(deadline: Instant) -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                deadline: Some(deadline),
-                flag: AtomicBool::new(false),
-            })),
-        }
-    }
-
-    /// [`CancelToken::with_deadline`] when a deadline is present,
-    /// [`CancelToken::never`] otherwise — the shape serve's optional
+    /// A token that cancels once `deadline` passes, or
+    /// [`CancelToken::never`] without one — the shape serve's optional
     /// per-request budget produces.
     pub fn with_deadline_opt(deadline: Option<Instant>) -> CancelToken {
-        match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::never(),
+        CancelToken {
+            inner: deadline.map(|d| {
+                Arc::new(Inner {
+                    deadline: Some(d),
+                    flag: AtomicBool::new(false),
+                })
+            }),
         }
     }
 
@@ -99,14 +94,9 @@ impl CancelToken {
         }
     }
 
-    /// The deadline this token enforces, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_ref().and_then(|i| i.deadline)
-    }
-
     /// `true` once the token is cancelled (flag set or deadline
     /// passed).
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         match &self.inner {
             None => false,
             Some(inner) => {
@@ -139,7 +129,7 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel(); // no-op
         assert!(t.check().is_ok());
-        assert_eq!(t.deadline(), None);
+        assert!(t.inner.is_none());
     }
 
     #[test]
@@ -154,13 +144,13 @@ mod tests {
 
     #[test]
     fn deadline_in_the_past_cancels_immediately() {
-        let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let t = CancelToken::with_deadline_opt(Some(Instant::now() - Duration::from_millis(1)));
         assert_eq!(t.check(), Err(Cancelled));
     }
 
     #[test]
     fn deadline_in_the_future_passes_until_it_arrives() {
-        let t = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
+        let t = CancelToken::with_deadline_opt(Some(Instant::now() + Duration::from_secs(3600)));
         assert!(t.check().is_ok());
         // explicit cancel still wins over a future deadline
         t.cancel();

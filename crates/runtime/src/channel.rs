@@ -10,9 +10,9 @@
 //!
 //! Semantics:
 //!
-//! * [`Sender::try_send`] never blocks: a full queue returns
-//!   [`TrySendError::Full`] with the item handed back, which is what a
-//!   server turns into an `Overloaded` rejection.
+//! * [`Sender::try_send_below`] never blocks: a queue at the given depth
+//!   returns [`TrySendError::Full`] with the item handed back, which is
+//!   what a server turns into an `Overloaded` rejection.
 //! * [`Sender::send`] blocks until space frees up (or every receiver is
 //!   gone).
 //! * [`Receiver::recv`] blocks until an item arrives (or every sender is
@@ -22,7 +22,7 @@
 //!   count reaches zero.
 //!
 //! The channel also tracks a high-watermark of observed queue depth
-//! ([`Sender::peak_depth`]) so a server can report how close to
+//! ([`Receiver::peak_depth`]) so a server can report how close to
 //! overload it has run.
 
 use std::collections::VecDeque;
@@ -30,8 +30,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Creates a bounded blocking MPMC channel with room for `capacity`
 /// queued items. A capacity of `0` is clamped to `1` (a rendezvous
-/// channel would make `try_send` always fail, which turns admission
-/// control into a total outage).
+/// channel would make `try_send_below` always fail, which turns
+/// admission control into a total outage).
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
@@ -76,12 +76,12 @@ pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Error of [`Sender::try_send`], returning the unsent item.
+/// Error of [`Sender::try_send_below`], returning the unsent item.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
     /// The queue is at its limit; the caller should shed load. Carries
     /// the unsent item and the queue depth observed **under the
-    /// rejection lock** (re-reading [`Sender::len`] afterwards could
+    /// rejection lock** (re-reading [`Receiver::len`] afterwards could
     /// see a drained queue and misreport why admission failed).
     Full(T, usize),
     /// Every receiver is gone; nothing will ever drain the queue.
@@ -98,20 +98,15 @@ pub struct SendError<T>(pub T);
 pub struct RecvError;
 
 impl<T> Sender<T> {
-    /// Enqueues without blocking. A full queue hands the item back as
-    /// [`TrySendError::Full`] — the admission-control path.
-    pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        self.try_send_below(item, self.shared.capacity)
-    }
-
     /// Enqueues without blocking, but only while the queue depth is
-    /// below `limit` (clamped to the capacity) — the **atomic**
-    /// check-and-enqueue a soft admission watermark needs. Reading
-    /// [`Sender::len`] first and then calling [`Sender::try_send`]
-    /// would let concurrent producers all observe a below-watermark
-    /// depth and overshoot it together; here the depth check and the
-    /// push happen under one lock, so the queue never exceeds `limit`
-    /// through this call.
+    /// below `limit` (clamped to the capacity); otherwise hands the item
+    /// back as [`TrySendError::Full`] — the admission-control path. This
+    /// is the **atomic** check-and-enqueue a soft admission watermark
+    /// needs. Reading [`Receiver::len`] first and then enqueueing would
+    /// let concurrent producers all observe a below-watermark depth and
+    /// overshoot it together; here the depth check and the push happen
+    /// under one lock, so the queue never exceeds `limit` through this
+    /// call.
     pub fn try_send_below(&self, item: T, limit: usize) -> Result<(), TrySendError<T>> {
         let limit = limit.min(self.shared.capacity);
         let mut inner = self.shared.inner.lock().expect("channel poisoned");
@@ -146,32 +141,6 @@ impl<T> Sender<T> {
             inner = self.shared.not_full.wait(inner).expect("channel poisoned");
         }
     }
-
-    /// Current queue depth (racy by nature; a watermark check, not a
-    /// synchronization primitive).
-    pub fn len(&self) -> usize {
-        self.shared
-            .inner
-            .lock()
-            .expect("channel poisoned")
-            .queue
-            .len()
-    }
-
-    /// `true` if the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// High-watermark of queue depth observed since creation.
-    pub fn peak_depth(&self) -> usize {
-        self.shared.inner.lock().expect("channel poisoned").peak
-    }
 }
 
 impl<T> Receiver<T> {
@@ -193,7 +162,8 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Current queue depth (racy; see [`Sender::len`]).
+    /// Current queue depth (racy by nature; a watermark check, not a
+    /// synchronization primitive).
     pub fn len(&self) -> usize {
         self.shared
             .inner
@@ -203,7 +173,8 @@ impl<T> Receiver<T> {
             .len()
     }
 
-    /// `true` if the queue is currently empty.
+    /// `true` if the queue is currently empty. Kept beside
+    /// [`Receiver::len`], which clippy's `len_without_is_empty` requires.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -211,11 +182,6 @@ impl<T> Receiver<T> {
     /// High-watermark of queue depth observed since creation.
     pub fn peak_depth(&self) -> usize {
         self.shared.inner.lock().expect("channel poisoned").peak
-    }
-
-    /// The queue capacity.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
     }
 }
 
@@ -292,7 +258,7 @@ mod tests {
     fn fifo_order_within_one_producer() {
         let (tx, rx) = bounded(8);
         for i in 0..5 {
-            tx.try_send(i).unwrap();
+            tx.try_send_below(i, usize::MAX).unwrap();
         }
         for i in 0..5 {
             assert_eq!(rx.recv(), Ok(i));
@@ -302,14 +268,17 @@ mod tests {
     #[test]
     fn try_send_reports_full_and_hands_the_item_back() {
         let (tx, rx) = bounded(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3, 2)));
-        assert_eq!(tx.len(), 2);
-        assert_eq!(tx.peak_depth(), 2);
+        tx.try_send_below(1, usize::MAX).unwrap();
+        tx.try_send_below(2, usize::MAX).unwrap();
+        assert_eq!(
+            tx.try_send_below(3, usize::MAX),
+            Err(TrySendError::Full(3, 2))
+        );
+        assert_eq!(rx.len(), 2);
+        assert_eq!(rx.peak_depth(), 2);
         // draining one slot readmits
         assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
+        tx.try_send_below(3, usize::MAX).unwrap();
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
     }
@@ -321,9 +290,9 @@ mod tests {
         tx.try_send_below(2, 2).unwrap();
         // the soft limit governs even though the queue has room
         assert_eq!(tx.try_send_below(3, 2), Err(TrySendError::Full(3, 2)));
-        assert_eq!(tx.len(), 2);
-        // plain try_send still admits up to the hard capacity
-        tx.try_send(3).unwrap();
+        assert_eq!(rx.len(), 2);
+        // an unbounded limit still admits up to the hard capacity
+        tx.try_send_below(3, usize::MAX).unwrap();
         // a limit above capacity clamps to capacity
         for i in 4..=8 {
             tx.try_send_below(i, 100).unwrap();
@@ -337,16 +306,18 @@ mod tests {
     #[test]
     fn capacity_zero_clamps_to_one() {
         let (tx, _rx) = bounded(0);
-        assert_eq!(tx.capacity(), 1);
-        tx.try_send(1).unwrap();
-        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2, 1)));
+        tx.try_send_below(1, usize::MAX).unwrap();
+        assert_eq!(
+            tx.try_send_below(2, usize::MAX),
+            Err(TrySendError::Full(2, 1))
+        );
     }
 
     #[test]
     fn queued_items_survive_sender_disconnect() {
         let (tx, rx) = bounded::<u32>(4);
-        tx.try_send(7).unwrap();
-        tx.try_send(8).unwrap();
+        tx.try_send_below(7, usize::MAX).unwrap();
+        tx.try_send_below(8, usize::MAX).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Ok(8));
@@ -358,13 +329,16 @@ mod tests {
         let (tx, rx) = bounded::<u32>(4);
         drop(rx);
         assert_eq!(tx.send(1), Err(SendError(1)));
-        assert_eq!(tx.try_send(2), Err(TrySendError::Disconnected(2)));
+        assert_eq!(
+            tx.try_send_below(2, usize::MAX),
+            Err(TrySendError::Disconnected(2))
+        );
     }
 
     #[test]
     fn blocking_send_unblocks_when_a_slot_frees() {
         let (tx, rx) = bounded(1);
-        tx.try_send(1).unwrap();
+        tx.try_send_below(1, usize::MAX).unwrap();
         let producer = thread::spawn(move || tx.send(2));
         // the producer is parked on a full queue until this recv
         assert_eq!(rx.recv(), Ok(1));

@@ -21,13 +21,13 @@ use lds_engine::Task;
 /// ε/δ) — so keys from different engines never collide semantically
 /// even if a cache were shared across them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct IdempotencyKey {
+pub(crate) struct IdempotencyKey {
     /// The engine identity ([`lds_engine::Engine::fingerprint`]).
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// The requested task.
-    pub task: Task,
+    pub(crate) task: Task,
     /// The per-request seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// Index of the null node in the intrusive LRU list.
@@ -48,7 +48,7 @@ struct Node<K, V> {
 /// the tail and reuses its slot, so the cache never reallocates at
 /// steady state. Capacity `0` is the disabled cache: `get` always
 /// misses and `insert` is a no-op.
-pub struct LruCache<K, V> {
+pub(crate) struct LruCache<K, V> {
     map: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
     head: usize,
@@ -58,7 +58,7 @@ pub struct LruCache<K, V> {
 
 impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// An empty cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         LruCache {
             map: HashMap::with_capacity(capacity.min(4096)),
             nodes: Vec::with_capacity(capacity.min(4096)),
@@ -66,21 +66,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
             tail: NIL,
             capacity,
         }
-    }
-
-    /// The maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Unlinks node `i` from the recency list.
@@ -108,7 +93,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     }
 
     /// Looks up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         let &i = self.map.get(key)?;
         if self.head != i {
             self.unlink(i);
@@ -120,7 +105,7 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
     /// Inserts (or refreshes) `key → value`, evicting the least
     /// recently used entry if at capacity. Returns the evicted
     /// `(key, value)` pair, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
             return None;
         }
@@ -172,7 +157,7 @@ mod tests {
     #[test]
     fn hit_refreshes_recency() {
         let mut c: LruCache<u32, u32> = LruCache::new(2);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
         c.insert(1, 10);
         c.insert(2, 20);
         assert_eq!(c.get(&1), Some(&10)); // 1 is now most recent
@@ -181,7 +166,7 @@ mod tests {
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(&10));
         assert_eq!(c.get(&3), Some(&30));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -191,7 +176,7 @@ mod tests {
         c.insert(2, 20);
         assert_eq!(c.insert(1, 11), None);
         assert_eq!(c.get(&1), Some(&11));
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
@@ -200,7 +185,7 @@ mod tests {
         for i in 0..100 {
             c.insert(i, i);
         }
-        assert_eq!(c.len(), 8);
+        assert_eq!(c.map.len(), 8);
         for i in 0..92 {
             assert_eq!(c.get(&i), None, "key {i} should have been evicted");
         }
@@ -214,7 +199,7 @@ mod tests {
         let mut c: LruCache<u32, u32> = LruCache::new(0);
         assert_eq!(c.insert(1, 10), None);
         assert_eq!(c.get(&1), None);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]

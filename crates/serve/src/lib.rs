@@ -19,7 +19,7 @@
 //! * Outputs are a **pure function of `(engine, task, seed)`** — so
 //!   repeated requests are *idempotent* by construction, and the server
 //!   answers them from an LRU [cache](ServerStats::cache_hits) keyed by
-//!   [`IdempotencyKey`] (engine fingerprint, task, seed), while
+//!   (engine fingerprint, task, seed), while
 //!   identical requests in flight dedup to a single execution.
 //! * Load has to stop somewhere — the request queue is **bounded**
 //!   ([`lds_runtime::channel::bounded`]), and [`Server::try_submit`]
@@ -66,7 +66,6 @@ mod registry;
 mod server;
 mod stats;
 
-pub use cache::{IdempotencyKey, LruCache};
 pub use registry::{EngineRegistry, RegistryConfig, RegistryStats};
 pub use server::{ServeError, Server, ServerConfig, SubmitError, Ticket};
 pub use stats::ServerStats;

@@ -133,16 +133,6 @@ impl EngineRegistry {
         }
     }
 
-    /// An empty registry with [`RegistryConfig::default`].
-    pub fn with_defaults() -> Self {
-        EngineRegistry::new(RegistryConfig::default())
-    }
-
-    /// The registry configuration (capacity already clamped).
-    pub fn config(&self) -> &RegistryConfig {
-        &self.config
-    }
-
     /// Registers an engine under its own fingerprint and returns that
     /// fingerprint. Idempotent: re-registering an already-live
     /// fingerprint keeps the existing tenant (its cache and stats
@@ -209,37 +199,6 @@ impl EngineRegistry {
         }
     }
 
-    /// Whether a fingerprint is currently live (no LRU refresh).
-    pub fn contains(&self, fingerprint: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("registry poisoned")
-            .tenants
-            .contains_key(&fingerprint)
-    }
-
-    /// Number of live tenants.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry poisoned").tenants.len()
-    }
-
-    /// `true` if no tenant is live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The live fingerprints, hottest (most recently used) first.
-    pub fn fingerprints(&self) -> Vec<u64> {
-        let inner = self.inner.lock().expect("registry poisoned");
-        let mut fps: Vec<(u64, u64)> = inner
-            .tenants
-            .iter()
-            .map(|(fp, t)| (t.last_used, *fp))
-            .collect();
-        fps.sort_unstable_by_key(|&(used, _)| std::cmp::Reverse(used));
-        fps.into_iter().map(|(_, fp)| fp).collect()
-    }
-
     /// Process-lifetime [`ServerStats`] of one tenant (no LRU refresh —
     /// scraping stats must not keep a cold tenant warm).
     pub fn stats_of(&self, fingerprint: u64) -> Option<ServerStats> {
@@ -248,9 +207,9 @@ impl EngineRegistry {
     }
 
     /// The tenant's **interval** stats: everything since the previous
-    /// `interval_stats_of` call (or registration), via
-    /// [`ServerStats::since`], and resets the interval baseline — the
-    /// `snapshot_and_reset` pattern. Two monitoring consumers should
+    /// `interval_stats_of` call (or registration), as a field-wise
+    /// difference of [`ServerStats`], and resets the interval baseline —
+    /// the `snapshot_and_reset` pattern. Two monitoring consumers should
     /// not share one registry interval; scrape [`stats_of`] and
     /// difference externally instead.
     ///
@@ -274,18 +233,6 @@ impl EngineRegistry {
             hits: inner.hits,
             misses: inner.misses,
         }
-    }
-
-    /// Evicts one tenant by hand; returns whether it was live. Sessions
-    /// still holding its `Arc<Server>` finish normally — the server
-    /// drains when the last handle drops.
-    pub fn evict(&self, fingerprint: u64) -> bool {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let evicted = inner.tenants.remove(&fingerprint).is_some();
-        if evicted {
-            inner.evictions += 1;
-        }
-        evicted
     }
 }
 
@@ -317,10 +264,10 @@ mod tests {
 
     #[test]
     fn register_routes_and_is_idempotent() {
-        let registry = EngineRegistry::with_defaults();
+        let registry = EngineRegistry::new(RegistryConfig::default());
         let fp = registry.register(engine(8));
         assert_eq!(registry.register(engine(8)), fp, "same spec, same key");
-        assert_eq!(registry.len(), 1, "idempotent registration");
+        assert_eq!(registry.stats().live, 1, "idempotent registration");
         let tenant = registry.get(fp).unwrap();
         let direct = engine(8).run_with_seed(Task::SampleExact, 3).unwrap();
         let served = tenant.run(Task::SampleExact, 3).unwrap();
@@ -345,15 +292,21 @@ mod tests {
         // touch A so B is the LRU tenant
         registry.get(fp_a).unwrap();
         let fp_c = registry.register(engine(10));
-        assert!(registry.contains(fp_a), "recently used survives");
-        assert!(!registry.contains(fp_b), "LRU tenant evicted");
-        assert!(registry.contains(fp_c));
+        assert!(registry.stats_of(fp_a).is_some(), "recently used survives");
+        assert!(registry.stats_of(fp_b).is_none(), "LRU tenant evicted");
+        assert!(registry.stats_of(fp_c).is_some());
         assert_eq!(registry.stats().evictions, 1);
         // the evicted fingerprint re-registers cleanly
         assert_eq!(registry.register(engine(8)), fp_b);
-        assert!(registry.contains(fp_b));
-        assert!(!registry.contains(fp_a), "A became LRU and made room");
-        assert_eq!(registry.fingerprints(), vec![fp_b, fp_c]);
+        assert!(registry.stats_of(fp_b).is_some());
+        assert!(
+            registry.stats_of(fp_a).is_none(),
+            "A became LRU and made room"
+        );
+        // B is now the hottest tenant, so C goes next
+        registry.register(engine(6));
+        assert!(registry.stats_of(fp_b).is_some());
+        assert!(registry.stats_of(fp_c).is_none());
     }
 
     #[test]
@@ -365,14 +318,14 @@ mod tests {
         let fp_a = registry.register(engine(6));
         let held = registry.get(fp_a).unwrap();
         let _fp_b = registry.register(engine(8)); // evicts A from the map
-        assert!(!registry.contains(fp_a));
+        assert!(registry.stats_of(fp_a).is_none());
         // the held handle keeps serving; the server drains when dropped
         assert!(held.run(Task::SampleExact, 1).is_ok());
     }
 
     #[test]
     fn interval_stats_reset_between_queries() {
-        let registry = EngineRegistry::with_defaults();
+        let registry = EngineRegistry::new(RegistryConfig::default());
         let fp = registry.register(engine(8));
         let tenant = registry.get(fp).unwrap();
         tenant.run(Task::SampleExact, 1).unwrap();

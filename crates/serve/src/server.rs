@@ -177,8 +177,6 @@ impl std::error::Error for ServeError {
 #[derive(Debug)]
 pub struct Ticket {
     rx: mpsc::Receiver<Result<RunReport, ServeError>>,
-    task: Task,
-    seed: u64,
 }
 
 impl Ticket {
@@ -189,16 +187,6 @@ impl Ticket {
             // the responder was dropped without an answer
             Err(_) => Err(ServeError::Cancelled),
         }
-    }
-
-    /// The task this ticket is for.
-    pub fn task(&self) -> Task {
-        self.task
-    }
-
-    /// The seed this ticket is for.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 }
 
@@ -374,11 +362,10 @@ fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 
 /// Runs one worker session under a supervisor: a clean exit (queue
 /// disconnected and drained) ends the session; a panic is contained,
-/// counted (`serve_worker_restarts`, read via [`Server::worker_restarts`]),
-/// and the session respawns on the same thread and keeps draining. The
-/// unwound request's responder drops during the unwind, so its ticket
-/// is answered with a typed [`ServeError::Cancelled`] — never left
-/// hanging.
+/// counted (`serve_worker_restarts`), and the session respawns on the
+/// same thread and keeps draining. The unwound request's responder
+/// drops during the unwind, so its ticket is answered with a typed
+/// [`ServeError::Cancelled`] — never left hanging.
 fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
     loop {
         let session = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -423,8 +410,8 @@ fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 ///   server equals the report of a direct `engine.run_with_seed` call
 ///   (up to wall-clock fields).
 ///
-/// Dropping the server (or calling [`Server::shutdown`]) stops
-/// admission, drains every accepted request, and joins the sessions.
+/// Dropping the server stops admission, drains every accepted request,
+/// and joins the sessions.
 pub struct Server {
     shared: Arc<Shared>,
     /// `None` after shutdown; dropping the sender is the shutdown
@@ -475,16 +462,6 @@ impl Server {
     /// Starts a server with [`ServerConfig::default`].
     pub fn with_defaults(engine: Arc<Engine>) -> Server {
         Server::new(engine, ServerConfig::default())
-    }
-
-    /// The engine this server fronts.
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.shared.engine
-    }
-
-    /// The configuration this server was started with.
-    pub fn config(&self) -> &ServerConfig {
-        &self.shared.config
     }
 
     /// Submits without blocking. Sheds load with
@@ -600,15 +577,8 @@ impl Server {
                 trace_id,
                 tx,
             },
-            Ticket { rx, task, seed },
+            Ticket { rx },
         )
-    }
-
-    /// Worker sessions the supervisor has respawned after a panic.
-    /// Zero in fault-free operation; kept off [`ServerStats`] so the
-    /// wire shape is unchanged.
-    pub fn worker_restarts(&self) -> u64 {
-        self.shared.metrics.worker_restarts.get()
     }
 
     /// A point-in-time stats snapshot, read from this server's registry
@@ -632,28 +602,16 @@ impl Server {
             uptime: self.shared.started_at.elapsed(),
         }
     }
+}
 
-    /// Stops admission, drains every accepted request, joins the
-    /// sessions. Called automatically on drop; explicit shutdown lets
-    /// callers sequence it (e.g. before reading final stats from a
-    /// clone of the handle's data).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
+impl Drop for Server {
+    fn drop(&mut self) {
         // dropping the only sender disconnects the queue; sessions
         // finish the drain and exit
         self.queue.take();
         for session in self.sessions.drain(..) {
             let _ = session.join();
         }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 
@@ -788,7 +746,7 @@ mod tests {
         let tickets: Vec<Ticket> = (0..8u64)
             .map(|s| server.try_submit(Task::SampleExact, s).unwrap())
             .collect();
-        server.shutdown(); // joins sessions; accepted work must finish
+        drop(server); // joins sessions; accepted work must finish
         for t in tickets {
             assert!(t.wait().is_ok(), "accepted request dropped on shutdown");
         }

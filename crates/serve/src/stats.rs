@@ -53,7 +53,7 @@ pub struct ServerStats {
 impl ServerStats {
     /// Fraction of answered lookups served from the cache
     /// (`hits / (hits + misses)`; `0` before any lookup).
-    pub fn cache_hit_rate(&self) -> f64 {
+    fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
@@ -70,7 +70,7 @@ impl ServerStats {
     }
 
     /// Completed requests per second of uptime.
-    pub fn throughput(&self) -> f64 {
+    fn throughput(&self) -> f64 {
         let secs = self.uptime.as_secs_f64();
         if secs == 0.0 {
             0.0
@@ -94,7 +94,7 @@ impl ServerStats {
     /// Point-in-time fields (`queue_depth`, `peak_queue_depth`) and the
     /// lifetime latency percentiles keep their current values — they
     /// are not counters and cannot be differenced.
-    pub fn since(&self, earlier: &ServerStats) -> ServerStats {
+    pub(crate) fn since(&self, earlier: &ServerStats) -> ServerStats {
         ServerStats {
             submitted: self.submitted.saturating_sub(earlier.submitted),
             rejected: self.rejected.saturating_sub(earlier.rejected),

@@ -70,7 +70,7 @@ pub fn boundary_gap_series(
 /// depth-`k−1` tree, so the occupation ratio satisfies
 /// `R_k = λ/(1+R_{k−1})^b`, seeded at the pinned leaves with
 /// `R_0 = ∞` (occupied) or `R_0 = 0` (vacant).
-pub fn tree_root_occupation(b: usize, depth: usize, lambda: f64, boundary: bool) -> f64 {
+pub(crate) fn tree_root_occupation(b: usize, depth: usize, lambda: f64, boundary: bool) -> f64 {
     let mut r = if boundary { f64::INFINITY } else { 0.0 };
     for _ in 0..depth {
         r = if r.is_infinite() {
@@ -105,36 +105,6 @@ pub fn tree_gap_series(b: usize, lambda: f64, max_depth: usize) -> Vec<GapPoint>
             }
         })
         .collect()
-}
-
-/// Worst-case gap over *all* pairs of feasible single-node pinnings at
-/// distance exactly `d` from `v` (exhaustive; small models only). This is
-/// the literal quantifier of Definition 5.1 restricted to singleton
-/// disagreement sets.
-pub fn worst_single_site_gap(model: &GibbsModel, v: NodeId, d: usize) -> Option<GapPoint> {
-    let g = model.graph();
-    let q = model.alphabet_size();
-    let sphere = traversal::sphere(g, v, d);
-    let mut worst: Option<f64> = None;
-    for &u in &sphere {
-        for c1 in 0..q {
-            for c2 in (c1 + 1)..q {
-                let mut sigma = PartialConfig::empty(model.node_count());
-                sigma.pin(u, Value::from_index(c1));
-                let mut tau = PartialConfig::empty(model.node_count());
-                tau.pin(u, Value::from_index(c2));
-                let (Some(a), Some(b)) = (
-                    distribution::marginal(model, &sigma, v),
-                    distribution::marginal(model, &tau, v),
-                ) else {
-                    continue;
-                };
-                let gap = metrics::tv_distance(&a, &b);
-                worst = Some(worst.map_or(gap, |w: f64| w.max(gap)));
-            }
-        }
-    }
-    worst.map(|gap| GapPoint { distance: d, gap })
 }
 
 #[cfg(test)]
@@ -202,14 +172,5 @@ mod tests {
         assert!(series.len() >= 5);
         assert!(series[0].gap > 2.0 * series[4].gap, "no decay: {series:?}");
         assert!(series[4].gap < 0.05, "gap {}", series[4].gap);
-    }
-
-    #[test]
-    fn worst_single_site_gap_decreases_with_distance() {
-        let g = generators::cycle(12);
-        let m = hardcore::model(&g, 1.5);
-        let g1 = worst_single_site_gap(&m, NodeId(0), 1).unwrap();
-        let g4 = worst_single_site_gap(&m, NodeId(0), 4).unwrap();
-        assert!(g1.gap > g4.gap);
     }
 }

@@ -26,9 +26,6 @@
 //!   with depth, so any local algorithm with radius `< depth` suffers a
 //!   constant inference error — the information-theoretic heart of the
 //!   `Ω(diam)` sampling lower bound.
-//!
-//! Thresholds and exact tree rates live in [`lds_core::complexity`] and
-//! are re-exported as [`thresholds`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,12 +34,3 @@ pub mod correlation;
 pub mod estimator;
 pub mod phase;
 pub mod rate;
-
-/// Uniqueness thresholds and decay-rate formulas (re-export of
-/// [`lds_core::complexity`]).
-pub mod thresholds {
-    pub use lds_core::complexity::{
-        alpha_star, coloring_decay_rate, hardcore_decay_rate, hardcore_uniqueness_threshold,
-        hypergraph_matching_threshold, ising_decay_rate, matching_decay_rate,
-    };
-}

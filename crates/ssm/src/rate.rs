@@ -25,24 +25,13 @@ pub struct FittedRate {
 impl FittedRate {
     /// The decay length `1/ln(1/α)` — the distance over which the gap
     /// shrinks by a factor `e`. Infinite when `α ≥ 1` (no decay).
+    /// Experiment E7 reports it to show the phase transition at `λ_c`.
     pub fn decay_length(&self) -> f64 {
         if self.alpha >= 1.0 {
             f64::INFINITY
         } else {
             1.0 / (1.0 / self.alpha).ln()
         }
-    }
-
-    /// Radius needed to certify error `δ` at this rate (infinite when
-    /// the gap does not decay).
-    pub fn radius_for(&self, delta: f64) -> f64 {
-        if self.alpha >= 1.0 {
-            return f64::INFINITY;
-        }
-        if self.c <= delta {
-            return 0.0;
-        }
-        (self.c / delta).ln() / (1.0 / self.alpha).ln()
     }
 }
 
@@ -114,8 +103,6 @@ mod tests {
     fn decay_length_and_radius() {
         let fit = fit_rate(&synthetic(0.5, 1.0, 8)).unwrap();
         assert!((fit.decay_length() - 1.0 / (2.0f64).ln()).abs() < 1e-9);
-        let r = fit.radius_for(1.0 / 1024.0);
-        assert!((r - 10.0).abs() < 1e-6);
     }
 
     #[test]
@@ -129,7 +116,6 @@ mod tests {
         let fit = fit_rate(&series).unwrap();
         assert!((fit.alpha - 1.0).abs() < 1e-9);
         assert!(fit.decay_length().is_infinite());
-        assert!(fit.radius_for(0.01).is_infinite());
     }
 
     #[test]

@@ -290,7 +290,6 @@ fn flooding_one_tenant_gets_typed_overload_while_others_complete() {
         queue_capacity: 2,
         ..ServerConfig::default()
     };
-    config.session_queue_capacity = 256;
     let server = NetServer::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
