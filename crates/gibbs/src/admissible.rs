@@ -65,29 +65,47 @@ mod tests {
     use crate::models::{coloring, hardcore};
     use lds_graph::generators;
 
-    /// Remark 2.3 on a locally admissible model: the greedy construction
-    /// extends the empty pinning and every one-node pinning to a full
-    /// configuration of positive weight.
-    fn greedy_extends_every_single_pin(m: &GibbsModel) -> bool {
-        let n = m.node_count();
-        let extends = |p: &PartialConfig| {
-            greedy_feasible_extension(m, p).is_some_and(|full| m.weight(&full.to_config()) > 0.0)
-        };
-        extends(&PartialConfig::empty(n))
-            && (0..n).all(|v| {
-                (0..m.alphabet_size()).all(|c| {
-                    let mut p = PartialConfig::empty(n);
-                    p.pin(NodeId::from_index(v), Value::from_index(c));
-                    extends(&p)
-                })
-            })
+    /// Exhaustively checks Definition 2.5: over **every** subset `Λ ⊆ V`
+    /// and **every** `σ ∈ Σ^Λ` (all `(q+1)^n` pinnings), local
+    /// feasibility implies feasibility. Returns the first counterexample
+    /// (a locally feasible but infeasible pinning), or `None` if the model
+    /// is locally admissible. Exponential; small models only.
+    fn find_inadmissible_pinning(model: &GibbsModel) -> Option<PartialConfig> {
+        let n = model.node_count();
+        let q = model.alphabet_size();
+        // iterate over all (q+1)^n partial configurations via mixed-radix count
+        let mut digits = vec![0usize; n]; // 0 = unpinned, 1..=q = Value(d-1)
+        loop {
+            let mut p = PartialConfig::empty(n);
+            for (i, &d) in digits.iter().enumerate() {
+                if d > 0 {
+                    p.pin(NodeId::from_index(i), Value::from_index(d - 1));
+                }
+            }
+            if model.is_locally_feasible(&p) && !distribution::is_feasible(model, &p) {
+                return Some(p);
+            }
+            // increment mixed-radix counter
+            let mut i = 0;
+            loop {
+                if i == n {
+                    return None;
+                }
+                digits[i] += 1;
+                if digits[i] <= q {
+                    break;
+                }
+                digits[i] = 0;
+                i += 1;
+            }
+        }
     }
 
     #[test]
     fn hardcore_is_locally_admissible() {
         let g = generators::cycle(4);
         let m = hardcore::model(&g, 1.0);
-        assert!(greedy_extends_every_single_pin(&m));
+        assert!(find_inadmissible_pinning(&m).is_none());
     }
 
     #[test]
@@ -95,7 +113,7 @@ mod tests {
         // (Δ+1)-coloring of a cycle: Δ = 2, q = 3
         let g = generators::cycle(4);
         let m = coloring::model(&g, 3);
-        assert!(greedy_extends_every_single_pin(&m));
+        assert!(find_inadmissible_pinning(&m).is_none());
     }
 
     #[test]
@@ -104,9 +122,7 @@ mod tests {
         // with different colors is locally feasible yet infeasible.
         let g = generators::cycle(4);
         let m = coloring::model(&g, 2);
-        let mut bad = PartialConfig::empty(4);
-        bad.pin(NodeId(0), Value(0));
-        bad.pin(NodeId(2), Value(1));
+        let bad = find_inadmissible_pinning(&m).expect("C4 with q = 2 is not admissible");
         assert!(m.is_locally_feasible(&bad));
         assert!(!distribution::is_feasible(&m, &bad));
         assert!(greedy_feasible_extension(&m, &bad).is_none());

@@ -15,8 +15,8 @@ use lds_graph::{line::LineGraph, EdgeId, Graph, NodeId};
 use crate::models::hardcore;
 use crate::{Config, GibbsModel, Value};
 
-/// A matching instance: the base graph, its line graph, and the hardcore
-/// model over line-graph vertices (one per base edge).
+/// A matching instance: the base graph and the hardcore model over its
+/// line graph `L(G)`, one vertex per base edge.
 ///
 /// # Example
 ///

@@ -299,18 +299,17 @@ mod tests {
         assert_eq!(snap.counter("missing"), None);
         assert_eq!(snap.gauge("mid"), Some(-7));
         assert_eq!(snap.histogram("lat").unwrap().count, 1);
+        assert!(snap.render_text().contains("# TYPE mid gauge\nmid -7\n"));
     }
 
     /// The registry with no scopes reports what it did before scopes
-    /// existed: this snapshot and its rendering are pinned literally. A
-    /// gauge is set through a scope, so one live scope holds `depth`.
+    /// existed: this snapshot and its rendering are pinned literally.
+    /// Gauges live only in scopes, so it has none.
     #[test]
     fn a_registry_without_scopes_snapshots_as_before() {
         let reg = MetricsRegistry::default();
         reg.counter("jobs").add(7);
         reg.counter("hits").inc();
-        let scope = reg.scope();
-        scope.gauge("depth").set(-2);
         let lat = reg.histogram("lat");
         for v in [3u64, 40, 40, 900] {
             lat.record(v);
@@ -318,7 +317,7 @@ mod tests {
         let snap = reg.snapshot();
         let expected = MetricsSnapshot {
             counters: vec![("hits".into(), 1), ("jobs".into(), 7)],
-            gauges: vec![("depth".into(), -2)],
+            gauges: vec![],
             histograms: vec![(
                 "lat".into(),
                 HistogramSnapshot {
@@ -334,7 +333,7 @@ mod tests {
         assert_eq!(
             snap.render_text(),
             "# TYPE hits counter\nhits 1\n# TYPE jobs counter\njobs 7\n\
-             # TYPE depth gauge\ndepth -2\n# TYPE lat summary\n\
+             # TYPE lat summary\n\
              lat{quantile=\"0.5\"} 41\nlat{quantile=\"0.9\"} 912\n\
              lat{quantile=\"0.99\"} 912\nlat_sum 983\nlat_count 4\n"
         );
