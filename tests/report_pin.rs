@@ -9,6 +9,11 @@
 //! here untouched. A change that moves report bits on purpose re-pins
 //! the table — the failure message prints the new table in source form.
 //!
+//! The six specs run on cycle(8) or a triangle hypergraph, where no SAW
+//! node has two children. Two more engines run on graphs of degree 4 and
+//! more: hardcore λ = 1 on torus(4,4), the `net-torus-oracle` tenant, and
+//! matchings λ = 1.5 on grid(3,3), whose line graph has degree up to 6.
+//!
 //! Each digest is FNV-1a over the report's canonical wire encoding
 //! ([`Wire::to_bytes`]) after zeroing the wall times, which
 //! [`RunReport::semantic_eq`] also ignores. Engines use the default pool
@@ -19,6 +24,7 @@ use std::time::Duration;
 
 use lds::engine::{
     Backend, Engine, MarginalsMethod, MarginalsReport, ModelSpec, RunReport, SweepBudget, Task,
+    Topology,
 };
 use lds::gibbs::Value;
 use lds::graph::{generators, Hypergraph, NodeId};
@@ -57,18 +63,42 @@ fn specs() -> Vec<ModelSpec> {
     ]
 }
 
-fn engine_for(spec: &ModelSpec, backend: Backend) -> Engine {
-    let builder = Engine::builder()
+/// Every pinned engine, labelled, with its topology: the six specs on
+/// cycle(8) (the triangle hypergraph for hypergraph matchings), then
+/// hardcore on torus(4,4) and matchings on grid(3,3).
+fn cases() -> Vec<(String, ModelSpec, Topology)> {
+    let mut cases: Vec<_> = specs()
+        .into_iter()
+        .map(|spec| {
+            let topology = match spec {
+                ModelSpec::HypergraphMatching { .. } => Topology::Hypergraph(triangle_hypergraph()),
+                _ => Topology::Graph(generators::cycle(8)),
+            };
+            (spec.name().to_string(), spec, topology)
+        })
+        .collect();
+    cases.push((
+        "hardcore-torus44".to_string(),
+        ModelSpec::Hardcore { lambda: 1.0 },
+        Topology::Graph(generators::torus(4, 4)),
+    ));
+    cases.push((
+        "matching-grid33".to_string(),
+        ModelSpec::Matching { lambda: 1.5 },
+        Topology::Graph(generators::grid(3, 3)),
+    ));
+    cases
+}
+
+fn engine_for(spec: &ModelSpec, topology: &Topology, backend: Backend) -> Engine {
+    Engine::builder()
         .model(spec.clone())
+        .topology(topology.clone())
         .epsilon(0.01)
         .delta(0.05)
-        .backend(backend);
-    match spec {
-        ModelSpec::HypergraphMatching { .. } => builder.hypergraph(triangle_hypergraph()),
-        _ => builder.graph(generators::cycle(8)),
-    }
-    .build()
-    .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name()))
+        .backend(backend)
+        .build()
+        .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name()))
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -120,11 +150,11 @@ fn digests() -> Vec<(String, u64)> {
         vertex: NodeId(0),
         value: Value(1),
     };
-    for spec in specs() {
-        let name = spec.name();
-        let exact = engine_for(&spec, Backend::Exact);
+    for (name, spec, topology) in cases() {
+        let exact = engine_for(&spec, &topology, Backend::Exact);
         let glauber = engine_for(
             &spec,
+            &topology,
             Backend::Glauber {
                 sweeps: SweepBudget::Fixed(12),
             },
@@ -294,4 +324,42 @@ const PINNED: &[(&str, u64)] = &[
     ("hypergraph-matching/count/2", 0xd384980836adaccd),
     ("hypergraph-matching/sampled/2", 0x8be2938913296bb5),
     ("hypergraph-matching/marginals", 0x3833fdd82bf5280d),
+    ("hardcore-torus44/exact/0", 0x0306b10ac6132c43),
+    ("hardcore-torus44/chain/0", 0xc8c5069bac8be5da),
+    ("hardcore-torus44/glauber/0", 0x85b6ca3678cc2a69),
+    ("hardcore-torus44/infer/0", 0x7fd9191260d815bb),
+    ("hardcore-torus44/count/0", 0xe48b2e94321acd12),
+    ("hardcore-torus44/sampled/0", 0xfcbdf934fa66bf08),
+    ("hardcore-torus44/exact/1", 0x92cc4647f7c99dee),
+    ("hardcore-torus44/chain/1", 0x14d7492cea2599e6),
+    ("hardcore-torus44/glauber/1", 0x46957e9444de2d9d),
+    ("hardcore-torus44/infer/1", 0xe22021640d2efbbe),
+    ("hardcore-torus44/count/1", 0xe0fc38f0a557a9b5),
+    ("hardcore-torus44/sampled/1", 0x091e551a9aa37bae),
+    ("hardcore-torus44/exact/2", 0x8af54e1a5ffad2c3),
+    ("hardcore-torus44/chain/2", 0x47d66385d6d7473c),
+    ("hardcore-torus44/glauber/2", 0xb03f117127634766),
+    ("hardcore-torus44/infer/2", 0x90e18544795c5230),
+    ("hardcore-torus44/count/2", 0xd9a0693681cc2e0b),
+    ("hardcore-torus44/sampled/2", 0x2b8ed56dd049ff46),
+    ("hardcore-torus44/marginals", 0x903077e1d61db1f5),
+    ("matching-grid33/exact/0", 0x4315a5e1f972edb3),
+    ("matching-grid33/chain/0", 0xd433ad6c60ce566d),
+    ("matching-grid33/glauber/0", 0xcf2318d6fbd8ae32),
+    ("matching-grid33/infer/0", 0x5d7e5a15119d4527),
+    ("matching-grid33/count/0", 0x6fe91217d8d71b3f),
+    ("matching-grid33/sampled/0", 0x27412773f853234c),
+    ("matching-grid33/exact/1", 0x4b26c7b172a54515),
+    ("matching-grid33/chain/1", 0xa9a837fbe213e832),
+    ("matching-grid33/glauber/1", 0xe385a4ed03e3594b),
+    ("matching-grid33/infer/1", 0xcf99c1a6d43e1c06),
+    ("matching-grid33/count/1", 0x997c57d4518dd120),
+    ("matching-grid33/sampled/1", 0x531fce520594eb6c),
+    ("matching-grid33/exact/2", 0x42c0bfa94997d5e4),
+    ("matching-grid33/chain/2", 0xf57d04b9e6f08ae4),
+    ("matching-grid33/glauber/2", 0x46c450944a0b57fa),
+    ("matching-grid33/infer/2", 0x6aaaee7dc0eb6d94),
+    ("matching-grid33/count/2", 0x2d9f8913f46152be),
+    ("matching-grid33/sampled/2", 0x955b9120ad9033fc),
+    ("matching-grid33/marginals", 0xb8d2d7615988e1cd),
 ];
