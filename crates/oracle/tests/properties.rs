@@ -4,7 +4,8 @@ use lds_gibbs::models::two_spin;
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::models::{coloring, hardcore, ising};
 use lds_gibbs::{distribution, metrics, GibbsModel, PartialConfig, Value};
-use lds_graph::{generators, Graph, NodeId};
+use lds_graph::{generators, line::LineGraph, EdgeId, Graph, NodeId};
+use lds_oracle::saw::MarginalBounds;
 use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use proptest::collection;
 use proptest::prelude::*;
@@ -302,6 +303,228 @@ proptest! {
         let p = saw.marginal_bounds(&g, &tau, v, saw.radius(&m, target)).midpoint();
         prop_assert_eq!(bits(&saw.query(&m, &tau, v, target)), bits(&[1.0 - p, p]));
     }
+}
+
+proptest! {
+    /// Skipping the subtrees under an occupied leaf keeps every completed
+    /// walk's bits: at depths 1–16, wherever [`unpruned_walk`] completes
+    /// under the oracle's default budget, `marginal_bounds` returns its
+    /// bounds bit for bit. Hardcore at λ = 0.5, 1 and 2, where walks
+    /// prune, and a soft two-spin model (γ > 0), where none may, under
+    /// random locally feasible pinnings.
+    #[test]
+    fn pruned_walks_match_the_unpruned_reference(
+        gidx in 0usize..4,
+        kind in 0usize..4,
+        spread in 2usize..40,
+        codes in collection::vec(0usize..40, 18),
+        vertex in 0usize..18,
+    ) {
+        let (g, params, tau, v) = pruning_case(gidx, kind, spread, &codes, vertex);
+        let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+        for t in 1..=16 {
+            let (reference, nodes, exhausted) = unpruned_walk(params, &g, &tau, v, t, DEFAULT_BUDGET);
+            // a deeper tree holds this one, so every deeper walk exhausts too
+            if exhausted {
+                break;
+            }
+            let pruned = saw.marginal_bounds(&g, &tau, v, t);
+            prop_assert_eq!(
+                bounds_bits(pruned), bounds_bits(reference),
+                "{} at depth {} ({} reference nodes): [{}, {}] vs [{}, {}]",
+                v, t, nodes, pruned.lo, pruned.hi, reference.lo, reference.hi
+            );
+        }
+    }
+
+    /// Under a node budget of 50–500 the pruned walk's bounds lie inside
+    /// the reference's: a skipped subtree is one the reference would have
+    /// spent budget on, so every node the reference expands the pruned
+    /// walk expands too. Where γ > 0 nothing is skipped, and the bits
+    /// agree.
+    #[test]
+    fn budgeted_pruned_walks_lie_inside_the_reference(
+        gidx in 0usize..4,
+        kind in 0usize..4,
+        spread in 2usize..40,
+        codes in collection::vec(0usize..40, 18),
+        vertex in 0usize..18,
+        t in 1usize..=16,
+        budget in 50usize..=500,
+    ) {
+        let (g, params, tau, v) = pruning_case(gidx, kind, spread, &codes, vertex);
+        let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0)).with_node_budget(budget);
+        let (reference, _, _) = unpruned_walk(params, &g, &tau, v, t, budget);
+        let pruned = saw.marginal_bounds(&g, &tau, v, t);
+        prop_assert!(
+            reference.lo <= pruned.lo && pruned.hi <= reference.hi,
+            "{v} at depth {t}, budget {budget}: [{}, {}] leaves [{}, {}]",
+            pruned.lo, pruned.hi, reference.lo, reference.hi
+        );
+        if params.gamma > 0.0 {
+            prop_assert_eq!(bounds_bits(pruned), bounds_bits(reference));
+        }
+    }
+}
+
+/// The reference walk expands every node of torus(4,4)'s whole SAW tree
+/// at v0, 90 677 of them; the oracle's unit tests hold the pruned walk to
+/// 5 017.
+#[test]
+fn the_unpruned_reference_walks_torus44s_whole_tree() {
+    let g = generators::torus(4, 4);
+    let tau = PartialConfig::empty(16);
+    let params = TwoSpinParams::hardcore(1.0);
+    let (whole, nodes, exhausted) = unpruned_walk(params, &g, &tau, NodeId(0), 34, DEFAULT_BUDGET);
+    assert_eq!((nodes, exhausted), (90_677, false));
+    let saw = TwoSpinSawOracle::new(params, DecayRate::new(0.5, 2.0));
+    let pruned = saw.marginal_bounds(&g, &tau, NodeId(0), 34);
+    assert_eq!(bounds_bits(pruned), bounds_bits(whole));
+}
+
+/// The SAW oracle's default per-walk node budget.
+const DEFAULT_BUDGET: usize = 200_000;
+
+/// One case of the pruning properties: torus(4,4), grid(3,4), torus(3,6)
+/// or the line graph of grid(3,3) (matchings), by `gidx`; hardcore at
+/// λ = 0.5, 1 or 2, or the soft two-spin model at λ = 1, by `kind`; a
+/// pinning of about 2 in `spread` nodes from `codes`; and the vertex.
+fn pruning_case(
+    gidx: usize,
+    kind: usize,
+    spread: usize,
+    codes: &[usize],
+    vertex: usize,
+) -> (Graph, TwoSpinParams, PartialConfig, NodeId) {
+    let g = match gidx {
+        0 => generators::torus(4, 4),
+        1 => generators::grid(3, 4),
+        2 => generators::torus(3, 6),
+        _ => LineGraph::of(&generators::grid(3, 3)).graph().clone(),
+    };
+    let params = match kind {
+        0..=2 => TwoSpinParams::hardcore([0.5, 1.0, 2.0][kind]),
+        _ => two_spin_params(1, 1.0),
+    };
+    let codes: Vec<usize> = codes.iter().map(|c| c % spread).collect();
+    let tau = pinning_from_codes(&two_spin::model(&g, params), &codes);
+    let v = NodeId::from_index(vertex % g.node_count());
+    (g, params, tau, v)
+}
+
+/// The SAW walk before occupied leaves pruned it, frozen as the reference
+/// for the pruned one: it walks every subtree, and each free node it
+/// expands counts against `budget`, as in the oracle. Returns its bounds
+/// on `Pr[Y_v = 1]` at depth `t`, the nodes it expanded, and whether it
+/// used up its budget.
+fn unpruned_walk(
+    params: TwoSpinParams,
+    g: &Graph,
+    tau: &PartialConfig,
+    v: NodeId,
+    t: usize,
+    budget: usize,
+) -> (MarginalBounds, usize, bool) {
+    let n = g.node_count();
+    let mut walk = UnprunedWalk {
+        params,
+        g,
+        tau,
+        cap: t,
+        left: budget,
+        on_path: vec![false; n],
+        exit_edge: vec![EdgeId(0); n],
+    };
+    let (lo, hi) = walk.ratio(v, None, 0);
+    let to_p = |r: f64| if r.is_infinite() { 1.0 } else { r / (1.0 + r) };
+    let bounds = MarginalBounds {
+        lo: to_p(lo),
+        hi: to_p(hi),
+    };
+    (bounds, budget - walk.left, walk.left == 0)
+}
+
+/// [`unpruned_walk`]'s state: the tree's depth cap, the nodes it may still
+/// expand, and the path's nodes and the edges it left them by.
+struct UnprunedWalk<'a> {
+    params: TwoSpinParams,
+    g: &'a Graph,
+    tau: &'a PartialConfig,
+    cap: usize,
+    left: usize,
+    on_path: Vec<bool>,
+    exit_edge: Vec<EdgeId>,
+}
+
+impl UnprunedWalk<'_> {
+    /// Bounds `[lo, hi]` on the ratio `Pr[1]/Pr[0]` at `u`, entered from
+    /// `from`.
+    fn ratio(&mut self, u: NodeId, from: Option<NodeId>, depth: usize) -> (f64, f64) {
+        if let Some(val) = self.tau.get(u) {
+            let r = if val == Value(1) { f64::INFINITY } else { 0.0 };
+            return (r, r);
+        }
+        if depth >= self.cap || self.left == 0 {
+            return (0.0, f64::INFINITY);
+        }
+        self.left -= 1;
+        let (mut lo, mut hi) = (self.params.lambda, self.params.lambda);
+        self.on_path[u.index()] = true;
+        let g = self.g;
+        for (x, e) in g.incident(u) {
+            if Some(x) == from {
+                continue;
+            }
+            let child = if let Some(val) = self.tau.get(x) {
+                let r = if val == Value(1) { f64::INFINITY } else { 0.0 };
+                (r, r)
+            } else if self.on_path[x.index()] {
+                // closing a cycle: Weitz's rule at x
+                let r = if e > self.exit_edge[x.index()] {
+                    f64::INFINITY
+                } else {
+                    0.0
+                };
+                (r, r)
+            } else {
+                self.exit_edge[u.index()] = e;
+                self.ratio(x, Some(u), depth + 1)
+            };
+            let (a, b) = (self.factor(child.0), self.factor(child.1));
+            lo = safe_mul(lo, a.min(b));
+            hi = safe_mul(hi, a.max(b));
+        }
+        self.on_path[u.index()] = false;
+        (lo, hi)
+    }
+
+    /// The edge factor `(γR + 1)/(R + β)` of a child with ratio `R`.
+    fn factor(&self, r: f64) -> f64 {
+        let TwoSpinParams { beta, gamma, .. } = self.params;
+        if r.is_infinite() {
+            return gamma;
+        }
+        let (num, den) = (gamma * r + 1.0, r + beta);
+        match (num == 0.0, den == 0.0) {
+            (true, true) => 1.0,
+            (false, true) => f64::INFINITY,
+            _ => num / den,
+        }
+    }
+}
+
+/// `x·y` with `0·∞ = 0`.
+fn safe_mul(x: f64, y: f64) -> f64 {
+    if x == 0.0 || y == 0.0 {
+        0.0
+    } else {
+        x * y
+    }
+}
+
+/// The bit patterns of bounds, for exact comparison.
+fn bounds_bits(b: MarginalBounds) -> (u64, u64) {
+    (b.lo.to_bits(), b.hi.to_bits())
 }
 
 /// The depth-search workloads: cycle(12), cycle(128), torus(4,4) and

@@ -354,7 +354,7 @@ const PINNED: &[(&str, u64)] = &[
     ("matching-grid33/glauber/1", 0xe385a4ed03e3594b),
     ("matching-grid33/infer/1", 0xcf99c1a6d43e1c06),
     ("matching-grid33/count/1", 0x997c57d4518dd120),
-    ("matching-grid33/sampled/1", 0x531fce520594eb6c),
+    ("matching-grid33/sampled/1", 0xe0e509421c4915bf),
     ("matching-grid33/exact/2", 0x42c0bfa94997d5e4),
     ("matching-grid33/chain/2", 0xf57d04b9e6f08ae4),
     ("matching-grid33/glauber/2", 0x46c450944a0b57fa),

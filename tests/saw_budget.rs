@@ -13,9 +13,11 @@ use lds::graph::{generators, NodeId};
 use lds::oracle::{DecayRate, Oracle, Target, TwoSpinSawOracle};
 
 /// Infer at v0 on torus(6,6), hardcore λ = 1 at the engine defaults
-/// (ε = 0.01). Depth 12 certifies [0.2237, 0.2369]; the depth-13 walk
-/// exhausts the budget at [0, 0.3725], whose midpoint 0.1863 was the
-/// answer while the search answered its last walk alone.
+/// (ε = 0.01). Depth 12 certifies [0.2237, 0.2369] and depth 13
+/// [0.2237, 0.2317]; the depth-14 walk exhausts the budget at
+/// [0, 0.3162]. The answer is 0.2277, a certified multiplicative error of
+/// 0.018 against ε's 0.01. An answer from the exhausted walk alone would
+/// be its midpoint, 0.1581.
 #[test]
 fn torus66_infer_answers_inside_the_depth12_bounds() {
     let engine = Engine::builder()
@@ -35,9 +37,9 @@ fn torus66_infer_answers_inside_the_depth12_bounds() {
 
 /// The chain-rule sampler's first query on torus(5,5): `Tv(δ/n)` at v0
 /// with the empty pinning, δ = 0.05, on the engine's oracle. The planned
-/// depth is 37, and a walk that deep exhausts the budget at [0, 0.5],
-/// whose midpoint 0.25 was the answer while `Tv` walked only the planned
-/// depth. Depth 10 certifies [0.2150, 0.2366].
+/// depth is 37, and a walk that deep exhausts the budget at
+/// [0.2212, 0.2276]. Depth 10 certifies [0.2150, 0.2366], and the query
+/// certifies `δ/n` at depth 13, at [0.2210, 0.2232].
 #[test]
 fn torus55_tv_answers_inside_the_depth10_bounds() {
     let g = generators::torus(5, 5);
