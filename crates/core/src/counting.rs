@@ -15,7 +15,7 @@
 //!
 //! 1. **Anchor pass** (sequential, cheap): walk the free nodes in id
 //!    order, greedily pinning each to the argmax of a *coarse* marginal
-//!    estimate at precision `max(ε, ANCHOR_EPS_FLOOR)`. The identity
+//!    estimate at precision `max(ε, 0.25)`. The identity
 //!    above holds for **any** feasible `σ` — the anchor's quality never
 //!    enters the error bound — and the coarse argmax is feasible because
 //!    its estimate is `≥ 1/q > 0`, which by the multiplicative guarantee
@@ -48,7 +48,7 @@ use crate::sampler::{sample_once, shared_schedule};
 /// *feasible* — any coarse argmax works, and the chain-rule error bound
 /// is independent of the anchor choice — so anchor marginals are never
 /// computed sharper than this even when the requested `ε` is tiny.
-pub const ANCHOR_EPS_FLOOR: f64 = 0.25;
+const ANCHOR_EPS_FLOOR: f64 = 0.25;
 
 /// Why a chain-rule count could not be produced.
 ///
@@ -127,7 +127,7 @@ pub struct CountRun {
 /// `ε` per marginal, returning per-phase telemetry.
 ///
 /// The anchor pass runs sequentially at coarse precision
-/// `max(ε, `[`ANCHOR_EPS_FLOOR`]`)`; the marginal pass evaluates the
+/// `max(ε, 0.25)`; the marginal pass evaluates the
 /// frozen chain at full `ε` through
 /// [`lds_oracle::chain_marginals_mul`], fanned
 /// across `pool`. The result is bit-identical at every pool width (and

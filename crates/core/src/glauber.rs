@@ -51,7 +51,7 @@ use crate::sampler::{lift, SampleRun};
 /// base (plus any realistic sweep count) stays below `2^20` while
 /// keeping clear of the sampler/JVV tags (1–3) and the runtime's
 /// decomposition/node/workload tags.
-pub const STREAM_GLAUBER: u64 = 0x4_0000;
+const STREAM_GLAUBER: u64 = 0x4_0000;
 
 /// The greedy ground pass: pin each free node, in schedule order, to the
 /// first value keeping every factor touching it positive — Remark 2.3's

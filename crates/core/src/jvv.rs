@@ -49,9 +49,9 @@ use rand::Rng;
 use crate::sampler::{lift, SampleRun};
 
 /// Randomness stream for pass 2 (sampling `Y`).
-pub const STREAM_JVV_SAMPLE: u64 = 2;
+const STREAM_JVV_SAMPLE: u64 = 2;
 /// Randomness stream for pass 3 (rejection coins).
-pub const STREAM_JVV_REJECT: u64 = 3;
+const STREAM_JVV_REJECT: u64 = 3;
 
 /// Execution statistics of one `local-JVV` run.
 #[derive(Clone, Debug, Default)]

@@ -27,7 +27,7 @@ use crate::jvv::JvvStats;
 
 /// Randomness stream tag for the sequential sampler (distinct streams
 /// decorrelate passes that share the network seed).
-pub const STREAM_SEQ_SAMPLER: u64 = 1;
+const STREAM_SEQ_SAMPLER: u64 = 1;
 
 /// The Theorem 3.2 sequential sampler as an SLOCAL algorithm.
 ///

@@ -109,10 +109,10 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
 }
 
 /// Draws allowed by [`complete_schedule`] before it gives up.
-pub const SCHEDULE_DRAWS: u64 = 4;
+const SCHEDULE_DRAWS: u64 = 4;
 
-/// A chromatic schedule that clusters every node if one of
-/// [`SCHEDULE_DRAWS`] draws does: draws [`chromatic_schedule`] on streams
+/// A chromatic schedule that clusters every node if one of four draws
+/// does: draws [`chromatic_schedule`] on streams
 /// `0, 1, …` and returns the first draw without `F″` failures, else the
 /// last draw, whose failure bits then surface in every run over it.
 ///

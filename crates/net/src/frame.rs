@@ -21,7 +21,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// First four bytes of every frame (`b"LDSN"` read little-endian).
-pub const MAGIC: u32 = u32::from_le_bytes(*b"LDSN");
+const MAGIC: u32 = u32::from_le_bytes(*b"LDSN");
 
 /// Wire-format version this build speaks. Bump on any codec change.
 /// Version 2 added the backend field to `EngineSpec` and the
@@ -44,7 +44,7 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 << 20;
 pub enum FrameError {
     /// The underlying transport failed.
     Io(io::Error),
-    /// The first four bytes were not [`MAGIC`] — not our protocol.
+    /// The first four bytes were not the magic `LDSN` — not our protocol.
     BadMagic(u32),
     /// The peer speaks a different [`PROTOCOL_VERSION`].
     UnsupportedVersion(u16),
