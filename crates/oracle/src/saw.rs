@@ -186,7 +186,6 @@ impl RatioInterval {
 /// value, and a node already on the path closes a cycle in a leaf that
 /// Weitz's rule pins occupied exactly when `e` exceeds the edge through
 /// which the path left `x`. `None` for a free node off the path.
-#[inline]
 fn leaf(
     pinning: &PartialConfig,
     on_path: &[bool],
