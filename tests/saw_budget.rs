@@ -38,10 +38,11 @@ fn torus66_infer_answers_inside_the_depth12_bounds() {
 /// The chain-rule sampler's first query on torus(5,5): `Tv(δ/n)` at v0
 /// with the empty pinning, δ = 0.05, on the engine's oracle. The planned
 /// depth is 37, and a walk that deep exhausts the budget at
-/// [0.2212, 0.2276]. Depth 10 certifies [0.2150, 0.2366], and the query
-/// certifies `δ/n` at depth 13, at [0.2210, 0.2232].
+/// [0.2212, 0.2276]. The query certifies `δ/n` at depth 13, at
+/// [0.2210, 0.2232]. An answer from the exhausted walk alone would be its
+/// midpoint, 0.2244, outside those bounds.
 #[test]
-fn torus55_tv_answers_inside_the_depth10_bounds() {
+fn torus55_tv_answers_inside_the_depth13_bounds() {
     let g = generators::torus(5, 5);
     let rate = regime::hardcore(&g, 1.0).expect("in regime").rate;
     let saw = TwoSpinSawOracle::new(
@@ -51,18 +52,18 @@ fn torus55_tv_answers_inside_the_depth10_bounds() {
     let (model, tau) = (hardcore::model(&g, 1.0), PartialConfig::empty(25));
     let target = Target::Tv(0.05 / 25.0);
     assert_eq!(saw.radius(&model, target), 37);
-    let depth10 = saw.marginal_bounds(&g, &tau, NodeId(0), 10);
+    let depth13 = saw.marginal_bounds(&g, &tau, NodeId(0), 13);
     assert!(
-        (0.2149..0.2151).contains(&depth10.lo) && (0.2365..0.2367).contains(&depth10.hi),
-        "depth-10 bounds [{}, {}]",
-        depth10.lo,
-        depth10.hi
+        (0.2209..0.2211).contains(&depth13.lo) && (0.2231..0.2233).contains(&depth13.hi),
+        "depth-13 bounds [{}, {}]",
+        depth13.lo,
+        depth13.hi
     );
     let p = saw.query(&model, &tau, NodeId(0), target)[1];
     assert!(
-        depth10.lo <= p && p <= depth10.hi,
+        depth13.lo <= p && p <= depth13.hi,
         "Tv at v0 answered {p}, outside [{}, {}]",
-        depth10.lo,
-        depth10.hi
+        depth13.lo,
+        depth13.hi
     );
 }
