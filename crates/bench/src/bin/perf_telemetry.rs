@@ -59,7 +59,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use lds_bench::workloads;
-use lds_core::counting::{log_partition_function_annealed, AnnealedConfig};
 use lds_core::jvv::{JvvOutcome, LocalJvv};
 use lds_core::regime;
 use lds_core::sampler::SequentialSampler;
@@ -561,8 +560,7 @@ fn net(samples: usize) -> Record {
 
 /// The two-pass chain-rule counter (`Task::Count`) on cycle(48) per pool
 /// width, with its sequential anchor pass and marginal pass split out
-/// from `RunReport::phases`; then the annealed sampling-backed
-/// estimator's certified error and samples per level.
+/// from `RunReport::phases`.
 ///
 /// An engine runs the estimator on its first Count only and looks the
 /// answer up after, so every rep builds a fresh engine and times its
@@ -604,23 +602,6 @@ fn count(samples: usize) -> Record {
             r.check("count", ratio < 0.1, detail);
         }
     }
-    let model = hardcore::model(&generators::cycle(12), 1.0);
-    let cfg = AnnealedConfig {
-        eps: 0.35,
-        max_samples_per_level: 2048,
-        ..AnnealedConfig::default()
-    };
-    let (free, oracle, pool) = (PartialConfig::empty(12), saw_oracle(), ThreadPool::new(1));
-    let run = log_partition_function_annealed(&model, &free, &oracle, &cfg, 7, &pool)
-        .expect("annealed count");
-    let levels = run.levels.max(1) as f64;
-    let (error, spent) = (run.estimate.log_error_bound, run.samples as f64);
-    r.metric("count_annealed_level_err", error / levels);
-    r.metric("count_annealed_samples_per_level", spent / levels);
-    r.metric(
-        "count_annealed_certified_levels",
-        run.certified_levels as f64,
-    );
     r
 }
 

@@ -25,24 +25,13 @@
 //!    independent trials, fanned across the `lds_runtime::ThreadPool`
 //!    via [`lds_oracle::chain_marginals_mul`]. Results are bit-identical
 //!    at any pool width.
-//!
-//! For sampling-backed oracles, [`log_partition_function_annealed`]
-//! replaces each level's oracle call with an **anytime** Monte Carlo
-//! estimate over independent sampler executions: each level streams
-//! samples in chunks and stops at the first checkpoint whose Hoeffding
-//! interval certifies relative log error `≤ ε`, reporting the achieved
-//! per-level bound instead of spending a fixed worst-case budget.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
-use lds_localnet::{Instance, Network};
 use lds_oracle::{chain_marginals_mul, Oracle, Target};
-use lds_runtime::{splitmix64, ThreadPool};
-
-use crate::sampler::{sample_once, shared_schedule};
+use lds_runtime::ThreadPool;
 
 /// Precision floor for the anchor pass. The anchor only needs to be
 /// *feasible* — any coarse argmax works, and the chain-rule error bound
@@ -261,239 +250,6 @@ pub fn log_partition_function_reference<O: Oracle + ?Sized>(
         log_z,
         log_error_bound: levels.len() as f64 * eps,
         anchor,
-    })
-}
-
-/// Tuning knobs for [`log_partition_function_annealed`].
-#[derive(Clone, Debug)]
-pub struct AnnealedConfig {
-    /// Target certified relative log error per chain level.
-    pub eps: f64,
-    /// Overall Monte Carlo confidence budget: with probability `≥ 1 − δ`
-    /// every level's reported bound holds simultaneously (split as
-    /// `δ/levels` per level, union-bounded over its checkpoints).
-    pub delta: f64,
-    /// Total-variation error of each underlying sampler execution. Per
-    /// Theorem 3.4 this is an *additive* bias `δ_s + ε₀` on each level's
-    /// true marginal — orthogonal to, and not covered by, the certified
-    /// Monte Carlo bound.
-    pub sampler_delta: f64,
-    /// Samples drawn between anytime certification checkpoints.
-    pub chunk: usize,
-    /// Hard per-level sample budget; a level that exhausts it reports
-    /// its achieved (possibly uncertified) bound.
-    pub max_samples_per_level: usize,
-    /// Sampler executions attempted (with distinct seeds) to find a
-    /// feasible anchor before giving up.
-    pub max_anchor_attempts: usize,
-}
-
-impl Default for AnnealedConfig {
-    fn default() -> Self {
-        AnnealedConfig {
-            eps: 0.25,
-            delta: 0.05,
-            sampler_delta: 0.05,
-            chunk: 64,
-            max_samples_per_level: 8192,
-            max_anchor_attempts: 8,
-        }
-    }
-}
-
-/// Result of an annealed (sampling-backed) chain-rule estimation.
-#[derive(Clone, Debug)]
-pub struct AnnealedCount {
-    /// The estimate; `log_error_bound` is the *achieved* certified bound
-    /// `Σ_i bound_i` (not the a-priori `n·ε`), and is `∞` if any level
-    /// could not be certified at all within its budget.
-    pub estimate: CountEstimate,
-    /// Total sampler executions across all levels (anchor excluded).
-    pub samples: usize,
-    /// Number of levels whose achieved bound met the target `ε`.
-    pub certified_levels: usize,
-    /// Number of chain levels.
-    pub levels: usize,
-    /// The confidence `1 − δ` at which the reported bound holds.
-    pub confidence: f64,
-}
-
-/// Per-level outcome of the annealed streaming loop.
-struct LevelStat {
-    p_hat: f64,
-    achieved: f64,
-    samples: usize,
-}
-
-/// Anytime annealed counting for **sampling-backed** oracles: estimates
-/// `ln Z^τ` by Monte Carlo over independent executions of the Theorem
-/// 3.2 LOCAL sampler, instead of a multiplicative inference oracle.
-///
-/// The anchor is the first feasible sampler output (fresh seed per
-/// attempt). Each chain level then estimates
-/// `p_i = μ̃^{τ∧σ_{<i}}_{v_i}(σ(v_i))` by streaming sampler executions
-/// under the frozen prefix in chunks, stopping at the **first**
-/// checkpoint whose Hoeffding interval (confidence `δ/levels`, union
-/// bound over checkpoints) certifies relative log error `≤ ε` — an
-/// anytime scheme that spends samples where the marginal is hard and
-/// stops early where it is easy. The achieved per-level bounds are
-/// summed into `estimate.log_error_bound`.
-///
-/// Levels are fanned across `pool` with per-level SplitMix64 seed
-/// derivation, so the result is bit-identical at every pool width. Every
-/// sampler execution scans one chromatic schedule, drawn once per call.
-///
-/// The certified bound covers Monte Carlo error only: each sampler
-/// execution also carries the additive TV bias `δ_s + ε₀` of Theorem
-/// 3.4 (see [`AnnealedConfig::sampler_delta`]).
-pub fn log_partition_function_annealed<O>(
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    oracle: &O,
-    cfg: &AnnealedConfig,
-    seed0: u64,
-    pool: &ThreadPool,
-) -> Result<AnnealedCount, CountError>
-where
-    O: Oracle + Sync + ?Sized,
-{
-    let n = model.node_count();
-
-    // anchor: first feasible sampler output
-    let instance = Arc::new(
-        Instance::new(model.clone(), pinning.clone()).map_err(|_| CountError::InfeasibleAnchor)?,
-    );
-    // one chromatic schedule for every sampler execution of the call:
-    // it depends on the graph alone, which the level pinnings keep
-    let schedule = shared_schedule(
-        &Network::from_shared(Arc::clone(&instance), seed0),
-        oracle,
-        cfg.sampler_delta,
-    );
-    let anchor_seed = splitmix64(seed0 ^ 0x616e_6368_6f72); // "anchor"
-    let mut anchor = None;
-    for attempt in 0..cfg.max_anchor_attempts.max(1) as u64 {
-        let net = Network::from_shared(Arc::clone(&instance), anchor_seed.wrapping_add(attempt));
-        let run = sample_once(&net, oracle, cfg.sampler_delta, &schedule);
-        if !run.succeeded() {
-            continue;
-        }
-        let mut sigma = pinning.clone();
-        for v in (0..n).map(NodeId::from_index) {
-            if !sigma.is_pinned(v) {
-                sigma.pin(v, run.outputs[v.index()]);
-            }
-        }
-        let config = sigma.to_config();
-        if model.weight(&config) > 0.0 {
-            anchor = Some(config);
-            break;
-        }
-    }
-    let anchor = anchor.ok_or(CountError::InfeasibleAnchor)?;
-    let w = model.weight(&anchor);
-
-    let levels: Vec<(NodeId, Value)> = (0..n)
-        .map(NodeId::from_index)
-        .filter(|&v| !pinning.is_pinned(v))
-        .map(|v| (v, anchor.get(v)))
-        .collect();
-
-    if levels.is_empty() {
-        return Ok(AnnealedCount {
-            estimate: CountEstimate {
-                log_z: w.ln(),
-                log_error_bound: 0.0,
-                anchor,
-            },
-            samples: 0,
-            certified_levels: 0,
-            levels: 0,
-            confidence: 1.0 - cfg.delta,
-        });
-    }
-
-    // each level is a self-contained anytime Monte Carlo loop; fan them
-    // across the pool with seeds derived from the level index alone
-    let chunk = cfg.chunk.max(1);
-    let budget = cfg.max_samples_per_level.max(chunk);
-    let checkpoints = budget.div_ceil(chunk);
-    let delta_ckpt = cfg.delta / levels.len() as f64 / checkpoints as f64;
-    let indices: Vec<usize> = (0..levels.len()).collect();
-    let stats: Vec<Result<LevelStat, CountError>> = pool.par_map(&indices, |&i| {
-        let (v, target) = levels[i];
-        let mut prefix = pinning.clone();
-        for &(u, val) in &levels[..i] {
-            prefix.pin(u, val);
-        }
-        let instance = Arc::new(
-            Instance::new(model.clone(), prefix).map_err(|_| CountError::InfeasibleAnchor)?,
-        );
-        let level_seed = splitmix64(seed0 ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut hits = 0usize;
-        let mut m = 0usize;
-        let mut achieved = f64::INFINITY;
-        while m < budget {
-            let take = chunk.min(budget - m);
-            for s in 0..take as u64 {
-                let net = Network::from_shared(
-                    Arc::clone(&instance),
-                    level_seed.wrapping_add(m as u64 + s),
-                );
-                let run = sample_once(&net, oracle, cfg.sampler_delta, &schedule);
-                if run.outputs[v.index()] == target {
-                    hits += 1;
-                }
-            }
-            m += take;
-            let p = hits as f64 / m as f64;
-            if p > 0.0 {
-                let e = ((2.0 / delta_ckpt).ln() / (2.0 * m as f64)).sqrt();
-                let upper = ((p + e) / p).ln();
-                achieved = if p - e > 0.0 {
-                    upper.max((p / (p - e)).ln())
-                } else {
-                    f64::INFINITY
-                };
-                if achieved <= cfg.eps {
-                    break;
-                }
-            }
-        }
-        if hits == 0 {
-            return Err(CountError::NonPositiveMarginal { vertex: v });
-        }
-        Ok(LevelStat {
-            p_hat: hits as f64 / m as f64,
-            achieved,
-            samples: m,
-        })
-    });
-
-    let mut log_z = w.ln();
-    let mut bound = 0.0f64;
-    let mut samples = 0usize;
-    let mut certified = 0usize;
-    for stat in stats {
-        let stat = stat?;
-        log_z -= stat.p_hat.ln();
-        bound += stat.achieved;
-        samples += stat.samples;
-        if stat.achieved <= cfg.eps {
-            certified += 1;
-        }
-    }
-
-    Ok(AnnealedCount {
-        estimate: CountEstimate {
-            log_z,
-            log_error_bound: bound,
-            anchor,
-        },
-        samples,
-        certified_levels: certified,
-        levels: levels.len(),
-        confidence: 1.0 - cfg.delta,
     })
 }
 
@@ -833,84 +589,5 @@ mod tests {
             estimate(&model, &tau, &AlwaysOccupied, 0.1).unwrap_err(),
             CountError::InfeasibleAnchor
         );
-    }
-
-    #[test]
-    fn annealed_estimate_is_cross_width_identical_and_sane() {
-        let g = generators::cycle(6);
-        let model = hardcore::model(&g, 1.0);
-        let tau = PartialConfig::empty(6);
-        let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0));
-        let cfg = AnnealedConfig {
-            eps: 0.3,
-            delta: 0.1,
-            sampler_delta: 0.05,
-            chunk: 64,
-            max_samples_per_level: 2048,
-            max_anchor_attempts: 8,
-        };
-        let base = log_partition_function_annealed(
-            &model,
-            &tau,
-            &oracle,
-            &cfg,
-            42,
-            &ThreadPool::sequential(),
-        )
-        .unwrap();
-        // exact ln Z = ln 18 (Lucas L6); the certified bound covers MC
-        // error only, so allow the additive sampler bias on top
-        let exact = 18.0f64.ln();
-        assert!(
-            (base.estimate.log_z - exact).abs()
-                <= base.estimate.log_error_bound + 6.0 * 2.0 * cfg.sampler_delta + 0.5,
-            "annealed {} vs exact {} (bound {})",
-            base.estimate.log_z,
-            exact,
-            base.estimate.log_error_bound
-        );
-        assert!(base.samples > 0);
-        assert_eq!(base.levels, 6);
-        assert!(base.certified_levels <= base.levels);
-        assert_eq!(base.confidence, 0.9);
-        for threads in [4usize, 8] {
-            let pool = ThreadPool::new(threads);
-            let run =
-                log_partition_function_annealed(&model, &tau, &oracle, &cfg, 42, &pool).unwrap();
-            assert_eq!(
-                run.estimate.log_z.to_bits(),
-                base.estimate.log_z.to_bits(),
-                "width {threads}"
-            );
-            assert_eq!(run.samples, base.samples);
-            assert_eq!(run.certified_levels, base.certified_levels);
-        }
-    }
-
-    #[test]
-    fn annealed_stops_early_on_easy_levels() {
-        // a generous eps certifies at the first checkpoint: exactly one
-        // chunk per level
-        let g = generators::path(4);
-        let model = hardcore::model(&g, 1.0);
-        let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0));
-        let cfg = AnnealedConfig {
-            eps: 5.0,
-            chunk: 32,
-            max_samples_per_level: 4096,
-            ..AnnealedConfig::default()
-        };
-        let run = log_partition_function_annealed(
-            &model,
-            &PartialConfig::empty(4),
-            &oracle,
-            &cfg,
-            7,
-            &ThreadPool::sequential(),
-        )
-        .unwrap();
-        assert_eq!(run.certified_levels, 4);
-        assert_eq!(run.samples, 4 * 32);
-        assert!(run.estimate.log_error_bound <= 4.0 * 5.0);
     }
 }

@@ -10,7 +10,7 @@
 //! | Theorem 3.2: inference ⟹ approximate sampling (SLOCAL sequential sampler + Lemma 3.1) | [`sampler`] |
 //! | Theorem 3.4: sampling ⟹ inference | [`sampling_to_inference`] |
 //! | Theorem 4.2 / Prop. 4.3: the distributed JVV exact sampler (local rejection sampling) | [`jvv`] |
-//! | Theorem 5.1: inference ⟺ strong spatial mixing | [`ssm_inference`] |
+//! | Theorem 5.1: inference ⟺ strong spatial mixing | [`lds_oracle::EnumerationOracle`] (SSM ⟹ inference); `tests/phase_transition.rs` checks both directions |
 //! | Corollary 5.3: per-model exact samplers (matchings, hardcore, colorings, 2-spin, hypergraph matchings) | the `lds-engine` facade ([`regime`] holds the shared checks) |
 //! | Chain-rule counting from inference (the "counting" of the title) | [`counting`] |
 //! | Round-complexity formulas for the applications | [`complexity`] |
@@ -51,7 +51,6 @@ pub mod jvv;
 pub mod regime;
 pub mod sampler;
 pub mod sampling_to_inference;
-pub mod ssm_inference;
 pub mod stats;
 
 pub use glauber::{GlauberKernel, GlauberStats};

@@ -24,10 +24,7 @@
 //! `LDS_THREADS ∈ {1, 4, 8}`; the widths exercised here are explicit,
 //! so every leg checks the full 1/4/8 sweep.
 
-use lds::core::counting::{
-    log_partition_function, log_partition_function_annealed, log_partition_function_reference,
-    AnnealedConfig, CountError,
-};
+use lds::core::counting::{log_partition_function, log_partition_function_reference, CountError};
 use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::models::{coloring, hardcore, matching::MatchingInstance};
 use lds::gibbs::{GibbsModel, PartialConfig, Value};
@@ -236,50 +233,6 @@ fn engine_count_phases_and_cross_width_answer() {
             report.log_z().unwrap().to_bits(),
             reference.log_z().unwrap().to_bits(),
             "width {threads}"
-        );
-    }
-}
-
-/// The annealed sampling-backed estimator is bit-identical across pool
-/// widths too (per-level seed derivation is width-independent).
-#[test]
-fn annealed_counter_is_cross_width_identical() {
-    let g = generators::cycle(6);
-    let model = hardcore::model(&g, 1.0);
-    let tau = PartialConfig::empty(6);
-    let oracle = TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0));
-    let cfg = AnnealedConfig {
-        eps: 0.4,
-        max_samples_per_level: 1024,
-        ..AnnealedConfig::default()
-    };
-    let reference =
-        log_partition_function_annealed(&model, &tau, &oracle, &cfg, 11, &ThreadPool::new(1))
-            .unwrap();
-    for threads in [4usize, 8] {
-        let run = log_partition_function_annealed(
-            &model,
-            &tau,
-            &oracle,
-            &cfg,
-            11,
-            &ThreadPool::new(threads),
-        )
-        .unwrap();
-        assert_eq!(
-            run.estimate.log_z.to_bits(),
-            reference.estimate.log_z.to_bits(),
-            "width {threads}"
-        );
-        assert_eq!(
-            run.estimate.log_error_bound.to_bits(),
-            reference.estimate.log_error_bound.to_bits(),
-            "width {threads}: achieved bound"
-        );
-        assert_eq!(run.samples, reference.samples, "width {threads}: samples");
-        assert_eq!(
-            run.certified_levels, reference.certified_levels,
-            "width {threads}: certified levels"
         );
     }
 }

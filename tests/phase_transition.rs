@@ -2,11 +2,10 @@
 //! and the SSM ⟺ inference equivalence (Theorem 5.1) across crates.
 
 use lds::core::complexity;
-use lds::core::ssm_inference;
 use lds::gibbs::models::hardcore;
 use lds::gibbs::{distribution, metrics, PartialConfig, Value};
 use lds::graph::{generators, NodeId};
-use lds::oracle::{DecayRate, Oracle, Target};
+use lds::oracle::{DecayRate, EnumerationOracle, Oracle, Target};
 use lds::ssm::{correlation, estimator, phase, rate};
 
 #[test]
@@ -46,7 +45,7 @@ fn measured_ssm_rate_supports_planned_inference() {
     assert!(fitted.alpha < 1.0, "cycles always mix");
     // plan with a safety margin on the fitted rate
     let planned = DecayRate::new((fitted.alpha * 1.2).min(0.95), (fitted.c * 2.0).max(1.0));
-    let oracle = ssm_inference::inference_from_ssm(planned);
+    let oracle = EnumerationOracle::new(planned);
     let tau = PartialConfig::empty(14);
     let exact = distribution::marginal(&model, &tau, NodeId(0)).unwrap();
     for delta in [0.1f64, 0.02] {
@@ -58,12 +57,55 @@ fn measured_ssm_rate_supports_planned_inference() {
 }
 
 #[test]
+fn ssm_implies_inference_with_planned_radius() {
+    // Thm 5.1 direction 2 end to end: the enumeration oracle planned at
+    // the model's mixing rate achieves the requested error
+    let g = generators::cycle(14);
+    let m = hardcore::model(&g, 1.0);
+    let tau = PartialConfig::empty(14);
+    // hardcore on a cycle mixes at rate ≤ λ/(1+λ)² ≈ 0.25; use 0.5
+    let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
+    for delta in [0.2, 0.05, 0.01] {
+        let t = oracle.radius(&m, Target::Tv(delta));
+        let est = oracle.query(&m, &tau, NodeId(3), Target::Tv(delta));
+        let exact = distribution::marginal(&m, &tau, NodeId(3)).unwrap();
+        let err = metrics::tv_distance(&exact, &est);
+        assert!(err <= delta, "δ={delta}: err {err} at radius {t}");
+    }
+}
+
+#[test]
+fn ssm_bound_is_respected_empirically() {
+    // the SSM inequality itself: dTV(μ^σ_v, μ^τ_v) ≤ δ_n(dist)
+    let g = generators::cycle(12);
+    let m = hardcore::model(&g, 1.0);
+    let rate = DecayRate::new(0.5, 2.0);
+    for d in 2..6usize {
+        let mut sigma = PartialConfig::empty(12);
+        sigma.pin(NodeId::from_index(d), Value(0));
+        let mut tau = PartialConfig::empty(12);
+        tau.pin(NodeId::from_index(d), Value(1));
+        let mu_s = distribution::marginal(&m, &sigma, NodeId(0)).unwrap();
+        let mu_t = distribution::marginal(&m, &tau, NodeId(0)).unwrap();
+        let tv = metrics::tv_distance(&mu_s, &mu_t);
+        assert!(
+            tv <= rate.error_at(d),
+            "distance {d}: tv {tv} > bound {}",
+            rate.error_at(d)
+        );
+    }
+}
+
+#[test]
 fn inference_implies_ssm_quantitatively() {
-    // Thm 5.1 direction 1: the implied SSM rate bounds the measured gaps
+    // Thm 5.1 direction 1: an oracle planned at t(n, δ) = ⌈log_{1/α}(c/δ)⌉
+    // implies SSM at rate δ_n(t) = 2·c·α^{t−1} = (2c/α)·α^t, the smallest
+    // δ the radius-(t−1) algorithm promises, doubled by the triangle
+    // inequality; that rate bounds the measured gaps
     let g = generators::cycle(14);
     let model = hardcore::model(&g, 1.0);
-    let oracle_rate = DecayRate::new(0.5, 2.0);
-    let implied = ssm_inference::implied_ssm_rate(oracle_rate);
+    let (alpha, c) = (0.5, 2.0);
+    let implied = DecayRate::new(alpha, 2.0 * c / alpha);
     let series = estimator::boundary_gap_series(&model, NodeId(0), Value(0), Value(1), 6);
     for p in &series {
         assert!(
