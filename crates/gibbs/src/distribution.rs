@@ -370,7 +370,7 @@ mod tests {
         // Ising-like chain of 2 nodes: w(equal)=2, w(diff)=1; Z = 2+1+1+2
         let g = generators::path(2);
         let f = Factor::binary(NodeId(0), NodeId(1), 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let m = GibbsModel::new(g, 2, vec![f], "ising2");
+        let m = GibbsModel::new(g, 2, vec![f]);
         let z = partition_function(&m, &PartialConfig::empty(2));
         assert!((z - 6.0).abs() < 1e-12);
         let mu = marginal(&m, &PartialConfig::empty(2), NodeId(0)).unwrap();

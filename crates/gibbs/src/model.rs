@@ -23,7 +23,6 @@ use crate::{Config, Factor, PartialConfig};
 ///     g,
 ///     2,
 ///     vec![Factor::binary(NodeId(0), NodeId(1), 2, vec![1.0, 1.0, 1.0, 0.0])],
-///     "tiny-hardcore",
 /// );
 /// let both = Config::from_values(vec![Value(1), Value(1)]);
 /// assert_eq!(model.weight(&both), 0.0);
@@ -39,7 +38,6 @@ pub struct GibbsModel {
     /// used for prefix-pruned enumeration in id order.
     completed_at: Vec<Vec<usize>>,
     locality: usize,
-    name: String,
 }
 
 impl GibbsModel {
@@ -50,7 +48,7 @@ impl GibbsModel {
     ///
     /// Panics if a factor's alphabet size differs from `q`, or if a scope
     /// node is out of range.
-    pub fn new(graph: Graph, q: usize, factors: Vec<Factor>, name: impl Into<String>) -> Self {
+    pub fn new(graph: Graph, q: usize, factors: Vec<Factor>) -> Self {
         let n = graph.node_count();
         let mut by_node = vec![Vec::new(); n];
         let mut completed_at = vec![Vec::new(); n];
@@ -75,7 +73,6 @@ impl GibbsModel {
             by_node,
             completed_at,
             locality,
-            name: name.into(),
         }
     }
 
@@ -149,7 +146,7 @@ impl GibbsModel {
                 kept.push(f.remap(|v| sub.to_local(v)));
             }
         }
-        let model = GibbsModel::new(sub.graph().clone(), self.q, kept, self.name.clone());
+        let model = GibbsModel::new(sub.graph().clone(), self.q, kept);
         (model, sub)
     }
 
@@ -187,7 +184,6 @@ fn scope_diameter(g: &Graph, scope: &[NodeId]) -> usize {
 impl fmt::Debug for GibbsModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GibbsModel")
-            .field("name", &self.name)
             .field("n", &self.node_count())
             .field("q", &self.q)
             .field("factors", &self.factors.len())
@@ -214,7 +210,6 @@ mod tests {
                 Factor::binary(NodeId(1), NodeId(2), 2, hard),
                 Factor::unary(NodeId(1), vec![1.0, 2.0]),
             ],
-            "hc-path3",
         )
     }
 
@@ -271,8 +266,11 @@ mod tests {
     }
 
     #[test]
-    fn debug_shows_name() {
+    fn debug_shows_the_model_shape() {
         let m = hardcore_path3();
-        assert!(format!("{m:?}").contains("hc-path3"));
+        assert_eq!(
+            format!("{m:?}"),
+            "GibbsModel { n: 3, q: 2, factors: 3, locality: 1 }"
+        );
     }
 }

@@ -42,7 +42,7 @@ fn diff_factor(u: NodeId, v: NodeId, q: usize) -> Factor {
 pub fn model(g: &Graph, q: usize) -> GibbsModel {
     assert!(q > 0, "need at least one color");
     let factors = g.edges().iter().map(|e| diff_factor(e.u, e.v, q)).collect();
-    GibbsModel::new(g.clone(), q, factors, "coloring")
+    GibbsModel::new(g.clone(), q, factors)
 }
 
 /// Returns `true` if `config` is a proper coloring of `g`.

@@ -57,7 +57,7 @@ fn model_with_activities(g: &Graph, activities: &[f64]) -> GibbsModel {
     for e in g.edges() {
         factors.push(edge_factor(e.u, e.v));
     }
-    GibbsModel::new(g.clone(), 2, factors, "hardcore")
+    GibbsModel::new(g.clone(), 2, factors)
 }
 
 /// The set of occupied vertices of a configuration.

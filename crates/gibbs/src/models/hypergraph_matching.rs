@@ -49,13 +49,7 @@ impl HypergraphMatchingInstance {
     /// Panics if `λ` is negative or non-finite.
     pub fn new(h: &Hypergraph, lambda: f64) -> Self {
         let intersection = h.intersection_graph();
-        let base = hardcore::model(&intersection, lambda);
-        let model = GibbsModel::new(
-            intersection.clone(),
-            2,
-            base.factors().to_vec(),
-            "hypergraph-matching",
-        );
+        let model = hardcore::model(&intersection, lambda);
         HypergraphMatchingInstance {
             hypergraph: h.clone(),
             intersection,

@@ -45,17 +45,9 @@ impl MatchingInstance {
     ///
     /// Panics if `λ` is negative or non-finite.
     pub fn new(g: &Graph, lambda: f64) -> Self {
-        let line = LineGraph::of(g);
-        let mut model = hardcore::model(line.graph(), lambda);
-        model = GibbsModel::new(
-            line.graph().clone(),
-            2,
-            model.factors().to_vec(),
-            "matching",
-        );
         MatchingInstance {
             base: g.clone(),
-            model,
+            model: hardcore::model(LineGraph::of(g).graph(), lambda),
         }
     }
 

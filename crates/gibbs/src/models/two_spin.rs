@@ -81,7 +81,7 @@ pub fn model(g: &Graph, params: TwoSpinParams) -> GibbsModel {
             vec![params.beta, 1.0, 1.0, params.gamma],
         ));
     }
-    GibbsModel::new(g.clone(), 2, factors, "two-spin")
+    GibbsModel::new(g.clone(), 2, factors)
 }
 
 #[cfg(test)]
