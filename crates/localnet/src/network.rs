@@ -1,6 +1,7 @@
 use std::sync::Arc;
 
 use lds_graph::{traversal, NodeId};
+use lds_runtime::splitmix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,14 +28,6 @@ use crate::{Instance, View};
 pub struct Network {
     instance: Arc<Instance>,
     seed: u64,
-}
-
-/// SplitMix64 finalizer: decorrelates per-node seeds.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 impl Network {
