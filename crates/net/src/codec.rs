@@ -73,7 +73,9 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// An append-only encode buffer. All integers are little-endian.
+/// An append-only encode buffer. All integers are little-endian. Public
+/// so a caller can hand-build a byte layout, such as an old protocol
+/// version's, and feed it to [`Wire::from_bytes`].
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -121,104 +123,114 @@ impl Writer {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub(crate) fn put_str(&mut self, s: &str) {
+    pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
-/// A cursor over an encode buffer. Every getter validates availability
-/// before reading; lengths are validated against the bytes remaining
-/// before any allocation (each element of a collection occupies at
-/// least one byte, so `len > remaining` is proof of malformation — a
-/// hostile length field can never trigger a large allocation).
-#[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+pub(crate) use cursor::Reader;
 
-impl<'a> Reader<'a> {
-    /// A reader over `buf`, positioned at the start.
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+/// The decode cursor. `Reader` is public inside this private module, so
+/// [`Wire`]'s decode step can name it while no path outside lds-net
+/// reaches it: decoding is crate-internal, and outside crates cannot
+/// implement `Wire`. They decode through [`Wire::from_bytes`].
+mod cursor {
+    use super::CodecError;
+
+    /// A cursor over an encode buffer. Every getter validates availability
+    /// before reading; lengths are validated against the bytes remaining
+    /// before any allocation (each element of a collection occupies at
+    /// least one byte, so `len > remaining` is proof of malformation — a
+    /// hostile length field can never trigger a large allocation).
+    #[derive(Debug)]
+    pub struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
     }
 
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
+    impl<'a> Reader<'a> {
+        /// A reader over `buf`, positioned at the start.
+        pub(crate) fn new(buf: &'a [u8]) -> Self {
+            Reader { buf, pos: 0 }
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
 
-    /// Reads one byte.
-    pub(crate) fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub(crate) fn get_u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64` and checks it fits the local `usize`.
-    pub(crate) fn get_usize(&mut self) -> Result<usize, CodecError> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| CodecError::Malformed(format!("{v} overflows usize")))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a `bool`; any byte other than `0`/`1` is malformed.
-    pub(crate) fn get_bool(&mut self) -> Result<bool, CodecError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(CodecError::Malformed(format!("bool byte {b}"))),
+        /// Bytes not yet consumed.
+        pub(crate) fn remaining(&self) -> usize {
+            self.buf.len() - self.pos
         }
-    }
 
-    /// Reads a collection length and proves it plausible: `len`
-    /// elements of at least `min_elem_bytes` each must fit in the bytes
-    /// remaining. This is the allocation guard — call it before any
-    /// `Vec::with_capacity`.
-    fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let len = self.get_usize()?;
-        let need = len.checked_mul(min_elem_bytes.max(1)).ok_or_else(|| {
-            CodecError::Malformed(format!("length {len} overflows byte accounting"))
-        })?;
-        if need > self.remaining() {
-            return Err(CodecError::Truncated {
-                needed: need,
-                available: self.remaining(),
-            });
+        fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+            if self.remaining() < n {
+                return Err(CodecError::Truncated {
+                    needed: n,
+                    available: self.remaining(),
+                });
+            }
+            let s = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(s)
         }
-        Ok(len)
-    }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub(crate) fn get_str(&mut self) -> Result<&'a str, CodecError> {
-        let len = self.get_len(1)?;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|e| CodecError::Malformed(format!("utf-8: {e}")))
+        /// Reads one byte.
+        pub(crate) fn get_u8(&mut self) -> Result<u8, CodecError> {
+            Ok(self.take(1)?[0])
+        }
+
+        /// Reads a little-endian `u32`.
+        pub(super) fn get_u32(&mut self) -> Result<u32, CodecError> {
+            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        }
+
+        /// Reads a little-endian `u64`.
+        pub(crate) fn get_u64(&mut self) -> Result<u64, CodecError> {
+            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        }
+
+        /// Reads a `u64` and checks it fits the local `usize`.
+        pub(crate) fn get_usize(&mut self) -> Result<usize, CodecError> {
+            let v = self.get_u64()?;
+            usize::try_from(v).map_err(|_| CodecError::Malformed(format!("{v} overflows usize")))
+        }
+
+        /// Reads an `f64` from its bit pattern.
+        pub(crate) fn get_f64(&mut self) -> Result<f64, CodecError> {
+            Ok(f64::from_bits(self.get_u64()?))
+        }
+
+        /// Reads a `bool`; any byte other than `0`/`1` is malformed.
+        pub(crate) fn get_bool(&mut self) -> Result<bool, CodecError> {
+            match self.get_u8()? {
+                0 => Ok(false),
+                1 => Ok(true),
+                b => Err(CodecError::Malformed(format!("bool byte {b}"))),
+            }
+        }
+
+        /// Reads a collection length and proves it plausible: `len`
+        /// elements of at least `min_elem_bytes` each must fit in the bytes
+        /// remaining. This is the allocation guard — call it before any
+        /// `Vec::with_capacity`.
+        pub(super) fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
+            let len = self.get_usize()?;
+            let need = len.checked_mul(min_elem_bytes.max(1)).ok_or_else(|| {
+                CodecError::Malformed(format!("length {len} overflows byte accounting"))
+            })?;
+            if need > self.remaining() {
+                return Err(CodecError::Truncated {
+                    needed: need,
+                    available: self.remaining(),
+                });
+            }
+            Ok(len)
+        }
+
+        /// Reads a length-prefixed UTF-8 string.
+        pub(crate) fn get_str(&mut self) -> Result<&'a str, CodecError> {
+            let len = self.get_len(1)?;
+            let bytes = self.take(len)?;
+            std::str::from_utf8(bytes).map_err(|e| CodecError::Malformed(format!("utf-8: {e}")))
+        }
     }
 }
 
@@ -231,7 +243,9 @@ pub trait Wire: Sized {
     /// Appends this value's encoding to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Decodes one value from the cursor, advancing it.
+    /// Decodes one value from the cursor, advancing it. Hidden: its
+    /// cursor is crate-internal, so only lds-net decodes this way.
+    #[doc(hidden)]
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
     /// Encodes this value into a fresh byte vector.
