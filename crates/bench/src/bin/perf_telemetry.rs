@@ -1,5 +1,5 @@
-//! The workspace's timing harness: a table of scenario rows. Each row
-//! builds one workload, times it, and returns an `{outcome, metrics}`
+//! The workspace's one harness: a table of scenario rows. Each row
+//! builds one workload, measures it, and returns an `{outcome, metrics}`
 //! record; a row's outcome is `failure` exactly when one of its own
 //! checks failed. The records go to a `BENCH_runtime.json` summary with
 //! the host's available parallelism and the git sha.
@@ -14,22 +14,52 @@
 //! CI runs), `--write-baseline` (also rewrite the baseline file with the
 //! fresh numbers, for refreshing the committed reference on purpose).
 //!
+//! The rows from `pool` to `saw` time the samplers and the serving stack.
+//! The fourteen rows from `e1` to `s2` reproduce the paper's claims: a
+//! row's metrics are its experiment table's numbers, its doc comment is
+//! the table's caption, and its checks are the caption's claim. They run
+//! the same instances, seeds and counts in quick and full mode (about
+//! 4 s in release on a 2-vCPU host, most of it in `e4`).
+//!
 //! The run fails if any of these fails:
-//! - the row checks: at pool width 4, a burst through four server
-//!   sessions stays within 1.25× (+10 µs) of serial dispatch
+//! - the timing rows' checks: at pool width 4, a burst through four
+//!   server sessions stays within 1.25× (+10 µs) of serial dispatch
 //!   (`serving`); at width 1, a repeat Count on one engine costs under
 //!   a tenth of its first (`count`), local-JVV's reject pass costs at
 //!   most 1.25× per node on cycle(1024) what it costs on cycle(128)
 //!   (`jvv`, which also tracks the reject kernel's own share of the pass
 //!   as a trend), and Glauber sampling costs strictly less than exact JVV
-//!   (`backends`); span tracing (`obs`),
-//!   armed-but-idle fail points and the fault-free retry wrapper
-//!   (`resilience`) each cost at most 5%; the SAW oracle's `Tv(δ/n)`
-//!   query on torus(4,4) costs at most 4× one walk at the depth where its
-//!   answer certifies, and its `Mul(1/n³)` queries over a cycle(128) scan
-//!   at most 4× one walk each at their stopping depths (`saw`);
+//!   (`backends`); armed-but-idle fail points and the fault-free retry
+//!   wrapper (`resilience`) each cost at most 5%; the SAW oracle's
+//!   `Tv(δ/n)` query on torus(4,4) costs at most 4× one walk at the depth
+//!   where its answer certifies, and its `Mul(1/n³)` queries over a
+//!   cycle(128) scan at most 4× one walk each at their stopping depths
+//!   (`saw`);
+//! - the paper rows' checks, one per instance:
+//!   - `e1` (Thm 3.2): the chain-rule sampler's joint TV on cycle(8) is
+//!     at most δ plus a computed Monte Carlo allowance;
+//!   - `e2` (Thm 3.4): every marginal rebuilt from sampler runs errs by
+//!     at most δ + ε₀ + 2/√reps;
+//!   - `e3` (Lemma 4.1): the boosted oracle's multiplicative error is at
+//!     most ε;
+//!   - `e4` (Thm 4.2): local-JVV at ε = 1/n³ succeeds at a rate of at
+//!     least e^{−5n²ε}, clamps no acceptance ratio, and its accepted
+//!     samples fit μ (chi-square p > 0.001);
+//!   - `e5` (Thm 5.1): the enumeration oracle errs by at most c·αᵗ, and
+//!     the fitted SSM rate is within 0.05 of theory;
+//!   - `e6a` to `e6e` (Cor 5.3): every output is feasible, and rounds
+//!     stay under the bound;
+//!   - `e7` and `e8` (the phase transition at λ_c(4) = 27/16): a point
+//!     strictly below λ_c is unique with a finite radius, and one
+//!     strictly above is non-unique with a gap (`e7`) or error floor
+//!     (`e8`) of at least 0.01 at the measured depth;
+//!   - `s1`: Linial–Saks colors and weak radius stay under
+//!     8·⌈log₂ n⌉ + 8;
+//!   - `s2`: the exact marginal lies inside every SAW bound pair, and
+//!     local-JVV on C7 clamps no acceptance ratio;
 //! - after the last row, once: the ledger gate (no round observable of
 //!   any sampling run this binary performed exceeded the paper's bound),
+//!   the metrics gate (every key is emitted once, with a finite value),
 //!   the key-drift gate (every gated key is in both the run and the
 //!   baseline) and the regression gate (every gated key is at most 1.25×
 //!   its baseline).
@@ -45,44 +75,51 @@
 //! request in flight. The gated `serve_coalesced_w1_ns` keeps its name,
 //! workload and baseline the same way: it times a burst of eight
 //! requests through a width-1 server, which no longer coalesces but
-//! answers one request per dispatch. The trend rows time one workload
-//! of each paper experiment group (keys `e1_*`, `e3_*`, `s2_*`, `e6a_*`
-//! to `e6c_*`, `e7_*`, `e8_*`, `s1_*`) and are never gated.
+//! answers one request per dispatch. A paper row's keys start with its
+//! row name, and a decimal in a key spells its point as `p` and its
+//! minus sign as `m` (`e1_n8_delta0p05_tv`, `e6d_betam0p3_rounds`); a
+//! flag is 1 or 0.
 //!
 //! The JSON is hand-rolled (the workspace vendors no serde); the baseline
 //! reader scans for `"key": number` pairs regardless of nesting, so the
-//! record structure is cosmetic and keys stay globally unique.
+//! record structure is cosmetic, and the metrics gate keeps each key
+//! unique: of two equal keys the reader would see only the first. JSON
+//! has no non-finite number, so a non-finite value prints as `null` and
+//! fails the same gate.
 
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 
-use lds_bench::workloads;
-use lds_core::jvv::{JvvOutcome, LocalJvv};
-use lds_core::regime;
-use lds_core::sampler::SequentialSampler;
-use lds_engine::{Backend, Engine, ModelSpec, RunReport, SweepBudget, Task, Topology};
-use lds_gibbs::models::{hardcore, two_spin::TwoSpinParams};
-use lds_gibbs::{GibbsModel, PartialConfig, Value};
-use lds_graph::{generators, ordering, power, Graph, NodeId};
+use lds_core::jvv::{self, JvvOutcome, LocalJvv};
+use lds_core::sampler::{self, SequentialSampler};
+use lds_core::{complexity, regime, sampling_to_inference, stats};
+use lds_engine::{Backend, Engine, EngineError, ModelSpec, RunReport, SweepBudget, Task, Topology};
+use lds_gibbs::models::hypergraph_matching::HypergraphMatchingInstance;
+use lds_gibbs::models::ising::IsingParams;
+use lds_gibbs::models::two_spin::{self, TwoSpinParams};
+use lds_gibbs::models::{coloring, hardcore, matching::MatchingInstance};
+use lds_gibbs::{distribution, metrics, Config, GibbsModel, PartialConfig, Value};
+use lds_graph::{generators, ordering, Graph, Hypergraph, NodeId};
 use lds_localnet::decomposition::{linial_saks, DecompositionParams};
 use lds_localnet::slocal::{run_scan_sequential, SlocalRun};
 use lds_localnet::{scheduler, Instance, Network};
 use lds_net::{Client, EngineSpec, NetConfig, NetServer, Op, Wire};
-use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, TwoSpinSawOracle};
-use lds_oracle::{Oracle, Target};
+use lds_oracle::{BoostedOracle, DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 use lds_runtime::{CancelToken, ThreadPool};
 use lds_serve::{Server, ServerConfig};
-use lds_ssm::{correlation, estimator, phase};
+use lds_ssm::correlation::{self, Regime};
+use lds_ssm::{estimator, phase, rate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 type Row = fn(usize) -> Record;
 
-/// The scenario table, in run order. The rows with checks and gated keys
-/// run first, so the process state they are timed in does not depend on
-/// the trend rows that follow them.
+/// The scenario table, in run order. The rows with gated keys run
+/// first, so the process state they are timed in does not depend on the
+/// paper rows that follow them.
 const ROWS: &[(&str, Row)] = &[
     ("pool", pool),
     ("run_batch", run_batch),
@@ -91,19 +128,27 @@ const ROWS: &[(&str, Row)] = &[
     ("net", net),
     ("count", count),
     ("backends", backends),
-    ("obs", obs),
     ("resilience", resilience),
     ("saw", saw),
-    ("e1_reductions", e1_reductions),
-    ("e3_s2_oracles", e3_s2_oracles),
-    ("e6_apps", e6_apps),
-    ("e7_e8_phase", e7_e8_phase),
-    ("s1_decomposition", s1_decomposition),
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6a", e6a),
+    ("e6b", e6b),
+    ("e6c", e6c),
+    ("e6d", e6d),
+    ("e6e", e6e),
+    ("e7", e7),
+    ("e8", e8),
+    ("s1", s1),
+    ("s2", s2),
 ];
 
 /// The metrics the baseline gates: lower-is-better ns only. The JSON also
 /// carries width-4 ns numbers (synchronization-bound, hardware-dependent),
-/// higher-is-better ratios and the trend rows, and a `--write-baseline`
+/// higher-is-better ratios and the paper rows, and a `--write-baseline`
 /// refresh copies all of it. Without this allowlist those keys would
 /// silently join the gate, which for a ratio means failing on a >25%
 /// *improvement*.
@@ -265,17 +310,16 @@ fn reference(width: usize, backend: Backend) -> Engine {
     engine(HARDCORE, generators::cycle(10), 0.01, width, backend)
 }
 
-fn saw_oracle() -> TwoSpinSawOracle {
-    TwoSpinSawOracle::new(TwoSpinParams::hardcore(1.0), DecayRate::new(0.5, 2.0))
+/// A SAW oracle for hardcore at `lambda`, planning its radius at decay
+/// rate `alpha`.
+fn hardcore_saw(lambda: f64, alpha: f64) -> TwoSpinSawOracle {
+    TwoSpinSawOracle::new(TwoSpinParams::hardcore(lambda), DecayRate::new(alpha, 2.0))
 }
 
 /// The engine's SAW oracle for hardcore λ = 1 on `g`.
 fn engine_saw(g: &Graph) -> TwoSpinSawOracle {
     let rate = regime::hardcore(g, 1.0).expect("in regime").rate;
-    TwoSpinSawOracle::new(
-        TwoSpinParams::hardcore(1.0),
-        DecayRate::new(rate.clamp(1e-6, 0.95), 2.0),
-    )
+    hardcore_saw(1.0, rate.clamp(1e-6, 0.95))
 }
 
 /// A loopback `NetServer` with shipped defaults and one client, with a
@@ -647,55 +691,6 @@ fn backends(samples: usize) -> Record {
     r
 }
 
-/// What span tracing costs when it is on: the reference width-1 batch
-/// with sampling off and on, paired. The registry counters are lock-free
-/// atomics that are always live; the knob is `trace::set_sampling`, off
-/// by default. Holding the overhead to 5% is the contract that keeps the
-/// instrumentation compiled into the hot path: the disabled path is one
-/// relaxed atomic load per emission site, and the enabled path only
-/// writes to a per-thread ring.
-fn obs(samples: usize) -> Record {
-    use lds_obs::trace;
-    // the 5% gate leaves little noise headroom, so this row widens each
-    // timed window (4 batches ≈ 2 ms) and takes more paired reps than
-    // the others: per-window scheduler noise shrinks with window length,
-    // and the quantile below does the rest
-    const BATCHES: usize = 4;
-    let engine = reference(1, Backend::Exact);
-    let per_window = (BATCH.len() * BATCHES) as f64;
-    let [off, on] = paired(samples.max(41), true, |sampling| {
-        trace::set_sampling(sampling as u32);
-        let start = Instant::now();
-        for _ in 0..BATCHES {
-            black_box(engine.run_batch(Task::SampleExact, BATCH).unwrap());
-        }
-        let ns = start.elapsed().as_nanos() as f64 / per_window;
-        // scraping the ring is the consumer's cost, not the producer's —
-        // drain outside the timed window
-        black_box(trace::drain());
-        ns
-    });
-    trace::set_sampling(0);
-    // lower quartile, as for the identical-work loops: a real
-    // instrumentation cost shifts every rep's ratio, this quantile
-    // included, while a host-load burst that lands on one series in a
-    // few reps does not drag the estimate with it
-    let overhead = lower_quartile(per_rep_ratios(&on, &off));
-    let mut r = Record::of([
-        ("obs_disabled_run_batch_per_sample_ns", lower_quartile(off)),
-        (
-            "obs_instrumented_run_batch_per_sample_ns",
-            lower_quartile(on),
-        ),
-    ]);
-    r.overhead(
-        "obs_trace_overhead_pct",
-        "span tracing on the width-1 batch",
-        overhead,
-    );
-    r
-}
-
 /// What the chaos and retry machinery costs when nothing fails, on the
 /// `net` row's cache-hot strict round trip: fail points armed on a site
 /// no hot path hits vs disarmed (armed-but-idle means every
@@ -843,118 +838,663 @@ fn saw(samples: usize) -> Record {
     r
 }
 
-/// E1: Thm 3.2's sequential chain-rule scan on cycle(64), and Lemma 3.1's
-/// chromatic schedule draw on torus(8,8).
-fn e1_reductions(samples: usize) -> Record {
-    let cycle = generators::cycle(64);
-    let scan_net = Network::new(Instance::unconditioned(hardcore::model(&cycle, 1.0)), 1);
-    let oracle = saw_oracle();
-    let sampler = SequentialSampler::new(&oracle, 0.05);
-    let (order, never) = (ordering::identity(&cycle), CancelToken::never());
-    let scan = measure(samples, 1, || {
-        run_scan_sequential(&scan_net, &sampler, &order, &never)
-    });
-    let torus = hardcore::model(&generators::torus(8, 8), 0.8);
-    let schedule_net = Network::new(Instance::unconditioned(torus), 1);
-    let schedule = measure(samples, 1, || {
-        scheduler::chromatic_schedule(&schedule_net, 3, 0)
-    });
-    Record::of([
-        ("e1_scan_cycle64_ns", scan),
-        ("e1_schedule_torus8_ns", schedule),
-    ])
+/// A key fragment for a decimal: `0.05` reads `0p05`, `-0.3` reads
+/// `m0p3`.
+fn tag(x: f64) -> String {
+    x.to_string().replace('.', "p").replace('-', "m")
 }
 
-/// E3 and S2: one boosted multiplicative query on cycle(12) at ε = 0.1,
-/// one SAW-tree query at depth 8 on torus(6,6), and one ball-enumeration
-/// query at radius 2 on torus(4,4).
-fn e3_s2_oracles(samples: usize) -> Record {
-    let cycle = hardcore::model(&generators::cycle(12), 1.0);
-    let torus6 = hardcore::model(&generators::torus(6, 6), 1.0);
-    let torus4 = hardcore::model(&generators::torus(4, 4), 1.0);
-    let free = PartialConfig::empty;
-    let (free12, free36, free16) = (free(12), free(36), free(16));
-    let (boosted, saw) = (BoostedOracle::new(saw_oracle()), saw_oracle());
-    let enumeration = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
-    let boosted_ns = measure(samples, 1, || {
-        boosted.query(&cycle, &free12, NodeId(0), Target::Mul(0.1))
-    });
-    let saw_ns = measure(samples, 1, || {
-        saw.marginal_bounds(torus6.graph(), &free36, NodeId(14), 8)
-    });
-    let enum_ns = measure(samples, 1, || {
-        enumeration.marginal_with_frontier(&torus4, &free16, NodeId(5), 2)
-    });
-    Record::of([
-        ("e3_boosted_marginal_ns", boosted_ns),
-        ("s2_saw_marginal_t8_ns", saw_ns),
-        ("s2_enum_marginal_t2_ns", enum_ns),
-    ])
+/// A flag as a metric.
+fn flag(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
+    }
 }
 
-/// E6a–c: exact samples from the Corollary 5.3 application engines —
-/// matchings on a random 4-regular graph of 8 nodes, hardcore on
-/// cycle(16), 4-colorings of cycle(8) — as the median engine wall time
-/// over a fixed seed set.
-fn e6_apps(samples: usize) -> Record {
-    let apps = [
-        (
-            "e6a_matching",
-            ModelSpec::Matching { lambda: 1.0 },
-            workloads::regular(8, 4, 1),
-            0.02,
-        ),
-        ("e6b_hardcore", HARDCORE, generators::cycle(16), 0.01),
-        (
-            "e6c_coloring",
-            ModelSpec::Coloring { q: 4 },
-            generators::cycle(8),
-            0.02,
-        ),
-    ];
+/// A random `d`-regular graph on `n` nodes, drawn from `seed`.
+fn regular(n: usize, d: usize, seed: u64) -> Graph {
+    generators::random_regular(n, d, &mut StdRng::seed_from_u64(seed))
+}
+
+/// A width-1 engine on the default exact backend for the Corollary 5.3
+/// rows, which report a build outside the regime rather than panic.
+fn paper_engine(model: ModelSpec, topology: Topology, epsilon: f64) -> Result<Engine, EngineError> {
+    Engine::builder()
+        .model(model)
+        .topology(topology)
+        .epsilon(epsilon)
+        .threads(1)
+        .build()
+}
+
+/// How far the empirical law of `runs` draws from a law on `support`
+/// outcomes may sit from that law: `½·√(support/runs)` bounds the
+/// expected TV (Cauchy–Schwarz over the outcomes' standard deviations),
+/// and `√(ln 1000/(2·runs))` is McDiarmid's deviation at probability
+/// 10⁻³ (one draw moves the TV by at most `1/runs`).
+fn monte_carlo_allowance(support: usize, runs: usize) -> f64 {
+    let runs = runs as f64;
+    0.5 * (support as f64 / runs).sqrt() + (1000f64.ln() / (2.0 * runs)).sqrt()
+}
+
+/// E1 — Theorem 3.2: approximate inference ⟹ approximate sampling.
+/// Hardcore λ = 1 on cycles, sampled by the chain-rule sampler over the
+/// SAW oracle. Its joint law must be within δ of μ: on cycle(8) the
+/// joint TV of 5000 runs is at most δ plus `monte_carlo_allowance`.
+/// `radius` is t(n, δ/n), and `rounds` the simulated LOCAL cost
+/// O(t(n, δ/n)·log² n) of Lemma 3.1's schedule with `colors` colors.
+fn e1(_: usize) -> Record {
+    const RUNS: usize = 5000;
+    let never = CancelToken::never();
     let mut r = Record::default();
-    for (id, model, graph, epsilon) in apps {
-        let engine = engine(model, graph, epsilon, 1, Backend::Exact);
-        // request 0 draws the schedule; time the requests after it
-        let wall: Vec<f64> = (0..=samples as u64)
-            .map(|seed| engine.run_with_seed(Task::SampleExact, seed).unwrap())
-            .map(|report| report.wall_time.as_nanos() as f64)
-            .collect();
-        r.metric(format!("{id}_sample_ns"), median(wall[1..].to_vec()));
+    for n in [8usize, 16, 32] {
+        let g = generators::cycle(n);
+        let model = hardcore::model(&g, 1.0);
+        let oracle = hardcore_saw(1.0, 0.5);
+        for delta in [0.2, 0.05] {
+            let id = format!("e1_n{n}_delta{}", tag(delta));
+            let radius = oracle.radius(&model, Target::Tv(delta / n as f64));
+            let sampler = SequentialSampler::new(&oracle, delta);
+            let net = Network::new(Instance::unconditioned(model.clone()), 17);
+            let schedule = scheduler::chromatic_schedule(&net, sampler.locality(&model), 0);
+            let run = sampler::sample_local(&net, &oracle, delta, &schedule, &never)
+                .expect("never cancelled")
+                .run;
+            r.metric(format!("{id}_radius"), radius as f64);
+            r.metric(format!("{id}_rounds"), run.rounds as f64);
+            r.metric(format!("{id}_colors"), schedule.colors as f64);
+            if n > 8 {
+                continue;
+            }
+            let samples: Vec<Config> = (0..RUNS as u64)
+                .map(|seed| {
+                    let net = Network::new(Instance::unconditioned(model.clone()), seed);
+                    let run = run_scan_sequential(&net, &sampler, &ordering::identity(&g), &never)
+                        .expect("never cancelled");
+                    Config::from_values(run.outputs)
+                })
+                .collect();
+            let exact = distribution::joint_distribution(&model, &PartialConfig::empty(n))
+                .expect("feasible");
+            let tv = metrics::tv_distance_joint(&metrics::empirical_distribution(&samples), &exact);
+            let allowance = monte_carlo_allowance(exact.len(), RUNS);
+            r.metric(format!("{id}_tv"), tv);
+            r.metric(format!("{id}_allowance"), allowance);
+            let detail = format!(
+                "cycle({n}) at δ = {delta}: joint TV {tv:.4} vs δ + {allowance:.4} Monte Carlo allowance"
+            );
+            r.check("e1", tv <= delta + allowance, detail);
+        }
     }
     r
 }
 
-/// E7 and E8: the hardcore phase sweep on the Δ = 4 tree to depth 400,
-/// the boundary-to-root gap series at λ = 2 on the complete ternary tree
-/// to depth 1000, and the limiting gap at λ = 2.5 on the Δ = 4 tree to
-/// depth 300.
-fn e7_e8_phase(samples: usize) -> Record {
-    let ratios = [0.3, 0.6, 0.9, 1.2, 2.0];
-    let sweep = measure(samples, 1, || phase::hardcore_tree_sweep(4, &ratios, 400));
-    let series = measure(samples, 1, || estimator::tree_gap_series(3, 2.0, 1000));
-    let limit = measure(samples, 1, || correlation::limiting_tree_gap(4, 2.5, 300));
-    Record::of([
-        ("e7_phase_sweep_depth400_ns", sweep),
-        ("e8_gap_series_depth1000_ns", series),
-        ("e8_limiting_gap_depth300_ns", limit),
-    ])
+/// E2 — Theorem 3.4: approximate sampling ⟹ approximate inference.
+/// Marginals rebuilt from repeated LOCAL sampler runs on cycles (Monte
+/// Carlo in place of the paper's exact enumeration of random bits). The
+/// largest per-node TV error is at most `bound` = δ + ε₀ + 2/√reps, where
+/// ε₀ is the sampler's failure rate.
+fn e2(_: usize) -> Record {
+    let mut r = Record::default();
+    for (n, delta, reps) in [(6usize, 0.05, 4000usize), (8, 0.1, 3000)] {
+        let g = generators::cycle(n);
+        let model = hardcore::model(&g, 1.0);
+        let net = Network::new(Instance::unconditioned(model.clone()), 23);
+        let oracle = hardcore_saw(1.0, 0.5);
+        let pool = ThreadPool::sequential();
+        let res =
+            sampling_to_inference::marginals_by_sampling(&net, &oracle, delta, reps, 5, &pool);
+        let tau = PartialConfig::empty(n);
+        let worst = g.nodes().fold(0.0f64, |worst, v| {
+            let exact = distribution::marginal(&model, &tau, v).expect("feasible");
+            worst.max(metrics::tv_distance(&exact, &res.marginals[v.index()]))
+        });
+        let bound = delta + res.failure_rate + (1.0 / reps as f64).sqrt() * 2.0;
+        let id = format!("e2_n{n}");
+        r.metric(format!("{id}_failure_rate"), res.failure_rate);
+        r.metric(format!("{id}_max_tv_err"), worst);
+        r.metric(format!("{id}_bound"), bound);
+        let detail = format!(
+            "cycle({n}) at δ = {delta}, {reps} reps: max node TV error {worst:.4} vs bound {bound:.4}"
+        );
+        r.check("e2", worst <= bound, detail);
+    }
+    r
 }
 
-/// S1, the substrate of Lemma 3.1: a Linial–Saks network decomposition
-/// of torus(14,14), and the power graph G⁶ of torus(10,10).
-fn s1_decomposition(samples: usize) -> Record {
-    let torus14 = generators::torus(14, 14);
-    let params = DecompositionParams::for_size(torus14.node_count());
-    let torus10 = generators::torus(10, 10);
-    let decomposition_ns = measure(samples, 1, || {
-        linial_saks(&torus14, params, &mut StdRng::seed_from_u64(3))
-    });
-    let power_ns = measure(samples, 1, || power::power(&torus10, 6));
-    Record::of([
-        ("s1_linial_saks_torus14_ns", decomposition_ns),
-        ("s1_power_graph_k6_ns", power_ns),
-    ])
+/// E3 — Lemma 4.1: additive → multiplicative boosting. Hardcore on C12
+/// (λ = 1) and the 4×4 torus (λ = 0.8), probe vertex 0. Given a base
+/// oracle with additive error ε/(5qn) at radius `inner_radius`, the
+/// boosted oracle's error `err` = max_c |ln μ̂(c) − ln μ(c)| is at most ε.
+fn e3(_: usize) -> Record {
+    let mut r = Record::default();
+    let cases = [
+        ("cycle12", generators::cycle(12), 1.0),
+        ("torus4x4", generators::torus(4, 4), 0.8),
+    ];
+    for (name, g, lambda) in cases {
+        let model = hardcore::model(&g, lambda);
+        let tau = PartialConfig::empty(g.node_count());
+        let exact = distribution::marginal(&model, &tau, NodeId(0)).expect("feasible");
+        let boosted = BoostedOracle::new(hardcore_saw(lambda, 0.5));
+        for eps in [0.5, 0.2, 0.1] {
+            let est = boosted.query(&model, &tau, NodeId(0), Target::Mul(eps));
+            let err = metrics::multiplicative_err(&exact, &est);
+            let id = format!("e3_{name}_eps{}", tag(eps));
+            let inner = boosted.inner_radius(&model, eps);
+            r.metric(format!("{id}_inner_radius"), inner as f64);
+            r.metric(format!("{id}_err"), err);
+            let detail = format!("{name} at ε = {eps}: multiplicative error {err:.2e}");
+            r.check("e3", err <= eps, detail);
+        }
+    }
+    r
+}
+
+/// E4 — Theorem 4.2: the distributed JVV exact sampler. Hardcore λ = 1
+/// on cycles at the paper's ε = 1/n³, 4000 runs each. The success rate
+/// is at least its bound e^{−5n²ε}, no acceptance ratio is clamped, and
+/// the accepted samples follow μ: a chi-square test of their counts
+/// against μ gives p > 0.001 (`tv_accepted` is their joint TV, Monte
+/// Carlo noise).
+fn e4(_: usize) -> Record {
+    const RUNS: u64 = 4000;
+    const P_FLOOR: f64 = 1e-3;
+    let mut r = Record::default();
+    for n in 5..=8usize {
+        let g = generators::cycle(n);
+        let model = hardcore::model(&g, 1.0);
+        let eps = LocalJvv::<BoostedOracle<TwoSpinSawOracle>>::paper_epsilon(n);
+        let oracle = BoostedOracle::new(hardcore_saw(1.0, 0.5));
+        let jvv = LocalJvv::new(&oracle, eps);
+        let (mut accepted, mut clamped) = (Vec::new(), 0usize);
+        for seed in 0..RUNS {
+            let net = Network::new(Instance::unconditioned(model.clone()), seed);
+            let (out, _) = jvv
+                .run(&net, &ordering::identity(&g), &CancelToken::never())
+                .expect("never cancelled");
+            clamped += out.stats.clamped;
+            if out.run.succeeded() {
+                accepted.push(Config::from_values(out.run.outputs));
+            }
+        }
+        let exact =
+            distribution::joint_distribution(&model, &PartialConfig::empty(n)).expect("feasible");
+        let tv = metrics::tv_distance_joint(&metrics::empirical_distribution(&accepted), &exact);
+        let mut counts = vec![0u64; exact.len()];
+        for config in &accepted {
+            let bin = exact.iter().position(|(c, _)| c == config);
+            counts[bin.expect("a sample is a feasible configuration")] += 1;
+        }
+        let weights: Vec<f64> = exact.iter().map(|(_, p)| *p).collect();
+        let fit = stats::goodness_of_fit(&counts, &weights, 5.0);
+        let success = accepted.len() as f64 / RUNS as f64;
+        let bound = jvv.success_lower_bound(n);
+        let id = format!("e4_n{n}");
+        r.metric(format!("{id}_success_rate"), success);
+        r.metric(format!("{id}_success_bound"), bound);
+        r.metric(format!("{id}_tv_accepted"), tv);
+        r.metric(format!("{id}_chi2_p"), fit.p_value);
+        r.metric(format!("{id}_clamped"), clamped as f64);
+        let detail = format!(
+            "cycle({n}) at ε = {eps:.2e}: success {success:.4} vs bound {bound:.4}, {clamped} \
+             clamped, chi-square p = {:.3} over {} bins",
+            fit.p_value, fit.bins
+        );
+        let ok = success >= bound && clamped == 0 && fit.p_value > P_FLOOR;
+        r.check("e4", ok, detail);
+    }
+    r
+}
+
+/// E5 — Theorem 5.1: SSM ⟺ approximate inference. Hardcore on C16,
+/// probe vertex 0. The enumeration oracle (SSM ⟹ inference) errs by at
+/// most the planned bound c·αᵗ (`e5_t*_bound`, α = 0.6, c = 2) at every
+/// radius t, and the measured SSM gap series fits an exponential whose
+/// rate is within 0.05 of the tree contraction rate (`theory_alpha`).
+fn e5(_: usize) -> Record {
+    const RADII: [usize; 3] = [2, 4, 6];
+    let planned = DecayRate::new(0.6, 2.0);
+    let oracle = EnumerationOracle::new(planned);
+    let mut r = Record::default();
+    for t in RADII {
+        r.metric(format!("e5_t{t}_bound"), planned.error_at(t));
+    }
+    let g = generators::cycle(16);
+    let tau = PartialConfig::empty(16);
+    for lambda in [0.5, 1.0, 1.5] {
+        let model = hardcore::model(&g, lambda);
+        let exact = distribution::marginal(&model, &tau, NodeId(0)).expect("feasible");
+        let series = estimator::boundary_gap_series(&model, NodeId(0), Value(0), Value(1), 7);
+        let fitted = rate::fit_rate(&series).map(|f| f.alpha);
+        let theory = complexity::hardcore_decay_rate(lambda, 2);
+        let id = format!("e5_lambda{}", tag(lambda));
+        if let Some(alpha) = fitted {
+            r.metric(format!("{id}_fitted_alpha"), alpha);
+        }
+        r.metric(format!("{id}_theory_alpha"), theory);
+        let mut worst = 0.0f64;
+        for t in RADII {
+            let est = oracle.marginal_with_frontier(&model, &tau, NodeId(0), t).0;
+            let err = metrics::tv_distance(&exact, &est);
+            r.metric(format!("{id}_t{t}_err"), err);
+            worst = worst.max(err / planned.error_at(t));
+        }
+        let fits = fitted.is_some_and(|alpha| (alpha - theory).abs() <= 0.05);
+        let fitted = fitted.map_or("none".into(), |alpha| format!("{alpha:.4}"));
+        let detail = format!(
+            "C16 at λ = {lambda}: largest error over c·αᵗ {worst:.4}, fitted α {fitted} vs \
+             theory {theory:.4}"
+        );
+        r.check("e5", worst <= 1.0 && fits, detail);
+    }
+    r
+}
+
+/// Reports one E6 instance's runs as `{id}_rounds` (the largest),
+/// `{id}_feasible` and, for a batch, `{id}_successes`, and checks that
+/// every output is feasible and every run stays within the engine's
+/// round bound.
+fn e6_runs(r: &mut Record, gate: &'static str, id: &str, feasible: bool, runs: &[RunReport]) {
+    let rounds = runs.iter().map(|run| run.rounds).max().unwrap_or(0);
+    r.metric(format!("{id}_rounds"), rounds as f64);
+    r.metric(format!("{id}_feasible"), flag(feasible));
+    if runs.len() > 1 {
+        let successes = runs.iter().filter(|run| run.succeeded).count();
+        r.metric(format!("{id}_successes"), successes as f64);
+    }
+    let over = runs
+        .iter()
+        .filter(|run| run.rounds as f64 > run.bound_rounds)
+        .count();
+    let detail = format!(
+        "{id}: {} run(s), feasible {feasible}, {over} over the round bound",
+        runs.len()
+    );
+    r.check(gate, feasible && over == 0, detail);
+}
+
+/// The rounds of Lemma 3.1's schedule at `locality` on `net`, the mean
+/// over schedule seeds 0–4 (rounded down).
+fn mean_schedule_rounds(net: &Network, locality: usize) -> usize {
+    let rounds = (0..5).map(|seed| scheduler::chromatic_schedule(net, locality, seed).rounds);
+    rounds.sum::<usize>() / 5
+}
+
+/// E6a — Corollary 5.3: matchings in O(√Δ·log³ n) rounds. Monomer-dimer
+/// λ = 1 on random Δ-regular graphs (n = 24); `rounds` is the simulated
+/// JVV schedule cost on the line graph, the mean over five schedule
+/// seeds, and stays under `bound`. Every locality here exceeds the line
+/// graph's diameter, and the schedule caps the locality at the diameter,
+/// so `rounds` measures that cap, not the paper's √Δ·log³ n shape: rounds
+/// follow the diameter, which shrinks as Δ grows, so `rounds_over_bound`
+/// falls with Δ. One full JVV run on an 8-node 3-regular graph at
+/// ε = 1/n³ (`validation`) outputs a matching within the engine's round
+/// bound.
+fn e6a(_: usize) -> Record {
+    let mut r = Record::default();
+    for delta in [3usize, 4, 5, 6] {
+        let g = regular(24, delta, 7);
+        let model = MatchingInstance::new(&g, 1.0).model().clone();
+        let alpha = complexity::matching_decay_rate(1.0, delta);
+        let oracle = hardcore_saw(1.0, alpha.min(0.95));
+        let locality = LocalJvv::new(&oracle, 0.05).locality(&model);
+        let net = Network::new(Instance::unconditioned(model.clone()), 3);
+        let rounds = mean_schedule_rounds(&net, locality);
+        let bound = complexity::matchings_rounds_bound(delta, model.node_count(), 1.0);
+        let id = format!("e6a_delta{delta}");
+        r.metric(format!("{id}_line_nodes"), model.node_count() as f64);
+        r.metric(format!("{id}_rate"), alpha);
+        r.metric(format!("{id}_locality"), locality as f64);
+        r.metric(format!("{id}_rounds"), rounds as f64);
+        r.metric(format!("{id}_bound"), bound);
+        r.metric(format!("{id}_rounds_over_bound"), rounds as f64 / bound);
+        let detail = format!("Δ = {delta}: {rounds} rounds vs bound {bound:.1}");
+        r.check("e6a", rounds as f64 <= bound, detail);
+    }
+    let g = regular(8, 3, 1);
+    let eps = LocalJvv::<TwoSpinSawOracle>::paper_epsilon(g.edge_count());
+    let run = paper_engine(
+        ModelSpec::Matching { lambda: 1.0 },
+        Topology::Graph(g.clone()),
+        eps,
+    )
+    .expect("matchings always in regime")
+    .run_with_seed(Task::SampleExact, 9)
+    .expect("valid task");
+    let edges = run.matching_edges().expect("a matching run");
+    let feasible = MatchingInstance::new(&g, 1.0).is_matching(edges);
+    let acceptance = run.acceptance().expect("an exact run");
+    r.metric("e6a_validation_acceptance", acceptance);
+    e6_runs(&mut r, "e6a", "e6a_validation", feasible, &[run]);
+    r
+}
+
+/// E6b — Corollary 5.3: hardcore in O(log³ n) rounds below uniqueness.
+/// λ = 0.8·λ_c(4) on tori; `rounds`, the mean over five schedule seeds,
+/// stays under log³ n. The locality exceeds every torus's diameter, and
+/// the schedule caps the locality at the diameter, so `rounds` measures
+/// that cap (the schedule of a whole-graph gather), not the O(log³ n)
+/// shape. One full JVV run on C10 at ε = 1/n³ (`validation`) outputs an
+/// independent set within the engine's round bound.
+fn e6b(_: usize) -> Record {
+    let mut r = Record::default();
+    let lambda = 0.8 * complexity::hardcore_uniqueness_threshold(4);
+    let alpha = complexity::hardcore_decay_rate(lambda, 4);
+    r.metric("e6b_rate", alpha);
+    for side in [4usize, 6, 8, 10] {
+        let g = generators::torus(side, side);
+        let n = g.node_count();
+        let model = hardcore::model(&g, lambda);
+        let oracle = hardcore_saw(lambda, alpha.min(0.95));
+        let locality = LocalJvv::new(&oracle, 0.05).locality(&model);
+        let net = Network::new(Instance::unconditioned(model), 3);
+        let rounds = mean_schedule_rounds(&net, locality);
+        let bound = complexity::log3_rounds_bound(n, 1.0);
+        let id = format!("e6b_n{n}");
+        r.metric(format!("{id}_locality"), locality as f64);
+        r.metric(format!("{id}_rounds"), rounds as f64);
+        r.metric(format!("{id}_log3n"), bound);
+        r.metric(format!("{id}_rounds_over_log3n"), rounds as f64 / bound);
+        let detail = format!("torus({side},{side}): {rounds} rounds vs log³ n = {bound:.1}");
+        r.check("e6b", rounds as f64 <= bound, detail);
+    }
+    let g = generators::cycle(10);
+    let eps = LocalJvv::<TwoSpinSawOracle>::paper_epsilon(10);
+    let run = paper_engine(
+        ModelSpec::Hardcore { lambda: 1.0 },
+        Topology::Graph(g.clone()),
+        eps,
+    )
+    .expect("in regime")
+    .run_with_seed(Task::SampleExact, 4)
+    .expect("valid task");
+    let feasible = hardcore::is_independent_set(&g, run.config().expect("a sampling run"));
+    e6_runs(&mut r, "e6b", "e6b_validation", feasible, &[run]);
+    r
+}
+
+/// E6c — Corollary 5.3: colorings of triangle-free graphs, q = 2Δ ≥ α*·Δ.
+/// Five full JVV runs (seeds 0–4) of 4-colorings on each cycle at
+/// ε = 1/n³: every output is a proper coloring, and every run stays
+/// within the engine's round bound. `rounds` is the largest of the five,
+/// `successes` how many succeeded.
+fn e6c(_: usize) -> Record {
+    let mut r = Record::default();
+    r.metric("e6c_rate", complexity::coloring_decay_rate(4, 2));
+    for n in [5usize, 6, 8] {
+        let g = generators::cycle(n);
+        let eps = LocalJvv::<TwoSpinSawOracle>::paper_epsilon(n);
+        let runs = paper_engine(
+            ModelSpec::Coloring { q: 4 },
+            Topology::Graph(g.clone()),
+            eps,
+        )
+        .expect("q = 4 > α*·2 on cycles")
+        .run_batch(Task::SampleExact, &[0, 1, 2, 3, 4])
+        .expect("valid task");
+        let proper = runs
+            .iter()
+            .all(|run| coloring::is_proper(&g, run.config().expect("a sampling run")));
+        e6_runs(&mut r, "e6c", &format!("e6c_n{n}"), proper, &runs);
+    }
+    r
+}
+
+/// E6d — Corollary 5.3: antiferromagnetic Ising in uniqueness. Ising on
+/// C12 across β; cycles are always unique, so the engine builds at every
+/// β (`in_regime`), and one JVV run (seed 3) at ε = 1/n³ outputs a
+/// configuration of positive weight within the engine's round bound.
+/// `rate_ref` is the Δ = 4 reference contraction.
+fn e6d(_: usize) -> Record {
+    let mut r = Record::default();
+    let g = generators::cycle(12);
+    for beta in [-0.1, -0.3, -0.6] {
+        let params = IsingParams::new(beta, 0.0).to_two_spin();
+        let id = format!("e6d_beta{}", tag(beta));
+        r.metric(
+            format!("{id}_rate_ref"),
+            complexity::ising_decay_rate(beta, 4),
+        );
+        let spec = ModelSpec::TwoSpin {
+            beta: params.beta,
+            gamma: params.gamma,
+            lambda: params.lambda,
+            rate: complexity::ising_decay_rate(beta, 2).clamp(0.05, 0.9),
+        };
+        let eps = LocalJvv::<TwoSpinSawOracle>::paper_epsilon(12);
+        let run = paper_engine(spec, Topology::Graph(g.clone()), eps)
+            .and_then(|engine| engine.run_with_seed(Task::SampleExact, 3));
+        r.metric(format!("{id}_in_regime"), flag(run.is_ok()));
+        match run {
+            Ok(run) => {
+                let config = run.config().expect("a sampling run");
+                let feasible = two_spin::model(&g, params).weight(config) > 0.0;
+                e6_runs(&mut r, "e6d", &id, feasible, &[run]);
+            }
+            Err(e) => r.check("e6d", false, format!("{id}: {e}")),
+        }
+    }
+    r
+}
+
+/// E6e — Corollary 5.3: weighted hypergraph matchings below λ_c(r, Δ).
+/// Random 3-uniform hypergraphs at λ = 0.5·λ_c(3, Δ) (`lambda`); five JVV
+/// runs (seeds 0–4) at ε = 1/m³ each output a set of pairwise disjoint
+/// hyperedges within the engine's round bound. `rounds` is the largest
+/// of the five, `successes` how many succeeded.
+fn e6e(_: usize) -> Record {
+    let mut r = Record::default();
+    for (nv, m) in [(9usize, 6usize), (12, 8)] {
+        let h = Hypergraph::random_uniform(nv, m, 3, &mut StdRng::seed_from_u64(11));
+        let lambda = 0.5 * complexity::hypergraph_matching_threshold(3, h.max_degree().max(3));
+        let inst = HypergraphMatchingInstance::new(&h, lambda);
+        let eps = LocalJvv::<TwoSpinSawOracle>::paper_epsilon(m);
+        let spec = ModelSpec::HypergraphMatching { lambda };
+        let id = format!("e6e_v{nv}");
+        r.metric(format!("{id}_lambda"), lambda);
+        let runs = paper_engine(spec, Topology::Hypergraph(h), eps)
+            .and_then(|engine| engine.run_batch(Task::SampleExact, &[0, 1, 2, 3, 4]));
+        match runs {
+            Ok(runs) => {
+                let valid = runs
+                    .iter()
+                    .all(|run| inst.is_matching(run.hyperedges().expect("a hypergraph run")));
+                e6_runs(&mut r, "e6e", &id, valid, &runs);
+            }
+            Err(e) => r.check("e6e", false, format!("{id}: {e}")),
+        }
+    }
+    r
+}
+
+/// The inference error the E7 and E8 radii are measured for.
+const PHASE_TARGET: f64 = 0.01;
+
+/// E7 — the computational phase transition at λ_c(Δ), the headline
+/// figure. Hardcore on the Δ-regular tree (Δ = 4, λ_c = 27/16) to depth
+/// 400: fitted SSM rate, decay length, limiting boundary gap and the
+/// radius needed for inference error 0.01. Every point strictly below
+/// λ_c is unique with a finite radius (tractable); every point strictly
+/// above is non-unique, and its gap stays at least 0.01, so no radius
+/// within the measured depth reaches the target (Ω(diam), Feng–Sun–Yin).
+/// λ_c itself is unique (Kelly), but there the gap decays only
+/// polynomially: it is still 0.057 at depth 400, so that point reports
+/// `radius_exceeds` 400, the measured depth, in place of `radius`. An
+/// infinite decay length (a fitted rate of 1) has no key.
+fn e7(_: usize) -> Record {
+    const DEPTH: usize = 400;
+    let ratios = [0.2, 0.4, 0.6, 0.8, 0.9, 1.0, 1.1, 1.3, 1.7, 2.2, 3.0];
+    let mut r = Record::default();
+    for p in phase::hardcore_tree_sweep(4, &ratios, DEPTH) {
+        let id = format!("e7_ratio{}", tag(p.lambda_ratio));
+        if let Some(fit) = &p.fitted {
+            r.metric(format!("{id}_fitted_alpha"), fit.alpha);
+            if fit.decay_length().is_finite() {
+                r.metric(format!("{id}_decay_length"), fit.decay_length());
+            }
+        }
+        r.metric(format!("{id}_theory_alpha"), p.theory_rate);
+        r.metric(format!("{id}_limit_gap"), p.limiting_gap);
+        if p.required_radius.is_finite() {
+            r.metric(format!("{id}_radius"), p.required_radius);
+        } else {
+            r.metric(format!("{id}_radius_exceeds"), DEPTH as f64);
+        }
+        r.metric(format!("{id}_unique"), flag(p.unique));
+        let (ratio, gap) = (p.lambda_ratio, p.limiting_gap);
+        let detail = format!(
+            "λ = {ratio}·λ_c: unique {}, gap {gap:.2e} at depth {DEPTH}, radius {}",
+            p.unique, p.required_radius
+        );
+        if ratio < 1.0 {
+            r.check("e7", p.unique && p.required_radius.is_finite(), detail);
+        } else if ratio > 1.0 {
+            r.check("e7", !p.unique && gap >= PHASE_TARGET, detail);
+        }
+    }
+    r
+}
+
+/// E8 — the long-range correlation lower bound (Feng–Sun–Yin + Section
+/// 5). Any radius-t LOCAL algorithm errs by at least gap/2
+/// (`error_floor`) when the boundary beyond distance t carries the gap.
+/// On the Δ = 4 tree to depth 300, target error 0.01: below λ_c the
+/// required radius is finite and grows toward the threshold; above λ_c
+/// the error floor stays at least 0.01, so no radius within the depth
+/// works (`min_radius_exceeds` 300: the Ω(diam) conclusion). `unique` is
+/// `correlation::classify`'s regime.
+fn e8(_: usize) -> Record {
+    const DEPTH: usize = 300;
+    let lc = complexity::hardcore_uniqueness_threshold(4);
+    let mut r = Record::default();
+    for ratio in [0.4, 0.7, 0.9, 1.2, 2.0, 3.0] {
+        let lambda = ratio * lc;
+        let gap = correlation::limiting_tree_gap(4, lambda, DEPTH);
+        let floor = correlation::error_floor(gap);
+        let series = estimator::tree_gap_series(3, lambda, DEPTH);
+        let gaps: Vec<f64> = series.iter().map(|p| p.gap).collect();
+        let min_radius = correlation::min_radius_for_error(&gaps, PHASE_TARGET);
+        let unique = correlation::classify(4, lambda) == Regime::Unique;
+        let id = format!("e8_ratio{}", tag(ratio));
+        r.metric(format!("{id}_limit_gap"), gap);
+        r.metric(format!("{id}_error_floor"), floor);
+        match min_radius {
+            Some(t) => r.metric(format!("{id}_min_radius"), t as f64),
+            None => r.metric(format!("{id}_min_radius_exceeds"), DEPTH as f64),
+        }
+        r.metric(format!("{id}_unique"), flag(unique));
+        let detail = format!(
+            "λ = {ratio}·λ_c: unique {unique}, error floor {floor:.2e}, min radius {min_radius:?}"
+        );
+        let ok = if ratio < 1.0 {
+            unique && min_radius.is_some()
+        } else {
+            !unique && floor >= PHASE_TARGET && min_radius.is_none()
+        };
+        r.check("e8", ok, detail);
+    }
+    r
+}
+
+/// S1 — substrate: network decomposition quality (Lemma 3.1). Linial–
+/// Saks on tori and random 4-regular graphs, five seeds each: the most
+/// colors and the largest weak cluster radius stay under the
+/// 8·⌈log₂ n⌉ + 8 cap (`cap`). `failures` counts the nodes left
+/// unclustered over the five seeds.
+fn s1(_: usize) -> Record {
+    let mut r = Record::default();
+    let cases = [
+        ("torus5", generators::torus(5, 5)),
+        ("torus8", generators::torus(8, 8)),
+        ("torus12", generators::torus(12, 12)),
+        ("regular4_64", regular(64, 4, 2)),
+        ("regular4_256", regular(256, 4, 2)),
+    ];
+    for (name, g) in cases {
+        let params = DecompositionParams::for_size(g.node_count());
+        let (mut colors, mut radius, mut failures) = (0usize, 0usize, 0usize);
+        for seed in 0..5u64 {
+            let dec = linial_saks(&g, params, &mut StdRng::seed_from_u64(seed));
+            colors = colors.max(dec.colors);
+            radius = radius.max(dec.max_weak_radius(&g));
+            failures += dec.failed.iter().filter(|&&x| x).count();
+        }
+        let cap = params.color_cap;
+        let id = format!("s1_{name}");
+        r.metric(format!("{id}_colors"), colors as f64);
+        r.metric(format!("{id}_weak_radius"), radius as f64);
+        r.metric(format!("{id}_cap"), cap as f64);
+        r.metric(format!("{id}_failures"), failures as f64);
+        let detail = format!("{name}: {colors} colors, weak radius {radius}, cap {cap}");
+        r.check("s1", colors <= cap && radius <= cap, detail);
+    }
+    r
+}
+
+/// S2 — substrate: oracle accuracy and cost, SAW against enumeration.
+/// Hardcore λ = 1 on the 4×4 torus, probe node 5, exact marginal by
+/// global enumeration. At each depth t the SAW walk's bounds contain the
+/// exact marginal; `gap` is their width, `tv_err` the midpoint's error,
+/// and `ns` the lower quartile of nine calls. Last, one local-JVV run on
+/// C7 at ε = 0.01 clamps no acceptance ratio.
+fn s2(_: usize) -> Record {
+    const CALLS: usize = 9;
+    let mut r = Record::default();
+    let g = generators::torus(4, 4);
+    let model = hardcore::model(&g, 1.0);
+    let tau = PartialConfig::empty(16);
+    let exact = distribution::marginal(&model, &tau, NodeId(5)).expect("feasible");
+    let saw = hardcore_saw(1.0, 0.5);
+    for t in [2usize, 4, 6] {
+        let b = saw.marginal_bounds(&g, &tau, NodeId(5), t);
+        let est = [1.0 - b.midpoint(), b.midpoint()];
+        let ns = measure(CALLS, 1, || saw.marginal_bounds(&g, &tau, NodeId(5), t));
+        r.metric(
+            format!("s2_saw_t{t}_tv_err"),
+            metrics::tv_distance(&exact, &est),
+        );
+        r.metric(format!("s2_saw_t{t}_gap"), b.gap());
+        r.metric(format!("s2_saw_t{t}_ns"), ns);
+        let detail = format!(
+            "SAW at depth {t}: exact {:.4} in [{:.4}, {:.4}]",
+            exact[1], b.lo, b.hi
+        );
+        r.check("s2", b.lo <= exact[1] && exact[1] <= b.hi, detail);
+    }
+    let enumeration = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
+    for t in [1usize, 2] {
+        let est = enumeration
+            .marginal_with_frontier(&model, &tau, NodeId(5), t)
+            .0;
+        let ns = measure(CALLS, 1, || {
+            enumeration.marginal_with_frontier(&model, &tau, NodeId(5), t)
+        });
+        r.metric(
+            format!("s2_enum_t{t}_tv_err"),
+            metrics::tv_distance(&exact, &est),
+        );
+        r.metric(format!("s2_enum_t{t}_ns"), ns);
+    }
+    let oracle = BoostedOracle::new(saw);
+    let net = Network::new(
+        Instance::unconditioned(hardcore::model(&generators::cycle(7), 1.0)),
+        3,
+    );
+    let locality = LocalJvv::new(&oracle, 0.01).locality(net.instance().model());
+    let schedule = scheduler::chromatic_schedule(&net, locality, 0);
+    let out = jvv::sample_exact_local(&net, &oracle, 0.01, &schedule, &CancelToken::never())
+        .expect("never cancelled");
+    let stats = out.jvv.expect("exact sampling reports JVV stats");
+    r.metric("s2_jvv_c7_rounds", out.run.rounds as f64);
+    r.metric("s2_jvv_c7_locality", stats.locality as f64);
+    r.metric("s2_jvv_c7_acceptance", stats.acceptance_product);
+    r.metric("s2_jvv_c7_clamped", stats.clamped as f64);
+    let detail = format!("local-JVV on C7: {} clamped", stats.clamped);
+    r.check("s2", stats.clamped == 0, detail);
+    r
 }
 
 /// The round ledger and the registry's series counts, read once after the
@@ -1060,6 +1600,32 @@ fn parse_metrics(text: &str) -> Vec<(String, f64)> {
     out
 }
 
+/// The metrics gate, over every row's metrics: each key is emitted once,
+/// and each value is finite.
+fn metrics_gate(run: &[(String, f64)]) -> Check {
+    let mut seen = HashSet::new();
+    let mut faults = Vec::new();
+    for (key, value) in run {
+        if !seen.insert(key) {
+            faults.push(format!("{key} is emitted twice"));
+        }
+        if !value.is_finite() {
+            faults.push(format!("{key} = {value}"));
+        }
+    }
+    let ok = faults.is_empty();
+    let detail = if ok {
+        format!("{} keys, each emitted once with a finite value", seen.len())
+    } else {
+        faults.join("; ")
+    };
+    Check {
+        gate: "metrics",
+        ok,
+        detail,
+    }
+}
+
 fn render_json(sha: &str, quick: bool, records: &[(&str, Record)]) -> String {
     let parallelism = ThreadPool::available().threads();
     let mut s = format!(
@@ -1070,9 +1636,18 @@ fn render_json(sha: &str, quick: bool, records: &[(&str, Record)]) -> String {
             .metrics
             .iter()
             .map(|(k, v)| {
-                // one decimal is enough for ns, not for a ratio or a share
-                let digits = if v.abs() < 10.0 { 4 } else { 1 };
-                format!("      \"{k}\": {v:.digits$}")
+                // one decimal is enough for ns, not for a ratio or a
+                // share; a small gap or error prints every digit it has
+                let value = if !v.is_finite() {
+                    "null".to_string()
+                } else if *v != 0.0 && v.abs() < 1e-3 {
+                    format!("{v:e}")
+                } else if v.abs() < 100.0 {
+                    format!("{v:.4}")
+                } else {
+                    format!("{v:.1}")
+                };
+                format!("      \"{k}\": {value}")
             })
             .collect();
         s.push_str(&format!(
@@ -1113,6 +1688,7 @@ fn main() {
         .flat_map(|(_, r)| r.metrics.iter().cloned())
         .collect();
     let mut checks: Vec<Check> = records.into_iter().flat_map(|(_, r)| r.checks).collect();
+    checks.push(metrics_gate(&run));
     if let Some(path) = baseline_path {
         match std::fs::read_to_string(&path) {
             Ok(text) => {
@@ -1180,6 +1756,10 @@ mod tests {
         serving.check("serve-w4", false, String::new());
         let records = [
             ("serving", serving),
+            (
+                "e7",
+                Record::of([("e7_ratio0p8_limit_gap", 1.4654943925052066e-14)]),
+            ),
             ("ledger", Record::of([("obs_ledger_max_ratio", -0.5)])),
         ];
         // a sha that starts with digits is a string, not a metric
@@ -1231,10 +1811,42 @@ mod tests {
     }
 
     #[test]
+    fn a_key_emitted_twice_fails_the_metrics_gate() {
+        let metric = |key: &str, value| (key.to_string(), value);
+        let distinct = [
+            metric("e1_n8_delta0p2_tv", 0.0393),
+            metric("e2_n6_bound", 0.0816),
+        ];
+        assert!(metrics_gate(&distinct).ok);
+        let twice = [
+            metric("e1_n8_delta0p2_tv", 0.0393),
+            metric("e1_n8_delta0p2_tv", 0.0816),
+        ];
+        let gate = metrics_gate(&twice);
+        assert!(!gate.ok);
+        assert_eq!(gate.detail, "e1_n8_delta0p2_tv is emitted twice");
+    }
+
+    #[test]
+    fn a_non_finite_value_fails_the_metrics_gate_and_prints_as_null() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let row = Record::of([("e7_ratio1_radius", bad), ("e7_ratio1_unique", 1.0)]);
+            let gate = metrics_gate(&row.metrics);
+            assert!(!gate.ok, "{bad} passed");
+            assert_eq!(gate.detail, format!("e7_ratio1_radius = {bad}"));
+            let json = render_json("4460e1", true, &[("e7", row)]);
+            assert!(json.contains("\"e7_ratio1_radius\": null"), "{json}");
+            let parsed = parse_metrics(&json);
+            assert!(parsed.iter().all(|(k, _)| k != "e7_ratio1_radius"));
+            assert!(parsed.contains(&("e7_ratio1_unique".to_string(), 1.0)));
+        }
+    }
+
+    #[test]
     fn a_row_fails_exactly_when_one_of_its_own_checks_fails() {
-        let mut row = Record::of([("obs_disabled_run_batch_per_sample_ns", 60000.0)]);
+        let mut row = Record::of([("resil_disarmed_roundtrip_ns", 60000.0)]);
         assert_eq!(row.outcome(), "success");
-        row.overhead("obs_trace_overhead_pct", "at the limit", 1.05);
+        row.overhead("resil_armed_idle_overhead_pct", "at the limit", 1.05);
         assert_eq!(row.outcome(), "success");
         let mut other = Record::default();
         other.overhead("resil_retry_overhead_pct", "over the limit", 1.06);

@@ -14,8 +14,8 @@
 //! The *decay-rate* functions for hardcore and Ising are the exact tree
 //! contraction ratios; those for matchings and colorings are
 //! Θ-shape surrogates of the cited analyses (Bayati et al.;
-//! Gamarnik–Katz–Misra) — the experiment suite *measures* the true rates
-//! and reports both (the `experiments` binary in `lds-bench`, table E5).
+//! Gamarnik–Katz–Misra) — the paper rows *measure* the true rates and
+//! report both (`lds-bench`'s `perf_telemetry`, row `e5`).
 
 /// The hardcore uniqueness threshold `λ_c(Δ) = (Δ−1)^{Δ−1}/(Δ−2)^Δ`
 /// (infinite for `Δ ≤ 2`: one-dimensional systems are always unique).

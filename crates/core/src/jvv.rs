@@ -98,8 +98,8 @@ impl<'a, O: Oracle + ?Sized> LocalJvv<'a, O> {
     }
 
     /// The paper's instantiation `ε = 1/n³` (Proposition 4.3), giving
-    /// success probability `1 − O(1/n)`. The experiment tables (E4, E6)
-    /// run local-JVV at it to check that claim.
+    /// success probability `1 − O(1/n)`. Experiments E4 and E6 run
+    /// local-JVV at it to check that claim.
     pub fn paper_epsilon(n: usize) -> f64 {
         1.0 / (n.max(2) as f64).powi(3)
     }
@@ -110,8 +110,8 @@ impl<'a, O: Oracle + ?Sized> LocalJvv<'a, O> {
     }
 
     /// The rejection-phase success lower bound `e^{−5n²ε}` (Lemma 4.8
-    /// generalized to arbitrary `ε`); experiment E4 prints it beside the
-    /// measured success rate.
+    /// generalized to arbitrary `ε`); experiment E4 checks the measured
+    /// success rate against it.
     pub fn success_lower_bound(&self, n: usize) -> f64 {
         (-5.0 * (n * n) as f64 * self.eps).exp()
     }

@@ -31,7 +31,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use lds_engine::EngineError;
-use lds_obs::trace::{self, TraceEvent};
 use lds_obs::{Counter, Histogram};
 use lds_runtime::channel::{self, Receiver, Sender};
 use lds_runtime::ShutdownSignal;
@@ -76,7 +75,7 @@ impl Default for NetConfig {
 /// registry, resolved once.
 ///
 /// [`Op::Metrics`] itself is deliberately **not** instrumented — no
-/// byte counts, no latency sample, no trace events. Recording the
+/// byte counts, no latency sample. Recording the
 /// scrape would make every snapshot differ from the registry state it
 /// reports (self-observation) and pollute the op-latency histograms
 /// with scrape traffic.
@@ -327,15 +326,8 @@ fn reader_loop(
         };
         if !matches!(request.op, Op::Metrics) {
             net_metrics().bytes_in.add(payload.len() as u64);
-            trace::emit(TraceEvent::WireDecode {
-                bytes: payload.len().min(u32::MAX as usize) as u32,
-            });
         }
-        // the wire request id doubles as the trace-correlation id:
-        // serve-layer queue/cache events and engine-side events for
-        // this request carry it through `Pending::trace_id`
-        let out = trace::with_request_id(request.id, || dispatch(request, registry));
-        if tx.send(out).is_err() {
+        if tx.send(dispatch(request, registry)).is_err() {
             // writer gone (peer stopped reading and timed out)
             return;
         }
@@ -460,11 +452,6 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Outgoing>, cfg: Arc<NetConfig
         let bytes = resp.to_bytes();
         if !matches!(resp.reply, Reply::Metrics(_)) {
             metrics.bytes_out.add(bytes.len() as u64);
-            trace::with_request_id(resp.id, || {
-                trace::emit(TraceEvent::WireEncode {
-                    bytes: bytes.len().min(u32::MAX as usize) as u32,
-                });
-            });
         }
         if peer_writable {
             // fail points on the write path: a delayed write (slow NIC,

@@ -1,6 +1,6 @@
 //! Unified observability for the workspace: a process-wide metrics
-//! registry, a lightweight span/event tracer, and the round-complexity
-//! ledger that checks measured LOCAL rounds against the paper's bounds.
+//! registry and the round-complexity ledger that checks measured LOCAL
+//! rounds against the paper's bounds.
 //!
 //! The paper's central claims are *round-complexity* statements, so the
 //! quantities this crate makes observable are not generic server
@@ -19,10 +19,6 @@
 //!    recordings are single relaxed atomic operations on pre-resolved
 //!    handles. Name lookup (the only locking operation) happens once at
 //!    registration; hot paths hold `Arc` handles.
-//! 3. **~Zero cost when idle.** Event tracing is off by default; the
-//!    disabled path is one relaxed load and a branch
-//!    ([`trace::emit`]), so width-1 microbenchmarks pay nothing
-//!    measurable.
 //!
 //! The registry is process-global ([`global`]) so the live `NetServer`
 //! (`Op::Metrics`) and the bench harness (`perf_telemetry`) read the
@@ -38,7 +34,6 @@
 mod histogram;
 mod ledger;
 mod registry;
-pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use ledger::{LedgerSummary, ObservableKind, RoundLedger, RoundObservation};

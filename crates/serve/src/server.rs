@@ -7,7 +7,6 @@ use std::thread;
 use std::time::Instant;
 
 use lds_engine::{Engine, EngineError, RunReport, Task};
-use lds_obs::trace::{self, TraceEvent};
 use lds_obs::{Counter, Gauge, Histogram, MetricsScope};
 use lds_runtime::channel::{self, TrySendError};
 
@@ -200,11 +199,6 @@ struct Pending {
     /// [`ServeError::Expired`] without executing) and propagated into
     /// the engine's cooperative cancellation for the run itself.
     deadline: Option<Instant>,
-    /// Trace-correlation id: inherited from the caller's in-scope
-    /// request id (a net session propagates its wire request id this
-    /// way) or freshly allocated, so queue/cache/dispatch events for
-    /// one request line up across layers.
-    trace_id: u64,
     tx: mpsc::Sender<Result<RunReport, ServeError>>,
 }
 
@@ -269,7 +263,7 @@ impl Shared {
             self.respond(pending, Err(ServeError::Expired));
             return;
         }
-        let (task, seed, trace_id) = (pending.task, pending.seed, pending.trace_id);
+        let (task, seed) = (pending.task, pending.seed);
         let key = IdempotencyKey {
             fingerprint: self.engine.fingerprint(),
             task,
@@ -280,12 +274,10 @@ impl Shared {
             if let Some(report) = ledger.cache.get(&key).cloned() {
                 drop(ledger);
                 metrics.cache_hits.inc();
-                trace::with_request_id(trace_id, || trace::emit(TraceEvent::CacheHit));
                 self.respond(pending, Ok(report));
                 return;
             }
             metrics.cache_misses.inc();
-            trace::with_request_id(trace_id, || trace::emit(TraceEvent::CacheMiss));
             // another session owns this key: ride along, answered by
             // that owner
             if let Some(riders) = ledger.inflight.get_mut(&key) {
@@ -301,9 +293,7 @@ impl Shared {
         // serving.
         metrics.engine_executions.inc();
         let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            trace::with_request_id(trace_id, || {
-                self.engine.run_with_deadline(task, seed, pending.deadline)
-            })
+            self.engine.run_with_deadline(task, seed, pending.deadline)
         })) {
             Ok(Ok(report)) => Ok(report),
             Ok(Err(err)) => Err(ServeError::Engine(err)),
@@ -338,12 +328,6 @@ impl Shared {
 fn worker_loop(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
     while let Ok(pending) = rx.recv() {
         shared.metrics.queue_depth.add(-1);
-        let depth = rx.len();
-        trace::with_request_id(pending.trace_id, || {
-            trace::emit(TraceEvent::QueueDequeue {
-                depth: depth.min(u32::MAX as usize) as u32,
-            });
-        });
         // fail points OUTSIDE dispatch's own panic containment: a
         // `Panic` here unwinds the session holding the request — its
         // responder drops (the ticket answers typed Cancelled) and the
@@ -501,13 +485,12 @@ impl Server {
         };
         let watermark = self.shared.watermark;
         let (pending, ticket) = Self::make_request(task, seed, deadline);
-        let trace_id = pending.trace_id;
         // the depth check and the enqueue are one atomic operation:
         // checking `len()` first would let concurrent producers all
         // observe a below-watermark depth and overshoot it together
         match queue.try_send_below(pending, watermark) {
             Ok(()) => {
-                self.note_enqueue(trace_id);
+                self.shared.metrics.queue_depth.add(1);
                 Ok(ticket)
             }
             Err(TrySendError::Full(_, depth)) => {
@@ -530,26 +513,13 @@ impl Server {
             return Err(SubmitError::ShuttingDown);
         };
         let (pending, ticket) = Self::make_request(task, seed, None);
-        let trace_id = pending.trace_id;
         queue
             .send(pending)
             .map(|()| {
-                self.note_enqueue(trace_id);
+                self.shared.metrics.queue_depth.add(1);
                 ticket
             })
             .map_err(|_| SubmitError::ShuttingDown)
-    }
-
-    /// Records an accepted enqueue: the queue-depth gauge and a
-    /// [`TraceEvent::QueueEnqueue`] correlated to the request.
-    fn note_enqueue(&self, trace_id: u64) {
-        self.shared.metrics.queue_depth.add(1);
-        let depth = self.shared.probe.len();
-        trace::with_request_id(trace_id, || {
-            trace::emit(TraceEvent::QueueEnqueue {
-                depth: depth.min(u32::MAX as usize) as u32,
-            });
-        });
     }
 
     /// Convenience: blocking submit + wait. Use
@@ -564,17 +534,12 @@ impl Server {
 
     fn make_request(task: Task, seed: u64, deadline: Option<Instant>) -> (Pending, Ticket) {
         let (tx, rx) = mpsc::channel();
-        let trace_id = match trace::current_request_id() {
-            0 => trace::next_request_id(),
-            id => id,
-        };
         (
             Pending {
                 task,
                 seed,
                 submitted_at: Instant::now(),
                 deadline,
-                trace_id,
                 tx,
             },
             Ticket { rx },

@@ -50,18 +50,21 @@ pub fn min_radius_for_error(gaps: &[f64], eps: f64) -> Option<usize> {
         .map(|i| i + 1)
 }
 
-/// Classification of a fugacity for the experiment tables.
+/// Classification of a fugacity for the E8 paper row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Regime {
-    /// `λ < λ_c(Δ)`: SSM holds, `O(log³ n)` sampling.
+    /// `λ ≤ λ_c(Δ)`: the tree's Gibbs measure is unique (Kelly). Below
+    /// `λ_c` SSM holds and sampling takes `O(log³ n)` rounds; at `λ_c`
+    /// the gap still vanishes, but only polynomially.
     Unique,
     /// `λ > λ_c(Δ)`: long-range order, `Ω(diam)` sampling.
     NonUnique,
 }
 
-/// Classifies `λ` against the hardcore threshold.
+/// Classifies `λ` against the hardcore threshold: `λ_c` itself is
+/// unique.
 pub fn classify(delta: usize, lambda: f64) -> Regime {
-    if lambda < complexity::hardcore_uniqueness_threshold(delta) {
+    if lambda <= complexity::hardcore_uniqueness_threshold(delta) {
         Regime::Unique
     } else {
         Regime::NonUnique
@@ -112,6 +115,7 @@ mod tests {
     fn classification_matches_threshold() {
         let lc = complexity::hardcore_uniqueness_threshold(5);
         assert_eq!(classify(5, 0.9 * lc), Regime::Unique);
+        assert_eq!(classify(5, lc), Regime::Unique);
         assert_eq!(classify(5, 1.1 * lc), Regime::NonUnique);
     }
 }

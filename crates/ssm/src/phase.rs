@@ -27,9 +27,12 @@ pub struct PhasePoint {
     pub theory_rate: f64,
     /// Gap at the largest measured depth (long-range order indicator).
     pub limiting_gap: f64,
-    /// Radius required for inference error 0.01 (∞ above threshold).
+    /// Radius required for inference error 0.01: ∞ when the gap at the
+    /// largest measured depth is still at least 0.01. That holds above
+    /// the threshold, and at it, where the gap decays only polynomially.
     pub required_radius: f64,
-    /// `true` iff `λ < λ_c(Δ)`.
+    /// `true` iff `λ ≤ λ_c(Δ)`: the tree's Gibbs measure is unique up to
+    /// and at the threshold (Kelly).
     pub unique: bool,
 }
 
@@ -54,7 +57,7 @@ pub fn hardcore_tree_sweep(delta: usize, ratios: &[f64], max_depth: usize) -> Ve
             // whose gap still exceeds the target
             let target = 0.01;
             let required_radius = if limiting_gap >= target {
-                // long-range order: no finite radius reaches the target
+                // no radius within the measured depth reaches the target
                 f64::INFINITY
             } else {
                 match series.iter().rposition(|p| p.gap > target) {
@@ -69,7 +72,7 @@ pub fn hardcore_tree_sweep(delta: usize, ratios: &[f64], max_depth: usize) -> Ve
                 theory_rate: complexity::hardcore_decay_rate(lambda, delta),
                 limiting_gap,
                 required_radius,
-                unique: lambda < lc,
+                unique: lambda <= lc,
             }
         })
         .collect()

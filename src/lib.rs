@@ -44,9 +44,8 @@
 //!   schedules derive from a seed via [`runtime::StreamRng`], driving
 //!   the resilience tests for retry, deadlines, and supervision.
 //! * [`obs`] — the unified observability layer: a process-wide
-//!   [`obs::MetricsRegistry`] of lock-free counters/gauges/histograms,
-//!   a sampled span/event tracer with request-id correlation, and the
-//!   [`obs::RoundLedger`] checking measured round complexity against
+//!   [`obs::MetricsRegistry`] of lock-free counters/gauges/histograms
+//!   and the [`obs::RoundLedger`] checking measured round complexity against
 //!   the paper's bounds. Scrape in-process via [`obs::global`], or over
 //!   the wire via `net::Client::metrics` / `Op::Metrics`.
 //!
@@ -81,8 +80,9 @@
 //! ```
 //!
 //! See `examples/` for runnable walkthroughs of every model and task
-//! kind, README.md for the system inventory, and the `experiments`
-//! binary in `lds-bench` for the per-claim reproduction tables.
+//! kind, README.md for the system inventory, and the paper rows (`e1` to
+//! `s2`) of `lds-bench`'s `perf_telemetry` harness for the per-claim
+//! reproduction, each checked.
 
 #![forbid(unsafe_code)]
 
