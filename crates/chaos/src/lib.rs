@@ -54,7 +54,7 @@ pub enum Fault {
     Error(String),
 }
 
-/// When a [`Rule`] fires, as a function of the site's hit index
+/// When a [`Plan`] rule fires, as a function of the site's hit index
 /// (0-based count of [`point`] calls on that site since arming).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Trigger {
@@ -72,13 +72,13 @@ pub enum Trigger {
 /// One fault schedule entry: at `site`, when `trigger` says so, inject
 /// `fault`. The first matching rule per hit wins.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Rule {
+pub(crate) struct Rule {
     /// The fail-point site name (e.g. `"net.write_torn"`).
-    pub site: String,
+    pub(crate) site: String,
     /// When the rule fires.
-    pub trigger: Trigger,
+    pub(crate) trigger: Trigger,
     /// What the site should do.
-    pub fault: Fault,
+    pub(crate) fault: Fault,
 }
 
 impl Rule {
@@ -97,9 +97,9 @@ impl Rule {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Plan {
     /// Master seed for [`Trigger::Prob`] coins.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The schedule; first matching rule per hit wins.
-    pub rules: Vec<Rule>,
+    pub(crate) rules: Vec<Rule>,
 }
 
 impl Plan {

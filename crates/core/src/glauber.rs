@@ -70,25 +70,15 @@ impl SlocalKernel for GreedyGroundKernel {
     }
 }
 
-/// Per-node effect of a Glauber sweep: the resampled value and whether
-/// it differs from the value the site held entering the sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct GlauberUpdate {
-    /// The value the site holds after its update.
-    pub value: Value,
-    /// `true` if the update changed the site's value.
-    pub changed: bool,
-}
-
 /// Result of one full Glauber sweep.
 #[derive(Clone, Debug)]
-pub struct GlauberSweepRun {
+pub(crate) struct GlauberSweepRun {
     /// The configuration after the sweep.
-    pub config: Config,
+    pub(crate) config: Config,
     /// Free sites resampled by the sweep.
-    pub resampled: usize,
+    pub(crate) resampled: usize,
     /// Resampled sites whose value changed.
-    pub changed: usize,
+    pub(crate) changed: usize,
 }
 
 /// One systematic-scan Glauber sweep as a [`ScanKernel`].
@@ -98,9 +88,10 @@ pub struct GlauberSweepRun {
 /// distribution given its neighborhood (computable from the factors
 /// touching the node only — locality `ℓ`, the model's factor diameter),
 /// using the node's private randomness for this sweep's stream. Pinned
-/// nodes are never updated.
+/// nodes are never updated. A node's scan effect is whether its update
+/// changed its value.
 #[derive(Clone, Debug)]
-pub struct GlauberKernel {
+pub(crate) struct GlauberKernel {
     initial: Config,
     stream: u64,
 }
@@ -115,14 +106,14 @@ impl GlauberKernel {
 
 impl ScanKernel for GlauberKernel {
     type State = Config;
-    type Effect = GlauberUpdate;
+    type Effect = bool;
     type Run = GlauberSweepRun;
 
     fn init(&self, _net: &Network) -> Config {
         self.initial.clone()
     }
 
-    fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<GlauberUpdate> {
+    fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<bool> {
         let model = net.instance().model();
         if net.instance().pinning().is_pinned(v) {
             return None;
@@ -153,28 +144,22 @@ impl ScanKernel for GlauberKernel {
         if total <= 0.0 {
             // frozen site (cannot happen from a feasible state): keep the
             // current value without consuming randomness
-            return Some(GlauberUpdate {
-                value: current,
-                changed: false,
-            });
+            return Some(false);
         }
         let mut rng = net.node_rng(v, self.stream);
         let value = distribution::sample_from_marginal(&weights, &mut rng);
         state.set(v, value);
-        Some(GlauberUpdate {
-            value,
-            changed: value != current,
-        })
+        Some(value != current)
     }
 
     fn finish(
         &self,
         _net: &Network,
         state: Config,
-        effects: Vec<(NodeId, GlauberUpdate)>,
+        effects: Vec<(NodeId, bool)>,
     ) -> GlauberSweepRun {
         let resampled = effects.len();
-        let changed = effects.iter().filter(|(_, e)| e.changed).count();
+        let changed = effects.iter().filter(|&&(_, changed)| changed).count();
         GlauberSweepRun {
             config: state,
             resampled,

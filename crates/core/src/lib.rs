@@ -6,7 +6,7 @@
 //!
 //! | Paper result | Module |
 //! |---|---|
-//! | Approximate inference as a LOCAL algorithm (and Prop. 3.3 derandomization) | [`inference`] |
+//! | Approximate inference (Prop. 3.3: deterministic and failure-free) | the `lds-engine` facade's `Task::Infer`, which queries the oracle directly; `tests/local_model_discipline.rs` checks that a query inside a node's view equals the global one |
 //! | Theorem 3.2: inference ⟹ approximate sampling (SLOCAL sequential sampler + Lemma 3.1) | [`sampler`] |
 //! | Theorem 3.4: sampling ⟹ inference | [`sampling_to_inference`] |
 //! | Theorem 4.2 / Prop. 4.3: the distributed JVV exact sampler (local rejection sampling) | [`jvv`] |
@@ -46,14 +46,8 @@
 pub mod complexity;
 pub mod counting;
 pub mod glauber;
-pub mod inference;
 pub mod jvv;
 pub mod regime;
 pub mod sampler;
 pub mod sampling_to_inference;
 pub mod stats;
-
-pub use glauber::{GlauberKernel, GlauberStats};
-pub use inference::LocalInference;
-pub use jvv::{JvvOutcome, JvvStats, LocalJvv};
-pub use sampler::{SampleRun, SequentialSampler};

@@ -125,7 +125,7 @@ pub(crate) fn resolve_backend(
             regime::AutoBackend::Glauber(plan) => Ok(ApproxPath::Glauber {
                 sweeps: budget(SweepBudget::Auto, plan),
             }),
-            regime::AutoBackend::Exact { .. } => Ok(ApproxPath::Chain),
+            regime::AutoBackend::Exact => Ok(ApproxPath::Chain),
         },
     }
 }

@@ -54,6 +54,5 @@ pub mod traversal;
 pub use builder::GraphBuilder;
 pub use graph::{Edge, EdgeId, Graph, Neighbors};
 pub use hypergraph::{HyperEdgeId, Hypergraph};
-pub use line::LineGraph;
 pub use node::NodeId;
 pub use subgraph::Subgraph;

@@ -57,7 +57,7 @@ pub struct NetworkDecomposition {
     /// Number of colors used.
     pub colors: usize,
     /// Center node of each cluster, indexed by cluster id.
-    pub centers: Vec<NodeId>,
+    pub(crate) centers: Vec<NodeId>,
     /// Locally certified failure flags (`F″_v`): unclustered nodes.
     pub failed: Vec<bool>,
 }

@@ -10,10 +10,11 @@
 //! * [`View`] — the radius-`t` view a LOCAL node gathers: the ball
 //!   `B_t(v)` as a local-id subgraph, the restricted model `w_B` (factors
 //!   fully inside the ball), the restricted pinning, member seeds and
-//!   distances. A `LocalAlgorithm` computes each node's output from its
-//!   view and nothing else — exactly the LOCAL model of Section 2.
-//! * [`local`] — the [`LocalAlgorithm`](local::LocalAlgorithm) trait and
-//!   runner with round accounting and Las Vegas failure bits.
+//!   distances. An oracle queried inside a view answers exactly as it
+//!   does on the whole instance, which is how the test suites check that
+//!   an answer reads nothing beyond its declared locality.
+//! * [`local`] — [`LocalRun`](local::LocalRun), the per-node outputs,
+//!   Las Vegas failure bits and round count of a LOCAL run.
 //! * [`slocal`] — the [`ScanKernel`](slocal::ScanKernel) trait and
 //!   [`run_scan_sequential`](slocal::run_scan_sequential): sequential
 //!   local algorithms scanning an adversarial ordering

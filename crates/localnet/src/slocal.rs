@@ -201,17 +201,19 @@ mod tests {
     use crate::Instance;
     use lds_gibbs::models::hardcore;
     use lds_graph::generators;
+    use std::time::{Duration, Instant};
 
-    /// Pins every node to 0 and cancels `cancel` while processing `last`.
-    struct CancelAt<'a> {
-        cancel: &'a CancelToken,
+    /// Pins every node to 0 and, while processing `last`, waits until
+    /// `deadline` has passed.
+    struct PassDeadlineAt {
+        deadline: Instant,
         last: NodeId,
     }
 
-    impl SlocalKernel for CancelAt<'_> {
+    impl SlocalKernel for PassDeadlineAt {
         fn process(&self, _net: &Network, _sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
             if v == self.last {
-                self.cancel.cancel();
+                std::thread::sleep(self.deadline.saturating_duration_since(Instant::now()));
             }
             (Value(0), false)
         }
@@ -222,21 +224,18 @@ mod tests {
         let g = generators::path(10);
         let net = Network::new(Instance::unconditioned(hardcore::model(&g, 1.0)), 1);
         let order: Vec<NodeId> = g.nodes().collect();
-        let cancel = CancelToken::manual();
-        let kernel = CancelAt {
-            cancel: &cancel,
+        let deadline = Instant::now() + Duration::from_millis(200);
+        let cancel = CancelToken::with_deadline_opt(Some(deadline));
+        let kernel = PassDeadlineAt {
+            deadline,
             last: order[9],
         };
         assert_eq!(
             run_scan_sequential(&net, &kernel, &order, &cancel).map(|run| run.outputs),
             Err(Cancelled)
         );
-        // the same scan under a token nobody cancels completes
+        // the same scan under a token without a deadline completes
         let never = CancelToken::never();
-        let kernel = CancelAt {
-            cancel: &never,
-            last: order[9],
-        };
         assert!(run_scan_sequential(&net, &kernel, &order, &never).is_ok());
     }
 

@@ -410,13 +410,9 @@ impl Client {
         }
     }
 
-    /// Fetches a tenant's serving statistics (`interval = true` for the
-    /// delta since the previous interval query).
-    pub fn stats(&mut self, fingerprint: u64, interval: bool) -> Result<ServerStats, ClientError> {
-        match self.call(Op::Stats {
-            fingerprint,
-            interval,
-        })? {
+    /// Fetches a tenant's process-lifetime serving statistics.
+    pub fn stats(&mut self, fingerprint: u64) -> Result<ServerStats, ClientError> {
+        match self.call(Op::Stats { fingerprint })? {
             Reply::Stats(stats) => Ok(*stats),
             other => Err(ClientError::UnexpectedReply(format!("{other:?}"))),
         }

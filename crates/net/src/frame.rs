@@ -29,8 +29,10 @@ const MAGIC: u32 = u32::from_le_bytes(*b"LDSN");
 /// `RunReport`'s trailing halo-sharding telemetry, which went away with
 /// the cluster-parallel runner that produced it. Version 4 dropped
 /// `ServerStats`' `batches` and `batched_requests`, which went away
-/// with the serving layer's request coalescer.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// with the serving layer's request coalescer. Version 5 dropped the
+/// `interval` flag of `Op::Stats`, which went away with the registry's
+/// per-tenant interval snapshots.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 12;

@@ -65,6 +65,6 @@ mod server;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use codec::{CodecError, Wire};
-pub use frame::{FrameError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use frame::FrameError;
 pub use proto::{EngineSpec, Op, Reply, Request, Response, WireError};
 pub use server::{NetConfig, NetServer};

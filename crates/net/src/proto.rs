@@ -123,13 +123,10 @@ pub enum Op {
         /// `None`, so the extension is wire-compatible.
         deadline: Option<Duration>,
     },
-    /// Fetch a registered engine's serving statistics.
+    /// Fetch a registered engine's process-lifetime serving statistics.
     Stats {
         /// Which engine.
         fingerprint: u64,
-        /// `false`: process-lifetime aggregates. `true`: the interval
-        /// since the previous interval query (and reset the interval).
-        interval: bool,
     },
     /// Fetch the server process's metrics-registry snapshot (`lds-obs`):
     /// every counter, gauge, and latency histogram across all tenants
@@ -171,13 +168,9 @@ impl Wire for Request {
                 w.put_u64(*seed);
                 deadline.encode(w);
             }
-            Op::Stats {
-                fingerprint,
-                interval,
-            } => {
+            Op::Stats { fingerprint } => {
                 w.put_u8(3);
                 w.put_u64(*fingerprint);
-                w.put_bool(*interval);
             }
             Op::Metrics => w.put_u8(4),
         }
@@ -201,7 +194,6 @@ impl Wire for Request {
             },
             3 => Op::Stats {
                 fingerprint: r.get_u64()?,
-                interval: r.get_bool()?,
             },
             4 => Op::Metrics,
             t => return Err(CodecError::Malformed(format!("unknown op tag {t}"))),

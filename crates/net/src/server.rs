@@ -357,16 +357,8 @@ fn dispatch(request: Request, registry: &EngineRegistry) -> Outgoing {
             metrics.op_register.record_duration(started.elapsed());
             reply
         }
-        Op::Stats {
-            fingerprint,
-            interval,
-        } => {
-            let stats = if interval {
-                registry.interval_stats_of(fingerprint)
-            } else {
-                registry.stats_of(fingerprint)
-            };
-            let reply = match stats {
+        Op::Stats { fingerprint } => {
+            let reply = match registry.stats_of(fingerprint) {
                 Some(s) => Reply::Stats(Box::new(s)),
                 None => Reply::Error(WireError::UnknownFingerprint(fingerprint)),
             };

@@ -614,6 +614,20 @@ mod tests {
     }
 
     #[test]
+    fn all_nodes_receive_marginals_within_delta() {
+        // the `Tv` answer `Task::Infer` serves, at every node of cycle(10)
+        let g = generators::cycle(10);
+        let m = hardcore::model(&g, 1.0);
+        let tau = PartialConfig::empty(10);
+        let oracle = hc_oracle(1.0);
+        for v in g.nodes() {
+            let exact = distribution::marginal(&m, &tau, v).unwrap();
+            let err = metrics::tv_distance(&exact, &oracle.query(&m, &tau, v, Target::Tv(0.05)));
+            assert!(err <= 0.05, "node {v}: err {err}");
+        }
+    }
+
+    #[test]
     fn exact_on_trees_with_full_depth() {
         // on a tree the SAW tree *is* the tree: full depth = exact marginal
         let g = generators::balanced_tree(2, 3);

@@ -8,14 +8,12 @@
 //! that completes under a deadline is bit-identical to the same run
 //! without one.
 //!
-//! The token is deliberately cheap when absent: [`CancelToken::never`]
-//! carries no allocation, and its [`check`](CancelToken::check) is a
-//! single `Option` branch, so every pre-existing call path threads a
-//! token at no measurable cost.
+//! The token is deliberately cheap: it is `Copy`, carries no
+//! allocation, and a [`CancelToken::never`] token's
+//! [`check`](CancelToken::check) is a single `Option` branch, so every
+//! call path threads a token at no measurable cost.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The unit error of a cancelled computation. Callers map it into their
@@ -32,78 +30,35 @@ impl fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-#[derive(Debug)]
-struct Inner {
-    /// Absolute wall-clock deadline, if this token carries one.
-    deadline: Option<Instant>,
-    /// Set by [`CancelToken::cancel`]; checked alongside the deadline.
-    flag: AtomicBool,
-}
-
-/// A cloneable cancellation handle threaded through kernel runners.
+/// A cancellation handle threaded through kernel runners: an optional
+/// absolute deadline.
 ///
-/// Three constructors cover the use sites:
-///
-/// * [`CancelToken::never`] — the default for every legacy entry point;
-///   checks are a branch on `None` and always pass.
+/// * [`CancelToken::never`] — the default for every entry point without
+///   a budget; checks are a branch on `None` and always pass.
 /// * [`CancelToken::with_deadline_opt`] — cancelled once `Instant::now()`
 ///   passes the deadline, if one is given (how serve enforces
 ///   per-request budgets).
-/// * [`CancelToken::manual`] — cancelled explicitly via
-///   [`CancelToken::cancel`] (tests, administrative aborts).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CancelToken {
-    inner: Option<Arc<Inner>>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
-    /// A token that never cancels. Free to clone and check.
+    /// A token that never cancels.
     pub fn never() -> CancelToken {
-        CancelToken { inner: None }
+        CancelToken { deadline: None }
     }
 
     /// A token that cancels once `deadline` passes, or
     /// [`CancelToken::never`] without one — the shape serve's optional
     /// per-request budget produces.
     pub fn with_deadline_opt(deadline: Option<Instant>) -> CancelToken {
-        CancelToken {
-            inner: deadline.map(|d| {
-                Arc::new(Inner {
-                    deadline: Some(d),
-                    flag: AtomicBool::new(false),
-                })
-            }),
-        }
+        CancelToken { deadline }
     }
 
-    /// A token cancelled only by an explicit [`CancelToken::cancel`].
-    pub fn manual() -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                deadline: None,
-                flag: AtomicBool::new(false),
-            })),
-        }
-    }
-
-    /// Cancels the token (and every clone of it). No-op on a
-    /// [`CancelToken::never`] token.
-    pub fn cancel(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// `true` once the token is cancelled (flag set or deadline
-    /// passed).
+    /// `true` once the deadline has passed.
     fn is_cancelled(&self) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.flag.load(Ordering::Acquire)
-                    || inner.deadline.is_some_and(|d| Instant::now() >= d)
-            }
-        }
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The cooperative checkpoint: `Err(Cancelled)` once cancelled.
@@ -127,19 +82,8 @@ mod tests {
     fn never_token_always_passes() {
         let t = CancelToken::never();
         assert!(!t.is_cancelled());
-        t.cancel(); // no-op
         assert!(t.check().is_ok());
-        assert!(t.inner.is_none());
-    }
-
-    #[test]
-    fn manual_cancel_reaches_every_clone() {
-        let t = CancelToken::manual();
-        let clone = t.clone();
-        assert!(clone.check().is_ok());
-        t.cancel();
-        assert_eq!(clone.check(), Err(Cancelled));
-        assert!(t.is_cancelled());
+        assert!(t.deadline.is_none());
     }
 
     #[test]
@@ -152,15 +96,12 @@ mod tests {
     fn deadline_in_the_future_passes_until_it_arrives() {
         let t = CancelToken::with_deadline_opt(Some(Instant::now() + Duration::from_secs(3600)));
         assert!(t.check().is_ok());
-        // explicit cancel still wins over a future deadline
-        t.cancel();
-        assert_eq!(t.check(), Err(Cancelled));
     }
 
     #[test]
     fn with_deadline_opt_none_is_never() {
         let t = CancelToken::with_deadline_opt(None);
-        assert!(t.inner.is_none());
+        assert!(t.deadline.is_none());
         assert!(t.check().is_ok());
     }
 }

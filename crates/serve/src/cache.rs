@@ -7,7 +7,8 @@
 //! is not an approximation, it is the definition. The cache therefore
 //! doubles as request dedup: retries, fan-in from many clients asking
 //! for the same sample, and replayed idempotent writes all collapse to
-//! one engine execution.
+//! one engine execution. The same [`LruCache`] keeps the registry's live
+//! tenants.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -102,6 +103,16 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         Some(&self.nodes[i].value)
     }
 
+    /// Looks up `key` without touching the recency order.
+    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|&i| &self.nodes[i].value)
+    }
+
+    /// Number of entries held.
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
     /// Inserts (or refreshes) `key → value`, evicting the least
     /// recently used entry if at capacity. Returns the evicted
     /// `(key, value)` pair, if any.
@@ -167,6 +178,17 @@ mod tests {
         assert_eq!(c.get(&1), Some(&10));
         assert_eq!(c.get(&3), Some(&30));
         assert_eq!(c.map.len(), 2);
+    }
+
+    #[test]
+    fn peek_leaves_the_recency_order_unchanged() {
+        let mut c: LruCache<u32, u32> = LruCache::new(2);
+        c.insert(1, 10);
+        c.insert(2, 20);
+        assert_eq!(c.peek(&1), Some(&10)); // 1 stays least recent
+        assert_eq!(c.peek(&3), None);
+        assert_eq!(c.insert(3, 30), Some((1, 10)));
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

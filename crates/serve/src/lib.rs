@@ -23,8 +23,9 @@
 //!   identical requests in flight dedup to a single execution.
 //! * Load has to stop somewhere — the request queue is **bounded**
 //!   ([`lds_runtime::channel::bounded`]), and [`Server::try_submit`]
-//!   sheds excess with [`SubmitError::Overloaded`] at a configurable
-//!   watermark instead of letting latency grow without limit.
+//!   sheds excess with [`SubmitError::Overloaded`] once the queue is
+//!   full ([`ServerConfig::queue_capacity`]) instead of letting latency
+//!   grow without limit.
 //!
 //! Everything is dependency-free `std`: worker sessions are plain
 //! threads, the queue is a condvar channel, and the session that serves

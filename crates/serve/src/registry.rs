@@ -22,11 +22,11 @@
 //! queue when the last handle drops. A fingerprint that was evicted
 //! simply re-registers on next use.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use lds_engine::Engine;
 
+use crate::cache::LruCache;
 use crate::server::{Server, ServerConfig};
 use crate::stats::ServerStats;
 
@@ -51,21 +51,9 @@ impl Default for RegistryConfig {
     }
 }
 
-/// One live tenant: the engine's server plus registry bookkeeping.
-struct Tenant {
-    server: Arc<Server>,
-    /// Logical clock value of the last lookup/registration — the LRU
-    /// ordering key (a counter, not wall clock: cheap and total).
-    last_used: u64,
-    /// Baseline snapshot for [`EngineRegistry::interval_stats_of`]
-    /// (`snapshot_and_reset` semantics: each interval query differences
-    /// against this and replaces it).
-    interval_base: ServerStats,
-}
-
 struct Inner {
-    tenants: HashMap<u64, Tenant>,
-    clock: u64,
+    /// Live tenants by fingerprint, in recency order.
+    tenants: LruCache<u64, Arc<Server>>,
     registrations: u64,
     evictions: u64,
     hits: u64,
@@ -117,19 +105,16 @@ pub struct EngineRegistry {
 impl EngineRegistry {
     /// An empty registry with the given configuration.
     pub fn new(config: RegistryConfig) -> Self {
+        let capacity = config.capacity.max(1);
         EngineRegistry {
             inner: Mutex::new(Inner {
-                tenants: HashMap::new(),
-                clock: 0,
+                tenants: LruCache::new(capacity),
                 registrations: 0,
                 evictions: 0,
                 hits: 0,
                 misses: 0,
             }),
-            config: RegistryConfig {
-                capacity: config.capacity.max(1),
-                ..config
-            },
+            config: RegistryConfig { capacity, ..config },
         }
     }
 
@@ -138,42 +123,25 @@ impl EngineRegistry {
     /// fingerprint keeps the existing tenant (its cache and stats
     /// survive) and merely refreshes its LRU position. Registering past
     /// the capacity cap evicts the least-recently-used *other* tenant.
+    ///
+    /// The evicted tenant is dropped after the registry lock is
+    /// released: if the registry held its last handle, the drop drains
+    /// the tenant's queue, and that wait blocks only this call, never
+    /// another tenant's lookups.
     pub fn register(&self, engine: Engine) -> u64 {
         let fingerprint = engine.fingerprint();
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.clock += 1;
         inner.registrations += 1;
-        let now = inner.clock;
-        if let Some(tenant) = inner.tenants.get_mut(&fingerprint) {
-            tenant.last_used = now;
+        if inner.tenants.get(&fingerprint).is_some() {
             return fingerprint;
         }
         let server = Arc::new(Server::new(Arc::new(engine), self.config.server.clone()));
-        let interval_base = server.stats();
-        inner.tenants.insert(
-            fingerprint,
-            Tenant {
-                server,
-                last_used: now,
-                interval_base,
-            },
-        );
-        while inner.tenants.len() > self.config.capacity {
-            // evict the coldest tenant that is not the one just added
-            let coldest = inner
-                .tenants
-                .iter()
-                .filter(|(fp, _)| **fp != fingerprint)
-                .min_by_key(|(_, t)| t.last_used)
-                .map(|(fp, _)| *fp);
-            match coldest {
-                Some(fp) => {
-                    inner.tenants.remove(&fp);
-                    inner.evictions += 1;
-                }
-                None => break, // capacity 1 and only the new tenant left
-            }
+        let evicted = inner.tenants.insert(fingerprint, server);
+        if evicted.is_some() {
+            inner.evictions += 1;
         }
+        drop(inner);
+        drop(evicted);
         fingerprint
     }
 
@@ -183,44 +151,19 @@ impl EngineRegistry {
     /// panic.
     pub fn get(&self, fingerprint: u64) -> Option<Arc<Server>> {
         let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.clock += 1;
-        let now = inner.clock;
-        match inner.tenants.get_mut(&fingerprint) {
-            Some(tenant) => {
-                tenant.last_used = now;
-                let server = Arc::clone(&tenant.server);
-                inner.hits += 1;
-                Some(server)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let server = inner.tenants.get(&fingerprint).cloned();
+        match server {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        server
     }
 
     /// Process-lifetime [`ServerStats`] of one tenant (no LRU refresh —
     /// scraping stats must not keep a cold tenant warm).
     pub fn stats_of(&self, fingerprint: u64) -> Option<ServerStats> {
         let inner = self.inner.lock().expect("registry poisoned");
-        inner.tenants.get(&fingerprint).map(|t| t.server.stats())
-    }
-
-    /// The tenant's **interval** stats: everything since the previous
-    /// `interval_stats_of` call (or registration), as a field-wise
-    /// difference of [`ServerStats`], and resets the interval baseline —
-    /// the `snapshot_and_reset` pattern. Two monitoring consumers should
-    /// not share one registry interval; scrape [`stats_of`] and
-    /// difference externally instead.
-    ///
-    /// [`stats_of`]: EngineRegistry::stats_of
-    pub fn interval_stats_of(&self, fingerprint: u64) -> Option<ServerStats> {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        let tenant = inner.tenants.get_mut(&fingerprint)?;
-        let now = tenant.server.stats();
-        let delta = now.since(&tenant.interval_base);
-        tenant.interval_base = now;
-        Some(delta)
+        inner.tenants.peek(&fingerprint).map(|s| s.stats())
     }
 
     /// Registry-level counters.
@@ -324,24 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn interval_stats_reset_between_queries() {
-        let registry = EngineRegistry::new(RegistryConfig::default());
-        let fp = registry.register(engine(8));
-        let tenant = registry.get(fp).unwrap();
-        tenant.run(Task::SampleExact, 1).unwrap();
-        tenant.run(Task::SampleExact, 2).unwrap();
-        let first = registry.interval_stats_of(fp).unwrap();
-        assert_eq!(first.completed, 2);
-        // nothing happened since: the next interval is empty, while the
-        // lifetime aggregate still carries both completions
-        let second = registry.interval_stats_of(fp).unwrap();
-        assert_eq!(second.completed, 0);
-        assert_eq!(registry.stats_of(fp).unwrap().completed, 2);
-        // and a cache hit in the next interval shows up as exactly one
-        tenant.run(Task::SampleExact, 1).unwrap();
-        let third = registry.interval_stats_of(fp).unwrap();
-        assert_eq!(third.completed, 1);
-        assert_eq!(third.cache_hits, 1);
-        assert_eq!(third.engine_executions, 0);
+    fn reading_stats_does_not_warm_a_tenant() {
+        let registry = EngineRegistry::new(RegistryConfig {
+            capacity: 2,
+            ..RegistryConfig::default()
+        });
+        let fp_a = registry.register(engine(6));
+        let fp_b = registry.register(engine(8));
+        // A is the coldest tenant; scraping its stats must leave it so
+        assert!(registry.stats_of(fp_a).is_some());
+        registry.register(engine(10));
+        assert!(registry.stats_of(fp_a).is_none(), "cold tenant evicted");
+        assert!(registry.stats_of(fp_b).is_some());
+        assert_eq!(registry.stats().evictions, 1);
     }
 }

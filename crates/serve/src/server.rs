@@ -71,17 +71,10 @@ impl ServeMetrics {
 /// thread of its engine's pool ([`lds_engine::EngineBuilder::threads`]).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Bounded request-queue capacity — the hard admission limit
+    /// Bounded request-queue capacity — the admission watermark
     /// (default 256, clamped to ≥ 1). A full queue makes
     /// [`Server::try_submit`] return [`SubmitError::Overloaded`].
     pub queue_capacity: usize,
-    /// Soft admission watermark: [`Server::try_submit`] rejects once
-    /// the queue depth reaches this, even below capacity (clamped to
-    /// `1..=queue_capacity` — `Some(0)` would otherwise reject every
-    /// submission forever). `None` (default) means the watermark *is*
-    /// the capacity. Lets a deployer shed load before latency degrades
-    /// rather than when the queue is hard-full.
-    pub admission_watermark: Option<usize>,
     /// Idempotency-cache entries (default 1024; `0` disables caching —
     /// identical requests then still dedup while in flight, but not
     /// across time).
@@ -92,7 +85,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             queue_capacity: 256,
-            admission_watermark: None,
             cache_capacity: 1024,
         }
     }
@@ -101,13 +93,13 @@ impl Default for ServerConfig {
 /// Why a submission was not accepted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Admission control shed the request: the queue is at its
-    /// watermark. Callers should back off and retry; the depth and
-    /// limit are attached for their telemetry.
+    /// Admission control shed the request: the queue is full. Callers
+    /// should back off and retry; the depth and limit are attached for
+    /// their telemetry.
     Overloaded {
         /// Queue depth observed at rejection time.
         queue_depth: usize,
-        /// The watermark that was hit.
+        /// The watermark that was hit: the queue capacity.
         watermark: usize,
     },
     /// The server has been shut down.
@@ -225,8 +217,8 @@ struct Shared {
     config: ServerConfig,
     ledger: Mutex<Ledger>,
     metrics: ServeMetrics,
-    /// The admission watermark: [`ServerConfig::admission_watermark`]
-    /// clamped to `1..=queue capacity`.
+    /// The admission watermark: [`ServerConfig::queue_capacity`]
+    /// clamped to ≥ 1.
     watermark: usize,
     /// Probe end of the request queue, used only for depth/peak stats
     /// (holding a receiver does not keep the queue alive — shutdown is
@@ -374,7 +366,7 @@ fn supervise(shared: Arc<Shared>, rx: channel::Receiver<Pending>) {
 ///
 /// * **Admission control** — the request queue is bounded;
 ///   [`Server::try_submit`] sheds load with [`SubmitError::Overloaded`]
-///   at the configured watermark instead of queuing unboundedly.
+///   at its capacity instead of queuing unboundedly.
 /// * **One request per dispatch, one session per pool thread** — each
 ///   `(task, seed)` is its own execution, driven by that seed's
 ///   randomness alone, so two requests share no work a batch could
@@ -408,12 +400,8 @@ impl Server {
     /// Starts a server with the given configuration; its sessions, one
     /// per thread of the engine's pool, spawn immediately.
     pub fn new(engine: Arc<Engine>, config: ServerConfig) -> Server {
-        let capacity = config.queue_capacity.max(1);
-        let watermark = config
-            .admission_watermark
-            .unwrap_or(capacity)
-            .clamp(1, capacity);
-        let (tx, rx) = channel::bounded::<Pending>(capacity);
+        let watermark = config.queue_capacity.max(1);
+        let (tx, rx) = channel::bounded::<Pending>(watermark);
         let shared = Arc::new(Shared {
             engine,
             ledger: Mutex::new(Ledger {
@@ -449,8 +437,7 @@ impl Server {
     }
 
     /// Submits without blocking. Sheds load with
-    /// [`SubmitError::Overloaded`] once the queue depth reaches the
-    /// admission watermark (or the queue is hard-full) — the
+    /// [`SubmitError::Overloaded`] once the queue is full — the
     /// backpressure contract: the caller, not the server, decides
     /// whether to retry, degrade, or fail upstream.
     pub fn try_submit(&self, task: Task, seed: u64) -> Result<Ticket, SubmitError> {

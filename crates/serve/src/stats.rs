@@ -78,40 +78,6 @@ impl ServerStats {
             self.completed as f64 / secs
         }
     }
-
-    /// The **interval snapshot**: what happened between `earlier` and
-    /// `self`, as a `ServerStats` whose monotonic counters are deltas
-    /// and whose `uptime` is the interval length.
-    ///
-    /// Process-lifetime aggregates go flat on a long-lived server — a
-    /// tenant that served a million requests yesterday and nothing
-    /// today still shows a healthy lifetime throughput. Differencing
-    /// two snapshots (`snapshot_and_reset` style, without the reset:
-    /// the baseline snapshot *is* the state) yields rates that are
-    /// meaningful over time; the registry's per-tenant interval stats
-    /// are built exactly this way.
-    ///
-    /// Point-in-time fields (`queue_depth`, `peak_queue_depth`) and the
-    /// lifetime latency percentiles keep their current values — they
-    /// are not counters and cannot be differenced.
-    pub(crate) fn since(&self, earlier: &ServerStats) -> ServerStats {
-        ServerStats {
-            submitted: self.submitted.saturating_sub(earlier.submitted),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            completed: self.completed.saturating_sub(earlier.completed),
-            failed: self.failed.saturating_sub(earlier.failed),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            engine_executions: self
-                .engine_executions
-                .saturating_sub(earlier.engine_executions),
-            queue_depth: self.queue_depth,
-            peak_queue_depth: self.peak_queue_depth,
-            p50_latency: self.p50_latency,
-            p99_latency: self.p99_latency,
-            uptime: self.uptime.saturating_sub(earlier.uptime),
-        }
-    }
 }
 
 impl std::fmt::Display for ServerStats {
@@ -175,45 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn since_differences_counters_and_keeps_window_fields() {
-        let mk = |completed, submitted, uptime_s| ServerStats {
-            submitted,
-            rejected: 1,
-            completed,
-            failed: 0,
-            cache_hits: 4,
-            cache_misses: 10,
-            engine_executions: 9,
-            queue_depth: 2,
-            peak_queue_depth: 8,
-            p50_latency: Duration::from_micros(100),
-            p99_latency: Duration::from_micros(900),
-            uptime: Duration::from_secs(uptime_s),
-        };
-        let earlier = mk(50, 60, 10);
-        let later = ServerStats {
-            completed: 80,
-            submitted: 95,
-            cache_hits: 14,
-            uptime: Duration::from_secs(14),
-            ..mk(0, 0, 0)
-        };
-        let delta = later.since(&earlier);
-        assert_eq!(delta.completed, 30);
-        assert_eq!(delta.submitted, 35);
-        assert_eq!(delta.cache_hits, 10);
-        // counters the interval never bumped saturate at zero
-        assert_eq!(delta.rejected, 0);
-        assert_eq!(delta.engine_executions, 0);
-        // interval throughput: 30 completions over 4 seconds
-        assert_eq!(delta.uptime, Duration::from_secs(4));
-        assert!((delta.throughput() - 7.5).abs() < 1e-12);
-        // point-in-time and lifetime-percentile fields pass through from `self`
-        assert_eq!(delta.queue_depth, later.queue_depth);
-        assert_eq!(delta.p50_latency, later.p50_latency);
-    }
-
-    #[test]
     fn derived_rates() {
         let stats = ServerStats {
             submitted: 100,
@@ -263,72 +190,5 @@ engine:   45 executions
 queue:    depth 0 (peak 12)
 latency:  p50 0.500 ms, p99 4.000 ms; throughput 44 req/s over 2.00 s";
         assert_eq!(stats.to_string(), expected);
-    }
-
-    #[test]
-    fn since_with_reset_counters_saturates_at_zero() {
-        // a restarted server reports smaller lifetime counters than the
-        // interval baseline; the delta must clamp to zero, not wrap
-        let mk = |n: u64, uptime_s| ServerStats {
-            submitted: n,
-            rejected: n / 2,
-            completed: n,
-            failed: n / 4,
-            cache_hits: n,
-            cache_misses: n,
-            engine_executions: n,
-            queue_depth: 1,
-            peak_queue_depth: 3,
-            p50_latency: Duration::from_micros(10),
-            p99_latency: Duration::from_micros(20),
-            uptime: Duration::from_secs(uptime_s),
-        };
-        let earlier = mk(1000, 500);
-        let later = mk(4, 2); // post-reset: everything smaller
-        let delta = later.since(&earlier);
-        assert_eq!(delta.submitted, 0);
-        assert_eq!(delta.rejected, 0);
-        assert_eq!(delta.completed, 0);
-        assert_eq!(delta.failed, 0);
-        assert_eq!(delta.cache_hits, 0);
-        assert_eq!(delta.cache_misses, 0);
-        assert_eq!(delta.engine_executions, 0);
-        // uptime saturates too, so rates divide by zero safely
-        assert_eq!(delta.uptime, Duration::ZERO);
-        assert_eq!(delta.throughput(), 0.0);
-        // point-in-time fields still pass through from `self`
-        assert_eq!(delta.queue_depth, later.queue_depth);
-        assert_eq!(delta.peak_queue_depth, later.peak_queue_depth);
-        assert_eq!(delta.p50_latency, later.p50_latency);
-        assert_eq!(delta.p99_latency, later.p99_latency);
-    }
-
-    #[test]
-    fn since_over_an_empty_window_is_all_zero() {
-        // two interval queries with no traffic in between: every delta
-        // is zero, every derived rate is a well-defined zero
-        let snap = ServerStats {
-            submitted: 42,
-            rejected: 1,
-            completed: 40,
-            failed: 1,
-            cache_hits: 7,
-            cache_misses: 33,
-            engine_executions: 30,
-            queue_depth: 0,
-            peak_queue_depth: 5,
-            p50_latency: Duration::from_micros(100),
-            p99_latency: Duration::from_micros(300),
-            uptime: Duration::from_secs(60),
-        };
-        let delta = snap.since(&snap.clone());
-        assert_eq!(delta.submitted, 0);
-        assert_eq!(delta.completed, 0);
-        assert_eq!(delta.uptime, Duration::ZERO);
-        assert_eq!(delta.throughput(), 0.0);
-        assert_eq!(delta.cache_hit_rate(), 0.0);
-        assert_eq!(delta.deduped(), 0);
-        // the lifetime percentile fields are not deltas and survive
-        assert_eq!(delta.p50_latency, snap.p50_latency);
     }
 }

@@ -17,8 +17,6 @@ use lds_core::complexity;
 /// One row of the phase-transition sweep.
 #[derive(Clone, Debug)]
 pub struct PhasePoint {
-    /// Fugacity `λ`.
-    pub lambda: f64,
     /// `λ/λ_c(Δ)`.
     pub lambda_ratio: f64,
     /// Fitted decay rate over the measured depths (tail of the series).
@@ -66,7 +64,6 @@ pub fn hardcore_tree_sweep(delta: usize, ratios: &[f64], max_depth: usize) -> Ve
                 }
             };
             PhasePoint {
-                lambda,
                 lambda_ratio: r,
                 fitted,
                 theory_rate: complexity::hardcore_decay_rate(lambda, delta),

@@ -126,7 +126,7 @@ fn main() {
         );
 
         // --- stats over the wire -----------------------------------------
-        let stats = c.stats(fp_h, false).expect("stats");
+        let stats = c.stats(fp_h).expect("stats");
         println!("\n--- hardcore tenant ServerStats (over the wire) ---\n{stats}");
         (fp_h, fp_i)
     });

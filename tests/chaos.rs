@@ -19,7 +19,7 @@ use lds::engine::{Engine, ModelSpec, RunReport, Task, Topology};
 use lds::gibbs::Value;
 use lds::graph::{generators, NodeId};
 use lds::net::{Client, ClientError, EngineSpec, NetServer, Op, Reply, RetryPolicy, WireError};
-use lds::serve::Server;
+use lds::serve::{EngineRegistry, RegistryConfig, Server};
 
 /// The chaos registry is process-global; scenarios that arm a plan
 /// must not overlap. Every test takes this guard first.
@@ -63,7 +63,7 @@ fn reset_between_execution_and_reply_retries_into_the_cached_report() {
     );
     drop(guard);
 
-    let stats = client.stats(fp, false).unwrap();
+    let stats = client.stats(fp).unwrap();
     assert_eq!(
         stats.engine_executions, 1,
         "retry after a post-execution reset must join the cache, not re-run"
@@ -92,7 +92,7 @@ fn zero_budget_is_rejected_at_admission_and_never_executes() {
         Err(ClientError::Server(WireError::Expired)) => {}
         other => panic!("expected Expired at admission, got {other:?}"),
     }
-    let stats = client.stats(fp, false).unwrap();
+    let stats = client.stats(fp).unwrap();
     assert_eq!(
         stats.engine_executions, 0,
         "an expired request must not run"
@@ -212,7 +212,7 @@ fn torn_reply_frame_is_survivable_and_still_exactly_once() {
     assert!(chaos::firings("net.write_torn") >= 1);
     drop(guard);
 
-    let stats = client.stats(fp, false).unwrap();
+    let stats = client.stats(fp).unwrap();
     assert_eq!(stats.engine_executions, 1, "torn reply must not re-execute");
     server.shutdown();
 
@@ -305,6 +305,73 @@ fn a_tenants_concurrency_follows_its_pool_width() {
         one >= Duration::from_millis(500),
         "one session must run the two requests one after the other, took {one:?}"
     );
+}
+
+/// Evicting a tenant must not stall the others. The registry usually
+/// holds an evicted tenant's last handle, and dropping that handle joins
+/// the tenant's sessions, which first serve every request it accepted.
+/// The drop happens after the registry lock is released, so another
+/// tenant's lookup and run finish while the evicted one waits out its
+/// stall.
+#[test]
+fn evicting_a_stalled_tenant_does_not_stall_the_others() {
+    let _serial = serial();
+    let seed = chaos::seed_from_env(0x5EED);
+    const STALL: Duration = Duration::from_secs(2);
+    let engine = |n: usize| {
+        Engine::builder()
+            .model(ModelSpec::Hardcore { lambda: 1.0 })
+            .graph(generators::cycle(n))
+            .threads(1)
+            .build()
+            .unwrap()
+    };
+    let wait_until = |done: &dyn Fn() -> bool| {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let registry = Arc::new(EngineRegistry::new(RegistryConfig {
+        capacity: 2,
+        ..RegistryConfig::default()
+    }));
+    let fp_cold = registry.register(engine(6));
+    let fp_warm = registry.register(engine(8));
+    let cold = registry.get(fp_cold).unwrap();
+    registry.get(fp_warm).unwrap(); // the cold tenant is now the LRU one
+
+    // the cold tenant's one session sleeps holding a request, and a
+    // second request waits in its queue
+    let guard =
+        chaos::arm(Plan::new(seed).with("serve.queue_stall", Trigger::Nth(0), Fault::Delay(STALL)));
+    let stalled_from = Instant::now();
+    let stalled = cold.try_submit(Task::SampleExact, 1).unwrap();
+    wait_until(&|| chaos::firings("serve.queue_stall") == 1);
+    drop(guard);
+    let queued = cold.try_submit(Task::SampleExact, 2).unwrap();
+    let cold_handle = Arc::downgrade(&cold);
+    drop(cold); // the registry now holds the tenant's last handle
+
+    // a third tenant evicts the cold one, whose drop waits out the stall
+    let registering = thread::spawn({
+        let registry = Arc::clone(&registry);
+        move || registry.register(engine(10))
+    });
+    wait_until(&|| cold_handle.strong_count() == 0);
+    let warm = registry.get(fp_warm).expect("the warm tenant stays live");
+    warm.run(Task::SampleExact, 3)
+        .expect("the warm tenant serves");
+    assert!(
+        Instant::now() < stalled_from + STALL,
+        "the warm tenant waited for the evicted tenant's drain"
+    );
+    // the evicted tenant still answers every request it accepted
+    stalled.wait().expect("the stalled request is served");
+    queued.wait().expect("the queued request is served");
+    registering.join().unwrap();
+    assert_eq!(registry.stats().evictions, 1);
 }
 
 /// Probabilistic schedules replay identically for the same seed — the

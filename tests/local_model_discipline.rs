@@ -3,30 +3,36 @@
 //! disagreements are invisible, and the SLOCAL→LOCAL schedule keeps
 //! same-color clusters out of each other's reach.
 
-use lds::core::LocalInference;
 use lds::gibbs::models::hardcore;
 use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::{metrics, PartialConfig, Value};
 use lds::graph::{generators, traversal, NodeId};
 use lds::localnet::decomposition::UNCLUSTERED;
-use lds::localnet::local::run_local;
 use lds::localnet::{scheduler, Instance, Network};
 use lds::oracle::{DecayRate, EnumerationOracle, Oracle, Target, TwoSpinSawOracle};
 
 #[test]
 fn view_computation_equals_global_computation() {
-    // running an oracle inside a view must equal running it globally
+    // running an oracle inside a view must equal running it globally;
+    // the view's radius is the oracle's `Tv` radius plus the one ring
+    // it peeks past it
     let g = generators::torus(4, 4);
     let model = hardcore::model(&g, 1.1);
     let net = Network::new(Instance::unconditioned(model.clone()), 5);
     let oracle = EnumerationOracle::new(DecayRate::new(0.5, 2.0));
-    let algo = LocalInference::new(&oracle, 0.3);
-    let run = run_local(&net, &algo);
+    let t = oracle.radius(&model, Target::Tv(0.3));
     let tau = PartialConfig::empty(16);
     for v in g.nodes() {
+        let view = net.view(v, t + 1);
+        let local = oracle.query(
+            view.model(),
+            view.pinning(),
+            view.center_local(),
+            Target::Tv(0.3),
+        );
         let global = oracle.query(&model, &tau, v, Target::Tv(0.3));
         assert!(
-            metrics::tv_distance(&global, &run.outputs[v.index()]) < 1e-12,
+            metrics::tv_distance(&global, &local) < 1e-12,
             "node {v} diverged between view and global execution"
         );
     }

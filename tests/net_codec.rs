@@ -348,29 +348,23 @@ fn arb_request() -> impl Strategy<Value = Request> {
         arb_spec(),
         any::<u64>(),
         arb_task(),
-        any::<bool>(),
         (any::<bool>(), arb_duration()),
     )
-        .prop_map(
-            |(id, tag, spec, x, task, interval, (bounded, budget))| Request {
-                id,
-                op: match tag {
-                    0 => Op::Ping,
-                    1 => Op::Register(Box::new(spec)),
-                    2 => Op::Run {
-                        fingerprint: x,
-                        task,
-                        seed: x.rotate_left(13),
-                        deadline: bounded.then_some(budget),
-                    },
-                    3 => Op::Stats {
-                        fingerprint: x,
-                        interval,
-                    },
-                    _ => Op::Metrics,
+        .prop_map(|(id, tag, spec, x, task, (bounded, budget))| Request {
+            id,
+            op: match tag {
+                0 => Op::Ping,
+                1 => Op::Register(Box::new(spec)),
+                2 => Op::Run {
+                    fingerprint: x,
+                    task,
+                    seed: x.rotate_left(13),
+                    deadline: bounded.then_some(budget),
                 },
+                3 => Op::Stats { fingerprint: x },
+                _ => Op::Metrics,
             },
-        )
+        })
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {

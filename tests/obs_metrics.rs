@@ -4,8 +4,8 @@
 //!
 //! This equality is exact by design: the net layer deliberately
 //! excludes the metrics op from its own instrumentation (no byte
-//! counters, no latency record, no trace events), so serving the
-//! scrape does not perturb the registry being scraped. Every reply the
+//! counters, no latency record), so serving the scrape does not
+//! perturb the registry being scraped. Every reply the
 //! client has read was recorded before it was written, and the engine's
 //! fan-outs join their threads before they return, so nothing records
 //! in the background: one local snapshot and one wire snapshot, taken

@@ -68,7 +68,7 @@ fn serve_series_total_over_live_servers_and_outlive_them() {
     let stalled = Server::new(
         Arc::clone(&engine),
         ServerConfig {
-            admission_watermark: Some(8),
+            queue_capacity: 8,
             ..ServerConfig::default()
         },
     );

@@ -123,7 +123,6 @@ fn backpressure_rejects_above_watermark_without_deadlock() {
         ServerConfig {
             queue_capacity: 2,
             cache_capacity: 0, // every request must actually execute
-            ..ServerConfig::default()
         },
     );
     let mut accepted = Vec::new();
@@ -164,47 +163,14 @@ fn backpressure_rejects_above_watermark_without_deadlock() {
 }
 
 #[test]
-fn watermark_below_capacity_sheds_early() {
-    let server = Server::new(
-        hardcore_engine(18, 1),
-        ServerConfig {
-            queue_capacity: 16,
-            admission_watermark: Some(2),
-            cache_capacity: 0,
-        },
-    );
-    let mut accepted = Vec::new();
-    let mut shed = 0u64;
-    for seed in 0..32u64 {
-        match server.try_submit(Task::SampleExact, seed) {
-            Ok(t) => accepted.push(t),
-            Err(SubmitError::Overloaded { watermark, .. }) => {
-                assert_eq!(watermark, 2, "the soft watermark governs, not capacity");
-                shed += 1;
-            }
-            Err(other) => panic!("unexpected submit error: {other:?}"),
-        }
-    }
-    assert!(shed > 0, "soft watermark never triggered");
-    assert!(
-        server.stats().peak_queue_depth <= 3,
-        "queue grew past the soft watermark"
-    );
-    for t in accepted {
-        t.wait().unwrap();
-    }
-}
-
-#[test]
 fn concurrent_producers_cannot_overshoot_the_watermark() {
     // the depth check and the enqueue are atomic in try_submit: even
-    // with many producers racing, the queue never exceeds the soft
-    // watermark (this is what a post-hoc `len()` check cannot give)
+    // with many producers racing, the queue never exceeds its capacity
+    // (this is what a post-hoc `len()` check cannot give)
     let server = Arc::new(Server::new(
         hardcore_engine(16, 1),
         ServerConfig {
-            queue_capacity: 16,
-            admission_watermark: Some(2),
+            queue_capacity: 2,
             cache_capacity: 0,
         },
     ));
