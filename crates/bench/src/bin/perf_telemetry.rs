@@ -900,8 +900,7 @@ fn e1(_: usize) -> Record {
             let net = Network::new(Instance::unconditioned(model.clone()), 17);
             let schedule = scheduler::chromatic_schedule(&net, sampler.locality(&model), 0);
             let run = sampler::sample_local(&net, &oracle, delta, &schedule, &never)
-                .expect("never cancelled")
-                .run;
+                .expect("never cancelled");
             r.metric(format!("{id}_radius"), radius as f64);
             r.metric(format!("{id}_rounds"), run.rounds as f64);
             r.metric(format!("{id}_colors"), schedule.colors as f64);
@@ -1488,7 +1487,7 @@ fn s2(_: usize) -> Record {
     let out = jvv::sample_exact_local(&net, &oracle, 0.01, &schedule, &CancelToken::never())
         .expect("never cancelled");
     let stats = out.jvv.expect("exact sampling reports JVV stats");
-    r.metric("s2_jvv_c7_rounds", out.run.rounds as f64);
+    r.metric("s2_jvv_c7_rounds", out.rounds as f64);
     r.metric("s2_jvv_c7_locality", stats.locality as f64);
     r.metric("s2_jvv_c7_acceptance", stats.acceptance_product);
     r.metric("s2_jvv_c7_clamped", stats.clamped as f64);

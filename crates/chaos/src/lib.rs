@@ -40,10 +40,10 @@ pub enum Fault {
     /// Sleep this long, then proceed normally (slow write, stalled
     /// read, queue stall).
     Delay(Duration),
-    /// Write only the first `keep` bytes of the frame, then sever the
-    /// connection (torn/truncated frame).
+    /// Write the frame's whole header but only the first `keep` bytes
+    /// of its payload, then sever the connection (torn/truncated frame).
     TornWrite {
-        /// Bytes of the frame (header + payload) actually written.
+        /// Payload bytes written after the header.
         keep: usize,
     },
     /// Sever the connection without writing anything.

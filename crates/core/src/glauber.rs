@@ -33,24 +33,24 @@
 //! Mixing is certified by [`crate::regime::glauber_plan`] from the
 //! model's SSM decay rate.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::admissible::first_feasible_value;
 use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
 use lds_localnet::scheduler::ChromaticSchedule;
-use lds_localnet::slocal::{run_scan_sequential, ScanKernel, SlocalKernel};
+use lds_localnet::slocal::{run_scan_sequential, ScanKernel, SlocalKernel, SlocalRun};
 use lds_localnet::Network;
 use lds_runtime::{CancelToken, Cancelled, Phase};
 
-use crate::sampler::{lift, SampleRun};
+use crate::sampler::SampleRun;
 
 /// Base randomness stream tag for Glauber sweeps: sweep `s` draws each
 /// node's randomness from stream `STREAM_GLAUBER + s`. Stream tags pack
 /// into the low 20 bits of [`Network::node_seed`]'s derivation, so the
 /// base (plus any realistic sweep count) stays below `2^20` while
 /// keeping clear of the sampler/JVV tags (1–3) and the runtime's
-/// decomposition/node/workload tags.
+/// `streams` domain labels.
 const STREAM_GLAUBER: u64 = 0x4_0000;
 
 /// The greedy ground pass: pin each free node, in schedule order, to the
@@ -70,12 +70,13 @@ impl SlocalKernel for GreedyGroundKernel {
     }
 }
 
-/// Result of one full Glauber sweep.
+/// One full Glauber sweep: its scan state while it runs, its result
+/// when it ends.
 #[derive(Clone, Debug)]
 pub(crate) struct GlauberSweepRun {
-    /// The configuration after the sweep.
+    /// The configuration after the sites processed so far.
     pub(crate) config: Config,
-    /// Free sites resampled by the sweep.
+    /// Free sites resampled so far.
     pub(crate) resampled: usize,
     /// Resampled sites whose value changed.
     pub(crate) changed: usize,
@@ -83,13 +84,13 @@ pub(crate) struct GlauberSweepRun {
 
 /// One systematic-scan Glauber sweep as a [`ScanKernel`].
 ///
-/// The scan state is the full current configuration; processing a free
-/// node replaces its value with a draw from the exact conditional
-/// distribution given its neighborhood (computable from the factors
-/// touching the node only — locality `ℓ`, the model's factor diameter),
-/// using the node's private randomness for this sweep's stream. Pinned
-/// nodes are never updated. A node's scan effect is whether its update
-/// changed its value.
+/// The scan state is the sweep's [`GlauberSweepRun`], starting from the
+/// kernel's configuration; processing a free node replaces its value
+/// with a draw from the exact conditional distribution given its
+/// neighborhood (computable from the factors touching the node only —
+/// locality `ℓ`, the model's factor diameter), using the node's private
+/// randomness for this sweep's stream, and counts the update and
+/// whether it changed the value. Pinned nodes are never updated.
 #[derive(Clone, Debug)]
 pub(crate) struct GlauberKernel {
     initial: Config,
@@ -105,19 +106,23 @@ impl GlauberKernel {
 }
 
 impl ScanKernel for GlauberKernel {
-    type State = Config;
-    type Effect = bool;
+    type State = GlauberSweepRun;
     type Run = GlauberSweepRun;
 
-    fn init(&self, _net: &Network) -> Config {
-        self.initial.clone()
+    fn init(&self, _net: &Network) -> GlauberSweepRun {
+        GlauberSweepRun {
+            config: self.initial.clone(),
+            resampled: 0,
+            changed: 0,
+        }
     }
 
-    fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<bool> {
+    fn process(&self, net: &Network, state: &mut GlauberSweepRun, v: NodeId) {
         let model = net.instance().model();
         if net.instance().pinning().is_pinned(v) {
-            return None;
+            return;
         }
+        let config = &mut state.config;
         let q = model.alphabet_size();
         let mut weights = vec![0.0f64; q];
         for (c, w) in weights.iter_mut().enumerate() {
@@ -129,7 +134,7 @@ impl ScanKernel for GlauberKernel {
                         Some(if s == v {
                             Value::from_index(c)
                         } else {
-                            state.get(s)
+                            config.get(s)
                         })
                     })
                     .expect("full config");
@@ -139,32 +144,22 @@ impl ScanKernel for GlauberKernel {
             }
             *w = local;
         }
-        let current = state.get(v);
+        state.resampled += 1;
+        let current = config.get(v);
         let total: f64 = weights.iter().sum();
         if total <= 0.0 {
             // frozen site (cannot happen from a feasible state): keep the
             // current value without consuming randomness
-            return Some(false);
+            return;
         }
         let mut rng = net.node_rng(v, self.stream);
         let value = distribution::sample_from_marginal(&weights, &mut rng);
-        state.set(v, value);
-        Some(value != current)
+        config.set(v, value);
+        state.changed += usize::from(value != current);
     }
 
-    fn finish(
-        &self,
-        _net: &Network,
-        state: Config,
-        effects: Vec<(NodeId, bool)>,
-    ) -> GlauberSweepRun {
-        let resampled = effects.len();
-        let changed = effects.iter().filter(|&&(_, changed)| changed).count();
-        GlauberSweepRun {
-            config: state,
-            resampled,
-            changed,
-        }
+    fn finish(&self, state: GlauberSweepRun) -> GlauberSweepRun {
+        state
     }
 }
 
@@ -206,8 +201,7 @@ pub fn sweep_locality(model: &GibbsModel) -> usize {
 /// [`CancelToken::never`]; a cancelled run returns `Err(`[`Cancelled`]`)`
 /// with no partial result.
 ///
-/// Phases: `schedule` (all rounds, zero wall time: the caller that got
-/// the schedule owns that time), `ground`, `glauber`.
+/// Phases: `ground`, `glauber`.
 pub fn sample_glauber(
     net: &Network,
     sweeps: usize,
@@ -234,18 +228,18 @@ pub fn sample_glauber(
         stats.last_sweep_changes = run.changed;
         config = run.config;
     }
-    let sweeps_wall = start.elapsed();
-
+    let phases = vec![
+        Phase::new("ground", ground_wall, 0),
+        Phase::new("glauber", start.elapsed(), 0),
+    ];
     let rounds = schedule.rounds * (sweeps + 1);
+    let scan = SlocalRun {
+        outputs: config.values().to_vec(),
+        ..ground
+    };
     Ok(SampleRun {
-        run: lift(config.values().to_vec(), &ground.failures, schedule, rounds),
-        phases: vec![
-            Phase::new("schedule", Duration::ZERO, rounds),
-            Phase::new("ground", ground_wall, 0),
-            Phase::new("glauber", sweeps_wall, 0),
-        ],
-        jvv: None,
         glauber: Some(stats),
+        ..SampleRun::lift(scan, schedule, rounds, phases)
     })
 }
 
@@ -271,13 +265,9 @@ mod tests {
         Network::new(Instance::unconditioned(hardcore::model(&g, lambda)), seed)
     }
 
-    fn glauber_out(net: &Network, sweeps: usize) -> SampleRun {
+    fn glauber(net: &Network, sweeps: usize) -> SampleRun {
         let schedule = scheduler::complete_schedule(net, sweep_locality(net.instance().model()));
         sample_glauber(net, sweeps, &schedule, &CancelToken::never()).unwrap()
-    }
-
-    fn glauber(net: &Network, sweeps: usize) -> lds_localnet::local::LocalRun<Value> {
-        glauber_out(net, sweeps).run
     }
 
     #[test]
@@ -365,17 +355,12 @@ mod tests {
     #[test]
     fn stats_count_site_updates_and_locality() {
         let net = hc_net(10, 1.0, 5);
-        let out = glauber_out(&net, 3);
+        let out = glauber(&net, 3);
         let stats = out.glauber.expect("glauber stats");
         assert_eq!(stats.sweeps, 3);
         assert_eq!(stats.site_updates, 30, "10 free sites x 3 sweeps");
         assert_eq!(stats.locality, 1);
-        assert!(out.run.rounds > 0);
-        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
-        assert_eq!(
-            phases,
-            [("schedule", out.run.rounds), ("ground", 0), ("glauber", 0)]
-        );
+        assert!(out.rounds > 0);
     }
 
     #[test]

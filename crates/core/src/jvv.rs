@@ -32,7 +32,7 @@
 //! locally computable acceptance. Success probability `≥ e^{−5n²ε}`,
 //! which is `1 − O(1/n)` at the paper's `ε = 1/n³`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::admissible::first_feasible_value;
 use lds_gibbs::{distribution, Config, GibbsModel, PartialConfig, Value};
@@ -46,7 +46,7 @@ use lds_oracle::{Oracle, Target};
 use lds_runtime::{CancelToken, Cancelled, Phase};
 use rand::Rng;
 
-use crate::sampler::{lift, SampleRun};
+use crate::sampler::SampleRun;
 
 /// Randomness stream for pass 2 (sampling `Y`).
 const STREAM_JVV_SAMPLE: u64 = 2;
@@ -217,7 +217,7 @@ impl<'a, O: Oracle + ?Sized> LocalJvv<'a, O> {
 
     /// The refactored pass-3 kernel run sequentially over `order` from
     /// the given pass-1/2 outputs — test hook for comparing the kernel
-    /// fold against [`LocalJvv::rejection_pass_reference`] on
+    /// scan against [`LocalJvv::rejection_pass_reference`] on
     /// hand-crafted inputs (e.g. synthetic ground-failure bits, which
     /// the full pipeline only produces on infeasible-fallback paths).
     #[doc(hidden)]
@@ -418,23 +418,10 @@ impl<O: Oracle + ?Sized> SlocalKernel for ChainKernel<'_, O> {
     }
 }
 
-/// Per-node effect of the rejection scan: the acceptance bookkeeping,
-/// folded in scan order.
-struct RejectEffect {
-    /// The rejection bit of `v_i` (`F′` — OR-ed into the pass-1 bit,
-    /// exactly as the reference scan does: a failure bit, once set, is
-    /// never cleared).
-    fail: bool,
-    /// Acceptance probability `q_{v_i}`; `None` when the feasibility
-    /// repair failed and no acceptance test ran.
-    q: Option<f64>,
-    /// Whether `q_{v_i}` had to be clamped to 1.
-    clamped: bool,
-}
-
 /// Pass-3 kernel: the local rejection scan of Theorem 4.2 as a
-/// [`ScanKernel`] whose state is the configuration path `σ_{i−1}` plus
-/// the density-factor table and the step's buffers ([`RejectState`]).
+/// [`ScanKernel`] whose state is the configuration path `σ_{i−1}`, the
+/// failure bits `F′` and the [`JvvStats`] so far, plus the
+/// density-factor table and the step's buffers ([`RejectState`]).
 /// Checked bit for bit against the frozen
 /// [`LocalJvv::rejection_pass_reference`] in `tests/pass3_reference.rs`.
 ///
@@ -458,9 +445,10 @@ struct RejectEffect {
 /// feasibility checks inside the repair are factor-local, and away from
 /// `B_R(v_i)` the path state is a feasible configuration (the path
 /// invariant), so checking only the factors near the ball decides as the
-/// reference's global check does. The acceptance product is folded in
-/// scan order ([`ScanKernel::finish`]), so even its floating-point
-/// rounding sequence matches the reference.
+/// reference's global check does. Each step multiplies its `q_{v_i}`
+/// into the acceptance product as it runs, in scan order as the
+/// reference does, so even the product's floating-point rounding
+/// sequence matches the reference.
 ///
 /// **Density factors.** The density `μ̂^τ(σ)` is a product of one factor
 /// per scan position `j`: the oracle's marginal at `v_j` under the
@@ -481,7 +469,7 @@ struct RejectKernel<'a, O: ?Sized> {
     sigma0: Config,
     /// Pass-2 output `Y` — the candidate sample.
     y: Config,
-    /// Pass-1 failure bits, carried into the final run (pass 2 never
+    /// Pass-1 failure bits, the scan's initial `F′` (pass 2 never
     /// fails).
     ground_failures: Vec<bool>,
     /// Oracle radius `t`.
@@ -494,14 +482,22 @@ struct RejectKernel<'a, O: ?Sized> {
     locality: usize,
 }
 
-/// The rejection scan's state: the configuration path, the density
-/// factors, and every buffer a step works in. The per-node arrays are
-/// sized once per scan, the buffers grow to the largest ball a step has
-/// needed, and a step resets what it uses in `O(ball)`, so past the first
-/// steps the oracle's answers are a step's only heap allocations.
+/// The rejection scan's state: the configuration path, the failure
+/// bits and statistics so far, the density factors, and every buffer a
+/// step works in. The per-node arrays are sized once per scan, the
+/// buffers grow to the largest ball a step has needed, and a step resets
+/// what it uses in `O(ball)`, so past the first steps the oracle's
+/// answers are a step's only heap allocations.
 struct RejectState {
     /// The path state `σ_{i−1}`.
     sigma: Config,
+    /// `F′` so far: the pass-1 bits, with each rejection or failed
+    /// repair OR-ed in. A bit, once set, is never cleared, so a pass-1
+    /// fallback failure survives a node's passing coin, as in the
+    /// reference scan.
+    failures: Vec<bool>,
+    /// The acceptance product, clamp count and repair failures so far.
+    stats: JvvStats,
     /// `factor[j]`: the density factor of scan position `j` under
     /// `sigma`; `None` until a step first needs it.
     factor: Vec<Option<f64>>,
@@ -664,18 +660,16 @@ impl<O: Oracle + ?Sized> RejectKernel<'_, O> {
     /// order the reference's walk meets them; every other factor of that
     /// walk is `w/w = 1`, and leaving out a factor of exactly 1 does not
     /// change the product.
-    fn step(&self, net: &Network, state: &mut RejectState, vi: NodeId) -> RejectEffect {
+    fn step(&self, net: &Network, state: &mut RejectState, vi: NodeId) {
         let model = net.instance().model();
         // σ_i: agree with Y on order[..=i], differ from σ_{i-1} only
         // inside B_w(vi), stay feasible (Claim 4.6 via greedy repair)
         state.ball.reset(vi);
         state.ball.grow(model.graph(), self.t.max(self.ell));
         if !self.repair_ball(model, state, self.pos[vi.index()]) {
-            return RejectEffect {
-                fail: true,
-                q: None,
-                clamped: false,
-            };
+            state.stats.repair_failures += 1;
+            state.failures[vi.index()] = true;
+            return;
         }
         // where σ_i differs from σ_{i−1}: confined to the repair ball
         let RejectState {
@@ -699,19 +693,17 @@ impl<O: Oracle + ?Sized> RejectKernel<'_, O> {
             self.write_ratio(net, state)
         };
         let mut q_vi = ratio * self.slack;
-        let clamped = q_vi > 1.0;
-        if clamped {
+        if q_vi > 1.0 {
+            state.stats.clamped += 1;
             q_vi = 1.0;
         }
+        state.stats.acceptance_product *= q_vi;
         let mut rng = net.node_rng(vi, STREAM_JVV_REJECT);
-        let fail = !rng.gen_bool(q_vi.max(0.0));
+        if !rng.gen_bool(q_vi.max(0.0)) {
+            state.failures[vi.index()] = true;
+        }
         for &(u, val) in &state.writes {
             state.sigma.set(u, val);
-        }
-        RejectEffect {
-            fail,
-            q: Some(q_vi),
-            clamped,
         }
     }
 
@@ -960,13 +952,18 @@ impl Prefix {
 
 impl<O: Oracle + ?Sized> ScanKernel for RejectKernel<'_, O> {
     type State = RejectState;
-    type Effect = RejectEffect;
     type Run = JvvOutcome;
 
     fn init(&self, net: &Network) -> RejectState {
         let n = self.y.len();
         RejectState {
             sigma: self.sigma0.clone(),
+            failures: self.ground_failures.clone(),
+            stats: JvvStats {
+                acceptance_product: 1.0,
+                locality: self.locality,
+                ..JvvStats::default()
+            },
             factor: vec![None; n],
             prefix: Prefix::new(net.instance().pinning()),
             ball: Ball::new(n),
@@ -981,44 +978,19 @@ impl<O: Oracle + ?Sized> ScanKernel for RejectKernel<'_, O> {
         }
     }
 
-    fn process(&self, net: &Network, state: &mut RejectState, v: NodeId) -> Option<RejectEffect> {
+    fn process(&self, net: &Network, state: &mut RejectState, v: NodeId) {
         // every node runs its rejection step, pinned ones included —
         // exactly like the reference scan
-        Some(self.step(net, state, v))
+        self.step(net, state, v);
     }
 
-    fn finish(
-        &self,
-        _net: &Network,
-        _state: RejectState,
-        effects: Vec<(NodeId, RejectEffect)>,
-    ) -> JvvOutcome {
-        let mut stats = JvvStats {
-            acceptance_product: 1.0,
-            locality: self.locality,
-            ..JvvStats::default()
-        };
-        // pass-1 fallback failures carry over; pass 2 never fails
-        let mut failures = self.ground_failures.clone();
-        // fold in scan order: the reference's floating-point op sequence
-        for (v, effect) in effects {
-            // OR, don't assign: the reference scan only ever *sets*
-            // failure bits, so a pass-1 fallback failure survives even
-            // when v's rejection coin passes
-            failures[v.index()] |= effect.fail;
-            match effect.q {
-                Some(q) => {
-                    stats.acceptance_product *= q;
-                    stats.clamped += effect.clamped as usize;
-                }
-                None => stats.repair_failures += 1,
-            }
-        }
-        let n = self.y.len();
-        let outputs: Vec<Value> = (0..n).map(|i| self.y.get(NodeId::from_index(i))).collect();
+    fn finish(&self, state: RejectState) -> JvvOutcome {
         JvvOutcome {
-            run: SlocalRun { outputs, failures },
-            stats,
+            run: SlocalRun {
+                outputs: self.y.values().to_vec(),
+                failures: state.failures,
+            },
+            stats: state.stats,
         }
     }
 }
@@ -1088,8 +1060,7 @@ fn repair(
 /// [`CancelToken::never`]; a cancelled run returns
 /// `Err(`[`Cancelled`]`)` with no partial result.
 ///
-/// Phases: `schedule` (all rounds, zero wall time: the caller that got
-/// the schedule owns that time), `ground`, `sample`, `reject`.
+/// Rounds: the schedule's. Phases: `ground`, `sample`, `reject`.
 pub fn sample_exact_local<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
@@ -1097,19 +1068,10 @@ pub fn sample_exact_local<O: Oracle + ?Sized>(
     schedule: &ChromaticSchedule,
     cancel: &CancelToken,
 ) -> Result<SampleRun, Cancelled> {
-    let mut phases = vec![Phase::new("schedule", Duration::ZERO, schedule.rounds)];
-    let (outcome, passes) = LocalJvv::new(oracle, eps).run(net, &schedule.order, cancel)?;
-    phases.extend(passes);
+    let (outcome, phases) = LocalJvv::new(oracle, eps).run(net, &schedule.order, cancel)?;
     Ok(SampleRun {
-        run: lift(
-            outcome.run.outputs,
-            &outcome.run.failures,
-            schedule,
-            schedule.rounds,
-        ),
-        phases,
         jvv: Some(outcome.stats),
-        glauber: None,
+        ..SampleRun::lift(outcome.run, schedule, schedule.rounds, phases)
     })
 }
 
@@ -1253,17 +1215,7 @@ mod tests {
         let schedule = scheduler::complete_schedule(&net, locality);
         let out =
             sample_exact_local(&net, &oracle, 0.05, &schedule, &CancelToken::never()).unwrap();
-        assert!(out.run.rounds > 0);
-        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
-        assert_eq!(
-            phases,
-            [
-                ("schedule", out.run.rounds),
-                ("ground", 0),
-                ("sample", 0),
-                ("reject", 0)
-            ]
-        );
+        assert!(out.rounds > 0);
         assert!(out.jvv.expect("jvv stats").locality > 0);
     }
 

@@ -11,13 +11,12 @@
 //! (Lemma 3.1, [`lds_localnet::scheduler`]): time complexity
 //! `O(t(n, δ/n) · log² n)`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lds_gibbs::{distribution, GibbsModel, PartialConfig, Value};
 use lds_graph::NodeId;
-use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule};
-use lds_localnet::slocal::{run_scan_sequential, SlocalKernel};
+use lds_localnet::slocal::{run_scan_sequential, SlocalKernel, SlocalRun};
 use lds_localnet::Network;
 use lds_oracle::{Oracle, Target};
 use lds_runtime::{CancelToken, Cancelled, Phase};
@@ -86,11 +85,17 @@ impl<O: Oracle + ?Sized> SlocalKernel for SequentialSampler<'_, O> {
 /// ([`crate::glauber::sample_glauber`]).
 #[derive(Clone, Debug)]
 pub struct SampleRun {
-    /// Sampled values, failure bits (the algorithm's own `F′_v` merged
-    /// with the decomposition's `F″_v`) and simulated LOCAL rounds.
-    pub run: LocalRun<Value>,
-    /// Per-phase wall clock and rounds in execution order: `schedule`
-    /// first, charged every simulated round, then the sampler's passes.
+    /// Per-node sampled values `Y_v`, indexed by node id.
+    pub outputs: Vec<Value>,
+    /// Per-node failure bits: the algorithm's own `F′_v` merged with
+    /// the decomposition's `F″_v`.
+    pub failures: Vec<bool>,
+    /// Simulated LOCAL rounds: the schedule's rounds for every
+    /// chromatic pass the sampler charges.
+    pub rounds: usize,
+    /// Wall clock of the sampler's own passes, in execution order. The
+    /// caller that got the schedule owns its time and charges it these
+    /// `rounds`.
     pub phases: Vec<Phase>,
     /// Execution statistics (local-JVV only).
     pub jvv: Option<JvvStats>,
@@ -98,24 +103,36 @@ pub struct SampleRun {
     pub glauber: Option<GlauberStats>,
 }
 
-/// Lifts an SLOCAL scan result to the LOCAL run of Lemma 3.1: a node
-/// fails if the scan failed it (`F′_v`) or the decomposition left it
-/// unclustered (`F″_v`).
-pub(crate) fn lift(
-    outputs: Vec<Value>,
-    failures: &[bool],
-    schedule: &ChromaticSchedule,
-    rounds: usize,
-) -> LocalRun<Value> {
-    let failures = failures
-        .iter()
-        .zip(&schedule.failed)
-        .map(|(&f, &ff)| f || ff)
-        .collect();
-    LocalRun {
-        outputs,
-        failures,
-        rounds,
+impl SampleRun {
+    /// Lifts an SLOCAL scan result to the LOCAL run of Lemma 3.1: a node
+    /// fails if the scan failed it (`F′_v`) or the decomposition left it
+    /// unclustered (`F″_v`). No statistics; the caller adds its own.
+    pub(crate) fn lift(
+        scan: SlocalRun<Value>,
+        schedule: &ChromaticSchedule,
+        rounds: usize,
+        phases: Vec<Phase>,
+    ) -> SampleRun {
+        let SlocalRun {
+            outputs,
+            mut failures,
+        } = scan;
+        for (f, &ff) in failures.iter_mut().zip(&schedule.failed) {
+            *f |= ff;
+        }
+        SampleRun {
+            outputs,
+            failures,
+            rounds,
+            phases,
+            jvv: None,
+            glauber: None,
+        }
+    }
+
+    /// Returns `true` if no node failed.
+    pub fn succeeded(&self) -> bool {
+        self.failures.iter().all(|&f| !f)
     }
 }
 
@@ -131,8 +148,7 @@ pub(crate) fn lift(
 /// one under [`CancelToken::never`]; a cancelled run returns
 /// `Err(`[`Cancelled`]`)` with no partial result.
 ///
-/// Phases: `schedule` (all rounds, zero wall time: the caller that got
-/// the schedule owns that time), `scan`.
+/// Rounds: the schedule's. Phases: `scan`.
 pub fn sample_local<O: Oracle + ?Sized>(
     net: &Network,
     oracle: &O,
@@ -143,16 +159,8 @@ pub fn sample_local<O: Oracle + ?Sized>(
     let sampler = SequentialSampler::new(oracle, delta);
     let start = Instant::now();
     let scan = run_scan_sequential(net, &sampler, &schedule.order, cancel)?;
-    let scan_wall = start.elapsed();
-    Ok(SampleRun {
-        run: lift(scan.outputs, &scan.failures, schedule, schedule.rounds),
-        phases: vec![
-            Phase::new("schedule", Duration::ZERO, schedule.rounds),
-            Phase::new("scan", scan_wall, 0),
-        ],
-        jvv: None,
-        glauber: None,
-    })
+    let phases = vec![Phase::new("scan", start.elapsed(), 0)];
+    Ok(SampleRun::lift(scan, schedule, schedule.rounds, phases))
 }
 
 /// One uncancellable [`sample_local`] run over `schedule` — the unit of
@@ -163,10 +171,9 @@ pub(crate) fn sample_once<O: Oracle + ?Sized>(
     oracle: &O,
     delta: f64,
     schedule: &ChromaticSchedule,
-) -> LocalRun<Value> {
+) -> SampleRun {
     sample_local(net, oracle, delta, schedule, &CancelToken::never())
         .expect("a never-token cannot cancel")
-        .run
 }
 
 /// The chromatic schedule a Monte Carlo estimator shares across its
@@ -188,7 +195,6 @@ mod tests {
     use lds_gibbs::models::{coloring, hardcore};
     use lds_gibbs::{metrics, Config, PartialConfig};
     use lds_graph::{generators, ordering};
-    use lds_localnet::slocal::{run_scan_sequential, SlocalRun};
     use lds_localnet::Instance;
     use lds_oracle::{DecayRate, EnumerationOracle, TwoSpinSawOracle};
 
@@ -275,12 +281,9 @@ mod tests {
         let net = hc_net(12, 1.0, 3);
         let oracle = saw(1.0);
         let schedule = shared_schedule(&net, &oracle, 0.1);
-        let out = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never()).unwrap();
-        let run = out.run;
+        let run = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never()).unwrap();
         assert!(run.succeeded(), "decomposition failed unexpectedly");
         assert!(run.rounds > 0);
-        let phases: Vec<(&str, usize)> = out.phases.iter().map(|p| (p.name, p.rounds)).collect();
-        assert_eq!(phases, [("schedule", run.rounds), ("scan", 0)]);
         let config = Config::from_values(run.outputs);
         assert!(net.instance().model().weight(&config) > 0.0);
     }

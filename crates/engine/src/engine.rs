@@ -23,14 +23,15 @@ use crate::report::{MarginalsMethod, MarginalsReport, RunReport, SampleDecode, T
 use crate::spec::{ModelSpec, Topology};
 
 /// How a carrier-graph configuration maps back to the input topology.
+/// The configuration alone decides, so each kind is a tag.
 enum Decoder {
     /// Vertex models: the configuration is the answer.
     Spins,
     /// Matchings: decode line-graph occupation to base edges.
-    Matching(MatchingInstance),
+    Matching,
     /// Hypergraph matchings: decode intersection-graph occupation to
     /// hyperedges.
-    Hypergraph(HypergraphMatchingInstance),
+    Hypergraph,
 }
 
 /// The unified facade: one validated instance serving every task kind.
@@ -343,11 +344,10 @@ impl EngineBuilder {
                         g.node_count(),
                         BOUND_CALIBRATION,
                     );
-                    let inst = MatchingInstance::new(g, *lambda);
                     (
-                        inst.model().clone(),
+                        MatchingInstance::new(g, *lambda).into_model(),
                         Box::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
-                        Decoder::Matching(inst),
+                        Decoder::Matching,
                         rate,
                         bound,
                     )
@@ -412,9 +412,9 @@ impl EngineBuilder {
                     let rate = regime::hypergraph_matching(h, *lambda, ig_delta)?.rate;
                     let bound = complexity::log3_rounds_bound(h.node_count(), BOUND_CALIBRATION);
                     (
-                        inst.model().clone(),
+                        inst.into_model(),
                         Box::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
-                        Decoder::Hypergraph(inst),
+                        Decoder::Hypergraph,
                         rate,
                         bound,
                     )
@@ -950,7 +950,9 @@ impl Engine {
     }
 
     /// The report of a sampling task, built from the sampler's outcome
-    /// and `schedule_wall`, the time spent getting its schedule.
+    /// and `schedule_wall`, the time spent getting its schedule. Its
+    /// phases are `schedule`, charged that time and every simulated
+    /// round, then the sampler's own passes.
     ///
     /// Also records the round-ledger observable: the measured rounds
     /// against the model's predicted bound, or, for a Glauber-served
@@ -964,33 +966,32 @@ impl Engine {
         seed: u64,
         start: Instant,
         schedule_wall: Duration,
-        mut out: sampler::SampleRun,
+        out: sampler::SampleRun,
         backend: ServedBackend,
     ) -> RunReport {
-        // every sampler reports the schedule phase first
-        out.phases[0].wall_time = schedule_wall;
         let ledger = lds_obs::ledger();
         if let (Some(g), ServedBackend::Glauber { sweeps }) = (&out.glauber, backend) {
             ledger.record_sweeps(self.spec.name(), g.sweeps as u64, sweeps as u64);
         } else {
-            ledger.record_rounds(self.spec.name(), out.run.rounds, self.bound_rounds);
+            ledger.record_rounds(self.spec.name(), out.rounds, self.bound_rounds);
         }
-        let succeeded = out.run.succeeded();
-        let config = Config::from_values(out.run.outputs);
+        let succeeded = out.succeeded();
+        let config = Config::from_values(out.outputs);
         let decoded = self.decode(&config);
+        let schedule = Phase::new("schedule", schedule_wall, out.rounds);
         RunReport {
             task,
             seed,
             output: TaskOutput::Sample { config, decoded },
             succeeded,
-            rounds: out.run.rounds,
+            rounds: out.rounds,
             bound_rounds: self.bound_rounds,
             rate: self.rate,
             backend,
             stats: out.jvv,
             glauber: out.glauber,
             wall_time: start.elapsed(),
-            phases: out.phases,
+            phases: std::iter::once(schedule).chain(out.phases).collect(),
         }
     }
 
@@ -1022,11 +1023,11 @@ impl Engine {
     }
 
     fn decode(&self, config: &Config) -> SampleDecode {
-        match &self.decoder {
+        match self.decoder {
             Decoder::Spins => SampleDecode::Spins,
-            Decoder::Matching(inst) => SampleDecode::Matching(inst.edges_of(config)),
-            Decoder::Hypergraph(inst) => {
-                SampleDecode::HypergraphMatching(inst.hyperedges_of(config))
+            Decoder::Matching => SampleDecode::Matching(MatchingInstance::edges_of(config)),
+            Decoder::Hypergraph => {
+                SampleDecode::HypergraphMatching(HypergraphMatchingInstance::hyperedges_of(config))
             }
         }
     }
@@ -1312,6 +1313,40 @@ mod tests {
         for mu in &rec.marginals {
             let total: f64 = mu.iter().sum();
             assert!((total - 1.0).abs() < 1e-9, "sum {total}");
+        }
+    }
+
+    #[test]
+    fn sampling_reports_start_with_the_schedule_phase() {
+        let glauber = Backend::Glauber {
+            sweeps: SweepBudget::Fixed(3),
+        };
+        let runs = [
+            (
+                Backend::Exact,
+                Task::SampleExact,
+                &["ground", "sample", "reject"][..],
+            ),
+            (Backend::Exact, Task::SampleApprox, &["scan"][..]),
+            (glauber, Task::SampleApprox, &["ground", "glauber"][..]),
+        ];
+        for (backend, task, passes) in runs {
+            let engine = Engine::builder()
+                .model(ModelSpec::Hardcore { lambda: 1.0 })
+                .graph(generators::cycle(10))
+                .backend(backend)
+                .build()
+                .unwrap();
+            // the first report draws the schedule, the second looks it up
+            for seed in [1, 2] {
+                let report = engine.run_with_seed(task, seed).unwrap();
+                assert!(report.rounds > 0);
+                let phases: Vec<(&str, usize)> =
+                    report.phases.iter().map(|p| (p.name, p.rounds)).collect();
+                let mut expected = vec![("schedule", report.rounds)];
+                expected.extend(passes.iter().map(|&name| (name, 0)));
+                assert_eq!(phases, expected, "{backend:?} {task:?}");
+            }
         }
     }
 

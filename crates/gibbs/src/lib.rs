@@ -3,7 +3,8 @@
 //! This crate implements the probabilistic objects of Feng & Yin,
 //! *On Local Distributed Sampling and Counting* (PODC 2018):
 //!
-//! * [`Alphabet`] and [`Value`] — the alphabet `Σ` with `q = |Σ|`.
+//! * [`Value`] — a member of the alphabet `Σ`, stored as an index `0..q`
+//!   with `q = |Σ|`.
 //! * [`Config`] and [`PartialConfig`] — configurations `σ ∈ Σ^V` and
 //!   partially specified configurations `τ ∈ Σ^Λ` (the pinnings that make
 //!   instances *self-reducible*, Definition 2.2 and Remark 2.2).
@@ -56,4 +57,4 @@ mod value;
 pub use config::{Config, PartialConfig};
 pub use factor::Factor;
 pub use model::GibbsModel;
-pub use value::{Alphabet, Value, EMPTY, OCCUPIED};
+pub use value::Value;

@@ -67,8 +67,15 @@ impl HypergraphMatchingInstance {
         &self.model
     }
 
-    /// Decodes a configuration into the matched hyperedges.
-    pub fn hyperedges_of(&self, config: &Config) -> Vec<HyperEdgeId> {
+    /// The model, without the hypergraph and its intersection graph.
+    pub fn into_model(self) -> GibbsModel {
+        self.model
+    }
+
+    /// Decodes a configuration into the matched hyperedges:
+    /// intersection-graph node `i` is hyperedge `i`, so the configuration
+    /// alone decides.
+    pub fn hyperedges_of(config: &Config) -> Vec<HyperEdgeId> {
         (0..config.len())
             .filter(|&i| config.get(NodeId::from_index(i)) == Value(1))
             .map(HyperEdgeId::from_index)
@@ -129,7 +136,7 @@ mod tests {
         let joint =
             distribution::joint_distribution(inst.model(), &PartialConfig::empty(3)).unwrap();
         for (c, _) in &joint {
-            let edges = inst.hyperedges_of(c);
+            let edges = HypergraphMatchingInstance::hyperedges_of(c);
             assert!(inst.is_matching(&edges));
         }
         // {}, {h0}, {h1}, {h2}, {h0 with h1}? no (share 2). {h0,h2}? share 0. {h1,h2}? share 4.

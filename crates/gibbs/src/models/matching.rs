@@ -57,9 +57,15 @@ impl MatchingInstance {
         &self.model
     }
 
+    /// The model, without the base graph.
+    pub fn into_model(self) -> GibbsModel {
+        self.model
+    }
+
     /// Decodes a configuration over line-graph nodes into the matched base
-    /// edges.
-    pub fn edges_of(&self, config: &Config) -> Vec<EdgeId> {
+    /// edges: line-graph node `i` is base edge `i`, so the configuration
+    /// alone decides.
+    pub fn edges_of(config: &Config) -> Vec<EdgeId> {
         (0..config.len())
             .filter(|&i| config.get(NodeId::from_index(i)) == Value(1))
             .map(EdgeId::from_index)
@@ -121,7 +127,7 @@ mod tests {
         .unwrap();
         for (c, p) in &joint {
             assert!(*p > 0.0);
-            let edges = inst.edges_of(c);
+            let edges = MatchingInstance::edges_of(c);
             assert!(inst.is_matching(&edges));
         }
         // matchings of K4: 1 empty + 6 single + 3 perfect = 10

@@ -149,7 +149,7 @@ proptest! {
             let joint = distribution::joint_distribution(
                 inst.model(), &PartialConfig::empty(n)).unwrap();
             for (c, _) in &joint {
-                prop_assert!(inst.is_matching(&inst.edges_of(c)));
+                prop_assert!(inst.is_matching(&MatchingInstance::edges_of(c)));
             }
         }
     }

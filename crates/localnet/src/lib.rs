@@ -1,4 +1,5 @@
-//! LOCAL and SLOCAL model simulators.
+//! Networks, views and the SLOCAL scan, lifted to the LOCAL model by
+//! Lemma 3.1.
 //!
 //! This crate realizes the computational models of Feng & Yin (PODC 2018):
 //!
@@ -13,12 +14,11 @@
 //!   distances. An oracle queried inside a view answers exactly as it
 //!   does on the whole instance, which is how the test suites check that
 //!   an answer reads nothing beyond its declared locality.
-//! * [`local`] — [`LocalRun`](local::LocalRun), the per-node outputs,
-//!   Las Vegas failure bits and round count of a LOCAL run.
 //! * [`slocal`] — the [`ScanKernel`](slocal::ScanKernel) trait and
 //!   [`run_scan_sequential`](slocal::run_scan_sequential): sequential
 //!   local algorithms scanning an adversarial ordering
-//!   (Ghaffari–Kuhn–Maus SLOCAL model).
+//!   (Ghaffari–Kuhn–Maus SLOCAL model), each node's step folding its
+//!   result into the scan state.
 //! * [`decomposition`] — randomized Linial–Saks style
 //!   `(O(log n), O(log n))` network decompositions with locally
 //!   certifiable failures.
@@ -48,7 +48,6 @@
 
 pub mod decomposition;
 mod instance;
-pub mod local;
 mod network;
 pub mod scheduler;
 pub mod slocal;

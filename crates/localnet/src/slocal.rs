@@ -7,11 +7,11 @@
 //! Section 3).
 //!
 //! In this simulator an SLOCAL algorithm is a [`ScanKernel`]: a per-node
-//! step over an explicit scan state, driven along the ordering by
-//! [`run_scan_sequential`]. Lifted to LOCAL by Lemma 3.1, a pass is the
-//! same scan over a chromatic schedule's ordering
-//! ([`crate::scheduler`]). Kernels are trusted (and tested) to respect
-//! their declared locality. The accompanying helper
+//! step that folds each node's result into an explicit scan state as
+//! [`run_scan_sequential`] drives it along the ordering. Lifted to LOCAL
+//! by Lemma 3.1, a pass is the same scan over a chromatic schedule's
+//! ordering ([`crate::scheduler`]). Kernels are trusted (and tested) to
+//! respect their declared locality. The accompanying helper
 //! [`multipass_locality`] implements the locality arithmetic of the
 //! paper's Lemma 4.4: a `k`-pass SLOCAL algorithm with per-pass localities
 //! `r_1, ..., r_k` collapses to a single pass with locality
@@ -48,7 +48,7 @@ impl<T> SlocalRun<T> {
 /// nodes, and processing node `v_i` computes a [`Value`] from the pins
 /// within distance `r` of `v_i` plus `v_i`'s private randomness. A
 /// kernel exposes only that per-node step; the blanket [`ScanKernel`]
-/// impl supplies the pinning state and the fold.
+/// impl supplies the pinning state and the failure bits.
 ///
 /// Contract (trusted): `process` may depend only on the instance within
 /// the algorithm's locality of `v`, the pins of `sigma` within that
@@ -60,86 +60,65 @@ pub trait SlocalKernel {
     fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool);
 }
 
-/// The general SLOCAL scan kernel: explicit scan state, per-node
-/// effects, and a fold into the final run result.
+/// The general SLOCAL scan kernel: an explicit scan state that each
+/// node's step folds its result into, and the run that state ends as.
 ///
 /// [`SlocalKernel`] covers the pinning-extension shape (state = the
-/// pinning of processed nodes, effect = the pinned value); passes whose
-/// scan state is richer — `local-JVV`'s rejection pass threads a full
+/// pinning of processed nodes and their failure bits); passes whose scan
+/// state is richer — `local-JVV`'s rejection pass threads a full
 /// feasible configuration `σ_{i−1}` through the scan and accumulates
 /// acceptance statistics — implement `ScanKernel` directly. Every
 /// `SlocalKernel` is a `ScanKernel` through a blanket impl, so
 /// [`run_scan_sequential`] drives both shapes.
 ///
 /// Contract: `process(net, state, v)` reads and writes `state` only
-/// within the kernel's declared locality of `v`, and `finish` folds the
-/// effects in scan order.
+/// within the kernel's declared locality of `v`, apart from the
+/// per-node results and totals it folds in scan order.
 pub trait ScanKernel {
     /// Scan state threaded through the ordering.
     type State;
-    /// Per-node result, folded by [`ScanKernel::finish`].
-    type Effect;
-    /// The folded result of a full scan.
+    /// The result of a full scan.
     type Run;
 
     /// The scan's initial state.
     fn init(&self, net: &Network) -> Self::State;
 
-    /// Processes node `v` against `state`, mutating it. Returns `None`
-    /// when the node is skipped (e.g. pinned by the instance).
-    fn process(&self, net: &Network, state: &mut Self::State, v: NodeId) -> Option<Self::Effect>;
+    /// Processes node `v`, folding its result into `state`.
+    fn process(&self, net: &Network, state: &mut Self::State, v: NodeId);
 
-    /// Folds the final state and the effects (in scan order) into the
-    /// run result.
-    fn finish(
-        &self,
-        net: &Network,
-        state: Self::State,
-        effects: Vec<(NodeId, Self::Effect)>,
-    ) -> Self::Run;
+    /// The run the final state amounts to.
+    fn finish(&self, state: Self::State) -> Self::Run;
 }
 
 /// Every pinning-extension kernel is a [`ScanKernel`] whose state is the
-/// pinning of processed nodes: processing pins the computed value, the
-/// effect is `(value, failure)`, and the fold reads the outputs off the
-/// fully pinned state.
+/// pinning of processed nodes with their failure bits: processing skips
+/// a node the instance pins, pins the computed value and records its
+/// bit, and the run reads the outputs off the fully pinned state.
 impl<K: SlocalKernel + ?Sized> ScanKernel for K {
-    type State = PartialConfig;
-    type Effect = (Value, bool);
+    type State = (PartialConfig, Vec<bool>);
     type Run = SlocalRun<Value>;
 
-    fn init(&self, net: &Network) -> PartialConfig {
-        net.instance().pinning().clone()
+    fn init(&self, net: &Network) -> (PartialConfig, Vec<bool>) {
+        (
+            net.instance().pinning().clone(),
+            vec![false; net.node_count()],
+        )
     }
 
-    fn process(
-        &self,
-        net: &Network,
-        state: &mut PartialConfig,
-        v: NodeId,
-    ) -> Option<(Value, bool)> {
-        if state.is_pinned(v) {
-            return None;
+    fn process(&self, net: &Network, state: &mut (PartialConfig, Vec<bool>), v: NodeId) {
+        let (sigma, failures) = state;
+        if sigma.is_pinned(v) {
+            return;
         }
-        let (val, fail) = SlocalKernel::process(self, net, state, v);
-        state.pin(v, val);
-        Some((val, fail))
+        let (val, fail) = SlocalKernel::process(self, net, sigma, v);
+        sigma.pin(v, val);
+        failures[v.index()] = fail;
     }
 
-    fn finish(
-        &self,
-        net: &Network,
-        state: PartialConfig,
-        effects: Vec<(NodeId, (Value, bool))>,
-    ) -> SlocalRun<Value> {
-        let n = net.node_count();
-        let mut failures = vec![false; n];
-        for (v, (_, fail)) in effects {
-            failures[v.index()] = fail;
-        }
-        let outputs: Vec<Value> = (0..n)
+    fn finish(&self, (sigma, failures): (PartialConfig, Vec<bool>)) -> SlocalRun<Value> {
+        let outputs = (0..sigma.len())
             .map(|i| {
-                state
+                sigma
                     .get(NodeId::from_index(i))
                     .expect("scan visits every free node")
             })
@@ -154,10 +133,10 @@ impl<K: SlocalKernel + ?Sized> ScanKernel for K {
 const CANCEL_CHECK_STRIDE: usize = 256;
 
 /// Runs any [`ScanKernel`] as the classic sequential SLOCAL scan over
-/// `order`: initialize the state, process each node in order, fold the
-/// effects. Pinning-extension kernels skip nodes pinned by the instance,
-/// which keep their pinned value. Every pass runs here; a LOCAL pass
-/// (Lemma 3.1) is this scan over
+/// `order`: initialize the state, process each node in order, and
+/// return the run the final state amounts to. Pinning-extension kernels
+/// skip nodes pinned by the instance, which keep their pinned value.
+/// Every pass runs here; a LOCAL pass (Lemma 3.1) is this scan over
 /// [`ChromaticSchedule::order`](crate::scheduler::ChromaticSchedule::order).
 ///
 /// `order` must visit every free node (schedule orderings do). `cancel`
@@ -173,17 +152,14 @@ pub fn run_scan_sequential<K: ScanKernel + ?Sized>(
     cancel: &CancelToken,
 ) -> Result<K::Run, Cancelled> {
     let mut state = kernel.init(net);
-    let mut effects = Vec::with_capacity(order.len());
     for chunk in order.chunks(CANCEL_CHECK_STRIDE) {
         cancel.check()?;
         for &v in chunk {
-            if let Some(e) = ScanKernel::process(kernel, net, &mut state, v) {
-                effects.push((v, e));
-            }
+            ScanKernel::process(kernel, net, &mut state, v);
         }
     }
     cancel.check()?;
-    Ok(kernel.finish(net, state, effects))
+    Ok(kernel.finish(state))
 }
 
 /// Locality of the single-pass equivalent of a multi-pass SLOCAL

@@ -753,7 +753,6 @@ pub const PHASE_NAMES: &[&str] = &[
     "reject",
     "scan",
     "oracle",
-    "count",
     "anchor",
     "marginals",
     "glauber",

@@ -53,7 +53,7 @@ impl EngineSpec {
             model,
             topology,
             pinning: None,
-            epsilon: 0.05,
+            epsilon: 0.01,
             delta: 0.05,
             backend: Backend::Exact,
         }
@@ -118,9 +118,7 @@ pub enum Op {
         /// (a relative budget survives clock skew; the server converts
         /// it to an absolute deadline on receipt). An expired request is
         /// answered [`WireError::Expired`]; a run cancelled mid-flight
-        /// returns a typed error, never a partial report. Encoded as a
-        /// trailing optional field — v1 peers that omit it decode as
-        /// `None`, so the extension is wire-compatible.
+        /// returns a typed error, never a partial report.
         deadline: Option<Duration>,
     },
     /// Fetch a registered engine's process-lifetime serving statistics.
@@ -185,12 +183,7 @@ impl Wire for Request {
                 fingerprint: r.get_u64()?,
                 task: Task::decode(r)?,
                 seed: r.get_u64()?,
-                // tolerant trailing extension: a v1 frame ends here
-                deadline: if r.remaining() > 0 {
-                    Option::<Duration>::decode(r)?
-                } else {
-                    None
-                },
+                deadline: Option::<Duration>::decode(r)?,
             },
             3 => Op::Stats {
                 fingerprint: r.get_u64()?,
@@ -450,39 +443,22 @@ mod tests {
 
     #[test]
     fn run_without_trailing_deadline_decodes_as_none() {
-        // a v1 Run frame: id + tag 2 + fingerprint + task + seed, no
-        // trailing optional — the v2 decoder must accept it
-        let mut w = Writer::new();
-        w.put_u64(9);
-        w.put_u8(2);
-        w.put_u64(0xfeed);
-        Task::SampleExact.encode(&mut w);
-        w.put_u64(7);
-        let req = Request::from_bytes(&w.into_bytes()).unwrap();
-        match req.op {
-            Op::Run { deadline, seed, .. } => {
-                assert_eq!(deadline, None);
-                assert_eq!(seed, 7);
+        // the trailing deadline round-trips, absent or present
+        for budget in [None, Some(Duration::from_millis(250))] {
+            let req = Request {
+                id: 3,
+                op: Op::Run {
+                    fingerprint: 1,
+                    task: Task::Count,
+                    seed: 2,
+                    deadline: budget,
+                },
+            };
+            let back = Request::from_bytes(&req.to_bytes()).unwrap();
+            match back.op {
+                Op::Run { deadline, .. } => assert_eq!(deadline, budget),
+                other => panic!("wrong op: {other:?}"),
             }
-            other => panic!("wrong op: {other:?}"),
-        }
-
-        // and the v2 encoding round-trips the budget
-        let req = Request {
-            id: 3,
-            op: Op::Run {
-                fingerprint: 1,
-                task: Task::Count,
-                seed: 2,
-                deadline: Some(Duration::from_millis(250)),
-            },
-        };
-        let back = Request::from_bytes(&req.to_bytes()).unwrap();
-        match back.op {
-            Op::Run { deadline, .. } => {
-                assert_eq!(deadline, Some(Duration::from_millis(250)));
-            }
-            other => panic!("wrong op: {other:?}"),
         }
     }
 }

@@ -466,9 +466,12 @@ fn writer_loop(mut stream: TcpStream, rx: Receiver<Outgoing>, cfg: Arc<NetConfig
             }
         }
         if peer_writable && frame::write_frame(&mut stream, &bytes, cfg.max_frame_len).is_err() {
-            // the peer is gone or wedged past the write timeout: stop
-            // writing, but keep draining tickets so accepted work is
+            // the peer is gone, wedged past the write timeout, or owed a
+            // reply over the frame cap: stop writing and shut the socket
+            // down, so a peer blocked on this reply reads EOF instead of
+            // waiting forever; keep draining tickets so accepted work is
             // still awaited before the session ends
+            let _ = stream.shutdown(Shutdown::Both);
             metrics.backpressure.inc();
             peer_writable = false;
         }

@@ -10,9 +10,9 @@
 //!
 //! Semantics:
 //!
-//! * [`Sender::try_send_below`] never blocks: a queue at the given depth
-//!   returns [`TrySendError::Full`] with the item handed back, which is
-//!   what a server turns into an `Overloaded` rejection.
+//! * [`Sender::try_send`] never blocks: a full queue returns
+//!   [`TrySendError::Full`] with the item handed back, which is what a
+//!   server turns into an `Overloaded` rejection.
 //! * [`Sender::send`] blocks until space frees up (or every receiver is
 //!   gone).
 //! * [`Receiver::recv`] blocks until an item arrives (or every sender is
@@ -30,7 +30,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Creates a bounded blocking MPMC channel with room for `capacity`
 /// queued items. A capacity of `0` is clamped to `1` (a rendezvous
-/// channel would make `try_send_below` always fail, which turns
+/// channel would make `try_send` always fail, which turns
 /// admission control into a total outage).
 pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
@@ -76,10 +76,10 @@ pub struct Receiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Error of [`Sender::try_send_below`], returning the unsent item.
+/// Error of [`Sender::try_send`], returning the unsent item.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TrySendError<T> {
-    /// The queue is at its limit; the caller should shed load. Carries
+    /// The queue is full; the caller should shed load. Carries
     /// the unsent item and the queue depth observed **under the
     /// rejection lock** (re-reading [`Receiver::len`] afterwards could
     /// see a drained queue and misreport why admission failed).
@@ -98,22 +98,17 @@ pub struct SendError<T>(pub T);
 pub struct RecvError;
 
 impl<T> Sender<T> {
-    /// Enqueues without blocking, but only while the queue depth is
-    /// below `limit` (clamped to the capacity); otherwise hands the item
-    /// back as [`TrySendError::Full`] — the admission-control path. This
-    /// is the **atomic** check-and-enqueue a soft admission watermark
-    /// needs. Reading [`Receiver::len`] first and then enqueueing would
-    /// let concurrent producers all observe a below-watermark depth and
-    /// overshoot it together; here the depth check and the push happen
-    /// under one lock, so the queue never exceeds `limit` through this
-    /// call.
-    pub fn try_send_below(&self, item: T, limit: usize) -> Result<(), TrySendError<T>> {
-        let limit = limit.min(self.shared.capacity);
+    /// Enqueues without blocking while the queue has room; otherwise
+    /// hands the item back as [`TrySendError::Full`] — the
+    /// admission-control path. The depth check and the push happen under
+    /// one lock, so concurrent producers cannot overshoot the capacity
+    /// together, and the depth `Full` reports is the one that refused.
+    pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
         let mut inner = self.shared.inner.lock().expect("channel poisoned");
         if inner.receivers == 0 {
             return Err(TrySendError::Disconnected(item));
         }
-        if inner.queue.len() >= limit {
+        if inner.queue.len() >= self.shared.capacity {
             let depth = inner.queue.len();
             return Err(TrySendError::Full(item, depth));
         }
@@ -258,7 +253,7 @@ mod tests {
     fn fifo_order_within_one_producer() {
         let (tx, rx) = bounded(8);
         for i in 0..5 {
-            tx.try_send_below(i, usize::MAX).unwrap();
+            tx.try_send(i).unwrap();
         }
         for i in 0..5 {
             assert_eq!(rx.recv(), Ok(i));
@@ -268,56 +263,30 @@ mod tests {
     #[test]
     fn try_send_reports_full_and_hands_the_item_back() {
         let (tx, rx) = bounded(2);
-        tx.try_send_below(1, usize::MAX).unwrap();
-        tx.try_send_below(2, usize::MAX).unwrap();
-        assert_eq!(
-            tx.try_send_below(3, usize::MAX),
-            Err(TrySendError::Full(3, 2))
-        );
+        tx.try_send(1).unwrap();
+        tx.try_send(2).unwrap();
+        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3, 2)));
         assert_eq!(rx.len(), 2);
         assert_eq!(rx.peak_depth(), 2);
         // draining one slot readmits
         assert_eq!(rx.recv(), Ok(1));
-        tx.try_send_below(3, usize::MAX).unwrap();
+        tx.try_send(3).unwrap();
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
     }
 
     #[test]
-    fn try_send_below_enforces_the_limit_atomically() {
-        let (tx, rx) = bounded(8);
-        tx.try_send_below(1, 2).unwrap();
-        tx.try_send_below(2, 2).unwrap();
-        // the soft limit governs even though the queue has room
-        assert_eq!(tx.try_send_below(3, 2), Err(TrySendError::Full(3, 2)));
-        assert_eq!(rx.len(), 2);
-        // an unbounded limit still admits up to the hard capacity
-        tx.try_send_below(3, usize::MAX).unwrap();
-        // a limit above capacity clamps to capacity
-        for i in 4..=8 {
-            tx.try_send_below(i, 100).unwrap();
-        }
-        assert_eq!(tx.try_send_below(9, 100), Err(TrySendError::Full(9, 8)));
-        assert_eq!(rx.recv(), Ok(1));
-        // draining readmits under the soft limit only below it
-        assert_eq!(tx.try_send_below(9, 2), Err(TrySendError::Full(9, 7)));
-    }
-
-    #[test]
     fn capacity_zero_clamps_to_one() {
         let (tx, _rx) = bounded(0);
-        tx.try_send_below(1, usize::MAX).unwrap();
-        assert_eq!(
-            tx.try_send_below(2, usize::MAX),
-            Err(TrySendError::Full(2, 1))
-        );
+        tx.try_send(1).unwrap();
+        assert_eq!(tx.try_send(2), Err(TrySendError::Full(2, 1)));
     }
 
     #[test]
     fn queued_items_survive_sender_disconnect() {
         let (tx, rx) = bounded::<u32>(4);
-        tx.try_send_below(7, usize::MAX).unwrap();
-        tx.try_send_below(8, usize::MAX).unwrap();
+        tx.try_send(7).unwrap();
+        tx.try_send(8).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Ok(8));
@@ -329,16 +298,13 @@ mod tests {
         let (tx, rx) = bounded::<u32>(4);
         drop(rx);
         assert_eq!(tx.send(1), Err(SendError(1)));
-        assert_eq!(
-            tx.try_send_below(2, usize::MAX),
-            Err(TrySendError::Disconnected(2))
-        );
+        assert_eq!(tx.try_send(2), Err(TrySendError::Disconnected(2)));
     }
 
     #[test]
     fn blocking_send_unblocks_when_a_slot_frees() {
         let (tx, rx) = bounded(1);
-        tx.try_send_below(1, usize::MAX).unwrap();
+        tx.try_send(1).unwrap();
         let producer = thread::spawn(move || tx.send(2));
         // the producer is parked on a full queue until this recv
         assert_eq!(rx.recv(), Ok(1));

@@ -32,10 +32,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
 pub mod streams {
     /// Network-decomposition randomness (the chromatic scheduler).
     pub const DECOMPOSITION: u64 = 0xdec0;
-    /// Per-node private randomness of LOCAL nodes.
-    pub const NODE: u64 = 0x0de5;
-    /// Instance/workload generation (random graphs in benches, tests).
-    pub const WORKLOAD: u64 = 0x3019;
     /// Fault-injection schedules (the `lds-chaos` fail-point registry).
     /// A distinct domain so armed chaos plans can never perturb the
     /// randomness any algorithm consumes.
@@ -56,7 +52,7 @@ pub mod streams {
 /// use lds_runtime::{streams, StreamRng};
 ///
 /// let a = StreamRng::derive(42, streams::DECOMPOSITION);
-/// let b = StreamRng::derive(42, streams::NODE);
+/// let b = StreamRng::derive(42, streams::CHAOS);
 /// assert_ne!(a.state(), b.state());
 /// assert_eq!(a.state(), StreamRng::derive(42, streams::DECOMPOSITION).state());
 /// let _rng = a.substream(3).rng();
@@ -116,8 +112,8 @@ mod tests {
     #[test]
     fn domains_separate() {
         let d = StreamRng::derive(123, streams::DECOMPOSITION);
-        let n = StreamRng::derive(123, streams::NODE);
-        assert_ne!(d.state(), n.state());
+        let c = StreamRng::derive(123, streams::CHAOS);
+        assert_ne!(d.state(), c.state());
     }
 
     #[test]

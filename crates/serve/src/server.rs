@@ -470,12 +470,11 @@ impl Server {
         let Some(queue) = &self.queue else {
             return Err(SubmitError::ShuttingDown);
         };
-        let watermark = self.shared.watermark;
         let (pending, ticket) = Self::make_request(task, seed, deadline);
         // the depth check and the enqueue are one atomic operation:
         // checking `len()` first would let concurrent producers all
         // observe a below-watermark depth and overshoot it together
-        match queue.try_send_below(pending, watermark) {
+        match queue.try_send(pending) {
             Ok(()) => {
                 self.shared.metrics.queue_depth.add(1);
                 Ok(ticket)
@@ -484,7 +483,7 @@ impl Server {
                 metrics.rejected.inc();
                 Err(SubmitError::Overloaded {
                     queue_depth: depth,
-                    watermark,
+                    watermark: self.shared.watermark,
                 })
             }
             Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShuttingDown),

@@ -17,8 +17,8 @@
 //!   graphs, line graphs, hypergraphs).
 //! * [`gibbs`] — Gibbs distributions defined by local constraints, their
 //!   exact enumeration, and the paper's application models.
-//! * [`localnet`] — LOCAL/SLOCAL simulators, network decomposition and
-//!   the SLOCAL→LOCAL transformation (Lemma 3.1).
+//! * [`localnet`] — instances and networks, the SLOCAL scan, network
+//!   decomposition and the SLOCAL→LOCAL transformation (Lemma 3.1).
 //! * [`oracle`] — marginal oracles: ball enumeration (Theorem 5.1),
 //!   Weitz SAW trees, and the boosting lemma (Lemma 4.1).
 //! * [`core`] — the paper's reductions, the `local-JVV` exact sampler

@@ -54,9 +54,7 @@ fn theorem_3_2_local_version_with_lemma_3_1() {
     let net = Network::new(Instance::unconditioned(model.clone()), 11);
     let locality = SequentialSampler::new(&oracle, 0.1).locality(&model);
     let schedule = chromatic_schedule(&net, locality, 0);
-    let run = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never())
-        .unwrap()
-        .run;
+    let run = sample_local(&net, &oracle, 0.1, &schedule, &CancelToken::never()).unwrap();
     assert!(run.succeeded());
     assert!(run.rounds > 0);
     let config = Config::from_values(run.outputs);

@@ -8,8 +8,9 @@
 //! engines are built without an explicit width, so every assertion
 //! holds at widths 1, 4, and 8.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
@@ -229,6 +230,32 @@ fn malformed_truncated_and_oversized_frames_are_typed_never_panics() {
     }
     let mut client = Client::connect(addr).unwrap();
     client.ping().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_reply_over_the_frame_cap_ends_the_connection_instead_of_hanging() {
+    let config = NetConfig {
+        max_frame_len: 4096,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config).unwrap();
+    // registered server-side: a cycle(2000) spec does not fit in a 4 KiB
+    // request frame, and neither does a report of its 2000-node sample
+    let fp = server
+        .registry()
+        .register(hardcore_spec(2000).build().unwrap());
+    let addr = server.local_addr();
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        let _ = tx.send(client.run(fp, Task::SampleApprox, 1));
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(Err(ClientError::Io(e))) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+        Ok(other) => panic!("expected the connection to end, got {other:?}"),
+        Err(_) => panic!("the client still waits for a reply the server will never write"),
+    }
     server.shutdown();
 }
 
